@@ -3,24 +3,22 @@
 //!
 //! The fault subsystem rides the same two-lane FEL as arrivals and
 //! departures, so its cost shows up directly as events/sec. This bench
-//! quantifies the churn tax: a saturating single run per (faults ×
-//! FEL backend) cell prints the artifact numbers, then a criterion sweep
+//! quantifies the churn tax: a saturating single run with and without
+//! faults prints the artifact numbers, then a criterion sweep
 //! times a 20k-VM run with and without the canonical scenario so the
 //! overhead is comparable across commits.
 
 use criterion::{BenchmarkId, Criterion};
-use risa_des::FelKind;
 use risa_sim::{Algorithm, FaultSpec, SimulationBuilder, WorkloadSpec};
 use risa_workload::{SyntheticConfig, Workload};
 
 const SATURATING_VMS: u32 = 100_000;
 
 /// One full run; returns (events, seconds, evacuated, churn drops).
-fn one_run(trace: &Workload, fel: FelKind, faults: bool) -> (u64, f64, u32, u32) {
+fn one_run(trace: &Workload, faults: bool) -> (u64, f64, u32, u32) {
     let mut b = SimulationBuilder::new()
         .algorithm(Algorithm::Risa)
-        .workload(WorkloadSpec::Trace(trace.clone()))
-        .fel(fel);
+        .workload(WorkloadSpec::Trace(trace.clone()));
     b = if faults {
         b.faults(FaultSpec::canonical())
     } else {
@@ -43,21 +41,19 @@ fn main() {
 
     println!(
         "des_churn artifact: saturating {SATURATING_VMS}-VM single run, \
-         canonical faults vs faults-off, per FEL backend"
+         canonical faults vs faults-off"
     );
-    for fel in FelKind::ALL {
-        let (base_events, base_secs, _, _) = one_run(&trace, fel, false);
-        let (events, secs, evac, churn_drops) = one_run(&trace, fel, true);
-        let base_rate = base_events as f64 / base_secs.max(1e-9);
-        let rate = events as f64 / secs.max(1e-9);
-        println!(
-            "  fel={fel}: faults-off {base_rate:.0} events/s; \
-             churn {rate:.0} events/s ({:+.1}%); \
-             {evac} evacuated, {churn_drops} churn drops",
-            (rate / base_rate - 1.0) * 100.0,
-        );
-        assert!(evac > 0, "canonical scenario must displace residents");
-    }
+    let (base_events, base_secs, _, _) = one_run(&trace, false);
+    let (events, secs, evac, churn_drops) = one_run(&trace, true);
+    let base_rate = base_events as f64 / base_secs.max(1e-9);
+    let rate = events as f64 / secs.max(1e-9);
+    println!(
+        "  faults-off {base_rate:.0} events/s; \
+         churn {rate:.0} events/s ({:+.1}%); \
+         {evac} evacuated, {churn_drops} churn drops",
+        (rate / base_rate - 1.0) * 100.0,
+    );
+    assert!(evac > 0, "canonical scenario must displace residents");
     println!();
 
     let mut c = Criterion::default().configure_from_args();
@@ -66,7 +62,7 @@ fn main() {
     for faults in [false, true] {
         let label = if faults { "canonical" } else { "off" };
         g.bench_with_input(BenchmarkId::from_parameter(label), &faults, |b, &faults| {
-            b.iter(|| one_run(&small, FelKind::Heap, faults))
+            b.iter(|| one_run(&small, faults))
         });
     }
     g.finish();

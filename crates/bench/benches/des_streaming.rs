@@ -3,9 +3,9 @@
 //! memory, replayed with the `StreamingShards` cursor so peak memory is
 //! O(resident VMs + 2 shards).
 //!
-//! The artifact section runs the big trace once per FEL backend, printing
-//! events/sec, the cursor's peak buffered arrivals (asserted ≤ 2 shards),
-//! the peak FEL length, and the process peak RSS so the bounded-memory
+//! The artifact section runs the big trace once, printing events/sec,
+//! the cursor's peak buffered arrivals (asserted ≤ 2 shards), the peak
+//! FEL length, and the process peak RSS so the bounded-memory
 //! claim is visible in the log. `RISA_STREAM_VMS` overrides the trace
 //! size (e.g. for a quick CI smoke). The criterion sweep then compares
 //! streaming vs materialized end-to-end on a 20k-VM trace — the pipeline
@@ -13,7 +13,6 @@
 //! the artifact numbers show it is the only lane that scales past RAM.
 
 use criterion::{BenchmarkId, Criterion};
-use risa_des::FelKind;
 use risa_sim::{peak_rss_bytes, Algorithm, ArrivalMode, SimulationBuilder, WorkloadSpec};
 use risa_workload::shard::SHARD_SIZE;
 use risa_workload::{LifetimeModel, SyntheticConfig};
@@ -38,39 +37,36 @@ fn main() {
         .map(|v| v.parse().expect("RISA_STREAM_VMS must be a VM count"))
         .unwrap_or(DEFAULT_VMS);
 
-    println!("des_streaming artifact: {vms}-VM streaming single run, per FEL backend");
-    for fel in FelKind::ALL {
-        let mut sim = SimulationBuilder::new()
-            .algorithm(Algorithm::Risa)
-            .workload(WorkloadSpec::Synthetic(big_config(vms)))
-            .arrivals(ArrivalMode::Streaming)
-            .fel(fel)
-            .faults_off() // perf baseline: comparable across env toggles
-            .build();
-        let t0 = std::time::Instant::now();
-        let report = sim.run();
-        let secs = t0.elapsed().as_secs_f64();
-        let events = sim.events_dispatched();
-        let peak_buffered = sim.peak_buffered_arrivals().expect("streaming run");
-        let rss = peak_rss_bytes()
-            .map(|b| format!("{:.0} MiB", b as f64 / (1u64 << 20) as f64))
-            .unwrap_or_else(|| "n/a".into());
-        println!(
-            "  fel={fel}: {events} events in {secs:.3} s = {:.0} events/s; \
-             peak buffered {peak_buffered} VMs, peak FEL {}, peak resident {}, peak RSS {rss} \
-             (admitted {}, dropped {})",
-            events as f64 / secs.max(1e-9),
-            sim.peak_fel_len(),
-            sim.world().peak_resident(),
-            report.admitted,
-            report.dropped,
-        );
-        assert_eq!(report.admitted + report.dropped, vms);
-        assert!(
-            peak_buffered <= 2 * SHARD_SIZE as usize,
-            "cursor buffered {peak_buffered} VMs, more than two shards"
-        );
-    }
+    println!("des_streaming artifact: {vms}-VM streaming single run");
+    let mut sim = SimulationBuilder::new()
+        .algorithm(Algorithm::Risa)
+        .workload(WorkloadSpec::Synthetic(big_config(vms)))
+        .arrivals(ArrivalMode::Streaming)
+        .faults_off() // perf baseline: comparable across env toggles
+        .build();
+    let t0 = std::time::Instant::now();
+    let report = sim.run();
+    let secs = t0.elapsed().as_secs_f64();
+    let events = sim.events_dispatched();
+    let peak_buffered = sim.peak_buffered_arrivals().expect("streaming run");
+    let rss = peak_rss_bytes()
+        .map(|b| format!("{:.0} MiB", b as f64 / (1u64 << 20) as f64))
+        .unwrap_or_else(|| "n/a".into());
+    println!(
+        "  {events} events in {secs:.3} s = {:.0} events/s; \
+         peak buffered {peak_buffered} VMs, peak FEL {}, peak resident {}, peak RSS {rss} \
+         (admitted {}, dropped {})",
+        events as f64 / secs.max(1e-9),
+        sim.peak_fel_len(),
+        sim.world().peak_resident(),
+        report.admitted,
+        report.dropped,
+    );
+    assert_eq!(report.admitted + report.dropped, vms);
+    assert!(
+        peak_buffered <= 2 * SHARD_SIZE as usize,
+        "cursor buffered {peak_buffered} VMs, more than two shards"
+    );
     println!();
 
     let mut c = Criterion::default().configure_from_args();

@@ -1,7 +1,7 @@
 //! Hand-rolled argument parsing (no CLI dependency; the grammar is tiny).
 
 use risa_sched::Algorithm;
-use risa_sim::{ArrivalMode, ExecMode, FelKind};
+use risa_sim::ArrivalMode;
 use risa_workload::AzureSubset;
 
 /// Top-level usage text.
@@ -19,21 +19,12 @@ commands:
       --n <count>            synthetic VM count (default 2500)
       --seed <u64>           (default 42)
       --scale <mult>         run on a mult x paper cluster (default 1)
-      --fel <heap|calendar>  future-event-list backend (default: RISA_FEL
-                             env var, else heap; reports are identical)
       --arrivals <materialized|streaming>  arrival pipeline (default:
                              RISA_ARRIVALS env var, else materialized;
                              streaming feeds arrivals shard-by-shard
                              during the run — identical reports, bounded
                              memory; every workload kind streams,
                              including .csv trace files)
-      --exec <sequential|speculative>  single-run execution engine
-                             (default: RISA_EXEC env var, else
-                             sequential; speculative drains the queue in
-                             windows and speculates arrival decisions on
-                             the thread pool — identical reports and
-                             traces at any thread count, and the report
-                             gains a speculation-counter block)
       --checkpoint <path>    with --checkpoint-every: write the latest
                              checkpoint (JSON, versioned) to <path> at
                              each cadence; a resumed run replays into the
@@ -41,17 +32,15 @@ commands:
       --checkpoint-every <units>  simulated-time cadence for --checkpoint
       --resume <path>        resume a run from a checkpoint file; the run
                              configuration is embedded in the checkpoint
-                             (workload/algo/fel/arrivals flags are
-                             rejected — nothing is re-read from the
-                             environment)
+                             (workload/algo/arrivals flags are rejected
+                             — nothing is re-read from the environment)
       --faults               inject the canonical failure/repair scenario
                              (rack failures with evacuation, trunk and
                              transceiver flaps) and report resilience
                              metrics; deterministic — same bytes at any
-                             thread count or FEL backend. Without the
-                             flag the RISA_FAULTS env var applies
-                             (1 = canonical, any other integer = that
-                             scenario seed)
+                             thread count. Without the flag the
+                             RISA_FAULTS env var applies (1 = canonical,
+                             any other integer = that scenario seed)
       --json                 emit the RunReport as JSON
       --jobs <n>             thread-pool size for parallel sections
   experiment <id>            regenerate a paper artifact
@@ -100,12 +89,8 @@ pub enum Command {
         seed: u64,
         /// Cluster-size multiplier over the paper topology.
         scale: u16,
-        /// Future-event-list backend (`None` = `RISA_FEL` or heap).
-        fel: Option<FelKind>,
         /// Arrival pipeline (`None` = `RISA_ARRIVALS` or materialized).
         arrivals: Option<ArrivalMode>,
-        /// Execution engine (`None` = `RISA_EXEC` or sequential).
-        exec: Option<ExecMode>,
         /// Inject the canonical fault scenario (`false` = `RISA_FAULTS`
         /// env var, else faults off).
         faults: bool,
@@ -214,8 +199,9 @@ fn parse_workload(s: &str, n: u32) -> Result<WorkloadArg, String> {
 type SplitArgs = (Vec<String>, Vec<(String, String)>);
 
 /// Pull `--key value` style options out of `argv`, returning leftover
-/// positionals. `flags` lists boolean options that take no value.
-fn split_options(argv: &[String], flags: &[&str]) -> Result<SplitArgs, String> {
+/// positionals. `flags` lists boolean options that take no value,
+/// `values` the options that take one; any other `--key` is an error.
+fn split_options(argv: &[String], flags: &[&str], values: &[&str]) -> Result<SplitArgs, String> {
     let mut positionals = Vec::new();
     let mut options = Vec::new();
     let mut i = 0;
@@ -225,6 +211,8 @@ fn split_options(argv: &[String], flags: &[&str]) -> Result<SplitArgs, String> {
             if flags.contains(&key) {
                 options.push((key.to_string(), "true".to_string()));
                 i += 1;
+            } else if !values.contains(&key) {
+                return Err(format!("unknown option '--{key}'"));
             } else {
                 let value = argv
                     .get(i + 1)
@@ -297,7 +285,22 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             Ok(Command::Info)
         }
         "run" => {
-            let (pos, options) = split_options(rest, &["json", "faults"])?;
+            let (pos, options) = split_options(
+                rest,
+                &["json", "faults"],
+                &[
+                    "algo",
+                    "workload",
+                    "n",
+                    "seed",
+                    "scale",
+                    "arrivals",
+                    "checkpoint",
+                    "checkpoint-every",
+                    "resume",
+                    "jobs",
+                ],
+            )?;
             if !pos.is_empty() {
                 return Err(format!("unexpected argument '{}'", pos[0]));
             }
@@ -322,9 +325,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             if resume.is_some() {
                 // The run configuration is embedded in the checkpoint;
                 // accepting config flags here would silently ignore them.
-                for key in [
-                    "algo", "workload", "n", "seed", "scale", "fel", "arrivals", "exec",
-                ] {
+                for key in ["algo", "workload", "n", "seed", "scale", "arrivals"] {
                     if opt(&options, key).is_some() {
                         return Err(format!(
                             "--resume replays the checkpoint's embedded configuration; \
@@ -354,9 +355,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 workload: parse_workload(opt(&options, "workload").unwrap_or("synthetic"), n)?,
                 seed: opt_u64(&options, "seed", 42)?,
                 scale,
-                fel: opt(&options, "fel").map(str::parse).transpose()?,
                 arrivals: opt(&options, "arrivals").map(str::parse).transpose()?,
-                exec: opt(&options, "exec").map(str::parse).transpose()?,
                 faults: opt(&options, "faults").is_some(),
                 json: opt(&options, "json").is_some(),
                 jobs: opt_jobs(&options)?,
@@ -366,7 +365,11 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             })
         }
         "bench" => {
-            let (pos, options) = split_options(rest, &["json"])?;
+            let (pos, options) = split_options(
+                rest,
+                &["json"],
+                &["racks", "vms", "jobs", "des-vms", "gen-vms", "out"],
+            )?;
             if !pos.is_empty() {
                 return Err(format!("unexpected argument '{}'", pos[0]));
             }
@@ -395,7 +398,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             })
         }
         "experiment" => {
-            let (pos, options) = split_options(rest, &[])?;
+            let (pos, options) = split_options(rest, &[], &["seed", "jobs"])?;
             let id = pos.first().ok_or("experiment needs an id")?.clone();
             const KNOWN: [&str; 10] = [
                 "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "ablation",
@@ -415,7 +418,8 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             })
         }
         "generate" => {
-            let (pos, options) = split_options(rest, &[])?;
+            let (pos, options) =
+                split_options(rest, &[], &["workload", "n", "seed", "out", "jobs"])?;
             if !pos.is_empty() {
                 return Err(format!("unexpected argument '{}'", pos[0]));
             }
@@ -428,7 +432,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             })
         }
         "replay" => {
-            let (pos, options) = split_options(rest, &["json"])?;
+            let (pos, options) = split_options(rest, &["json"], &["trace", "algo"])?;
             if !pos.is_empty() {
                 return Err(format!("unexpected argument '{}'", pos[0]));
             }
@@ -441,7 +445,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             })
         }
         "lint" => {
-            let (pos, options) = split_options(rest, &["json", "deny-warnings"])?;
+            let (pos, options) = split_options(rest, &["json", "deny-warnings"], &[])?;
             if !pos.is_empty() {
                 return Err(format!("unexpected argument '{}'", pos[0]));
             }
@@ -478,9 +482,7 @@ mod tests {
                 workload: WorkloadArg::Synthetic { n: 2500 },
                 seed: 42,
                 scale: 1,
-                fel: None,
                 arrivals: None,
-                exec: None,
                 faults: false,
                 json: false,
                 jobs: None,
@@ -503,12 +505,8 @@ mod tests {
             "7",
             "--scale",
             "10",
-            "--fel",
-            "calendar",
             "--arrivals",
             "streaming",
-            "--exec",
-            "speculative",
             "--faults",
             "--json",
             "--jobs",
@@ -522,9 +520,7 @@ mod tests {
                 workload: WorkloadArg::Azure(AzureSubset::N5000),
                 seed: 7,
                 scale: 10,
-                fel: Some(FelKind::Calendar),
                 arrivals: Some(ArrivalMode::Streaming),
-                exec: Some(ExecMode::Speculative),
                 faults: true,
                 json: true,
                 jobs: Some(4),
@@ -534,9 +530,7 @@ mod tests {
             }
         );
         assert!(parse(&v(&["run", "--scale", "0"])).is_err());
-        assert!(parse(&v(&["run", "--fel", "fibonacci"])).is_err());
         assert!(parse(&v(&["run", "--arrivals", "psychic"])).is_err());
-        assert!(parse(&v(&["run", "--exec", "parallel"])).is_err());
         assert!(parse(&v(&["run", "--jobs", "0"])).is_err());
         assert!(parse(&v(&["run", "--jobs", "lots"])).is_err());
         // Out-of-range values error instead of silently truncating.
@@ -720,7 +714,7 @@ mod tests {
         .is_err());
         assert!(parse(&v(&["run", "--resume", "c", "--seed", "7"])).is_err());
         assert!(parse(&v(&["run", "--resume", "c", "--workload", "azure-3000"])).is_err());
-        assert!(parse(&v(&["run", "--resume", "c", "--exec", "speculative"])).is_err());
+        assert!(parse(&v(&["run", "--resume", "c", "--arrivals", "streaming"])).is_err());
         assert!(parse(&v(&["run", "--resume", "c", "--faults"])).is_err());
         assert!(parse(&v(&["run", "--resume", "c", "--checkpoint-every", "10"])).is_err());
         // --jobs and --checkpoint still combine with --resume.
@@ -758,6 +752,16 @@ mod tests {
         assert!(parse(&v(&["run", "--seed", "NaN"])).is_err());
         assert!(parse(&v(&["run", "--workload", "gcp"])).is_err());
         assert!(parse(&v(&["run", "stray"])).is_err());
+        // Options no command defines are named, not ignored.
+        for argv in [
+            &["run", "--fel", "heap"][..],
+            &["run", "--exec", "sequential"],
+            &["bench", "--fel", "heap"],
+            &["lint", "--root", "."],
+        ] {
+            let err = parse(&v(argv)).unwrap_err();
+            assert_eq!(err, format!("unknown option '{}'", argv[1]));
+        }
     }
 
     #[test]

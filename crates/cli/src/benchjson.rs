@@ -13,18 +13,13 @@
 use rayon::prelude::*;
 use risa_sched::cycle::ScheduleCycle;
 use risa_sched::Algorithm;
-use risa_sim::{
-    ArrivalMode, ExecMode, FelKind, SimulationBuilder, SpeculationReport, WorkloadSpec,
-};
+use risa_sim::{ArrivalMode, SimulationBuilder, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
-/// `BENCH_des.json`: single-run DES throughput per (exec mode × arrival
-/// mode × FEL backend) on the saturating synthetic trace — the
-/// des_hot_loop bench's artifact, machine-readable. Speculative rows
-/// carry the conflict/rollback counters, so the snapshot doubles as the
-/// checked-in record of where optimistic execution pays off (and where
-/// the shared round-robin cursor serializes it).
+/// `BENCH_des.json`: single-run DES throughput per arrival mode on the
+/// saturating synthetic trace — the des_hot_loop bench's artifact,
+/// machine-readable.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct DesBench {
     /// Envelope shape tag.
@@ -35,19 +30,15 @@ pub struct DesBench {
     pub threads: usize,
     /// VMs in the measured trace.
     pub vms: u32,
-    /// One row per engine configuration.
+    /// One row per arrival mode.
     pub runs: Vec<DesRun>,
 }
 
 /// One DES measurement row.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct DesRun {
-    /// `sequential` or `speculative`.
-    pub exec: String,
     /// `materialized` or `streaming`.
     pub arrival_mode: String,
-    /// FEL backend.
-    pub fel: String,
     /// Events dispatched (arrivals + departures).
     pub events: u64,
     /// Wall-clock seconds of the run (excludes trace generation on the
@@ -63,10 +54,6 @@ pub struct DesRun {
     /// Streaming only: high-water mark of VMs buffered by the workload
     /// cursor (≤ 2 shards by construction).
     pub peak_buffered_arrivals: Option<usize>,
-    /// Speculative rows only: window/conflict/rollback counters — the
-    /// quantified conflict economics of the optimistic executor on this
-    /// workload.
-    pub speculation: Option<SpeculationReport>,
 }
 
 /// `BENCH_scale.json`: scheduler ops/s over cluster sizes (the `bench`
@@ -129,44 +116,34 @@ pub fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Measure the DES event loop: one full run per (exec mode × arrival
-/// mode × FEL backend) on a saturating `vms`-VM synthetic trace (seed 42,
-/// the des_hot_loop configuration, so numbers are comparable across
-/// commits).
+/// Measure the DES event loop: one full run per arrival mode on a
+/// saturating `vms`-VM synthetic trace (seed 42, the des_hot_loop
+/// configuration, so numbers are comparable across commits).
 pub fn des_bench(vms: u32) -> DesBench {
     let mut runs = Vec::new();
-    for exec in ExecMode::ALL {
-        for mode in ArrivalMode::ALL {
-            for fel in FelKind::ALL {
-                let mut sim = SimulationBuilder::new()
-                    .algorithm(Algorithm::Risa)
-                    .workload(WorkloadSpec::synthetic(vms, 42))
-                    .arrivals(mode)
-                    .fel(fel)
-                    .exec(exec)
-                    .faults_off() // comparable across commits and env toggles
-                    .build();
-                let t0 = Instant::now();
-                let report = sim.run();
-                let seconds = t0.elapsed().as_secs_f64();
-                let events = sim.events_dispatched();
-                runs.push(DesRun {
-                    exec: exec.to_string(),
-                    arrival_mode: mode.to_string(),
-                    fel: fel.to_string(),
-                    events,
-                    seconds,
-                    events_per_sec: events as f64 / seconds.max(1e-9),
-                    peak_fel: sim.peak_fel_len(),
-                    peak_resident: sim.world().peak_resident(),
-                    peak_buffered_arrivals: sim.peak_buffered_arrivals(),
-                    speculation: report.speculation,
-                });
-            }
-        }
+    for mode in ArrivalMode::ALL {
+        let mut sim = SimulationBuilder::new()
+            .algorithm(Algorithm::Risa)
+            .workload(WorkloadSpec::synthetic(vms, 42))
+            .arrivals(mode)
+            .faults_off() // comparable across commits and env toggles
+            .build();
+        let t0 = Instant::now();
+        sim.run();
+        let seconds = t0.elapsed().as_secs_f64();
+        let events = sim.events_dispatched();
+        runs.push(DesRun {
+            arrival_mode: mode.to_string(),
+            events,
+            seconds,
+            events_per_sec: events as f64 / seconds.max(1e-9),
+            peak_fel: sim.peak_fel_len(),
+            peak_resident: sim.world().peak_resident(),
+            peak_buffered_arrivals: sim.peak_buffered_arrivals(),
+        });
     }
     DesBench {
-        schema: "risa-bench-des/v2".into(),
+        schema: "risa-bench-des/v3".into(),
         git_rev: git_rev(),
         threads: rayon::current_num_threads(),
         vms,
@@ -248,15 +225,9 @@ pub fn write_snapshots(
     let des = des_bench(des_vms);
     for r in &des.runs {
         println!(
-            "des: {}/{}/{} {:.0} events/s (peak FEL {}, peak buffered {:?})",
-            r.exec, r.arrival_mode, r.fel, r.events_per_sec, r.peak_fel, r.peak_buffered_arrivals
+            "des: {} {:.0} events/s (peak FEL {}, peak buffered {:?})",
+            r.arrival_mode, r.events_per_sec, r.peak_fel, r.peak_buffered_arrivals
         );
-        if let Some(s) = &r.speculation {
-            println!(
-                "des:   speculation: {} windows, {} fast / {} rollback / {} serial",
-                s.windows, s.fast_commits, s.rollbacks, s.serial_events
-            );
-        }
     }
     write(
         "BENCH_des.json",
@@ -292,37 +263,21 @@ mod tests {
     #[test]
     fn des_envelope_roundtrips_with_schema() {
         let b = des_bench(2000);
-        assert_eq!(b.schema, "risa-bench-des/v2");
-        assert_eq!(
-            b.runs.len(),
-            ExecMode::ALL.len() * ArrivalMode::ALL.len() * FelKind::ALL.len()
-        );
+        assert_eq!(b.schema, "risa-bench-des/v3");
+        assert_eq!(b.runs.len(), ArrivalMode::ALL.len());
         assert!(b.threads >= 1);
         for r in &b.runs {
             assert!(r.events >= 2 * 2000 - 2000); // ≥ arrivals
             assert!(r.events_per_sec > 0.0);
             let streaming = r.arrival_mode == "streaming";
             assert_eq!(r.peak_buffered_arrivals.is_some(), streaming);
-            // Counters ride exactly on the speculative rows, and their
-            // identity must hold: every speculated arrival either
-            // fast-committed or rolled back.
-            let speculative = r.exec == "speculative";
-            assert_eq!(r.speculation.is_some(), speculative);
-            if let Some(s) = &r.speculation {
-                assert_eq!(s.fast_commits + s.rollbacks, s.speculated);
-            }
         }
-        // Same engine (and byte-identical speculative engine) ⇒ identical
-        // event counts across all rows.
+        // Same engine ⇒ identical event counts across all rows.
         assert!(b.runs.iter().all(|r| r.events == b.runs[0].events));
         let json = serde_json::to_string(&b).unwrap();
         let back: DesBench = serde_json::from_str(&json).unwrap();
         assert_eq!(back.vms, 2000);
         assert_eq!(back.runs.len(), b.runs.len());
-        assert_eq!(
-            back.runs[0].speculation.is_some(),
-            b.runs[0].speculation.is_some()
-        );
     }
 
     #[test]

@@ -31,9 +31,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             workload,
             seed,
             scale,
-            fel,
             arrivals,
-            exec,
             faults,
             json,
             jobs,
@@ -71,14 +69,8 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                     .algorithm(algo)
                     .workload(spec)
                     .topology(paper.scaled(scale));
-                if let Some(kind) = fel {
-                    builder = builder.fel(kind);
-                }
                 if let Some(mode) = arrivals {
                     builder = builder.arrivals(mode);
-                }
-                if let Some(mode) = exec {
-                    builder = builder.exec(mode);
                 }
                 if faults {
                     builder = builder.faults(risa_sim::FaultSpec::canonical());
@@ -92,10 +84,8 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             // uses after flag-vs-env precedence (flags win; see
             // tests/precedence.rs).
             eprintln!(
-                "resolved: fel={} arrivals={} exec={} faults={} jobs={}",
-                sim.fel_backend(),
+                "resolved: arrivals={} faults={} jobs={}",
                 sim.arrival_mode(),
-                sim.exec_mode(),
                 if sim.world().fault_report().is_some() {
                     "on"
                 } else {
@@ -281,12 +271,6 @@ fn emit(report: &RunReport, json: bool) -> Result<(), String> {
             report.work.ops_per_call()
         ),
     ]);
-    if let Some(s) = &report.speculation {
-        t.row_display(&[
-            "speculation fast/rollback/serial",
-            &format!("{} / {} / {}", s.fast_commits, s.rollbacks, s.serial_events),
-        ]);
-    }
     if let Some(f) = &report.faults {
         t.row_display(&[
             "rack failures / link flaps",
@@ -488,9 +472,7 @@ mod tests {
             workload: WorkloadArg::Synthetic { n: 50 },
             seed: 1,
             scale: 1,
-            fel: None,
             arrivals: Some(risa_sim::ArrivalMode::Streaming),
-            exec: None,
             faults: false,
             json: false,
             jobs: None,
@@ -508,9 +490,7 @@ mod tests {
             workload: WorkloadArg::Synthetic { n: 20 },
             seed: 1,
             scale: 1,
-            fel: None,
             arrivals: None,
-            exec: None,
             faults: false,
             json: true,
             jobs: None,
@@ -580,9 +560,7 @@ mod tests {
             workload: WorkloadArg::Synthetic { n: 40 },
             seed: 2,
             scale: 10,
-            fel: Some(risa_sim::FelKind::Calendar),
             arrivals: None,
-            exec: None,
             faults: false,
             json: false,
             jobs: None,
@@ -603,33 +581,8 @@ mod tests {
             workload: WorkloadArg::Synthetic { n: 400 },
             seed: 3,
             scale: 1,
-            fel: None,
             arrivals: None,
-            exec: None,
             faults: true,
-            json: false,
-            jobs: None,
-            checkpoint: None,
-            checkpoint_every: None,
-            resume: None,
-        };
-        assert!(execute(cmd).is_ok());
-    }
-
-    /// `run --exec speculative` drives the windowed optimistic engine end
-    /// to end through the CLI path (byte-identity with sequential is
-    /// pinned by `risa-sim`'s differential tests).
-    #[test]
-    fn run_speculative_exec() {
-        let cmd = Command::Run {
-            algo: Algorithm::Risa,
-            workload: WorkloadArg::Synthetic { n: 300 },
-            seed: 6,
-            scale: 1,
-            fel: None,
-            arrivals: None,
-            exec: Some(risa_sim::ExecMode::Speculative),
-            faults: false,
             json: false,
             jobs: None,
             checkpoint: None,
@@ -670,7 +623,7 @@ mod tests {
         })
         .unwrap();
         for (name, schema) in [
-            ("BENCH_des.json", "risa-bench-des/v2"),
+            ("BENCH_des.json", "risa-bench-des/v3"),
             ("BENCH_scale.json", "risa-bench-scale/v1"),
             ("BENCH_gen.json", "risa-bench-gen/v1"),
         ] {
@@ -694,9 +647,7 @@ mod tests {
             workload: WorkloadArg::Synthetic { n: 400 },
             seed: 3,
             scale: 1,
-            fel: None,
             arrivals: None,
-            exec: None,
             faults: false,
             json: true,
             jobs: None,
@@ -712,9 +663,7 @@ mod tests {
             workload: WorkloadArg::Synthetic { n: 50 },
             seed: 1,
             scale: 1,
-            fel: None,
             arrivals: None,
-            exec: None,
             faults: false,
             json: true,
             jobs: None,
@@ -733,9 +682,7 @@ mod tests {
             workload: WorkloadArg::Synthetic { n: 50 },
             seed: 1,
             scale: 1,
-            fel: None,
             arrivals: None,
-            exec: None,
             faults: false,
             json: false,
             jobs: None,
@@ -771,9 +718,7 @@ mod tests {
             workload: WorkloadArg::TraceCsv { path: path.clone() },
             seed: 1,
             scale: 1,
-            fel: None,
             arrivals: None,
-            exec: None,
             faults: false,
             json: true,
             jobs: None,

@@ -47,12 +47,6 @@ impl RisaState {
         }
     }
 
-    /// The round-robin cursor: the pool rack the next admit probe starts
-    /// from. Read by the speculative executor's conflict detector.
-    pub(crate) fn rr_cursor(&self) -> u16 {
-        self.rr_cursor
-    }
-
     /// Pick a box for `kind` within `rack`. The returned position only
     /// feeds the next-fit cursor; best-fit (which never commits cursors)
     /// reports 0.

@@ -50,40 +50,6 @@ impl Scheduler {
         self.work = WorkCounters::new();
     }
 
-    /// Clone for speculative execution: identical algorithm and cursor
-    /// state, but zeroed work counters, so after a speculated call the
-    /// clone's [`Scheduler::work`] *is* the work delta of that call — the
-    /// committing executor adds it back with [`Scheduler::add_work`].
-    pub fn speculative_clone(&self) -> Self {
-        let mut clone = self.clone();
-        clone.reset_work();
-        clone
-    }
-
-    /// Adopt `donor`'s algorithm cursor state (RISA round-robin and
-    /// next-fit cursors) without touching our work counters. Used by the
-    /// speculative executor's fast-path commit: a validated speculated
-    /// admit already knows the exact post-call cursors, so the real
-    /// scheduler can skip the search and jump straight to them.
-    pub fn adopt_cursors(&mut self, donor: &Scheduler) {
-        debug_assert_eq!(self.algo, donor.algo, "cursor adoption across algorithms");
-        self.risa = donor.risa.clone();
-    }
-
-    /// Add a work-counter delta measured on a [`Scheduler::speculative_clone`].
-    pub fn add_work(&mut self, delta: WorkCounters) {
-        self.work += delta;
-    }
-
-    /// The RISA round-robin cursor: the first pool rack the next
-    /// [`Scheduler::schedule`] call will probe. Meaningful only for
-    /// RISA/RISA-BF (NULB/NALB are stateless); exposed so the speculative
-    /// executor can form the wrapping read interval `[cursor, chosen]`
-    /// for conflict detection.
-    pub fn rr_cursor(&self) -> u16 {
-        self.risa.rr_cursor()
-    }
-
     /// Schedule one VM with `demand` (in units). Bandwidth demands derive
     /// from the network config per Table 2. Mutates the cluster and network
     /// only on success.
@@ -206,54 +172,6 @@ mod tests {
     fn algorithm_accessor() {
         let (_c, _n, s) = setup(Algorithm::Nalb);
         assert_eq!(s.algorithm(), Algorithm::Nalb);
-    }
-
-    /// The speculative fast-path contract: running an admit on a
-    /// speculative clone, then replaying it on the original via cursor
-    /// adoption + work delta, leaves the original scheduler
-    /// byte-identical to having run the admit directly.
-    #[test]
-    fn speculative_clone_commit_matches_direct_run() {
-        let d = UnitDemand::new(8, 8, 2);
-        for algo in [Algorithm::Risa, Algorithm::RisaBf] {
-            let (mut c, mut n, mut s) = setup(algo);
-            // Advance cursors off their initial state first.
-            for _ in 0..5 {
-                s.schedule(&mut c, &mut n, &d).assigned().expect("admit");
-            }
-
-            // Oracle: run the 6th admit directly on a full clone.
-            let (mut oc, mut on, mut os) = (c.clone(), n.clone(), s.clone());
-            os.schedule(&mut oc, &mut on, &d).assigned().expect("admit");
-
-            // Speculate on clones, commit via adopt_cursors + add_work.
-            let mut spec = s.speculative_clone();
-            assert_eq!(spec.work().calls, 0, "clone starts with zero work");
-            assert_eq!(spec.rr_cursor(), s.rr_cursor());
-            let (mut sc, mut sn) = (c.clone(), n.clone());
-            let a = spec
-                .schedule(&mut sc, &mut sn, &d)
-                .assigned()
-                .expect("admit")
-                .clone();
-            c.take_placement(&a.placement).expect("replay placement");
-            let flows = FlowDemands::for_vm(n.config(), &d);
-            n.alloc_vm(
-                &c,
-                a.placement.grant(ResourceKind::Cpu).box_id,
-                a.placement.grant(ResourceKind::Ram).box_id,
-                a.placement.grant(ResourceKind::Storage).box_id,
-                &flows,
-                risa_network::LinkPolicy::FirstFit,
-            )
-            .expect("replay flows");
-            s.adopt_cursors(&spec);
-            s.add_work(*spec.work());
-
-            let canon = |s: &Scheduler| serde_json::to_string(s).expect("serialize");
-            assert_eq!(canon(&s), canon(&os), "{algo}: scheduler state diverged");
-            assert_eq!(s.rr_cursor(), os.rr_cursor());
-        }
     }
 
     /// Saturating the whole cluster eventually drops for every algorithm,

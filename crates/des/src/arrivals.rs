@@ -2,8 +2,7 @@
 //!
 //! [`crate::SortedStream`] is the materialized oracle: every arrival sits
 //! in one `Vec`, sorted, before the first event fires — simple, fast, and
-//! O(trace) memory. An [`ArrivalSource`] generalizes that lane the same
-//! way [`crate::FutureEventList`] generalized the dynamic lane: the queue
+//! O(trace) memory. An [`ArrivalSource`] generalizes that lane: the queue
 //! asks the source for the next arrival *when the merge needs it*, so a
 //! source may generate arrivals lazily (e.g. one workload shard at a
 //! time) and the engine's peak memory drops from O(trace) to O(whatever

@@ -3,12 +3,9 @@
 //! through an [`EventCtx`].
 
 use crate::arrivals::ArrivalSource;
-use crate::queue::{EventQueue, QueueEntry};
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::EventTrace;
-
-#[cfg(doc)]
-use crate::fel::FelKind;
 
 /// The model being simulated. Implementors own all mutable simulation state
 /// (the datacenter, the scheduler, the metrics) and react to events.
@@ -108,16 +105,9 @@ type TraceSlot<E> = (EventTrace, fn(&E) -> String);
 impl<W: World> Simulation<W> {
     /// Wrap `world` with an empty queue at t = 0.
     pub fn new(world: W) -> Self {
-        Self::with_queue(world, EventQueue::new())
-    }
-
-    /// Wrap `world` with a caller-built queue (e.g. one on a non-default
-    /// [`FelKind`] backend or with pre-reserved capacity). The queue may
-    /// already hold events.
-    pub fn with_queue(world: W, queue: EventQueue<W::Event>) -> Self {
         Simulation {
             world,
-            queue,
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
             dispatched: 0,
             clamped: 0,
@@ -181,8 +171,7 @@ impl<W: World> Simulation<W> {
         self.queue.attach_arrivals(source);
     }
 
-    /// Shared view of the two-lane event queue (lengths, peak FEL size,
-    /// backend kind).
+    /// Shared view of the two-lane event queue (lengths, peak FEL size).
     pub fn queue(&self) -> &EventQueue<W::Event> {
         &self.queue
     }
@@ -248,51 +237,6 @@ impl<W: World> Simulation<W> {
         let Some(entry) = self.queue.pop() else {
             return StepOutcome::Empty;
         };
-        self.dispatch_entry(entry);
-        StepOutcome::Dispatched
-    }
-
-    /// Canonical `(time, seq)` key of the earliest pending event, or
-    /// `None` when the queue is empty (see [`EventQueue::peek_key`]).
-    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        self.queue.peek_key()
-    }
-
-    /// Remove and return the earliest pending entry **without dispatching
-    /// it** — no clock advance, no trace record, no dispatch count.
-    ///
-    /// This is the drain half of the windowed-execution protocol used by
-    /// the speculative executor in `risa-sim`: entries popped here *must*
-    /// eventually be handed back to [`Simulation::dispatch_entry`] (or
-    /// [`Simulation::dispatch_with`]) in exact `(time, seq)` order, merged
-    /// against [`Simulation::peek_key`] so that events scheduled by
-    /// handlers in between still commit in canonical order. Entries must
-    /// never be re-pushed through [`Simulation::schedule`] — that would
-    /// assign fresh sequence numbers and perturb tie-breaking.
-    pub fn pop_entry(&mut self) -> Option<QueueEntry<W::Event>> {
-        self.queue.pop()
-    }
-
-    /// Dispatch an entry previously popped with
-    /// [`Simulation::pop_entry`], with bookkeeping identical to
-    /// [`Simulation::step`]: the clock advances to `entry.at`, the
-    /// dispatch counter increments, the trace records the event, and the
-    /// world handles it under a normal [`EventCtx`].
-    pub fn dispatch_entry(&mut self, entry: QueueEntry<W::Event>) {
-        self.dispatch_with(entry, |world, ctx, event| world.handle(ctx, event));
-    }
-
-    /// Like [`Simulation::dispatch_entry`], but `commit` runs in place of
-    /// [`World::handle`]. The engine bookkeeping (clock, dispatch count,
-    /// trace record) is identical; the closure is responsible for leaving
-    /// the world in exactly the state `World::handle` would have — this is
-    /// the hook the speculative executor uses to apply a pre-validated
-    /// scheduling decision without re-running the search.
-    pub fn dispatch_with(
-        &mut self,
-        entry: QueueEntry<W::Event>,
-        commit: impl FnOnce(&mut W, &mut EventCtx<'_, W::Event>, W::Event),
-    ) {
         debug_assert!(entry.at >= self.now, "event queue went back in time");
         self.now = entry.at;
         self.dispatched += 1;
@@ -305,20 +249,8 @@ impl<W: World> Simulation<W> {
             clamped: &mut self.clamped,
             stop_requested: &mut self.stop_requested,
         };
-        commit(&mut self.world, &mut ctx, entry.event);
-    }
-
-    /// True when a handler has requested a stop that no run loop has
-    /// consumed yet. External drivers replicating [`Simulation::run_until`]
-    /// (the speculative executor) poll this between dispatches.
-    pub fn stop_requested(&self) -> bool {
-        self.stop_requested
-    }
-
-    /// Reset the stop-request flag, as [`Simulation::run_until`] does on
-    /// entry. External drivers call this once at the start of their loop.
-    pub fn clear_stop_request(&mut self) {
-        self.stop_requested = false;
+        self.world.handle(&mut ctx, entry.event);
+        StepOutcome::Dispatched
     }
 
     /// Run until the queue drains or a handler requests a stop.
@@ -562,86 +494,6 @@ mod tests {
         assert_eq!(trace.len(), 4);
         assert!(trace.dump().contains("Depart(2)"));
         assert!(trace.dump().contains("earlier events evicted"));
-    }
-
-    /// Draining entries with `pop_entry` and dispatching them back through
-    /// `dispatch_entry` — the windowed-execution protocol — is
-    /// observationally identical to `step()`: same log, same clock, same
-    /// dispatch count, same trace.
-    #[test]
-    fn pop_and_dispatch_entry_match_step() {
-        let seed = |sim: &mut Simulation<Toy>| {
-            sim.enable_trace(16);
-            for i in 0..20 {
-                sim.schedule(SimTime::from_units((i % 4) as f64), ToyEvent::Arrive(i));
-            }
-        };
-
-        let mut stepped = Simulation::new(toy());
-        seed(&mut stepped);
-        stepped.run_to_completion();
-
-        let mut windowed = Simulation::new(toy());
-        seed(&mut windowed);
-        windowed.clear_stop_request();
-        // Drain in windows of up to 3 entries, then commit each window in
-        // order, merging handler-scheduled events (departures) against the
-        // buffered front exactly as the speculative executor does.
-        loop {
-            let mut window = Vec::new();
-            while window.len() < 3 {
-                match windowed.pop_entry() {
-                    Some(e) => window.push(e),
-                    None => break,
-                }
-            }
-            if window.is_empty() {
-                break;
-            }
-            let mut buf = window.into_iter().peekable();
-            while let Some(front) = buf.peek() {
-                let front_key = (front.at, front.seq);
-                if windowed.peek_key().is_some_and(|k| k < front_key) {
-                    let e = windowed.pop_entry().expect("peeked entry");
-                    windowed.dispatch_entry(e);
-                } else {
-                    let e = buf.next().expect("peeked entry");
-                    windowed.dispatch_entry(e);
-                }
-            }
-        }
-
-        assert_eq!(stepped.now(), windowed.now());
-        assert_eq!(stepped.dispatched(), windowed.dispatched());
-        assert_eq!(
-            stepped.trace().unwrap().dump(),
-            windowed.trace().unwrap().dump()
-        );
-        assert_eq!(stepped.into_world().log, windowed.into_world().log);
-    }
-
-    /// `peek_key` merges both lanes and agrees with what `pop_entry`
-    /// actually returns.
-    #[test]
-    fn peek_key_merges_lanes_and_matches_pop() {
-        let mut sim = Simulation::new(toy());
-        // Static arrival lane at t=0,1,2 …
-        sim.preload_sorted(
-            (0..3)
-                .map(|i| (SimTime::from_units(i as f64), ToyEvent::Arrive(i)))
-                .collect::<Vec<_>>(),
-        );
-        // … and a dynamically scheduled event between them.
-        sim.schedule(SimTime::from_units(0.5), ToyEvent::Depart(99));
-        let mut keys = Vec::new();
-        while let Some(k) = sim.peek_key() {
-            let e = sim.pop_entry().expect("peek said non-empty");
-            assert_eq!((e.at, e.seq), k);
-            keys.push(k);
-        }
-        assert_eq!(keys.len(), 4);
-        assert!(keys.windows(2).all(|w| w[0] < w[1]), "strictly ascending");
-        assert_eq!(keys[1].0, SimTime::from_units(0.5), "FEL lane merged in");
     }
 
     #[test]

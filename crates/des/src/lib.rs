@@ -30,14 +30,13 @@
 //! O(n log n) heap build disappears, and with a lazy source peak memory
 //! drops from O(trace) to O(source buffer).
 //!
-//! The FEL itself is pluggable ([`FutureEventList`], selected by
-//! [`FelKind`] / the `RISA_FEL` env var): [`BinaryHeapFel`] is the oracle
-//! implementation, and [`CalendarFel`] is a bucketed calendar queue for
-//! large in-flight sets. A proptest differential (`tests/fel_props.rs`)
-//! pins identical pop order across backends; the arrival lane has the
-//! same oracle/differential structure, with [`SortedStream`] as the
-//! oracle (see [`arrivals`](crate::ArrivalSource) for the contract lazy
-//! sources must uphold).
+//! The FEL is a `std::collections::BinaryHeap` over the reversed
+//! `(time, seq)` order of [`QueueEntry`]. A proptest
+//! (`tests/fel_props.rs`) pins strict `(time, seq)` pop order under
+//! arbitrary push/pop interleavings; the arrival lane has an
+//! oracle/differential structure, with [`SortedStream`] as the oracle
+//! (see [`arrivals`](crate::ArrivalSource) for the contract lazy sources
+//! must uphold).
 //!
 //! ```
 //! use risa_des::{Simulation, SimDuration, SimTime, World, EventCtx};
@@ -66,7 +65,6 @@
 
 mod arrivals;
 mod engine;
-mod fel;
 mod queue;
 mod stream;
 mod time;
@@ -74,10 +72,7 @@ mod trace;
 
 pub use arrivals::ArrivalSource;
 pub use engine::{EventCtx, RunOutcome, Simulation, StepOutcome, World};
-pub use fel::{
-    BinaryHeapFel, CalendarFel, EventKey, FelKind, FutureEventList, DEFAULT_BUCKET_TICKS,
-};
-pub use queue::{EventQueue, QueueEntry, QueueSnapshot};
+pub use queue::{EventKey, EventQueue, QueueEntry, QueueSnapshot};
 pub use stream::SortedStream;
 pub use time::{SimDuration, SimTime, TICKS_PER_UNIT};
 pub use trace::{EventTrace, TraceEntry};

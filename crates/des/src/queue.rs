@@ -4,8 +4,8 @@
 //! cursor ([`SortedStream`], loaded via [`EventQueue::preload_sorted`]) or
 //! a lazy [`ArrivalSource`] (attached via
 //! [`EventQueue::attach_arrivals`]) that produces arrivals on demand; lane
-//! 2 is the dynamic future-event list (a pluggable [`FutureEventList`]
-//! backend) that holds events scheduled during the run.
+//! 2 is the dynamic future-event list (FEL), a binary min-heap that holds
+//! events scheduled during the run.
 //! [`EventQueue::pop`] merges the lanes at `(time, seq)`, so delivery
 //! order is exactly what pushing everything into one heap would produce —
 //! but the FEL stays O(events in flight) instead of O(all events ever
@@ -13,19 +13,22 @@
 //! arrivals themselves never need to exist all at once.
 //!
 //! Determinism requirement: when two events are scheduled for the same
-//! tick, the one scheduled *first* is delivered first. No backend is
-//! required to be stable, so every entry carries a monotonically increasing
+//! tick, the one scheduled *first* is delivered first. A binary heap is
+//! not stable, so every entry carries a monotonically increasing
 //! sequence number that breaks ties; preloaded entries reserve the sequence
 //! numbers they would have been pushed with, and an attached source
 //! reserves [`ArrivalSource::remaining`] of them — which is why that count
 //! must be exact.
 
 use crate::arrivals::ArrivalSource;
-use crate::fel::{EventKey, FelBackend, FelKind, FutureEventList};
 use crate::stream::SortedStream;
 use crate::time::SimTime;
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::fmt;
+
+/// The total-order key the engine dispatches by: `(time, seq)`.
+pub type EventKey = (SimTime, u64);
 
 /// One scheduled event: delivery time, tie-breaking sequence, payload.
 #[derive(Debug, Clone)]
@@ -89,8 +92,7 @@ impl<E> ArrivalLane<E> {
 /// A deterministic two-lane event queue.
 pub struct EventQueue<E> {
     arrivals: Option<ArrivalLane<E>>,
-    fel: FelBackend<E>,
-    backend: FelKind,
+    fel: BinaryHeap<QueueEntry<E>>,
     next_seq: u64,
     peak_fel: usize,
 }
@@ -102,37 +104,14 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Create an empty queue on the default heap backend.
+    /// Create an empty queue.
     pub fn new() -> Self {
-        Self::with_capacity_and_backend(0, FelKind::Heap)
-    }
-
-    /// Create an empty heap-backed queue with room for `cap` events.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self::with_capacity_and_backend(cap, FelKind::Heap)
-    }
-
-    /// Create an empty queue on the chosen [`FelKind`] backend.
-    pub fn with_backend(backend: FelKind) -> Self {
-        Self::with_capacity_and_backend(0, backend)
-    }
-
-    /// Create an empty queue on `backend`, pre-reserving `cap` entries
-    /// where the backend supports it (the heap does; the calendar
-    /// allocates per bucket).
-    pub fn with_capacity_and_backend(cap: usize, backend: FelKind) -> Self {
         EventQueue {
             arrivals: None,
-            fel: backend.instantiate(cap),
-            backend,
+            fel: BinaryHeap::new(),
             next_seq: 0,
             peak_fel: 0,
         }
-    }
-
-    /// The backend this queue's future-event list runs on.
-    pub fn backend(&self) -> FelKind {
-        self.backend
     }
 
     /// Load the static lane: `events`, sorted by time, are delivered
@@ -196,7 +175,7 @@ impl<E> EventQueue<E> {
     /// Remove and return the earliest entry across both lanes, or `None`
     /// when empty.
     pub fn pop(&mut self) -> Option<QueueEntry<E>> {
-        match (self.arrival_key(), self.fel.peek_key()) {
+        match (self.arrival_key(), self.fel_key()) {
             (None, None) => None,
             (Some(_), None) => self.pop_arrival(),
             (None, Some(_)) => self.fel.pop(),
@@ -211,23 +190,17 @@ impl<E> EventQueue<E> {
     }
 
     /// Delivery time of the earliest pending event. Takes `&mut self` so
-    /// lazily-organized backends (and lazy arrival sources) may fault in
-    /// their next buffer internally.
+    /// lazy arrival sources may fault in their next buffer internally.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.peek_key().map(|(t, _)| t)
+        match (self.arrival_key(), self.fel_key()) {
+            (None, None) => None,
+            (Some((t, _)), None) | (None, Some((t, _))) => Some(t),
+            (Some(s), Some(f)) => Some(s.min(f).0),
+        }
     }
 
-    /// Full `(time, seq)` key of the earliest pending event across both
-    /// lanes — the canonical dispatch-order key. Windowed drivers (the
-    /// speculative executor in `risa-sim`) compare this against buffered
-    /// entries to decide whether a handler-scheduled event must commit
-    /// before the buffer's front.
-    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        match (self.arrival_key(), self.fel.peek_key()) {
-            (None, None) => None,
-            (Some(k), None) | (None, Some(k)) => Some(k),
-            (Some(s), Some(f)) => Some(s.min(f)),
-        }
+    fn fel_key(&self) -> Option<EventKey> {
+        self.fel.peek().map(|e| (e.at, e.seq))
     }
 
     fn arrival_key(&mut self) -> Option<EventKey> {
@@ -303,7 +276,7 @@ impl<E> EventQueue<E> {
     /// Capture the queue's dynamic state for a checkpoint.
     ///
     /// The future-event list is drained and immediately re-filled with the
-    /// same entries; since every backend pops in exact `(time, seq)` order
+    /// same entries; since the heap pops in exact `(time, seq)` order
     /// and accepts entries carrying their original sequence numbers, the
     /// queue's observable behaviour is unchanged by taking a snapshot. The
     /// arrival lane is recorded only by its `remaining` count — a restore
@@ -392,10 +365,9 @@ impl<E> fmt::Debug for EventQueue<E> {
             Some(ArrivalLane::Streamed { .. }) => "streamed",
         };
         f.debug_struct("EventQueue")
-            .field("backend", &self.backend)
             .field("arrival_lane", &lane)
             .field("stream_remaining", &self.stream_remaining())
-            .field("fel", &self.fel)
+            .field("fel_len", &self.fel.len())
             .field("next_seq", &self.next_seq)
             .finish()
     }
@@ -415,25 +387,21 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        for backend in FelKind::ALL {
-            let mut q = EventQueue::with_backend(backend);
-            q.push(t(5.0), "c");
-            q.push(t(1.0), "a");
-            q.push(t(3.0), "b");
-            assert_eq!(drain(&mut q), vec!["a", "b", "c"]);
-        }
+        let mut q = EventQueue::new();
+        q.push(t(5.0), "c");
+        q.push(t(1.0), "a");
+        q.push(t(3.0), "b");
+        assert_eq!(drain(&mut q), vec!["a", "b", "c"]);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        for backend in FelKind::ALL {
-            let mut q = EventQueue::with_backend(backend);
-            for i in 0..100 {
-                q.push(t(7.0), i);
-            }
-            let expect: Vec<_> = (0..100).collect();
-            assert_eq!(drain(&mut q), expect, "same-tick events must be FIFO");
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.push(t(7.0), i);
         }
+        let expect: Vec<_> = (0..100).collect();
+        assert_eq!(drain(&mut q), expect, "same-tick events must be FIFO");
     }
 
     #[test]
@@ -472,34 +440,32 @@ mod tests {
     #[test]
     fn preload_merges_byte_identically_with_push_path() {
         let arrivals = vec![(t(1.0), 0u32), (t(2.0), 1), (t(2.0), 2), (t(8.0), 3)];
-        for backend in FelKind::ALL {
-            // Oracle: everything pushed through the FEL.
-            let mut oracle = EventQueue::with_backend(backend);
-            for &(at, ev) in &arrivals {
-                oracle.push(at, ev);
-            }
-            // Two-lane: arrivals preloaded, nothing in the FEL.
-            let mut lanes = EventQueue::with_backend(backend);
-            lanes.preload_sorted(arrivals.clone());
-            assert_eq!(lanes.fel_len(), 0);
-            assert_eq!(lanes.len(), oracle.len());
-            // Interleave identical dynamic pushes (same-tick collisions
-            // with the preloaded entries included) on both queues.
-            let mut log = Vec::new();
-            for queue in [&mut oracle, &mut lanes] {
-                let mut order = Vec::new();
-                for round in 0..3 {
-                    let e = queue.pop().unwrap();
-                    order.push((e.at, e.seq, e.event));
-                    queue.push(e.at, 100 + round); // same-tick as the popped entry
-                }
-                while let Some(e) = queue.pop() {
-                    order.push((e.at, e.seq, e.event));
-                }
-                log.push(order);
-            }
-            assert_eq!(log[0], log[1], "backend {backend}: lanes diverged");
+        // Oracle: everything pushed through the FEL.
+        let mut oracle = EventQueue::new();
+        for &(at, ev) in &arrivals {
+            oracle.push(at, ev);
         }
+        // Two-lane: arrivals preloaded, nothing in the FEL.
+        let mut lanes = EventQueue::new();
+        lanes.preload_sorted(arrivals.clone());
+        assert_eq!(lanes.fel_len(), 0);
+        assert_eq!(lanes.len(), oracle.len());
+        // Interleave identical dynamic pushes (same-tick collisions
+        // with the preloaded entries included) on both queues.
+        let mut log = Vec::new();
+        for queue in [&mut oracle, &mut lanes] {
+            let mut order = Vec::new();
+            for round in 0..3 {
+                let e = queue.pop().unwrap();
+                order.push((e.at, e.seq, e.event));
+                queue.push(e.at, 100 + round); // same-tick as the popped entry
+            }
+            while let Some(e) = queue.pop() {
+                order.push((e.at, e.seq, e.event));
+            }
+            log.push(order);
+        }
+        assert_eq!(log[0], log[1], "lanes diverged");
     }
 
     #[test]

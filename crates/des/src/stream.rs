@@ -15,8 +15,7 @@
 //! is therefore **byte-identical** to the push-everything path (pinned by
 //! `crates/sim/tests/hot_path_differential.rs`).
 
-use crate::fel::EventKey;
-use crate::queue::QueueEntry;
+use crate::queue::{EventKey, QueueEntry};
 use crate::time::SimTime;
 use std::fmt;
 

@@ -1,17 +1,15 @@
-//! Differential properties of the future-event-list backends.
+//! Ordering properties of the event queue's future-event list.
 //!
-//! `BinaryHeapFel` is the oracle: every other backend must produce the
-//! *identical* `(time, seq)` pop order under arbitrary push/pop
-//! interleavings — including same-tick bursts, where only the sequence
-//! number breaks ties — and the two-lane `EventQueue` must deliver a
-//! preloaded sorted stream byte-identically to pushing the same events.
+//! `EventQueue` must pop in strict `(time, seq)` order under arbitrary
+//! push/pop interleavings — including same-tick bursts, where only the
+//! sequence number breaks ties — checked against a linear-scan `Vec` model,
+//! and must deliver a preloaded sorted stream byte-identically to pushing
+//! the same events.
 
 use proptest::prelude::*;
-use risa_des::{
-    BinaryHeapFel, CalendarFel, EventQueue, FelKind, FutureEventList, QueueEntry, SimTime,
-};
+use risa_des::{EventQueue, SimTime};
 
-/// One scripted operation against a FEL.
+/// One scripted operation against the queue.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     /// Push an entry at this many ticks.
@@ -21,7 +19,7 @@ enum Op {
 }
 
 /// Random scripts biased ~3:1 toward pushes, with times drawn from a small
-/// range so same-tick collisions and dense buckets are common.
+/// range so same-tick collisions are common.
 fn ops(max_ticks: u64) -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
         (0u32..4, 0u64..max_ticks).prop_map(|(sel, t)| if sel < 3 { Op::Push(t) } else { Op::Pop }),
@@ -29,85 +27,65 @@ fn ops(max_ticks: u64) -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-/// Run one script against a backend; returns every popped `(ticks, seq)`.
-fn replay<F: FutureEventList<u32>>(fel: &mut F, script: &[Op]) -> Vec<(u64, u64)> {
-    let mut popped = Vec::new();
-    let mut seq = 0u64;
+/// A popped entry: `(ticks, seq, payload)`.
+type Popped = (u64, u64, u64);
+
+/// Run one script against a real `EventQueue` and against the model (a
+/// `Vec` of pending `(ticks, seq)` keys whose minimum is removed on every
+/// pop); returns both pop logs, live pops first, then the drained tail.
+/// Each entry's payload is its own sequence number, so the logs also check
+/// that payloads follow their entries through the heap.
+fn replay(script: &[Op]) -> (Vec<Popped>, Vec<Popped>) {
+    fn model_pop(model: &mut Vec<(u64, u64)>) -> Option<Popped> {
+        let (i, &(ticks, seq)) = model.iter().enumerate().min_by_key(|&(_, &k)| k)?;
+        model.swap_remove(i);
+        Some((ticks, seq, seq))
+    }
+    let mut queue = EventQueue::new();
+    let mut model = Vec::new();
+    let (mut popped, mut expected) = (Vec::new(), Vec::new());
     for op in script {
         match *op {
             Op::Push(ticks) => {
-                fel.push(QueueEntry {
-                    at: SimTime::from_ticks(ticks),
-                    seq,
-                    event: seq as u32,
-                });
-                seq += 1;
+                let seq = queue.scheduled_total();
+                assert_eq!(queue.push(SimTime::from_ticks(ticks), seq), seq);
+                model.push((ticks, seq));
             }
             Op::Pop => {
-                // Exercise peek_key too: it must agree with the pop.
-                let peeked = fel.peek_key();
-                let entry = fel.pop();
-                assert_eq!(peeked, entry.as_ref().map(|e| (e.at, e.seq)));
-                if let Some(e) = entry {
-                    assert_eq!(e.event as u64, e.seq, "payload follows its entry");
-                    popped.push((e.at.ticks(), e.seq));
-                }
+                // Exercise peek_time too: it must agree with the pop.
+                let peeked = queue.peek_time();
+                let entry = queue.pop();
+                assert_eq!(peeked, entry.as_ref().map(|e| e.at));
+                popped.extend(entry.map(|e| (e.at.ticks(), e.seq, e.event)));
+                expected.extend(model_pop(&mut model));
             }
         }
     }
     // Drain the remainder: the tail order matters as much as the live one.
-    while let Some(e) = fel.pop() {
-        popped.push((e.at.ticks(), e.seq));
-    }
-    popped
+    popped.extend(std::iter::from_fn(|| queue.pop()).map(|e| (e.at.ticks(), e.seq, e.event)));
+    expected.extend(std::iter::from_fn(|| model_pop(&mut model)));
+    (popped, expected)
 }
 
 proptest! {
-    /// Calendar backend vs the heap oracle: identical pop order for any
-    /// interleaving, times spanning many buckets.
+    /// Strict `(time, seq)` pop order for any interleaving, times spread
+    /// wide enough that most pops are decided by time.
     #[test]
-    fn calendar_matches_heap_oracle(script in ops(4096)) {
-        let mut heap = BinaryHeapFel::new();
-        let mut calendar = CalendarFel::with_bucket_ticks(64);
-        prop_assert_eq!(replay(&mut heap, &script), replay(&mut calendar, &script));
+    fn queue_pops_in_time_seq_order(script in ops(4096)) {
+        let (popped, expected) = replay(&script);
+        prop_assert_eq!(popped, expected);
     }
 
-    /// Same-tick-burst-heavy scripts (8 distinct times): the tie-breaking
-    /// sequence order must survive bucketing.
+    /// Same-tick-burst-heavy scripts (8 distinct times): ties must pop in
+    /// push order.
     #[test]
-    fn calendar_matches_heap_on_same_tick_bursts(script in ops(8)) {
-        let mut heap = BinaryHeapFel::new();
-        let mut calendar = CalendarFel::with_bucket_ticks(3);
-        prop_assert_eq!(replay(&mut heap, &script), replay(&mut calendar, &script));
-    }
-
-    /// The default-width calendar behind a real `EventQueue` agrees with a
-    /// heap-backed queue push-for-push.
-    #[test]
-    fn queue_backends_agree(script in ops(1_000_000)) {
-        let run = |kind: FelKind| {
-            let mut q = EventQueue::with_backend(kind);
-            let mut popped = Vec::new();
-            for op in &script {
-                match *op {
-                    Op::Push(ticks) => { q.push(SimTime::from_ticks(ticks), ticks as u32); }
-                    Op::Pop => {
-                        if let Some(e) = q.pop() {
-                            popped.push((e.at.ticks(), e.seq, e.event));
-                        }
-                    }
-                }
-            }
-            while let Some(e) = q.pop() {
-                popped.push((e.at.ticks(), e.seq, e.event));
-            }
-            popped
-        };
-        prop_assert_eq!(run(FelKind::Heap), run(FelKind::Calendar));
+    fn queue_same_tick_bursts_are_fifo(script in ops(8)) {
+        let (popped, expected) = replay(&script);
+        prop_assert_eq!(popped, expected);
     }
 
     /// Two-lane delivery: preloading a sorted prefix then pushing the rest
-    /// is byte-identical to pushing everything, on both backends.
+    /// is byte-identical to pushing everything.
     #[test]
     fn preload_equals_push(
         sorted in prop::collection::vec(0u64..500, 0..100),
@@ -115,24 +93,22 @@ proptest! {
     ) {
         let mut sorted = sorted;
         sorted.sort_unstable();
-        for kind in FelKind::ALL {
-            let mut preloading = EventQueue::with_backend(kind);
-            preloading.preload_sorted(
-                sorted.iter().map(|&t| (SimTime::from_ticks(t), t as u32)).collect(),
-            );
-            let mut pushing = EventQueue::with_backend(kind);
-            for &t in &sorted {
-                pushing.push(SimTime::from_ticks(t), t as u32);
-            }
-            for q in [&mut preloading, &mut pushing] {
-                for &t in &pushed {
-                    q.push(SimTime::from_ticks(t), t as u32);
-                }
-            }
-            let drain = |q: &mut EventQueue<u32>| -> Vec<(u64, u64, u32)> {
-                std::iter::from_fn(|| q.pop().map(|e| (e.at.ticks(), e.seq, e.event))).collect()
-            };
-            prop_assert_eq!(drain(&mut preloading), drain(&mut pushing));
+        let mut preloading = EventQueue::new();
+        preloading.preload_sorted(
+            sorted.iter().map(|&t| (SimTime::from_ticks(t), t as u32)).collect(),
+        );
+        let mut pushing = EventQueue::new();
+        for &t in &sorted {
+            pushing.push(SimTime::from_ticks(t), t as u32);
         }
+        for q in [&mut preloading, &mut pushing] {
+            for &t in &pushed {
+                q.push(SimTime::from_ticks(t), t as u32);
+            }
+        }
+        let drain = |q: &mut EventQueue<u32>| -> Vec<(u64, u64, u32)> {
+            std::iter::from_fn(|| q.pop().map(|e| (e.at.ticks(), e.seq, e.event))).collect()
+        };
+        prop_assert_eq!(drain(&mut preloading), drain(&mut pushing));
     }
 }

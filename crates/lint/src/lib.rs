@@ -18,7 +18,6 @@
 //! | `no_unsafe` | no `unsafe` at all outside `vendor/rayon` |
 //! | `env_read` | no environment reads in engine crates (nothing env-dependent may reach `RunReport`) |
 //! | `checkpoint_purity` | checkpoint/restore code reads no ambient state (clock, env, entropy) — even in crates the scopes above exempt |
-//! | `speculation_purity` | speculative-path code (`sim/src/parallel`, minus the commit layer) never mutates the real world through raw placement/flow/cursor mutators — workers touch private clones only |
 //!
 //! A finding is suppressed with an in-source **waiver** that must carry a
 //! reason:

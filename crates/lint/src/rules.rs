@@ -9,7 +9,7 @@ use crate::lexer::{clean_source, is_ident_char};
 use crate::{Finding, Severity};
 
 /// Every rule id, for waiver validation and docs.
-pub const RULE_IDS: [&str; 11] = [
+pub const RULE_IDS: [&str; 10] = [
     "wall_clock",
     "hash_state",
     "rng_seed",
@@ -18,7 +18,6 @@ pub const RULE_IDS: [&str; 11] = [
     "no_unsafe",
     "env_read",
     "checkpoint_purity",
-    "speculation_purity",
     "bad_waiver",
     "unused_waiver",
 ];
@@ -113,17 +112,6 @@ fn wall_clock_exempt(path: &str) -> bool {
 /// entropy cannot resume byte-identically.
 fn in_checkpoint_scope(path: &str) -> bool {
     path.contains("checkpoint")
-}
-
-/// Speculative-path code (`sim/src/parallel`, minus the commit layer),
-/// where the real world may never be mutated directly: workers operate on
-/// private clones through scheduler entry points, and every real-world
-/// write goes through the serially-validated commit layer. A raw mutator
-/// here could apply speculative state that conflict detection would have
-/// rolled back — silently breaking byte-identity with the sequential
-/// engine.
-fn in_speculation_scope(path: &str) -> bool {
-    path.contains("sim/src/parallel") && !path.contains("commit")
 }
 
 /// Files that *are* the sanctioned seed-derivation helpers.
@@ -373,37 +361,6 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
                 }
             }
         }
-        // D8: raw world mutators in speculative-path code.
-        if in_speculation_scope(path) {
-            for n in [
-                Needle::Exact("take_placement("),
-                Needle::Exact("give_placement("),
-                Needle::Exact("alloc_vm("),
-                Needle::Exact("release_vm("),
-                Needle::Exact("replay_vm("),
-                Needle::Exact("replay_flow("),
-                Needle::Exact("remove_box("),
-                Needle::Exact("restore_box("),
-                Needle::Exact("fail_link("),
-                Needle::Exact("restore_link("),
-                Needle::Exact("adopt_cursors("),
-            ] {
-                if let Some(tok) = hit(code, &n) {
-                    raw.push((
-                        idx,
-                        "speculation_purity",
-                        format!(
-                            "raw world mutator (`{tok}`) in speculative-path code: workers \
-                             may touch only their private clones through scheduler entry \
-                             points; every real-world write belongs in the commit layer \
-                             (sim/src/parallel/commit.rs), where it is validated against \
-                             the window's dirty set first"
-                        ),
-                    ));
-                }
-            }
-        }
-
         // D7: ambient state in checkpoint/restore code.
         if in_checkpoint_scope(path) {
             for n in [
@@ -625,40 +582,16 @@ mod tests {
         let f = lint_source("crates/cli/src/checkpoint.rs", clock);
         assert_eq!(active(&f), vec![("checkpoint_purity", 1)]);
         // Engine checkpoint code gets both the scope rule and this one.
-        let env = "let v = std::env::var(\"RISA_FEL\");\n";
+        let env = "let v = std::env::var(\"RISA_ARRIVALS\");\n";
         let f = lint_source("crates/sim/src/checkpoint.rs", env);
         assert_eq!(active(&f), vec![("checkpoint_purity", 1), ("env_read", 1)]);
         // Non-checkpoint CLI code keeps its exemptions.
         assert!(active(&lint_source("crates/cli/src/commands.rs", clock)).is_empty());
     }
 
-    /// `speculation_purity` fires on raw world mutators in
-    /// `sim/src/parallel` — except the commit layer, which is the one
-    /// sanctioned place that writes the real world.
-    #[test]
-    fn speculative_paths_reject_raw_mutators_outside_commit() {
-        let mutate = "w.cluster.take_placement(&asg.placement)?;\n";
-        let f = lint_source("crates/sim/src/parallel/view.rs", mutate);
-        assert_eq!(active(&f), vec![("speculation_purity", 1)]);
-        let f = lint_source("crates/sim/src/parallel/mod.rs", mutate);
-        assert_eq!(active(&f), vec![("speculation_purity", 1)]);
-        // The commit layer is exempt — it validates before writing.
-        assert!(active(&lint_source("crates/sim/src/parallel/commit.rs", mutate)).is_empty());
-        // Other crates' uses of the same names are out of scope.
-        assert!(active(&lint_source("crates/sim/src/world.rs", mutate)).is_empty());
-        // `Scheduler::release` on a private clone is not `release_vm` —
-        // boundary-checked needles keep the undo path clean.
-        let undo = "Scheduler::release(&mut cluster, &mut net, asg);\n";
-        assert!(active(&lint_source("crates/sim/src/parallel/view.rs", undo)).is_empty());
-        // Cursor adoption is a commit-layer-only operation too.
-        let adopt = "w.scheduler.adopt_cursors(&sched);\n";
-        let f = lint_source("crates/sim/src/parallel/view.rs", adopt);
-        assert_eq!(active(&f), vec![("speculation_purity", 1)]);
-    }
-
     #[test]
     fn env_reads_flagged_in_engine_crates_only() {
-        let src = "let v = std::env::var(\"RISA_FEL\");\n";
+        let src = "let v = std::env::var(\"RISA_ARRIVALS\");\n";
         assert_eq!(
             active(&lint_source("crates/des/src/x.rs", src)),
             vec![("env_read", 1)]

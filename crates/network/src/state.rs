@@ -323,11 +323,10 @@ impl NetworkState {
     }
 
     /// Re-reserve a flow on exactly its recorded hops — the inverse of
-    /// [`NetworkState::release_flow`]. The speculative executor's commit
-    /// layer uses this to replay a conflict-validated speculated
-    /// allocation without re-running link selection (so the replay is
-    /// independent of the [`LinkPolicy`] the algorithm used). All-or-
-    /// nothing: on failure every hop taken so far is rolled back.
+    /// [`NetworkState::release_flow`] — without re-running link selection
+    /// (so the replay is independent of the [`LinkPolicy`] the algorithm
+    /// used). All-or-nothing: on failure every hop taken so far is rolled
+    /// back.
     pub fn replay_flow(&mut self, path: &FlowPath) -> Result<(), NetError> {
         for (i, h) in path.hops.iter().enumerate() {
             if !self.trunk_take(h.trunk, h.link, h.mbps) {
@@ -683,6 +682,35 @@ mod tests {
         for f in &fills {
             net.release_flow(f).unwrap();
         }
+    }
+
+    #[test]
+    fn vm_replay_retakes_recorded_hops_or_nothing() {
+        let (c, mut net) = setup();
+        let d = FlowDemands {
+            cpu_ram_mbps: 20_000,
+            ram_sto_mbps: 2_000,
+        };
+        let a = net
+            .alloc_vm(&c, BoxId(0), BoxId(2), BoxId(4), &d, LinkPolicy::FirstFit)
+            .unwrap();
+        net.release_vm(&a).unwrap();
+        // Fill link 0 of storage box 4's trunk — the link ram-sto recorded.
+        let fill = net
+            .alloc_flow(&c, BoxId(4), BoxId(5), 200_000, LinkPolicy::FirstFit)
+            .unwrap();
+        let before_box0 = net.box_uplink_free_mbps(BoxId(0));
+        assert!(net.replay_vm(&a).is_err());
+        assert_eq!(
+            net.box_uplink_free_mbps(BoxId(0)),
+            before_box0,
+            "cpu-ram flow must be rolled back"
+        );
+        net.release_flow(&fill).unwrap();
+        net.replay_vm(&a).unwrap();
+        assert_eq!(net.intra_used_mbps(), 44_000);
+        net.release_vm(&a).unwrap();
+        assert_eq!(net.intra_used_mbps(), 0);
     }
 
     #[test]

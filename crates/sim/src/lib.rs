@@ -33,7 +33,6 @@ mod checkpoint;
 mod config;
 pub mod experiments;
 mod faults;
-mod parallel;
 mod report;
 mod spec;
 mod streaming;
@@ -44,7 +43,6 @@ pub use builder::{BuildError, DdcSimulation, SimulationBuilder};
 pub use checkpoint::{Checkpoint, CHECKPOINT_VERSION};
 pub use config::{LatencyConfig, SimConfig};
 pub use faults::{FaultReport, FaultSpec};
-pub use parallel::{ExecMode, SpeculationReport};
 pub use report::{host_info, peak_rss_bytes, ExperimentReport, RunReport};
 pub use spec::WorkloadSpec;
 pub use streaming::ArrivalMode;
@@ -52,5 +50,5 @@ pub use timeline::{Timeline, TimelinePoint};
 pub use world::{DdcWorld, SimEvent, DEFAULT_SCHED_TIMING_BATCH};
 
 // Re-export the vocabulary types callers need alongside the builder.
-pub use risa_des::{FelKind, RunOutcome};
+pub use risa_des::RunOutcome;
 pub use risa_sched::Algorithm;

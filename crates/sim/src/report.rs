@@ -65,14 +65,6 @@ pub struct RunReport {
     /// reports stay byte-identical to the pre-fault engine's output (and
     /// old report JSON still deserializes).
     pub faults: Option<FaultReport>,
-    /// Speculative-executor counters when the run used
-    /// [`crate::ExecMode::Speculative`]; `None` on sequential runs.
-    ///
-    /// Omitted from serialization when `None` (same contract as `faults`),
-    /// so sequential reports are byte-identical to the pre-parallel
-    /// engine's output. Differential tests strip this block (and zero
-    /// `sched_seconds`) before comparing modes.
-    pub speculation: Option<crate::parallel::SpeculationReport>,
 }
 
 // Hand-written (not derived) so a `None` faults block serializes to *no*
@@ -122,9 +114,6 @@ impl Serialize for RunReport {
         if let Some(f) = &self.faults {
             fields.push(("faults".into(), f.to_value()));
         }
-        if let Some(s) = &self.speculation {
-            fields.push(("speculation".into(), s.to_value()));
-        }
         serde::Value::Map(fields)
     }
 }
@@ -155,10 +144,6 @@ impl Deserialize for RunReport {
             sim_duration: f64::from_value(field(v, "sim_duration")?)?,
             faults: match v.get("faults") {
                 Some(fv) => Some(FaultReport::from_value(fv)?),
-                None => None,
-            },
-            speculation: match v.get("speculation") {
-                Some(sv) => Some(crate::parallel::SpeculationReport::from_value(sv)?),
                 None => None,
             },
         })
@@ -276,7 +261,6 @@ mod tests {
             work: WorkCounters::new(),
             sim_duration: 1000.0,
             faults: None,
-            speculation: None,
         }
     }
 
@@ -373,27 +357,5 @@ mod tests {
         assert!(json.contains("\"faults\""));
         assert!(json.ends_with('}'), "faults is the last field");
         assert_eq!(serde_json::from_str::<RunReport>(&json).unwrap(), on);
-    }
-
-    /// Same omission contract for the speculative-executor block: absent
-    /// key on sequential runs, trailing block that round-trips otherwise.
-    #[test]
-    fn speculation_block_is_omitted_when_absent() {
-        let seq = dummy(Algorithm::Risa, "w", 0);
-        let json = serde_json::to_string(&seq).unwrap();
-        assert!(!json.contains("speculation"));
-
-        let mut spec = seq.clone();
-        spec.speculation = Some(crate::parallel::SpeculationReport {
-            windows: 4,
-            window_events: 1000,
-            speculated: 900,
-            fast_commits: 700,
-            rollbacks: 200,
-            serial_events: 120,
-        });
-        let json = serde_json::to_string(&spec).unwrap();
-        assert!(json.contains("\"speculation\""));
-        assert_eq!(serde_json::from_str::<RunReport>(&json).unwrap(), spec);
     }
 }

@@ -90,27 +90,6 @@ impl SchedTimer {
         self.calls += 1;
     }
 
-    /// Account one finished scheduling call whose duration was measured
-    /// *elsewhere* — on a pool worker speculating the call against a
-    /// cloned view. The counter logic is byte-for-byte the
-    /// [`SchedTimer::start`]/[`SchedTimer::finish`] pair's: the same
-    /// deterministic call indices are sampled (workers always measure, so
-    /// a sample point never lacks a duration), and with `every == 1`
-    /// (K=1 exact mode) `sampled == calls` and the estimate degenerates
-    /// to the measured total — the sequential semantics exactly.
-    #[inline]
-    pub(crate) fn absorb(&mut self, elapsed: Duration) {
-        if self.calls == 0 || (self.calls + 1).is_multiple_of(u64::from(self.every)) {
-            if self.calls == 0 && self.every > 1 {
-                self.cold = elapsed;
-            } else {
-                self.wall += elapsed;
-                self.sampled += 1;
-            }
-        }
-        self.calls += 1;
-    }
-
     /// Estimated total scheduler wall-clock, in seconds. Runs shorter
     /// than one timing batch never hit a regular sample point; they fall
     /// back to scaling the always-timed first call, so a run that did
@@ -232,7 +211,7 @@ impl VmSource {
     /// assumption at build time; the streaming path cannot (the trace
     /// does not exist yet), so it checks each VM here as it surfaces —
     /// same panic, just deferred to the offending arrival.
-    pub(crate) fn take(&mut self, idx: u32, cfg: &TopologyConfig) -> VmRequest {
+    fn take(&mut self, idx: u32, cfg: &TopologyConfig) -> VmRequest {
         match self {
             VmSource::Materialized(w) => w.vms()[idx as usize],
             VmSource::Streaming(cursor) => {
@@ -539,7 +518,7 @@ pub struct DdcWorld {
     pub(crate) scheduler: Scheduler,
     pub(crate) source: VmSource,
     energy: EnergyModel,
-    pub(crate) cfg: SimConfig,
+    cfg: SimConfig,
     pub(crate) assignments: PerVmSlots<VmAssignment>,
     pub(crate) counters: Counters,
     /// Time-weighted used units per resource kind.
@@ -567,10 +546,6 @@ pub struct DdcWorld {
     pub(crate) auditor: Option<(ScheduleAuditor, PerVmSlots<u64>)>,
     /// Fault-injection scenario state; `None` on faults-off runs.
     pub(crate) faults: Option<Box<FaultState>>,
-    /// Speculative-execution counters; `Some` only under
-    /// [`crate::ExecMode::Speculative`], so sequential reports stay
-    /// byte-identical (the report key is omitted entirely when `None`).
-    pub(crate) speculation: Option<crate::parallel::SpeculationReport>,
 }
 
 impl DdcWorld {
@@ -635,15 +610,7 @@ impl DdcWorld {
             timeline: None,
             auditor: None,
             faults: None,
-            speculation: None,
         }
-    }
-
-    /// Start counting speculative-execution statistics (builder-driven;
-    /// only the speculative executor increments them). The run report
-    /// gains a `speculation` block.
-    pub(crate) fn enable_speculation(&mut self) {
-        self.speculation = Some(crate::parallel::SpeculationReport::default());
     }
 
     /// Attach a fault scenario resolved against the workload `span` (the
@@ -844,7 +811,6 @@ impl DdcWorld {
                 .as_ref()
                 .map(|(a, seqs)| (a.to_parts(), seqs.occupied_pairs())),
             faults: self.faults.as_ref().map(|fs| fs.snapshot()),
-            speculation: self.speculation,
             stream_consumed: match &self.source {
                 VmSource::Materialized(_) => 0,
                 VmSource::Streaming(c) => c.total_vms() - c.remaining() as u32,
@@ -903,7 +869,6 @@ impl DdcWorld {
             (None, None) => {}
             _ => panic!("checkpoint fault setting does not match the rebuilt run"),
         }
-        self.speculation = snap.speculation;
     }
 
     fn sample_state(&mut self, t: f64) {
@@ -962,20 +927,6 @@ impl DdcWorld {
 
     fn on_arrival(&mut self, idx: u32, now: f64, ctx: &mut EventCtx<'_, SimEvent>) {
         let vm = self.source.take(idx, &self.cfg.topology);
-        self.arrival_with_vm(idx, &vm, now, ctx);
-    }
-
-    /// Handle an arrival whose [`VmRequest`] was already pulled from the
-    /// source — the sequential tail of [`DdcWorld::on_arrival`], and the
-    /// serial re-execution path of the speculative executor (which
-    /// prefetches requests at window-drain time; see `crate::parallel`).
-    pub(crate) fn arrival_with_vm(
-        &mut self,
-        idx: u32,
-        vm: &VmRequest,
-        now: f64,
-        ctx: &mut EventCtx<'_, SimEvent>,
-    ) {
         let demand = vm.demand(&self.cfg.topology);
 
         let timing = self.sched.start();
@@ -984,24 +935,6 @@ impl DdcWorld {
             .schedule(&mut self.cluster, &mut self.net, &demand);
         self.sched.finish(timing);
 
-        self.finish_arrival(idx, vm, outcome, now, ctx);
-    }
-
-    /// Apply an arrival's scheduling outcome: counters, latency/energy
-    /// accounting, audit, fault-residency indexing, departure scheduling,
-    /// and the per-event state sample. Shared verbatim by the sequential
-    /// path (after [`Scheduler::schedule`] mutated the world) and the
-    /// speculative fast-path commit (after the commit layer replayed the
-    /// validated placement and flows) — byte-identity of the two paths
-    /// rests on this tail being the same code.
-    pub(crate) fn finish_arrival(
-        &mut self,
-        idx: u32,
-        vm: &VmRequest,
-        outcome: ScheduleOutcome,
-        now: f64,
-        ctx: &mut EventCtx<'_, SimEvent>,
-    ) {
         match outcome {
             ScheduleOutcome::Assigned(a) => {
                 self.counters.admitted += 1;
@@ -1352,9 +1285,6 @@ pub(crate) struct WorldSnapshot {
     timeline: Option<Timeline>,
     auditor: Option<(AuditorParts, Vec<(u32, u64)>)>,
     faults: Option<FaultSnapshot>,
-    /// Speculative-executor counters (`None` under sequential execution),
-    /// carried so a resumed speculative run reports cumulative stats.
-    speculation: Option<crate::parallel::SpeculationReport>,
     /// VMs the streaming cursor had yielded at snapshot time (0 on the
     /// materialized path); restore replays this many `next()` calls.
     stream_consumed: u32,
@@ -1501,49 +1431,6 @@ mod tests {
         assert_eq!(w.sched.sampled, w.sched.calls);
         // With every call sampled the estimate *is* the measured total.
         assert_eq!(w.sched_seconds(), w.sched.wall.as_secs_f64());
-    }
-
-    /// `SchedTimer::absorb` (the speculative executor's path, where the
-    /// duration is measured on a pool worker and handed in) must mirror
-    /// the sequential `start`/`finish` counter logic exactly: same sample
-    /// indices, same cold-call handling, and with K=1 the estimate
-    /// degenerates to the measured total — the seed's exact semantics.
-    #[test]
-    fn absorb_mirrors_sequential_sampling_semantics() {
-        let ms = |i: u64| Duration::from_millis(i + 1);
-        for every in [1u32, 4, 16] {
-            let mut t = SchedTimer::new(every);
-            for i in 0..50u64 {
-                t.absorb(ms(i));
-            }
-            assert_eq!(t.calls, 50);
-            // Expected counters, computed the way `start` selects sample
-            // points: call 0 (cold unless every == 1), then calls where
-            // (calls + 1) % every == 0.
-            let mut wall = Duration::ZERO;
-            let mut sampled = 0u64;
-            let mut cold = Duration::ZERO;
-            for i in 0..50u64 {
-                if i == 0 && every > 1 {
-                    cold = ms(i);
-                } else if i == 0 || (i + 1).is_multiple_of(u64::from(every)) {
-                    wall += ms(i);
-                    sampled += 1;
-                }
-            }
-            assert_eq!(t.sampled, sampled, "every={every}");
-            assert_eq!(t.wall, wall, "every={every}");
-            assert_eq!(t.cold, cold, "every={every}");
-        }
-        // K=1 exact mode: every call sampled, estimate == measured total.
-        let mut exact = SchedTimer::new(1);
-        let mut total = Duration::ZERO;
-        for i in 0..50u64 {
-            exact.absorb(ms(i));
-            total += ms(i);
-        }
-        assert_eq!(exact.sampled, exact.calls);
-        assert_eq!(exact.estimate_seconds(), total.as_secs_f64());
     }
 
     /// Regression: a run shorter than one timing batch must still report

@@ -2,9 +2,7 @@
 //! evacuation pipeline balances, runs stay deterministic and drained
 //! runs end pristine (audited).
 
-use risa_sim::{
-    Algorithm, ArrivalMode, FaultSpec, FelKind, RunReport, SimulationBuilder, WorkloadSpec,
-};
+use risa_sim::{Algorithm, ArrivalMode, FaultSpec, RunReport, SimulationBuilder, WorkloadSpec};
 
 fn churn_run(algo: Algorithm, spec: FaultSpec) -> RunReport {
     let mut r = SimulationBuilder::new()
@@ -58,16 +56,15 @@ fn scenario_seed_changes_the_churn() {
 }
 
 /// The tentpole determinism claim: a churn scenario is byte-identical
-/// across FEL backends and arrival pipelines (thread count is covered by
+/// across arrival pipelines (thread count is covered by
 /// the CI matrix — nothing in a run draws from the pool under faults
 /// except workload generation, which is pinned separately).
 #[test]
-fn churn_is_byte_identical_across_fel_and_arrival_modes() {
-    let run = |fel: FelKind, mode: ArrivalMode| {
+fn churn_is_byte_identical_across_arrival_modes() {
+    let run = |mode: ArrivalMode| {
         let mut sim = SimulationBuilder::new()
             .workload(WorkloadSpec::synthetic(6000, 9))
             .faults(FaultSpec::canonical())
-            .fel(fel)
             .arrivals(mode)
             .audit(true)
             .build();
@@ -77,10 +74,7 @@ fn churn_is_byte_identical_across_fel_and_arrival_modes() {
         let trace = format!("{:?}", sim.trace().unwrap());
         (serde_json::to_string(&r).unwrap(), trace)
     };
-    let base = run(FelKind::Heap, ArrivalMode::Materialized);
-    assert_eq!(run(FelKind::Calendar, ArrivalMode::Materialized), base);
-    assert_eq!(run(FelKind::Heap, ArrivalMode::Streaming), base);
-    assert_eq!(run(FelKind::Calendar, ArrivalMode::Streaming), base);
+    assert_eq!(run(ArrivalMode::Streaming), run(ArrivalMode::Materialized));
 }
 
 /// Faults-off runs are byte-identical to a builder that never heard of

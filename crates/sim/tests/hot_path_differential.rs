@@ -2,52 +2,41 @@
 //!
 //! PR 5 rebuilt the engine's event delivery: arrivals stream from a
 //! pre-sorted cursor instead of being pushed into the future-event list,
-//! the FEL backend is pluggable (heap oracle vs calendar queue), and
-//! scheduler timing is amortized. None of that may change *behavior*: this
-//! suite replays canonical traces (a saturating synthetic run and
+//! and scheduler timing is amortized. None of that may change *behavior*:
+//! this suite replays canonical traces (a saturating synthetic run and
 //! Azure-7500) through the **legacy engine configuration** (every arrival
-//! pushed through a heap FEL — the pre-PR5 code path, kept as
-//! `SimulationBuilder::legacy_arrival_path`) and the new path under *both*
-//! FEL backends, asserting byte-identical `RunReport`s and event dispatch
-//! orders, at 1 and 8 worker threads.
+//! pushed through the FEL — the pre-PR5 code path, kept as
+//! `SimulationBuilder::legacy_arrival_path`) and the two-lane path,
+//! asserting byte-identical `RunReport`s and event dispatch orders, at 1
+//! and 8 worker threads.
 //!
 //! PR 6 added a third lane to the same differential: the **streaming
 //! arrival pipeline** (`ArrivalMode::Streaming`) generates the trace
 //! shard-by-shard during the run instead of materializing it, and must
-//! also be byte-identical — same reports, same dispatch order, both FEL
-//! backends, 1 and 8 threads.
+//! also be byte-identical — same reports, same dispatch order, 1 and 8
+//! threads.
 //!
 //! PR 7 added the fault-injection lane: the canonical **churn** scenario
 //! (rack failures with evacuation, trunk/transceiver flaps) must be
-//! byte-identical across FEL backends, arrival pipelines, and pool sizes
-//! too. The faults-free legs pin `.faults_off()` so the `RISA_FAULTS=1`
-//! CI leg cannot change what they measure.
+//! byte-identical across arrival pipelines and pool sizes too. The
+//! faults-free legs pin `.faults_off()` so the `RISA_FAULTS=1` CI leg
+//! cannot change what they measure.
 //!
 //! PR 9 added the checkpoint/restore lane: a run snapshotted at a
 //! simulated time `T`, serialized to JSON, and resumed must replay into
 //! the **byte-identical** report and event dispatch order the
-//! uninterrupted run produces — across FEL backends, arrival pipelines,
-//! pool sizes, and faults on/off. A second new lane drives the chunked
-//! CSV trace-file reader (`WorkloadSpec::TraceCsv`) through the
-//! streaming pipeline and pins it to the generator run's bytes.
+//! uninterrupted run produces — across arrival pipelines, pool sizes, and
+//! faults on/off. A second new lane drives the chunked CSV trace-file
+//! reader (`WorkloadSpec::TraceCsv`) through the streaming pipeline and
+//! pins it to the generator run's bytes.
 //!
-//! PR 10 added the **optimistic parallel executor** lane
-//! (`ExecMode::Speculative`): arrival decisions speculated on the pool
-//! and committed serially in canonical order must replay into the
-//! sequential engine's exact bytes — report JSON (modulo the
-//! speculation counter block, which only that mode emits) **and** event
-//! dispatch order — across both canonical traces, FEL backends, arrival
-//! pipelines, faults off/on, and 1 vs 8 pool threads, including through
-//! a checkpoint/resume split.
-//!
-//! CI runs this file under `RISA_FEL=heap` / `RISA_FEL=calendar`,
-//! `RISA_ARRIVALS=streaming`, `RISA_FAULTS=1` and `RISA_EXEC=speculative`
+//! CI runs this file under `RISA_ARRIVALS=streaming` and `RISA_FAULTS=1`
 //! so no env toggle can rot.
 
 use rayon::with_num_threads;
 use risa_sim::{
-    Algorithm, ArrivalMode, Checkpoint, DdcSimulation, ExecMode, FaultSpec, FelKind, RunOutcome,
-    RunReport, SimulationBuilder, WorkloadSpec,
+    Algorithm, ArrivalMode, Checkpoint, DdcSimulation, FaultSpec, RunOutcome, RunReport,
+    SimulationBuilder, WorkloadSpec,
 };
 use risa_workload::{AzureSubset, SyntheticConfig};
 
@@ -66,21 +55,19 @@ fn canonical_specs() -> Vec<(&'static str, WorkloadSpec)> {
 /// Run one configuration to completion, returning the canonicalized
 /// report (wall-clock zeroed — the one nondeterministic field) and the
 /// full event dispatch order.
-fn run(spec: &WorkloadSpec, algo: Algorithm, legacy: bool, fel: FelKind) -> (String, String) {
-    run_mode(spec, algo, legacy, fel, ArrivalMode::Materialized)
+fn run(spec: &WorkloadSpec, algo: Algorithm, legacy: bool) -> (String, String) {
+    run_mode(spec, algo, legacy, ArrivalMode::Materialized)
 }
 
 fn run_mode(
     spec: &WorkloadSpec,
     algo: Algorithm,
     legacy: bool,
-    fel: FelKind,
     arrivals: ArrivalMode,
 ) -> (String, String) {
     let mut b = SimulationBuilder::new()
         .algorithm(algo)
         .workload(spec.clone())
-        .fel(fel)
         .arrivals(arrivals)
         .faults_off()
         .legacy_arrival_path(legacy);
@@ -98,23 +85,21 @@ fn run_mode(
 }
 
 /// Tentpole acceptance: legacy and two-lane paths agree byte-for-byte on
-/// reports *and* dispatch order, for both FEL backends.
+/// reports *and* dispatch order.
 #[test]
 fn legacy_and_two_lane_paths_are_byte_identical() {
     for (name, spec) in canonical_specs() {
         for algo in [Algorithm::Risa, Algorithm::Nalb] {
-            let (legacy_report, legacy_order) = run(&spec, algo, true, FelKind::Heap);
-            for fel in FelKind::ALL {
-                let (report, order) = run(&spec, algo, false, fel);
-                assert_eq!(
-                    legacy_report, report,
-                    "{name}/{algo}/{fel}: RunReport diverged from the legacy engine"
-                );
-                assert_eq!(
-                    legacy_order, order,
-                    "{name}/{algo}/{fel}: event dispatch order diverged"
-                );
-            }
+            let (legacy_report, legacy_order) = run(&spec, algo, true);
+            let (report, order) = run(&spec, algo, false);
+            assert_eq!(
+                legacy_report, report,
+                "{name}/{algo}: RunReport diverged from the legacy engine"
+            );
+            assert_eq!(
+                legacy_order, order,
+                "{name}/{algo}: event dispatch order diverged"
+            );
         }
     }
 }
@@ -125,12 +110,10 @@ fn legacy_and_two_lane_paths_are_byte_identical() {
 #[test]
 fn reports_identical_at_1_and_8_jobs() {
     for (name, spec) in canonical_specs() {
-        for fel in FelKind::ALL {
-            let go = || run(&spec, Algorithm::Risa, false, fel);
-            let one = with_num_threads(1, go);
-            let eight = with_num_threads(8, go);
-            assert_eq!(one, eight, "{name}/{fel}: --jobs changed the run");
-        }
+        let go = || run(&spec, Algorithm::Risa, false);
+        let one = with_num_threads(1, go);
+        let eight = with_num_threads(8, go);
+        assert_eq!(one, eight, "{name}: --jobs changed the run");
     }
 }
 
@@ -139,26 +122,23 @@ fn reports_identical_at_1_and_8_jobs() {
 /// and stays far below the total VM count.
 #[test]
 fn peak_fel_is_resident_bounded_on_10k_run() {
-    for fel in FelKind::ALL {
-        let mut sim = SimulationBuilder::new()
-            .algorithm(Algorithm::Risa)
-            .workload(WorkloadSpec::Synthetic(SyntheticConfig::small(10_000, 7)))
-            .fel(fel)
-            .faults_off()
-            .build();
-        sim.run();
-        let peak_fel = sim.peak_fel_len();
-        let peak_resident = sim.world().peak_resident() as usize;
-        assert!(peak_resident > 0);
-        assert!(
-            peak_fel <= peak_resident,
-            "{fel}: peak FEL {peak_fel} exceeds peak resident {peak_resident}"
-        );
-        assert!(
-            peak_fel < 10_000 / 4,
-            "{fel}: peak FEL {peak_fel} is not ≪ the 10k trace length"
-        );
-    }
+    let mut sim = SimulationBuilder::new()
+        .algorithm(Algorithm::Risa)
+        .workload(WorkloadSpec::Synthetic(SyntheticConfig::small(10_000, 7)))
+        .faults_off()
+        .build();
+    sim.run();
+    let peak_fel = sim.peak_fel_len();
+    let peak_resident = sim.world().peak_resident() as usize;
+    assert!(peak_resident > 0);
+    assert!(
+        peak_fel <= peak_resident,
+        "peak FEL {peak_fel} exceeds peak resident {peak_resident}"
+    );
+    assert!(
+        peak_fel < 10_000 / 4,
+        "peak FEL {peak_fel} is not ≪ the 10k trace length"
+    );
 }
 
 /// The legacy path, by contrast, *does* hold the whole trace in the FEL —
@@ -175,38 +155,24 @@ fn legacy_path_peaks_at_trace_length() {
     assert!(sim.peak_fel_len() >= n as usize);
 }
 
-/// `RISA_FEL` (read when the builder gets no explicit `.fel()`) selects
-/// the backend; the CI legs exercise both values end to end.
-#[test]
-fn builder_default_backend_follows_env() {
-    let expected = FelKind::from_env();
-    let sim = SimulationBuilder::new()
-        .workload(WorkloadSpec::synthetic(10, 1))
-        .build();
-    assert_eq!(sim.fel_backend(), expected);
-}
-
 /// PR 6 tentpole acceptance: the **streaming** pipeline — trace generated
 /// shard-by-shard during the run, nothing materialized — produces
 /// byte-identical `RunReport` JSON and event dispatch order on both
-/// canonical traces, under both FEL backends.
+/// canonical traces.
 #[test]
 fn streaming_pipeline_is_byte_identical_to_materialized() {
     for (name, spec) in canonical_specs() {
         for algo in [Algorithm::Risa, Algorithm::Nalb] {
-            let (m_report, m_order) =
-                run_mode(&spec, algo, false, FelKind::Heap, ArrivalMode::Materialized);
-            for fel in FelKind::ALL {
-                let (report, order) = run_mode(&spec, algo, false, fel, ArrivalMode::Streaming);
-                assert_eq!(
-                    m_report, report,
-                    "{name}/{algo}/{fel}: streaming RunReport diverged"
-                );
-                assert_eq!(
-                    m_order, order,
-                    "{name}/{algo}/{fel}: streaming dispatch order diverged"
-                );
-            }
+            let (m_report, m_order) = run_mode(&spec, algo, false, ArrivalMode::Materialized);
+            let (report, order) = run_mode(&spec, algo, false, ArrivalMode::Streaming);
+            assert_eq!(
+                m_report, report,
+                "{name}/{algo}: streaming RunReport diverged"
+            );
+            assert_eq!(
+                m_order, order,
+                "{name}/{algo}: streaming dispatch order diverged"
+            );
         }
     }
 }
@@ -216,31 +182,28 @@ fn streaming_pipeline_is_byte_identical_to_materialized() {
 #[test]
 fn streaming_reports_identical_at_1_and_8_jobs() {
     for (name, spec) in canonical_specs() {
-        for fel in FelKind::ALL {
-            let go = || run_mode(&spec, Algorithm::Risa, false, fel, ArrivalMode::Streaming);
-            let one = with_num_threads(1, go);
-            let eight = with_num_threads(8, go);
-            assert_eq!(one, eight, "{name}/{fel}: --jobs changed the streaming run");
-        }
+        let go = || run_mode(&spec, Algorithm::Risa, false, ArrivalMode::Streaming);
+        let one = with_num_threads(1, go);
+        let eight = with_num_threads(8, go);
+        assert_eq!(one, eight, "{name}: --jobs changed the streaming run");
     }
 }
 
 /// PR 7 tentpole acceptance: the canonical churn scenario — rack
 /// failures evacuating residents through the live scheduler, trunk and
 /// transceiver flaps retracting bandwidth — is byte-identical (report
-/// JSON **and** event dispatch order) across both FEL backends, both
-/// arrival pipelines, and 1 vs 8 pool threads, on both canonical traces.
-/// Fault onsets ride the same two-lane FEL as everything else, so this
-/// is the end-to-end proof that churn never breaks run reproducibility.
+/// JSON **and** event dispatch order) across both arrival pipelines and
+/// 1 vs 8 pool threads, on both canonical traces. Fault onsets ride the
+/// same two-lane FEL as everything else, so this is the end-to-end proof
+/// that churn never breaks run reproducibility.
 #[test]
 fn churn_scenario_is_byte_identical_across_modes_and_jobs() {
     for (name, spec) in canonical_specs() {
-        let go = |fel: FelKind, arrivals: ArrivalMode| {
+        let go = |arrivals: ArrivalMode| {
             let mut sim = SimulationBuilder::new()
                 .algorithm(Algorithm::Risa)
                 .workload(spec.clone())
                 .faults(FaultSpec::canonical())
-                .fel(fel)
                 .arrivals(arrivals)
                 .build();
             sim.enable_trace(40_000);
@@ -249,20 +212,18 @@ fn churn_scenario_is_byte_identical_across_modes_and_jobs() {
             let json = serde_json::to_string(&report).expect("report serializes");
             (json, sim.trace().expect("trace enabled").dump())
         };
-        let base = with_num_threads(1, || go(FelKind::Heap, ArrivalMode::Materialized));
+        let base = with_num_threads(1, || go(ArrivalMode::Materialized));
         assert!(
             base.0.contains("\"faults\""),
             "{name}: churn run must report resilience metrics"
         );
-        for fel in FelKind::ALL {
-            for arrivals in [ArrivalMode::Materialized, ArrivalMode::Streaming] {
-                for jobs in [1usize, 8] {
-                    let got = with_num_threads(jobs, || go(fel, arrivals));
-                    assert_eq!(
-                        base, got,
-                        "{name}/{fel}/{arrivals:?}/jobs={jobs}: churn run diverged"
-                    );
-                }
+        for arrivals in [ArrivalMode::Materialized, ArrivalMode::Streaming] {
+            for jobs in [1usize, 8] {
+                let got = with_num_threads(jobs, || go(arrivals));
+                assert_eq!(
+                    base, got,
+                    "{name}/{arrivals:?}/jobs={jobs}: churn run diverged"
+                );
             }
         }
     }
@@ -272,16 +233,10 @@ fn churn_scenario_is_byte_identical_across_modes_and_jobs() {
 /// differential ever evicts — prefix/suffix stitching needs every entry.
 const TRACE_CAP: usize = 64_000;
 
-fn build_cfg(
-    spec: &WorkloadSpec,
-    fel: FelKind,
-    arrivals: ArrivalMode,
-    faults: bool,
-) -> DdcSimulation {
+fn build_cfg(spec: &WorkloadSpec, arrivals: ArrivalMode, faults: bool) -> DdcSimulation {
     let b = SimulationBuilder::new()
         .algorithm(Algorithm::Risa)
         .workload(spec.clone())
-        .fel(fel)
         .arrivals(arrivals);
     if faults {
         b.faults(FaultSpec::canonical())
@@ -293,35 +248,15 @@ fn build_cfg(
 
 /// Full uninterrupted run: canonical report JSON, every dispatched event
 /// rendered, and the simulated duration (for picking a mid-run horizon).
-/// Collapse the speculation counters to their horizon-invariant
-/// combinations. Under `RISA_EXEC=speculative` the builder-default runs
-/// of the checkpoint matrix carry a `SpeculationReport`, and window
-/// composition is horizon-dependent (see its doc): the `run_until` split
-/// truncates a window at the checkpoint boundary, shifting `windows` and
-/// the fast/rollback split — while `speculated`, `serial_events`,
-/// fast + rollback, and the total event count stay fixed. (The dedicated
-/// `checkpoint_under_speculation_resumes_byte_identically` leg pins those
-/// invariants explicitly with the counters un-collapsed.)
-fn collapse_speculation(report: &mut RunReport) {
-    if let Some(s) = report.speculation.as_mut() {
-        s.windows = 0;
-        s.window_events = s.speculated + s.serial_events;
-        s.rollbacks = s.speculated;
-        s.fast_commits = 0;
-    }
-}
-
 fn uninterrupted(
     spec: &WorkloadSpec,
-    fel: FelKind,
     arrivals: ArrivalMode,
     faults: bool,
 ) -> (String, Vec<String>, f64) {
-    let mut sim = build_cfg(spec, fel, arrivals, faults);
+    let mut sim = build_cfg(spec, arrivals, faults);
     sim.enable_trace(TRACE_CAP);
     let mut report = sim.run();
     report.sched_seconds = 0.0;
-    collapse_speculation(&mut report);
     let trace = sim.trace().expect("trace enabled");
     assert_eq!(trace.recorded(), trace.len() as u64, "trace evicted");
     let events = trace.entries().map(ToString::to_string).collect();
@@ -337,12 +272,11 @@ fn uninterrupted(
 /// stitched prefix + suffix event sequence.
 fn checkpointed(
     spec: &WorkloadSpec,
-    fel: FelKind,
     arrivals: ArrivalMode,
     faults: bool,
     t: f64,
 ) -> (String, Vec<String>) {
-    let mut first = build_cfg(spec, fel, arrivals, faults);
+    let mut first = build_cfg(spec, arrivals, faults);
     first.enable_trace(TRACE_CAP);
     assert_eq!(
         first.run_until(t),
@@ -355,7 +289,6 @@ fn checkpointed(
     resumed.enable_trace(TRACE_CAP);
     let mut report = resumed.run();
     report.sched_seconds = 0.0;
-    collapse_speculation(&mut report);
 
     let prefix = first.trace().expect("trace enabled");
     assert_eq!(prefix.recorded(), prefix.len() as u64, "prefix evicted");
@@ -377,8 +310,8 @@ fn checkpointed(
 /// replays into the uninterrupted run's exact bytes — report JSON **and**
 /// the full event sequence (prefix recorded before the snapshot plus
 /// suffix recorded after resume, with continuous sequence numbers) — on
-/// both canonical traces, across both FEL backends, both arrival
-/// pipelines, 1 vs 8 pool threads, and faults off/on.
+/// both canonical traces, across both arrival pipelines, 1 vs 8 pool
+/// threads, and faults off/on.
 #[test]
 fn checkpoint_resume_is_byte_identical_across_modes_and_jobs() {
     for (name, spec) in canonical_specs() {
@@ -388,26 +321,23 @@ fn checkpoint_resume_is_byte_identical_across_modes_and_jobs() {
             // differential legs, so every resumed run can compare against
             // this single reference transitively.
             let (base_report, base_events, duration) = with_num_threads(1, || {
-                uninterrupted(&spec, FelKind::Heap, ArrivalMode::Materialized, faults)
+                uninterrupted(&spec, ArrivalMode::Materialized, faults)
             });
             let t = duration * 0.4;
-            for fel in FelKind::ALL {
-                for arrivals in [ArrivalMode::Materialized, ArrivalMode::Streaming] {
-                    for jobs in [1usize, 8] {
-                        let (report, events) = with_num_threads(jobs, || {
-                            checkpointed(&spec, fel, arrivals, faults, t)
-                        });
-                        assert_eq!(
-                            base_report, report,
-                            "{name}/{fel}/{arrivals:?}/faults={faults}/jobs={jobs}: \
-                             resumed RunReport diverged from the uninterrupted run"
-                        );
-                        assert_eq!(
-                            base_events, events,
-                            "{name}/{fel}/{arrivals:?}/faults={faults}/jobs={jobs}: \
-                             resumed event sequence diverged from the uninterrupted run"
-                        );
-                    }
+            for arrivals in [ArrivalMode::Materialized, ArrivalMode::Streaming] {
+                for jobs in [1usize, 8] {
+                    let (report, events) =
+                        with_num_threads(jobs, || checkpointed(&spec, arrivals, faults, t));
+                    assert_eq!(
+                        base_report, report,
+                        "{name}/{arrivals:?}/faults={faults}/jobs={jobs}: \
+                         resumed RunReport diverged from the uninterrupted run"
+                    );
+                    assert_eq!(
+                        base_events, events,
+                        "{name}/{arrivals:?}/faults={faults}/jobs={jobs}: \
+                         resumed event sequence diverged from the uninterrupted run"
+                    );
                 }
             }
         }
@@ -422,13 +352,8 @@ fn checkpoint_resume_is_byte_identical_across_modes_and_jobs() {
 #[test]
 fn trace_csv_file_streams_chunked_and_matches_generator_run() {
     let spec = WorkloadSpec::Synthetic(SyntheticConfig::small(6000, 9));
-    let (base_json, base_order) = run_mode(
-        &spec,
-        Algorithm::Risa,
-        false,
-        FelKind::Heap,
-        ArrivalMode::Materialized,
-    );
+    let (base_json, base_order) =
+        run_mode(&spec, Algorithm::Risa, false, ArrivalMode::Materialized);
 
     let w = spec.materialize();
     let path = std::env::temp_dir().join(format!("risa_diff_trace_{}.csv", std::process::id()));
@@ -438,19 +363,11 @@ fn trace_csv_file_streams_chunked_and_matches_generator_run() {
         path: path.display().to_string(),
     };
 
-    for fel in FelKind::ALL {
-        let (json, order) = run_mode(
-            &csv_spec,
-            Algorithm::Risa,
-            false,
-            fel,
-            ArrivalMode::Streaming,
-        );
-        assert_eq!(base_json, json, "{fel}: TraceCsv streaming report diverged");
-        assert_eq!(base_order, order, "{fel}: TraceCsv dispatch order diverged");
-    }
+    let (json, order) = run_mode(&csv_spec, Algorithm::Risa, false, ArrivalMode::Streaming);
+    assert_eq!(base_json, json, "TraceCsv streaming report diverged");
+    assert_eq!(base_order, order, "TraceCsv dispatch order diverged");
 
-    let mut sim = build_cfg(&csv_spec, FelKind::Heap, ArrivalMode::Streaming, false);
+    let mut sim = build_cfg(&csv_spec, ArrivalMode::Streaming, false);
     assert_eq!(
         sim.arrival_mode(),
         ArrivalMode::Streaming,
@@ -476,167 +393,4 @@ fn builder_default_arrival_mode_follows_env() {
         .workload(WorkloadSpec::synthetic(10, 1))
         .build();
     assert_eq!(sim.arrival_mode(), expected);
-}
-
-/// `RISA_EXEC` (read when the builder gets no explicit `.exec()`) selects
-/// the executor; the CI speculative leg exercises it end to end.
-#[test]
-fn builder_default_exec_follows_env() {
-    let expected = ExecMode::from_env();
-    let sim = SimulationBuilder::new()
-        .workload(WorkloadSpec::synthetic(10, 1))
-        .build();
-    assert_eq!(sim.exec_mode(), expected);
-}
-
-/// One run under an explicit executor; the speculation counter block is
-/// stripped (it is the one report key only the speculative mode emits)
-/// and the wall-clock field zeroed, so sequential and speculative output
-/// can be compared byte-for-byte.
-fn run_exec(
-    spec: &WorkloadSpec,
-    fel: FelKind,
-    arrivals: ArrivalMode,
-    faults: bool,
-    exec: ExecMode,
-) -> (String, String) {
-    let b = SimulationBuilder::new()
-        .algorithm(Algorithm::Risa)
-        .workload(spec.clone())
-        .fel(fel)
-        .arrivals(arrivals)
-        .exec(exec);
-    let mut sim = if faults {
-        b.faults(FaultSpec::canonical())
-    } else {
-        b.faults_off()
-    }
-    .build();
-    sim.enable_trace(40_000);
-    let mut report: RunReport = sim.run();
-    report.sched_seconds = 0.0;
-    assert_eq!(
-        report.speculation.take().is_some(),
-        exec == ExecMode::Speculative,
-        "the speculation block rides exactly on speculative runs"
-    );
-    let json = serde_json::to_string(&report).expect("report serializes");
-    (json, sim.trace().expect("trace enabled").dump())
-}
-
-/// PR 10 tentpole acceptance: the optimistic parallel executor replays
-/// into the sequential engine's exact bytes — report JSON **and** full
-/// event dispatch order — on both canonical traces, across both FEL
-/// backends, both arrival pipelines, faults off/on, and 1 vs 8 pool
-/// threads.
-#[test]
-fn speculative_execution_is_byte_identical_across_modes_and_jobs() {
-    for (name, spec) in canonical_specs() {
-        for faults in [false, true] {
-            // One sequential baseline per fault setting; the other legs
-            // pin sequential cross-config identity, so every speculative
-            // run compares against this reference transitively.
-            let base = with_num_threads(1, || {
-                run_exec(
-                    &spec,
-                    FelKind::Heap,
-                    ArrivalMode::Materialized,
-                    faults,
-                    ExecMode::Sequential,
-                )
-            });
-            for fel in FelKind::ALL {
-                for arrivals in [ArrivalMode::Materialized, ArrivalMode::Streaming] {
-                    for jobs in [1usize, 8] {
-                        let got = with_num_threads(jobs, || {
-                            run_exec(&spec, fel, arrivals, faults, ExecMode::Speculative)
-                        });
-                        assert_eq!(
-                            base, got,
-                            "{name}/{fel}/{arrivals:?}/faults={faults}/jobs={jobs}: \
-                             speculative run diverged from the sequential engine"
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Checkpoint under speculation: a speculative run snapshotted mid-run
-/// (windows fully commit before control returns, so the snapshot is a
-/// clean sequential-equivalent state), serialized to JSON, and resumed
-/// must replay into the uninterrupted speculative run's exact bytes.
-/// The one sanctioned difference is the `fast_commits`/`rollbacks`
-/// *split*: the horizon truncates a window at the boundary, and a
-/// shorter window accumulates less dirt (see the `SpeculationReport`
-/// docs) — the totals and every simulation result still match.
-#[test]
-fn checkpoint_under_speculation_resumes_byte_identically() {
-    let spec = WorkloadSpec::Synthetic(SyntheticConfig::small(6000, 9));
-    let mut base = SimulationBuilder::new()
-        .algorithm(Algorithm::Risa)
-        .workload(spec.clone())
-        .exec(ExecMode::Speculative)
-        .faults_off()
-        .build();
-    base.enable_trace(TRACE_CAP);
-    let mut base_report = base.run();
-    base_report.sched_seconds = 0.0;
-    let base_spec = base_report.speculation.take().expect("counters present");
-    let base_json = serde_json::to_string(&base_report).expect("report serializes");
-    let base_trace = base.trace().expect("trace enabled");
-    let base_events: Vec<String> = base_trace.entries().map(ToString::to_string).collect();
-    let t = base_report.sim_duration * 0.4;
-
-    let mut first = SimulationBuilder::new()
-        .algorithm(Algorithm::Risa)
-        .workload(spec)
-        .exec(ExecMode::Speculative)
-        .faults_off()
-        .build();
-    first.enable_trace(TRACE_CAP);
-    assert_eq!(first.run_until(t), RunOutcome::HorizonReached);
-    let cp = Checkpoint::from_json(&first.checkpoint().to_json()).expect("round-trips");
-    let mut resumed = cp.resume();
-    assert_eq!(
-        resumed.exec_mode(),
-        ExecMode::Speculative,
-        "the recipe pins the executor across resume"
-    );
-    resumed.enable_trace(TRACE_CAP);
-    let mut report = resumed.run();
-    report.sched_seconds = 0.0;
-    let resumed_spec = report.speculation.take().expect("counters survive resume");
-    let mut events: Vec<String> = first
-        .trace()
-        .expect("trace enabled")
-        .entries()
-        .map(ToString::to_string)
-        .collect();
-    events.extend(
-        resumed
-            .trace()
-            .expect("trace enabled")
-            .entries()
-            .map(ToString::to_string),
-    );
-    assert_eq!(
-        base_json,
-        serde_json::to_string(&report).expect("report serializes"),
-        "resumed speculative report diverged"
-    );
-    assert_eq!(
-        base_events, events,
-        "resumed speculative event sequence diverged"
-    );
-    // Horizon-invariant counter totals: same arrivals speculated, every
-    // one still accounted; only the per-window fast/rollback split may
-    // shift with the truncated window boundary.
-    assert_eq!(base_spec.speculated, resumed_spec.speculated);
-    assert_eq!(
-        base_spec.fast_commits + base_spec.rollbacks,
-        resumed_spec.fast_commits + resumed_spec.rollbacks
-    );
-    assert!(resumed_spec.windows > 0 && resumed_spec.serial_events > 0);
 }

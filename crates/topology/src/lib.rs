@@ -39,11 +39,9 @@ mod cluster;
 mod config;
 pub mod display;
 mod index;
-mod partition;
 mod resources;
 
 pub use cluster::{AllocError, BoxAllocation, BoxState, Cluster, VmPlacement};
 pub use config::{BoxMix, TopologyConfig, UnitSizes};
 pub use index::PlacementIndex;
-pub use partition::{RackInterval, RackSet};
 pub use resources::{BoxId, RackId, ResourceKind, UnitDemand, ALL_RESOURCES};

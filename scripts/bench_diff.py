@@ -3,11 +3,9 @@
 
 Usage: bench_diff.py <baseline.json> <current.json> [--threshold 0.20]
 
-Understands the snapshot schemas the bench suite writes (current and
-historical):
+Understands the snapshot schemas the bench suite writes:
 
-  risa-bench-des/v2    events/s per (exec x arrival mode x FEL backend) cell
-  risa-bench-des/v1    events/s per (arrival mode x FEL backend) cell
+  risa-bench-des/v3    events/s per arrival-mode cell
   risa-bench-scale/v1  ops/s per (racks x algorithm) cell
   risa-bench-gen/v1    one VMs/s cell
 
@@ -31,21 +29,11 @@ import sys
 
 # schema -> (display name, unit, cell extractor).
 SCHEMAS = {
-    "risa-bench-des/v2": (
+    "risa-bench-des/v3": (
         "DES",
         "events/s",
         lambda doc: {
-            (f"{r.get('exec', 'sequential')}/{r['arrival_mode']}", r["fel"]): r[
-                "events_per_sec"
-            ]
-            for r in doc["runs"]
-        },
-    ),
-    "risa-bench-des/v1": (
-        "DES",
-        "events/s",
-        lambda doc: {
-            (r["arrival_mode"], r["fel"]): r["events_per_sec"] for r in doc["runs"]
+            ("run", r["arrival_mode"]): r["events_per_sec"] for r in doc["runs"]
         },
     ),
     "risa-bench-scale/v1": (
