@@ -83,6 +83,15 @@ fn bench(c: &mut Criterion) {
     c.bench_function("tables_super_rack_build", |b| {
         b.iter(|| SuperRack::build(black_box(&cluster), &demand))
     });
+    // What RISA's fallback pays per VM: the same lists refilled into warm
+    // buffers (`build` above allocates all nine vectors afresh).
+    let mut warm = SuperRack::build(&cluster, &demand);
+    c.bench_function("tables_super_rack_rebuild_warm", |b| {
+        b.iter(|| {
+            warm.rebuild(black_box(&cluster), &demand);
+            black_box(warm.racks_for(ResourceKind::Cpu).len())
+        })
+    });
     c.bench_function("tables_rack_fits_all_racks", |b| {
         b.iter(|| {
             (0..cluster.num_racks())
@@ -90,7 +99,6 @@ fn bench(c: &mut Criterion) {
                 .count()
         })
     });
-    let _ = ResourceKind::Cpu;
 }
 
 fn main() {

@@ -61,7 +61,7 @@ impl NulbParams {
 
 /// The `SUPER_RACK` of Algorithm 1: per resource kind, the racks holding at
 /// least one box that can satisfy the VM's demand of that kind.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SuperRack {
     racks: [Vec<RackId>; 3],
     member: [Vec<bool>; 3],
@@ -75,26 +75,33 @@ impl SuperRack {
     /// Build the three rack lists for `demand` from the cached per-rack
     /// maxima (O(racks)).
     pub fn build(cluster: &Cluster, demand: &UnitDemand) -> Self {
-        let n = cluster.num_racks() as usize;
-        let mut racks: [Vec<RackId>; 3] = Default::default();
-        let mut member: [Vec<bool>; 3] = [vec![false; n], vec![false; n], vec![false; n]];
-        let mut prefix: [Vec<u32>; 3] = [vec![0; n + 1], vec![0; n + 1], vec![0; n + 1]];
-        for r in 0..cluster.num_racks() {
-            let rack = RackId(r);
-            for kind in ALL_RESOURCES {
-                let k = kind.index();
-                let fits = cluster.rack_admits(rack, kind, demand.get(kind));
+        let mut sr = SuperRack::default();
+        sr.rebuild(cluster, demand);
+        sr
+    }
+
+    /// As [`SuperRack::build`], refilling `self`'s buffers in place: once
+    /// they have grown to the cluster's rack count this allocates nothing.
+    pub fn rebuild(&mut self, cluster: &Cluster, demand: &UnitDemand) {
+        for kind in ALL_RESOURCES {
+            let k = kind.index();
+            let units = demand.get(kind);
+            let (racks, member, prefix) =
+                (&mut self.racks[k], &mut self.member[k], &mut self.prefix[k]);
+            racks.clear();
+            member.clear();
+            prefix.clear();
+            let mut members = 0;
+            prefix.push(members);
+            for r in 0..cluster.num_racks() {
+                let fits = cluster.rack_admits(RackId(r), kind, units);
                 if fits {
-                    racks[k].push(rack);
-                    member[k][r as usize] = true;
+                    racks.push(RackId(r));
                 }
-                prefix[k][r as usize + 1] = prefix[k][r as usize] + u32::from(fits);
+                member.push(fits);
+                members += u32::from(fits);
+                prefix.push(members);
             }
-        }
-        SuperRack {
-            racks,
-            member,
-            prefix,
         }
     }
 
@@ -121,12 +128,15 @@ impl SuperRack {
     }
 }
 
-/// Reusable buffers for the per-rack sorts NALB still performs; owned by
-/// the `Scheduler` so the hot path allocates nothing per VM.
+/// Reusable buffers for the per-rack sorts NALB still performs and for
+/// RISA's fallback `SUPER_RACK`; owned by the `Scheduler` so the hot path
+/// allocates nothing per VM.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Scratch {
     /// NALB's within-rack box ordering buffer.
     boxes: Vec<BoxId>,
+    /// RISA's fallback restriction, rebuilt in place per fallback VM.
+    pub(crate) super_rack: SuperRack,
 }
 
 /// Number of member racks (per the optional restriction) in `[lo, hi)`,

@@ -14,10 +14,11 @@
 //!    * **RISA-BF** picks the *best-fit* box — the fullest box that still
 //!      fits, reducing stranding (§4.2, Algorithm 3).
 //! 3. If the pool is empty or no pool rack can carry the flows, build the
-//!    `SUPER_RACK` and fall back to NULB restricted to it.
+//!    `SUPER_RACK` and fall back to NULB restricted to it (dropping first,
+//!    without building it, when some resource has no admitting rack).
 
 use crate::algorithm::{DropReason, VmAssignment};
-use crate::nulb::{nulb_schedule, NulbParams, Scratch, SuperRack};
+use crate::nulb::{nulb_schedule, NulbParams, Scratch};
 use crate::work::WorkCounters;
 use risa_network::{FlowDemands, LinkPolicy, NetworkState};
 use risa_topology::{
@@ -185,13 +186,22 @@ impl RisaState {
                 }
             }
         }
-        // Fallback: SUPER_RACK + NULB (Alg. 1's else branch).
+        // Fallback: SUPER_RACK + NULB (Alg. 1's else branch). An empty
+        // per-kind rack list (`SuperRack::infeasible`) is exactly "no rack
+        // admits that kind", which the placement index's root answers
+        // without building the lists — the common case past saturation.
         work.racks_scanned += cluster.num_racks() as u64;
-        let sr = SuperRack::build(cluster, demand);
-        if sr.infeasible() {
+        if ALL_RESOURCES
+            .iter()
+            .any(|&k| cluster.next_rack_with_fit(k, demand.get(k), 0).is_none())
+        {
             return Err(DropReason::Compute);
         }
-        nulb_schedule(
+        // `nulb_schedule` borrows the scratch mutably beside the
+        // restriction, so the warm buffers step out for the call.
+        let mut sr = std::mem::take(&mut scratch.super_rack);
+        sr.rebuild(cluster, demand);
+        let result = nulb_schedule(
             cluster,
             net,
             demand,
@@ -200,8 +210,9 @@ impl RisaState {
             NulbParams::nulb(),
             work,
             scratch,
-        )
-        .map(|mut a| {
+        );
+        scratch.super_rack = sr;
+        result.map(|mut a| {
             a.used_fallback = true;
             a
         })

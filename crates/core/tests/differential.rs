@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use risa_network::{NetworkConfig, NetworkState};
 use risa_sched::oracle::OracleScheduler;
-use risa_sched::{Algorithm, ScheduleOutcome, Scheduler, VmAssignment};
+use risa_sched::{Algorithm, DropReason, ScheduleOutcome, Scheduler, VmAssignment};
 use risa_topology::{Cluster, RackId, ResourceKind, TopologyConfig, UnitDemand, ALL_RESOURCES};
 use risa_workload::{AzureSubset, SyntheticConfig, Workload};
 
@@ -337,5 +337,105 @@ fn saturation_histories_stay_identical() {
         }
         assert_eq!(sched.work(), oracle.work(), "{algo}: cost models diverged");
         assert!(drops > 0, "{algo}: saturation run should drop some VMs");
+    }
+}
+
+/// Set every box of `kind` outside `keep` to `units` free.
+fn drain_kind(cluster: &mut Cluster, kind: ResourceKind, units: u32, keep: Option<RackId>) {
+    let boxes: Vec<_> = cluster.boxes_of_kind(kind).map(|b| b.id).collect();
+    for b in boxes {
+        if Some(cluster.rack_of(b)) != keep {
+            cluster.force_available(b, units);
+        }
+    }
+}
+
+/// RISA's fallback answers "is some kind's SUPER_RACK list empty?" from
+/// the placement index's root before building the lists; the oracle still
+/// builds them and asks `infeasible()`. Targeted states where the two
+/// could part ways: exactly one kind without an admitting rack (drained,
+/// then with the other racks dark), the feasible neighbour of that state
+/// (the fast path must not over-trigger), and a zero-unit demand for a
+/// kind whose every box is dark.
+#[test]
+fn infeasible_fast_path_matches_oracle() {
+    let d = UnitDemand::new(2, 4, 2);
+    let (compute, fallback) = (Some(DropReason::Compute), None);
+    type Prepare = fn(&mut Cluster);
+    let cases: [(&str, Prepare, UnitDemand, Option<DropReason>); 4] = [
+        (
+            "CPU only in rack 0, storage only in rack 1: empty pool, feasible SUPER_RACK",
+            |c| {
+                drain_kind(c, ResourceKind::Cpu, 1, Some(RackId(0)));
+                drain_kind(c, ResourceKind::Storage, 1, Some(RackId(1)));
+            },
+            d,
+            fallback,
+        ),
+        (
+            "saturated: storage alone has no admitting rack",
+            |c| {
+                drain_kind(c, ResourceKind::Cpu, 1, Some(RackId(0)));
+                drain_kind(c, ResourceKind::Storage, 1, None);
+            },
+            d,
+            compute,
+        ),
+        (
+            "racks 1.. removed, rack 0's storage drained",
+            |c| {
+                drain_kind(c, ResourceKind::Storage, 1, None);
+                for r in 1..c.num_racks() {
+                    flip_rack(c, RackId(r), true);
+                }
+            },
+            d,
+            compute,
+        ),
+        (
+            "zero-unit storage demand, every storage box dark",
+            |c| {
+                let boxes: Vec<_> = c
+                    .boxes_of_kind(ResourceKind::Storage)
+                    .map(|b| b.id)
+                    .collect();
+                for b in boxes {
+                    c.remove_box(b).expect("box is live");
+                }
+            },
+            UnitDemand::new(2, 4, 0),
+            compute,
+        ),
+    ];
+    for algo in [Algorithm::Risa, Algorithm::RisaBf] {
+        for (what, prepare, demand, expect_drop) in &cases {
+            let mut cluster = Cluster::new(TopologyConfig::paper());
+            prepare(&mut cluster);
+            let mut cluster_o = cluster.clone();
+            let mut net = NetworkState::new(NetworkConfig::paper(), &cluster);
+            let mut net_o = net.clone();
+            let mut sched = Scheduler::new(algo, &cluster);
+            let mut oracle = OracleScheduler::new(algo, &cluster_o);
+            // Twice: the second call meets warm scratch buffers.
+            for _ in 0..2 {
+                let ours = sched.schedule(&mut cluster, &mut net, demand);
+                let theirs = oracle.schedule(&mut cluster_o, &mut net_o, demand);
+                assert_eq!(ours, theirs, "{algo}, {what}: outcomes diverged");
+                match (&ours, expect_drop) {
+                    (ScheduleOutcome::Dropped(reason), Some(expected)) => {
+                        assert_eq!(reason, expected, "{algo}, {what}")
+                    }
+                    (ScheduleOutcome::Assigned(a), None) => {
+                        assert!(a.used_fallback && !a.intra_rack, "{algo}, {what}")
+                    }
+                    _ => panic!("{algo}, {what}: unexpected {ours:?}"),
+                }
+                assert_eq!(
+                    sched.work(),
+                    oracle.work(),
+                    "{algo}, {what}: work counters diverged"
+                );
+            }
+        }
     }
 }

@@ -94,10 +94,12 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-/// The mutable network: one trunk per box and one per rack, plus an
-/// incrementally-maintained ordering of racks by free uplink bandwidth —
-/// the structure that lets NALB's "modified BFS" read its neighbour order
-/// instead of re-sorting every rack per probe.
+/// The mutable network: one trunk per box and one per rack, plus two
+/// pieces of derived state kept coherent by the single private mutation
+/// funnel (`mutate`): an ordering of racks by free uplink bandwidth
+/// (so NALB's "modified BFS" reads its neighbour order instead of
+/// re-sorting every rack per probe) and per-layer running totals (so the
+/// world's per-event sampler reads three fields instead of every trunk).
 #[derive(Debug, Clone)]
 pub struct NetworkState {
     cfg: NetworkConfig,
@@ -106,23 +108,39 @@ pub struct NetworkState {
     /// `(free_mbps, Reverse(rack))` ascending, so reverse iteration yields
     /// NALB's neighbour order: descending bandwidth, ties to the lower id.
     rack_bw: BTreeSet<(u64, Reverse<u16>)>,
+    /// Σ `used_mbps` over the box trunks.
+    intra_used: u64,
+    /// Σ `used_mbps` over the rack trunks.
+    inter_used: u64,
+    /// Σ `stranded_mbps` over both layers.
+    stranded: u64,
 }
 
 impl NetworkState {
     /// Build a pristine network mirroring `cluster`'s boxes and racks.
     pub fn new(cfg: NetworkConfig, cluster: &Cluster) -> Self {
         cfg.validate().expect("invalid network configuration");
-        let rack_trunks: Vec<Trunk> = (0..cluster.num_racks())
-            .map(|_| Trunk::new(cfg.rack_uplink_width, cfg.link_mbps))
-            .collect();
-        let rack_bw = Self::build_rack_bw(&rack_trunks);
+        let trunks = |n: usize, width: u16| -> Vec<Trunk> {
+            (0..n).map(|_| Trunk::new(width, cfg.link_mbps)).collect()
+        };
+        let box_trunks = trunks(cluster.num_boxes(), cfg.box_uplink_width);
+        let rack_trunks = trunks(cluster.num_racks() as usize, cfg.rack_uplink_width);
+        Self::assemble(cfg, box_trunks, rack_trunks)
+    }
+
+    /// The one constructor: derives the rack ordering and the layer totals
+    /// from the trunk ledgers (shared by [`NetworkState::new`] and
+    /// `Deserialize`, so neither is ever serialized).
+    fn assemble(cfg: NetworkConfig, box_trunks: Vec<Trunk>, rack_trunks: Vec<Trunk>) -> Self {
+        let [intra_used, inter_used, stranded] = Self::sum_totals(&box_trunks, &rack_trunks);
         NetworkState {
-            box_trunks: (0..cluster.num_boxes())
-                .map(|_| Trunk::new(cfg.box_uplink_width, cfg.link_mbps))
-                .collect(),
-            rack_trunks,
-            rack_bw,
+            rack_bw: Self::build_rack_bw(&rack_trunks),
+            intra_used,
+            inter_used,
+            stranded,
             cfg,
+            box_trunks,
+            rack_trunks,
         }
     }
 
@@ -132,6 +150,19 @@ impl NetworkState {
             .enumerate()
             .map(|(r, t)| (t.free_mbps(), Reverse(r as u16)))
             .collect()
+    }
+
+    /// `[intra_used, inter_used, stranded]` summed over every trunk — what
+    /// the running totals must equal (construction and
+    /// [`NetworkState::check_invariants`] only; never on the event path).
+    fn sum_totals(box_trunks: &[Trunk], rack_trunks: &[Trunk]) -> [u64; 3] {
+        let used = |ts: &[Trunk]| ts.iter().map(Trunk::used_mbps).sum::<u64>();
+        let stranded = |ts: &[Trunk]| ts.iter().map(Trunk::stranded_mbps).sum::<u64>();
+        [
+            used(box_trunks),
+            used(rack_trunks),
+            stranded(box_trunks) + stranded(rack_trunks),
+        ]
     }
 
     /// The configuration in force.
@@ -147,79 +178,60 @@ impl NetworkState {
         }
     }
 
-    /// Reserve on one link of one trunk, keeping the rack-bandwidth
-    /// ordering coherent. Every mutation funnels through here or
-    /// [`NetworkState::trunk_give`].
-    fn trunk_take(&mut self, id: TrunkId, link: usize, mbps: u64) -> bool {
-        match id {
-            TrunkId::BoxUplink(b) => self.box_trunks[b as usize].take(link, mbps),
-            TrunkId::RackUplink(r) => {
-                let trunk = &mut self.rack_trunks[r as usize];
-                let before = trunk.free_mbps();
-                let taken = trunk.take(link, mbps);
-                if taken {
-                    let after = trunk.free_mbps();
-                    self.rack_bw.remove(&(before, Reverse(r)));
-                    self.rack_bw.insert((after, Reverse(r)));
-                }
-                taken
+    /// The single mutation funnel: run `op` on trunk `id` and fold the
+    /// movement of its two O(1) ledgers into the layer totals, re-ranking
+    /// the rack in the bandwidth ordering only when a rack trunk's free
+    /// bandwidth moved. A refused `op` leaves the trunk untouched, so
+    /// every delta is zero and nothing else changes.
+    fn mutate<R>(&mut self, id: TrunkId, op: impl FnOnce(&mut Trunk) -> R) -> R {
+        let (trunk, layer_used) = match id {
+            TrunkId::BoxUplink(b) => (&mut self.box_trunks[b as usize], &mut self.intra_used),
+            TrunkId::RackUplink(r) => (&mut self.rack_trunks[r as usize], &mut self.inter_used),
+        };
+        let (free, free_all) = trunk.ledger();
+        let out = op(trunk);
+        let (free_after, free_all_after) = trunk.ledger();
+        // used = capacity − free_all and stranded = free_all − free, so
+        // the deltas need no capacity product. Unsigned totals: add
+        // before subtracting what each total already contains.
+        *layer_used = *layer_used + free_all - free_all_after;
+        self.stranded = self.stranded + (free_all_after - free_after) - (free_all - free);
+        if let TrunkId::RackUplink(r) = id {
+            if free_after != free {
+                self.rack_bw.remove(&(free, Reverse(r)));
+                self.rack_bw.insert((free_after, Reverse(r)));
             }
         }
+        out
+    }
+
+    /// Reserve on one link of one trunk; `false` (nothing taken) when the
+    /// link is down or lacks capacity.
+    fn trunk_take(&mut self, id: TrunkId, link: usize, mbps: u64) -> bool {
+        self.mutate(id, |t| t.take(link, mbps))
     }
 
     /// Release on one link of one trunk (companion to
     /// [`NetworkState::trunk_take`]). Over-release propagates as a loud
     /// typed error with the state untouched.
     fn trunk_give(&mut self, id: TrunkId, link: usize, mbps: u64) -> Result<(), NetError> {
-        match id {
-            TrunkId::BoxUplink(b) => self.box_trunks[b as usize]
-                .give(link, mbps)
-                .map_err(|error| NetError::Trunk { trunk: id, error }),
-            TrunkId::RackUplink(r) => {
-                let trunk = &mut self.rack_trunks[r as usize];
-                let before = trunk.free_mbps();
-                trunk
-                    .give(link, mbps)
-                    .map_err(|error| NetError::Trunk { trunk: id, error })?;
-                let after = trunk.free_mbps();
-                self.rack_bw.remove(&(before, Reverse(r)));
-                self.rack_bw.insert((after, Reverse(r)));
-                Ok(())
-            }
-        }
+        self.mutate(id, |t| t.give(link, mbps))
+            .map_err(|error| NetError::Trunk { trunk: id, error })
     }
 
     /// Take one link of one trunk down. New flows stop landing on the
     /// link, its free bandwidth becomes stranded, and (for rack uplinks)
     /// the NALB neighbour ordering re-ranks the rack immediately.
     pub fn fail_link(&mut self, id: TrunkId, link: usize) -> Result<(), NetError> {
-        self.with_link_state(id, |t| t.fail_link(link))
+        self.mutate(id, |t| t.fail_link(link))
+            .map_err(|error| NetError::Trunk { trunk: id, error })
     }
 
     /// Bring one link of one trunk back up, re-entering its preserved free
     /// bandwidth into the schedulable aggregates and neighbour ordering.
     pub fn restore_link(&mut self, id: TrunkId, link: usize) -> Result<(), NetError> {
-        self.with_link_state(id, |t| t.restore_link(link))
-    }
-
-    fn with_link_state(
-        &mut self,
-        id: TrunkId,
-        op: impl FnOnce(&mut Trunk) -> Result<(), crate::trunk::TrunkError>,
-    ) -> Result<(), NetError> {
-        match id {
-            TrunkId::BoxUplink(b) => op(&mut self.box_trunks[b as usize])
-                .map_err(|error| NetError::Trunk { trunk: id, error }),
-            TrunkId::RackUplink(r) => {
-                let trunk = &mut self.rack_trunks[r as usize];
-                let before = trunk.free_mbps();
-                op(trunk).map_err(|error| NetError::Trunk { trunk: id, error })?;
-                let after = trunk.free_mbps();
-                self.rack_bw.remove(&(before, Reverse(r)));
-                self.rack_bw.insert((after, Reverse(r)));
-                Ok(())
-            }
-        }
+        self.mutate(id, |t| t.restore_link(link))
+            .map_err(|error| NetError::Trunk { trunk: id, error })
     }
 
     /// Racks ordered by descending free uplink bandwidth, ties to the
@@ -425,9 +437,9 @@ impl NetworkState {
         self.box_trunks.iter().map(Trunk::capacity_mbps).sum()
     }
 
-    /// Bandwidth currently reserved on the intra-rack layer.
+    /// Bandwidth currently reserved on the intra-rack layer. O(1).
     pub fn intra_used_mbps(&self) -> u64 {
-        self.box_trunks.iter().map(Trunk::used_mbps).sum()
+        self.intra_used
     }
 
     /// Total capacity of the inter-rack layer (all rack uplink trunks).
@@ -435,20 +447,16 @@ impl NetworkState {
         self.rack_trunks.iter().map(Trunk::capacity_mbps).sum()
     }
 
-    /// Bandwidth currently reserved on the inter-rack layer.
+    /// Bandwidth currently reserved on the inter-rack layer. O(1).
     pub fn inter_used_mbps(&self) -> u64 {
-        self.rack_trunks.iter().map(Trunk::used_mbps).sum()
+        self.inter_used
     }
 
     /// Free bandwidth trapped behind down links across both layers —
     /// the network contribution to the stranded-capacity resilience
-    /// metric.
+    /// metric. O(1).
     pub fn stranded_mbps(&self) -> u64 {
-        self.box_trunks
-            .iter()
-            .chain(&self.rack_trunks)
-            .map(Trunk::stranded_mbps)
-            .sum()
+        self.stranded
     }
 
     /// Intra-rack layer utilization in `[0, 1]` (Figure 8 left panel).
@@ -494,12 +502,18 @@ impl NetworkState {
         if self.rack_bw != Self::build_rack_bw(&self.rack_trunks) {
             return Err("rack bandwidth ordering stale".into());
         }
+        if [self.intra_used, self.inter_used, self.stranded]
+            != Self::sum_totals(&self.box_trunks, &self.rack_trunks)
+        {
+            return Err("layer totals stale".into());
+        }
         Ok(())
     }
 }
 
 /// The network serializes as configuration plus trunk ledgers; the
-/// rack-bandwidth ordering is derived state rebuilt on load.
+/// rack-bandwidth ordering and the layer totals are derived state rebuilt
+/// on load.
 impl Serialize for NetworkState {
     fn to_value(&self) -> serde::Value {
         serde::Value::Map(vec![
@@ -515,13 +529,7 @@ impl Deserialize for NetworkState {
         let cfg = NetworkConfig::from_value(serde::value::field(v, "cfg")?)?;
         let box_trunks = Vec::<Trunk>::from_value(serde::value::field(v, "box_trunks")?)?;
         let rack_trunks = Vec::<Trunk>::from_value(serde::value::field(v, "rack_trunks")?)?;
-        let rack_bw = Self::build_rack_bw(&rack_trunks);
-        Ok(NetworkState {
-            cfg,
-            box_trunks,
-            rack_trunks,
-            rack_bw,
-        })
+        Ok(Self::assemble(cfg, box_trunks, rack_trunks))
     }
 }
 

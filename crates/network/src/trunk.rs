@@ -147,6 +147,16 @@ impl Trunk {
         self.free_all - self.free_total
     }
 
+    /// The two cached sums every aggregate derives from, read together:
+    /// `(free_mbps, Σ free over all links)`. `used_mbps` is capacity minus
+    /// the second, `stranded_mbps` the second minus the first — so the
+    /// network's mutation funnel can difference them without the
+    /// capacity product.
+    #[inline]
+    pub(crate) fn ledger(&self) -> (u64, u64) {
+        (self.free_total, self.free_all)
+    }
+
     /// Free bandwidth of link `i` (the ledger value, kept even while the
     /// link is down).
     pub fn link_free_mbps(&self, i: usize) -> u64 {

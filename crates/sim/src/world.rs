@@ -711,11 +711,20 @@ impl DdcWorld {
     /// Flush the current state into the timeline regardless of the grid
     /// (called once by the driver when the event queue drains).
     pub(crate) fn flush_timeline(&mut self) {
-        let t = self.end_time;
-        let cluster = &self.cluster;
-        let used =
-            |k: ResourceKind| (cluster.total_capacity(k) - cluster.total_available(k)) as f64;
-        let point = TimelinePoint {
+        let point = self.timeline_point(self.end_time);
+        if let Some(tl) = self.timeline.as_mut() {
+            tl.force(point);
+        }
+    }
+
+    /// The current state as one timeline point — every field an O(1)
+    /// read of a running total (shared by the per-event sampler and the
+    /// end-of-run flush).
+    fn timeline_point(&self, t: f64) -> TimelinePoint {
+        let used = |k: ResourceKind| {
+            (self.cluster.total_capacity(k) - self.cluster.total_available(k)) as f64
+        };
+        TimelinePoint {
             t,
             cpu_used: used(ResourceKind::Cpu),
             ram_used: used(ResourceKind::Ram),
@@ -723,9 +732,6 @@ impl DdcWorld {
             intra_mbps: self.net.intra_used_mbps() as f64,
             inter_mbps: self.net.inter_used_mbps() as f64,
             resident_vms: self.resident,
-        };
-        if let Some(tl) = self.timeline.as_mut() {
-            tl.force(point);
         }
     }
 
@@ -872,12 +878,12 @@ impl DdcWorld {
     }
 
     fn sample_state(&mut self, t: f64) {
-        for kind in ALL_RESOURCES {
-            let used = self.cluster.total_capacity(kind) - self.cluster.total_available(kind);
-            self.util[kind.index()].set(t, used as f64);
-        }
-        self.intra_bw.set(t, self.net.intra_used_mbps() as f64);
-        self.inter_bw.set(t, self.net.inter_used_mbps() as f64);
+        let p = self.timeline_point(t);
+        self.util[ResourceKind::Cpu.index()].set(t, p.cpu_used);
+        self.util[ResourceKind::Ram.index()].set(t, p.ram_used);
+        self.util[ResourceKind::Storage.index()].set(t, p.sto_used);
+        self.intra_bw.set(t, p.intra_mbps);
+        self.inter_bw.set(t, p.inter_mbps);
         if let Some(fs) = self.faults.as_mut() {
             // Stranded capacity: retracted compute inside failed racks
             // plus free bandwidth behind dark links. Both change only at
@@ -894,18 +900,7 @@ impl DdcWorld {
                 .set(t, self.net.stranded_mbps() as f64);
         }
         if let Some(tl) = self.timeline.as_mut() {
-            let used = |k: ResourceKind| {
-                (self.cluster.total_capacity(k) - self.cluster.total_available(k)) as f64
-            };
-            tl.offer(TimelinePoint {
-                t,
-                cpu_used: used(ResourceKind::Cpu),
-                ram_used: used(ResourceKind::Ram),
-                sto_used: used(ResourceKind::Storage),
-                intra_mbps: self.net.intra_used_mbps() as f64,
-                inter_mbps: self.net.inter_used_mbps() as f64,
-                resident_vms: self.resident,
-            });
+            tl.offer(p);
         }
     }
 
