@@ -1,12 +1,12 @@
 //! Tables 1–5 of the paper: prints the configuration tables and the §4.3
 //! toy-example traces (Tables 3/4), then benchmarks the contention-ratio
-//! and SUPER_RACK kernels shared by the algorithms.
+//! and `SUPER_RACK` membership kernels shared by the algorithms.
 
 use criterion::{black_box, Criterion};
 use risa_metrics::{Align, Table};
 use risa_network::NetworkConfig;
-use risa_sched::{contention_ratios, toy, SuperRack};
-use risa_topology::{Cluster, ResourceKind, TopologyConfig, UnitDemand};
+use risa_sched::{contention_ratios, toy, RackFilter};
+use risa_topology::{Cluster, TopologyConfig, UnitDemand, ALL_RESOURCES};
 
 fn print_table1() {
     let cfg = TopologyConfig::paper();
@@ -78,20 +78,21 @@ fn bench(c: &mut Criterion) {
     let cluster = Cluster::new(TopologyConfig::paper());
     let demand = UnitDemand::new(2, 4, 2);
     c.bench_function("tables_contention_ratio_scan", |b| {
-        b.iter(|| contention_ratios(black_box(&cluster), &demand, None))
+        b.iter(|| contention_ratios(black_box(&cluster), &demand, RackFilter::All))
     });
-    c.bench_function("tables_super_rack_build", |b| {
-        b.iter(|| SuperRack::build(black_box(&cluster), &demand))
-    });
-    // What RISA's fallback pays per VM: the same lists refilled into warm
-    // buffers (`build` above allocates all nine vectors afresh).
-    let mut warm = SuperRack::build(&cluster, &demand);
-    c.bench_function("tables_super_rack_rebuild_warm", |b| {
-        b.iter(|| {
-            warm.rebuild(black_box(&cluster), &demand);
-            black_box(warm.racks_for(ResourceKind::Cpu).len())
-        })
-    });
+    // What RISA's fallback asks per VM in place of building the SUPER_RACK:
+    // per kind, how many racks admit the demand and what they hold. The
+    // cost is set by the box capacity, not by the rack count.
+    for scale in [1, 40] {
+        let cluster = Cluster::new(TopologyConfig::paper().scaled(scale));
+        let racks = cluster.num_racks();
+        c.bench_function(&format!("tables_admitting_racks/{racks}"), |b| {
+            b.iter(|| {
+                ALL_RESOURCES
+                    .map(|kind| black_box(&cluster).admitting_racks(kind, demand.get(kind)))
+            })
+        });
+    }
     c.bench_function("tables_rack_fits_all_racks", |b| {
         b.iter(|| {
             (0..cluster.num_racks())

@@ -24,7 +24,7 @@ use std::time::Instant;
 pub struct DesBench {
     /// Envelope shape tag.
     pub schema: String,
-    /// `git rev-parse --short HEAD`, or `"unknown"`.
+    /// [`git_rev`]'s stamp: short `HEAD`, `-dirty` if the tree differs.
     pub git_rev: String,
     /// Pool threads during the measurement.
     pub threads: usize,
@@ -62,7 +62,7 @@ pub struct DesRun {
 pub struct ScaleBench {
     /// Envelope shape tag.
     pub schema: String,
-    /// `git rev-parse --short HEAD`, or `"unknown"`.
+    /// [`git_rev`]'s stamp: short `HEAD`, `-dirty` if the tree differs.
     pub git_rev: String,
     /// Pool threads during the measurement (cells time concurrently;
     /// prefer `--jobs 1` snapshots for uncontended per-op numbers).
@@ -91,7 +91,7 @@ pub struct ScaleRow {
 pub struct GenBench {
     /// Envelope shape tag.
     pub schema: String,
-    /// `git rev-parse --short HEAD`, or `"unknown"`.
+    /// [`git_rev`]'s stamp: short `HEAD`, `-dirty` if the tree differs.
     pub git_rev: String,
     /// Pool threads during the measurement.
     pub threads: usize,
@@ -103,17 +103,33 @@ pub struct GenBench {
     pub vms_per_sec: f64,
 }
 
-/// Short git revision of the working tree, `"unknown"` outside a repo.
+/// Revision the working tree was built from: the short `HEAD` hash, with
+/// `-dirty` appended when the tree differs from it (a snapshot regenerated
+/// before its commit measures the change, not the parent it names);
+/// `"unknown"` outside a repo.
 pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    stamp_rev(
+        git(&["rev-parse", "--short", "HEAD"]).as_deref(),
+        git(&["status", "--porcelain"]).as_deref(),
+    )
+}
+
+/// [`git_rev`]'s stamp from the two git outputs (`None`: the command
+/// failed). An unreadable status is not evidence of a clean tree.
+fn stamp_rev(head: Option<&str>, porcelain: Option<&str>) -> String {
+    let Some(head) = head.map(str::trim).filter(|h| !h.is_empty()) else {
+        return "unknown".to_string();
+    };
+    let clean = porcelain.is_some_and(|p| p.trim().is_empty());
+    format!("{head}{}", if clean { "" } else { "-dirty" })
 }
 
 /// Measure the DES event loop: one full run per arrival mode on a
@@ -302,5 +318,23 @@ mod tests {
     #[test]
     fn git_rev_is_nonempty() {
         assert!(!git_rev().is_empty());
+    }
+
+    #[test]
+    fn rev_stamp_marks_a_dirty_tree() {
+        assert_eq!(stamp_rev(Some("0bcc887\n"), Some("")), "0bcc887");
+        assert_eq!(stamp_rev(Some("0bcc887\n"), Some("\n")), "0bcc887");
+        assert_eq!(
+            stamp_rev(Some("0bcc887\n"), Some(" M crates/core/src/nulb.rs\n")),
+            "0bcc887-dirty"
+        );
+        assert_eq!(
+            stamp_rev(Some("0bcc887"), Some("?? BENCH_new.json\n")),
+            "0bcc887-dirty"
+        );
+        // No status to read: the tree cannot be called clean.
+        assert_eq!(stamp_rev(Some("0bcc887\n"), None), "0bcc887-dirty");
+        assert_eq!(stamp_rev(None, Some("")), "unknown");
+        assert_eq!(stamp_rev(Some("\n"), Some(" M x\n")), "unknown");
     }
 }

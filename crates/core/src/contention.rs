@@ -6,6 +6,7 @@
 //! all-zero-demand case) resolve in canonical CPU → RAM → storage order,
 //! which the paper leaves unspecified.
 
+use crate::nulb::RackFilter;
 use risa_topology::{Cluster, ResourceKind, UnitDemand, ALL_RESOURCES};
 
 /// CR per resource kind. `available == 0` with non-zero demand yields
@@ -19,11 +20,11 @@ use risa_topology::{Cluster, ResourceKind, UnitDemand, ALL_RESOURCES};
 /// while [`crate::WorkCounters`] still charges the scan the baseline
 /// algorithms are defined with, keeping the machine-independent cost model
 /// identical to the seed's.
-pub fn contention_ratios(
-    cluster: &Cluster,
-    demand: &UnitDemand,
-    restrict: Option<&crate::nulb::SuperRack>,
-) -> [f64; 3] {
+///
+/// Under [`RackFilter::Admitting`] each kind's availability is summed over
+/// the racks that can grant the VM's own demand of that kind (RISA's
+/// `SUPER_RACK`), read from the placement index's key table.
+pub fn contention_ratios(cluster: &Cluster, demand: &UnitDemand, restrict: RackFilter) -> [f64; 3] {
     let mut scratch = crate::work::WorkCounters::new();
     contention_ratios_counted(cluster, demand, restrict, &mut scratch)
 }
@@ -33,25 +34,24 @@ pub fn contention_ratios(
 pub(crate) fn contention_ratios_counted(
     cluster: &Cluster,
     demand: &UnitDemand,
-    restrict: Option<&crate::nulb::SuperRack>,
+    restrict: RackFilter,
     work: &mut crate::work::WorkCounters,
 ) -> [f64; 3] {
     let mut crs = [0.0f64; 3];
     for kind in ALL_RESOURCES {
         let req = demand.get(kind) as f64;
         let avail = match restrict {
-            None => {
+            RackFilter::All => {
                 // Identical to the naive Σ over boxes_of_kind; the counter
                 // charges the full scan that sum used to perform.
                 work.boxes_scanned += cluster.config().boxes_of_kind(kind) as u64;
                 cluster.total_available(kind) as f64
             }
-            Some(sr) => {
-                work.racks_scanned += sr.racks_for(kind).len() as u64;
-                sr.racks_for(kind)
-                    .iter()
-                    .map(|&r| cluster.rack_total_available(r, kind))
-                    .sum::<u64>() as f64
+            RackFilter::Admitting => {
+                // The naive sum walks the kind's SUPER_RACK list.
+                let (racks, total) = cluster.admitting_racks(kind, demand.get(kind));
+                work.racks_scanned += racks as u64;
+                total as f64
             }
         };
         crs[kind.index()] = if req == 0.0 {
@@ -69,7 +69,7 @@ pub(crate) fn contention_ratios_counted(
 pub fn most_contended(
     cluster: &Cluster,
     demand: &UnitDemand,
-    restrict: Option<&crate::nulb::SuperRack>,
+    restrict: RackFilter,
 ) -> ResourceKind {
     let mut scratch = crate::work::WorkCounters::new();
     most_contended_counted(cluster, demand, restrict, &mut scratch)
@@ -79,7 +79,7 @@ pub fn most_contended(
 pub(crate) fn most_contended_counted(
     cluster: &Cluster,
     demand: &UnitDemand,
-    restrict: Option<&crate::nulb::SuperRack>,
+    restrict: RackFilter,
     work: &mut crate::work::WorkCounters,
 ) -> ResourceKind {
     let crs = contention_ratios_counted(cluster, demand, restrict, work);
@@ -104,7 +104,7 @@ mod tests {
     fn toy_example1_ratios() {
         let cluster = crate::toy::table3_cluster();
         let demand = crate::toy::typical_vm_demand(&cluster);
-        let crs = contention_ratios(&cluster, &demand, None);
+        let crs = contention_ratios(&cluster, &demand, RackFilter::All);
         // Units: CPU req 2u of 24u free; RAM 4u of 16u; STO 2u of 12u.
         assert!((crs[0] - 2.0 / 24.0).abs() < 1e-12, "CPU CR {}", crs[0]);
         assert!((crs[1] - 4.0 / 16.0).abs() < 1e-12, "RAM CR {}", crs[1]);
@@ -114,17 +114,20 @@ mod tests {
         assert!((crs[0] - 0.0833).abs() < 1e-3);
         assert!((crs[1] - 0.25).abs() < 1e-12);
         assert!((crs[2] - 0.1667).abs() < 1e-3);
-        assert_eq!(most_contended(&cluster, &demand, None), ResourceKind::Ram);
+        assert_eq!(
+            most_contended(&cluster, &demand, RackFilter::All),
+            ResourceKind::Ram
+        );
     }
 
     #[test]
     fn zero_demand_has_zero_cr() {
         let cluster = Cluster::new(TopologyConfig::paper());
-        let crs = contention_ratios(&cluster, &UnitDemand::ZERO, None);
+        let crs = contention_ratios(&cluster, &UnitDemand::ZERO, RackFilter::All);
         assert_eq!(crs, [0.0; 3]);
         // Ties resolve to CPU.
         assert_eq!(
-            most_contended(&cluster, &UnitDemand::ZERO, None),
+            most_contended(&cluster, &UnitDemand::ZERO, RackFilter::All),
             ResourceKind::Cpu
         );
     }
@@ -139,19 +142,31 @@ mod tests {
             }
         }
         let d = UnitDemand::new(1, 1, 1);
-        let crs = contention_ratios(&cluster, &d, None);
+        let crs = contention_ratios(&cluster, &d, RackFilter::All);
         assert!(crs[2].is_infinite());
-        assert_eq!(most_contended(&cluster, &d, None), ResourceKind::Storage);
+        assert_eq!(
+            most_contended(&cluster, &d, RackFilter::All),
+            ResourceKind::Storage
+        );
     }
 
     #[test]
     fn restriction_changes_denominator() {
-        let cluster = Cluster::new(TopologyConfig::paper());
+        let mut cluster = Cluster::new(TopologyConfig::paper());
         let d = UnitDemand::new(4, 4, 4);
-        let sr = crate::nulb::SuperRack::build(&cluster, &d);
-        let unrestricted = contention_ratios(&cluster, &d, None);
-        let restricted = contention_ratios(&cluster, &d, Some(&sr));
         // A pristine cluster admits every rack, so they coincide.
-        assert_eq!(unrestricted, restricted);
+        assert_eq!(
+            contention_ratios(&cluster, &d, RackFilter::All),
+            contention_ratios(&cluster, &d, RackFilter::Admitting)
+        );
+        // Leave rack 0's CPU boxes 3 units each: too few for the VM, so
+        // its 6 free units leave the restricted CPU denominator only.
+        cluster.force_available(risa_topology::BoxId(0), 3);
+        cluster.force_available(risa_topology::BoxId(1), 3);
+        let all = contention_ratios(&cluster, &d, RackFilter::All);
+        let restricted = contention_ratios(&cluster, &d, RackFilter::Admitting);
+        assert_eq!(all[0], 4.0 / (4608.0 - 250.0));
+        assert_eq!(restricted[0], 4.0 / (4608.0 - 256.0));
+        assert_eq!(all[1..], restricted[1..]);
     }
 }

@@ -61,6 +61,6 @@ mod work;
 
 pub use algorithm::{Algorithm, DropReason, ScheduleOutcome, VmAssignment};
 pub use contention::{contention_ratios, most_contended};
-pub use nulb::{NeighborOrder, NulbParams, SuperRack};
+pub use nulb::{NeighborOrder, NulbParams, RackFilter};
 pub use scheduler::Scheduler;
 pub use work::WorkCounters;

@@ -11,7 +11,8 @@
 //!   with the most available bandwidth.
 //!
 //! Either phase failing drops the VM. The same routine also serves as
-//! RISA's fallback, restricted to the `SUPER_RACK` rack lists.
+//! RISA's fallback, restricted to the `SUPER_RACK`'s racks
+//! ([`RackFilter::Admitting`]).
 
 use crate::algorithm::{DropReason, VmAssignment};
 use crate::contention::most_contended_counted;
@@ -59,202 +60,100 @@ impl NulbParams {
     }
 }
 
-/// The `SUPER_RACK` of Algorithm 1: per resource kind, the racks holding at
-/// least one box that can satisfy the VM's demand of that kind.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SuperRack {
-    racks: [Vec<RackId>; 3],
-    member: [Vec<bool>; 3],
-    /// Per kind: `prefix[r]` = number of member racks with id < `r`
-    /// (length racks + 1). Lets the index-backed scans charge the exact
-    /// box count a naive restricted scan would have visited, in O(1).
-    prefix: [Vec<u32>; 3],
+/// Which racks may serve each resource kind of the VM being scheduled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RackFilter {
+    /// Every rack: plain NULB/NALB.
+    All,
+    /// Per kind, only the racks holding a live box that can grant the VM's
+    /// own demand of that kind — Algorithm 1's `SUPER_RACK`, RISA's
+    /// fallback. Nothing is mutated before the placement is taken, so
+    /// membership is asked of the live placement index
+    /// ([`Cluster::rack_admits`]) instead of a per-VM snapshot.
+    Admitting,
 }
 
-impl SuperRack {
-    /// Build the three rack lists for `demand` from the cached per-rack
-    /// maxima (O(racks)).
-    pub fn build(cluster: &Cluster, demand: &UnitDemand) -> Self {
-        let mut sr = SuperRack::default();
-        sr.rebuild(cluster, demand);
-        sr
-    }
-
-    /// As [`SuperRack::build`], refilling `self`'s buffers in place: once
-    /// they have grown to the cluster's rack count this allocates nothing.
-    pub fn rebuild(&mut self, cluster: &Cluster, demand: &UnitDemand) {
-        for kind in ALL_RESOURCES {
-            let k = kind.index();
-            let units = demand.get(kind);
-            let (racks, member, prefix) =
-                (&mut self.racks[k], &mut self.member[k], &mut self.prefix[k]);
-            racks.clear();
-            member.clear();
-            prefix.clear();
-            let mut members = 0;
-            prefix.push(members);
-            for r in 0..cluster.num_racks() {
-                let fits = cluster.rack_admits(RackId(r), kind, units);
-                if fits {
-                    racks.push(RackId(r));
-                }
-                member.push(fits);
-                members += u32::from(fits);
-                prefix.push(members);
-            }
-        }
-    }
-
-    /// Racks able to satisfy `kind`.
-    pub fn racks_for(&self, kind: ResourceKind) -> &[RackId] {
-        &self.racks[kind.index()]
-    }
-
-    /// Whether `rack` may serve `kind`.
-    pub fn allows(&self, rack: RackId, kind: ResourceKind) -> bool {
-        self.member[kind.index()][rack.0 as usize]
-    }
-
-    /// Number of member racks for `kind` with id in `[lo, hi)`. O(1).
-    fn members_in(&self, kind: ResourceKind, lo: u16, hi: u16) -> u64 {
-        let p = &self.prefix[kind.index()];
-        (p[hi as usize] - p[lo as usize]) as u64
-    }
-
-    /// True when some kind has no candidate rack at all — the VM cannot be
-    /// placed and must drop in the compute phase.
-    pub fn infeasible(&self) -> bool {
-        self.racks.iter().any(|r| r.is_empty())
-    }
-}
-
-/// Reusable buffers for the per-rack sorts NALB still performs and for
-/// RISA's fallback `SUPER_RACK`; owned by the `Scheduler` so the hot path
-/// allocates nothing per VM.
+/// Reusable buffer for the per-rack sort NALB still performs; owned by the
+/// `Scheduler` so the hot path allocates nothing per VM.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Scratch {
     /// NALB's within-rack box ordering buffer.
     boxes: Vec<BoxId>,
-    /// RISA's fallback restriction, rebuilt in place per fallback VM.
-    pub(crate) super_rack: SuperRack,
-}
-
-/// Number of member racks (per the optional restriction) in `[lo, hi)`,
-/// excluding `home` — the racks a naive BFS would have fully scanned.
-fn allowed_in_window(
-    restrict: Option<&SuperRack>,
-    kind: ResourceKind,
-    lo: u16,
-    hi: u16,
-    home: RackId,
-) -> u64 {
-    if hi <= lo {
-        return 0;
-    }
-    let total = match restrict {
-        None => (hi - lo) as u64,
-        Some(sr) => sr.members_in(kind, lo, hi),
-    };
-    let home_counts = (lo..hi).contains(&home.0) && restrict.is_none_or(|sr| sr.allows(home, kind));
-    total - u64::from(home_counts)
 }
 
 /// Find the first box of `kind` able to grant `units`, in global id order
 /// (both algorithms' primary scarce-resource scan). The placement index
 /// answers in O(log racks); [`WorkCounters`] is charged exactly what the
-/// naive whole-table scan would have cost.
+/// naive whole-table scan would have cost. The rack found admits `units`,
+/// so it is a member under either [`RackFilter`].
 fn first_box_of_kind(
     cluster: &Cluster,
     kind: ResourceKind,
     units: u32,
-    restrict: Option<&SuperRack>,
     work: &mut WorkCounters,
 ) -> Option<BoxId> {
-    let total = cluster.config().boxes_of_kind(kind) as u64;
-    let mut from = 0u16;
-    loop {
-        let Some(rack) = cluster.next_rack_with_fit(kind, units, from) else {
-            // The naive scan would have visited every box and found none.
-            work.boxes_scanned += total;
-            return None;
-        };
-        if restrict.is_none_or(|sr| sr.allows(rack, kind)) {
-            let b = cluster
-                .first_fit_in_rack(rack, kind, units)
-                .expect("rack max admits a fit");
-            work.boxes_scanned += cluster.kind_position(b) + 1;
-            return Some(b);
-        }
-        // A fitting but restricted rack: the naive scan passes through it.
-        from = rack.0 + 1;
-        if from >= cluster.num_racks() {
-            work.boxes_scanned += total;
-            return None;
-        }
-    }
+    let Some(rack) = cluster.next_rack_with_fit(kind, units, 0) else {
+        // The naive scan would have visited every box and found none.
+        work.boxes_scanned += cluster.config().boxes_of_kind(kind) as u64;
+        return None;
+    };
+    let b = cluster
+        .first_fit_in_rack(rack, kind, units)
+        .expect("rack max admits a fit");
+    work.boxes_scanned += cluster.kind_position(b) + 1;
+    Some(b)
 }
 
-/// Scan one rack's boxes in id order for a fit, charging the counters the
-/// naive per-box loop would (found at offset `o` → `o + 1` reads; miss →
-/// the rack's whole box list).
-fn id_order_box_in_rack(
-    cluster: &Cluster,
-    rack: RackId,
-    kind: ResourceKind,
-    units: u32,
-    work: &mut WorkCounters,
-) -> Option<BoxId> {
-    let boxes = cluster.boxes_in_rack(rack, kind);
-    match boxes
-        .iter()
-        .position(|&b| !cluster.is_failed(b) && cluster.available(b) >= units)
-    {
-        Some(pos) => {
-            work.boxes_scanned += pos as u64 + 1;
-            Some(boxes[pos])
-        }
-        None => {
-            work.boxes_scanned += boxes.len() as u64;
-            None
-        }
-    }
-}
-
-/// NALB's within-rack pick: boxes ordered by descending free uplink
-/// bandwidth (ties to the lower id), first fit wins. Uses the scheduler's
-/// scratch buffer; rack size is a small constant, so the sort is O(1).
-fn bw_order_box_in_rack(
+/// The BFS's pick inside a rack the index says admits `units`: the first
+/// fit in `order`, charging the counters the naive per-box loop would up
+/// to it. NALB orders the boxes by descending free uplink bandwidth (ties
+/// to the lower id) in the scheduler's scratch buffer; rack size is a
+/// small constant, so the sort is O(1).
+#[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
+fn fit_in_rack(
     cluster: &Cluster,
     net: &NetworkState,
     rack: RackId,
     kind: ResourceKind,
     units: u32,
+    order: NeighborOrder,
     work: &mut WorkCounters,
     scratch: &mut Scratch,
-) -> Option<BoxId> {
-    let boxes = cluster.boxes_in_rack(rack, kind);
-    work.sorts += 1;
-    work.links_scanned += boxes.len() as u64;
-    scratch.boxes.clear();
-    scratch.boxes.extend_from_slice(boxes);
-    scratch.boxes.sort_by(|&a, &b| {
-        net.box_uplink_free_mbps(b)
-            .cmp(&net.box_uplink_free_mbps(a))
-            .then(a.cmp(&b))
-    });
-    scratch.boxes.iter().copied().find(|&b| {
-        work.boxes_scanned += 1;
-        !cluster.is_failed(b) && cluster.available(b) >= units
-    })
+) -> BoxId {
+    let mut boxes = cluster.boxes_in_rack(rack, kind);
+    if order == NeighborOrder::ByBandwidthDesc {
+        work.sorts += 1;
+        work.links_scanned += boxes.len() as u64;
+        scratch.boxes.clear();
+        scratch.boxes.extend_from_slice(boxes);
+        scratch.boxes.sort_by(|&a, &b| {
+            net.box_uplink_free_mbps(b)
+                .cmp(&net.box_uplink_free_mbps(a))
+                .then(a.cmp(&b))
+        });
+        boxes = &scratch.boxes;
+    }
+    boxes
+        .iter()
+        .copied()
+        .find(|&b| {
+            work.boxes_scanned += 1;
+            !cluster.is_failed(b) && cluster.available(b) >= units
+        })
+        .expect("rack max admits a fit")
 }
 
 /// BFS search for `kind`: the home rack's boxes first, then every other
 /// rack, with ordering per `order`. Returns the first box that fits.
 ///
-/// NULB's id-order walk is served by the placement index's rack-successor
-/// query (skipped racks are charged to [`WorkCounters`] arithmetically);
-/// NALB's bandwidth-descending walk reads the network's incremental rack
-/// ordering instead of sorting every rack per probe.
+/// Only a rack the placement index proves holds a fit is ever read; every
+/// other rack the naive walk passes is charged to [`WorkCounters`] without
+/// being touched — one rack check each and, unless `restrict` excludes it
+/// (a rack that cannot grant `units` is no `SUPER_RACK` member), its whole
+/// box list (plus NALB's per-rack sort). NULB's id-order walk is one
+/// rack-successor query, which also tells NALB when there is nothing to
+/// walk for; NALB's bandwidth-descending walk reads the network's
+/// incremental rack ordering instead of sorting per probe.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
 fn bfs_find(
     cluster: &Cluster,
@@ -262,100 +161,76 @@ fn bfs_find(
     kind: ResourceKind,
     units: u32,
     home: RackId,
-    restrict: Option<&SuperRack>,
+    restrict: RackFilter,
     order: NeighborOrder,
     work: &mut WorkCounters,
     scratch: &mut Scratch,
 ) -> Option<BoxId> {
     let mk = cluster.config().box_mix.of(kind) as u64;
-    let racks = cluster.num_racks();
-    let home_allowed = restrict.is_none_or(|sr| sr.allows(home, kind));
+    // What the naive BFS pays for `n` racks it scans without finding a fit.
+    let charge_misses = |n: u64, work: &mut WorkCounters| {
+        if restrict == RackFilter::All {
+            work.boxes_scanned += mk * n;
+            if order == NeighborOrder::ByBandwidthDesc {
+                work.sorts += n;
+                work.links_scanned += mk * n;
+            }
+        }
+    };
 
     // Distance 0: the home rack.
     work.racks_scanned += 1;
-    if home_allowed {
-        let found = match order {
-            NeighborOrder::ById => id_order_box_in_rack(cluster, home, kind, units, work),
-            NeighborOrder::ByBandwidthDesc => {
-                bw_order_box_in_rack(cluster, net, home, kind, units, work, scratch)
-            }
-        };
-        if found.is_some() {
-            return found;
-        }
+    if cluster.rack_admits(home, kind, units) {
+        return Some(fit_in_rack(
+            cluster, net, home, kind, units, order, work, scratch,
+        ));
     }
+    charge_misses(1, work);
 
     // Distance 1: every other rack (two-tier topology ⇒ all equidistant).
-    match order {
-        NeighborOrder::ById => {
-            // Walk only the racks the index proves can fit; charge skipped
-            // racks what the naive in-order scan would have cost (one rack
-            // check each, a full box list for allowed racks).
-            let mut from = 0u16;
-            loop {
-                let next = cluster.next_rack_with_fit(kind, units, from);
-                let stop = next.map_or(racks, |r| r.0);
-                work.racks_scanned +=
-                    (stop - from) as u64 - u64::from((from..stop).contains(&home.0));
-                work.boxes_scanned += mk * allowed_in_window(restrict, kind, from, stop, home);
-                let rack = next?;
-                if rack == home {
-                    from = rack.0 + 1;
-                    if from >= racks {
-                        return None;
-                    }
-                    continue;
-                }
-                work.racks_scanned += 1;
-                if restrict.is_none_or(|sr| sr.allows(rack, kind)) {
-                    let b = id_order_box_in_rack(cluster, rack, kind, units, work);
-                    debug_assert!(b.is_some(), "rack max admits a fit");
-                    return b;
-                }
-                from = rack.0 + 1;
-                if from >= racks {
-                    return None;
-                }
-            }
-        }
-        NeighborOrder::ByBandwidthDesc => {
-            // The naive walk sorts every other rack by free uplink
-            // bandwidth first; the incremental ordering replaces the sort,
-            // but the cost model still charges it.
-            work.sorts += 1;
-            work.links_scanned += racks.saturating_sub(1) as u64;
-            for rack in net.racks_by_free_bw_desc() {
-                if rack == home {
-                    continue;
-                }
-                work.racks_scanned += 1;
-                if let Some(sr) = restrict {
-                    if !sr.allows(rack, kind) {
-                        continue;
-                    }
-                }
-                if let Some(b) =
-                    bw_order_box_in_rack(cluster, net, rack, kind, units, work, scratch)
-                {
-                    return Some(b);
-                }
-            }
-            None
-        }
+    // The home rack holds no fit, so it is never the rack found below, and
+    // when no rack holds one the walk passes all the others in any order.
+    let others = cluster.num_racks().saturating_sub(1) as u64;
+    if order == NeighborOrder::ByBandwidthDesc {
+        // The naive walk sorts every other rack by free uplink bandwidth
+        // first; the incremental ordering replaces the sort, but the cost
+        // model still charges it.
+        work.sorts += 1;
+        work.links_scanned += others;
     }
+    let Some(first) = cluster.next_rack_with_fit(kind, units, 0) else {
+        work.racks_scanned += others;
+        charge_misses(others, work);
+        return None;
+    };
+    let (rack, passed) = match order {
+        NeighborOrder::ById => (first, (first.0 - u16::from(home.0 < first.0)) as u64),
+        NeighborOrder::ByBandwidthDesc => net
+            .racks_by_free_bw_desc()
+            .filter(|&r| r != home)
+            .zip(0u64..)
+            .find(|&(r, _)| cluster.rack_admits(r, kind, units))
+            .expect("some rack holds a fit"),
+    };
+    work.racks_scanned += passed + 1;
+    charge_misses(passed, work);
+    Some(fit_in_rack(
+        cluster, net, rack, kind, units, order, work, scratch,
+    ))
 }
 
 /// Algorithm 2 in full: compute phase + network phase, dropping on failure.
 ///
-/// `restrict` limits each kind's candidate boxes to the SUPER_RACK's racks
-/// (RISA's fallback path); `None` is the plain NULB/NALB behaviour.
+/// [`RackFilter::Admitting`] limits each kind's candidate boxes to the
+/// `SUPER_RACK`'s racks (RISA's fallback path); [`RackFilter::All`] is the
+/// plain NULB/NALB behaviour.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
 pub(crate) fn nulb_schedule(
     cluster: &mut Cluster,
     net: &mut NetworkState,
     demand: &UnitDemand,
     flows: &FlowDemands,
-    restrict: Option<&SuperRack>,
+    restrict: RackFilter,
     params: NulbParams,
     work: &mut WorkCounters,
     scratch: &mut Scratch,
@@ -364,8 +239,7 @@ pub(crate) fn nulb_schedule(
     let scarce = most_contended_counted(cluster, demand, restrict, work);
 
     // 2. First box satisfying the scarce demand.
-    let Some(primary) = first_box_of_kind(cluster, scarce, demand.get(scarce), restrict, work)
-    else {
+    let Some(primary) = first_box_of_kind(cluster, scarce, demand.get(scarce), work) else {
         return Err(DropReason::Compute);
     };
     let home = cluster.rack_of(primary);
@@ -464,7 +338,7 @@ mod tests {
             &mut n,
             &d,
             &f,
-            None,
+            RackFilter::All,
             NulbParams::nulb(),
             &mut WorkCounters::new(),
             &mut Scratch::default(),
@@ -490,7 +364,7 @@ mod tests {
             &mut n,
             &d,
             &f,
-            None,
+            RackFilter::All,
             NulbParams::nalb(),
             &mut WorkCounters::new(),
             &mut Scratch::default(),
@@ -511,7 +385,7 @@ mod tests {
             &mut n,
             &d,
             &f,
-            None,
+            RackFilter::All,
             NulbParams::nulb(),
             &mut WorkCounters::new(),
             &mut Scratch::default(),
@@ -550,7 +424,7 @@ mod tests {
             &mut n,
             &d,
             &f,
-            None,
+            RackFilter::All,
             NulbParams::nulb(),
             &mut WorkCounters::new(),
             &mut Scratch::default(),
@@ -575,7 +449,7 @@ mod tests {
             &mut n,
             &d,
             &f,
-            None,
+            RackFilter::All,
             NulbParams::nulb(),
             &mut WorkCounters::new(),
             &mut Scratch::default(),
@@ -584,50 +458,51 @@ mod tests {
         assert!(a.intra_rack, "pristine cluster: BFS finds home-rack boxes");
     }
 
+    /// RISA's fallback restricts each kind to the racks admitting the VM's
+    /// own demand: a home rack outside that set costs one rack check and
+    /// not a single box read, where unrestricted NULB scans its box list.
     #[test]
-    fn super_rack_membership() {
-        let c = toy::table3_cluster();
-        let d = toy::typical_vm_demand(&c);
-        let sr = SuperRack::build(&c, &d);
-        // Rack 0 has no CPU and no storage for the typical VM; rack 1 all.
-        assert_eq!(sr.racks_for(ResourceKind::Cpu), &[RackId(1)]);
-        assert_eq!(sr.racks_for(ResourceKind::Ram), &[RackId(0), RackId(1)]);
-        assert_eq!(sr.racks_for(ResourceKind::Storage), &[RackId(1)]);
-        assert!(sr.allows(RackId(0), ResourceKind::Ram));
-        assert!(!sr.allows(RackId(0), ResourceKind::Cpu));
-        assert!(!sr.infeasible());
-
-        // An impossible demand empties a list.
-        let sr = SuperRack::build(&c, &UnitDemand::new(999, 1, 1));
-        assert!(sr.infeasible());
-    }
-
-    #[test]
-    fn restriction_excludes_rack0_ram() {
-        // Force the scarce search away from rack 0 via SUPER_RACK even
-        // though rack 0's RAM box 3 has 4 units free.
-        let mut c = toy::table3_cluster();
-        let mut n = net_for(&c);
-        let d = toy::typical_vm_demand(&c);
-        let f = flows(&c, &d);
-        // Build a SUPER_RACK for a demand whose RAM needs 8 units: only
-        // rack 1 qualifies for RAM.
-        let tight = UnitDemand::new(2, 8, 2);
-        let sr = SuperRack::build(&c, &tight);
-        assert_eq!(sr.racks_for(ResourceKind::Ram), &[RackId(1)]);
-        let a = nulb_schedule(
-            &mut c,
-            &mut n,
-            &d,
-            &f,
-            Some(&sr),
-            NulbParams::nulb(),
-            &mut WorkCounters::new(),
-            &mut Scratch::default(),
-        )
-        .unwrap();
-        // With rack 0 excluded for RAM, everything lands in rack 1.
-        assert!(a.intra_rack);
+    fn restricted_bfs_skips_a_non_admitting_home_rack_uncharged() {
+        // Demand (1, 8, 1): RAM is scarce, so the primary box is rack 0's
+        // first RAM box; rack 0's CPU is drained, so it is no SUPER_RACK
+        // member for CPU and the CPU lands in rack 1.
+        let d = UnitDemand::new(1, 8, 1);
+        let run = |restrict: RackFilter| {
+            let mut c = Cluster::new(TopologyConfig::paper());
+            c.force_available(BoxId(0), 0);
+            c.force_available(BoxId(1), 0);
+            let mut n = net_for(&c);
+            let f = flows(&c, &d);
+            let mut work = WorkCounters::new();
+            let a = nulb_schedule(
+                &mut c,
+                &mut n,
+                &d,
+                &f,
+                restrict,
+                NulbParams::nulb(),
+                &mut work,
+                &mut Scratch::default(),
+            )
+            .unwrap();
+            let rack = |kind| c.rack_of(a.placement.grant(kind).box_id);
+            assert_eq!(rack(ResourceKind::Ram), RackId(0));
+            assert_eq!(rack(ResourceKind::Storage), RackId(0));
+            assert_eq!(rack(ResourceKind::Cpu), RackId(1));
+            work
+        };
+        let restricted = run(RackFilter::Admitting);
+        // One box read per kind: the primary RAM box, rack 1's first CPU
+        // box, rack 0's first storage box. Rack 0's two CPU boxes: none.
+        assert_eq!(restricted.boxes_scanned, 3);
+        // Contention ratios count member racks (17 + 18 + 18); the BFS
+        // checks rack 0 and rack 1 for CPU and rack 0 for storage.
+        assert_eq!(restricted.racks_scanned, 53 + 3);
+        // Unrestricted NULB sums the three 36-box tables for its ratios and
+        // pays rack 0's CPU box list before moving on.
+        let all = run(RackFilter::All);
+        assert_eq!(all.boxes_scanned, 3 * 36 + restricted.boxes_scanned + 2);
+        assert_eq!(all.racks_scanned, 3);
     }
 
     /// NALB's modified BFS prefers racks with more free uplink bandwidth;
@@ -657,7 +532,7 @@ mod tests {
             &mut n,
             &d,
             &f,
-            None,
+            RackFilter::All,
             NulbParams::nalb(),
             &mut WorkCounters::new(),
             &mut Scratch::default(),
@@ -680,7 +555,7 @@ mod tests {
             &mut n2,
             &d,
             &f,
-            None,
+            RackFilter::All,
             NulbParams::nulb(),
             &mut WorkCounters::new(),
             &mut Scratch::default(),
@@ -703,7 +578,7 @@ mod tests {
             &mut n,
             &d,
             &f,
-            None,
+            RackFilter::All,
             NulbParams::nulb(),
             &mut WorkCounters::new(),
             &mut Scratch::default(),

@@ -15,12 +15,55 @@
 //! win over speed.
 
 use crate::algorithm::{Algorithm, DropReason, ScheduleOutcome, VmAssignment};
-use crate::nulb::{NeighborOrder, NulbParams, SuperRack};
+use crate::nulb::{NeighborOrder, NulbParams};
 use crate::work::WorkCounters;
 use risa_network::{FlowDemands, LinkPolicy, NetworkState};
 use risa_topology::{
     BoxAllocation, BoxId, Cluster, RackId, ResourceKind, UnitDemand, VmPlacement, ALL_RESOURCES,
 };
+
+/// The `SUPER_RACK` of Algorithm 1, built as the seed built it: per
+/// resource kind, the list of racks holding at least one live box that can
+/// satisfy the VM's demand of that kind, found by scanning every rack's
+/// boxes. Production asks the placement index the same questions live
+/// ([`crate::RackFilter::Admitting`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SuperRack {
+    racks: [Vec<RackId>; 3],
+}
+
+impl SuperRack {
+    fn build(cluster: &Cluster, demand: &UnitDemand) -> Self {
+        SuperRack {
+            racks: ALL_RESOURCES.map(|kind| {
+                (0..cluster.num_racks())
+                    .map(RackId)
+                    .filter(|&r| {
+                        cluster.boxes_in_rack(r, kind).iter().any(|&b| {
+                            !cluster.is_failed(b) && cluster.available(b) >= demand.get(kind)
+                        })
+                    })
+                    .collect()
+            }),
+        }
+    }
+
+    /// Racks able to satisfy `kind`, ascending.
+    fn racks_for(&self, kind: ResourceKind) -> &[RackId] {
+        &self.racks[kind.index()]
+    }
+
+    /// Whether `rack` may serve `kind`.
+    fn allows(&self, rack: RackId, kind: ResourceKind) -> bool {
+        self.racks_for(kind).binary_search(&rack).is_ok()
+    }
+
+    /// True when some kind has no candidate rack at all — the VM cannot be
+    /// placed and must drop in the compute phase.
+    fn infeasible(&self) -> bool {
+        self.racks.iter().any(|r| r.is_empty())
+    }
+}
 
 /// Naive contention ratios: availability summed by scanning the box table,
 /// exactly as the seed (and Algorithm 2's pseudocode) did.
@@ -478,5 +521,29 @@ impl OracleScheduler {
             Ok(a) => ScheduleOutcome::Assigned(a),
             Err(reason) => ScheduleOutcome::Dropped(reason),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::toy;
+
+    #[test]
+    fn super_rack_membership() {
+        let c = toy::table3_cluster();
+        let d = toy::typical_vm_demand(&c);
+        let sr = SuperRack::build(&c, &d);
+        // Rack 0 has no CPU and no storage for the typical VM; rack 1 all.
+        assert_eq!(sr.racks_for(ResourceKind::Cpu), &[RackId(1)]);
+        assert_eq!(sr.racks_for(ResourceKind::Ram), &[RackId(0), RackId(1)]);
+        assert_eq!(sr.racks_for(ResourceKind::Storage), &[RackId(1)]);
+        assert!(sr.allows(RackId(0), ResourceKind::Ram));
+        assert!(!sr.allows(RackId(0), ResourceKind::Cpu));
+        assert!(!sr.infeasible());
+
+        // An impossible demand empties a list.
+        let sr = SuperRack::build(&c, &UnitDemand::new(999, 1, 1));
+        assert!(sr.infeasible());
     }
 }

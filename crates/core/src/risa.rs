@@ -1,9 +1,11 @@
 //! RISA and RISA-BF (Algorithms 1 and 3 — the paper's contribution).
 //!
 //! Per VM:
-//! 1. Build `INTRA_RACK_POOL`: every rack whose per-resource
-//!    max-available boxes can each host the VM's whole demand of that
-//!    resource (O(racks) thanks to the cluster's cached maxima).
+//! 1. `INTRA_RACK_POOL` is every rack whose per-resource max-available
+//!    boxes can each host the VM's whole demand of that resource. It is
+//!    never materialised: its members are successor queries on the
+//!    placement index (O(log racks) each), while [`WorkCounters`] keeps
+//!    charging the O(racks) membership scan of §4.2.
 //! 2. If the pool is non-empty, visit it **round-robin** (a persistent
 //!    cursor continues after the last admitted rack, balancing load across
 //!    racks). The first rack whose intra-rack network can carry the VM's
@@ -13,12 +15,16 @@
 //!      that reproduces the paper's Table 4 trace exactly);
 //!    * **RISA-BF** picks the *best-fit* box — the fullest box that still
 //!      fits, reducing stranding (§4.2, Algorithm 3).
-//! 3. If the pool is empty or no pool rack can carry the flows, build the
-//!    `SUPER_RACK` and fall back to NULB restricted to it (dropping first,
-//!    without building it, when some resource has no admitting rack).
+//! 3. If the pool is empty or no pool rack can carry the flows, fall back
+//!    to NULB restricted to the `SUPER_RACK` — per resource, the racks
+//!    with a box that can host the VM's demand of it — dropping first when
+//!    some resource has no such rack. The `SUPER_RACK` is not built
+//!    either: membership, member counts and member totals are O(1)
+//!    placement-index queries ([`RackFilter::Admitting`]), so the fallback
+//!    does no per-rack work.
 
 use crate::algorithm::{DropReason, VmAssignment};
-use crate::nulb::{nulb_schedule, NulbParams, Scratch};
+use crate::nulb::{nulb_schedule, NulbParams, RackFilter, Scratch};
 use crate::work::WorkCounters;
 use risa_network::{FlowDemands, LinkPolicy, NetworkState};
 use risa_topology::{
@@ -186,10 +192,13 @@ impl RisaState {
                 }
             }
         }
-        // Fallback: SUPER_RACK + NULB (Alg. 1's else branch). An empty
-        // per-kind rack list (`SuperRack::infeasible`) is exactly "no rack
-        // admits that kind", which the placement index's root answers
-        // without building the lists — the common case past saturation.
+        // Fallback: SUPER_RACK + NULB (Alg. 1's else branch). The seed
+        // built the SUPER_RACK's three rack lists with another O(racks)
+        // scan, charged here; the lists themselves are never built. An
+        // empty list is exactly "no rack admits that kind", which the
+        // placement index's root answers — the common case past
+        // saturation — and membership is `RackFilter::Admitting`'s live
+        // index query.
         work.racks_scanned += cluster.num_racks() as u64;
         if ALL_RESOURCES
             .iter()
@@ -197,22 +206,17 @@ impl RisaState {
         {
             return Err(DropReason::Compute);
         }
-        // `nulb_schedule` borrows the scratch mutably beside the
-        // restriction, so the warm buffers step out for the call.
-        let mut sr = std::mem::take(&mut scratch.super_rack);
-        sr.rebuild(cluster, demand);
-        let result = nulb_schedule(
+        nulb_schedule(
             cluster,
             net,
             demand,
             flows,
-            Some(&sr),
+            RackFilter::Admitting,
             NulbParams::nulb(),
             work,
             scratch,
-        );
-        scratch.super_rack = sr;
-        result.map(|mut a| {
+        )
+        .map(|mut a| {
             a.used_fallback = true;
             a
         })

@@ -1,7 +1,7 @@
 //! The unified scheduler front-end dispatching to NULB/NALB/RISA/RISA-BF.
 
 use crate::algorithm::{Algorithm, ScheduleOutcome, VmAssignment};
-use crate::nulb::{nulb_schedule, NulbParams, Scratch};
+use crate::nulb::{nulb_schedule, NulbParams, RackFilter, Scratch};
 use crate::risa::RisaState;
 use crate::work::WorkCounters;
 use risa_network::{FlowDemands, NetworkState};
@@ -16,8 +16,8 @@ pub struct Scheduler {
     algo: Algorithm,
     risa: RisaState,
     work: WorkCounters,
-    /// Reusable sort buffers (NALB's within-rack ordering); scratch state,
-    /// excluded from serialization.
+    /// NALB's within-rack sort buffer, the only per-VM working memory any
+    /// algorithm needs; excluded from serialization.
     #[serde(skip)]
     scratch: Scratch,
 }
@@ -79,7 +79,7 @@ impl Scheduler {
                 net,
                 demand,
                 flows,
-                None,
+                RackFilter::All,
                 NulbParams::nulb(),
                 &mut self.work,
                 &mut self.scratch,
@@ -89,7 +89,7 @@ impl Scheduler {
                 net,
                 demand,
                 flows,
-                None,
+                RackFilter::All,
                 NulbParams::nalb(),
                 &mut self.work,
                 &mut self.scratch,

@@ -4,8 +4,9 @@
 //! deterministic work counters (the Figure 11/12 cost model) — over
 //! randomized schedule/release/rack-churn histories (failures evacuate
 //! and re-place residents, exactly like the simulator's fault pipeline),
-//! on the paper topology and on a
-//! 10× cluster, **and** over replayed canonical v2 traces from
+//! on the paper topology, on a 10× cluster and — from hand-drained states
+//! that keep RISA in its restricted-NULB fallback and NALB walking past
+//! empty racks — on the benchmark's 40× cluster, **and** over replayed canonical v2 traces from
 //! `risa_workload::shard` (synthetic + Azure-7500), so the differential
 //! spec covers exactly the arrival/departure histories the simulator
 //! feeds the schedulers, not just hand-built ones.
@@ -14,7 +15,9 @@ use proptest::prelude::*;
 use risa_network::{NetworkConfig, NetworkState};
 use risa_sched::oracle::OracleScheduler;
 use risa_sched::{Algorithm, DropReason, ScheduleOutcome, Scheduler, VmAssignment};
-use risa_topology::{Cluster, RackId, ResourceKind, TopologyConfig, UnitDemand, ALL_RESOURCES};
+use risa_topology::{
+    BoxId, Cluster, RackId, ResourceKind, TopologyConfig, UnitDemand, ALL_RESOURCES,
+};
 use risa_workload::{AzureSubset, SyntheticConfig, Workload};
 
 /// One step of a history: schedule a fresh VM, release the n-th oldest
@@ -77,23 +80,24 @@ fn scaled(racks: u16) -> TopologyConfig {
 }
 
 /// Drive the same history through the production scheduler and the oracle
-/// on independent state, asserting lock-step equality.
+/// on independent copies of `cluster`, asserting lock-step equality.
+/// Returns how many VMs were placed by RISA's fallback.
 fn run_differential(
-    cfg: TopologyConfig,
+    mut cluster: Cluster,
     algo: Algorithm,
     steps: &[Step],
-) -> Result<(), TestCaseError> {
-    let mut cluster = Cluster::new(cfg);
+) -> Result<usize, TestCaseError> {
     let mut net = NetworkState::new(NetworkConfig::paper(), &cluster);
     let mut sched = Scheduler::new(algo, &cluster);
 
-    let mut cluster_o = Cluster::new(cfg);
-    let mut net_o = NetworkState::new(NetworkConfig::paper(), &cluster_o);
+    let mut cluster_o = cluster.clone();
+    let mut net_o = net.clone();
     let mut oracle = OracleScheduler::new(algo, &cluster_o);
 
-    let racks = cfg.racks;
+    let racks = cluster.num_racks();
     let mut down = vec![false; racks as usize];
     let mut held = Vec::new();
+    let mut fallbacks = 0;
     for (i, step) in steps.iter().enumerate() {
         match step {
             Step::Schedule(demand) => {
@@ -108,6 +112,7 @@ fn run_differential(
                     demand
                 );
                 if let ScheduleOutcome::Assigned(a) = ours {
+                    fallbacks += usize::from(a.used_fallback);
                     held.push(a);
                 }
             }
@@ -189,7 +194,7 @@ fn run_differential(
     }
     cluster.check_invariants().map_err(TestCaseError::fail)?;
     net.check_invariants().map_err(TestCaseError::fail)?;
-    Ok(())
+    Ok(fallbacks)
 }
 
 proptest! {
@@ -201,7 +206,7 @@ proptest! {
         steps in prop::collection::vec(step_strategy(), 1..120),
         algo_idx in 0usize..4,
     ) {
-        run_differential(TopologyConfig::paper(), Algorithm::ALL[algo_idx], &steps)?;
+        run_differential(Cluster::new(TopologyConfig::paper()), Algorithm::ALL[algo_idx], &steps)?;
     }
 
     /// 10× topology (180 racks): the same lock-step equality must hold at
@@ -211,7 +216,7 @@ proptest! {
         steps in prop::collection::vec(step_strategy(), 1..80),
         algo_idx in 0usize..4,
     ) {
-        run_differential(scaled(180), Algorithm::ALL[algo_idx], &steps)?;
+        run_differential(Cluster::new(scaled(180)), Algorithm::ALL[algo_idx], &steps)?;
     }
 }
 
@@ -340,6 +345,48 @@ fn saturation_histories_stay_identical() {
     }
 }
 
+/// A production scheduler and the oracle on equal, independent state.
+struct Lockstep {
+    cluster: Cluster,
+    net: NetworkState,
+    sched: Scheduler,
+    cluster_o: Cluster,
+    net_o: NetworkState,
+    oracle: OracleScheduler,
+}
+
+impl Lockstep {
+    fn new(algo: Algorithm, cluster: Cluster, net: NetworkState) -> Self {
+        Lockstep {
+            sched: Scheduler::new(algo, &cluster),
+            oracle: OracleScheduler::new(algo, &cluster),
+            cluster_o: cluster.clone(),
+            net_o: net.clone(),
+            cluster,
+            net,
+        }
+    }
+
+    /// Schedule `demand` on both sides; outcome and every work counter
+    /// must agree. Returns the outcome and the racks the call scanned.
+    fn schedule(&mut self, what: &str, demand: &UnitDemand) -> (ScheduleOutcome, u64) {
+        let before = self.sched.work().racks_scanned;
+        let ours = self
+            .sched
+            .schedule(&mut self.cluster, &mut self.net, demand);
+        let theirs = self
+            .oracle
+            .schedule(&mut self.cluster_o, &mut self.net_o, demand);
+        assert_eq!(ours, theirs, "{what}: outcomes diverged");
+        assert_eq!(
+            self.sched.work(),
+            self.oracle.work(),
+            "{what}: work counters diverged"
+        );
+        (ours, self.sched.work().racks_scanned - before)
+    }
+}
+
 /// Set every box of `kind` outside `keep` to `units` free.
 fn drain_kind(cluster: &mut Cluster, kind: ResourceKind, units: u32, keep: Option<RackId>) {
     let boxes: Vec<_> = cluster.boxes_of_kind(kind).map(|b| b.id).collect();
@@ -411,16 +458,11 @@ fn infeasible_fast_path_matches_oracle() {
         for (what, prepare, demand, expect_drop) in &cases {
             let mut cluster = Cluster::new(TopologyConfig::paper());
             prepare(&mut cluster);
-            let mut cluster_o = cluster.clone();
-            let mut net = NetworkState::new(NetworkConfig::paper(), &cluster);
-            let mut net_o = net.clone();
-            let mut sched = Scheduler::new(algo, &cluster);
-            let mut oracle = OracleScheduler::new(algo, &cluster_o);
-            // Twice: the second call meets warm scratch buffers.
+            let net = NetworkState::new(NetworkConfig::paper(), &cluster);
+            let mut pair = Lockstep::new(algo, cluster, net);
+            // Twice: the second call meets the state the first one left.
             for _ in 0..2 {
-                let ours = sched.schedule(&mut cluster, &mut net, demand);
-                let theirs = oracle.schedule(&mut cluster_o, &mut net_o, demand);
-                assert_eq!(ours, theirs, "{algo}, {what}: outcomes diverged");
+                let (ours, _) = pair.schedule(&format!("{algo}, {what}"), demand);
                 match (&ours, expect_drop) {
                     (ScheduleOutcome::Dropped(reason), Some(expected)) => {
                         assert_eq!(reason, expected, "{algo}, {what}")
@@ -430,12 +472,145 @@ fn infeasible_fast_path_matches_oracle() {
                     }
                     _ => panic!("{algo}, {what}: unexpected {ours:?}"),
                 }
-                assert_eq!(
-                    sched.work(),
-                    oracle.work(),
-                    "{algo}, {what}: work counters diverged"
-                );
             }
         }
     }
+}
+
+/// A deterministic per-box draw (SplitMix64's finalizer), so hand-built
+/// states are irregular without a generator to seed.
+fn mix(i: u64) -> u64 {
+    let mut z = i.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The benchmark's `--scale 40` topology (`scale_admit`, `scale_nalb`).
+const SCALE_40X: u16 = 720;
+
+/// RISA's restricted-NULB fallback at the benchmark's scale. No rack of
+/// the prepared cluster holds all three kinds (rack `r` keeps CPU, RAM,
+/// storage or CPU + RAM as `r % 4` says, 8..=31 units a box), so the pool
+/// is always empty and every VM takes the fallback: `SUPER_RACK`
+/// membership that differs per kind and per demand size, home racks that
+/// do and do not admit the second kind, and compute drops once a kind
+/// runs out, with releases and rack churn moving racks between fit keys
+/// throughout. Outcome, drop
+/// reason and every work counter must match the oracle's built lists.
+#[test]
+fn fallback_matches_oracle_on_40x_topology() {
+    let mut cluster = Cluster::new(scaled(SCALE_40X));
+    for b in 0..cluster.num_boxes() as u32 {
+        let id = BoxId(b);
+        let kept = match cluster.rack_of(id).0 % 4 {
+            0 => cluster.kind_of(id) == ResourceKind::Cpu,
+            1 => cluster.kind_of(id) == ResourceKind::Ram,
+            2 => cluster.kind_of(id) == ResourceKind::Storage,
+            _ => cluster.kind_of(id) != ResourceKind::Storage,
+        };
+        let units = if kept { 8 + mix(b as u64) % 24 } else { 0 };
+        cluster.force_available(id, units as u32);
+    }
+    let steps: Vec<Step> = (0..3000u32)
+        .flat_map(|i| {
+            let churn = match i % 400 {
+                150 => Some(Step::FailRack((mix(i as u64) % 64) as u16)),
+                350 => Some(Step::RepairRack((mix(i as u64 - 200) % 64) as u16)),
+                _ => None,
+            };
+            let release = (i % 3 == 2).then_some(Step::Release(i as usize));
+            [
+                Some(Step::Schedule(risa_sched::cycle::paper_mix_demand(i))),
+                release,
+                churn,
+            ]
+        })
+        .flatten()
+        .collect();
+    for algo in [Algorithm::Risa, Algorithm::RisaBf] {
+        let fallbacks = run_differential(cluster.clone(), algo, &steps).unwrap();
+        assert!(
+            fallbacks >= 1000,
+            "{algo}: only {fallbacks} fallback placements"
+        );
+    }
+}
+
+/// NALB's bandwidth-ordered walk charges a rack that cannot grant the
+/// demand without sorting or reading it. On the benchmark's 40× cluster
+/// with CPU left in under 10 % of the racks, ten racks dark and the
+/// uplink order shuffled by standing flows, the walk passes hundreds of
+/// such racks (and every rack, when nothing fits); the oracle sorts and
+/// scans each one for real, and the counters must agree.
+#[test]
+fn nalb_skipped_racks_match_oracle_on_40x_topology() {
+    let mut cluster = Cluster::new(scaled(SCALE_40X));
+    let keeps_cpu = |r: RackId| r.0 % 11 == 7;
+    for b in cluster
+        .boxes_of_kind(ResourceKind::Cpu)
+        .map(|b| b.id)
+        .collect::<Vec<_>>()
+    {
+        if !keeps_cpu(cluster.rack_of(b)) {
+            cluster.force_available(b, 0);
+        }
+    }
+    // Dark racks of both sorts, among them the first CPU rack in id order.
+    for r in [3, 7, 18, 40, 95, 250, 251, 400, 590, 719] {
+        flip_rack(&mut cluster, RackId(r), true);
+    }
+    let mut net = NetworkState::new(NetworkConfig::paper(), &cluster);
+    for j in 0..300u64 {
+        let (a, b) = (mix(2 * j) % 4320, mix(2 * j + 1) % 4320);
+        let mbps = 20_000 * (1 + j % 5);
+        // Refusals (a full trunk, a pair sharing a box) leave no trace.
+        let _ = net.alloc_flow(
+            &cluster,
+            BoxId(a as u32),
+            BoxId(b as u32),
+            mbps,
+            risa_network::LinkPolicy::FirstFit,
+        );
+    }
+    let mut pair = Lockstep::new(Algorithm::Nalb, cluster, net);
+
+    // CPU is scarce: the home rack holds it, and RAM and storage too.
+    let (out, racks) = pair.schedule("home rack admits", &UnitDemand::new(8, 1, 1));
+    assert!(out.assigned().is_some_and(|a| a.intra_rack));
+    assert_eq!(racks, 2, "one home-rack check per searched kind");
+
+    // RAM is scarce: home is rack 0, which has no CPU left, so the CPU
+    // search walks the uplink order past racks that cannot grant it.
+    let (out, racks) = pair.schedule("home rack does not admit", &UnitDemand::new(1, 14, 1));
+    let a = out.assigned().expect("CPU exists elsewhere");
+    let cpu_rack = pair
+        .cluster
+        .rack_of(a.placement.grant(ResourceKind::Cpu).box_id);
+    assert!(keeps_cpu(cpu_rack) && !a.intra_rack);
+    assert!(racks > 10, "walked past {racks} racks only");
+
+    // Nothing admits: plenty of storage, no box with 101 units of it (and
+    // RAM in the even racks only, which keeps RAM the scarce kind). The
+    // storage search passes the home rack and all 719 others.
+    for c in [&mut pair.cluster, &mut pair.cluster_o] {
+        for b in 0..c.num_boxes() as u32 {
+            let id = BoxId(b);
+            match c.kind_of(id) {
+                _ if c.is_failed(id) => {}
+                ResourceKind::Storage => c.force_available(id, 100),
+                ResourceKind::Ram if c.rack_of(id).0 % 2 == 1 => c.force_available(id, 0),
+                _ => {}
+            }
+        }
+    }
+    let (out, racks) = pair.schedule("nothing admits", &UnitDemand::new(1, 128, 101));
+    assert_eq!(out, ScheduleOutcome::Dropped(DropReason::Compute));
+    assert!(racks > 720, "CPU walk + 720 for storage, got {racks}");
+
+    for i in 0..200 {
+        pair.schedule("paper mix", &risa_sched::cycle::paper_mix_demand(i));
+    }
+    pair.cluster.check_invariants().expect("cluster invariants");
+    pair.net.check_invariants().expect("network invariants");
 }

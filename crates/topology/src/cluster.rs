@@ -284,10 +284,19 @@ impl Cluster {
     }
 
     /// Total free units of `kind` within `rack`. O(1) from the placement
-    /// index (the restricted contention-ratio denominator).
+    /// index.
     #[inline]
     pub fn rack_total_available(&self, rack: RackId, kind: ResourceKind) -> u64 {
         self.index.rack_total(rack, kind)
+    }
+
+    /// The racks [`Cluster::rack_admits`] accepts for (`kind`, `units`) —
+    /// that kind's `SUPER_RACK` list for a VM demanding `units` — as `(how
+    /// many, their summed [`Cluster::rack_total_available`])`: the
+    /// restricted contention-ratio denominator. O(box capacity) from the
+    /// placement index's key table, independent of the rack count.
+    pub fn admitting_racks(&self, kind: ResourceKind, units: u32) -> (u32, u64) {
+        self.index.admitting_racks(kind, units)
     }
 
     /// First rack with id ≥ `from` holding a single box of `kind` with
@@ -503,6 +512,10 @@ impl Cluster {
             !self.failed[box_id.0 as usize],
             "fixture hook on failed box"
         );
+        assert!(
+            capacity_units <= TopologyConfig::MAX_BOX_UNITS,
+            "capacity above the supported maximum"
+        );
         let b = &mut self.boxes[box_id.0 as usize];
         let (rack, kind, old) = (b.rack, b.kind, b.available);
         self.totals_cap[kind.index()] -= b.capacity as u64;
@@ -624,6 +637,14 @@ impl Deserialize for Cluster {
                 return Err(serde::Error::new(format!(
                     "{} has {}u available of {}u capacity",
                     b.id, b.available, b.capacity
+                )));
+            }
+            if b.capacity > TopologyConfig::MAX_BOX_UNITS {
+                return Err(serde::Error::new(format!(
+                    "{} has {}u capacity; at most {}u is supported",
+                    b.id,
+                    b.capacity,
+                    TopologyConfig::MAX_BOX_UNITS
                 )));
             }
         }
@@ -957,6 +978,9 @@ mod tests {
         assert!(serde_json::from_str::<Cluster>(&bad_rack).is_err());
         let over = json.replace("\"available\":128", "\"available\":999");
         assert!(serde_json::from_str::<Cluster>(&over).is_err());
+        // A box the placement index's dense key table must not be sized by.
+        let huge = json.replace("\"capacity\":128", "\"capacity\":4000000000");
+        assert!(serde_json::from_str::<Cluster>(&huge).is_err());
     }
 
     #[test]

@@ -103,6 +103,12 @@ pub struct TopologyConfig {
 }
 
 impl TopologyConfig {
+    /// Largest box capacity accepted, in units. The placement index keeps
+    /// a table dense in box availability, so configuration validation and
+    /// cluster deserialization refuse larger boxes instead of letting
+    /// outside input size it.
+    pub const MAX_BOX_UNITS: u32 = 1 << 16;
+
     /// The exact Table 1 configuration used in the paper's evaluation.
     pub const fn paper() -> Self {
         TopologyConfig {
@@ -181,6 +187,13 @@ impl TopologyConfig {
         if self.box_capacity_units() == 0 {
             return Err("boxes must have non-zero capacity".into());
         }
+        if self.box_capacity_units() > Self::MAX_BOX_UNITS {
+            return Err(format!(
+                "boxes of {} units exceed the supported {}",
+                self.box_capacity_units(),
+                Self::MAX_BOX_UNITS
+            ));
+        }
         if self.units.cpu_cores_per_unit == 0
             || self.units.ram_gb_per_unit == 0
             || self.units.storage_gb_per_unit == 0
@@ -246,6 +259,13 @@ mod tests {
 
         let mut c = TopologyConfig::paper();
         c.units.storage_gb_per_unit = 0;
+        assert!(c.validate().is_err());
+
+        // The placement index is dense in box availability.
+        let mut c = TopologyConfig::paper();
+        (c.bricks_per_box, c.units_per_brick) = (256, 256);
+        assert!(c.validate().is_ok());
+        c.units_per_brick = 257;
         assert!(c.validate().is_err());
     }
 

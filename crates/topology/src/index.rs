@@ -8,11 +8,18 @@
 //! hopeless at 768. [`PlacementIndex`] maintains, incrementally on every
 //! availability change:
 //!
-//! * per rack × resource kind, a **sorted availability set**
-//!   `BTreeSet<(avail, BoxId)>` — giving O(log boxes-per-rack) best-fit
-//!   ("fullest box that still fits") and O(1) per-rack maxima;
-//! * per rack × resource kind, the **total available units** — giving O(1)
-//!   restricted contention-ratio denominators;
+//! * per rack × resource kind, a **sorted availability set** — a
+//!   `Vec<(avail, BoxId)>` kept ascending, as a rack holds a handful of
+//!   boxes of a kind (two on every shipped config) — giving
+//!   O(log boxes-per-rack) best-fit ("fullest box that still fits") and
+//!   O(1) per-rack maxima;
+//! * per rack × resource kind, the **total available units**;
+//! * per resource kind, a dense **key table** indexed by fit key:
+//!   `(racks holding that key, their summed totals)` — 130 entries on the
+//!   paper's 128-unit boxes. A suffix sum over it is the (member count,
+//!   Σ free units) of "racks that admit `units`", i.e. RISA's restricted
+//!   contention-ratio denominator, in O(box capacity) independent of the
+//!   rack count;
 //! * a **segment tree over racks** whose nodes store per-kind maxima of
 //!   the rack *fit keys* — giving O(log racks) successor queries
 //!   `next_rack_with_fit` (single kind, exact) and `next_pool_rack`
@@ -26,13 +33,13 @@
 //! a fully-failed rack, where a plain `max ≥ units` would wrongly admit
 //! the rack (max saturates to 0 with no boxes behind it).
 //!
-//! Updates are O(log racks + log boxes-per-rack) per `take`/`give`;
-//! queries never scan the box table. `Cluster` owns one of these and keeps
+//! Updates are O(log racks + log boxes-per-rack) per `take`/`give` (the
+//! key table moves in O(1) where the key is recomputed anyway); queries
+//! never scan the box table. `Cluster` owns one of these and keeps
 //! it coherent; `check_invariants` cross-checks every structure against a
 //! brute-force rebuild.
 
 use crate::resources::{BoxId, RackId, ResourceKind};
-use std::collections::BTreeSet;
 
 /// Incrementally-maintained aggregates over the cluster's availability
 /// state. See the module docs for the structure inventory.
@@ -46,9 +53,41 @@ pub struct PlacementIndex {
     /// internal nodes hold children maxima.
     tree: Vec<[u32; 3]>,
     /// Per rack, per kind: `(available, box)` ascending.
-    sets: Vec<[BTreeSet<(u32, BoxId)>; 3]>,
+    sets: Vec<[AvailSet; 3]>,
     /// Per rack, per kind: total available units.
     totals: Vec<[u64; 3]>,
+    /// Per kind, indexed by fit key: `(racks whose leaf holds that key,
+    /// sum of their totals)`. Dense: as long as the largest key ever seen,
+    /// i.e. the box capacity in units + 2, which is why box capacity is
+    /// bounded where it enters ([`TopologyConfig::MAX_BOX_UNITS`]).
+    ///
+    /// [`TopologyConfig::MAX_BOX_UNITS`]: crate::TopologyConfig::MAX_BOX_UNITS
+    keys: [Vec<(u32, u64)>; 3],
+}
+
+/// One rack's live boxes of one kind as `(available, box)`, ascending.
+type AvailSet = Vec<(u32, BoxId)>;
+
+/// Add `entry` at its sorted position; false if it was already there.
+fn set_insert(set: &mut AvailSet, entry: (u32, BoxId)) -> bool {
+    match set.binary_search(&entry) {
+        Ok(_) => false,
+        Err(pos) => {
+            set.insert(pos, entry);
+            true
+        }
+    }
+}
+
+/// Take `entry` out; false if it was not there.
+fn set_remove(set: &mut AvailSet, entry: (u32, BoxId)) -> bool {
+    match set.binary_search(&entry) {
+        Ok(pos) => {
+            set.remove(pos);
+            true
+        }
+        Err(_) => false,
+    }
 }
 
 impl PlacementIndex {
@@ -66,15 +105,20 @@ impl PlacementIndex {
             tree: vec![[0; 3]; 2 * cap],
             sets: (0..n).map(|_| Default::default()).collect(),
             totals: vec![[0; 3]; n],
+            keys: Default::default(),
         };
         for (rack, kind, box_id, avail) in boxes {
             let (r, k) = (rack.0 as usize, kind.index());
-            index.sets[r][k].insert((avail, box_id));
+            set_insert(&mut index.sets[r][k], (avail, box_id));
             index.totals[r][k] += avail as u64;
         }
         for r in 0..n {
             for k in 0..3 {
-                index.tree[cap + r][k] = Self::fit_key(&index.sets[r][k]);
+                let key = Self::fit_key(&index.sets[r][k]);
+                index.tree[cap + r][k] = key;
+                let slot = Self::key_slot(&mut index.keys[k], key);
+                slot.0 += 1;
+                slot.1 += index.totals[r][k];
             }
         }
         for node in (1..cap).rev() {
@@ -90,8 +134,39 @@ impl PlacementIndex {
     /// The rack/kind fit key: `max_available + 1` over live boxes, `0`
     /// when none remain. (Saturating: a box with `u32::MAX` free would
     /// alias with `u32::MAX - 1`, which no real capacity approaches.)
-    fn fit_key(set: &BTreeSet<(u32, BoxId)>) -> u32 {
+    fn fit_key(set: &AvailSet) -> u32 {
         set.last().map_or(0, |&(avail, _)| avail.saturating_add(1))
+    }
+
+    /// `table`'s entry for `key`, growing the table to reach it.
+    fn key_slot(table: &mut Vec<(u32, u64)>, key: u32) -> &mut (u32, u64) {
+        let key = key as usize;
+        if key >= table.len() {
+            table.resize(key + 1, (0, 0));
+        }
+        &mut table[key]
+    }
+
+    /// Rack `r`'s set of `k` just changed and now totals `new_total`:
+    /// move the rack's key-table contribution from its old (key, total) to
+    /// the new one and refresh its tree leaf.
+    fn reindex(&mut self, r: usize, k: usize, new_total: u64) {
+        let old_key = self.tree[self.cap + r][k];
+        let new_key = Self::fit_key(&self.sets[r][k]);
+        let old_total = std::mem::replace(&mut self.totals[r][k], new_total);
+        let table = &mut self.keys[k];
+        if old_key == new_key {
+            let slot = &mut table[new_key as usize];
+            slot.1 = slot.1 + new_total - old_total;
+            return;
+        }
+        let old = &mut table[old_key as usize];
+        old.0 -= 1;
+        old.1 -= old_total;
+        let new = Self::key_slot(table, new_key);
+        new.0 += 1;
+        new.1 += new_total;
+        self.refresh_leaf(r, k, new_key);
     }
 
     /// Record one box's availability change. O(log racks) when the rack
@@ -109,19 +184,16 @@ impl PlacementIndex {
         }
         let (r, k) = (rack.0 as usize, kind.index());
         let set = &mut self.sets[r][k];
-        let removed = set.remove(&(old_avail, box_id));
+        let removed = set_remove(set, (old_avail, box_id));
         debug_assert!(removed, "index out of sync: missing {box_id} @ {old_avail}");
-        set.insert((new_avail, box_id));
-        self.totals[r][k] = self.totals[r][k] + new_avail as u64 - old_avail as u64;
-        let key = Self::fit_key(&self.sets[r][k]);
-        self.refresh_leaf(r, k, key);
+        set_insert(set, (new_avail, box_id));
+        let total = self.totals[r][k] + new_avail as u64 - old_avail as u64;
+        self.reindex(r, k, total);
     }
 
+    /// Store rack `r`'s changed fit key and repair the maxima above it.
     fn refresh_leaf(&mut self, r: usize, k: usize, new_key: u32) {
         let mut node = self.cap + r;
-        if self.tree[node][k] == new_key {
-            return;
-        }
         self.tree[node][k] = new_key;
         while node > 1 {
             node /= 2;
@@ -139,22 +211,18 @@ impl PlacementIndex {
     /// moves.
     pub fn remove(&mut self, rack: RackId, kind: ResourceKind, box_id: BoxId, avail: u32) {
         let (r, k) = (rack.0 as usize, kind.index());
-        let removed = self.sets[r][k].remove(&(avail, box_id));
+        let removed = set_remove(&mut self.sets[r][k], (avail, box_id));
         debug_assert!(removed, "index out of sync: missing {box_id} @ {avail}");
-        self.totals[r][k] -= avail as u64;
-        let key = Self::fit_key(&self.sets[r][k]);
-        self.refresh_leaf(r, k, key);
+        self.reindex(r, k, self.totals[r][k] - avail as u64);
     }
 
     /// Re-admit a box previously retracted with [`PlacementIndex::remove`]
     /// at availability `avail`. O(log racks) when the rack maximum moves.
     pub fn insert(&mut self, rack: RackId, kind: ResourceKind, box_id: BoxId, avail: u32) {
         let (r, k) = (rack.0 as usize, kind.index());
-        let inserted = self.sets[r][k].insert((avail, box_id));
+        let inserted = set_insert(&mut self.sets[r][k], (avail, box_id));
         debug_assert!(inserted, "index out of sync: duplicate {box_id} @ {avail}");
-        self.totals[r][k] += avail as u64;
-        let key = Self::fit_key(&self.sets[r][k]);
-        self.refresh_leaf(r, k, key);
+        self.reindex(r, k, self.totals[r][k] + avail as u64);
     }
 
     /// Largest availability among `rack`'s *live* boxes of `kind`
@@ -179,12 +247,23 @@ impl PlacementIndex {
         self.totals[rack.0 as usize][kind.index()]
     }
 
+    /// The racks holding a *live* box of `kind` with ≥ `units` free — the
+    /// racks [`PlacementIndex::rack_admits`] accepts — as `(how many, their
+    /// summed [`PlacementIndex::rack_total`])`. A suffix sum over the key
+    /// table: O(box capacity), whatever the rack count.
+    pub fn admitting_racks(&self, kind: ResourceKind, units: u32) -> (u32, u64) {
+        let table = &self.keys[kind.index()];
+        let first = (units as usize).saturating_add(1).min(table.len());
+        table[first..]
+            .iter()
+            .fold((0, 0), |(n, sum), &(racks, total)| (n + racks, sum + total))
+    }
+
     /// The fullest box of `kind` in `rack` that still has `units` free
     /// (best-fit; ties to the lower box id). O(log boxes-per-rack).
     pub fn best_fit(&self, rack: RackId, kind: ResourceKind, units: u32) -> Option<BoxId> {
-        self.sets[rack.0 as usize][kind.index()]
-            .range((units, BoxId(0))..)
-            .next()
+        let set = &self.sets[rack.0 as usize][kind.index()];
+        set.get(set.partition_point(|&entry| entry < (units, BoxId(0))))
             .map(|&(_, b)| b)
     }
 
@@ -247,6 +326,15 @@ impl PlacementIndex {
         if rebuilt.tree != self.tree {
             return Err("placement-index segment tree stale".into());
         }
+        // The live table may have grown past the keys that remain: compare
+        // up to trailing empty entries.
+        let trimmed = |t: &Vec<(u32, u64)>| {
+            let used = t.iter().rposition(|&e| e != (0, 0)).map_or(0, |p| p + 1);
+            t[..used].to_vec()
+        };
+        if rebuilt.keys.each_ref().map(trimmed) != self.keys.each_ref().map(trimmed) {
+            return Err("placement-index key table stale".into());
+        }
         Ok(())
     }
 }
@@ -308,6 +396,29 @@ mod tests {
         assert_eq!(idx.next_pool_rack(&[21, 21, 21], 0), Some(RackId(1)));
         assert_eq!(idx.next_pool_rack(&[21, 31, 21], 0), Some(RackId(2)));
         assert_eq!(idx.next_pool_rack(&[32, 0, 0], 0), None);
+    }
+
+    #[test]
+    fn admitting_racks_counts_and_sums_by_key() {
+        let mut idx = sample();
+        // Rack r's CPU boxes hold 10(r+1) and 10(r+1)+1: maxima 11, 21, 31.
+        assert_eq!(idx.admitting_racks(ResourceKind::Cpu, 0), (3, 21 + 41 + 61));
+        assert_eq!(idx.admitting_racks(ResourceKind::Cpu, 11), (3, 123));
+        assert_eq!(idx.admitting_racks(ResourceKind::Cpu, 12), (2, 41 + 61));
+        assert_eq!(idx.admitting_racks(ResourceKind::Cpu, 31), (1, 61));
+        assert_eq!(idx.admitting_racks(ResourceKind::Cpu, 32), (0, 0));
+        assert_eq!(idx.admitting_racks(ResourceKind::Cpu, u32::MAX), (0, 0));
+        // A total moves without its key moving; then the key moves too.
+        idx.update(RackId(2), ResourceKind::Cpu, BoxId(12), 30, 5);
+        assert_eq!(idx.admitting_racks(ResourceKind::Cpu, 31), (1, 36));
+        idx.update(RackId(2), ResourceKind::Cpu, BoxId(13), 31, 40);
+        assert_eq!(idx.admitting_racks(ResourceKind::Cpu, 40), (1, 45));
+        // A rack with no live box admits nothing, not even zero units.
+        idx.remove(RackId(0), ResourceKind::Cpu, BoxId(0), 10);
+        idx.remove(RackId(0), ResourceKind::Cpu, BoxId(1), 11);
+        assert_eq!(idx.admitting_racks(ResourceKind::Cpu, 0), (2, 41 + 45));
+        idx.insert(RackId(0), ResourceKind::Cpu, BoxId(1), 11);
+        assert_eq!(idx.admitting_racks(ResourceKind::Cpu, 0), (3, 11 + 41 + 45));
     }
 
     #[test]

@@ -16,10 +16,27 @@ enum Op {
 /// PR 7 battery: capacity *removal* interleaved with the ledger ops.
 #[derive(Debug, Clone)]
 enum ChurnOp {
-    Take { box_idx: u8, units: u32 },
-    Give { box_idx: u8, units: u32 },
-    Remove { box_idx: u8 },
-    Restore { box_idx: u8 },
+    Take {
+        box_idx: u8,
+        units: u32,
+    },
+    Give {
+        box_idx: u8,
+        units: u32,
+    },
+    Remove {
+        box_idx: u8,
+    },
+    Restore {
+        box_idx: u8,
+    },
+    /// Fixture hooks: resize a live box (capacities past the paper's 128
+    /// units grow the index's key table), then pin its free units.
+    Force {
+        box_idx: u8,
+        capacity: u32,
+        available: u32,
+    },
 }
 
 fn churn_op_strategy() -> impl Strategy<Value = ChurnOp> {
@@ -28,6 +45,13 @@ fn churn_op_strategy() -> impl Strategy<Value = ChurnOp> {
         (0u8..108, 0u32..200).prop_map(|(box_idx, units)| ChurnOp::Give { box_idx, units }),
         (0u8..108).prop_map(|box_idx| ChurnOp::Remove { box_idx }),
         (0u8..108).prop_map(|box_idx| ChurnOp::Restore { box_idx }),
+        (0u8..108, 0u32..=300, 0u32..=300).prop_map(|(box_idx, capacity, available)| {
+            ChurnOp::Force {
+                box_idx,
+                capacity,
+                available,
+            }
+        }),
     ]
 }
 
@@ -51,10 +75,42 @@ fn best_fit_scan(c: &Cluster, rack: RackId, kind: ResourceKind, units: u32) -> O
         .min_by_key(|&b| (c.available(b), b))
 }
 
+/// Linear-scan reference for `admitting_racks`: how many racks hold a live
+/// box of `kind` with ≥ `units` free, and the free units of `kind` in all
+/// their live boxes.
+fn admitting_racks_scan(c: &Cluster, kind: ResourceKind, units: u32) -> (u32, u64) {
+    let mut found = (0, 0);
+    for r in (0..c.num_racks()).map(RackId) {
+        let live = || {
+            c.boxes_in_rack(r, kind)
+                .iter()
+                .filter(|&&b| !c.is_failed(b))
+                .map(|&b| c.available(b))
+        };
+        if live().any(|avail| avail >= units) {
+            found.0 += 1;
+            found.1 += live().map(u64::from).sum::<u64>();
+        }
+    }
+    found
+}
+
 /// Every index query the schedulers use, checked against linear scans over
 /// the live (non-failed) box table.
 fn assert_queries_match_scans(c: &Cluster, probe: u32) -> Result<(), TestCaseError> {
     for kind in ALL_RESOURCES {
+        // Zero units (a rack with every box of the kind retracted must not
+        // count), one, mid-box, a whole box, and past the largest box.
+        let cap = c.boxes_of_kind(kind).map(|b| b.capacity).max().unwrap_or(0);
+        for units in [0, 1, cap / 2, cap, cap + 1, probe] {
+            prop_assert_eq!(
+                c.admitting_racks(kind, units),
+                admitting_racks_scan(c, kind, units),
+                "admitting_racks({:?}, {}) diverged",
+                kind,
+                units
+            );
+        }
         for from in [0u16, 5, c.num_racks() - 1] {
             prop_assert_eq!(
                 c.next_rack_with_fit(kind, probe, from),
@@ -184,11 +240,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10_000))]
 
     /// PR 7 acceptance battery (10k cases): under interleaved
-    /// `take`/`give`/`remove_box`/`restore_box` sequences, the sorted
-    /// availability sets, per-rack totals, and segment-tree maxima always
-    /// equal a naive full recount (`check_invariants` rebuilds the index
-    /// from scratch and compares all three), and `next_rack_with_fit` /
-    /// `best_fit_in_rack` agree with linear scans over the live box table.
+    /// `take`/`give`/`remove_box`/`restore_box` sequences (and fixture
+    /// resizes), the sorted availability sets, per-rack totals, key table
+    /// and segment-tree maxima always equal a naive full recount
+    /// (`check_invariants` rebuilds the index from scratch and compares
+    /// all four), and `next_rack_with_fit` / `best_fit_in_rack` /
+    /// `admitting_racks` agree with linear scans over the live box table.
     #[test]
     fn removal_battery_matches_naive_recount(
         ops in prop::collection::vec(churn_op_strategy(), 1..14),
@@ -255,6 +312,13 @@ proptest! {
                         }
                         Err(AllocError::BoxNotFailed) => prop_assert!(!was_failed),
                         Err(e) => return Err(TestCaseError::fail(format!("unexpected {e:?}"))),
+                    }
+                }
+                ChurnOp::Force { box_idx, capacity, available } => {
+                    let id = BoxId(box_idx as u32);
+                    if !c.is_failed(id) {
+                        c.set_box_capacity(id, capacity);
+                        c.force_available(id, available.min(capacity));
                     }
                 }
             }

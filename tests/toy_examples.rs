@@ -115,12 +115,15 @@ fn table_4_traces_match_paper() {
 /// The contention-ratio arithmetic the paper prints in §4.3.1.
 #[test]
 fn toy_contention_ratios() {
-    use risa::sched::{contention_ratios, most_contended};
+    use risa::sched::{contention_ratios, most_contended, RackFilter};
     let cluster = toy::table3_cluster();
     let demand = toy::typical_vm_demand(&cluster);
-    let crs = contention_ratios(&cluster, &demand, None);
+    let crs = contention_ratios(&cluster, &demand, RackFilter::All);
     assert!((crs[0] - 0.0833).abs() < 1e-3, "CPU CR ~ 0.08");
     assert!((crs[1] - 0.25).abs() < 1e-12, "RAM CR = 0.25");
     assert!((crs[2] - 0.1667).abs() < 1e-3, "STO CR ~ 0.17");
-    assert_eq!(most_contended(&cluster, &demand, None), ResourceKind::Ram);
+    assert_eq!(
+        most_contended(&cluster, &demand, RackFilter::All),
+        ResourceKind::Ram
+    );
 }
