@@ -165,7 +165,7 @@ impl SimulationBuilder {
 
     /// Independently audit every assignment against a shadow ledger
     /// (`risa_sched::audit`); the run panics on any violation. Costs one
-    /// hash-map insert/remove per VM — enabled throughout the test suite.
+    /// ledger insert/remove per VM — enabled throughout the test suite.
     pub fn audit(mut self, on: bool) -> Self {
         self.audit = on;
         self
@@ -431,7 +431,7 @@ impl DdcSimulation {
     pub(crate) fn finish(&mut self) -> RunReport {
         debug_assert_eq!(self.sim.clamped_schedules(), 0);
         // Drained queue ⇒ every admitted VM departed and released its
-        // slot (the sparse store's residency-bounded-memory invariant).
+        // slot (the assignment store's memory is bounded by residency).
         debug_assert_eq!(
             self.sim.world().assignments.occupied(),
             self.sim.world().resident() as usize

@@ -11,7 +11,7 @@
 //! | clock | `(at, dispatched, clamped)` — the engine clock and dispatch counters. |
 //! | FEL | Every future-event-list entry with its original `(time, seq)` pair, plus the `next_seq` counter and FEL high-water mark. |
 //! | arrivals | The static arrival lane as a *cursor position* (`arrivals_remaining`): a restore rebuilds the lane from the recipe and fast-forwards it, re-executing the exact `f64` accumulation the original run performed. |
-//! | `world` | Cluster, network, scheduler, per-VM assignments, metric accumulators (latency as raw bits), audit ledger, fault-injection state (RNG chains as draw counts), and the streaming-cursor position. |
+//! | `world` | Cluster, network, scheduler, per-VM assignments, metric accumulators (latency as raw bits), audit ledger, fault-injection state (RNG chains as draw counts, down racks, in-transit migrations — *not* residents by rack: a failing rack's victims are derived from the assignments at the failure), and the streaming-cursor position. |
 //!
 //! # Versioning
 //!
@@ -373,6 +373,63 @@ mod tests {
         let mut resumed = cp.resume();
         assert_eq!(resumed.arrival_mode(), ArrivalMode::Streaming);
         assert_eq!(finish_report(&mut resumed), baseline);
+    }
+
+    /// Documents written before the fault layer stopped storing residents
+    /// by rack carry a `rack_residents` array in their `faults` block. The
+    /// version did not change, so they must still load — the field is
+    /// looked up by nobody and ignored — and resume byte-identically.
+    #[test]
+    fn stale_rack_residents_field_is_ignored_on_load() {
+        let faulty = || {
+            SimulationBuilder::new()
+                .algorithm(Algorithm::Nalb)
+                .workload(WorkloadSpec::synthetic(3000, 11))
+                .faults(FaultSpec::canonical())
+                .audit(true)
+        };
+        let mut whole = faulty().build();
+        let baseline = finish_report(&mut whole);
+        let churn = baseline.faults.as_ref().expect("faults attached");
+        assert!(churn.evacuated > 0, "the scenario must evacuate: {churn:?}");
+
+        let mut first = faulty().build();
+        // Mid-outage: one rack is down, three failures are still to come.
+        assert_eq!(first.run_until(5_500.0), RunOutcome::HorizonReached);
+        let json = first.checkpoint().to_json();
+        assert!(!json.contains("rack_residents"));
+
+        // The array as the parent wrote it: per rack, the resident VMs
+        // with a grant there, ascending — between `rack_down_since` and
+        // `in_transit`.
+        let world = first.sim.world();
+        let so_far = world.fault_report().expect("faults attached").evacuated;
+        assert!(so_far < churn.evacuated, "failures must follow the resume");
+        let mut residents = vec![Vec::new(); world.cluster.num_racks() as usize];
+        for (idx, a) in world.assignments.occupied_pairs() {
+            for rack in a.placement.racks(&world.cluster) {
+                residents[rack.0 as usize].push(idx);
+            }
+        }
+        assert!(residents.iter().any(|r| !r.is_empty()));
+        let stale = format!(
+            "\"rack_residents\":{},\"in_transit\":",
+            serde_json::to_string(&residents).unwrap()
+        );
+        assert_eq!(json.matches("\"in_transit\":").count(), 1);
+        let old = json.replacen("\"in_transit\":", &stale, 1);
+
+        let cp = Checkpoint::from_json(&old).expect("a parent-written document loads");
+        assert_eq!(
+            cp.to_json(),
+            json,
+            "the stale field is dropped, nothing else"
+        );
+        let mut resumed = cp.resume();
+        assert_eq!(
+            serde_json::to_string(&finish_report(&mut resumed)).unwrap(),
+            serde_json::to_string(&baseline).unwrap()
+        );
     }
 
     #[test]

@@ -18,8 +18,7 @@ use risa_topology::{
 };
 use risa_workload::{StreamingShards, VmRequest, Workload};
 use serde::{Deserialize, Serialize};
-// risa-lint: allow(hash_state) — import feeds PerVmSlots::Sparse only; see the waiver there
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::{Duration, Instant};
 
 /// Default scheduler-timing batch: one clock pair per 16 scheduling calls
@@ -234,90 +233,139 @@ impl VmSource {
     }
 }
 
-/// Per-VM slot storage sized to the arrival path: dense `Vec` when the
-/// whole trace is materialized (O(1) indexing, one slot per VM), sparse
-/// map when streaming (live entries bounded by *resident* VMs — a dense
-/// vector over a 10M-VM trace would defeat the bounded-memory run).
+/// Per-VM slot storage whose memory follows *residents*, not the trace:
+/// a ring of slab indices over the live VM-index span in front of a slab
+/// of values. VM indices are admitted in ascending order and depart in
+/// any order, so the ring costs 4 B × (newest − oldest live index) and
+/// the slab `size_of::<Option<T>>()` × peak residents — a VM that is
+/// dropped, or has departed, holds nothing. Nothing is hashed: inserts
+/// and takes walk the ring the way a dense array would be walked.
 #[derive(Debug, Clone)]
-pub(crate) enum PerVmSlots<T> {
-    Dense(Vec<Option<T>>),
-    // risa-lint: allow(hash_state) — keyed access on the hot path; iterated only for the order-independent all_free/occupied counts
-    Sparse(HashMap<u32, T>),
+pub(crate) struct PerVmSlots<T> {
+    /// VM index of `ring[0]` (meaningless while the ring is empty).
+    base: u32,
+    /// Slab index of each VM in `base..base + ring.len()`, [`NO_SLOT`]
+    /// for a VM without a value. Kept trimmed: a non-empty ring starts
+    /// and ends on a live VM.
+    ring: VecDeque<u32>,
+    /// The values; `None` entries are exactly the ones listed in `free`.
+    slab: Vec<Option<T>>,
+    /// Vacant slab entries, reused before the slab grows.
+    free: Vec<u32>,
 }
 
+/// Ring entry of a VM that holds no value (never a slab index: the slab
+/// holds at most one entry per `u32` VM index).
+const NO_SLOT: u32 = u32::MAX;
+
 impl<T: Clone> PerVmSlots<T> {
-    fn dense(n: usize) -> Self {
-        PerVmSlots::Dense(vec![None; n])
+    fn new() -> Self {
+        PerVmSlots {
+            base: 0,
+            ring: VecDeque::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+        }
     }
 
-    fn sparse() -> Self {
-        // risa-lint: allow(hash_state) — constructor for the waived Sparse variant above
-        PerVmSlots::Sparse(HashMap::new())
+    /// Ring position of VM `idx`, if inside the live span.
+    fn ring_pos(&self, idx: u32) -> Option<usize> {
+        let pos = idx.checked_sub(self.base)? as usize;
+        (pos < self.ring.len()).then_some(pos)
     }
 
-    /// Store `value` for VM `idx` (slot must be empty).
+    /// Store `value` for VM `idx` (slot must be empty). Ascending `idx`
+    /// appends; an `idx` below the live span (an evacuated VM re-placed
+    /// after the span moved on, a checkpoint restore) extends the front.
     fn insert(&mut self, idx: u32, value: T) {
-        match self {
-            PerVmSlots::Dense(v) => {
-                debug_assert!(v[idx as usize].is_none(), "slot {idx} already occupied");
-                v[idx as usize] = Some(value);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(value);
+                slot
             }
-            PerVmSlots::Sparse(m) => {
-                let old = m.insert(idx, value);
-                debug_assert!(old.is_none(), "slot {idx} already occupied");
+            None => {
+                self.slab.push(Some(value));
+                (self.slab.len() - 1) as u32
+            }
+        };
+        if self.ring.is_empty() {
+            self.base = idx;
+        }
+        if idx < self.base {
+            for _ in idx + 1..self.base {
+                self.ring.push_front(NO_SLOT);
+            }
+            self.ring.push_front(slot);
+            self.base = idx;
+        } else {
+            let pos = (idx - self.base) as usize;
+            if pos >= self.ring.len() {
+                // The hot case: the next arrival, past any dropped ones.
+                self.ring.resize(pos, NO_SLOT);
+                self.ring.push_back(slot);
+            } else {
+                debug_assert_eq!(self.ring[pos], NO_SLOT, "slot {idx} already occupied");
+                self.ring[pos] = slot;
             }
         }
     }
 
     /// Remove and return VM `idx`'s value, if present.
     fn take(&mut self, idx: u32) -> Option<T> {
-        match self {
-            PerVmSlots::Dense(v) => v[idx as usize].take(),
-            PerVmSlots::Sparse(m) => m.remove(&idx),
+        let pos = self.ring_pos(idx)?;
+        let slot = std::mem::replace(&mut self.ring[pos], NO_SLOT);
+        if slot == NO_SLOT {
+            return None;
         }
+        let value = self.slab[slot as usize].take();
+        debug_assert!(value.is_some(), "ring points at a vacant slab entry");
+        self.free.push(slot);
+        while self.ring.front() == Some(&NO_SLOT) {
+            self.ring.pop_front();
+            self.base += 1;
+        }
+        while self.ring.back() == Some(&NO_SLOT) {
+            self.ring.pop_back();
+        }
+        value
     }
 
     /// Borrow VM `idx`'s value, if present.
     fn get(&self, idx: u32) -> Option<&T> {
-        match self {
-            PerVmSlots::Dense(v) => v[idx as usize].as_ref(),
-            PerVmSlots::Sparse(m) => m.get(&idx),
+        match self.ring[self.ring_pos(idx)?] {
+            NO_SLOT => None,
+            slot => self.slab[slot as usize].as_ref(),
         }
     }
 
     /// True when no VM holds a value (end-of-run: everything departed).
     pub(crate) fn all_free(&self) -> bool {
-        match self {
-            PerVmSlots::Dense(v) => v.iter().all(Option::is_none),
-            PerVmSlots::Sparse(m) => m.is_empty(),
-        }
+        self.ring.is_empty()
     }
 
     /// Live entries (resident VMs with a value).
     pub(crate) fn occupied(&self) -> usize {
-        match self {
-            PerVmSlots::Dense(v) => v.iter().filter(|s| s.is_some()).count(),
-            PerVmSlots::Sparse(m) => m.len(),
-        }
+        self.slab.len() - self.free.len()
+    }
+
+    /// Every occupied `(vm index, value)` in ascending index order.
+    fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
+        self.ring
+            .iter()
+            .enumerate()
+            .filter(|&(_, &slot)| slot != NO_SLOT)
+            .map(|(pos, &slot)| {
+                let value = self.slab[slot as usize]
+                    .as_ref()
+                    .expect("ring points at a vacant slab entry");
+                (self.base + pos as u32, value)
+            })
     }
 
     /// Every occupied `(vm index, value)` pair in ascending index order —
-    /// the canonical (storage-kind-independent) encoding checkpoints use.
-    /// Sorting makes the sparse map's iteration order irrelevant, so the
-    /// serialized bytes are deterministic.
+    /// the canonical encoding checkpoints use.
     pub(crate) fn occupied_pairs(&self) -> Vec<(u32, T)> {
-        match self {
-            PerVmSlots::Dense(v) => v
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.as_ref().map(|x| (i as u32, x.clone())))
-                .collect(),
-            PerVmSlots::Sparse(m) => {
-                let mut pairs: Vec<(u32, T)> = m.iter().map(|(&k, v)| (k, v.clone())).collect();
-                pairs.sort_by_key(|&(k, _)| k);
-                pairs
-            }
-        }
+        self.iter().map(|(idx, v)| (idx, v.clone())).collect()
     }
 }
 
@@ -345,10 +393,6 @@ pub(crate) struct FaultState {
     meters: FaultMeters,
     /// Failure time of each currently-down rack.
     rack_down_since: Vec<Option<f64>>,
-    /// Resident VMs with at least one grant in each rack. A `BTreeSet`
-    /// so evacuation visits victims in ascending VM index — part of the
-    /// determinism contract.
-    rack_residents: Vec<BTreeSet<u32>>,
     /// Evacuated VMs still in transit to their re-placement. BTreeMap:
     /// bounded by in-flight migrations (cold), and orderable if a future
     /// report ever lists them.
@@ -384,27 +428,12 @@ impl FaultState {
             tallies: FaultTallies::default(),
             meters: FaultMeters::new(),
             rack_down_since: vec![None; racks as usize],
-            rack_residents: vec![BTreeSet::new(); racks as usize],
             in_transit: BTreeMap::new(),
             tombstones: BTreeSet::new(),
             pristine_units: ALL_RESOURCES
                 .iter()
                 .map(|&k| cluster.total_capacity(k))
                 .sum(),
-        }
-    }
-
-    /// Index `idx` under every rack its grants touch.
-    fn note_resident(&mut self, idx: u32, a: &VmAssignment, cluster: &Cluster) {
-        for g in &a.placement.grants {
-            self.rack_residents[cluster.rack_of(g.box_id).0 as usize].insert(idx);
-        }
-    }
-
-    /// Undo [`FaultState::note_resident`].
-    fn forget_resident(&mut self, idx: u32, a: &VmAssignment, cluster: &Cluster) {
-        for g in &a.placement.grants {
-            self.rack_residents[cluster.rack_of(g.box_id).0 as usize].remove(&idx);
         }
     }
 
@@ -455,11 +484,6 @@ impl FaultState {
             stranded_units: self.meters.stranded_units.clone(),
             stranded_mbps: self.meters.stranded_mbps.clone(),
             rack_down_since: self.rack_down_since.clone(),
-            rack_residents: self
-                .rack_residents
-                .iter()
-                .map(|s| s.iter().copied().collect())
-                .collect(),
             in_transit: self.in_transit.iter().map(|(&k, &v)| (k, v)).collect(),
             tombstones: self.tombstones.iter().copied().collect(),
         }
@@ -482,11 +506,6 @@ impl FaultState {
             "checkpoint topology does not match the rebuilt cluster"
         );
         self.rack_down_since = snap.rack_down_since;
-        self.rack_residents = snap
-            .rack_residents
-            .into_iter()
-            .map(|v| v.into_iter().collect())
-            .collect();
         self.in_transit = snap.in_transit.into_iter().collect();
         self.tombstones = snap.tombstones.into_iter().collect();
     }
@@ -505,7 +524,6 @@ pub(crate) struct FaultSnapshot {
     stranded_units: TimeWeighted,
     stranded_mbps: TimeWeighted,
     rack_down_since: Vec<Option<f64>>,
-    rack_residents: Vec<Vec<u32>>,
     in_transit: Vec<(u32, Migration)>,
     tombstones: Vec<u32>,
 }
@@ -551,13 +569,7 @@ pub struct DdcWorld {
 impl DdcWorld {
     /// Build a pristine world for `algorithm` over `workload`.
     pub fn new(cfg: SimConfig, algorithm: Algorithm, workload: Workload) -> Self {
-        let n = workload.len();
-        Self::with_source(
-            cfg,
-            algorithm,
-            VmSource::Materialized(workload),
-            PerVmSlots::dense(n),
-        )
+        Self::with_source(cfg, algorithm, VmSource::Materialized(workload))
     }
 
     /// Build a world consuming VMs lazily from a streaming shard cursor
@@ -567,20 +579,10 @@ impl DdcWorld {
         algorithm: Algorithm,
         cursor: StreamingShards,
     ) -> Self {
-        Self::with_source(
-            cfg,
-            algorithm,
-            VmSource::Streaming(cursor),
-            PerVmSlots::sparse(),
-        )
+        Self::with_source(cfg, algorithm, VmSource::Streaming(cursor))
     }
 
-    fn with_source(
-        cfg: SimConfig,
-        algorithm: Algorithm,
-        source: VmSource,
-        assignments: PerVmSlots<VmAssignment>,
-    ) -> Self {
+    fn with_source(cfg: SimConfig, algorithm: Algorithm, source: VmSource) -> Self {
         let cluster = Cluster::new(cfg.topology);
         let net = NetworkState::new(cfg.network, &cluster);
         let scheduler = Scheduler::new(algorithm, &cluster);
@@ -592,7 +594,7 @@ impl DdcWorld {
             source,
             energy,
             cfg,
-            assignments,
+            assignments: PerVmSlots::new(),
             counters: Counters::default(),
             util: [
                 TimeWeighted::new(0.0, 0.0),
@@ -680,11 +682,7 @@ impl DdcWorld {
     /// ledger; see `risa_sched::audit`). The driver calls
     /// `finish_audit` at end of run and panics on violations.
     pub fn enable_audit(&mut self) {
-        let seqs = match &self.source {
-            VmSource::Materialized(w) => PerVmSlots::dense(w.len()),
-            VmSource::Streaming(_) => PerVmSlots::sparse(),
-        };
-        self.auditor = Some((ScheduleAuditor::new(&self.cluster), seqs));
+        self.auditor = Some((ScheduleAuditor::new(&self.cluster), PerVmSlots::new()));
     }
 
     /// Close the audit; panics with the violation list if the scheduler
@@ -962,9 +960,6 @@ impl DdcWorld {
                 if let Some((auditor, seqs)) = self.auditor.as_mut() {
                     seqs.insert(idx, auditor.admit(&self.cluster, &a));
                 }
-                if let Some(fs) = self.faults.as_mut() {
-                    fs.note_resident(idx, &a, &self.cluster);
-                }
                 self.assignments.insert(idx, a);
                 self.resident += 1;
                 self.peak_resident = self.peak_resident.max(self.resident);
@@ -1006,9 +1001,6 @@ impl DdcWorld {
             let seq = seqs.take(idx).expect("audited VM has a seq");
             auditor.release(seq);
         }
-        if let Some(fs) = self.faults.as_mut() {
-            fs.forget_resident(idx, &a, &self.cluster);
-        }
         self.resident -= 1;
         self.sample_state(now);
     }
@@ -1019,14 +1011,17 @@ impl DdcWorld {
         let rid = RackId(rack);
         // Victims in ascending VM index: every resident VM with at least
         // one grant in this rack (grants on other racks evacuate too —
-        // a VM is placed and released as a whole).
+        // a VM is placed and released as a whole). Derived here, by one
+        // pass over the residents, so that no arrival or departure pays
+        // for an index only a handful of failures ever read.
         let victims: Vec<u32> = self
-            .faults
-            .as_ref()
-            .expect("fault event without a scenario")
-            .rack_residents[rack as usize]
+            .assignments
             .iter()
-            .copied()
+            .filter(|(_, a)| {
+                let grants = &a.placement.grants;
+                grants.iter().any(|g| self.cluster.rack_of(g.box_id) == rid)
+            })
+            .map(|(idx, _)| idx)
             .collect();
         for idx in victims {
             let a = self
@@ -1043,7 +1038,6 @@ impl DdcWorld {
                 .faults
                 .as_mut()
                 .expect("fault event without a scenario");
-            fs.forget_resident(idx, &a, &self.cluster);
             let demand = UnitDemand::new(
                 a.placement.grant(ResourceKind::Cpu).units,
                 a.placement.grant(ResourceKind::Ram).units,
@@ -1207,7 +1201,6 @@ impl DdcWorld {
                     .expect("fault event without a scenario");
                 fs.tallies.evac_replaced += 1;
                 fs.meters.evac_latency.record(now - m.evacuated_at);
-                fs.note_resident(idx, &a, &self.cluster);
                 self.assignments.insert(idx, a);
                 self.resident += 1;
                 self.peak_resident = self.peak_resident.max(self.resident);
@@ -1259,8 +1252,8 @@ impl World for DdcWorld {
 /// Serializable image of a [`DdcWorld`] mid-run — the `world` block of a
 /// checkpoint (see `crate::checkpoint`). Cluster, network and scheduler
 /// reuse their existing (validated, derived-state-rebuilding) serde
-/// implementations; per-VM slot stores flatten to sorted pairs so the
-/// encoding is independent of the dense/sparse storage choice; the
+/// implementations; per-VM slot stores flatten to ascending
+/// `(index, value)` pairs; the
 /// latency accumulator travels as raw bits (±∞ empty-state sentinels).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct WorldSnapshot {
@@ -1288,8 +1281,10 @@ pub(crate) struct WorldSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use risa_des::Simulation;
     use risa_workload::SyntheticConfig;
+    use std::collections::btree_map;
 
     fn run_world(algo: Algorithm, n: u32, seed: u64) -> DdcWorld {
         let workload = Workload::synthetic(&SyntheticConfig::small(n, seed));
@@ -1348,20 +1343,107 @@ mod tests {
         assert_eq!(oracle.stream_peak_buffered(), None);
     }
 
-    /// The sparse assignment store never holds more entries than resident
-    /// VMs — the invariant that makes streaming runs bounded-memory.
+    /// One scripted operation against the store.
+    #[derive(Debug, Clone, Copy)]
+    enum SlotOp {
+        /// Insert the next index, this far past the newest one inserted.
+        Insert(u32),
+        /// Take the live index of this rank (modulo the population).
+        TakeLive(u32),
+        /// Take whatever index this is, live or not.
+        TakeAny(u32),
+        /// Read whatever index this is.
+        Get(u32),
+        /// Re-insert the index taken this long ago, unless it is live
+        /// again — by now it may lie below the ring's base.
+        Reinsert(u32),
+    }
+
+    fn slot_ops() -> impl Strategy<Value = Vec<SlotOp>> {
+        prop::collection::vec(
+            (0u32..10, 0u32..1 << 16).prop_map(|(sel, arg)| match sel {
+                0..=3 => SlotOp::Insert(1 + arg % 3),
+                4..=5 => SlotOp::TakeLive(arg),
+                6 => SlotOp::TakeAny(arg),
+                7 => SlotOp::Get(arg),
+                _ => SlotOp::Reinsert(arg),
+            }),
+            0..300,
+        )
+    }
+
+    proptest! {
+        /// The store against a `BTreeMap` model, step by step: same
+        /// answers, same ascending pairs, and the two memory bounds the
+        /// design promises — the slab never outgrows the peak population
+        /// and the ring never outgrows the live index span.
+        #[test]
+        fn slots_match_an_ordered_map_within_their_bounds(script in slot_ops()) {
+            let mut slots: PerVmSlots<u64> = PerVmSlots::new();
+            let mut model: BTreeMap<u32, u64> = BTreeMap::new();
+            let mut taken: Vec<u32> = Vec::new();
+            let (mut next, mut stamp, mut peak) = (0u32, 0u64, 0usize);
+            for op in script {
+                stamp += 1;
+                match op {
+                    SlotOp::Insert(gap) => {
+                        next += gap;
+                        slots.insert(next, stamp);
+                        model.insert(next, stamp);
+                    }
+                    SlotOp::TakeLive(rank) if !model.is_empty() => {
+                        let idx = *model.keys().nth(rank as usize % model.len()).unwrap();
+                        prop_assert_eq!(slots.take(idx), model.remove(&idx));
+                        taken.push(idx);
+                    }
+                    SlotOp::TakeLive(idx) | SlotOp::TakeAny(idx) => {
+                        let idx = idx % (next + 3);
+                        let got = slots.take(idx);
+                        prop_assert_eq!(got, model.remove(&idx));
+                        taken.extend(got.map(|_| idx));
+                    }
+                    SlotOp::Get(idx) => {
+                        let idx = idx % (next + 3);
+                        prop_assert_eq!(slots.get(idx), model.get(&idx));
+                    }
+                    SlotOp::Reinsert(age) if !taken.is_empty() => {
+                        let idx = taken[taken.len() - 1 - age as usize % taken.len()];
+                        if let btree_map::Entry::Vacant(gone) = model.entry(idx) {
+                            slots.insert(idx, stamp);
+                            gone.insert(stamp);
+                        }
+                    }
+                    SlotOp::Reinsert(_) => {}
+                }
+                peak = peak.max(model.len());
+                prop_assert_eq!(slots.occupied(), model.len());
+                prop_assert_eq!(slots.all_free(), model.is_empty());
+                let pairs: Vec<(u32, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+                prop_assert_eq!(slots.occupied_pairs(), pairs);
+                prop_assert!(slots.slab.len() <= peak, "slab {} > peak {peak}", slots.slab.len());
+                let span = match (model.keys().next(), model.keys().next_back()) {
+                    (Some(oldest), Some(newest)) => (newest - oldest + 1) as usize,
+                    _ => 0,
+                };
+                prop_assert!(slots.ring.len() <= span, "ring {} > span {span}", slots.ring.len());
+            }
+        }
+    }
+
+    /// End to end: far past saturation most arrivals are dropped and
+    /// never touch the store, and the rest reuse departed VMs' slab
+    /// entries — the slab ends no longer than the peak residency.
     #[test]
-    fn sparse_slots_track_residency() {
-        let mut slots: PerVmSlots<u8> = PerVmSlots::sparse();
-        assert!(slots.all_free());
-        slots.insert(7, 1);
-        slots.insert(1_000_000, 2); // far beyond any dense allocation
-        assert_eq!(slots.occupied(), 2);
-        assert_eq!(slots.get(7), Some(&1));
-        assert_eq!(slots.take(1_000_000), Some(2));
-        assert_eq!(slots.take(7), Some(1));
-        assert!(slots.all_free());
-        assert_eq!(slots.take(7), None);
+    fn saturated_run_keeps_the_slab_within_peak_residency() {
+        let w = run_world(Algorithm::Risa, 60_000, 42);
+        assert!(w.counters.dropped_compute > 0, "the run must saturate");
+        assert!(w.assignments.all_free());
+        assert!(
+            w.assignments.slab.len() <= w.peak_resident() as usize,
+            "slab {} > peak resident {}",
+            w.assignments.slab.len(),
+            w.peak_resident()
+        );
     }
 
     #[test]

@@ -2,7 +2,12 @@
 //! evacuation pipeline balances, runs stay deterministic and drained
 //! runs end pristine (audited).
 
-use risa_sim::{Algorithm, ArrivalMode, FaultSpec, RunReport, SimulationBuilder, WorkloadSpec};
+use risa_sim::{
+    Algorithm, ArrivalMode, DdcSimulation, FaultSpec, RunReport, SimulationBuilder, WorkloadSpec,
+};
+use risa_topology::{Cluster, RackId, ResourceKind, TopologyConfig};
+use serde::Serialize as _;
+use std::collections::BTreeSet;
 
 fn churn_run(algo: Algorithm, spec: FaultSpec) -> RunReport {
     let mut r = SimulationBuilder::new()
@@ -145,4 +150,174 @@ fn zero_rate_scenario_is_quiet() {
     let mut quiet_stripped = quiet.clone();
     quiet_stripped.faults = None;
     assert_eq!(quiet_stripped, off);
+}
+
+/// What [`walk_evacuations`] saw.
+#[derive(Debug, Default)]
+struct EvacuationLog {
+    rack_failures: u32,
+    victims: u32,
+    /// Victims with only their CPU grant / only their RAM grant (of the
+    /// two) in the failed rack.
+    cpu_side_only: u32,
+    ram_side_only: u32,
+    /// Re-placed VMs released by their original departure event.
+    replacements_released: u32,
+    /// Re-placed VMs evacuated again when their new rack failed.
+    evacuated_again: u32,
+}
+
+/// `Migrate` events pending in the future-event list, as `(seq, vm)`.
+fn pending_migrations(sim: &mut DdcSimulation) -> BTreeSet<(i128, u32)> {
+    let tree = sim.checkpoint().to_value();
+    let fel = tree.get("fel").and_then(|f| f.as_seq()).expect("fel");
+    fel.iter()
+        .filter_map(|entry| {
+            let entry = entry.as_seq().expect("(at, seq, event)");
+            let vm = entry[2].get("Migrate")?.as_int().expect("vm index");
+            Some((entry[1].as_int().expect("seq"), vm as u32))
+        })
+        .collect()
+}
+
+/// Run `build()` once for its dispatch log, then again in lockstep with
+/// that log, pausing around every rack failure: the VMs it evacuates
+/// must be exactly the residents holding a grant in the failed rack, in
+/// ascending index order (the order their `Migrate` events were
+/// scheduled in), each once. Also follows every re-placed VM to its
+/// release — by its original departure, or by another evacuation.
+fn walk_evacuations(n: u32, build: impl Fn() -> DdcSimulation) -> EvacuationLog {
+    let mut reference = build();
+    reference.enable_trace(4 * n as usize);
+    reference.run();
+    let trace = reference.trace().expect("trace enabled");
+    assert_eq!(trace.recorded(), trace.len() as u64, "nothing evicted");
+    let log: Vec<(f64, &str)> = trace
+        .entries()
+        .map(|e| (e.at.as_units(), e.rendered.as_str()))
+        .collect();
+    let arg = |event: &str, kind: &str| -> Option<u32> {
+        let inner = event.strip_prefix(kind)?.strip_prefix('(')?;
+        inner.strip_suffix(')')?.parse().ok()
+    };
+
+    let cluster = Cluster::new(TopologyConfig::paper());
+    let rack_of = |sim: &DdcSimulation, vm: u32, kind: ResourceKind| {
+        let a = sim.world().assignment(vm).expect("resident");
+        cluster.rack_of(a.placement.grant(kind).box_id)
+    };
+    let mut sim = build();
+    let mut seen = EvacuationLog::default();
+    let mut replaced: BTreeSet<u32> = BTreeSet::new();
+    for (k, &(at, event)) in log.iter().enumerate() {
+        if let Some(rack) = arg(event, "RackFail") {
+            let rack = RackId(rack as u16);
+            // Pause right before the failure; it must be alone at its
+            // instant for the before/after comparison to mean anything.
+            assert!(log[k - 1].0 < at && log.get(k + 1).is_none_or(|next| at < next.0));
+            sim.run_until(log[k - 1].0);
+            assert_eq!(sim.events_dispatched(), k as u64);
+            let residents: Vec<u32> = (0..n)
+                .filter(|&vm| sim.world().assignment(vm).is_some())
+                .collect();
+            let expected: Vec<u32> = residents
+                .iter()
+                .copied()
+                .filter(|&vm| {
+                    let a = sim.world().assignment(vm).expect("resident");
+                    a.placement.racks(&cluster).contains(&rack)
+                })
+                .collect();
+            for &vm in &expected {
+                let cpu = rack_of(&sim, vm, ResourceKind::Cpu) == rack;
+                let ram = rack_of(&sim, vm, ResourceKind::Ram) == rack;
+                seen.cpu_side_only += u32::from(cpu && !ram);
+                seen.ram_side_only += u32::from(ram && !cpu);
+                seen.evacuated_again += u32::from(replaced.remove(&vm));
+            }
+            let tally = |sim: &DdcSimulation| sim.world().fault_report().expect("faults").evacuated;
+            let (tally_before, pending_before) = (tally(&sim), pending_migrations(&mut sim));
+
+            sim.run_until(at);
+            assert_eq!(sim.events_dispatched(), k as u64 + 1);
+            let scheduled: Vec<u32> = pending_migrations(&mut sim)
+                .difference(&pending_before)
+                .map(|&(_, vm)| vm)
+                .collect();
+            assert_eq!(scheduled, expected, "victims of {event} at {at}");
+            assert_eq!(tally(&sim) - tally_before, expected.len() as u32);
+            for vm in residents {
+                let evacuated = expected.binary_search(&vm).is_ok();
+                assert_eq!(sim.world().assignment(vm).is_none(), evacuated, "vm {vm}");
+            }
+            seen.rack_failures += 1;
+            seen.victims += expected.len() as u32;
+        } else if let Some(vm) = arg(event, "Migrate") {
+            // Same-sized victims of one failure migrate at one instant.
+            sim.run_until(at);
+            if sim.world().assignment(vm).is_some() {
+                replaced.insert(vm);
+            }
+        } else if let Some(vm) = arg(event, "Departure").filter(|vm| replaced.contains(vm)) {
+            sim.run_until(log[k - 1].0);
+            assert!(log[k - 1].0 < at && sim.world().assignment(vm).is_some());
+            sim.run_until(at);
+            assert!(sim.world().assignment(vm).is_none(), "vm {vm} released");
+            replaced.remove(&vm);
+            seen.replacements_released += 1;
+        }
+    }
+    assert!(
+        replaced.is_empty(),
+        "re-placed and never released: {replaced:?}"
+    );
+    // Drains clean: the audit ledger balances and nothing stays resident.
+    let report = sim.run();
+    let faults = report.faults.expect("faults attached");
+    assert_eq!(faults.evacuated, seen.victims);
+    assert_eq!(faults.rack_failures, seen.rack_failures);
+    assert_eq!(sim.world().resident(), 0);
+    seen
+}
+
+/// NALB on a loaded cluster spreads VMs over racks, so a failing rack's
+/// victims are not just "the VMs placed there whole": a VM whose CPU and
+/// RAM boxes sit in different racks goes when *either* rack fails.
+#[test]
+fn rack_failure_evacuates_exactly_the_vms_with_a_grant_there() {
+    let n = 3000;
+    let seen = walk_evacuations(n, || {
+        SimulationBuilder::new()
+            .algorithm(Algorithm::Nalb)
+            .workload(WorkloadSpec::synthetic(n, 11))
+            .faults(FaultSpec::canonical())
+            .audit(true)
+            .build()
+    });
+    assert!(seen.rack_failures >= 3 && seen.victims > 100, "{seen:?}");
+    assert!(seen.cpu_side_only > 0 && seen.ram_side_only > 0, "{seen:?}");
+}
+
+/// Racks fail often enough that re-placed VMs meet a second failure: the
+/// re-placement (an index far below the newest arrival's) is found by the
+/// next derivation like any other resident, and otherwise released by
+/// the VM's original departure event.
+#[test]
+fn replaced_vms_are_released_by_departure_or_found_by_the_next_failure() {
+    let n = 2000;
+    let seen = walk_evacuations(n, || {
+        let spec = FaultSpec {
+            rack_failures_per_span: 3.0,
+            rack_downtime_frac: 0.01,
+            ..FaultSpec::canonical()
+        };
+        SimulationBuilder::new()
+            .algorithm(Algorithm::Nalb)
+            .workload(WorkloadSpec::synthetic(n, 5))
+            .faults(spec)
+            .audit(true)
+            .build()
+    });
+    assert!(seen.replacements_released > 0, "{seen:?}");
+    assert!(seen.evacuated_again > 0, "{seen:?}");
 }

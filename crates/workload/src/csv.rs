@@ -102,8 +102,14 @@ pub fn to_csv(w: &Workload) -> String {
 /// rows. The sorted-arrivals check stays with the callers because it
 /// needs cross-row state.
 pub(crate) fn parse_row(row: &str, line: usize) -> Result<VmRequest, CsvError> {
-    let fields: Vec<&str> = row.split(',').collect();
-    if fields.len() != 6 {
+    // Exactly six fields, checked before any of them is parsed, without
+    // a per-row allocation.
+    let mut split = row.split(',');
+    let mut fields = [""; 6];
+    for field in &mut fields {
+        *field = split.next().ok_or(CsvError::BadArity { line })?;
+    }
+    if split.next().is_some() {
         return Err(CsvError::BadArity { line });
     }
     fn num<T: std::str::FromStr>(
@@ -229,11 +235,22 @@ mod tests {
 
     #[test]
     fn arity_and_field_errors_carry_line_numbers() {
-        let csv = format!("{HEADER}\n0,1,2,128,0.0,10\n1,2,3\n");
-        assert_eq!(
-            from_csv("x", &csv).unwrap_err(),
-            CsvError::BadArity { line: 3 }
-        );
+        // Too few, too many, and a trailing comma (an empty seventh
+        // field) — arity is judged before any field is parsed.
+        for bad in [
+            "1,2,3",
+            "1,2,3,128,1.0",
+            "1,2,3,128,1.0,10,7",
+            "1,2,3,128,1.0,10,",
+            "1,one,3,128,1.0,10,7",
+        ] {
+            let csv = format!("{HEADER}\n0,1,2,128,0.0,10\n{bad}\n");
+            assert_eq!(
+                from_csv("x", &csv).unwrap_err(),
+                CsvError::BadArity { line: 3 },
+                "row: {bad}"
+            );
+        }
 
         let csv = format!("{HEADER}\n0,one,2,128,0.0,10\n");
         assert_eq!(

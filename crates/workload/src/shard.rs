@@ -24,8 +24,8 @@
 //! * **Determinism** — shard boundaries depend only on [`SHARD_SIZE`],
 //!   never on the thread count, so the output is **byte-identical at any
 //!   thread count** (asserted by the generator tests and
-//!   `crates/sim/tests/determinism.rs`). Both generation passes fan out
-//!   over the `rayon` pool; only the O(#shards) prefix sum is sequential.
+//!   `crates/sim/tests/determinism.rs`). Generation fans out over the
+//!   `rayon` pool; only the stitch (one addition per VM) is sequential.
 //!
 //! This sharded stream is the canonical trace as of trace version 2 (the
 //! PR that introduced this module): the same seed yields a different — but
@@ -183,10 +183,10 @@ pub fn materialize(source: &dyn ShardSource) -> Vec<VmRequest> {
 /// (arrivals expressed in *shard-local* time, i.e. the running sum of that
 /// shard's interarrival deltas starting at zero) together with the shard's
 /// total delta — the final value of that running sum. The shards are
-/// generated concurrently, a sequential prefix sum over the totals yields
-/// each shard's absolute time offset, and a second parallel pass rebases
-/// every arrival to `offset + local`. Output order is input-index order and
-/// the result is byte-identical at any thread count.
+/// generated concurrently; a sequential pass then walks them in index
+/// order, rebasing every arrival to `offset + local` with the running
+/// prefix sum of the totals. Output order is input-index order and the
+/// result is byte-identical at any thread count.
 pub(crate) fn generate_stitched<F>(n: u32, shard_vms: F) -> Vec<VmRequest>
 where
     F: Fn(u32, std::ops::Range<u32>) -> (Vec<VmRequest>, f64) + Sync,
@@ -204,30 +204,21 @@ where
         .collect();
 
     // Prefix sum over per-shard delta totals: shard s starts where the
-    // stitched time of shards 0..s ends. O(#shards), sequential.
+    // stitched time of shards 0..s ends. Each shard is consumed as it is
+    // rebased (`local + offset`, the addition `StreamingShards` performs —
+    // IEEE addition commutes, so the bits equal `offset + local`) and
+    // freed before the next one is touched, so stitching never holds a
+    // second copy of the trace.
     let mut offset = 0.0f64;
-    let stitched: Vec<(f64, Vec<VmRequest>)> = parts
-        .into_iter()
-        .map(|(vms, total)| {
-            let o = offset;
-            offset += total;
-            (o, vms)
-        })
-        .collect();
-
-    // Rebase shard-local arrivals to absolute time, again in parallel;
-    // `flat_map` reassembles in input order.
-    stitched
-        .par_iter()
-        .flat_map(|(o, vms)| {
-            vms.iter()
-                .map(|vm| VmRequest {
-                    arrival: o + vm.arrival,
-                    ..*vm
-                })
-                .collect::<Vec<VmRequest>>()
-        })
-        .collect()
+    let mut out = Vec::with_capacity(n as usize);
+    for (vms, total) in parts {
+        out.extend(vms.into_iter().map(|mut vm| {
+            vm.arrival += offset;
+            vm
+        }));
+        offset += total;
+    }
+    out
 }
 
 #[cfg(test)]
