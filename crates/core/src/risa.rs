@@ -153,14 +153,16 @@ impl RisaState {
         }
     }
 
-    /// Next `INTRA_RACK_POOL` member at or after `from`, wrapping once.
+    /// Next `INTRA_RACK_POOL` member at or after `from`, wrapping once
+    /// (to the racks below `from`: the ones not searched yet).
     /// Live successor queries over the placement index replace the seed's
     /// per-VM pool vector; failed `try_rack` attempts roll every mutation
     /// back, so the live query sees exactly the snapshot the seed built.
     fn pool_rack_from(&self, cluster: &Cluster, demand: &UnitDemand, from: u16) -> Option<RackId> {
+        let racks = cluster.num_racks();
         cluster
-            .next_pool_rack(demand, from)
-            .or_else(|| cluster.next_pool_rack(demand, 0))
+            .next_pool_rack(demand, from, racks)
+            .or_else(|| cluster.next_pool_rack(demand, 0, from))
     }
 
     /// Algorithm 1 / 3 for one VM.

@@ -1,5 +1,6 @@
 //! Network configuration: link rates, trunk widths, per-unit flow demands.
 
+use crate::state::MAX_RACK_TRUNK_MBPS;
 use serde::{Deserialize, Serialize};
 
 /// Static description of the optical network (§3.1, Table 2 and the switch
@@ -63,6 +64,14 @@ impl NetworkConfig {
         if self.box_uplink_width == 0 || self.rack_uplink_width == 0 {
             return Err("trunks must contain at least one link".into());
         }
+        let rack_trunk = self
+            .link_mbps
+            .checked_mul(u64::from(self.rack_uplink_width));
+        if rack_trunk.is_none_or(|mbps| mbps > MAX_RACK_TRUNK_MBPS) {
+            return Err(format!(
+                "a rack uplink trunk may carry at most {MAX_RACK_TRUNK_MBPS} Mb/s"
+            ));
+        }
         for p in [
             self.box_switch_ports,
             self.rack_switch_ports,
@@ -121,6 +130,15 @@ mod tests {
 
         let mut c = NetworkConfig::paper();
         c.link_mbps = 0;
+        assert!(c.validate().is_err());
+
+        // The rack ordering's key holds 48 bits of free bandwidth.
+        let mut c = NetworkConfig::paper();
+        c.link_mbps = (1 << 48) / u64::from(c.rack_uplink_width);
+        assert!(c.validate().is_err());
+        c.link_mbps -= 1;
+        assert!(c.validate().is_ok());
+        c.link_mbps = u64::MAX;
         assert!(c.validate().is_err());
     }
 }

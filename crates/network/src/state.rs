@@ -5,8 +5,6 @@ use crate::demand::FlowDemands;
 use crate::trunk::{Trunk, TrunkId};
 use risa_topology::{BoxId, Cluster, RackId};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BTreeSet;
 
 /// How a link is chosen within a trunk — the paper's §4.1 distinction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -28,15 +26,144 @@ pub struct HopGrant {
     pub mbps: u64,
 }
 
-/// A fully reserved end-to-end flow.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// The most trunks a flow crosses: box uplink, two rack uplinks, box
+/// uplink.
+const MAX_HOPS: usize = 4;
+
+/// One hop as [`FlowPath`] stores it: the trunk and the link. The
+/// bandwidth is the flow's, and a link index is below a `u16` trunk width.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PackedHop {
+    /// Box or rack index of the trunk, per `rack_trunk`.
+    index: u32,
+    link: u16,
+    rack_trunk: bool,
+}
+
+impl PackedHop {
+    /// Filler of the unused tail of [`FlowPath`]'s hop array (one fixed
+    /// value, so derived equality compares paths).
+    const VACANT: PackedHop = PackedHop {
+        index: 0,
+        link: 0,
+        rack_trunk: false,
+    };
+
+    fn new(trunk: TrunkId, link: u16) -> Self {
+        let (index, rack_trunk) = match trunk {
+            TrunkId::BoxUplink(b) => (b, false),
+            TrunkId::RackUplink(r) => (u32::from(r), true),
+        };
+        PackedHop {
+            index,
+            link,
+            rack_trunk,
+        }
+    }
+
+    fn trunk(self) -> TrunkId {
+        if self.rack_trunk {
+            TrunkId::RackUplink(self.index as u16)
+        } else {
+            TrunkId::BoxUplink(self.index)
+        }
+    }
+}
+
+/// A fully reserved end-to-end flow. The hops live inline — granting or
+/// releasing a flow never touches the allocator — and are read through
+/// [`FlowPath::hops`]; the serialized form is unchanged from the
+/// `Vec<HopGrant>` this replaced (`{hops: [{trunk, link, mbps}, …],
+/// inter_rack, mbps}`).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlowPath {
-    /// Per-trunk grants along the path (2 hops intra-rack, 4 inter-rack).
-    pub hops: Vec<HopGrant>,
+    /// Per-trunk grants along the path (2 hops intra-rack, 4 inter-rack);
+    /// entries from `len` on are [`PackedHop::VACANT`].
+    hops: [PackedHop; MAX_HOPS],
+    len: u8,
     /// Whether the flow crosses the inter-rack switch.
     pub inter_rack: bool,
     /// The flow's bandwidth.
     pub mbps: u64,
+}
+
+impl FlowPath {
+    fn new(mbps: u64, inter_rack: bool) -> Self {
+        FlowPath {
+            hops: [PackedHop::VACANT; MAX_HOPS],
+            len: 0,
+            inter_rack,
+            mbps,
+        }
+    }
+
+    fn push(&mut self, hop: PackedHop) {
+        self.hops[self.len as usize] = hop;
+        self.len += 1;
+    }
+
+    fn packed(&self) -> &[PackedHop] {
+        &self.hops[..self.len as usize]
+    }
+
+    /// Per-trunk grants along the path, in order (2 hops intra-rack, 4
+    /// inter-rack, none inside one box).
+    pub fn hops(&self) -> impl ExactSizeIterator<Item = HopGrant> + '_ {
+        self.packed().iter().map(|h| HopGrant {
+            trunk: h.trunk(),
+            link: usize::from(h.link),
+            mbps: self.mbps,
+        })
+    }
+}
+
+impl Serialize for FlowPath {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Map(vec![
+            (
+                "hops".to_string(),
+                serde::Value::Seq(self.hops().map(|h| h.to_value()).collect()),
+            ),
+            ("inter_rack".to_string(), self.inter_rack.to_value()),
+            ("mbps".to_string(), self.mbps.to_value()),
+        ])
+    }
+}
+
+/// Refuses what the inline form cannot hold — more than four hops,
+/// a hop whose bandwidth is not the flow's, a link index past `u16` — none
+/// of which a run ever writes.
+impl Deserialize for FlowPath {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let mut path = FlowPath::new(
+            u64::from_value(serde::value::field(v, "mbps")?)?,
+            bool::from_value(serde::value::field(v, "inter_rack")?)?,
+        );
+        let hops = serde::value::field(v, "hops")?;
+        let hops = hops
+            .as_seq()
+            .ok_or_else(|| serde::Error::type_mismatch("sequence", hops))?;
+        if hops.len() > MAX_HOPS {
+            return Err(serde::Error::new(format!(
+                "a flow crosses at most {MAX_HOPS} trunks, got {} hops",
+                hops.len()
+            )));
+        }
+        for hop in hops {
+            let hop = HopGrant::from_value(hop)?;
+            if hop.mbps != path.mbps {
+                return Err(serde::Error::new(format!(
+                    "hop on {:?} reserves {} Mb/s of a {} Mb/s flow",
+                    hop.trunk, hop.mbps, path.mbps
+                )));
+            }
+            let link = u16::try_from(hop.link).map_err(|_| {
+                serde::Error::new(format!("link {} of {:?} out of range", hop.link, hop.trunk))
+            })?;
+            path.push(PackedHop::new(hop.trunk, link));
+        }
+        Ok(path)
+    }
 }
 
 /// The two reserved flows of one admitted VM.
@@ -94,20 +221,39 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
+/// The most a rack uplink trunk may carry: a rack's key in the bandwidth
+/// ordering holds its trunk's free Mb/s in the 48 bits above the rack id.
+/// (The paper's trunk is 3.2 × 10⁶ Mb/s.) Enforced by
+/// [`NetworkConfig::validate`] and by `Deserialize`.
+pub(crate) const MAX_RACK_TRUNK_MBPS: u64 = (1 << 48) - 1;
+
+/// `(free_mbps, Reverse(rack))` in one word: more bandwidth sorts higher,
+/// and among equals the lower rack id does.
+fn rack_key(free_mbps: u64, rack: u16) -> u64 {
+    debug_assert!(free_mbps <= MAX_RACK_TRUNK_MBPS);
+    (free_mbps << 16) | u64::from(!rack)
+}
+
+fn key_rack(key: u64) -> RackId {
+    RackId(!(key as u16))
+}
+
 /// The mutable network: one trunk per box and one per rack, plus two
 /// pieces of derived state kept coherent by the single private mutation
 /// funnel (`mutate`): an ordering of racks by free uplink bandwidth
 /// (so NALB's "modified BFS" reads its neighbour order instead of
 /// re-sorting every rack per probe) and per-layer running totals (so the
 /// world's per-event sampler reads three fields instead of every trunk).
+/// The ordering is one flat sorted array: a re-rank is two binary searches
+/// and a rotate of the entries in between, the walk a reverse slice scan.
 #[derive(Debug, Clone)]
 pub struct NetworkState {
     cfg: NetworkConfig,
     box_trunks: Vec<Trunk>,
     rack_trunks: Vec<Trunk>,
-    /// `(free_mbps, Reverse(rack))` ascending, so reverse iteration yields
+    /// Every rack's [`rack_key`], ascending, so reverse iteration yields
     /// NALB's neighbour order: descending bandwidth, ties to the lower id.
-    rack_bw: BTreeSet<(u64, Reverse<u16>)>,
+    rack_bw: Vec<u64>,
     /// Σ `used_mbps` over the box trunks.
     intra_used: u64,
     /// Σ `used_mbps` over the rack trunks.
@@ -144,12 +290,34 @@ impl NetworkState {
         }
     }
 
-    fn build_rack_bw(rack_trunks: &[Trunk]) -> BTreeSet<(u64, Reverse<u16>)> {
-        rack_trunks
+    fn build_rack_bw(rack_trunks: &[Trunk]) -> Vec<u64> {
+        let mut order: Vec<u64> = rack_trunks
             .iter()
             .enumerate()
-            .map(|(r, t)| (t.free_mbps(), Reverse(r as u16)))
-            .collect()
+            .map(|(r, t)| rack_key(t.free_mbps(), r as u16))
+            .collect();
+        order.sort_unstable();
+        order
+    }
+
+    /// Move `rack` from its place under `old` free bandwidth to its place
+    /// under `new`: keys are unique, so the old entry is found by binary
+    /// search, and only the entries between the two places shift.
+    fn rerank(order: &mut [u64], rack: u16, old: u64, new: u64) {
+        let from = order
+            .binary_search(&rack_key(old, rack))
+            .expect("every rack is ranked under its trunk's free bandwidth");
+        let key = rack_key(new, rack);
+        let to = if new > old {
+            let to = from + order[from + 1..].partition_point(|k| *k < key);
+            order[from..=to].rotate_left(1);
+            to
+        } else {
+            let to = order[..from].partition_point(|k| *k < key);
+            order[to..=from].rotate_right(1);
+            to
+        };
+        order[to] = key;
     }
 
     /// `[intra_used, inter_used, stranded]` summed over every trunk — what
@@ -198,8 +366,7 @@ impl NetworkState {
         self.stranded = self.stranded + (free_all_after - free_after) - (free_all - free);
         if let TrunkId::RackUplink(r) = id {
             if free_after != free {
-                self.rack_bw.remove(&(free, Reverse(r)));
-                self.rack_bw.insert((free_after, Reverse(r)));
+                Self::rerank(&mut self.rack_bw, r, free, free_after);
             }
         }
         out
@@ -238,7 +405,7 @@ impl NetworkState {
     /// lower rack id — NALB's modified-BFS neighbour order, read from the
     /// incremental ordering instead of sorting per probe.
     pub fn racks_by_free_bw_desc(&self) -> impl Iterator<Item = RackId> + '_ {
-        self.rack_bw.iter().rev().map(|&(_, Reverse(r))| RackId(r))
+        self.rack_bw.iter().rev().copied().map(key_rack)
     }
 
     /// Total free bandwidth on a box's uplink trunk (NALB's sort key).
@@ -251,27 +418,26 @@ impl NetworkState {
         self.rack_trunks[r.0 as usize].free_mbps()
     }
 
-    /// The trunks an `src → dst` flow must cross, in order.
-    fn path_trunks(cluster: &Cluster, src: BoxId, dst: BoxId) -> (Vec<TrunkId>, bool) {
+    /// The trunks an `src → dst` flow must cross, in order: the first
+    /// `len` entries of the array, and whether the path is inter-rack.
+    fn path_trunks(
+        cluster: &Cluster,
+        src: BoxId,
+        dst: BoxId,
+    ) -> ([TrunkId; MAX_HOPS], usize, bool) {
         let (ra, rb) = (cluster.rack_of(src), cluster.rack_of(dst));
+        let (a, b) = (TrunkId::BoxUplink(src.0), TrunkId::BoxUplink(dst.0));
         if src == dst {
             // Both endpoints in the same box: stays on the box's internal
             // electronic crossbar, no optical trunk crossed. (Cannot happen
             // with single-resource boxes, but the model stays total.)
-            (vec![], false)
+            ([a; MAX_HOPS], 0, false)
         } else if ra == rb {
-            (
-                vec![TrunkId::BoxUplink(src.0), TrunkId::BoxUplink(dst.0)],
-                false,
-            )
+            ([a, b, b, b], 2, false)
         } else {
             (
-                vec![
-                    TrunkId::BoxUplink(src.0),
-                    TrunkId::RackUplink(ra.0),
-                    TrunkId::RackUplink(rb.0),
-                    TrunkId::BoxUplink(dst.0),
-                ],
+                [a, TrunkId::RackUplink(ra.0), TrunkId::RackUplink(rb.0), b],
+                4,
                 true,
             )
         }
@@ -287,9 +453,9 @@ impl NetworkState {
         mbps: u64,
         policy: LinkPolicy,
     ) -> Result<FlowPath, NetError> {
-        let (trunks, inter_rack) = Self::path_trunks(cluster, src, dst);
-        let mut hops: Vec<HopGrant> = Vec::with_capacity(trunks.len());
-        for tid in trunks {
+        let (trunks, len, inter_rack) = Self::path_trunks(cluster, src, dst);
+        let mut path = FlowPath::new(mbps, inter_rack);
+        for &tid in &trunks[..len] {
             let trunk = self.trunk(tid);
             let link = match policy {
                 LinkPolicy::FirstFit => trunk.first_fit(mbps),
@@ -299,17 +465,11 @@ impl NetworkState {
                 Some(i) => {
                     let taken = self.trunk_take(tid, i, mbps);
                     debug_assert!(taken, "selected link was checked to fit");
-                    hops.push(HopGrant {
-                        trunk: tid,
-                        link: i,
-                        mbps,
-                    });
+                    // A trunk's width is a `u16`, at construction and on load.
+                    path.push(PackedHop::new(tid, i as u16));
                 }
                 None => {
-                    for h in &hops {
-                        self.trunk_give(h.trunk, h.link, h.mbps)
-                            .expect("rollback replays grants just taken");
-                    }
+                    self.give_back(path.packed(), mbps);
                     return Err(NetError::InsufficientBandwidth {
                         trunk: tid,
                         needed_mbps: mbps,
@@ -317,19 +477,23 @@ impl NetworkState {
                 }
             }
         }
-        Ok(FlowPath {
-            hops,
-            inter_rack,
-            mbps,
-        })
+        Ok(path)
+    }
+
+    /// Roll back hops taken a moment ago.
+    fn give_back(&mut self, hops: &[PackedHop], mbps: u64) {
+        for h in hops {
+            self.trunk_give(h.trunk(), usize::from(h.link), mbps)
+                .expect("rollback replays grants just taken");
+        }
     }
 
     /// Return every hop of a flow. Fails loudly (typed, state mostly
     /// untouched — hops before the bad one are already released) when a
     /// hop replay would over-release its link.
     pub fn release_flow(&mut self, path: &FlowPath) -> Result<(), NetError> {
-        for h in &path.hops {
-            self.trunk_give(h.trunk, h.link, h.mbps)?;
+        for h in path.packed() {
+            self.trunk_give(h.trunk(), usize::from(h.link), path.mbps)?;
         }
         Ok(())
     }
@@ -340,15 +504,12 @@ impl NetworkState {
     /// used). All-or-nothing: on failure every hop taken so far is rolled
     /// back.
     pub fn replay_flow(&mut self, path: &FlowPath) -> Result<(), NetError> {
-        for (i, h) in path.hops.iter().enumerate() {
-            if !self.trunk_take(h.trunk, h.link, h.mbps) {
-                for done in &path.hops[..i] {
-                    self.trunk_give(done.trunk, done.link, done.mbps)
-                        .expect("rollback replays grants just taken");
-                }
+        for (i, h) in path.packed().iter().enumerate() {
+            if !self.trunk_take(h.trunk(), usize::from(h.link), path.mbps) {
+                self.give_back(&path.packed()[..i], path.mbps);
                 return Err(NetError::InsufficientBandwidth {
-                    trunk: h.trunk,
-                    needed_mbps: h.mbps,
+                    trunk: h.trunk(),
+                    needed_mbps: path.mbps,
                 });
             }
         }
@@ -529,6 +690,14 @@ impl Deserialize for NetworkState {
         let cfg = NetworkConfig::from_value(serde::value::field(v, "cfg")?)?;
         let box_trunks = Vec::<Trunk>::from_value(serde::value::field(v, "box_trunks")?)?;
         let rack_trunks = Vec::<Trunk>::from_value(serde::value::field(v, "rack_trunks")?)?;
+        if let Some(r) = rack_trunks.iter().position(|t| {
+            let capacity = t.link_capacity_mbps().checked_mul(t.width() as u64);
+            capacity.is_none_or(|c| c > MAX_RACK_TRUNK_MBPS)
+        }) {
+            return Err(serde::Error::new(format!(
+                "rack trunk {r} exceeds {MAX_RACK_TRUNK_MBPS} Mb/s"
+            )));
+        }
         Ok(Self::assemble(cfg, box_trunks, rack_trunks))
     }
 }
@@ -562,7 +731,7 @@ mod tests {
             .alloc_flow(&c, BoxId(0), BoxId(2), 5_000, LinkPolicy::FirstFit)
             .unwrap();
         assert!(!f.inter_rack);
-        assert_eq!(f.hops.len(), 2);
+        assert_eq!(f.hops().len(), 2);
         assert_eq!(net.intra_used_mbps(), 10_000);
         assert_eq!(net.inter_used_mbps(), 0);
         net.release_flow(&f).unwrap();
@@ -577,7 +746,7 @@ mod tests {
             .alloc_flow(&c, BoxId(0), BoxId(8), 5_000, LinkPolicy::FirstFit)
             .unwrap();
         assert!(f.inter_rack);
-        assert_eq!(f.hops.len(), 4);
+        assert_eq!(f.hops().len(), 4);
         assert_eq!(net.intra_used_mbps(), 10_000);
         assert_eq!(net.inter_used_mbps(), 10_000);
         net.release_flow(&f).unwrap();
@@ -593,8 +762,12 @@ mod tests {
         let f2 = net
             .alloc_flow(&c, BoxId(0), BoxId(2), 50_000, LinkPolicy::FirstFit)
             .unwrap();
-        assert_eq!(f1.hops[0].link, 0);
-        assert_eq!(f2.hops[0].link, 0, "first-fit keeps filling link 0");
+        assert_eq!(f1.hops().next().unwrap().link, 0);
+        assert_eq!(
+            f2.hops().next().unwrap().link,
+            0,
+            "first-fit keeps filling link 0"
+        );
         let _ = (f1, f2);
     }
 
@@ -607,9 +780,10 @@ mod tests {
         let f2 = net
             .alloc_flow(&c, BoxId(0), BoxId(2), 50_000, LinkPolicy::MostAvailable)
             .unwrap();
-        assert_eq!(f1.hops[0].link, 0);
+        assert_eq!(f1.hops().next().unwrap().link, 0);
         assert_eq!(
-            f2.hops[0].link, 1,
+            f2.hops().next().unwrap().link,
+            1,
             "most-available moves to the emptier link"
         );
     }
@@ -757,7 +931,7 @@ mod tests {
         let f = net
             .alloc_flow(&c, BoxId(0), BoxId(0), 99_999, LinkPolicy::FirstFit)
             .unwrap();
-        assert!(f.hops.is_empty());
+        assert_eq!(f.hops().len(), 0);
         assert_eq!(net.intra_used_mbps(), 0);
     }
 
@@ -823,7 +997,7 @@ mod tests {
         let f = net
             .alloc_flow(&c, BoxId(0), BoxId(2), 5_000, LinkPolicy::FirstFit)
             .unwrap();
-        let hop = f.hops[0];
+        let hop = f.hops().next().unwrap();
         net.fail_link(hop.trunk, hop.link).unwrap();
         net.release_flow(&f).unwrap();
         net.check_invariants().unwrap();
@@ -873,7 +1047,7 @@ mod tests {
         let f = net
             .alloc_flow(&c, BoxId(0), BoxId(2), 0, LinkPolicy::FirstFit)
             .unwrap();
-        assert_eq!(f.hops.len(), 2);
+        assert_eq!(f.hops().len(), 2);
         assert_eq!(net.intra_used_mbps(), 0);
         net.release_flow(&f).unwrap();
     }

@@ -188,22 +188,20 @@ impl Trunk {
 
     /// Index of the **up** link with the most free bandwidth, provided it
     /// has at least `mbps` free (NALB link policy), or `None`. Ties break
-    /// to the lowest index for determinism.
+    /// to the lowest index for determinism: the first up link holding the
+    /// cached maximum.
     pub fn most_available(&self, mbps: u64) -> Option<usize> {
-        let (idx, &best) = self
-            .free
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| self.up[i])
-            .max_by(|(ia, a), (ib, b)| a.cmp(b).then(ib.cmp(ia)))?;
-        (best >= mbps).then_some(idx)
+        if self.max_free < mbps {
+            return None;
+        }
+        (0..self.free.len()).find(|&i| self.up[i] && self.free[i] == self.max_free)
     }
 
-    /// Reserve `mbps` on link `i`; `false` when the link is down or lacks
-    /// capacity (nothing is taken in either case).
+    /// Reserve `mbps` on link `i`; `false` when the link does not exist,
+    /// is down or lacks capacity (nothing is taken in any case).
     #[must_use]
     pub fn take(&mut self, i: usize, mbps: u64) -> bool {
-        if !self.up[i] || self.free[i] < mbps {
+        if i >= self.free.len() || !self.up[i] || self.free[i] < mbps {
             return false;
         }
         let was_max = self.free[i] == self.max_free;
@@ -302,6 +300,13 @@ impl Deserialize for Trunk {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let link_mbps = u64::from_value(serde::value::field(v, "link_mbps")?)?;
         let free = Vec::<u64>::from_value(serde::value::field(v, "free")?)?;
+        if free.len() > usize::from(u16::MAX) {
+            return Err(serde::Error::new(format!(
+                "a trunk holds at most {} links, got {}",
+                u16::MAX,
+                free.len()
+            )));
+        }
         if let Some((i, &f)) = free.iter().enumerate().find(|&(_, &f)| f > link_mbps) {
             return Err(serde::Error::new(format!(
                 "link {i} claims {f} Mb/s free of a {link_mbps} Mb/s link"
@@ -394,6 +399,10 @@ mod tests {
         let mut t = Trunk::new(1, 100);
         assert!(t.take(0, 100));
         assert!(!t.take(0, 1));
+        assert!(
+            !t.take(1, 0),
+            "a link past the width is refused, not indexed"
+        );
     }
 
     #[test]
@@ -464,6 +473,21 @@ mod tests {
         assert_eq!(t.max_link_free_mbps(), 30, "max recomputed over up links");
         t.restore_link(0).unwrap();
         assert_eq!(t.max_link_free_mbps(), 100);
+    }
+
+    /// Link indices travel as `u16`: a snapshot claiming a wider trunk is
+    /// refused where it enters.
+    #[test]
+    fn a_trunk_wider_than_u16_is_refused_on_load() {
+        let wide = |links: usize| {
+            serde::Value::Map(vec![
+                ("link_mbps".to_string(), 100u64.to_value()),
+                ("free".to_string(), vec![100u64; links].to_value()),
+            ])
+        };
+        assert_eq!(Trunk::from_value(&wide(65_535)).unwrap().width(), 65_535);
+        let err = Trunk::from_value(&wide(65_536)).unwrap_err();
+        assert!(err.to_string().contains("at most 65535 links"), "{err}");
     }
 
     #[test]

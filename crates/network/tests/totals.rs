@@ -1,15 +1,17 @@
-//! Property test for the network's running layer totals: under arbitrary
-//! interleavings of every mutation the crate exposes — including the
-//! refused ones, which must roll back — `intra_used_mbps`,
-//! `inter_used_mbps` and `stranded_mbps` equal the sums over every trunk,
-//! and `check_invariants` (which recomputes them too) holds, after each
-//! step and after a serde round-trip.
+//! Property test for the network's derived state — the running layer
+//! totals and the rack bandwidth ordering: under arbitrary interleavings
+//! of every mutation the crate exposes — including the refused ones,
+//! which must roll back — `intra_used_mbps`, `inter_used_mbps` and
+//! `stranded_mbps` equal the sums over every trunk,
+//! `racks_by_free_bw_desc` equals a sort of the racks by their trunks'
+//! free bandwidth, and `check_invariants` (which recomputes all of it
+//! too) holds, after each step and after a serde round-trip.
 
 use proptest::prelude::*;
 use risa_network::{
     FlowDemands, LinkPolicy, NetworkConfig, NetworkState, Trunk, TrunkId, VmNetAllocation,
 };
-use risa_topology::{BoxId, Cluster, TopologyConfig};
+use risa_topology::{BoxId, Cluster, RackId, TopologyConfig};
 use serde::{Deserialize, Serialize};
 
 /// Operations land on the cluster's last four racks (24 boxes), so trunks
@@ -87,8 +89,21 @@ fn naive_totals(cluster: &Cluster, net: &NetworkState) -> [u64; 3] {
     ]
 }
 
+/// NALB's neighbour order the slow way: every rack sorted by its trunk's
+/// free bandwidth, descending, ties to the lower id. Untouched racks all
+/// tie at full capacity, and flows of equal size make more ties.
+fn naive_rack_order(cluster: &Cluster, net: &NetworkState) -> Vec<RackId> {
+    let mut racks: Vec<RackId> = (0..cluster.num_racks()).map(RackId).collect();
+    racks.sort_by_key(|&r| (std::cmp::Reverse(net.rack_uplink_free_mbps(r)), r));
+    racks
+}
+
 fn assert_coherent(cluster: &Cluster, net: &NetworkState) -> Result<(), TestCaseError> {
     net.check_invariants().map_err(TestCaseError::fail)?;
+    prop_assert_eq!(
+        net.racks_by_free_bw_desc().collect::<Vec<_>>(),
+        naive_rack_order(cluster, net)
+    );
     prop_assert_eq!(
         [
             net.intra_used_mbps(),

@@ -528,6 +528,25 @@ pub(crate) struct FaultSnapshot {
     tombstones: Vec<u32>,
 }
 
+/// The terms of one flow's optical energy that depend only on whether the
+/// path is intra- or inter-rack, evaluated once per world.
+#[derive(Debug, Clone, Copy)]
+struct PathEnergy {
+    reconfiguration_j: f64,
+    trim_w: f64,
+    link_hops: u32,
+}
+
+impl PathEnergy {
+    fn new(model: &EnergyModel, path: &SwitchPath) -> Self {
+        PathEnergy {
+            reconfiguration_j: model.reconfiguration_energy_j(path),
+            trim_w: model.trim_power_w(path.total_path_cells()),
+            link_hops: path.link_hops,
+        }
+    }
+}
+
 /// The [`World`] implementation: owns all mutable simulation state.
 #[derive(Debug)]
 pub struct DdcWorld {
@@ -536,6 +555,8 @@ pub struct DdcWorld {
     pub(crate) scheduler: Scheduler,
     pub(crate) source: VmSource,
     energy: EnergyModel,
+    /// Indexed by "is inter-rack".
+    path_energy: [PathEnergy; 2],
     cfg: SimConfig,
     pub(crate) assignments: PerVmSlots<VmAssignment>,
     pub(crate) counters: Counters,
@@ -587,11 +608,22 @@ impl DdcWorld {
         let net = NetworkState::new(cfg.network, &cluster);
         let scheduler = Scheduler::new(algorithm, &cluster);
         let energy = EnergyModel::new(cfg.photonics);
+        let n = &cfg.network;
+        let intra = SwitchPath::intra_rack(n.box_switch_ports, n.rack_switch_ports);
+        let inter = SwitchPath::inter_rack(
+            n.box_switch_ports,
+            n.rack_switch_ports,
+            n.inter_rack_switch_ports,
+        );
         DdcWorld {
             cluster,
             net,
             scheduler,
             source,
+            path_energy: [
+                PathEnergy::new(&energy, &intra),
+                PathEnergy::new(&energy, &inter),
+            ],
             energy,
             cfg,
             assignments: PerVmSlots::new(),
@@ -903,19 +935,15 @@ impl DdcWorld {
     }
 
     /// Energy of one flow given whether it crossed racks (Eq. 1 + the
-    /// transceiver model), charged at admission for the known lifetime.
+    /// transceiver model), charged at admission for the known lifetime:
+    /// `EnergyModel::flow_total_energy_j`'s operations in its order — so
+    /// its bits — with the per-path terms read instead of rebuilt.
     fn flow_energy(&self, inter: bool, mbps: u64, lifetime_s: f64) -> f64 {
-        let n = &self.cfg.network;
-        let path = if inter {
-            SwitchPath::inter_rack(
-                n.box_switch_ports,
-                n.rack_switch_ports,
-                n.inter_rack_switch_ports,
-            )
-        } else {
-            SwitchPath::intra_rack(n.box_switch_ports, n.rack_switch_ports)
-        };
-        self.energy.flow_total_energy_j(&path, mbps, lifetime_s)
+        let path = &self.path_energy[usize::from(inter)];
+        (path.reconfiguration_j + path.trim_w * lifetime_s)
+            + self
+                .energy
+                .transceiver_energy_j(mbps, lifetime_s, path.link_hops)
     }
 
     fn on_arrival(&mut self, idx: u32, now: f64, ctx: &mut EventCtx<'_, SimEvent>) {
@@ -1444,6 +1472,63 @@ mod tests {
             w.assignments.slab.len(),
             w.peak_resident()
         );
+    }
+
+    /// Bytes per resident VM: one slab entry and one future-event-list
+    /// entry. Pinned so neither grows unnoticed (an assignment was 112 B
+    /// plus two heap blocks of hops before they moved inline).
+    #[test]
+    fn bytes_per_resident_are_pinned() {
+        assert!(
+            std::mem::size_of::<VmAssignment>() <= 128,
+            "VmAssignment is {} B",
+            std::mem::size_of::<VmAssignment>()
+        );
+        assert_eq!(
+            std::mem::size_of::<Option<VmAssignment>>(),
+            std::mem::size_of::<VmAssignment>(),
+            "a slab entry is a bare assignment"
+        );
+        assert_eq!(std::mem::size_of::<risa_des::QueueEntry<SimEvent>>(), 24);
+    }
+
+    /// The world's per-path energy terms give `flow_total_energy_j`'s
+    /// bits, for both paths, over sizes and lifetimes of every magnitude.
+    #[test]
+    fn flow_energy_has_the_models_bits() {
+        let w = DdcWorld::new(
+            SimConfig::paper(),
+            Algorithm::Risa,
+            Workload::synthetic(&SyntheticConfig::small(1, 1)),
+        );
+        let n = &w.cfg.network;
+        let paths = [
+            SwitchPath::intra_rack(n.box_switch_ports, n.rack_switch_ports),
+            SwitchPath::inter_rack(
+                n.box_switch_ports,
+                n.rack_switch_ports,
+                n.inter_rack_switch_ports,
+            ),
+        ];
+        for (inter, path) in [false, true].into_iter().zip(&paths) {
+            for mbps in [0, 1, 1_000, 5_000, 37_123, 160_000, u64::MAX / 3] {
+                for life in [
+                    0.0,
+                    1e-9,
+                    0.1 + 0.2,
+                    1.0,
+                    6_300.000_000_000_001,
+                    8.64e7,
+                    1e300,
+                ] {
+                    assert_eq!(
+                        w.flow_energy(inter, mbps, life).to_bits(),
+                        w.energy.flow_total_energy_j(path, mbps, life).to_bits(),
+                        "inter={inter} mbps={mbps} life={life}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -305,16 +305,16 @@ impl Cluster {
         self.index.next_rack_with_fit(kind, units, from)
     }
 
-    /// First rack with id ≥ `from` whose per-kind max-available boxes can
-    /// each host the whole `demand` (RISA's `INTRA_RACK_POOL` membership),
-    /// or `None`. O(log racks) on homogeneous state.
-    pub fn next_pool_rack(&self, demand: &UnitDemand, from: u16) -> Option<RackId> {
+    /// First rack with id in `[from, end)` whose per-kind max-available
+    /// boxes can each host the whole `demand` (RISA's `INTRA_RACK_POOL`
+    /// membership), or `None`. O(log racks) on homogeneous state.
+    pub fn next_pool_rack(&self, demand: &UnitDemand, from: u16, end: u16) -> Option<RackId> {
         let d = [
             demand.get(ResourceKind::Cpu),
             demand.get(ResourceKind::Ram),
             demand.get(ResourceKind::Storage),
         ];
-        self.index.next_pool_rack(&d, from)
+        self.index.next_pool_rack(&d, from, end)
     }
 
     /// The lowest-id box of `kind` in `rack` with at least `units` free

@@ -271,24 +271,31 @@ impl PlacementIndex {
     /// ≥ `units` free. Exact, O(log racks).
     pub fn next_rack_with_fit(&self, kind: ResourceKind, units: u32, from: u16) -> Option<RackId> {
         let k = kind.index();
-        self.descend(from as usize, |node| node[k] > units)
+        self.descend(from as usize, self.racks, |node| node[k] > units)
     }
 
-    /// First rack with id ≥ `from` able to host the whole `demand` in
-    /// single *live* boxes (RISA's `INTRA_RACK_POOL` membership test).
+    /// First rack with id in `[from, end)` able to host the whole `demand`
+    /// in single *live* boxes (RISA's `INTRA_RACK_POOL` membership test).
     /// Exact at leaves; internal nodes prune by per-kind fit keys.
-    pub fn next_pool_rack(&self, demand: &[u32; 3], from: u16) -> Option<RackId> {
-        self.descend(from as usize, |node| {
+    pub fn next_pool_rack(&self, demand: &[u32; 3], from: u16, end: u16) -> Option<RackId> {
+        self.descend(from as usize, end as usize, |node| {
             node[0] > demand[0] && node[1] > demand[1] && node[2] > demand[2]
         })
     }
 
-    /// Leftmost leaf ≥ `start` on which `pred` holds, among real racks.
-    fn descend(&self, start: usize, pred: impl Fn(&[u32; 3]) -> bool + Copy) -> Option<RackId> {
-        if start >= self.racks {
+    /// Leftmost leaf in `[start, end)` on which `pred` holds, among real
+    /// racks.
+    fn descend(
+        &self,
+        start: usize,
+        end: usize,
+        pred: impl Fn(&[u32; 3]) -> bool + Copy,
+    ) -> Option<RackId> {
+        let end = end.min(self.racks);
+        if start >= end {
             return None;
         }
-        self.descend_node(1, 0, self.cap, start, pred)
+        self.descend_node(1, 0, self.cap, start, end, pred)
     }
 
     fn descend_node(
@@ -297,17 +304,18 @@ impl PlacementIndex {
         lo: usize,
         hi: usize,
         start: usize,
+        end: usize,
         pred: impl Fn(&[u32; 3]) -> bool + Copy,
     ) -> Option<RackId> {
-        if hi <= start || !pred(&self.tree[node]) {
+        if hi <= start || lo >= end || !pred(&self.tree[node]) {
             return None;
         }
         if hi - lo == 1 {
-            return (lo < self.racks).then_some(RackId(lo as u16));
+            return Some(RackId(lo as u16));
         }
         let mid = (lo + hi) / 2;
-        self.descend_node(2 * node, lo, mid, start, pred)
-            .or_else(|| self.descend_node(2 * node + 1, mid, hi, start, pred))
+        self.descend_node(2 * node, lo, mid, start, end, pred)
+            .or_else(|| self.descend_node(2 * node + 1, mid, hi, start, end, pred))
     }
 
     /// Exhaustively cross-check every aggregate against `avail_of`.
@@ -393,9 +401,13 @@ mod tests {
             Some(RackId(1))
         );
         // Pool query needs all three kinds at once.
-        assert_eq!(idx.next_pool_rack(&[21, 21, 21], 0), Some(RackId(1)));
-        assert_eq!(idx.next_pool_rack(&[21, 31, 21], 0), Some(RackId(2)));
-        assert_eq!(idx.next_pool_rack(&[32, 0, 0], 0), None);
+        assert_eq!(idx.next_pool_rack(&[21, 21, 21], 0, 3), Some(RackId(1)));
+        assert_eq!(idx.next_pool_rack(&[21, 31, 21], 0, 3), Some(RackId(2)));
+        assert_eq!(idx.next_pool_rack(&[32, 0, 0], 0, 3), None);
+        // The upper bound is exclusive.
+        assert_eq!(idx.next_pool_rack(&[21, 21, 21], 0, 1), None);
+        assert_eq!(idx.next_pool_rack(&[0, 0, 0], 1, 1), None);
+        assert_eq!(idx.next_pool_rack(&[0, 0, 0], 1, 9), Some(RackId(1)));
     }
 
     #[test]

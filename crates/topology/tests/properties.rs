@@ -402,3 +402,55 @@ proptest! {
         c.check_invariants().map_err(TestCaseError::fail)?;
     }
 }
+
+/// Linear-scan reference for `next_pool_rack`: first rack in `[from, end)`
+/// holding, for every kind, a live box with that kind's demand free.
+fn pool_rack_scan(c: &Cluster, demand: &UnitDemand, from: u16, end: u16) -> Option<RackId> {
+    (from..end.min(c.num_racks())).map(RackId).find(|&r| {
+        ALL_RESOURCES.iter().all(|&k| {
+            c.boxes_in_rack(r, k)
+                .iter()
+                .any(|&b| !c.is_failed(b) && c.available(b) >= demand.get(k))
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// RISA's round-robin wrap searches `[from, n)` and then only
+    /// `[0, from)`. On random index states — boxes drained, pinned and
+    /// retracted with `remove_box` — the bounded query equals a linear
+    /// scan of its range, and the bounded wrap equals the unbounded one
+    /// (`[from, n)` then all of `[0, n)`).
+    #[test]
+    fn bounded_pool_search_matches_the_unbounded_wrap(
+        boxes in prop::collection::vec((0u8..108, 0u32..=128, any::<bool>()), 0..120),
+        probes in prop::collection::vec((0u16..=19, 0u16..=19, (0u32..=130, 0u32..=130, 0u32..=130)), 1..12),
+    ) {
+        let mut c = Cluster::new(TopologyConfig::paper());
+        for (b, available, retract) in boxes {
+            let id = BoxId(b as u32);
+            if c.is_failed(id) {
+                continue;
+            }
+            c.force_available(id, available);
+            if retract {
+                c.remove_box(id).unwrap();
+            }
+        }
+        c.check_invariants().map_err(TestCaseError::fail)?;
+        let n = c.num_racks();
+        for (from, end, (cpu, ram, sto)) in probes {
+            let d = UnitDemand::new(cpu, ram, sto);
+            prop_assert_eq!(
+                c.next_pool_rack(&d, from, end),
+                pool_rack_scan(&c, &d, from, end),
+                "next_pool_rack({:?}, {}, {}) diverged", d, from, end
+            );
+            let bounded = c.next_pool_rack(&d, from, n).or_else(|| c.next_pool_rack(&d, 0, from));
+            let unbounded = c.next_pool_rack(&d, from, n).or_else(|| c.next_pool_rack(&d, 0, n));
+            prop_assert_eq!(bounded, unbounded, "wrap from {} diverged for {:?}", from, d);
+        }
+    }
+}

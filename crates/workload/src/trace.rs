@@ -28,7 +28,7 @@
 //! adapters override [`ShardSource::span_units`] with the true last
 //! arrival.
 
-use crate::csv::{parse_row, CsvError, HEADER};
+use crate::csv::{parse_arrival, parse_row, CsvError, HEADER};
 use crate::shard::{ShardSource, SHARD_SIZE};
 use crate::vm::{VmRequest, Workload};
 use std::fs::File;
@@ -230,6 +230,40 @@ impl CsvFileShards {
     pub fn path(&self) -> &Path {
         &self.path
     }
+
+    /// Re-read shard `shard`: hand each of its data rows (trimmed, blank
+    /// lines skipped) and the row's 1-based place in the shard to `each`.
+    fn for_each_row(&self, shard: u32, mut each: impl FnMut(&str, usize)) {
+        let want = self.shard_range(shard).len();
+        let mut reader = BufReader::new(File::open(&self.path).unwrap_or_else(|e| {
+            panic!(
+                "trace file '{}' unreadable after open(): {e}",
+                self.path.display()
+            )
+        }));
+        reader
+            .seek(SeekFrom::Start(self.offsets[shard as usize]))
+            .unwrap_or_else(|e| panic!("seek in trace file '{}': {e}", self.path.display()));
+        let mut buf = String::new();
+        let mut rows = 0;
+        while rows < want {
+            buf.clear();
+            let n = reader
+                .read_line(&mut buf)
+                .unwrap_or_else(|e| panic!("read from trace file '{}': {e}", self.path.display()));
+            assert!(
+                n > 0,
+                "trace file '{}' truncated since open(): shard {shard} ended after {rows} of {want} rows",
+                self.path.display(),
+            );
+            let row = buf.trim();
+            if row.is_empty() {
+                continue;
+            }
+            rows += 1;
+            each(row, rows);
+        }
+    }
 }
 
 impl ShardSource for CsvFileShards {
@@ -242,46 +276,34 @@ impl ShardSource for CsvFileShards {
     }
 
     fn shard_vms(&self, shard: u32) -> (Vec<VmRequest>, f64) {
-        let range = self.shard_range(shard);
-        let want = range.len();
-        let mut reader = BufReader::new(File::open(&self.path).unwrap_or_else(|e| {
-            panic!(
-                "trace file '{}' unreadable after open(): {e}",
-                self.path.display()
-            )
-        }));
-        reader
-            .seek(SeekFrom::Start(self.offsets[shard as usize]))
-            .unwrap_or_else(|e| panic!("seek in trace file '{}': {e}", self.path.display()));
-        let mut vms = Vec::with_capacity(want);
-        let mut buf = String::new();
-        while vms.len() < want {
-            buf.clear();
-            let n = reader
-                .read_line(&mut buf)
-                .unwrap_or_else(|e| panic!("read from trace file '{}': {e}", self.path.display()));
-            assert!(
-                n > 0,
-                "trace file '{}' truncated since open(): shard {shard} ended after {} of {want} rows",
-                self.path.display(),
-                vms.len()
-            );
-            let row = buf.trim();
-            if row.is_empty() {
-                continue;
-            }
+        let mut vms = Vec::with_capacity(self.shard_range(shard).len());
+        self.for_each_row(shard, |row, nth| {
             // Line numbers are unknown on the re-read path; report the
             // shard-relative row instead.
-            let vm = parse_row(row, vms.len() + 1).unwrap_or_else(|e| {
+            vms.push(parse_row(row, nth).unwrap_or_else(|e| {
                 panic!(
                     "trace file '{}' changed since open(): shard {shard}, {e}",
                     self.path.display()
                 )
-            });
-            vms.push(vm);
-        }
+            }));
+        });
         // Absolute arrivals, zero delta total (see module docs).
         (vms, 0.0)
+    }
+
+    /// Only the arrival column is parsed: `open` validated every row, and
+    /// the queue-side cursor needs nothing else of them.
+    fn shard_arrivals(&self, shard: u32) -> (Vec<f64>, f64) {
+        let mut arrivals = Vec::with_capacity(self.shard_range(shard).len());
+        self.for_each_row(shard, |row, nth| {
+            arrivals.push(parse_arrival(row).unwrap_or_else(|| {
+                panic!(
+                    "trace file '{}' changed since open(): shard {shard}, row {nth} has no arrival",
+                    self.path.display()
+                )
+            }));
+        });
+        (arrivals, 0.0)
     }
 
     fn span_units(&self) -> f64 {
@@ -353,6 +375,35 @@ mod tests {
         assert_eq!(materialize(&shards), w.vms());
         let streamed: Vec<VmRequest> = StreamingShards::new(Arc::new(shards.clone())).collect();
         assert_eq!(streamed, *w.vms());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The arrival-only pass is bit-identical to the arrival column of the
+    /// full pass, for every shard, with blank lines scattered through the
+    /// file (one right at a shard boundary).
+    #[test]
+    fn csv_shard_arrivals_equal_the_arrival_column_of_shard_vms() {
+        let w = sample_workload(SHARD_SIZE * 2 + 50);
+        let mut csv = String::new();
+        for (i, line) in to_csv(&w).lines().enumerate() {
+            csv.push_str(line);
+            csv.push('\n');
+            if i % 97 == 0 || i == SHARD_SIZE as usize {
+                csv.push_str(if i % 2 == 0 { "\n" } else { "   \n" });
+            }
+        }
+        let path = temp_csv("arrivals", &csv);
+        let shards = CsvFileShards::open("disk", &path).unwrap();
+        assert_eq!(shards.num_shards(), 3);
+        for s in 0..shards.num_shards() {
+            let (vms, total) = shards.shard_vms(s);
+            let (arrivals, arrivals_total) = shards.shard_arrivals(s);
+            assert_eq!(total.to_bits(), arrivals_total.to_bits());
+            let column: Vec<u64> = vms.iter().map(|vm| vm.arrival.to_bits()).collect();
+            let bits: Vec<u64> = arrivals.iter().map(|a| a.to_bits()).collect();
+            assert_eq!(bits, column, "shard {s}");
+        }
+        assert_eq!(materialize(&shards), w.vms());
         std::fs::remove_file(&path).ok();
     }
 
