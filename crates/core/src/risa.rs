@@ -18,10 +18,11 @@
 //! 3. If the pool is empty or no pool rack can carry the flows, fall back
 //!    to NULB restricted to the `SUPER_RACK` — per resource, the racks
 //!    with a box that can host the VM's demand of it — dropping first when
-//!    some resource has no such rack. The `SUPER_RACK` is not built
-//!    either: membership, member counts and member totals are O(1)
-//!    placement-index queries ([`RackFilter::Admitting`]), so the fallback
-//!    does no per-rack work.
+//!    some resource has no such rack (read from the index's root before
+//!    the pool is searched: it empties the pool too). The `SUPER_RACK` is
+//!    not built either: membership, member counts and member totals are
+//!    O(1) placement-index queries ([`RackFilter::Admitting`]), so the
+//!    fallback does no per-rack work.
 
 use crate::algorithm::{DropReason, VmAssignment};
 use crate::nulb::{nulb_schedule, NulbParams, RackFilter, Scratch};
@@ -68,8 +69,8 @@ impl RisaState {
         let boxes = cluster.boxes_in_rack(rack, kind);
         if self.best_fit {
             // Best-fit: the box with the least availability that still
-            // fits; ties to the lower id. Served by the placement index's
-            // sorted availability set in O(log); the counter keeps the
+            // fits; ties to the lower id. The placement index scans the
+            // rack's fit keys (live boxes only); the counter keeps the
             // naive full-rack-scan cost model.
             work.boxes_scanned += boxes.len() as u64;
             let b = cluster.best_fit_in_rack(rack, kind, units)?;
@@ -179,9 +180,20 @@ impl RisaState {
         // per VM; the counter keeps charging that §4.2 cost model while
         // the successor queries below answer in O(log racks).
         work.racks_scanned += cluster.num_racks() as u64;
+        // A kind no rack admits empties the pool and the SUPER_RACK alike —
+        // the common case past saturation — and the placement index's root
+        // says so in O(1), before either is searched.
+        let feasible = ALL_RESOURCES
+            .iter()
+            .all(|&k| cluster.any_rack_admits(k, demand.get(k)));
         // Round-robin: start at the first pool rack ≥ the cursor (wrapping
         // to the lowest pool rack), then visit each pool member once.
-        if let Some(first) = self.pool_rack_from(cluster, demand, self.rr_cursor) {
+        let first = if feasible {
+            self.pool_rack_from(cluster, demand, self.rr_cursor)
+        } else {
+            None
+        };
+        if let Some(first) = first {
             let mut rack = first;
             loop {
                 if let Some(a) = self.try_rack(cluster, net, rack, demand, flows, work) {
@@ -197,15 +209,10 @@ impl RisaState {
         // Fallback: SUPER_RACK + NULB (Alg. 1's else branch). The seed
         // built the SUPER_RACK's three rack lists with another O(racks)
         // scan, charged here; the lists themselves are never built. An
-        // empty list is exactly "no rack admits that kind", which the
-        // placement index's root answers — the common case past
-        // saturation — and membership is `RackFilter::Admitting`'s live
-        // index query.
+        // empty list is exactly "no rack admits that kind", and membership
+        // is `RackFilter::Admitting`'s live index query.
         work.racks_scanned += cluster.num_racks() as u64;
-        if ALL_RESOURCES
-            .iter()
-            .any(|&k| cluster.next_rack_with_fit(k, demand.get(k), 0).is_none())
-        {
+        if !feasible {
             return Err(DropReason::Compute);
         }
         nulb_schedule(

@@ -477,6 +477,69 @@ fn infeasible_fast_path_matches_oracle() {
     }
 }
 
+/// RISA reads the index root for all three kinds *before* its pool search
+/// and charges both of the seed's O(racks) scans when a kind has no
+/// admitting rack; the oracle still scans for the pool, builds the
+/// `SUPER_RACK` and finds a list empty. A history in which storage — held
+/// by the last rack alone, three VMs' worth — runs out and comes back
+/// while every rack keeps CPU and RAM: the calls on either side of each
+/// flip, a zero-storage demand that must keep finding its pool rack while
+/// storage is "out", and, on 257 racks, a last rack that sits alone in its
+/// block on both upper levels of the index's tree.
+#[test]
+fn feasibility_first_matches_oracle_while_a_kind_runs_out() {
+    let (with_sto, no_sto) = (UnitDemand::new(2, 4, 2), UnitDemand::new(2, 4, 0));
+    for algo in [Algorithm::Risa, Algorithm::RisaBf] {
+        for racks in [18, 257] {
+            let what = |phase: &str| format!("{algo}, {racks} racks, {phase}");
+            let last = RackId(racks - 1);
+            let mut cluster = Cluster::new(scaled(racks));
+            drain_kind(&mut cluster, ResourceKind::Storage, 0, Some(last));
+            for b in cluster.boxes_in_rack(last, ResourceKind::Storage).to_vec() {
+                cluster.force_available(b, 3);
+            }
+            let net = NetworkState::new(NetworkConfig::paper(), &cluster);
+            let mut pair = Lockstep::new(algo, cluster, net);
+            let both_scans = 2 * racks as u64;
+
+            // Two boxes of 3 units: two VMs of 2 fit, one to a box.
+            let mut held = Vec::new();
+            for _ in 0..2 {
+                let (out, _) = pair.schedule(&what("storage left"), &with_sto);
+                let a = out.assigned().expect("storage left").clone();
+                assert!(a.intra_rack && !a.used_fallback, "{}", what("pool rack"));
+                held.push(a);
+            }
+            for round in 0..3 {
+                // Out of storage: dropped from the root, both scans charged,
+                // and the round-robin cursor and box cursors untouched — the
+                // zero-storage VMs in between land where the oracle's do.
+                for _ in 0..3 {
+                    let (out, scanned) = pair.schedule(&what("storage out"), &with_sto);
+                    assert_eq!(out, ScheduleOutcome::Dropped(DropReason::Compute));
+                    assert_eq!(scanned, both_scans, "{}", what("storage out"));
+                    let (out, scanned) = pair.schedule(&what("zero storage"), &no_sto);
+                    let a = out.assigned().expect("every rack is in the pool").clone();
+                    assert!(a.intra_rack && scanned == racks as u64);
+                    held.push(a);
+                }
+                // A departure brings storage back for exactly one VM.
+                let a = held.remove(held.iter().position(|a| demand_of(a) == with_sto).unwrap());
+                for (c, n) in [
+                    (&mut pair.cluster, &mut pair.net),
+                    (&mut pair.cluster_o, &mut pair.net_o),
+                ] {
+                    Scheduler::release(c, n, &a);
+                }
+                let (out, _) = pair.schedule(&what(&format!("round {round}")), &with_sto);
+                held.push(out.assigned().expect("storage is back").clone());
+            }
+            pair.cluster.check_invariants().expect("cluster invariants");
+            pair.net.check_invariants().expect("network invariants");
+        }
+    }
+}
+
 /// A deterministic per-box draw (SplitMix64's finalizer), so hand-built
 /// states are irregular without a generator to seed.
 fn mix(i: u64) -> u64 {

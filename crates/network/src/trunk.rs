@@ -223,7 +223,11 @@ impl Trunk {
     /// aggregates do not.
     pub fn give(&mut self, i: usize, mbps: u64) -> Result<(), TrunkError> {
         let free = *self.free.get(i).ok_or(TrunkError::NoSuchLink { link: i })?;
-        if free + mbps > self.link_mbps {
+        // `mbps` can come from a checkpoint's hop: no wrapping past the test.
+        if free
+            .checked_add(mbps)
+            .is_none_or(|sum| sum > self.link_mbps)
+        {
             return Err(TrunkError::OverRelease {
                 link: i,
                 freed_mbps: mbps,
@@ -421,6 +425,17 @@ mod tests {
         );
         assert_eq!(t.link_free_mbps(0), 70, "failed give must not mutate");
         assert_eq!(t.free_mbps(), 170);
+        // A release that would wrap `u64` is the same error, not a wrap (or,
+        // in debug, a panic).
+        assert!(matches!(
+            t.give(0, u64::MAX).unwrap_err(),
+            TrunkError::OverRelease {
+                freed_mbps: u64::MAX,
+                free_mbps: 70,
+                ..
+            }
+        ));
+        assert_eq!((t.link_free_mbps(0), t.free_mbps()), (70, 170));
         assert_eq!(
             t.give(9, 1).unwrap_err(),
             TrunkError::NoSuchLink { link: 9 }

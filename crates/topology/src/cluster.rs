@@ -1,7 +1,7 @@
 //! Mutable cluster state: unit-granular box accounting backed by the
 //! incremental [`PlacementIndex`], which keeps every per-rack and
-//! cross-rack aggregate (maxima, totals, sorted availability, rack
-//! successor queries) coherent on each `take`/`give` without rescans.
+//! cross-rack aggregate (maxima, totals, rack successor queries) coherent
+//! on each `take`/`give` without rescans.
 
 use crate::config::TopologyConfig;
 use crate::index::PlacementIndex;
@@ -130,20 +130,24 @@ impl VmPlacement {
     }
 }
 
-/// The whole disaggregated cluster: box table, per-rack indexes, and the
-/// incremental [`PlacementIndex`] serving every aggregate query.
+/// The whole disaggregated cluster: box table and the incremental
+/// [`PlacementIndex`] serving every aggregate query.
+///
+/// Box ids are rack-major and, within a rack, CPU → RAM → storage
+/// (`BoxMix::box_range`): a rack's boxes of a kind are a contiguous id
+/// range, which [`Cluster::new`] assigns and deserialization enforces.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     cfg: TopologyConfig,
     boxes: Vec<BoxState>,
-    /// Per rack, per kind: the global ids of that rack's boxes, ascending.
-    rack_boxes: Vec<[Vec<BoxId>; 3]>,
-    /// Incremental aggregates: per-rack maxima/totals, sorted availability
-    /// sets, and the rack segment tree (derived state, rebuilt on load).
-    /// Failed boxes carry no index entries.
+    /// Every box id, ascending: what [`Cluster::boxes_in_rack`] slices.
+    box_ids: Vec<BoxId>,
+    /// Incremental aggregates: per-box fit keys, per-rack maxima/totals
+    /// and the rack tree (derived state, rebuilt on load). Failed boxes
+    /// are retracted from it.
     index: PlacementIndex,
     /// Per box: true while the box is failed (offline). Failed boxes stay
-    /// in the box table and rack lists — scans still *visit* them, so the
+    /// in the box table and rack ranges — scans still *visit* them, so the
     /// seed's cost model is unchanged — but they are retracted from every
     /// aggregate and can never grant or accept units.
     failed: Vec<bool>,
@@ -178,34 +182,23 @@ impl Cluster {
         Cluster::from_parts(cfg, boxes, vec![false; n])
     }
 
-    /// Assemble a cluster around an explicit box table, rebuilding every
-    /// derived structure (per-rack id lists, totals, the placement index).
-    /// Failed boxes contribute to none of the aggregates. Shared by
-    /// [`Cluster::new`] and deserialization.
+    /// Assemble a cluster around an explicit box table in
+    /// [`Cluster::new`]'s layout, rebuilding every derived structure
+    /// (totals, the placement index). Failed boxes contribute to none of
+    /// the aggregates. Shared by [`Cluster::new`] and deserialization.
     fn from_parts(cfg: TopologyConfig, boxes: Vec<BoxState>, failed: Vec<bool>) -> Self {
         debug_assert_eq!(boxes.len(), failed.len());
-        let mut rack_boxes: Vec<[Vec<BoxId>; 3]> =
-            (0..cfg.racks).map(|_| Default::default()).collect();
         let mut totals_avail = [0u64; 3];
         let mut totals_cap = [0u64; 3];
-        for b in &boxes {
-            rack_boxes[b.rack.0 as usize][b.kind.index()].push(b.id);
-            if !failed[b.id.0 as usize] {
-                totals_avail[b.kind.index()] += b.available as u64;
-                totals_cap[b.kind.index()] += b.capacity as u64;
-            }
+        for b in boxes.iter().filter(|b| !failed[b.id.0 as usize]) {
+            totals_avail[b.kind.index()] += b.available as u64;
+            totals_cap[b.kind.index()] += b.capacity as u64;
         }
-        let index = PlacementIndex::build(
-            cfg.racks,
-            boxes
-                .iter()
-                .filter(|b| !failed[b.id.0 as usize])
-                .map(|b| (b.rack, b.kind, b.id, b.available)),
-        );
+        let index = PlacementIndex::build(cfg.racks, cfg.box_mix, live_avail(&boxes, &failed));
         Cluster {
             cfg,
+            box_ids: boxes.iter().map(|b| b.id).collect(),
             boxes,
-            rack_boxes,
             index,
             failed,
             totals_avail,
@@ -271,7 +264,7 @@ impl Cluster {
 
     /// Box ids of `kind` within `rack`, ascending.
     pub fn boxes_in_rack(&self, rack: RackId, kind: ResourceKind) -> &[BoxId] {
-        &self.rack_boxes[rack.0 as usize][kind.index()]
+        &self.box_ids[self.cfg.box_mix.box_range(rack, kind)]
     }
 
     /// Largest free-unit count among `rack`'s boxes of `kind` — RISA's
@@ -297,6 +290,14 @@ impl Cluster {
     /// placement index's key table, independent of the rack count.
     pub fn admitting_racks(&self, kind: ResourceKind, units: u32) -> (u32, u64) {
         self.index.admitting_racks(kind, units)
+    }
+
+    /// Whether any rack holds a live box of `kind` with at least `units`
+    /// free, i.e. whether [`Cluster::next_rack_with_fit`] from rack 0 would
+    /// find one. O(1): the placement index's root.
+    #[inline]
+    pub fn any_rack_admits(&self, kind: ResourceKind, units: u32) -> bool {
+        self.index.any_rack_admits(kind, units)
     }
 
     /// First rack with id ≥ `from` holding a single box of `kind` with
@@ -328,22 +329,19 @@ impl Cluster {
     }
 
     /// The fullest box of `kind` in `rack` that still fits `units`
-    /// (RISA-BF's best-fit; ties to the lower id). O(log boxes-per-rack).
+    /// (RISA-BF's best-fit; ties to the lower id). O(boxes-per-rack).
     pub fn best_fit_in_rack(&self, rack: RackId, kind: ResourceKind, units: u32) -> Option<BoxId> {
         self.index.best_fit(rack, kind, units)
     }
 
     /// Position of `box_id` within the id-ordered sequence of its kind's
     /// boxes — how many boxes a naive `boxes_of_kind` scan visits before
-    /// reaching it. O(boxes-per-rack).
+    /// reaching it. O(1).
     pub fn kind_position(&self, box_id: BoxId) -> u64 {
         let b = self.box_state(box_id);
+        let first_in_rack = self.cfg.box_mix.box_range(b.rack, b.kind).start as u64;
         let per_rack = self.cfg.box_mix.of(b.kind) as u64;
-        let offset = self.rack_boxes[b.rack.0 as usize][b.kind.index()]
-            .iter()
-            .position(|&x| x == box_id)
-            .expect("box listed in its rack") as u64;
-        b.rack.0 as u64 * per_rack + offset
+        b.rack.0 as u64 * per_rack + (box_id.0 as u64 - first_in_rack)
     }
 
     /// Whether `rack` holds a live box of `kind` with at least `units`
@@ -399,11 +397,10 @@ impl Cluster {
                 available: b.available,
             });
         }
-        let old = b.available;
         b.available -= units;
         let (rack, kind, new) = (b.rack, b.kind, b.available);
         self.totals_avail[kind.index()] -= units as u64;
-        self.index.update(rack, kind, box_id, old, new);
+        self.index.update(rack, kind, box_id, new);
         Ok(())
     }
 
@@ -416,18 +413,22 @@ impl Cluster {
         if self.failed[box_id.0 as usize] {
             return Err(AllocError::BoxFailed);
         }
-        if b.available + units > b.capacity {
+        // `units` can come from a checkpoint's assignment: no wrapping past
+        // the test.
+        if b.available
+            .checked_add(units)
+            .is_none_or(|sum| sum > b.capacity)
+        {
             return Err(AllocError::OverRelease {
                 returned: units,
                 available: b.available,
                 capacity: b.capacity,
             });
         }
-        let old = b.available;
         b.available += units;
         let (rack, kind, new) = (b.rack, b.kind, b.available);
         self.totals_avail[kind.index()] += units as u64;
-        self.index.update(rack, kind, box_id, old, new);
+        self.index.update(rack, kind, box_id, new);
         Ok(())
     }
 
@@ -457,11 +458,11 @@ impl Cluster {
 
     /// Mark `box_id` failed, incrementally retracting it from every
     /// aggregate the schedulers consult: its availability leaves the
-    /// per-rack sorted sets, totals, maxima, and the rack segment tree,
-    /// and its capacity leaves the cluster-wide capacity totals (the
-    /// retracted capacity is what the resilience metrics call *stranded*).
+    /// per-rack totals and maxima and the rack tree, and its capacity
+    /// leaves the cluster-wide capacity totals (the retracted capacity is
+    /// what the resilience metrics call *stranded*).
     ///
-    /// The box stays in the box table and rack lists with its availability
+    /// The box stays in the box table and rack ranges with its availability
     /// frozen — naive scans still visit it (the seed's cost model is
     /// unchanged) but must skip it via [`Cluster::is_failed`]. `take` and
     /// `give` on a failed box return [`AllocError::BoxFailed`]; callers
@@ -480,7 +481,7 @@ impl Cluster {
         self.failed[box_id.0 as usize] = true;
         self.totals_avail[b.kind.index()] -= b.available as u64;
         self.totals_cap[b.kind.index()] -= b.capacity as u64;
-        self.index.remove(b.rack, b.kind, b.id, b.available);
+        self.index.remove(b.rack, b.kind, b.id);
         Ok(())
     }
 
@@ -517,14 +518,14 @@ impl Cluster {
             "capacity above the supported maximum"
         );
         let b = &mut self.boxes[box_id.0 as usize];
-        let (rack, kind, old) = (b.rack, b.kind, b.available);
+        let (rack, kind) = (b.rack, b.kind);
         self.totals_cap[kind.index()] -= b.capacity as u64;
         self.totals_avail[kind.index()] -= b.available as u64;
         b.capacity = capacity_units;
         b.available = capacity_units;
         self.totals_cap[kind.index()] += capacity_units as u64;
         self.totals_avail[kind.index()] += capacity_units as u64;
-        self.index.update(rack, kind, box_id, old, capacity_units);
+        self.index.update(rack, kind, box_id, capacity_units);
     }
 
     /// Fixture hook: force one box's free units (≤ capacity). Used to load
@@ -536,11 +537,11 @@ impl Cluster {
         );
         let b = &mut self.boxes[box_id.0 as usize];
         assert!(available_units <= b.capacity, "availability above capacity");
-        let (rack, kind, old) = (b.rack, b.kind, b.available);
+        let (rack, kind) = (b.rack, b.kind);
         self.totals_avail[kind.index()] -= b.available as u64;
         b.available = available_units;
         self.totals_avail[kind.index()] += available_units as u64;
-        self.index.update(rack, kind, box_id, old, available_units);
+        self.index.update(rack, kind, box_id, available_units);
     }
 
     /// Debug invariant check: cached tables agree with the box table.
@@ -571,7 +572,8 @@ impl Cluster {
         }
         for rack in 0..self.cfg.racks {
             for kind in ALL_RESOURCES {
-                let expect = self.rack_boxes[rack as usize][kind.index()]
+                let expect = self
+                    .boxes_in_rack(RackId(rack), kind)
                     .iter()
                     .filter(|&&b| !self.failed[b.0 as usize])
                     .map(|&b| self.boxes[b.0 as usize].available)
@@ -582,19 +584,26 @@ impl Cluster {
                 }
             }
         }
-        self.index.check_against(
-            self.cfg.racks,
-            self.boxes
-                .iter()
-                .filter(|b| !self.failed[b.id.0 as usize])
-                .map(|b| (b.rack, b.kind, b.id, b.available)),
-        )
+        self.index
+            .check_against(live_avail(&self.boxes, &self.failed))
     }
 }
 
+/// Every box's availability in id order, `None` for a failed box: what the
+/// placement index is built from and checked against.
+fn live_avail<'a>(
+    boxes: &'a [BoxState],
+    failed: &'a [bool],
+) -> impl Iterator<Item = Option<u32>> + 'a {
+    boxes
+        .iter()
+        .zip(failed)
+        .map(|(b, &failed)| (!failed).then_some(b.available))
+}
+
 /// Clusters serialize as configuration plus box table; every derived
-/// structure (per-rack id lists, totals, the placement index) is rebuilt
-/// on load, so serialized state can never go stale against the index.
+/// structure (totals, the placement index) is rebuilt on load, so
+/// serialized state can never go stale against the index.
 impl Serialize for Cluster {
     fn to_value(&self) -> serde::Value {
         let failed_ids: Vec<u32> = self
@@ -620,6 +629,18 @@ impl Deserialize for Cluster {
         // deserialization error instead of a panic or silently broken
         // aggregates.
         cfg.validate().map_err(serde::Error::new)?;
+        if boxes.len() != cfg.total_boxes() as usize {
+            return Err(serde::Error::new(format!(
+                "box table holds {} boxes; the configuration says {}",
+                boxes.len(),
+                cfg.total_boxes()
+            )));
+        }
+        // `boxes_in_rack`, `kind_position` and the placement index read a
+        // rack's boxes of a kind as a range of ids — Cluster::new's
+        // rack-major, CPU → RAM → storage layout — so a table in any other
+        // order is refused, not merely one with the wrong counts.
+        let per_rack = cfg.box_mix.total() as usize;
         for (i, b) in boxes.iter().enumerate() {
             if b.id.0 as usize != i {
                 return Err(serde::Error::new(format!(
@@ -627,10 +648,15 @@ impl Deserialize for Cluster {
                     b.id
                 )));
             }
-            if b.rack.0 >= cfg.racks {
+            let rack = RackId((i / per_rack) as u16);
+            let kind = ALL_RESOURCES
+                .into_iter()
+                .find(|&kind| cfg.box_mix.box_range(rack, kind).contains(&i))
+                .expect("a rack's three ranges cover its ids");
+            if (b.rack, b.kind) != (rack, kind) {
                 return Err(serde::Error::new(format!(
-                    "{} names {} outside the {}-rack configuration",
-                    b.id, b.rack, cfg.racks
+                    "{} is a {} box of {}; the configuration's layout puts a {kind} box of {rack} there",
+                    b.id, b.kind, b.rack
                 )));
             }
             if b.available > b.capacity {
@@ -646,24 +672,6 @@ impl Deserialize for Cluster {
                     b.capacity,
                     TopologyConfig::MAX_BOX_UNITS
                 )));
-            }
-        }
-        // The schedulers assume the uniform rack-major layout Cluster::new
-        // produces (kind_position strides by box_mix, pick_box indexes
-        // non-empty lists); enforce it here too.
-        let mut counts = vec![[0u16; 3]; cfg.racks as usize];
-        for b in &boxes {
-            counts[b.rack.0 as usize][b.kind.index()] += 1;
-        }
-        for (r, per_kind) in counts.iter().enumerate() {
-            for kind in ALL_RESOURCES {
-                if per_kind[kind.index()] != cfg.box_mix.of(kind) {
-                    return Err(serde::Error::new(format!(
-                        "rack{r} holds {} {kind} boxes; the configuration says {}",
-                        per_kind[kind.index()],
-                        cfg.box_mix.of(kind)
-                    )));
-                }
             }
         }
         let mut failed = vec![false; boxes.len()];
@@ -755,6 +763,17 @@ mod tests {
         c.take(BoxId(0), 10).unwrap();
         let err = c.give(BoxId(0), 11).unwrap_err();
         assert!(matches!(err, AllocError::OverRelease { .. }));
+        // A release that would wrap `u32` is the same error, not a wrap (or,
+        // in debug, a panic), and nothing moves.
+        assert_eq!(
+            c.give(BoxId(0), u32::MAX).unwrap_err(),
+            AllocError::OverRelease {
+                returned: u32::MAX,
+                available: 118,
+                capacity: 128
+            }
+        );
+        assert_eq!(c.available(BoxId(0)), 118);
         c.check_invariants().unwrap();
     }
 
@@ -981,6 +1000,33 @@ mod tests {
         // A box the placement index's dense key table must not be sized by.
         let huge = json.replace("\"capacity\":128", "\"capacity\":4000000000");
         assert!(serde_json::from_str::<Cluster>(&huge).is_err());
+        // Right counts, wrong order: `boxes_in_rack`, `kind_position` and the
+        // placement index read a (rack, kind)'s boxes as an id range, so two
+        // boxes swapped across kinds (1 ↔ 2: rack 0's second CPU box and
+        // first RAM box) or across racks (5 ↔ 11: both second storage boxes)
+        // are refused by name.
+        let swapped = |a: u32, b: u32| {
+            let mut c = paper_cluster();
+            let (at_a, at_b) = (c.boxes[a as usize], c.boxes[b as usize]);
+            c.boxes[a as usize] = BoxState {
+                id: BoxId(a),
+                ..at_b
+            };
+            c.boxes[b as usize] = BoxState {
+                id: BoxId(b),
+                ..at_a
+            };
+            serde_json::from_str::<Cluster>(&serde_json::to_string(&c).unwrap())
+        };
+        let err = swapped(1, 2).unwrap_err().to_string();
+        assert!(err.contains("box1 is a RAM box of rack0"), "{err}");
+        let err = swapped(5, 11).unwrap_err().to_string();
+        assert!(err.contains("box5 is a STO box of rack1"), "{err}");
+        // A table of the wrong length is refused before any box is read.
+        let mut short = paper_cluster();
+        short.boxes.pop();
+        let json = serde_json::to_string(&short).unwrap();
+        assert!(serde_json::from_str::<Cluster>(&json).is_err());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Topology configuration reproducing Table 1 of the paper.
 
-use crate::resources::ResourceKind;
+use crate::resources::{RackId, ResourceKind};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Natural size of one brick unit per resource kind (Table 1, right column).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -78,6 +79,20 @@ impl BoxMix {
     /// Total boxes per rack.
     pub const fn total(&self) -> u16 {
         self.cpu + self.ram + self.storage
+    }
+
+    /// The global ids of `rack`'s boxes of `kind`. Ids are rack-major and,
+    /// within a rack, CPU → RAM → storage, so they are one contiguous
+    /// range: this is the layout [`Cluster::new`](crate::Cluster::new)
+    /// assigns, deserialization enforces, and the placement index scans.
+    pub(crate) const fn box_range(&self, rack: RackId, kind: ResourceKind) -> Range<usize> {
+        let before = match kind {
+            ResourceKind::Cpu => 0,
+            ResourceKind::Ram => self.cpu,
+            ResourceKind::Storage => self.cpu + self.ram,
+        };
+        let start = rack.0 as usize * self.total() as usize + before as usize;
+        start..start + self.of(kind) as usize
     }
 }
 
@@ -178,6 +193,11 @@ impl TopologyConfig {
         if self.racks == 0 {
             return Err("cluster must have at least one rack".into());
         }
+        // `BoxMix::total` and the id ranges built on it add in `u16`.
+        let mix = self.box_mix;
+        if mix.cpu as u32 + mix.ram as u32 + mix.storage as u32 > u16::MAX as u32 {
+            return Err("racks hold at most 65535 boxes".into());
+        }
         if self.box_mix.total() == 0 {
             return Err("racks must hold at least one box".into());
         }
@@ -259,6 +279,12 @@ mod tests {
 
         let mut c = TopologyConfig::paper();
         c.units.storage_gb_per_unit = 0;
+        assert!(c.validate().is_err());
+
+        // A mix whose sum leaves `u16` is refused, not wrapped (or, in
+        // debug, panicked on) by `total()`.
+        let mut c = TopologyConfig::paper();
+        (c.box_mix.cpu, c.box_mix.ram) = (40_000, 40_000);
         assert!(c.validate().is_err());
 
         // The placement index is dense in box availability.

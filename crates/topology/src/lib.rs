@@ -11,10 +11,10 @@
 //! * resource-kind/unit arithmetic ([`ResourceKind`], [`UnitDemand`]),
 //! * the mutable cluster state with unit-granular allocate/release
 //!   ([`Cluster`]),
-//! * the incremental [`PlacementIndex`] behind it: sorted per-rack
-//!   availability sets, per-rack totals, and a rack segment tree that
-//!   answer first-fit / best-fit / pool-successor queries in
-//!   O(log) instead of the seed's per-VM linear scans.
+//! * the incremental [`PlacementIndex`] behind it: per-box fit keys,
+//!   per-rack maxima and totals, and a wide rack tree that answer
+//!   first-fit / best-fit / pool-successor queries in O(log racks)
+//!   instead of the seed's per-VM linear scans.
 //!
 //! The network is deliberately **not** modelled here (see `risa-network`);
 //! schedulers combine both.

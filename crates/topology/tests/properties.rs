@@ -4,7 +4,8 @@
 
 use proptest::prelude::*;
 use risa_topology::{
-    AllocError, BoxId, Cluster, RackId, ResourceKind, TopologyConfig, UnitDemand, ALL_RESOURCES,
+    AllocError, BoxId, BoxMix, Cluster, RackId, ResourceKind, TopologyConfig, UnitDemand,
+    ALL_RESOURCES,
 };
 
 #[derive(Debug, Clone)]
@@ -121,8 +122,27 @@ fn assert_queries_match_scans(c: &Cluster, probe: u32) -> Result<(), TestCaseErr
                 from
             );
         }
+        for units in [0, probe] {
+            prop_assert_eq!(
+                c.any_rack_admits(kind, units),
+                next_rack_scan(c, kind, units, 0).is_some(),
+                "any_rack_admits({:?}, {}) diverged",
+                kind,
+                units
+            );
+        }
         for r in 0..c.num_racks() {
             let rack = RackId(r);
+            for units in [0, probe] {
+                prop_assert_eq!(
+                    c.rack_admits(rack, kind, units),
+                    next_rack_scan(c, kind, units, r) == Some(rack),
+                    "rack_admits({}, {:?}, {}) diverged",
+                    r,
+                    kind,
+                    units
+                );
+            }
             prop_assert_eq!(
                 c.best_fit_in_rack(rack, kind, probe),
                 best_fit_scan(c, rack, kind, probe),
@@ -241,11 +261,12 @@ proptest! {
 
     /// PR 7 acceptance battery (10k cases): under interleaved
     /// `take`/`give`/`remove_box`/`restore_box` sequences (and fixture
-    /// resizes), the sorted availability sets, per-rack totals, key table
-    /// and segment-tree maxima always equal a naive full recount
-    /// (`check_invariants` rebuilds the index from scratch and compares
-    /// all four), and `next_rack_with_fit` / `best_fit_in_rack` /
-    /// `admitting_racks` agree with linear scans over the live box table.
+    /// resizes), the box keys, per-rack totals, key table and rack-tree
+    /// maxima always equal a naive full recount (`check_invariants`
+    /// rebuilds the index from scratch and compares all four), and
+    /// `next_rack_with_fit` / `best_fit_in_rack` / `admitting_racks` /
+    /// `rack_admits` / `any_rack_admits` agree with linear scans over the
+    /// live box table.
     #[test]
     fn removal_battery_matches_naive_recount(
         ops in prop::collection::vec(churn_op_strategy(), 1..14),
@@ -451,6 +472,191 @@ proptest! {
             let bounded = c.next_pool_rack(&d, from, n).or_else(|| c.next_pool_rack(&d, 0, from));
             let unbounded = c.next_pool_rack(&d, from, n).or_else(|| c.next_pool_rack(&d, 0, n));
             prop_assert_eq!(bounded, unbounded, "wrap from {} diverged for {:?}", from, d);
+        }
+    }
+}
+
+/// The placement index's rack-tree fan-out (`index.rs`'s private `F`). The
+/// tree-shape battery's rack counts sit on both sides of one full block
+/// and of one full second level; keep this equal to it.
+const F: u16 = 16;
+
+/// One step of the tree-shape battery. `near` picks a box a few racks at
+/// most past the case's anchor box, so a case's steps keep landing on the
+/// same racks and move their maxima up *and* back down.
+#[derive(Debug, Clone)]
+enum ShapeOp {
+    Take { near: u32, units: u32 },
+    Give { near: u32, units: u32 },
+    Remove { near: u32 },
+    Restore { near: u32 },
+}
+
+fn shape_op_strategy() -> impl Strategy<Value = ShapeOp> {
+    prop_oneof![
+        3 => (0u32..12, 0u32..=8).prop_map(|(near, units)| ShapeOp::Take { near, units }),
+        3 => (0u32..12, 0u32..=8).prop_map(|(near, units)| ShapeOp::Give { near, units }),
+        1 => (0u32..12).prop_map(|near| ShapeOp::Remove { near }),
+        1 => (0u32..12).prop_map(|near| ShapeOp::Restore { near }),
+    ]
+}
+
+/// Successor, pool (bounded and wrapped), admission and best-fit queries
+/// against their linear scans, from racks on both sides of every block
+/// boundary the cluster has and around `near` (where the steps land).
+fn assert_tree_queries_match_scans(
+    c: &Cluster,
+    near: RackId,
+    demands: &[UnitDemand],
+) -> Result<(), TestCaseError> {
+    let n = c.num_racks();
+    let mut froms = vec![0, near.0, near.0 + 1, F - 1, F, F * F - 1, F * F, n - 1, n];
+    froms.retain(|&from| from <= n);
+    for d in demands {
+        for kind in ALL_RESOURCES {
+            for &from in &froms {
+                prop_assert_eq!(
+                    c.next_rack_with_fit(kind, d.get(kind), from),
+                    next_rack_scan(c, kind, d.get(kind), from),
+                    "next_rack_with_fit({:?}, {}, {}) diverged on {} racks",
+                    kind,
+                    d.get(kind),
+                    from,
+                    n
+                );
+            }
+            prop_assert_eq!(
+                c.admitting_racks(kind, d.get(kind)),
+                admitting_racks_scan(c, kind, d.get(kind))
+            );
+            prop_assert_eq!(
+                c.any_rack_admits(kind, d.get(kind)),
+                next_rack_scan(c, kind, d.get(kind), 0).is_some()
+            );
+            for rack in [RackId(0), near, RackId(n - 1)] {
+                prop_assert_eq!(
+                    c.rack_admits(rack, kind, d.get(kind)),
+                    next_rack_scan(c, kind, d.get(kind), rack.0) == Some(rack)
+                );
+                prop_assert_eq!(
+                    c.best_fit_in_rack(rack, kind, d.get(kind)),
+                    best_fit_scan(c, rack, kind, d.get(kind))
+                );
+            }
+        }
+        for &from in &froms {
+            for end in [n, near.0 + 1] {
+                prop_assert_eq!(
+                    c.next_pool_rack(d, from, end),
+                    pool_rack_scan(c, d, from, end),
+                    "next_pool_rack({:?}, {}, {}) diverged on {} racks",
+                    d,
+                    from,
+                    end,
+                    n
+                );
+            }
+            // RISA's wrap: `[from, n)`, then the racks below `from`.
+            prop_assert_eq!(
+                c.next_pool_rack(d, from, n)
+                    .or_else(|| c.next_pool_rack(d, 0, from)),
+                pool_rack_scan(c, d, from, n).or_else(|| pool_rack_scan(c, d, 0, from)),
+                "wrapped pool search from {} diverged for {:?} on {} racks",
+                from,
+                d,
+                n
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every tree shape: one rack (the leaf is the root), a partial, a
+    /// full and a just-overfull block, the same one level up, and the
+    /// benchmark's 720 racks — each with 1, 2 and unequal boxes a kind.
+    /// Boxes hold 8 units and start level at a drawn plateau, so a single
+    /// `give` lifts a box above every other in the cluster (the root
+    /// moves) and the `take` after it shrinks the box that *was* the
+    /// maximum (its range and blocks are rescanned). After every take /
+    /// give / `remove_box` / `restore_box` the index equals its rebuild
+    /// and every query its linear scan; then a whole rack and the whole
+    /// cluster go dark, where a zero-unit demand must find nothing.
+    #[test]
+    fn index_matches_scans_at_every_tree_shape(
+        anchor in any::<u32>(),
+        plateau in (0u32..=8, 0u32..=8, 0u32..=8),
+        probe in (0u32..=9, 0u32..=9, 0u32..=9),
+        ops in prop::collection::vec(shape_op_strategy(), 1..24),
+    ) {
+        let plateau = UnitDemand::new(plateau.0, plateau.1, plateau.2);
+        let demands = [
+            UnitDemand::ZERO,
+            UnitDemand::new(probe.0, probe.1, probe.2),
+            plateau,
+            UnitDemand::new(
+                plateau.get(ResourceKind::Cpu) + 1,
+                plateau.get(ResourceKind::Ram) + 1,
+                plateau.get(ResourceKind::Storage) + 1,
+            ),
+        ];
+        for racks in [1, F - 1, F, F + 1, F * F, F * F + 1, 720] {
+            for (cpu, ram, storage) in [(1, 1, 1), (2, 2, 2), (3, 1, 2)] {
+                let mut c = Cluster::new(TopologyConfig {
+                    racks,
+                    box_mix: BoxMix { cpu, ram, storage },
+                    bricks_per_box: 1,
+                    units_per_brick: 8,
+                    ..TopologyConfig::paper()
+                });
+                let num_boxes = c.num_boxes() as u32;
+                for b in (0..num_boxes).map(BoxId) {
+                    c.force_available(b, plateau.get(c.kind_of(b)));
+                }
+                let anchor = anchor % num_boxes;
+                let near_rack = c.rack_of(BoxId(anchor));
+                for op in &ops {
+                    // Refusals (a failed box, too few or too many units, a
+                    // second failure or repair) leave the state as it was:
+                    // the other batteries pin that; here they are no-ops.
+                    let target = |near: u32| BoxId((anchor + near) % num_boxes);
+                    let _ = match *op {
+                        ShapeOp::Take { near, units } => c.take(target(near), units),
+                        ShapeOp::Give { near, units } => c.give(target(near), units),
+                        ShapeOp::Remove { near } => c.remove_box(target(near)),
+                        ShapeOp::Restore { near } => c.restore_box(target(near)),
+                    };
+                    c.check_invariants().map_err(TestCaseError::fail)?;
+                    assert_tree_queries_match_scans(&c, near_rack, &demands)?;
+                }
+                // The anchor's rack goes dark, then every rack: no demand,
+                // not even of zero units, is admitted by a rack (or a
+                // cluster) without a live box.
+                let dark = |c: &mut Cluster, rack: RackId| {
+                    for kind in ALL_RESOURCES {
+                        for b in c.boxes_in_rack(rack, kind).to_vec() {
+                            if !c.is_failed(b) {
+                                c.remove_box(b).unwrap();
+                            }
+                        }
+                    }
+                };
+                dark(&mut c, near_rack);
+                c.check_invariants().map_err(TestCaseError::fail)?;
+                prop_assert!(!c.rack_fits(near_rack, &UnitDemand::ZERO));
+                assert_tree_queries_match_scans(&c, near_rack, &demands)?;
+                for rack in (0..racks).map(RackId) {
+                    dark(&mut c, rack);
+                }
+                c.check_invariants().map_err(TestCaseError::fail)?;
+                for kind in ALL_RESOURCES {
+                    prop_assert!(!c.any_rack_admits(kind, 0));
+                    prop_assert_eq!(c.admitting_racks(kind, 0), (0, 0));
+                }
+                assert_tree_queries_match_scans(&c, near_rack, &demands)?;
+            }
         }
     }
 }

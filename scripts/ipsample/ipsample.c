@@ -7,29 +7,44 @@
  *
  * The constructor arms ITIMER_REAL (ITIMER_PROF is tick-bound to ~250
  * samples/s on this kernel) at 250 us and the SIGALRM handler records the
- * interrupted RIP; the destructor writes /proc/self/maps, a `--samples--`
- * line and one hex address per line to $PROF_OUT. Without PROF_OUT the
+ * interrupted RIP and the id of the thread it interrupted; the destructor
+ * writes /proc/self/maps, a `--samples-- <main thread id>` line and one
+ * `<hex address> <thread id>` per line to $PROF_OUT. Without PROF_OUT the
  * library does nothing. x86-64 Linux only.
+ *
+ * The timer is wall-clock and the signal is process-directed: the kernel
+ * hands it to the main thread whenever that thread has it unblocked, asleep
+ * or not. A main thread parked in a futex while other threads work is
+ * therefore sampled *in the futex call* — time waiting, not kernel time —
+ * which symbolize.py labels per thread.
  */
 #define _GNU_SOURCE
 #include <signal.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <sys/mman.h>
+#include <sys/syscall.h>
 #include <sys/time.h>
 #include <ucontext.h>
+#include <unistd.h>
 
 #define MAX_SAMPLES (1u << 22) /* 17 minutes at 250 us */
 #define PERIOD_US 250
 
-static unsigned long *samples;
+static struct sample {
+    unsigned long ip;
+    long tid;
+} *samples;
 static volatile unsigned long count;
 
 static void on_alarm(int sig, siginfo_t *info, void *ctx) {
     (void)sig;
     (void)info;
-    if (count < MAX_SAMPLES)
-        samples[count++] = ((ucontext_t *)ctx)->uc_mcontext.gregs[REG_RIP];
+    if (count < MAX_SAMPLES) {
+        /* A raw system call: async-signal-safe, no TLS. */
+        samples[count].tid = syscall(SYS_gettid);
+        samples[count++].ip = ((ucontext_t *)ctx)->uc_mcontext.gregs[REG_RIP];
+    }
 }
 
 static void set_timer(long usec) {
@@ -63,8 +78,9 @@ __attribute__((destructor)) static void ipsample_stop(void) {
     char line[4096];
     while (fgets(line, sizeof line, maps))
         fputs(line, out);
-    fputs("--samples--\n", out);
+    /* The main thread's id is the process id. */
+    fprintf(out, "--samples-- %ld\n", (long)getpid());
     for (unsigned long i = 0; i < count; i++)
-        fprintf(out, "%lx\n", samples[i]);
+        fprintf(out, "%lx %ld\n", samples[i].ip, samples[i].tid);
     fclose(out);
 }

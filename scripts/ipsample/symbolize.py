@@ -16,8 +16,16 @@ bucketed by the nearest preceding `nm -D` symbol. A bucket far past its
 symbol is printed as `symbol+0x1b000`: the code there is a function the
 dynamic table does not list (on glibc the memmove/memset variants picked
 at load time sit behind `__nss_database_lookup`, malloc's internals behind
-`__default_morecore`). Standard library only; needs binutils' addr2line
-and nm on PATH.
+`__default_morecore`).
+
+The sampler's clock is wall time, so a thread asleep in the kernel is
+sampled too, at the libc call it sleeps in (Rust's parking is `syscall`
+with `SYS_futex`). Those buckets are printed as `[waiting] syscall
+[libc.so.6]` and a first table splits every sampled thread's samples into
+running and waiting — on a run whose main thread parks while pool workers
+generate the trace, that share is the main thread waiting for them, not
+kernel time. Standard library only; needs binutils' addr2line and nm on
+PATH.
 """
 
 import argparse
@@ -27,22 +35,31 @@ import subprocess
 import sys
 
 
+# libc entry points a thread blocks in rather than works in.
+WAITING = {"syscall", "pthread_cond_wait", "pthread_cond_timedwait", "pthread_cond_clockwait",
+           "nanosleep", "clock_nanosleep", "poll", "ppoll", "epoll_wait", "sched_yield"}
+
+
 def read_profile(path):
-    """Returns (executable file mappings as (start, end, offset, file), samples)."""
-    maps, samples, in_samples = [], [], False
+    """Returns (file mappings as (start, end, offset, executable, file), samples
+    as (address, thread id), the main thread's id). A profile written before
+    the sampler recorded threads reads as one thread, 0."""
+    maps, samples, in_samples, main_tid = [], [], False, 0
     with open(path) as f:
         for line in f:
             line = line.strip()
-            if line == "--samples--":
+            if line.startswith("--samples--"):
                 in_samples = True
+                main_tid = int(line.split()[1]) if " " in line else 0
             elif in_samples:
-                samples.append(int(line, 16))
+                ip, _, tid = line.partition(" ")
+                samples.append((int(ip, 16), int(tid or 0)))
             else:
                 parts = line.split(None, 5)
                 if len(parts) == 6 and parts[5].startswith("/"):
                     start, end = (int(x, 16) for x in parts[0].split("-"))
                     maps.append((start, end, int(parts[2], 16), "x" in parts[1], parts[5]))
-    return maps, samples
+    return maps, samples, main_tid
 
 
 def load_base(maps, path):
@@ -99,6 +116,21 @@ def short(name):
     return "".join(kept).replace("::::", "::") or name
 
 
+def thread_table(samples, waiting_ips, main_tid):
+    """One row per sampled thread: its share of the samples, and how that
+    share splits into running and waiting."""
+    per_thread = collections.defaultdict(lambda: [0, 0])
+    for ip, tid in samples:
+        per_thread[tid][ip in waiting_ips] += 1
+    print(f"\n== threads ({len(samples)} samples; the timer's signal goes to the main thread "
+          "unless it blocks it) ==")
+    print(" share  samples  running  waiting  thread")
+    for tid, (running, waiting) in sorted(per_thread.items(), key=lambda kv: -sum(kv[1])):
+        n = running + waiting
+        print(f"{100 * n / len(samples):6.2f}%  {n:7d}  {100 * running / n:6.2f}%  "
+              f"{100 * waiting / n:6.2f}%  {tid}{' (main)' if tid == main_tid else ''}")
+
+
 def table(title, counter, total, top):
     print(f"\n== {title} ({total} samples) ==")
     for name, n in counter.most_common(top):
@@ -111,12 +143,13 @@ def main():
     ap.add_argument("--top", type=int, default=25)
     args = ap.parse_args()
 
-    maps, samples = read_profile(args.profile)
+    maps, samples, main_tid = read_profile(args.profile)
     if not samples:
         sys.exit("symbolize: the profile holds no samples")
     by_file = collections.defaultdict(list)
     unmapped = 0
-    for ip in samples:
+    waiting_ips = set()
+    for ip, _ in samples:
         for start, end, _, executable, path in maps:
             if executable and start <= ip < end:
                 by_file[path].append(ip)
@@ -145,6 +178,9 @@ def main():
                 else:
                     page = (addr - symbols[i][0]) & ~0xFFF
                     name = f"{symbols[i][1]}{f'+{page:#x}' if page else ''} [{lib}]"
+                    if not page and symbols[i][1] in WAITING:
+                        name = f"[waiting] {name}"
+                        waiting_ips.add(addr + base)
                 outer[name] += n
                 leaf[name] += n
                 chain_rows[name] += n
@@ -155,6 +191,7 @@ def main():
             chain_rows[" <- ".join(reversed(names))] += n
 
     total = len(samples)
+    thread_table(samples, waiting_ips, main_tid)
     table("outermost function", outer, total, args.top)
     table("leaf (innermost inlined function, file:line)", leaf, total, args.top)
     table("inline chain, outermost first", chain_rows, total, args.top)
