@@ -142,7 +142,8 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             let report = SimulationBuilder::new()
                 .algorithm(algo)
                 .workload(WorkloadSpec::Trace(w))
-                .build()
+                .try_build()
+                .map_err(|e| e.to_string())?
                 .run();
             emit(&report, json)
         }

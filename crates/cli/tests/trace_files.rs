@@ -1,0 +1,137 @@
+//! A trace the CLI cannot run is an `error:` line and exit code 1 — on
+//! both arrival pipelines, with the same words — never a panic and never
+//! a run.
+//!
+//! Covers the input boundary `run --workload <file.csv>` and `replay
+//! --trace <file.json>` cross: a missing file, a bad header, a bad row
+//! (line number intact), and ids that are not the rows' ranks (which the
+//! default pipeline used to run to exit 0, placing each arrival as some
+//! other row's VM).
+
+use std::path::PathBuf;
+use std::process::Command;
+
+const BIN: &str = env!("CARGO_BIN_EXE_risa-cli");
+const HEADER: &str = "id,cpu_cores,ram_gb,storage_gb,arrival,lifetime";
+
+fn temp(tag: &str, contents: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!("risa_cli_{}_{tag}", std::process::id()));
+    std::fs::write(&path, contents).unwrap();
+    path
+}
+
+/// Run the CLI; returns (exit code, stdout, stderr).
+fn cli(args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(BIN)
+        .args(args)
+        .env_remove("RISA_ARRIVALS")
+        .env_remove("RISA_FAULTS")
+        .output()
+        .expect("spawn risa-cli");
+    (
+        out.status.code(),
+        String::from_utf8(out.stdout).unwrap(),
+        String::from_utf8(out.stderr).unwrap(),
+    )
+}
+
+/// `run --workload <path>` must fail, identically on both pipelines, with
+/// `want` in its one `error:` line.
+fn refused(path: &str, want: &str) {
+    let runs = ["materialized", "streaming"]
+        .map(|mode| cli(&["run", "--workload", path, "--arrivals", mode, "--json"]));
+    for (code, stdout, stderr) in &runs {
+        assert_eq!(*code, Some(1), "{path}: {stderr}");
+        assert_eq!(stdout, "", "{path}: a refused trace must not report");
+        assert!(!stderr.contains("panicked"), "{path}: {stderr}");
+        let error: Vec<_> = stderr
+            .lines()
+            .filter(|l| l.starts_with("error: "))
+            .collect();
+        assert_eq!(error.len(), 1, "{path}: {stderr}");
+        assert!(
+            error[0].contains(want),
+            "{path}: want '{want}' in '{}'",
+            error[0]
+        );
+    }
+    assert_eq!(
+        runs[0].2, runs[1].2,
+        "{path}: the pipelines word it differently"
+    );
+}
+
+#[test]
+fn missing_file_is_an_error_line() {
+    refused(
+        "/nonexistent/risa/cli.csv",
+        "cannot read trace file '/nonexistent/risa/cli.csv'",
+    );
+}
+
+#[test]
+fn bad_header_and_bad_row_name_the_defect() {
+    let path = temp("header.csv", "id,cores\n0,1,2,128,1.0,10\n");
+    refused(path.to_str().unwrap(), "bad CSV header");
+    std::fs::remove_file(&path).ok();
+
+    let rows = "0,1,2,128,1.0,10\n\n1,1,2,128,2.0,10\n2,1,2,128,nope,10\n";
+    let path = temp("row.csv", &format!("{HEADER}\n{rows}"));
+    refused(
+        path.to_str().unwrap(),
+        "line 5: cannot parse column 'arrival'",
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn ids_that_are_not_ranks_are_refused() {
+    for (tag, rows, want) in [
+        (
+            "swapped.csv",
+            "1,1,2,128,1.0,10\n0,1,2,128,2.0,10\n",
+            "line 2: VM ids must be dense and in order (expected 0, found 1)",
+        ),
+        (
+            "sparse.csv",
+            "0,1,2,128,1.0,10\n9,1,2,128,2.0,10\n",
+            "line 3: VM ids must be dense and in order (expected 1, found 9)",
+        ),
+        (
+            "dup.csv",
+            "0,1,2,128,1.0,10\n0,1,2,128,2.0,10\n",
+            "line 3: VM ids must be dense and in order (expected 1, found 0)",
+        ),
+    ] {
+        let path = temp(tag, &format!("{HEADER}\n{rows}"));
+        refused(path.to_str().unwrap(), want);
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// The JSON side of the same boundary: `replay` of a trace whose ids were
+/// edited reports it instead of panicking in the builder.
+#[test]
+fn replay_of_a_non_dense_json_trace_is_an_error_line() {
+    let vm = |id: u32, arrival: f64| {
+        format!(
+            "{{\"id\":{id},\"cpu_cores\":1,\"ram_gb\":2,\"storage_gb\":128,\
+             \"arrival\":{arrival:?},\"lifetime\":10.0}}"
+        )
+    };
+    let json = format!(
+        "{{\"name\":\"edited\",\"vms\":[{},{}]}}",
+        vm(1, 1.0),
+        vm(0, 2.0)
+    );
+    let path = temp("swapped.json", &json);
+    let (code, stdout, stderr) = cli(&["replay", "--trace", path.to_str().unwrap(), "--json"]);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(code, Some(1), "{stderr}");
+    assert_eq!(stdout, "");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        stderr.contains("error: workload 'edited': VM ids must be dense and in order"),
+        "{stderr}"
+    );
+}

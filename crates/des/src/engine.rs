@@ -145,25 +145,12 @@ impl<W: World> Simulation<W> {
         self.queue.push(at, event);
     }
 
-    /// Load a time-sorted batch of events into the queue's static lane
-    /// (see [`EventQueue::preload_sorted`]). Delivery order is exactly as
-    /// if every event had been [`Simulation::schedule`]d here — but the
+    /// Load the queue's arrival lane (see
+    /// [`EventQueue::attach_arrivals`]). Delivery order is exactly as if
+    /// every arrival had been [`Simulation::schedule`]d here — but the
     /// future-event list never holds them, so it stays sized to the events
-    /// the world schedules *during* the run.
-    ///
-    /// # Panics
-    /// If `events` is not sorted by time, or a previous preload is still
-    /// being delivered.
-    pub fn preload_sorted(&mut self, events: Vec<(SimTime, W::Event)>) {
-        self.queue.preload_sorted(events);
-    }
-
-    /// Load the queue's static lane with a lazy [`ArrivalSource`] instead
-    /// of a materialized batch (see [`EventQueue::attach_arrivals`]):
-    /// arrivals are produced as the merge reaches them, so peak memory is
-    /// whatever the source buffers rather than the whole trace. Delivery
-    /// is byte-identical to preloading the source's materialized
-    /// equivalent.
+    /// the world schedules *during* the run, and the queue asks the source
+    /// for them one bounded window ahead of the merge.
     ///
     /// # Panics
     /// If a previous arrival lane is still being delivered.
@@ -409,10 +396,9 @@ mod tests {
         assert_eq!(sim.dispatched(), 0);
     }
 
-    /// The preloaded arrival lane is observationally identical to
-    /// scheduling every arrival up front — same event order, same world
-    /// state — while the FEL holds only the dynamically scheduled
-    /// departures.
+    /// The arrival lane is observationally identical to scheduling every
+    /// arrival up front — same event order, same world state — while the
+    /// FEL holds only the dynamically scheduled departures.
     #[test]
     fn preloaded_arrivals_match_scheduled_arrivals() {
         // Arrivals 1 unit apart, departures 5 units later ⇒ at most ~6
@@ -428,8 +414,8 @@ mod tests {
         pushed.run_to_completion();
 
         let mut preloaded = Simulation::new(toy());
-        preloaded.preload_sorted(arrivals);
-        assert_eq!(preloaded.pending(), 50, "pending counts the static lane");
+        preloaded.attach_arrivals(crate::arrivals::vec_source(arrivals));
+        assert_eq!(preloaded.pending(), 50, "pending counts the arrival lane");
         preloaded.run_to_completion();
 
         assert_eq!(pushed.world().log, preloaded.world().log);

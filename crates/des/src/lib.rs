@@ -12,31 +12,29 @@
 //!
 //! [`EventQueue`] merges two lanes at `(time, seq)`:
 //!
-//! 1. a **static lane** for events known (or derivable) up front and
-//!    already sorted — a trace's arrivals. It comes in two flavours: a
-//!    materialized [`SortedStream`] (loaded via
-//!    [`Simulation::preload_sorted`]) holding every arrival in one `Vec`,
-//!    or a lazy [`ArrivalSource`] (attached via
-//!    [`Simulation::attach_arrivals`]) that produces arrivals on demand —
-//!    e.g. regenerating one workload shard at a time — so the trace never
-//!    needs to exist in memory all at once; and
+//! 1. one **arrival lane** for events known (or derivable) up front and
+//!    already sorted — a trace's arrivals. It is an [`ArrivalSource`]
+//!    (attached via [`Simulation::attach_arrivals`]) that the queue reads
+//!    through a bounded window of ~1 000 converted entries: the source
+//!    may walk a trace that already sits in memory, or regenerate one
+//!    workload shard at a time, and either way the queue holds a window
+//!    of the schedule, never a copy of it; and
 //! 2. a dynamic **future-event list** for events scheduled during the run —
 //!    departures, in the DDC model.
 //!
-//! Preloading (or attaching) reserves the sequence numbers the events
-//! would have been pushed with, so delivery order is *byte-identical* to
-//! pushing everything up front — but the FEL stays sized to the events in
-//! flight (O(resident VMs) instead of O(all VMs)), the up-front
-//! O(n log n) heap build disappears, and with a lazy source peak memory
-//! drops from O(trace) to O(source buffer).
+//! Attaching reserves the sequence numbers the arrivals would have been
+//! pushed with, so delivery order is *byte-identical* to pushing
+//! everything up front — but the FEL stays sized to the events in flight
+//! (O(resident VMs) instead of O(all VMs)) and the up-front O(n log n)
+//! heap build disappears. The merge is only correct over a sorted lane,
+//! so the window's refill `assert!`s the source's order in every build.
 //!
 //! The FEL is a `std::collections::BinaryHeap` over the reversed
 //! `(time, seq)` order of [`QueueEntry`]. A proptest
 //! (`tests/fel_props.rs`) pins strict `(time, seq)` pop order under
-//! arbitrary push/pop interleavings; the arrival lane has an
-//! oracle/differential structure, with [`SortedStream`] as the oracle
-//! (see [`arrivals`](crate::ArrivalSource) for the contract lazy sources
-//! must uphold).
+//! arbitrary push/pop interleavings of both lanes against one
+//! linear-scan model (see [`arrivals`](crate::ArrivalSource) for the
+//! contract sources must uphold).
 //!
 //! ```
 //! use risa_des::{Simulation, SimDuration, SimTime, World, EventCtx};
@@ -66,13 +64,11 @@
 mod arrivals;
 mod engine;
 mod queue;
-mod stream;
 mod time;
 mod trace;
 
 pub use arrivals::ArrivalSource;
 pub use engine::{EventCtx, RunOutcome, Simulation, StepOutcome, World};
 pub use queue::{EventKey, EventQueue, QueueEntry, QueueSnapshot};
-pub use stream::SortedStream;
 pub use time::{SimDuration, SimTime, TICKS_PER_UNIT};
 pub use trace::{EventTrace, TraceEntry};

@@ -1,27 +1,37 @@
 //! The pending-event set: a **two-lane** queue ordered by `(time, seq)`.
 //!
-//! Lane 1 is an optional arrival lane — either a pre-sorted materialized
-//! cursor ([`SortedStream`], loaded via [`EventQueue::preload_sorted`]) or
-//! a lazy [`ArrivalSource`] (attached via
-//! [`EventQueue::attach_arrivals`]) that produces arrivals on demand; lane
-//! 2 is the dynamic future-event list (FEL), a binary min-heap that holds
-//! events scheduled during the run.
+//! Lane 1 is the optional arrival lane: an [`ArrivalSource`] (attached via
+//! [`EventQueue::attach_arrivals`]) read through a small bounded *window*
+//! of already-converted `(time, event)` entries; lane 2 is the dynamic
+//! future-event list (FEL), a binary min-heap that holds events scheduled
+//! during the run.
 //! [`EventQueue::pop`] merges the lanes at `(time, seq)`, so delivery
 //! order is exactly what pushing everything into one heap would produce —
 //! but the FEL stays O(events in flight) instead of O(all events ever
-//! known), the up-front heap build disappears, and with a lazy source the
-//! arrivals themselves never need to exist all at once.
+//! known), the up-front heap build disappears, and the queue itself never
+//! holds more than one window of the schedule: whether the arrivals exist
+//! all at once is the source's business.
+//!
+//! ## The window
+//!
+//! The merge looks at the lane's head on every pop and every peek. Asking
+//! a `dyn` source each time would put a virtual call and a time conversion
+//! on that path, so the lane instead asks the source for up to
+//! `ARRIVAL_WINDOW` entries at once ([`ArrivalSource::fill`]) and serves
+//! them from a dense buffer; the per-event path reads one slot. A refill
+//! is also the one place every arrival passes through exactly once, so it
+//! carries the lane's sortedness check — an `assert!`, in every build: the
+//! merge is only correct over a sorted lane, and an unsorted one would
+//! deliver events out of order without any other symptom.
 //!
 //! Determinism requirement: when two events are scheduled for the same
 //! tick, the one scheduled *first* is delivered first. A binary heap is
 //! not stable, so every entry carries a monotonically increasing
-//! sequence number that breaks ties; preloaded entries reserve the sequence
-//! numbers they would have been pushed with, and an attached source
-//! reserves [`ArrivalSource::remaining`] of them — which is why that count
-//! must be exact.
+//! sequence number that breaks ties; an attached source reserves
+//! [`ArrivalSource::remaining`] of them — the numbers its arrivals would
+//! have been pushed with — which is why that count must be exact.
 
 use crate::arrivals::ArrivalSource;
-use crate::stream::SortedStream;
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -65,27 +75,58 @@ impl<E> Ord for QueueEntry<E> {
     }
 }
 
-/// The arrival lane: materialized cursor or lazy source.
-enum ArrivalLane<E> {
-    /// Every arrival sits in one sorted `Vec`; the stream assigns its own
-    /// (reserved) sequence numbers.
-    Sorted(SortedStream<E>),
-    /// Arrivals are produced on demand; the queue assigns consecutive
-    /// sequence numbers from the reserved base as they are popped.
-    Streamed {
-        source: Box<dyn ArrivalSource<E> + Send>,
-        next_seq: u64,
-        /// Last delivered time, for the debug monotonicity check.
-        last: Option<SimTime>,
-    },
+/// Arrivals the lane converts ahead of the merge: enough that a refill's
+/// virtual call vanishes per event, and 16 KB of the DDC model's 16 B
+/// entries (256 measured a tie end to end, 4 096 no better).
+const ARRIVAL_WINDOW: usize = 1024;
+
+/// The arrival lane: a source read through a bounded window.
+struct ArrivalLane<E> {
+    source: Box<dyn ArrivalSource<E> + Send>,
+    /// Entries handed over by the source and not yet delivered, *latest
+    /// first*: the head of the lane is `window.last()`, so delivering it
+    /// is a `Vec::pop`.
+    window: Vec<(SimTime, E)>,
+    /// Sequence number of the lane's head.
+    next_seq: u64,
+    /// Entries the source has handed over so far, and the time of the
+    /// last of them ([`SimTime::ZERO`], the earliest there is, before the
+    /// first): what the next refill's order check continues from.
+    handed: u64,
+    last: SimTime,
 }
 
 impl<E> ArrivalLane<E> {
     fn remaining(&self) -> usize {
-        match self {
-            ArrivalLane::Sorted(s) => s.remaining(),
-            ArrivalLane::Streamed { source, .. } => source.remaining(),
+        self.source.remaining() + self.window.len()
+    }
+
+    /// Refill the drained window from the source. Leaves it empty only if
+    /// the source is exhausted.
+    ///
+    /// # Panics
+    /// If the source hands over an entry earlier than its predecessor.
+    fn refill(&mut self) {
+        debug_assert!(self.window.is_empty(), "refill of a window in use");
+        self.source.fill(&mut self.window, ARRIVAL_WINDOW);
+        assert!(
+            !self.window.is_empty() || self.source.remaining() == 0,
+            "ArrivalSource::fill handed over nothing with {} arrivals remaining",
+            self.source.remaining()
+        );
+        for (at, _) in &self.window {
+            assert!(
+                self.last <= *at,
+                "preloaded events must be sorted by time: entry {} at {:?} precedes entry {} at {:?}",
+                self.handed,
+                at,
+                self.handed - 1,
+                self.last,
+            );
+            self.last = *at;
+            self.handed += 1;
         }
+        self.window.reverse();
     }
 }
 
@@ -95,6 +136,7 @@ pub struct EventQueue<E> {
     fel: BinaryHeap<QueueEntry<E>>,
     next_seq: u64,
     peak_fel: usize,
+    peak_window: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -111,53 +153,34 @@ impl<E> EventQueue<E> {
             fel: BinaryHeap::new(),
             next_seq: 0,
             peak_fel: 0,
+            peak_window: 0,
         }
     }
 
-    /// Load the static lane: `events`, sorted by time, are delivered
-    /// merged against dynamically pushed events exactly as if they had all
-    /// been pushed now (they reserve the next `events.len()` sequence
-    /// numbers) — without ever entering the future-event list.
+    /// Load the arrival lane: the source's arrivals are delivered merged
+    /// against dynamically pushed events exactly as if they had all been
+    /// pushed now — they reserve the next [`ArrivalSource::remaining`]
+    /// sequence numbers — but never enter the future-event list, and are
+    /// only asked of the source one window ahead of the merge.
     ///
-    /// # Panics
-    /// If `events` is not sorted by time, or if a previous preload has not
-    /// been fully delivered yet.
-    pub fn preload_sorted(&mut self, events: Vec<(SimTime, E)>) {
-        assert!(
-            self.arrivals.as_ref().is_none_or(|a| a.remaining() == 0),
-            "preload_sorted: a previous arrival lane is still being delivered"
-        );
-        let n = events.len() as u64;
-        self.arrivals = Some(ArrivalLane::Sorted(SortedStream::new(
-            events,
-            self.next_seq,
-        )));
-        self.next_seq += n;
-    }
-
-    /// Load the static lane with a lazy [`ArrivalSource`]: the source's
-    /// arrivals are delivered merged against dynamically pushed events
-    /// exactly as if they had all been preloaded now — they reserve the
-    /// next [`ArrivalSource::remaining`] sequence numbers — but are only
-    /// produced when the merge reaches them.
-    ///
-    /// The source must yield non-decreasing times and an exact `remaining`
-    /// count (see [`ArrivalSource`]); given those, delivery is
-    /// byte-identical to [`EventQueue::preload_sorted`] of the
-    /// materialized equivalent.
+    /// The source must yield non-decreasing times (checked as the window
+    /// refills, in every build) and an exact `remaining` count (see
+    /// [`ArrivalSource`]).
     ///
     /// # Panics
     /// If a previous arrival lane has not been fully delivered yet.
     pub fn attach_arrivals(&mut self, source: Box<dyn ArrivalSource<E> + Send>) {
         assert!(
-            self.arrivals.as_ref().is_none_or(|a| a.remaining() == 0),
+            self.stream_remaining() == 0,
             "attach_arrivals: a previous arrival lane is still being delivered"
         );
         let n = source.remaining() as u64;
-        self.arrivals = Some(ArrivalLane::Streamed {
+        self.arrivals = Some(ArrivalLane {
             source,
+            window: Vec::new(),
             next_seq: self.next_seq,
-            last: None,
+            handed: 0,
+            last: SimTime::ZERO,
         });
         self.next_seq += n;
     }
@@ -203,34 +226,31 @@ impl<E> EventQueue<E> {
         self.fel.peek().map(|e| (e.at, e.seq))
     }
 
+    /// `(time, seq)` of the arrival lane's head. Refills the window when
+    /// it has drained, and drops the lane once its source has too, so an
+    /// exhausted lane costs the rest of the run one `None` test.
+    #[inline]
     fn arrival_key(&mut self) -> Option<EventKey> {
-        match self.arrivals.as_mut()? {
-            ArrivalLane::Sorted(s) => s.peek_key(),
-            ArrivalLane::Streamed {
-                source, next_seq, ..
-            } => source.peek_time().map(|t| (t, *next_seq)),
-        }
-    }
-
-    fn pop_arrival(&mut self) -> Option<QueueEntry<E>> {
-        match self.arrivals.as_mut()? {
-            ArrivalLane::Sorted(s) => s.pop(),
-            ArrivalLane::Streamed {
-                source,
-                next_seq,
-                last,
-            } => {
-                let (at, event) = source.next()?;
-                debug_assert!(
-                    last.is_none_or(|prev| prev <= at),
-                    "ArrivalSource yielded out-of-order time {at:?} after {last:?}"
-                );
-                *last = Some(at);
-                let seq = *next_seq;
-                *next_seq += 1;
-                Some(QueueEntry { at, seq, event })
+        let lane = self.arrivals.as_mut()?;
+        if lane.window.is_empty() {
+            lane.refill();
+            self.peak_window = self.peak_window.max(lane.window.len());
+            if lane.window.is_empty() {
+                self.arrivals = None;
+                return None;
             }
         }
+        lane.window.last().map(|(at, _)| (*at, lane.next_seq))
+    }
+
+    /// Deliver the head `arrival_key` just reported.
+    #[inline]
+    fn pop_arrival(&mut self) -> Option<QueueEntry<E>> {
+        let lane = self.arrivals.as_mut()?;
+        let (at, event) = lane.window.pop()?;
+        let seq = lane.next_seq;
+        lane.next_seq += 1;
+        Some(QueueEntry { at, seq, event })
     }
 
     /// Number of pending events across both lanes.
@@ -243,7 +263,8 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Events still waiting in the arrival lane (preloaded or streamed).
+    /// Events still waiting in the arrival lane: the source's plus the
+    /// window's.
     pub fn stream_remaining(&self) -> usize {
         self.arrivals.as_ref().map_or(0, ArrivalLane::remaining)
     }
@@ -253,15 +274,21 @@ impl<E> EventQueue<E> {
         self.fel.len()
     }
 
-    /// High-water mark of the future-event list. With a preloaded arrival
-    /// lane this is O(events in flight) — the two-lane design's win — and
-    /// tests assert it stays far below the total event count.
+    /// High-water mark of the future-event list. With an arrival lane
+    /// attached this is O(events in flight) — the two-lane design's win —
+    /// and tests assert it stays far below the total event count.
     pub fn peak_fel_len(&self) -> usize {
         self.peak_fel
     }
 
-    /// Total number of events ever scheduled on this queue (pushed or
-    /// preloaded).
+    /// High-water mark of the arrival lane's window: the most arrivals
+    /// the queue itself ever held at once, whatever the trace length.
+    pub fn peak_arrival_window(&self) -> usize {
+        self.peak_window
+    }
+
+    /// Total number of events ever scheduled on this queue (pushed, or
+    /// reserved by an attached arrival lane).
     pub fn scheduled_total(&self) -> u64 {
         self.next_seq
     }
@@ -303,7 +330,7 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Discard arrivals from the static lane until exactly `remaining`
+    /// Discard arrivals from the arrival lane until exactly `remaining`
     /// are left undelivered (restore path: the lane re-derives the same
     /// times the original run consumed, so the cursor state afterwards is
     /// bit-identical to the checkpointed run's).
@@ -316,7 +343,8 @@ impl<E> EventQueue<E> {
             "fast_forward_arrivals: lane has {} arrivals, cannot leave {remaining}",
             self.stream_remaining(),
         );
-        while self.stream_remaining() > remaining {
+        for _ in remaining..self.stream_remaining() {
+            self.arrival_key();
             self.pop_arrival()
                 .expect("arrival lane remaining() over-reported");
         }
@@ -352,20 +380,14 @@ pub struct QueueSnapshot<E> {
     pub next_seq: u64,
     /// High-water mark of the future-event list so far.
     pub peak_fel: usize,
-    /// Arrivals not yet delivered from the static lane.
+    /// Arrivals not yet delivered from the arrival lane.
     pub arrivals_remaining: usize,
 }
 
 // Payload-opaque `Debug` (no `E: Debug` bound): summarizes both lanes.
 impl<E> fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let lane = match &self.arrivals {
-            None => "none",
-            Some(ArrivalLane::Sorted(_)) => "sorted",
-            Some(ArrivalLane::Streamed { .. }) => "streamed",
-        };
         f.debug_struct("EventQueue")
-            .field("arrival_lane", &lane)
             .field("stream_remaining", &self.stream_remaining())
             .field("fel_len", &self.fel.len())
             .field("next_seq", &self.next_seq)
@@ -376,6 +398,7 @@ impl<E> fmt::Debug for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arrivals::vec_source;
 
     fn t(u: f64) -> SimTime {
         SimTime::from_units(u)
@@ -445,13 +468,13 @@ mod tests {
         for &(at, ev) in &arrivals {
             oracle.push(at, ev);
         }
-        // Two-lane: arrivals preloaded, nothing in the FEL.
+        // Two-lane: arrivals on their lane, nothing in the FEL.
         let mut lanes = EventQueue::new();
-        lanes.preload_sorted(arrivals.clone());
+        lanes.attach_arrivals(vec_source(arrivals.clone()));
         assert_eq!(lanes.fel_len(), 0);
         assert_eq!(lanes.len(), oracle.len());
         // Interleave identical dynamic pushes (same-tick collisions
-        // with the preloaded entries included) on both queues.
+        // with the lane's entries included) on both queues.
         let mut log = Vec::new();
         for queue in [&mut oracle, &mut lanes] {
             let mut order = Vec::new();
@@ -472,17 +495,17 @@ mod tests {
     fn preload_tracks_lengths_and_seq() {
         let mut q = EventQueue::new();
         q.push(t(5.0), 99u32);
-        q.preload_sorted(vec![(t(1.0), 1), (t(2.0), 2)]);
+        q.attach_arrivals(vec_source(vec![(t(1.0), 1), (t(2.0), 2)]));
         assert_eq!(q.len(), 3);
         assert_eq!(q.stream_remaining(), 2);
         assert_eq!(q.fel_len(), 1);
         assert_eq!(q.scheduled_total(), 3);
-        // Preloaded entries carry seqs 1 and 2 (after the push's 0)… but
+        // The lane's entries carry seqs 1 and 2 (after the push's 0)… but
         // deliver first because their *times* are earlier.
         let popped: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| (e.seq, e.event))).collect();
         assert_eq!(popped, vec![(1, 1), (2, 2), (0, 99)]);
-        // A fully-drained stream allows a fresh preload.
-        q.preload_sorted(vec![(t(9.0), 7)]);
+        // A fully-drained lane allows a fresh one.
+        q.attach_arrivals(vec_source(vec![(t(9.0), 7)]));
         assert_eq!(q.pop().map(|e| (e.seq, e.event)), Some((3, 7)));
     }
 
@@ -490,18 +513,76 @@ mod tests {
     #[should_panic(expected = "still being delivered")]
     fn double_preload_rejected() {
         let mut q = EventQueue::new();
-        q.preload_sorted(vec![(t(1.0), 1u32)]);
-        q.preload_sorted(vec![(t(2.0), 2)]);
+        q.attach_arrivals(vec_source(vec![(t(1.0), 1u32)]));
+        q.attach_arrivals(vec_source(vec![(t(2.0), 2)]));
     }
 
     #[test]
     fn peak_fel_len_counts_only_the_dynamic_lane() {
         let mut q = EventQueue::new();
-        q.preload_sorted((0..100).map(|i| (t(i as f64), i)).collect());
+        q.attach_arrivals(vec_source((0..100).map(|i| (t(i as f64), i)).collect()));
         assert_eq!(q.peak_fel_len(), 0);
         q.push(t(50.0), 1000);
         q.push(t(60.0), 1001);
         q.pop();
         assert_eq!(q.peak_fel_len(), 2);
+    }
+
+    /// The lane hands its entries over in order, numbered consecutively
+    /// from the base reserved at attach — across refills — and never
+    /// holds more than one window of them.
+    #[test]
+    fn lane_yields_in_order_with_reserved_seqs() {
+        let n = 2 * ARRIVAL_WINDOW as u64 + 10;
+        let mut q = EventQueue::new();
+        for i in 0..10 {
+            q.push(SimTime::MAX, i); // seqs 0..10 go to the FEL
+        }
+        q.attach_arrivals(vec_source(
+            (0..n).map(|i| (SimTime::from_ticks(i / 3), i)).collect(),
+        ));
+        assert_eq!(q.scheduled_total(), 10 + n);
+        assert_eq!(q.stream_remaining(), n as usize);
+        for i in 0..n {
+            assert_eq!(q.peek_time(), Some(SimTime::from_ticks(i / 3)));
+            let e = q.pop().unwrap();
+            assert_eq!((e.at.ticks(), e.seq, e.event), (i / 3, 10 + i, i));
+            assert_eq!(q.stream_remaining(), (n - 1 - i) as usize);
+        }
+        assert_eq!(q.peak_arrival_window(), ARRIVAL_WINDOW);
+        assert_eq!(q.fel_len(), 10);
+    }
+
+    /// The order check is an `assert!`: it holds in release builds, and
+    /// also where the offending pair straddles two refills.
+    #[test]
+    #[should_panic(expected = "sorted by time: entry 1025 at")]
+    fn unsorted_lane_panics() {
+        let mut entries: Vec<_> = (0..2000u64).map(|i| (SimTime::from_ticks(i), ())).collect();
+        entries[ARRIVAL_WINDOW + 1].0 = SimTime::from_ticks(5);
+        let mut q = EventQueue::new();
+        q.attach_arrivals(vec_source(entries));
+        while q.pop().is_some() {}
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted by time: entry 1024 at")]
+    fn unsorted_lane_panics_across_a_refill() {
+        let mut entries: Vec<_> = (0..2000u64).map(|i| (SimTime::from_ticks(i), ())).collect();
+        entries[ARRIVAL_WINDOW].0 = SimTime::from_ticks(5);
+        let mut q = EventQueue::new();
+        q.attach_arrivals(vec_source(entries));
+        while q.pop().is_some() {}
+    }
+
+    #[test]
+    fn empty_lane_is_fine() {
+        let mut q = EventQueue::<u8>::new();
+        q.attach_arrivals(vec_source(vec![]));
+        assert_eq!(q.peek_time(), None);
+        assert!(q.pop().is_none());
+        assert_eq!(q.scheduled_total(), 0);
+        q.attach_arrivals(vec_source(vec![(t(1.0), 1)]));
+        assert_eq!(q.pop().map(|e| e.seq), Some(0));
     }
 }

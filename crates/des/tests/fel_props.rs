@@ -1,30 +1,87 @@
-//! Ordering properties of the event queue's future-event list.
+//! Ordering properties of the event queue, both lanes.
 //!
 //! `EventQueue` must pop in strict `(time, seq)` order under arbitrary
 //! push/pop interleavings — including same-tick bursts, where only the
-//! sequence number breaks ties — checked against a linear-scan `Vec` model,
-//! and must deliver a preloaded sorted stream byte-identically to pushing
-//! the same events.
+//! sequence number breaks ties — with or without an arrival lane attached,
+//! whatever the lane's source hands over per refill, and across a
+//! snapshot / rebuild / fast-forward / restore taken at any point. All of
+//! it is checked against one linear-scan `Vec` model that knows nothing
+//! of lanes, windows or heaps.
 
 use proptest::prelude::*;
-use risa_des::{EventQueue, SimTime};
+use risa_des::{ArrivalSource, EventQueue, SimTime};
 
 /// One scripted operation against the queue.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     /// Push an entry at this many ticks.
     Push(u64),
-    /// Pop the earliest entry.
-    Pop,
+    /// Pop the earliest entry, this many times.
+    Pop(u32),
+    /// Snapshot the queue and carry on with a queue rebuilt from the
+    /// snapshot, as a checkpoint resume does.
+    Resume,
 }
 
-/// Random scripts biased ~3:1 toward pushes, with times drawn from a small
-/// range so same-tick collisions are common.
-fn ops(max_ticks: u64) -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec(
-        (0u32..4, 0u64..max_ticks).prop_map(|(sel, t)| if sel < 3 { Op::Push(t) } else { Op::Pop }),
-        0..400,
-    )
+/// A sorted arrival lane: entry *i* fires at `ticks[i]`, and `fill`
+/// hands over at most `step` entries a call.
+#[derive(Debug, Clone)]
+struct Lane {
+    ticks: Vec<u64>,
+    step: usize,
+}
+
+/// The lane's source. Its payloads are what the *model* says the entries'
+/// sequence numbers are (`base + i`), so the pop logs also check the
+/// reservation made at attach.
+#[derive(Debug)]
+struct StepSource {
+    lane: Lane,
+    base: u64,
+    next: usize,
+}
+
+impl ArrivalSource<u64> for StepSource {
+    fn peek_time(&mut self) -> Option<SimTime> {
+        self.lane
+            .ticks
+            .get(self.next)
+            .map(|&t| SimTime::from_ticks(t))
+    }
+    fn next(&mut self) -> Option<(SimTime, u64)> {
+        let at = self.peek_time()?;
+        self.next += 1;
+        Some((at, self.base + self.next as u64 - 1))
+    }
+    fn remaining(&self) -> usize {
+        self.lane.ticks.len() - self.next
+    }
+    fn fill(&mut self, out: &mut Vec<(SimTime, u64)>, max: usize) {
+        for _ in 0..max.min(self.lane.step) {
+            match self.next() {
+                Some(entry) => out.push(entry),
+                None => break,
+            }
+        }
+    }
+}
+
+/// A queue holding `pre` pushed entries (seqs `0..pre.len()`) and then,
+/// if there is one, the lane (the next `lane.ticks.len()` seqs).
+fn build(pre: &[u64], lane: Option<&Lane>) -> EventQueue<u64> {
+    let mut queue = EventQueue::new();
+    for &ticks in pre {
+        let seq = queue.scheduled_total();
+        assert_eq!(queue.push(SimTime::from_ticks(ticks), seq), seq);
+    }
+    if let Some(lane) = lane {
+        queue.attach_arrivals(Box::new(StepSource {
+            lane: lane.clone(),
+            base: queue.scheduled_total(),
+            next: 0,
+        }));
+    }
+    queue
 }
 
 /// A popped entry: `(ticks, seq, payload)`.
@@ -34,15 +91,16 @@ type Popped = (u64, u64, u64);
 /// `Vec` of pending `(ticks, seq)` keys whose minimum is removed on every
 /// pop); returns both pop logs, live pops first, then the drained tail.
 /// Each entry's payload is its own sequence number, so the logs also check
-/// that payloads follow their entries through the heap.
-fn replay(script: &[Op]) -> (Vec<Popped>, Vec<Popped>) {
+/// that payloads follow their entries through the heap and the window.
+fn replay(pre: &[u64], lane: Option<&Lane>, script: &[Op]) -> (Vec<Popped>, Vec<Popped>) {
     fn model_pop(model: &mut Vec<(u64, u64)>) -> Option<Popped> {
         let (i, &(ticks, seq)) = model.iter().enumerate().min_by_key(|&(_, &k)| k)?;
         model.swap_remove(i);
         Some((ticks, seq, seq))
     }
-    let mut queue = EventQueue::new();
-    let mut model = Vec::new();
+    let mut queue = build(pre, lane);
+    let lane_ticks = lane.map_or(&[][..], |l| &l.ticks);
+    let mut model: Vec<(u64, u64)> = pre.iter().chain(lane_ticks).copied().zip(0u64..).collect();
     let (mut popped, mut expected) = (Vec::new(), Vec::new());
     for op in script {
         match *op {
@@ -51,20 +109,86 @@ fn replay(script: &[Op]) -> (Vec<Popped>, Vec<Popped>) {
                 assert_eq!(queue.push(SimTime::from_ticks(ticks), seq), seq);
                 model.push((ticks, seq));
             }
-            Op::Pop => {
-                // Exercise peek_time too: it must agree with the pop.
-                let peeked = queue.peek_time();
-                let entry = queue.pop();
-                assert_eq!(peeked, entry.as_ref().map(|e| e.at));
-                popped.extend(entry.map(|e| (e.at.ticks(), e.seq, e.event)));
-                expected.extend(model_pop(&mut model));
+            Op::Pop(times) => {
+                for _ in 0..times {
+                    // Exercise peek_time too: it must agree with the pop.
+                    let peeked = queue.peek_time();
+                    let entry = queue.pop();
+                    assert_eq!(peeked, entry.as_ref().map(|e| e.at));
+                    popped.extend(entry.map(|e| (e.at.ticks(), e.seq, e.event)));
+                    expected.extend(model_pop(&mut model));
+                }
+            }
+            Op::Resume => {
+                let snap = queue.snapshot();
+                assert_eq!(snap.arrivals_remaining, queue.stream_remaining());
+                let mut resumed = build(pre, lane);
+                resumed.fast_forward_arrivals(snap.arrivals_remaining);
+                resumed.restore_fel(snap.fel, snap.next_seq, snap.peak_fel);
+                queue = resumed;
             }
         }
+        assert_eq!(queue.len(), model.len());
     }
     // Drain the remainder: the tail order matters as much as the live one.
     popped.extend(std::iter::from_fn(|| queue.pop()).map(|e| (e.at.ticks(), e.seq, e.event)));
     expected.extend(std::iter::from_fn(|| model_pop(&mut model)));
+    // Whatever the lane's length, the queue held one window of it at most.
+    let bound = lane.map_or(0, |l| l.step.min(1024));
+    assert!(queue.peak_arrival_window() <= bound);
     (popped, expected)
+}
+
+/// Random scripts biased ~3:1 toward pushes, with times drawn from a small
+/// range so same-tick collisions are common.
+fn ops(max_ticks: u64) -> impl Strategy<Value = Vec<Op>> {
+    prop::collection::vec(
+        (0u32..4, 0u64..max_ticks).prop_map(
+            |(sel, t)| {
+                if sel < 3 {
+                    Op::Push(t)
+                } else {
+                    Op::Pop(1)
+                }
+            },
+        ),
+        0..400,
+    )
+}
+
+/// A lane of up to 2 600 arrivals 0–2 ticks apart (so ties within the lane
+/// are common, and a full window refills twice), handed over 1, 2 or a
+/// window's worth a call.
+fn lane() -> impl Strategy<Value = Lane> {
+    (
+        prop::collection::vec(0u64..3, 0..2600),
+        prop_oneof![Just(1usize), Just(2), Just(usize::MAX)],
+    )
+        .prop_map(|(gaps, step)| {
+            let ticks = gaps
+                .iter()
+                .scan(0, |t, gap| {
+                    *t += gap;
+                    Some(*t)
+                })
+                .collect();
+            Lane { ticks, step }
+        })
+}
+
+/// Scripts for a queue with a lane: pops come in runs long enough to walk
+/// through refills, pushes land on the ticks the lane is crossing (ties
+/// between the lanes, on both sides of a refill), and now and then the
+/// queue is checkpointed and resumed wherever that leaves the window.
+fn lane_ops() -> impl Strategy<Value = Vec<Op>> {
+    prop::collection::vec(
+        (0u32..8, 0u64..2600, 1u32..300).prop_map(|(sel, t, run)| match sel {
+            0..=3 => Op::Push(t),
+            4..=6 => Op::Pop(run),
+            _ => Op::Resume,
+        }),
+        0..60,
+    )
 }
 
 proptest! {
@@ -72,7 +196,7 @@ proptest! {
     /// wide enough that most pops are decided by time.
     #[test]
     fn queue_pops_in_time_seq_order(script in ops(4096)) {
-        let (popped, expected) = replay(&script);
+        let (popped, expected) = replay(&[], None, &script);
         prop_assert_eq!(popped, expected);
     }
 
@@ -80,12 +204,12 @@ proptest! {
     /// push order.
     #[test]
     fn queue_same_tick_bursts_are_fifo(script in ops(8)) {
-        let (popped, expected) = replay(&script);
+        let (popped, expected) = replay(&[], None, &script);
         prop_assert_eq!(popped, expected);
     }
 
-    /// Two-lane delivery: preloading a sorted prefix then pushing the rest
-    /// is byte-identical to pushing everything.
+    /// Two-lane delivery: a sorted prefix on the arrival lane, the rest
+    /// pushed, is byte-identical to pushing everything.
     #[test]
     fn preload_equals_push(
         sorted in prop::collection::vec(0u64..500, 0..100),
@@ -93,22 +217,51 @@ proptest! {
     ) {
         let mut sorted = sorted;
         sorted.sort_unstable();
-        let mut preloading = EventQueue::new();
-        preloading.preload_sorted(
-            sorted.iter().map(|&t| (SimTime::from_ticks(t), t as u32)).collect(),
-        );
-        let mut pushing = EventQueue::new();
-        for &t in &sorted {
-            pushing.push(SimTime::from_ticks(t), t as u32);
-        }
-        for q in [&mut preloading, &mut pushing] {
-            for &t in &pushed {
-                q.push(SimTime::from_ticks(t), t as u32);
-            }
-        }
-        let drain = |q: &mut EventQueue<u32>| -> Vec<(u64, u64, u32)> {
-            std::iter::from_fn(|| q.pop().map(|e| (e.at.ticks(), e.seq, e.event))).collect()
+        let script: Vec<Op> = pushed.iter().map(|&t| Op::Push(t)).collect();
+        let lane = Lane { ticks: sorted.clone(), step: usize::MAX };
+        let (lanes, model) = replay(&[], Some(&lane), &script);
+        let (pushing, _) = replay(&sorted, None, &script);
+        prop_assert_eq!(&lanes, &model);
+        prop_assert_eq!(lanes, pushing);
+    }
+
+    /// The windowed lane against the same model: any refill size, a
+    /// non-zero sequence base, pushes tying with the lane across refills,
+    /// and resumes landing mid-window.
+    #[test]
+    fn windowed_lane_pops_in_time_seq_order(
+        pre in prop::collection::vec(0u64..2600, 0..4),
+        lane in lane(),
+        script in lane_ops(),
+    ) {
+        let (popped, expected) = replay(&pre, Some(&lane), &script);
+        prop_assert_eq!(popped, expected);
+    }
+}
+
+/// The lane's order check is not a `debug_assert!`: CI runs this file with
+/// `--release` too. Whatever the refill size, an out-of-order source stops
+/// the run at the refill that meets the offending entry.
+#[test]
+fn unsorted_source_panics_in_every_build() {
+    let mut ticks: Vec<u64> = (0..1500).collect();
+    ticks[1200] = 7;
+    for step in [1, 2, usize::MAX] {
+        let lane = Lane {
+            ticks: ticks.clone(),
+            step,
         };
-        prop_assert_eq!(drain(&mut preloading), drain(&mut pushing));
+        let drained = std::panic::catch_unwind(|| {
+            let mut queue = build(&[], Some(&lane));
+            std::iter::from_fn(|| queue.pop()).count()
+        });
+        let message = *drained
+            .expect_err("an unsorted lane must not drain")
+            .downcast::<String>()
+            .expect("assert! panics with a String");
+        assert!(
+            message.contains("sorted by time: entry 1200 at"),
+            "step {step}: {message}"
+        );
     }
 }

@@ -4,14 +4,14 @@ use crate::config::{LatencyConfig, SimConfig};
 use crate::faults::FaultSpec;
 use crate::report::RunReport;
 use crate::spec::WorkloadSpec;
-use crate::streaming::{ArrivalMode, StreamingArrivals};
+use crate::streaming::{arrival_event, ArrivalMode, StreamingArrivals, TraceArrivals};
 use crate::world::{DdcWorld, DEFAULT_SCHED_TIMING_BATCH};
 use risa_des::{EventTrace, Simulation};
 use risa_network::NetworkConfig;
 use risa_photonics::PhotonicsConfig;
 use risa_sched::Algorithm;
 use risa_topology::{ResourceKind, TopologyConfig, ALL_RESOURCES};
-use risa_workload::StreamingShards;
+use risa_workload::{StreamingShards, TraceFileError};
 use std::sync::Arc;
 
 /// Why a simulation could not be built. [`SimulationBuilder::try_build`]
@@ -30,6 +30,19 @@ pub enum BuildError {
         /// Index of the first VM that arrives before its predecessor.
         index: usize,
     },
+    /// A pre-built [`WorkloadSpec::Trace`] whose VM ids are not each VM's
+    /// arrival rank (a gap, a duplicate, a permutation). Events address
+    /// VMs by rank, so such a trace would run with some arrivals placed
+    /// as another row's VM; refused on every arrival pipeline, as a CSV
+    /// file with the same defect is ([`TraceFileError::NonDenseId`]).
+    NonDenseTrace {
+        /// Workload name.
+        workload: String,
+        /// Index of the first VM whose id is not its index.
+        index: usize,
+        /// The id found there.
+        found: u32,
+    },
     /// A VM's demand exceeds single-box capacity, violating the paper's
     /// §2 placement assumption.
     OversizedVm {
@@ -38,6 +51,9 @@ pub enum BuildError {
         /// Workload name.
         workload: String,
     },
+    /// A [`WorkloadSpec::TraceCsv`] file is missing, unreadable or
+    /// invalid — the same error whichever arrival pipeline loads it.
+    TraceFile(TraceFileError),
 }
 
 impl std::fmt::Display for BuildError {
@@ -48,11 +64,21 @@ impl std::fmt::Display for BuildError {
                 "workload '{workload}' is not sorted by arrival (first violation at VM \
                  index {index}); fix the trace producer"
             ),
+            BuildError::NonDenseTrace {
+                workload,
+                index,
+                found,
+            } => write!(
+                f,
+                "workload '{workload}': VM ids must be dense and in order (expected {index} \
+                 at index {index}, found {found}); fix the trace producer"
+            ),
             BuildError::OversizedVm { id, workload } => write!(
                 f,
                 "VM vm{id} in workload '{workload}' exceeds single-box capacity \
                  (paper §2 assumption)"
             ),
+            BuildError::TraceFile(e) => e.fmt(f),
         }
     }
 }
@@ -156,7 +182,7 @@ impl SimulationBuilder {
     /// Schedule every arrival through the future-event list, as the
     /// engine did before the two-lane queue (PR 5). This is the *oracle*
     /// configuration for the hot-path differential tests; behavior is
-    /// byte-identical to the default sorted-stream path, just slower on
+    /// byte-identical to the default arrival-lane path, just slower on
     /// big traces.
     pub fn legacy_arrival_path(mut self, on: bool) -> Self {
         self.legacy_arrival_path = on;
@@ -233,22 +259,24 @@ impl SimulationBuilder {
     /// engine drains the current one — same report, same event order,
     /// O(resident VMs + 2 shards) peak memory.
     ///
-    /// Arrivals are fed to the engine through the two-lane queue's sorted
-    /// stream ([`Simulation::preload_sorted`]): the trace is walked by
-    /// index — no `Vec<VmRequest>` clone — and the future-event list only
-    /// ever holds in-flight departures, O(resident VMs) instead of
-    /// O(trace length).
+    /// Arrivals are fed to the engine through the two-lane queue's
+    /// arrival lane ([`Simulation::attach_arrivals`]): a cursor over the
+    /// one trace the world also reads — nothing is copied — and the
+    /// future-event list only ever holds in-flight departures,
+    /// O(resident VMs) instead of O(trace length).
     ///
-    /// Panics on an invalid workload (unsorted pre-built trace, VM
-    /// exceeding single-box capacity) with the corresponding
-    /// [`BuildError`] message; use [`SimulationBuilder::try_build`] where
-    /// a typed error is preferable.
+    /// Panics on an invalid workload (unsorted or non-dense pre-built
+    /// trace, VM exceeding single-box capacity, unusable trace file) with
+    /// the corresponding [`BuildError`] message; use
+    /// [`SimulationBuilder::try_build`] where a typed error is
+    /// preferable.
     pub fn build(self) -> DdcSimulation {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Like [`SimulationBuilder::build`], but invalid workloads surface
-    /// as a typed [`BuildError`] instead of a panic.
+    /// Like [`SimulationBuilder::build`], but invalid workloads and
+    /// unusable trace files surface as a typed [`BuildError`] instead of
+    /// a panic.
     pub fn try_build(self) -> Result<DdcSimulation, BuildError> {
         // Resolve every env-deferred knob *now* and remember the result:
         // the recipe a checkpoint stores must be able to rebuild this run
@@ -280,6 +308,16 @@ impl SimulationBuilder {
                         index,
                     });
                 }
+                // Events carry a VM's rank and the world looks it up by
+                // that; a trace whose ids disagree with the ranks was
+                // produced by something that means otherwise.
+                if let Some(index) = (0..vms.len()).find(|&i| vms[i].id.0 as usize != i) {
+                    return Err(BuildError::NonDenseTrace {
+                        workload: w.name().to_string(),
+                        index,
+                        found: vms[index].id.0,
+                    });
+                }
                 // Same early-rejection contract for capacity: a pre-built
                 // trace is already in memory, so an oversized VM is
                 // detectable now on *both* arrival pipelines — the
@@ -299,18 +337,16 @@ impl SimulationBuilder {
         // regenerate shards; pre-built and on-disk traces are served in
         // shard-sized chunks); only the legacy push-everything oracle
         // path forces materialization.
-        let streaming_source = if mode == ArrivalMode::Streaming && !self.legacy_arrival_path {
-            self.workload.shard_source()
-        } else {
-            None
-        };
-
-        if let Some(source) = streaming_source {
+        if mode == ArrivalMode::Streaming && !self.legacy_arrival_path {
             // Streaming: the world pulls full VmRequests from a
             // double-buffered shard cursor; the queue pulls arrival
             // *times* from an independent arrivals-only cursor. Nothing
             // is materialized — peak memory is O(resident + 2 shards).
             // Per-VM capacity validation happens at each arrival.
+            let source = self
+                .workload
+                .shard_source()
+                .map_err(BuildError::TraceFile)?;
             let cursor = StreamingShards::new(Arc::clone(&source));
             let mut world = DdcWorld::new_streaming(self.cfg, self.algorithm, cursor);
             self.prime(&mut world);
@@ -328,7 +364,7 @@ impl SimulationBuilder {
             });
         }
 
-        let workload = self.workload.materialize();
+        let workload = Arc::new(self.workload.load().map_err(BuildError::TraceFile)?);
         if let Err(vm) = workload.validate_fits(&self.cfg.topology) {
             return Err(BuildError::OversizedVm {
                 id: vm.id.0,
@@ -336,9 +372,10 @@ impl SimulationBuilder {
             });
         }
         // After the typed Trace check above, every materialized workload
-        // reaching the sorted-preload lane is sorted (generators by
-        // construction, CSV by validation); the legacy lane pushes
-        // through the FEL and tolerates any order.
+        // reaching the arrival lane is sorted (generators by
+        // construction, CSV by validation) — and the lane itself refuses
+        // one that is not, in every build; the legacy lane pushes through
+        // the FEL and tolerates any order.
         debug_assert!(
             self.legacy_arrival_path
                 || workload
@@ -347,20 +384,22 @@ impl SimulationBuilder {
                     .all(|w| w[0].arrival <= w[1].arrival),
             "generator produced an unsorted trace"
         );
-        let arrivals = crate::world::arrival_events(&workload);
         let span = workload.vms().last().map_or(0.0, |vm| vm.arrival);
-        let mut world = DdcWorld::new(self.cfg, self.algorithm, workload);
+        // One trace, two readers: the world looks VMs up in it, the
+        // queue's cursor walks its arrival column.
+        let mut world = DdcWorld::new(self.cfg, self.algorithm, Arc::clone(&workload));
         self.prime(&mut world);
         if let Some(spec) = fault_spec {
             world.enable_faults(spec, span);
         }
         let mut sim = Simulation::new(world);
         if self.legacy_arrival_path {
-            for (at, event) in arrivals {
+            for (vm, idx) in workload.vms().iter().zip(0..) {
+                let (at, event) = arrival_event(idx, vm.arrival);
                 sim.schedule(at, event);
             }
         } else {
-            sim.preload_sorted(arrivals);
+            sim.attach_arrivals(Box::new(TraceArrivals::new(workload)));
         }
         Self::seed_faults(&mut sim);
         Ok(DdcSimulation {
@@ -372,7 +411,7 @@ impl SimulationBuilder {
     }
 
     /// Push each fault chain's first onset through the FEL. Must run
-    /// *after* arrivals are preloaded/attached: both arrival pipelines
+    /// *after* arrivals are attached: both arrival pipelines
     /// reserve the same sequence-number block for the trace, so seeding
     /// afterwards gives every fault event the identical sequence number
     /// (and therefore identical same-time ordering) on both paths.
@@ -520,8 +559,8 @@ impl DdcSimulation {
         self.sim.dispatched()
     }
 
-    /// High-water mark of the future-event list. With the sorted arrival
-    /// stream this is bounded by peak *resident* VMs, not trace length —
+    /// High-water mark of the future-event list. With the arrival lane
+    /// this is bounded by peak *resident* VMs, not trace length —
     /// asserted by `tests/hot_path_differential.rs`.
     pub fn peak_fel_len(&self) -> usize {
         self.sim.queue().peak_fel_len()
@@ -542,6 +581,14 @@ impl DdcSimulation {
     /// by `tests/streaming_bounds.rs`).
     pub fn peak_buffered_arrivals(&self) -> Option<usize> {
         self.sim.world().stream_peak_buffered()
+    }
+
+    /// High-water mark of arrivals the event queue itself held at once:
+    /// one window of its arrival lane at most, on every arrival pipeline
+    /// and whatever the trace length (0 on the legacy path, which has no
+    /// lane). Asserted by `tests/streaming_bounds.rs`.
+    pub fn peak_arrival_window(&self) -> usize {
+        self.sim.queue().peak_arrival_window()
     }
 
     /// The recorded time series, when enabled via
@@ -725,6 +772,122 @@ mod tests {
             other => panic!("expected UnsortedTrace, got {other:?}"),
         }
         assert!(err.to_string().contains("not sorted by arrival"));
+    }
+
+    /// A trace whose ids are not its rows' ranks used to run on the
+    /// default pipeline — swapped rows to exit 0 with each arrival placed
+    /// as the *other* row's VM, sparse and duplicate ids into an index
+    /// panic mid-run — while the streaming pipeline refused the same CSV
+    /// file typed. Both pipelines now refuse it, with the same error,
+    /// whether it arrives as a CSV file or as a deserialized trace.
+    #[test]
+    fn non_dense_ids_rejected_typed_on_both_arrival_modes() {
+        use risa_workload::{csv, TraceFileError, VmId, Workload};
+        let good = WorkloadSpec::synthetic(4, 3).materialize();
+        // (what, ids by row, first offending row, id found there)
+        for (what, ids, index, found) in [
+            ("swapped", [1, 0, 2, 3], 0usize, 1u32),
+            ("sparse", [0, 1, 5, 6], 2, 5),
+            ("duplicate", [0, 1, 1, 2], 2, 1),
+        ] {
+            let mut vms = good.vms().to_vec();
+            for (vm, id) in vms.iter_mut().zip(ids) {
+                vm.id = VmId(id);
+            }
+            let trace = Workload::from_vms("odd", vms);
+            let path = std::env::temp_dir()
+                .join(format!("risa_builder_{}_{what}.csv", std::process::id()));
+            std::fs::write(&path, csv::to_csv(&trace)).unwrap();
+            for mode in ArrivalMode::ALL {
+                let build = |spec| {
+                    SimulationBuilder::new()
+                        .workload(spec)
+                        .arrivals(mode)
+                        .try_build()
+                        .expect_err("non-dense ids must not build")
+                };
+                assert_eq!(
+                    build(WorkloadSpec::Trace(trace.clone())),
+                    BuildError::NonDenseTrace {
+                        workload: "odd".into(),
+                        index,
+                        found
+                    },
+                    "{what}/{mode}"
+                );
+                assert_eq!(
+                    build(WorkloadSpec::TraceCsv {
+                        name: "odd".into(),
+                        path: path.display().to_string()
+                    }),
+                    BuildError::TraceFile(TraceFileError::NonDenseId {
+                        line: index + 2, // a header line, and lines count from 1
+                        expected: index as u32,
+                        found
+                    }),
+                    "{what}/{mode}"
+                );
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    /// A trace file that cannot be loaded is a `BuildError`, the same one
+    /// on both pipelines — not a panic inside the builder.
+    #[test]
+    fn unusable_trace_files_are_build_errors_on_both_arrival_modes() {
+        use risa_workload::{csv::CsvError, TraceFileError};
+        let dir = std::env::temp_dir();
+        let file = |tag: &str, contents: &str| {
+            let path = dir.join(format!("risa_builder_{}_{tag}.csv", std::process::id()));
+            std::fs::write(&path, contents).unwrap();
+            path.display().to_string()
+        };
+        let header = risa_workload::csv::HEADER;
+        let cases = [
+            (
+                "/nonexistent/risa/builder.csv".to_string(),
+                None, // an I/O error: compared across modes, and by its text
+            ),
+            (
+                file("header", "id,cpu\n0,1,2,128,1.0,10\n"),
+                Some(TraceFileError::Csv(CsvError::BadHeader)),
+            ),
+            (
+                file(
+                    "row",
+                    &format!("{header}\n0,1,2,128,1.0,10\n\n1,1,two,128,2.0,10\n"),
+                ),
+                Some(TraceFileError::Csv(CsvError::BadField {
+                    line: 4,
+                    column: "ram_gb",
+                })),
+            ),
+        ];
+        for (path, want) in cases {
+            let errors = ArrivalMode::ALL.map(|mode| {
+                SimulationBuilder::new()
+                    .workload(WorkloadSpec::TraceCsv {
+                        name: "t".into(),
+                        path: path.clone(),
+                    })
+                    .arrivals(mode)
+                    .try_build()
+                    .expect_err("unusable trace file must not build")
+            });
+            assert_eq!(errors[0], errors[1], "{path}");
+            match want {
+                Some(e) => assert_eq!(errors[0], BuildError::TraceFile(e), "{path}"),
+                None => assert!(
+                    errors[0]
+                        .to_string()
+                        .starts_with(&format!("cannot read trace file '{path}'")),
+                    "{}",
+                    errors[0]
+                ),
+            }
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! | `recipe` | The fully-resolved [`SimulationBuilder`]: workload spec, algorithm, topology/network/photonics config, arrival mode, fault spec, audit/timeline settings. Every env-deferred knob was pinned at build time, so restoring **never reads the environment** (enforced by the `checkpoint_purity` lint rule). |
 //! | clock | `(at, dispatched, clamped)` — the engine clock and dispatch counters. |
 //! | FEL | Every future-event-list entry with its original `(time, seq)` pair, plus the `next_seq` counter and FEL high-water mark. |
-//! | arrivals | The static arrival lane as a *cursor position* (`arrivals_remaining`): a restore rebuilds the lane from the recipe and fast-forwards it, re-executing the exact `f64` accumulation the original run performed. |
+//! | arrivals | The arrival lane as a *cursor position* (`arrivals_remaining`): a restore rebuilds the lane from the recipe and fast-forwards it, re-executing the exact `f64` accumulation the original run performed. |
 //! | `world` | Cluster, network, scheduler, per-VM assignments, metric accumulators (latency as raw bits), audit ledger, fault-injection state (RNG chains as draw counts, down racks, in-transit migrations — *not* residents by rack: a failing rack's victims are derived from the assignments at the failure), and the streaming-cursor position. |
 //!
 //! # Versioning
@@ -81,7 +81,7 @@ impl Checkpoint {
         self.fel.len()
     }
 
-    /// Arrivals not yet delivered from the static lane at the snapshot.
+    /// Arrivals not yet delivered from the arrival lane at the snapshot.
     pub fn arrivals_remaining(&self) -> usize {
         self.arrivals_remaining
     }

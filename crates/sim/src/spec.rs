@@ -3,7 +3,7 @@
 use risa_workload::azure::AzureProcess;
 use risa_workload::{
     AzureShards, AzureSubset, CsvFileShards, ShardSource, SyntheticConfig, SyntheticShards,
-    TraceShards, Workload,
+    TraceFileError, TraceShards, Workload,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -22,9 +22,10 @@ pub enum WorkloadSpec {
     },
     /// A pre-built trace (e.g. loaded from JSON).
     Trace(Workload),
-    /// A CSV trace file on disk, read in shard-sized chunks — the whole
-    /// trace never needs to fit in memory (see
-    /// [`risa_workload::CsvFileShards`]).
+    /// A CSV trace file on disk: parsed a block at a time when
+    /// materialized ([`risa_workload::csv::read_csv`]), re-read in
+    /// shard-sized chunks when streamed
+    /// ([`risa_workload::CsvFileShards`]) — never resident as text.
     TraceCsv {
         /// Workload label for reports.
         name: String,
@@ -49,7 +50,8 @@ impl WorkloadSpec {
         WorkloadSpec::Azure { subset, seed }
     }
 
-    /// Materialize the trace.
+    /// Materialize the trace, or say why the trace file it names cannot
+    /// be one (only [`WorkloadSpec::TraceCsv`] can fail).
     ///
     /// Synthetic and Azure specs generate **sharded** on the `rayon`
     /// pool: fixed 4096-VM index shards with `(seed, shard)`-derived RNG
@@ -57,18 +59,20 @@ impl WorkloadSpec {
     /// totals (`risa_workload::shard`). A single big trial therefore uses
     /// every worker, and the result is byte-identical at any thread count
     /// (pinned by `tests/determinism.rs`).
-    pub fn materialize(&self) -> Workload {
-        match self {
+    pub fn load(&self) -> Result<Workload, TraceFileError> {
+        Ok(match self {
             WorkloadSpec::Synthetic(cfg) => Workload::synthetic(cfg),
             WorkloadSpec::Azure { subset, seed } => Workload::azure(*subset, *seed),
             WorkloadSpec::Trace(w) => w.clone(),
-            WorkloadSpec::TraceCsv { name, path } => {
-                let csv = std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| panic!("cannot read trace file '{path}': {e}"));
-                risa_workload::csv::from_csv(name, &csv)
-                    .unwrap_or_else(|e| panic!("trace file '{path}': {e}"))
-            }
-        }
+            WorkloadSpec::TraceCsv { name, path } => Workload::read_csv_file(name, path)?,
+        })
+    }
+
+    /// [`WorkloadSpec::load`] for callers with nobody to report to
+    /// (tests, benches, the probe): panics on a missing or invalid trace
+    /// file.
+    pub fn materialize(&self) -> Workload {
+        self.load().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The spec as a lazy per-shard source — the handle
@@ -78,24 +82,21 @@ impl WorkloadSpec {
     /// and on-disk CSV traces are read chunk-by-chunk
     /// ([`risa_workload::CsvFileShards`]), so every spec streams.
     ///
-    /// The source yields the *same trace* [`WorkloadSpec::materialize`]
+    /// The source yields the *same trace* [`WorkloadSpec::load`]
     /// produces, bit-for-bit, so consuming it through a cursor is
-    /// byte-identical to materializing. Panics (loudly, never a silent
-    /// fallback) if a CSV trace file is missing or invalid.
-    pub fn shard_source(&self) -> Option<Arc<dyn ShardSource>> {
-        match self {
-            WorkloadSpec::Synthetic(cfg) => Some(Arc::new(SyntheticShards::new(cfg))),
-            WorkloadSpec::Azure { subset, seed } => Some(Arc::new(AzureShards::new(
-                *subset,
-                *seed,
-                AzureProcess::default(),
-            ))),
-            WorkloadSpec::Trace(w) => Some(Arc::new(TraceShards::new(w.clone()))),
-            WorkloadSpec::TraceCsv { name, path } => Some(Arc::new(
-                CsvFileShards::open(name.clone(), path)
-                    .unwrap_or_else(|e| panic!("trace file '{path}': {e}")),
-            )),
-        }
+    /// byte-identical to materializing — and a trace file `load` refuses
+    /// is refused here with the same error.
+    pub fn shard_source(&self) -> Result<Arc<dyn ShardSource>, TraceFileError> {
+        Ok(match self {
+            WorkloadSpec::Synthetic(cfg) => Arc::new(SyntheticShards::new(cfg)),
+            WorkloadSpec::Azure { subset, seed } => {
+                Arc::new(AzureShards::new(*subset, *seed, AzureProcess::default()))
+            }
+            WorkloadSpec::Trace(w) => Arc::new(TraceShards::new(w.clone())),
+            WorkloadSpec::TraceCsv { name, path } => {
+                Arc::new(CsvFileShards::open(name.clone(), path)?)
+            }
+        })
     }
 }
 

@@ -1,10 +1,14 @@
-//! Streaming arrival pipeline: bounded-memory runs that generate the
-//! trace shard-by-shard *while* the engine simulates, instead of
-//! materializing every VM up front.
+//! The arrival pipeline's queue side: the two [`risa_des::ArrivalSource`]s
+//! a run attaches to the event queue's arrival lane.
 //!
-//! Two cursors walk the same [`ShardSource`] independently:
+//! A *materialized* run builds the whole trace before the first event and
+//! attaches [`TraceArrivals`], a cursor over that trace — the same
+//! `Arc<Workload>` the world reads its VMs from, so the schedule is held
+//! once. A *streaming* run is bounded-memory: it generates the trace
+//! shard-by-shard *while* the engine simulates, with two cursors walking
+//! the same [`ShardSource`] independently:
 //!
-//! * [`StreamingArrivals`] (this module) feeds the event queue's static
+//! * [`StreamingArrivals`] (this module) feeds the event queue's
 //!   arrival lane through [`risa_des::ArrivalSource`]. It needs only the
 //!   *arrival times*, so it uses the cheap
 //!   [`ShardSource::shard_arrivals`] pass — one `Vec<f64>` shard buffer,
@@ -26,7 +30,7 @@
 
 use crate::world::SimEvent;
 use risa_des::{ArrivalSource, SimTime};
-use risa_workload::ShardSource;
+use risa_workload::{ShardSource, Workload};
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -85,7 +89,58 @@ impl fmt::Display for ArrivalMode {
     }
 }
 
-/// Lazy arrival schedule for the event queue's static lane: yields
+/// How arrival `idx` of a trace maps onto the event timeline — the one
+/// definition every arrival path shares.
+pub(crate) fn arrival_event(idx: u32, arrival: f64) -> (SimTime, SimEvent) {
+    (SimTime::from_units(arrival), SimEvent::Arrival(idx))
+}
+
+/// The arrival schedule of a trace that already exists: yields
+/// `(arrival time, SimEvent::Arrival(idx))` in VM-index order straight
+/// from the shared trace, converting a window's worth at a time.
+#[derive(Debug)]
+pub(crate) struct TraceArrivals {
+    trace: Arc<Workload>,
+    /// Index of the next VM arrival to yield.
+    next: usize,
+}
+
+impl TraceArrivals {
+    pub(crate) fn new(trace: Arc<Workload>) -> Self {
+        TraceArrivals { trace, next: 0 }
+    }
+}
+
+impl ArrivalSource<SimEvent> for TraceArrivals {
+    fn peek_time(&mut self) -> Option<SimTime> {
+        let vm = self.trace.vms().get(self.next)?;
+        Some(SimTime::from_units(vm.arrival))
+    }
+
+    fn next(&mut self) -> Option<(SimTime, SimEvent)> {
+        let vm = self.trace.vms().get(self.next)?;
+        self.next += 1;
+        Some(arrival_event(self.next as u32 - 1, vm.arrival))
+    }
+
+    fn remaining(&self) -> usize {
+        self.trace.len() - self.next
+    }
+
+    fn fill(&mut self, out: &mut Vec<(SimTime, SimEvent)>, max: usize) {
+        let rest = &self.trace.vms()[self.next..];
+        let n = rest.len().min(max);
+        out.extend(
+            rest[..n]
+                .iter()
+                .zip(self.next as u32..)
+                .map(|(vm, idx)| arrival_event(idx, vm.arrival)),
+        );
+        self.next += n;
+    }
+}
+
+/// Lazy arrival schedule for the event queue's arrival lane: yields
 /// `(arrival time, SimEvent::Arrival(idx))` in VM-index order, holding
 /// one shard of arrival *times* at a time (see the [module docs](self)).
 pub(crate) struct StreamingArrivals {
@@ -151,15 +206,34 @@ impl ArrivalSource<SimEvent> for StreamingArrivals {
         if !self.ensure() {
             return None;
         }
-        let at = SimTime::from_units(self.shard_offset + self.times[self.pos]);
-        let event = SimEvent::Arrival(self.next_idx);
+        let entry = arrival_event(self.next_idx, self.shard_offset + self.times[self.pos]);
         self.pos += 1;
         self.next_idx += 1;
-        Some((at, event))
+        Some(entry)
     }
 
     fn remaining(&self) -> usize {
         (self.total - self.next_idx) as usize
+    }
+
+    /// One pass over what is left of the current shard (so a window may
+    /// come up short at a shard's end; the next refill starts the next
+    /// shard).
+    fn fill(&mut self, out: &mut Vec<(SimTime, SimEvent)>, max: usize) {
+        if !self.ensure() {
+            return;
+        }
+        let rest = &self.times[self.pos..];
+        let n = rest.len().min(max);
+        let offset = self.shard_offset;
+        out.extend(
+            rest[..n]
+                .iter()
+                .zip(self.next_idx..)
+                .map(|(&local, idx)| arrival_event(idx, offset + local)),
+        );
+        self.pos += n;
+        self.next_idx += n as u32;
     }
 }
 
@@ -195,25 +269,50 @@ mod tests {
         }
     }
 
-    /// The queue-side cursor must emit exactly the `(time, event)` pairs
-    /// the materialized path preloads — bit-equal times, same order.
+    /// Drain `source` through `fill`, `max` entries a call.
+    fn drain(mut source: impl ArrivalSource<SimEvent>, max: usize) -> Vec<(SimTime, SimEvent)> {
+        let mut got = Vec::new();
+        while source.remaining() > 0 {
+            let (before, left) = (got.len(), source.remaining());
+            source.fill(&mut got, max);
+            assert!((1..=max).contains(&(got.len() - before)));
+            assert_eq!(source.remaining(), left - (got.len() - before));
+        }
+        source.fill(&mut got, max); // an exhausted source hands over nothing
+        assert!(source.peek_time().is_none() && source.next().is_none());
+        got
+    }
+
+    /// Both queue-side cursors must emit exactly the trace's schedule —
+    /// VM `i` at its arrival time, bit-equal, in index order — through
+    /// `next` and through `fill` at any window size.
     #[test]
     fn streaming_arrivals_match_materialized_schedule() {
         for spec in [
             WorkloadSpec::synthetic(9000, 11), // > 2 shards
             WorkloadSpec::azure(risa_workload::AzureSubset::N3000, 4),
         ] {
-            let workload = spec.materialize();
-            let expect = crate::world::arrival_events(&workload);
-            let mut cursor = StreamingArrivals::new(spec.shard_source().expect("generator-backed"));
-            assert_eq!(cursor.remaining(), expect.len());
-            let mut got = Vec::new();
-            while let Some(pair) = cursor.next() {
-                got.push(pair);
+            let trace = Arc::new(spec.materialize());
+            let expect: Vec<_> = trace
+                .vms()
+                .iter()
+                .map(|vm| (SimTime::from_units(vm.arrival), SimEvent::Arrival(vm.id.0)))
+                .collect();
+            let streaming = || StreamingArrivals::new(spec.shard_source().expect("streams"));
+            let held = || TraceArrivals::new(Arc::clone(&trace));
+            assert_eq!(streaming().remaining(), expect.len());
+            assert_eq!(held().remaining(), expect.len());
+
+            let mut cursor = streaming();
+            let by_next: Vec<_> = std::iter::from_fn(|| cursor.next()).collect();
+            assert_eq!(by_next, expect);
+            let mut cursor = held();
+            let by_next: Vec<_> = std::iter::from_fn(|| cursor.next()).collect();
+            assert_eq!(by_next, expect);
+            for max in [1, 7, 1024, usize::MAX] {
+                assert_eq!(drain(streaming(), max), expect, "streaming, max {max}");
+                assert_eq!(drain(held(), max), expect, "held, max {max}");
             }
-            assert_eq!(got, expect);
-            assert_eq!(cursor.remaining(), 0);
-            assert!(cursor.peek_time().is_none());
         }
     }
 

@@ -19,6 +19,7 @@ use risa_topology::{
 use risa_workload::{StreamingShards, VmRequest, Workload};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Default scheduler-timing batch: one clock pair per 16 scheduling calls
@@ -155,34 +156,20 @@ pub enum SimEvent {
     Migrate(u32),
 }
 
-/// The trace's arrival schedule as engine events — walked by index, no
-/// `VmRequest` clone. The one place that defines how a trace maps onto
-/// the event timeline (builder and test harnesses share it).
-pub(crate) fn arrival_events(workload: &Workload) -> Vec<(risa_des::SimTime, SimEvent)> {
-    workload
-        .vms()
-        .iter()
-        .map(|vm| {
-            (
-                risa_des::SimTime::from_units(vm.arrival),
-                SimEvent::Arrival(vm.id.0),
-            )
-        })
-        .collect()
-}
-
 /// Where the world's VM requests come from: the whole trace up front, or
 /// a bounded-memory cursor yielding them in arrival (= index) order.
 ///
 /// Arrival events are delivered strictly in VM-index order on both paths
-/// (the stitched trace is sorted and the queue's static lane preserves
+/// (the stitched trace is sorted and the queue's arrival lane preserves
 /// insertion order among equal times), so the streaming cursor — which
 /// can only move forward — always has the VM the next `Arrival(idx)`
 /// event asks for.
 #[derive(Debug)]
 pub(crate) enum VmSource {
-    /// The full trace, indexable at random.
-    Materialized(Workload),
+    /// The full trace, indexable at random; shared with the queue's
+    /// arrival cursor (`crate::streaming::TraceArrivals`), so it is held
+    /// once.
+    Materialized(Arc<Workload>),
     /// A double-buffered shard cursor: ≤ 2 shards of VMs resident.
     Streaming(StreamingShards),
 }
@@ -589,7 +576,7 @@ pub struct DdcWorld {
 
 impl DdcWorld {
     /// Build a pristine world for `algorithm` over `workload`.
-    pub fn new(cfg: SimConfig, algorithm: Algorithm, workload: Workload) -> Self {
+    pub fn new(cfg: SimConfig, algorithm: Algorithm, workload: Arc<Workload>) -> Self {
         Self::with_source(cfg, algorithm, VmSource::Materialized(workload))
     }
 
@@ -1309,18 +1296,25 @@ pub(crate) struct WorldSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::streaming::TraceArrivals;
     use proptest::prelude::*;
     use risa_des::Simulation;
     use risa_workload::SyntheticConfig;
     use std::collections::btree_map;
 
-    fn run_world(algo: Algorithm, n: u32, seed: u64) -> DdcWorld {
-        let workload = Workload::synthetic(&SyntheticConfig::small(n, seed));
-        // Arrivals are preloaded straight off the (already sorted) trace —
-        // no `to_vec` clone of the VM list, and nothing enters the FEL.
-        let arrivals = arrival_events(&workload);
+    /// A world over `workload` with the trace's arrivals on the queue's
+    /// arrival lane — read straight off the shared trace, nothing copied,
+    /// nothing entering the FEL.
+    fn primed(algo: Algorithm, workload: Workload) -> Simulation<DdcWorld> {
+        let workload = Arc::new(workload);
+        let arrivals = TraceArrivals::new(Arc::clone(&workload));
         let mut sim = Simulation::new(DdcWorld::new(SimConfig::paper(), algo, workload));
-        sim.preload_sorted(arrivals);
+        sim.attach_arrivals(Box::new(arrivals));
+        sim
+    }
+
+    fn run_world(algo: Algorithm, n: u32, seed: u64) -> DdcWorld {
+        let mut sim = primed(algo, Workload::synthetic(&SyntheticConfig::small(n, seed)));
         sim.run_to_completion();
         sim.into_world()
     }
@@ -1345,7 +1339,6 @@ mod tests {
     fn streaming_world_matches_materialized_end_state() {
         use crate::streaming::StreamingArrivals;
         use risa_workload::{ShardSource, SyntheticShards};
-        use std::sync::Arc;
 
         let cfg = SyntheticConfig::small(200, 3);
         let source: Arc<dyn ShardSource> = Arc::new(SyntheticShards::new(&cfg));
@@ -1499,7 +1492,7 @@ mod tests {
         let w = DdcWorld::new(
             SimConfig::paper(),
             Algorithm::Risa,
-            Workload::synthetic(&SyntheticConfig::small(1, 1)),
+            Arc::new(Workload::synthetic(&SyntheticConfig::small(1, 1))),
         );
         let n = &w.cfg.network;
         let paths = [
@@ -1582,12 +1575,11 @@ mod tests {
 
     #[test]
     fn exact_timing_batch_samples_every_call() {
-        let workload = Workload::synthetic(&SyntheticConfig::small(20, 3));
-        let arrivals = arrival_events(&workload);
-        let mut world = DdcWorld::new(SimConfig::paper(), Algorithm::Risa, workload);
-        world.set_sched_timing_batch(1);
-        let mut sim = Simulation::new(world);
-        sim.preload_sorted(arrivals);
+        let mut sim = primed(
+            Algorithm::Risa,
+            Workload::synthetic(&SyntheticConfig::small(20, 3)),
+        );
+        sim.world_mut().set_sched_timing_batch(1);
         sim.run_to_completion();
         let w = sim.world();
         assert_eq!(w.sched.sampled, w.sched.calls);

@@ -366,6 +366,13 @@ fn trace_csv_file_streams_chunked_and_matches_generator_run() {
     let (json, order) = run_mode(&csv_spec, Algorithm::Risa, false, ArrivalMode::Streaming);
     assert_eq!(base_json, json, "TraceCsv streaming report diverged");
     assert_eq!(base_order, order, "TraceCsv dispatch order diverged");
+    // And loaded whole, through the block reader, onto the trace cursor.
+    let (json, order) = run_mode(&csv_spec, Algorithm::Risa, false, ArrivalMode::Materialized);
+    assert_eq!(base_json, json, "TraceCsv materialized report diverged");
+    assert_eq!(
+        base_order, order,
+        "TraceCsv materialized dispatch order diverged"
+    );
 
     let mut sim = build_cfg(&csv_spec, ArrivalMode::Streaming, false);
     assert_eq!(

@@ -1,9 +1,15 @@
-//! Bounded-memory properties of the streaming arrival pipeline, plus the
-//! loud-rejection contract for unsorted preload input.
+//! Bounded-memory properties of the arrival pipelines — the streaming
+//! cursor's two shards, and the one window of arrivals the event queue
+//! holds on every pipeline — plus the loud-rejection contract for
+//! unsorted traces.
 
 use risa_sim::{Algorithm, ArrivalMode, SimulationBuilder, WorkloadSpec};
 use risa_workload::shard::SHARD_SIZE;
 use risa_workload::{LifetimeModel, SyntheticConfig};
+
+/// The arrival lane's window: the most converted arrivals the event queue
+/// may hold (`ARRIVAL_WINDOW` in `risa_des::queue`).
+const ARRIVAL_WINDOW: usize = 1024;
 
 /// The memory bound the tentpole promises: over a 100k-VM streaming run
 /// the workload cursor never buffers more than two shards of VMs, and the
@@ -40,6 +46,44 @@ fn peak_buffered_arrivals_is_two_shards_on_100k_run() {
     // The FEL holds in-flight departures only — the other bounded term.
     assert!(sim.peak_fel_len() <= sim.world().peak_resident() as usize);
     assert!((sim.world().peak_resident() as usize) < n as usize / 10);
+    // And the queue's own view of the schedule is one window (a shard's
+    // worth of times is the source's, counted above).
+    assert!((1..=ARRIVAL_WINDOW).contains(&sim.peak_arrival_window()));
+}
+
+/// A *materialized* run holds its trace once: the event queue reads the
+/// arrival schedule from the trace the world reads, one window at a time,
+/// instead of owning a second, 16 B/VM copy of it. Over 100k VMs it never
+/// buffers more than that window — and it does use the window, and the
+/// FEL stays as resident-bounded as on the streaming pipeline.
+#[test]
+fn materialized_run_buffers_one_window_of_arrivals_on_100k_run() {
+    let n = 100_000;
+    let cfg = SyntheticConfig {
+        lifetime_model: LifetimeModel::Fixed { value: 6300.0 },
+        ..SyntheticConfig::small(n, 17)
+    };
+    let mut sim = SimulationBuilder::new()
+        .algorithm(Algorithm::Risa)
+        .workload(WorkloadSpec::Synthetic(cfg))
+        .arrivals(ArrivalMode::Materialized)
+        .faults_off()
+        .build();
+    let report = sim.run();
+    assert_eq!(report.total_vms, n);
+    assert_eq!(sim.peak_arrival_window(), ARRIVAL_WINDOW);
+    assert_eq!(sim.peak_buffered_arrivals(), None, "no shard cursor here");
+    assert!(sim.peak_fel_len() <= sim.world().peak_resident() as usize);
+
+    // The legacy oracle has no lane: every arrival sits in the FEL.
+    let mut legacy = SimulationBuilder::new()
+        .workload(WorkloadSpec::synthetic(3000, 17))
+        .legacy_arrival_path(true)
+        .faults_off()
+        .build();
+    legacy.run();
+    assert_eq!(legacy.peak_arrival_window(), 0);
+    assert!(legacy.peak_fel_len() >= 3000);
 }
 
 /// The bound holds under every arrival-order stress we can apply: a fast

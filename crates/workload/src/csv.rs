@@ -14,8 +14,16 @@
 //! (asserted by `csv_round_trip_is_bit_exact` below). This matters for
 //! the streaming trace reader and checkpoint paths, whose byte-identity
 //! guarantees assume the trace survives interchange exactly.
+//!
+//! Two readers accept the same language, row for row (`parse_row` is
+//! its one definition): [`from_csv`] over text already in memory, and
+//! [`read_csv`] over any [`Read`], a block at a time, for trace files a
+//! simulation is about to replay — that one never holds the file, and
+//! also requires what a replay requires of a trace: ids equal to each
+//! row's rank.
 
 use crate::vm::{VmId, VmRequest, Workload};
+use std::io::{self, Read};
 
 /// The exact header line emitted and required.
 pub const HEADER: &str = "id,cpu_cores,ram_gb,storage_gb,arrival,lifetime";
@@ -130,11 +138,65 @@ pub(crate) fn parse_row(row: &str, line: usize) -> Result<VmRequest, CsvError> {
         lifetime: num(fields[5], line, "lifetime")?,
     };
     for (value, column) in [(vm.arrival, "arrival"), (vm.lifetime, "lifetime")] {
-        if !value.is_finite() || value < 0.0 {
+        if !valid_time(value) {
             return Err(CsvError::BadValue { line, column });
         }
     }
     Ok(vm)
+}
+
+/// The domain of the two time columns.
+fn valid_time(value: f64) -> bool {
+    value.is_finite() && value >= 0.0
+}
+
+/// The row a trace writer emits — `digits,digits,digits,digits,time,time`,
+/// nothing padded, no sign on the integers, at most a CR behind it — read
+/// in one pass over its bytes: the integers accumulated as they are
+/// walked, the two times handed to the same `str::parse` [`parse_row`]
+/// uses. `None` is not a verdict: padding, a sign, a seventh field, an
+/// overflow, a time outside its domain all go to [`parse_row`], which
+/// accepts the row or names its error. So this decides nothing about what
+/// a row may look like; it only skips, for the rows that are plainly
+/// fine, the UTF-8 check, the Unicode trims and the generic integer
+/// parses.
+fn plain_row(line: &[u8]) -> Option<VmRequest> {
+    let line = line.strip_suffix(b"\r").unwrap_or(line);
+    let mut at = 0;
+    let mut int = || {
+        let mut value: u32 = 0;
+        let start = at;
+        while let Some(digit) = line
+            .get(at)
+            .map(|b| b.wrapping_sub(b'0'))
+            .filter(|d| *d < 10)
+        {
+            value = value.checked_mul(10)?.checked_add(u32::from(digit))?;
+            at += 1;
+        }
+        (at > start && line.get(at) == Some(&b',')).then(|| {
+            at += 1;
+            value
+        })
+    };
+    let (id, cpu_cores, ram_gb, storage_gb) = (int()?, int()?, int()?, int()?);
+    let (arrival, lifetime) = line[at..].split_at(line[at..].iter().position(|&b| b == b',')?);
+    let time = |field: &[u8]| -> Option<f64> {
+        let plain = |b: &u8| matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-');
+        if !field.iter().all(plain) {
+            return None;
+        }
+        let value = std::str::from_utf8(field).ok()?.parse().ok()?;
+        valid_time(value).then_some(value)
+    };
+    Some(VmRequest {
+        id: VmId(id),
+        cpu_cores,
+        ram_gb,
+        storage_gb,
+        arrival: time(arrival)?,
+        lifetime: time(&lifetime[1..])?,
+    })
 }
 
 /// The arrival column alone of a row [`parse_row`] has accepted before —
@@ -170,10 +232,177 @@ pub fn from_csv(name: &str, csv: &str) -> Result<Workload, CsvError> {
     Ok(Workload::from_vms(name, vms))
 }
 
+/// Why [`read_csv`] refused its input.
+#[derive(Debug)]
+pub enum ReadError {
+    /// The reader failed, or the bytes were not UTF-8 (an
+    /// [`io::ErrorKind::InvalidData`] error, as `read_to_string` reports
+    /// it), or a line ran past one read block.
+    Io(io::Error),
+    /// A row broke the rules [`from_csv`] enforces.
+    Csv(CsvError),
+    /// A row's id is not its 0-based rank. A simulation addresses VMs by
+    /// arrival index, so a gap, duplicate or permutation in the ids would
+    /// place some other row's VM at this row's arrival.
+    NonDenseId {
+        /// 1-based line number.
+        line: usize,
+        /// Rank the row should have carried.
+        expected: u32,
+        /// Id actually found.
+        found: u32,
+    },
+}
+
+impl std::fmt::Display for ReadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReadError::Io(e) => e.fmt(f),
+            ReadError::Csv(e) => e.fmt(f),
+            ReadError::NonDenseId {
+                line,
+                expected,
+                found,
+            } => write!(
+                f,
+                "line {line}: VM ids must be dense and in order (expected {expected}, found {found})"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ReadError {}
+
+impl ReadError {
+    /// Input that is not a trace at all, reported as `read_to_string`
+    /// reports bytes that are not text.
+    fn invalid_data(what: impl Into<String>) -> Self {
+        ReadError::Io(io::Error::new(io::ErrorKind::InvalidData, what.into()))
+    }
+}
+
+/// Bytes asked of the reader at a time, and the longest line accepted (a
+/// row is under a hundred bytes; a "line" of a megabyte is not a trace).
+const BLOCK: usize = 1 << 20;
+
+/// The one validating pass over a CSV trace, a block at a time: header,
+/// then per data row [`parse_row`], dense ids and sorted arrivals, in
+/// that order. Hands `each` the byte offset at which the row's line
+/// starts and the row. Memory: one block.
+pub(crate) fn scan(
+    mut reader: impl Read,
+    mut each: impl FnMut(u64, VmRequest),
+) -> Result<(), ReadError> {
+    let mut seen_header = false;
+    let mut rank: u32 = 0;
+    let mut last_arrival = f64::NEG_INFINITY;
+    let mut line = 0usize;
+    // `line` is 1-based and counts the line being judged.
+    let mut judge = |bytes: &[u8], offset: u64| -> Result<(), ReadError> {
+        line += 1;
+        let vm = match plain_row(bytes).filter(|_| seen_header) {
+            Some(vm) => vm,
+            None => {
+                let text = std::str::from_utf8(bytes)
+                    .map_err(|_| ReadError::invalid_data("stream did not contain valid UTF-8"))?;
+                let row = text.trim();
+                if !seen_header {
+                    seen_header = true;
+                    return if row == HEADER {
+                        Ok(())
+                    } else {
+                        Err(ReadError::Csv(CsvError::BadHeader))
+                    };
+                }
+                if row.is_empty() {
+                    return Ok(());
+                }
+                parse_row(row, line).map_err(ReadError::Csv)?
+            }
+        };
+        if vm.id.0 != rank {
+            return Err(ReadError::NonDenseId {
+                line,
+                expected: rank,
+                found: vm.id.0,
+            });
+        }
+        if vm.arrival < last_arrival {
+            return Err(ReadError::Csv(CsvError::NotSorted { line }));
+        }
+        // A trace's length must itself be a `u32`.
+        rank = rank.checked_add(1).ok_or_else(|| {
+            ReadError::invalid_data(format!(
+                "line {line}: a trace holds at most {} rows",
+                u32::MAX
+            ))
+        })?;
+        last_arrival = vm.arrival;
+        each(offset, vm);
+        Ok(())
+    };
+
+    // `buf[..filled]` holds the bytes of the file from `base` on that no
+    // complete line has claimed yet: the carried head of a line, then
+    // whatever the reader gave last.
+    let mut buf = vec![0u8; BLOCK];
+    let (mut filled, mut base) = (0usize, 0u64);
+    loop {
+        if filled == buf.len() {
+            return Err(ReadError::invalid_data(format!(
+                "line {} is longer than {BLOCK} bytes",
+                line + 1
+            )));
+        }
+        let got = loop {
+            match reader.read(&mut buf[filled..]) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                other => break other.map_err(ReadError::Io)?,
+            }
+        };
+        // The carried bytes hold no newline: only the new ones can end a line.
+        let mut searched = filled;
+        filled += got;
+        let mut start = 0;
+        while let Some(at) = buf[searched..filled].iter().position(|&b| b == b'\n') {
+            let end = searched + at;
+            judge(&buf[start..end], base + start as u64)?;
+            start = end + 1;
+            searched = start;
+        }
+        if got == 0 {
+            if start < filled {
+                judge(&buf[start..filled], base + start as u64)?;
+            }
+            break;
+        }
+        buf.copy_within(start..filled, 0);
+        filled -= start;
+        base += start as u64;
+    }
+    if seen_header {
+        Ok(())
+    } else {
+        Err(ReadError::Csv(CsvError::BadHeader))
+    }
+}
+
+/// Read a workload from a CSV trace (the [`to_csv`] schema) without ever
+/// holding more of it than one read block: what a trace *file* is loaded
+/// through. Accepts exactly the rows [`from_csv`] accepts, with the same
+/// errors, and additionally requires each row's id to be its rank (see
+/// [`ReadError::NonDenseId`]). `name` labels the resulting workload.
+pub fn read_csv(name: &str, reader: impl Read) -> Result<Workload, ReadError> {
+    let mut vms = Vec::new();
+    scan(reader, |_, vm| vms.push(vm))?;
+    Ok(Workload::from_vms(name, vms))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::synthetic::SyntheticConfig;
+    use proptest::prelude::*;
 
     #[test]
     fn roundtrip_preserves_everything_but_name() {
@@ -331,5 +560,292 @@ mod tests {
         }
         .to_string();
         assert!(bad.contains('9') && bad.contains("arrival") && bad.contains("finite"));
+    }
+
+    /// A reader that hands over 1–7 bytes a call, so every row (and the
+    /// header, and every CRLF) straddles a read.
+    struct Dribble<'a> {
+        rest: &'a [u8],
+        sizes: std::iter::Cycle<std::slice::Iter<'a, usize>>,
+    }
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = (*self.sizes.next().unwrap())
+                .min(self.rest.len())
+                .min(buf.len());
+            buf[..n].copy_from_slice(&self.rest[..n]);
+            self.rest = &self.rest[n..];
+            Ok(n)
+        }
+    }
+
+    /// What the two readers must agree on: the workload, or the error.
+    fn verdict(read: Result<Workload, ReadError>) -> Result<Workload, CsvError> {
+        read.map_err(|e| match e {
+            ReadError::Csv(e) => e,
+            other => panic!("the text reader has no such error: {other}"),
+        })
+    }
+
+    /// An integer field for `value`: mostly plain, sometimes in one of the
+    /// other spellings `u32::from_str` takes, sometimes one it refuses.
+    fn int_field(value: u32, style: u32) -> String {
+        match style {
+            0 => format!("+{value}"),
+            1 => format!(" {value}\t"),
+            2 => format!("00{value}"),
+            3 => "4294967296".into(), // u32::MAX + 1
+            4 => format!("{value}9999999999"),
+            5 => format!("-{value}"),
+            6 => String::new(),
+            7 => format!("{value}.0"),
+            8 => format!("\u{a0}{value}"), // NBSP: `trim` takes it, a byte trim would not
+            _ => value.to_string(),
+        }
+    }
+
+    /// A time field for `value`, likewise.
+    fn time_field(value: f64, style: u32) -> String {
+        match style {
+            0 => format!("+{value:?}"),
+            1 => format!("{value:e}"),
+            2 => format!("{value:E}"),
+            3 => format!("  {value:?} "),
+            4 => "inf".into(),
+            5 => "NaN".into(),
+            6 => format!("-{value:?}"), // "-0.0" is in the domain, "-2.5" is not
+            7 => "1e999".into(),
+            8 => "-1e-999".into(),
+            9 => format!("{value:?}s"),
+            10 => ".".into(),
+            11 => format!("{}", value as u64),
+            _ => format!("{value:?}"),
+        }
+    }
+
+    /// One generated line of a document.
+    #[derive(Debug, Clone)]
+    struct Line {
+        /// 0 blank, 1 whitespace-only, 2 five fields, 3 seven fields,
+        /// 4 trailing comma, 5 NBSP-padded row, else a plain row.
+        shape: u32,
+        /// A style for each of the six fields (see the `*_field` fns).
+        styles: [u32; 6],
+        sizes: (u32, u32),
+        /// Gap to the previous arrival; negative once in a while.
+        gap: f64,
+        lifetime: f64,
+        crlf: bool,
+    }
+
+    fn line() -> impl Strategy<Value = Line> {
+        (
+            0u32..40,
+            prop::collection::vec(0u32..120, 6),
+            (1u32..=32, 1u32..=32),
+            (0u32..60, 0u64..1 << 53, 0u64..1 << 53),
+            any::<bool>(),
+        )
+            .prop_map(|(shape, styles, sizes, (back, a, b), crlf)| Line {
+                shape,
+                styles: styles.try_into().unwrap(),
+                sizes,
+                gap: if back == 0 {
+                    -1.0
+                } else {
+                    9.0 * a as f64 / (1u64 << 53) as f64
+                },
+                lifetime: 6300.0 * b as f64 / (1u64 << 53) as f64,
+                crlf,
+            })
+    }
+
+    /// Render a document: `header` 0 is none at all, 1 a wrong one, 2 a
+    /// padded one, else the plain one. Ids are the data rows' ranks (in
+    /// whatever spelling), so the text reader and the block reader are
+    /// asked about the same language.
+    fn document(header: u32, lines: &[Line], final_newline: bool) -> String {
+        let mut text = match header {
+            0 => String::new(),
+            1 => format!("{HEADER},\n"),
+            2 => format!("\u{a0} {HEADER}\t\r\n"),
+            _ => format!("{HEADER}\n"),
+        };
+        let (mut rank, mut arrival) = (0u32, 0.0f64);
+        for l in lines {
+            let row = match l.shape {
+                0 => String::new(),
+                1 => " \t\u{a0}".into(),
+                _ => {
+                    arrival = (arrival + l.gap).max(0.0);
+                    let mut fields = vec![
+                        int_field(rank, l.styles[0]),
+                        int_field(l.sizes.0, l.styles[1]),
+                        int_field(l.sizes.1, l.styles[2]),
+                        int_field(128, l.styles[3]),
+                        time_field(arrival, l.styles[4]),
+                        time_field(l.lifetime, l.styles[5]),
+                    ];
+                    rank += 1;
+                    match l.shape {
+                        2 => drop(fields.pop()),
+                        3 => fields.push("7".into()),
+                        4 => fields.push(String::new()),
+                        _ => {}
+                    }
+                    let row = fields.join(",");
+                    if l.shape == 5 {
+                        format!("\u{a0}{row}\u{2003}")
+                    } else {
+                        row
+                    }
+                }
+            };
+            text.push_str(&row);
+            text.push_str(if l.crlf { "\r\n" } else { "\n" });
+        }
+        if !final_newline {
+            while text.ends_with(['\n', '\r']) {
+                text.pop();
+            }
+        }
+        text
+    }
+
+    proptest! {
+        /// `read_csv` over the bytes, a few at a time, is `from_csv` over
+        /// the text: the same workload or the same error, line and column
+        /// included — whatever the spelling of a field, the line endings,
+        /// the padding, the arity, wherever the reads fall.
+        #[test]
+        fn block_reader_agrees_with_text_reader(
+            header in 0u32..12,
+            lines in prop::collection::vec(line(), 0..40),
+            final_newline in any::<bool>(),
+            sizes in prop::collection::vec(1usize..=7, 1..9),
+        ) {
+            let text = document(header, &lines, final_newline);
+            let dribble = Dribble { rest: text.as_bytes(), sizes: sizes.iter().cycle() };
+            prop_assert_eq!(
+                verdict(read_csv("doc", dribble)),
+                from_csv("doc", &text),
+                "document: {:?}", text
+            );
+            // And handed over whole.
+            prop_assert_eq!(verdict(read_csv("doc", text.as_bytes())), from_csv("doc", &text));
+        }
+    }
+
+    /// The generator above must not be vacuous: over a fixed sweep of
+    /// documents both verdicts, and every error kind, turn up.
+    #[test]
+    fn generated_documents_cover_every_verdict() {
+        let mut runner = proptest::TestRunner::new(ProptestConfig::with_cases(400), "cover");
+        let mut seen = std::collections::BTreeSet::new();
+        runner.run("cover", |rng| {
+            let lines = prop::collection::vec(line(), 0..40).generate(rng);
+            let header = (0u32..12).generate(rng);
+            seen.insert(match from_csv("doc", &document(header, &lines, true)) {
+                Ok(w) if w.is_empty() => "ok-empty",
+                Ok(_) => "ok",
+                Err(CsvError::BadHeader) => "header",
+                Err(CsvError::BadArity { .. }) => "arity",
+                Err(CsvError::BadField { .. }) => "field",
+                Err(CsvError::BadValue { .. }) => "value",
+                Err(CsvError::NotSorted { .. }) => "sorted",
+            });
+            Ok(())
+        });
+        assert_eq!(seen.len(), 7, "saw only {seen:?}");
+    }
+
+    /// A trace bigger than two read blocks, through a reader that fills
+    /// every block: rows straddle the real block edges.
+    #[test]
+    fn block_reader_carries_rows_across_real_blocks() {
+        let w = Workload::synthetic(&SyntheticConfig::small(60_000, 5));
+        let text = to_csv(&w);
+        assert!(text.len() > 2 * BLOCK);
+        assert_eq!(read_csv("synthetic", text.as_bytes()).unwrap(), w);
+    }
+
+    /// What a replay needs and an interchange format does not: ids equal
+    /// to ranks. Swapped, sparse and duplicate ids each name their line.
+    #[test]
+    fn block_reader_requires_dense_ids() {
+        for (rows, line, expected, found) in [
+            ("1,1,2,128,1.0,10\n0,1,2,128,2.0,10\n", 2, 0, 1),
+            ("0,1,2,128,1.0,10\n\n5,1,2,128,2.0,10\n", 4, 1, 5),
+            (
+                "0,1,2,128,1.0,10\n1,1,2,128,2.0,10\n1,1,2,128,3.0,10\n",
+                4,
+                2,
+                1,
+            ),
+        ] {
+            let csv = format!("{HEADER}\n{rows}");
+            assert!(from_csv("x", &csv).is_ok(), "the text reader takes any ids");
+            match read_csv("x", csv.as_bytes()).unwrap_err() {
+                ReadError::NonDenseId {
+                    line: l,
+                    expected: e,
+                    found: f,
+                } => {
+                    assert_eq!((l, e, f), (line, expected, found), "rows: {rows}")
+                }
+                other => panic!("expected NonDenseId, got {other}"),
+            }
+        }
+        // Density is judged after the row itself and before its order.
+        let csv = format!("{HEADER}\n0,1,2,128,5.0,10\n7,1,2,128,4.0,x\n");
+        assert!(matches!(
+            read_csv("x", csv.as_bytes()).unwrap_err(),
+            ReadError::Csv(CsvError::BadField {
+                line: 3,
+                column: "lifetime"
+            })
+        ));
+        let csv = format!("{HEADER}\n0,1,2,128,5.0,10\n7,1,2,128,4.0,10\n");
+        assert!(matches!(
+            read_csv("x", csv.as_bytes()).unwrap_err(),
+            ReadError::NonDenseId {
+                line: 3,
+                expected: 1,
+                found: 7
+            }
+        ));
+    }
+
+    /// Bytes that are not text, and a "line" no row could be, are input
+    /// errors, not panics and not unbounded buffers.
+    #[test]
+    fn block_reader_refuses_non_text_and_endless_lines() {
+        let mut bytes = format!("{HEADER}\n0,1,2,128,1.0,10\n1,1,2,128,2.0,").into_bytes();
+        bytes.extend([0xff, 0xfe, b'\n']);
+        match read_csv("x", &bytes[..]).unwrap_err() {
+            ReadError::Io(e) => {
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                assert!(e.to_string().contains("UTF-8"));
+            }
+            other => panic!("expected an I/O error, got {other}"),
+        }
+        let mut bytes = format!("{HEADER}\n0,1,2,128,1.0,10\n").into_bytes();
+        bytes.resize(bytes.len() + BLOCK + 1, b' ');
+        match read_csv("x", &bytes[..]).unwrap_err() {
+            ReadError::Io(e) => assert!(e.to_string().contains("line 3 is longer than")),
+            other => panic!("expected an I/O error, got {other}"),
+        }
+        // A reader's own failure is handed on as it is.
+        struct Broken;
+        impl Read for Broken {
+            fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+                Err(io::Error::other("disk on fire"))
+            }
+        }
+        assert!(read_csv("x", Broken)
+            .unwrap_err()
+            .to_string()
+            .contains("disk on fire"));
     }
 }

@@ -28,7 +28,7 @@
 //! adapters override [`ShardSource::span_units`] with the true last
 //! arrival.
 
-use crate::csv::{parse_arrival, parse_row, CsvError, HEADER};
+use crate::csv::{self, parse_arrival, parse_row, CsvError, ReadError};
 use crate::shard::{ShardSource, SHARD_SIZE};
 use crate::vm::{VmRequest, Workload};
 use std::fs::File;
@@ -88,7 +88,9 @@ impl ShardSource for TraceShards {
     }
 }
 
-/// Errors raised while opening a CSV trace file as a shard source.
+/// Errors raised while loading a CSV trace file, whole
+/// ([`Workload::read_csv_file`]) or as a shard source
+/// ([`CsvFileShards::open`]): the same file gets the same error from both.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceFileError {
     /// The file could not be read.
@@ -120,14 +122,16 @@ impl std::fmt::Display for TraceFileError {
                 write!(f, "cannot read trace file '{path}': {message}")
             }
             TraceFileError::Csv(e) => write!(f, "trace file: {e}"),
-            TraceFileError::NonDenseId {
+            &TraceFileError::NonDenseId {
                 line,
                 expected,
                 found,
-            } => write!(
-                f,
-                "line {line}: VM ids must be dense and in order (expected {expected}, found {found})"
-            ),
+            } => ReadError::NonDenseId {
+                line,
+                expected,
+                found,
+            }
+            .fmt(f),
         }
     }
 }
@@ -140,15 +144,53 @@ impl From<CsvError> for TraceFileError {
     }
 }
 
+impl TraceFileError {
+    fn io(path: &Path, e: std::io::Error) -> Self {
+        TraceFileError::Io {
+            path: path.display().to_string(),
+            message: e.to_string(),
+        }
+    }
+
+    /// A reader's verdict on the file at `path`.
+    fn from_read(path: &Path, e: ReadError) -> Self {
+        match e {
+            ReadError::Io(e) => Self::io(path, e),
+            ReadError::Csv(e) => TraceFileError::Csv(e),
+            ReadError::NonDenseId {
+                line,
+                expected,
+                found,
+            } => TraceFileError::NonDenseId {
+                line,
+                expected,
+                found,
+            },
+        }
+    }
+}
+
+impl Workload {
+    /// Load the CSV trace file at `path` whole, through
+    /// [`csv::read_csv`]: validated like [`CsvFileShards::open`]
+    /// validates it, and never resident as text. `name` labels the
+    /// workload.
+    pub fn read_csv_file(name: &str, path: impl AsRef<Path>) -> Result<Self, TraceFileError> {
+        let path = path.as_ref();
+        let file = File::open(path).map_err(|e| TraceFileError::io(path, e))?;
+        csv::read_csv(name, file).map_err(|e| TraceFileError::from_read(path, e))
+    }
+}
+
 /// A CSV trace file on disk, served shard-by-shard without ever holding
 /// the whole trace in memory.
 ///
-/// [`CsvFileShards::open`] makes one streaming pass over the file that
-/// validates every row (header, arity, field domains, sorted and dense
-/// ids — the exact [`crate::csv::from_csv`] rules plus density) and
-/// records, per [`SHARD_SIZE`] rows, the byte offset of the shard's first
-/// row. Each [`ShardSource::shard_vms`] call then reopens the file, seeks
-/// to the shard's offset and parses only its rows. The file must not be
+/// [`CsvFileShards::open`] makes one streaming pass over the file — the
+/// pass [`crate::csv::read_csv`] makes: header, arity, field domains,
+/// dense ids, sorted arrivals — and records, per [`SHARD_SIZE`] rows, the
+/// byte offset of the shard's first row. Each [`ShardSource::shard_vms`]
+/// call then reopens the file, seeks to the shard's offset and parses
+/// only its rows. The file must not be
 /// modified between `open` and the run — `shard_vms` panics (loudly, with
 /// the offending line) if a previously-valid row stops parsing.
 #[derive(Debug, Clone)]
@@ -165,58 +207,20 @@ impl CsvFileShards {
     /// Open and validate `path`, labelling the workload `name`.
     pub fn open(name: impl Into<String>, path: impl AsRef<Path>) -> Result<Self, TraceFileError> {
         let path = path.as_ref().to_path_buf();
-        let io_err = |e: std::io::Error| TraceFileError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        };
-        let mut reader = BufReader::new(File::open(&path).map_err(io_err)?);
-        let mut buf = String::new();
-        let mut pos: u64 = 0; // byte offset of the line in `buf`
-        let mut line = 0usize; // 1-based line number of that line
-
-        // Header.
-        let n = reader.read_line(&mut buf).map_err(io_err)?;
-        line += 1;
-        if n == 0 || buf.trim() != HEADER {
-            return Err(CsvError::BadHeader.into());
-        }
-        pos += n as u64;
-
+        let file = File::open(&path).map_err(|e| TraceFileError::io(&path, e))?;
         let mut offsets = Vec::new();
         let mut total: u32 = 0;
         let mut span = 0.0f64;
-        let mut last_arrival = f64::NEG_INFINITY;
-        loop {
-            buf.clear();
-            let n = reader.read_line(&mut buf).map_err(io_err)?;
-            if n == 0 {
-                break;
-            }
-            line += 1;
-            let row_start = pos;
-            pos += n as u64;
-            let row = buf.trim();
-            if row.is_empty() {
-                continue;
-            }
-            let vm = parse_row(row, line)?;
-            if vm.id.0 != total {
-                return Err(TraceFileError::NonDenseId {
-                    line,
-                    expected: total,
-                    found: vm.id.0,
-                });
-            }
-            if vm.arrival < last_arrival {
-                return Err(CsvError::NotSorted { line }.into());
-            }
-            last_arrival = vm.arrival;
-            if total.is_multiple_of(SHARD_SIZE) {
+        csv::scan(file, |row_start, vm| {
+            // `vm.id` is the row's rank, and the row count fits a `u32`
+            // (the scan checked both).
+            if vm.id.0.is_multiple_of(SHARD_SIZE) {
                 offsets.push(row_start);
             }
-            total += 1;
+            total = vm.id.0 + 1;
             span = vm.arrival;
-        }
+        })
+        .map_err(|e| TraceFileError::from_read(&path, e))?;
         Ok(CsvFileShards {
             path,
             name: name.into(),
@@ -314,7 +318,7 @@ impl ShardSource for CsvFileShards {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csv::to_csv;
+    use crate::csv::{to_csv, HEADER};
     use crate::shard::materialize;
     use crate::streaming::StreamingShards;
     use crate::synthetic::SyntheticConfig;
@@ -459,5 +463,68 @@ mod tests {
             }
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The two ways into a trace file — whole, or shard by shard — are one
+    /// validating pass: the same file gets the same verdict from both.
+    #[test]
+    fn whole_file_load_and_shard_open_agree() {
+        let same = |tag: &str, contents: &[u8]| {
+            let path = std::env::temp_dir()
+                .join(format!("risa_trace_{}_same_{tag}.csv", std::process::id()));
+            std::fs::write(&path, contents).unwrap();
+            let whole = Workload::read_csv_file("x", &path);
+            let shards = CsvFileShards::open("x", &path);
+            let refused = match (whole, shards) {
+                (Ok(w), Ok(s)) => {
+                    assert_eq!(materialize(&s), w.vms(), "{tag}");
+                    None
+                }
+                (Err(a), Err(b)) => {
+                    assert_eq!(a, b, "{tag}");
+                    Some(a)
+                }
+                (a, b) => panic!("{tag}: whole {a:?}, shards {b:?}"),
+            };
+            std::fs::remove_file(&path).ok();
+            refused
+        };
+        let doc = |rows: &str| format!("{HEADER}\n{rows}").into_bytes();
+        assert_eq!(
+            same("ok", &doc("0,1,2,128,1.0,10\r\n\n 1,+1,2,128,1.0,10")),
+            None
+        );
+        assert_eq!(same("empty", b""), Some(CsvError::BadHeader.into()));
+        assert_eq!(
+            same("row", &doc("0,1,2,128,1.0,10\n1,1,2,128,2.0\n")),
+            Some(CsvError::BadArity { line: 3 }.into())
+        );
+        for (tag, rows, line, expected, found) in [
+            ("swapped", "1,1,2,128,1.0,10\n0,1,2,128,2.0,10\n", 2, 0, 1),
+            ("sparse", "0,1,2,128,1.0,10\n2,1,2,128,2.0,10\n", 3, 1, 2),
+            ("dup", "0,1,2,128,1.0,10\n0,1,2,128,2.0,10\n", 3, 1, 0),
+        ] {
+            assert_eq!(
+                same(tag, &doc(rows)),
+                Some(TraceFileError::NonDenseId {
+                    line,
+                    expected,
+                    found
+                })
+            );
+        }
+        let mut binary = doc("0,1,2,128,1.0,10\n");
+        binary.extend([0xc3, 0x28, b'\n']);
+        let refused = same("binary", &binary).expect("not text");
+        assert!(
+            matches!(&refused, TraceFileError::Io { path, message }
+                if path.ends_with("same_binary.csv") && message.contains("UTF-8")),
+            "{refused:?}"
+        );
+        let missing = Workload::read_csv_file("x", "/nonexistent/risa/trace.csv").unwrap_err();
+        assert_eq!(
+            missing,
+            CsvFileShards::open("x", "/nonexistent/risa/trace.csv").unwrap_err()
+        );
     }
 }
