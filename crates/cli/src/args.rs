@@ -14,17 +14,18 @@ commands:
       --algo <NULB|NALB|RISA|RISA-BF>      (default RISA)
       --workload <synthetic|azure-3000|azure-5000|azure-7500|<file>.csv>
                              (default synthetic; a path ending in .csv is
-                             read as a trace file in the risa CSV schema,
-                             chunk-by-chunk when streaming)
+                             read as a trace file in the risa CSV schema)
       --n <count>            synthetic VM count (default 2500)
       --seed <u64>           (default 42)
       --scale <mult>         run on a mult x paper cluster (default 1)
-      --arrivals <materialized|streaming>  arrival pipeline (default:
-                             RISA_ARRIVALS env var, else materialized;
-                             streaming feeds arrivals shard-by-shard
-                             during the run — identical reports, bounded
-                             memory; every workload kind streams,
-                             including .csv trace files)
+      --arrivals <materialized|streaming>  how a .csv trace file is
+                             read (default materialized: loaded whole
+                             before the run; streaming: re-read a 4096-row
+                             chunk at a time during it — identical
+                             reports, memory bounded by resident VMs,
+                             each row parsed twice). Generated workloads
+                             are always generated on demand, a shard at a
+                             time, and ignore the flag
       --checkpoint <path>    with --checkpoint-every: write the latest
                              checkpoint (JSON, versioned) to <path> at
                              each cadence; a resumed run replays into the
@@ -89,7 +90,7 @@ pub enum Command {
         seed: u64,
         /// Cluster-size multiplier over the paper topology.
         scale: u16,
-        /// Arrival pipeline (`None` = `RISA_ARRIVALS` or materialized).
+        /// How a CSV trace file is read (`None` = materialized: whole).
         arrivals: Option<ArrivalMode>,
         /// Inject the canonical fault scenario (`false` = `RISA_FAULTS`
         /// env var, else faults off).
@@ -172,8 +173,8 @@ pub enum WorkloadArg {
     },
     /// An Azure-like slice.
     Azure(AzureSubset),
-    /// A CSV trace file on disk (`--workload <path>.csv`), read
-    /// chunk-by-chunk under the streaming arrival pipeline.
+    /// A CSV trace file on disk (`--workload <path>.csv`), read whole or
+    /// — `--arrivals streaming` — chunk-by-chunk.
     TraceCsv {
         /// Path to the file.
         path: String,

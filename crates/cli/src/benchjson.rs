@@ -13,13 +13,12 @@
 use rayon::prelude::*;
 use risa_sched::cycle::ScheduleCycle;
 use risa_sched::Algorithm;
-use risa_sim::{ArrivalMode, SimulationBuilder, WorkloadSpec};
+use risa_sim::{SimulationBuilder, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
-/// `BENCH_des.json`: single-run DES throughput per arrival mode on the
-/// saturating synthetic trace — the des_hot_loop bench's artifact,
-/// machine-readable.
+/// `BENCH_des.json`: single-run DES throughput on the saturating
+/// synthetic trace — the des_hot_loop bench's artifact, machine-readable.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct DesBench {
     /// Envelope shape tag.
@@ -30,20 +29,21 @@ pub struct DesBench {
     pub threads: usize,
     /// VMs in the measured trace.
     pub vms: u32,
-    /// One row per arrival mode.
+    /// One row: the one arrival lane (there were two, one per mode,
+    /// while a generated trace could also be materialized first).
     pub runs: Vec<DesRun>,
 }
 
 /// One DES measurement row.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct DesRun {
-    /// `materialized` or `streaming`.
+    /// The run's resolved `--arrivals` value (the default's name: the
+    /// key `scripts/bench_diff.py` matches rows on).
     pub arrival_mode: String,
     /// Events dispatched (arrivals + departures).
     pub events: u64,
-    /// Wall-clock seconds of the run (excludes trace generation on the
-    /// materialized path; *includes* overlapped generation when
-    /// streaming — that is the pipeline's claim).
+    /// Wall-clock seconds of the run, which generates its trace on
+    /// demand: generation is inside this number.
     pub seconds: f64,
     /// `events / seconds`.
     pub events_per_sec: f64,
@@ -51,8 +51,8 @@ pub struct DesRun {
     pub peak_fel: usize,
     /// High-water mark of resident VMs.
     pub peak_resident: u32,
-    /// Streaming only: high-water mark of VMs buffered by the workload
-    /// cursor (≤ 2 shards by construction).
+    /// High-water mark of VMs buffered by the workload cursor (one
+    /// shard, plus at most one lane window).
     pub peak_buffered_arrivals: Option<usize>,
 }
 
@@ -132,38 +132,33 @@ fn stamp_rev(head: Option<&str>, porcelain: Option<&str>) -> String {
     format!("{head}{}", if clean { "" } else { "-dirty" })
 }
 
-/// Measure the DES event loop: one full run per arrival mode on a
-/// saturating `vms`-VM synthetic trace (seed 42, the des_hot_loop
-/// configuration, so numbers are comparable across commits).
+/// Measure the DES event loop: one full default run on a saturating
+/// `vms`-VM synthetic trace (seed 42, the des_hot_loop configuration, so
+/// numbers are comparable across commits).
 pub fn des_bench(vms: u32) -> DesBench {
-    let mut runs = Vec::new();
-    for mode in ArrivalMode::ALL {
-        let mut sim = SimulationBuilder::new()
-            .algorithm(Algorithm::Risa)
-            .workload(WorkloadSpec::synthetic(vms, 42))
-            .arrivals(mode)
-            .faults_off() // comparable across commits and env toggles
-            .build();
-        let t0 = Instant::now();
-        sim.run();
-        let seconds = t0.elapsed().as_secs_f64();
-        let events = sim.events_dispatched();
-        runs.push(DesRun {
-            arrival_mode: mode.to_string(),
+    let mut sim = SimulationBuilder::new()
+        .algorithm(Algorithm::Risa)
+        .workload(WorkloadSpec::synthetic(vms, 42))
+        .faults_off() // comparable across commits and env toggles
+        .build();
+    let t0 = Instant::now();
+    sim.run();
+    let seconds = t0.elapsed().as_secs_f64();
+    let events = sim.events_dispatched();
+    DesBench {
+        schema: "risa-bench-des/v3".into(),
+        git_rev: git_rev(),
+        threads: rayon::current_num_threads(),
+        vms,
+        runs: vec![DesRun {
+            arrival_mode: sim.arrival_mode().to_string(),
             events,
             seconds,
             events_per_sec: events as f64 / seconds.max(1e-9),
             peak_fel: sim.peak_fel_len(),
             peak_resident: sim.world().peak_resident(),
             peak_buffered_arrivals: sim.peak_buffered_arrivals(),
-        });
-    }
-    DesBench {
-        schema: "risa-bench-des/v3".into(),
-        git_rev: git_rev(),
-        threads: rayon::current_num_threads(),
-        vms,
-        runs,
+        }],
     }
 }
 
@@ -280,16 +275,13 @@ mod tests {
     fn des_envelope_roundtrips_with_schema() {
         let b = des_bench(2000);
         assert_eq!(b.schema, "risa-bench-des/v3");
-        assert_eq!(b.runs.len(), ArrivalMode::ALL.len());
+        assert_eq!(b.runs.len(), 1, "one lane, one row");
         assert!(b.threads >= 1);
-        for r in &b.runs {
-            assert!(r.events >= 2 * 2000 - 2000); // ≥ arrivals
-            assert!(r.events_per_sec > 0.0);
-            let streaming = r.arrival_mode == "streaming";
-            assert_eq!(r.peak_buffered_arrivals.is_some(), streaming);
-        }
-        // Same engine ⇒ identical event counts across all rows.
-        assert!(b.runs.iter().all(|r| r.events == b.runs[0].events));
+        let r = &b.runs[0];
+        assert_eq!(r.arrival_mode, "materialized");
+        assert!(r.events >= 2 * 2000 - 2000); // ≥ arrivals
+        assert!(r.events_per_sec > 0.0);
+        assert_eq!(r.peak_buffered_arrivals, Some(2000), "under one shard");
         let json = serde_json::to_string(&b).unwrap();
         let back: DesBench = serde_json::from_str(&json).unwrap();
         assert_eq!(back.vms, 2000);

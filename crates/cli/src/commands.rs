@@ -1,7 +1,8 @@
 //! Command execution.
 //!
-//! Commands that fan work out (`run`'s sharded generation, `experiment`,
-//! `bench`, `generate`) use the process-wide **resident** `rayon` pool;
+//! Commands that fan work out (`experiment`, `bench`, `generate`; a `run`
+//! generates its workload inline, on demand) use the process-wide
+//! **resident** `rayon` pool;
 //! `--jobs` (applied here via [`rayon::set_num_threads`]) or the
 //! `RISA_THREADS` env var size it, and [`apply_jobs`] pre-warms it
 //! ([`rayon::warm_up`]) so the workers are spawned once up front rather

@@ -1,9 +1,11 @@
 //! Flag-vs-env precedence matrix for the `run` command.
 //!
-//! Every run knob has a flag and an environment fallback: `--arrivals` /
-//! `RISA_ARRIVALS`, `--faults` / `RISA_FAULTS`, `--jobs` /
-//! `RISA_THREADS`. The contract is that an explicit flag
-//! always beats a conflicting env var. Before PR 9 that contract was only
+//! Two run knobs have a flag and an environment fallback: `--faults` /
+//! `RISA_FAULTS`, `--jobs` / `RISA_THREADS`. The contract is that an
+//! explicit flag always beats a conflicting env var. (`--arrivals` has a
+//! constant default and no variable: the one it had went when generated
+//! workloads stopped having a second pipeline to select, and setting it
+//! now does nothing.) Before PR 9 that contract was only
 //! documented; here it is observed end-to-end by spawning the real binary
 //! with deliberately contradictory env + flags and reading the one
 //! `resolved: arrivals=… faults=… jobs=…` line the run prints to
@@ -32,8 +34,7 @@ fn run_with(env: &[(&str, &str)], extra: &[&str]) -> (HashMap<String, String>, S
     ])
     .args(extra)
     // Start from a known-clean slate: the test runner's own env
-    // (e.g. CI's RISA_ARRIVALS leg) must not leak into the child.
-    .env_remove("RISA_ARRIVALS")
+    // (e.g. CI's RISA_FAULTS leg) must not leak into the child.
     .env_remove("RISA_FAULTS")
     .env_remove("RISA_THREADS");
     for (k, v) in env {
@@ -59,30 +60,25 @@ fn run_with(env: &[(&str, &str)], extra: &[&str]) -> (HashMap<String, String>, S
     (resolved, String::from_utf8(out.stdout).unwrap())
 }
 
-/// With no flags, the env vars drive every knob — the fallback half of
-/// the contract, and the baseline the flag runs below must override.
+/// With no flags, the env vars drive the knobs that have one — the
+/// fallback half of the contract, and the baseline the flag runs below
+/// must override — and a variable the program no longer reads changes
+/// nothing, whatever it holds.
 #[test]
 fn env_vars_drive_unflagged_runs() {
     let (resolved, _) = run_with(
         &[
-            ("RISA_ARRIVALS", "streaming"),
+            ("RISA_ARRIVALS", "not-a-mode"),
             ("RISA_FAULTS", "1"),
             ("RISA_THREADS", "3"),
         ],
         &[],
     );
-    assert_eq!(resolved["arrivals"], "streaming");
+    assert_eq!(resolved["arrivals"], "materialized");
     assert_eq!(resolved["faults"], "on");
     assert_eq!(resolved["jobs"], "3");
-}
-
-#[test]
-fn arrivals_flag_beats_env() {
-    let (resolved, _) = run_with(
-        &[("RISA_ARRIVALS", "streaming")],
-        &["--arrivals", "materialized"],
-    );
-    assert_eq!(resolved["arrivals"], "materialized");
+    let (resolved, _) = run_with(&[], &["--arrivals", "streaming"]);
+    assert_eq!(resolved["arrivals"], "streaming");
 }
 
 #[test]
@@ -111,15 +107,13 @@ fn flagged_run_output_matches_env_run_of_same_config() {
             .collect::<Vec<_>>()
             .join("\n")
     };
-    let (_, via_env) = run_with(&[("RISA_ARRIVALS", "streaming")], &[]);
-    let (_, via_flag) = run_with(
-        &[("RISA_ARRIVALS", "materialized")],
-        &["--arrivals", "streaming"],
-    );
+    let (_, via_env) = run_with(&[("RISA_FAULTS", "1")], &[]);
+    let (_, via_flag) = run_with(&[("RISA_FAULTS", "off")], &["--faults"]);
+    assert!(via_env.contains("\"faults\""), "{via_env}");
     assert_eq!(
         stable(via_env),
         stable(via_flag),
-        "streaming report must not depend on how streaming was selected"
+        "a churn report must not depend on how the scenario was selected"
     );
 }
 

@@ -1,12 +1,13 @@
-//! A trace the CLI cannot run is an `error:` line and exit code 1 — on
-//! both arrival pipelines, with the same words — never a panic and never
+//! A trace the CLI cannot run is an `error:` line and exit code 1 —
+//! read whole or chunked, with the same words — never a panic and never
 //! a run.
 //!
 //! Covers the input boundary `run --workload <file.csv>` and `replay
 //! --trace <file.json>` cross: a missing file, a bad header, a bad row
-//! (line number intact), and ids that are not the rows' ranks (which the
-//! default pipeline used to run to exit 0, placing each arrival as some
-//! other row's VM).
+//! (line number intact), ids that are not the rows' ranks (which the
+//! default once ran to exit 0, placing each arrival as some other row's
+//! VM), and a row no box can hold — the same boundary an oversized
+//! `--workload synthetic` would cross if the flags could ask for one.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -24,7 +25,6 @@ fn temp(tag: &str, contents: &str) -> PathBuf {
 fn cli(args: &[&str]) -> (Option<i32>, String, String) {
     let out = Command::new(BIN)
         .args(args)
-        .env_remove("RISA_ARRIVALS")
         .env_remove("RISA_FAULTS")
         .output()
         .expect("spawn risa-cli");
@@ -35,8 +35,8 @@ fn cli(args: &[&str]) -> (Option<i32>, String, String) {
     )
 }
 
-/// `run --workload <path>` must fail, identically on both pipelines, with
-/// `want` in its one `error:` line.
+/// `run --workload <path>` must fail, identically under both `--arrivals`
+/// values, with `want` in its one `error:` line.
 fn refused(path: &str, want: &str) {
     let runs = ["materialized", "streaming"]
         .map(|mode| cli(&["run", "--workload", path, "--arrivals", mode, "--json"]));
@@ -57,7 +57,7 @@ fn refused(path: &str, want: &str) {
     }
     assert_eq!(
         runs[0].2, runs[1].2,
-        "{path}: the pipelines word it differently"
+        "{path}: the two reads word it differently"
     );
 }
 
@@ -107,6 +107,18 @@ fn ids_that_are_not_ranks_are_refused() {
         refused(path.to_str().unwrap(), want);
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// A row past a box (513 cores; a box holds 512) is refused at build on
+/// both `--arrivals` values, naming the row's VM — not a panic when the
+/// chunked read reaches it mid-run.
+#[test]
+fn oversized_row_is_an_error_line() {
+    let rows = "0,1,2,128,1.0,10\n1,513,2,128,2.0,10\n2,1,2,128,3.0,10\n";
+    let path = temp("oversized.csv", &format!("{HEADER}\n{rows}"));
+    refused(path.to_str().unwrap(), "VM vm1 in workload 'risa_cli_");
+    refused(path.to_str().unwrap(), "exceeds single-box capacity");
+    std::fs::remove_file(&path).ok();
 }
 
 /// The JSON side of the same boundary: `replay` of a trace whose ids were

@@ -2,7 +2,6 @@
 //! them to a user-supplied [`World`], which may schedule further events
 //! through an [`EventCtx`].
 
-use crate::arrivals::ArrivalSource;
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::EventTrace;
@@ -18,6 +17,16 @@ pub trait World {
     /// the past is clamped to "now" (and counted, so tests can assert it
     /// never happens).
     fn handle(&mut self, ctx: &mut EventCtx<'_, Self::Event>, event: Self::Event);
+
+    /// Append the world's next arrivals to `out`, in order: at least one,
+    /// at most `max`, times non-decreasing (checked by the queue in every
+    /// build). Called only after [`Simulation::attach_arrivals`], once
+    /// per window of the arrival lane and never for more arrivals than
+    /// were announced there. The arrivals come out of state the world
+    /// also reads while handling them — one workload cursor, one owner.
+    fn fill_arrivals(&mut self, out: &mut Vec<(SimTime, Self::Event)>, max: usize) {
+        let _ = (out, max);
+    }
 }
 
 /// Handle given to [`World::handle`] for scheduling follow-up events.
@@ -146,16 +155,18 @@ impl<W: World> Simulation<W> {
     }
 
     /// Load the queue's arrival lane (see
-    /// [`EventQueue::attach_arrivals`]). Delivery order is exactly as if
-    /// every arrival had been [`Simulation::schedule`]d here — but the
-    /// future-event list never holds them, so it stays sized to the events
-    /// the world schedules *during* the run, and the queue asks the source
-    /// for them one bounded window ahead of the merge.
+    /// [`EventQueue::attach_arrivals`]) with `count` arrivals the world
+    /// produces: the engine refills the lane's window from
+    /// [`World::fill_arrivals`] whenever it drains. Delivery order is
+    /// exactly as if every arrival had been [`Simulation::schedule`]d
+    /// here — but the future-event list never holds them, so it stays
+    /// sized to the events the world schedules *during* the run, and the
+    /// world is asked for them one bounded window ahead of the merge.
     ///
     /// # Panics
     /// If a previous arrival lane is still being delivered.
-    pub fn attach_arrivals(&mut self, source: Box<dyn ArrivalSource<W::Event> + Send>) {
-        self.queue.attach_arrivals(source);
+    pub fn attach_arrivals(&mut self, count: usize) {
+        self.queue.attach_arrivals(count);
     }
 
     /// Shared view of the two-lane event queue (lengths, peak FEL size).
@@ -219,8 +230,23 @@ impl<W: World> Simulation<W> {
         self.queue.len()
     }
 
+    /// Refill the arrival lane's window, when it has drained, from the
+    /// world; must precede every pop and peek of the queue.
+    #[inline]
+    fn feed_lane(&mut self) {
+        let world = &mut self.world;
+        self.queue
+            .feed_arrivals(|out, max| world.fill_arrivals(out, max));
+    }
+
     /// Dispatch the single earliest event, advancing the clock to it.
     pub fn step(&mut self) -> StepOutcome {
+        self.feed_lane();
+        self.dispatch_next()
+    }
+
+    /// [`Simulation::step`] behind a [`Simulation::feed_lane`].
+    fn dispatch_next(&mut self) -> StepOutcome {
         let Some(entry) = self.queue.pop() else {
             return StepOutcome::Empty;
         };
@@ -264,6 +290,7 @@ impl<W: World> Simulation<W> {
             if self.stop_requested {
                 return RunOutcome::Stopped;
             }
+            self.feed_lane();
             match self.queue.peek_time() {
                 None => return RunOutcome::Exhausted,
                 Some(t) if t > horizon => return RunOutcome::HorizonReached,
@@ -271,7 +298,7 @@ impl<W: World> Simulation<W> {
                     if budget == 0 {
                         return RunOutcome::BudgetExhausted;
                     }
-                    self.step();
+                    self.dispatch_next();
                     budget -= 1;
                 }
             }
@@ -396,33 +423,67 @@ mod tests {
         assert_eq!(sim.dispatched(), 0);
     }
 
+    /// A toy world that also produces its arrivals — `total` of them, 1
+    /// unit apart, at most 7 a refill — for the arrival lane.
+    struct Feeding {
+        toy: Toy,
+        next: u32,
+        total: u32,
+    }
+
+    impl World for Feeding {
+        type Event = ToyEvent;
+        fn handle(&mut self, ctx: &mut EventCtx<'_, ToyEvent>, ev: ToyEvent) {
+            self.toy.handle(ctx, ev);
+        }
+        fn fill_arrivals(&mut self, out: &mut Vec<(SimTime, ToyEvent)>, max: usize) {
+            let upto = self.total.min(self.next + max.min(7) as u32);
+            out.extend(
+                (self.next..upto).map(|i| (SimTime::from_units(i as f64), ToyEvent::Arrive(i))),
+            );
+            self.next = upto;
+        }
+    }
+
     /// The arrival lane is observationally identical to scheduling every
-    /// arrival up front — same event order, same world state — while the
-    /// FEL holds only the dynamically scheduled departures.
+    /// arrival up front — same event order, same world state, through
+    /// `run_until` and through `step` — while the FEL holds only the
+    /// dynamically scheduled departures and the world is asked for its
+    /// arrivals a window at a time.
     #[test]
     fn preloaded_arrivals_match_scheduled_arrivals() {
         // Arrivals 1 unit apart, departures 5 units later ⇒ at most ~6
         // events are ever genuinely "in flight".
-        let arrivals: Vec<(SimTime, ToyEvent)> = (0..50)
-            .map(|i| (SimTime::from_units(i as f64), ToyEvent::Arrive(i)))
-            .collect();
-
+        let total = 50;
         let mut pushed = Simulation::new(toy());
-        for &(at, ev) in &arrivals {
-            pushed.schedule(at, ev);
+        for i in 0..total {
+            pushed.schedule(SimTime::from_units(i as f64), ToyEvent::Arrive(i));
         }
         pushed.run_to_completion();
 
-        let mut preloaded = Simulation::new(toy());
-        preloaded.attach_arrivals(crate::arrivals::vec_source(arrivals));
-        assert_eq!(preloaded.pending(), 50, "pending counts the arrival lane");
-        preloaded.run_to_completion();
-
-        assert_eq!(pushed.world().log, preloaded.world().log);
-        assert_eq!(pushed.dispatched(), preloaded.dispatched());
-        // Arrivals bypassed the FEL: it only ever held in-flight
-        // departures, not the whole trace as on the push path.
-        assert!(preloaded.queue().peak_fel_len() <= 6);
+        let preloaded = || {
+            let mut sim = Simulation::new(Feeding {
+                toy: toy(),
+                next: 0,
+                total,
+            });
+            sim.attach_arrivals(total as usize);
+            assert_eq!(sim.pending(), 50, "pending counts the arrival lane");
+            sim
+        };
+        let mut run = preloaded();
+        assert_eq!(run.run_to_completion(), RunOutcome::Exhausted);
+        let mut stepped = preloaded();
+        while stepped.step() == StepOutcome::Dispatched {}
+        for fed in [&run, &stepped] {
+            assert_eq!(pushed.world().log, fed.world().toy.log);
+            assert_eq!(pushed.dispatched(), fed.dispatched());
+            assert_eq!(fed.world().next, total);
+            // Arrivals bypassed the FEL: it only ever held in-flight
+            // departures, not the whole trace as on the push path.
+            assert!(fed.queue().peak_fel_len() <= 6);
+            assert_eq!(fed.queue().peak_arrival_window(), 7);
+        }
         assert_eq!(pushed.queue().peak_fel_len(), 50);
     }
 

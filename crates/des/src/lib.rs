@@ -13,12 +13,13 @@
 //! [`EventQueue`] merges two lanes at `(time, seq)`:
 //!
 //! 1. one **arrival lane** for events known (or derivable) up front and
-//!    already sorted — a trace's arrivals. It is an [`ArrivalSource`]
-//!    (attached via [`Simulation::attach_arrivals`]) that the queue reads
-//!    through a bounded window of ~1 000 converted entries: the source
-//!    may walk a trace that already sits in memory, or regenerate one
-//!    workload shard at a time, and either way the queue holds a window
-//!    of the schedule, never a copy of it; and
+//!    already sorted — a trace's arrivals — read through a bounded window
+//!    of ~1 000 converted entries. [`Simulation::attach_arrivals`]
+//!    announces how many there are and the engine refills the window from
+//!    [`World::fill_arrivals`]: a world that generates its workload one
+//!    shard at a time serves the lane from the cursor it reads each
+//!    arrival's payload from, so the queue holds a window of the
+//!    schedule, never a copy of it; and
 //! 2. a dynamic **future-event list** for events scheduled during the run —
 //!    departures, in the DDC model.
 //!
@@ -33,8 +34,8 @@
 //! `(time, seq)` order of [`QueueEntry`]. A proptest
 //! (`tests/fel_props.rs`) pins strict `(time, seq)` pop order under
 //! arbitrary push/pop interleavings of both lanes against one
-//! linear-scan model (see [`arrivals`](crate::ArrivalSource) for the
-//! contract sources must uphold).
+//! linear-scan model (`src/arrivals.rs` states the contract an arrival
+//! producer must uphold).
 //!
 //! ```
 //! use risa_des::{Simulation, SimDuration, SimTime, World, EventCtx};
@@ -67,7 +68,6 @@ mod queue;
 mod time;
 mod trace;
 
-pub use arrivals::ArrivalSource;
 pub use engine::{EventCtx, RunOutcome, Simulation, StepOutcome, World};
 pub use queue::{EventKey, EventQueue, QueueEntry, QueueSnapshot};
 pub use time::{SimDuration, SimTime, TICKS_PER_UNIT};

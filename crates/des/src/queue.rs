@@ -1,37 +1,42 @@
 //! The pending-event set: a **two-lane** queue ordered by `(time, seq)`.
 //!
-//! Lane 1 is the optional arrival lane: an [`ArrivalSource`] (attached via
-//! [`EventQueue::attach_arrivals`]) read through a small bounded *window*
-//! of already-converted `(time, event)` entries; lane 2 is the dynamic
-//! future-event list (FEL), a binary min-heap that holds events scheduled
-//! during the run.
+//! Lane 1 is the optional arrival lane: arrivals known (or derivable) up
+//! front and already sorted, announced with
+//! [`EventQueue::attach_arrivals`] and read through a small bounded
+//! *window* of already-converted `(time, event)` entries; lane 2 is the
+//! dynamic future-event list (FEL), a binary min-heap that holds events
+//! scheduled during the run.
 //! [`EventQueue::pop`] merges the lanes at `(time, seq)`, so delivery
 //! order is exactly what pushing everything into one heap would produce —
 //! but the FEL stays O(events in flight) instead of O(all events ever
 //! known), the up-front heap build disappears, and the queue itself never
 //! holds more than one window of the schedule: whether the arrivals exist
-//! all at once is the source's business.
+//! all at once is their producer's business.
 //!
 //! ## The window
 //!
 //! The merge looks at the lane's head on every pop and every peek. Asking
-//! a `dyn` source each time would put a virtual call and a time conversion
-//! on that path, so the lane instead asks the source for up to
-//! `ARRIVAL_WINDOW` entries at once ([`ArrivalSource::fill`]) and serves
-//! them from a dense buffer; the per-event path reads one slot. A refill
-//! is also the one place every arrival passes through exactly once, so it
-//! carries the lane's sortedness check — an `assert!`, in every build: the
-//! merge is only correct over a sorted lane, and an unsorted one would
-//! deliver events out of order without any other symptom.
+//! the producer each time would put a call and a time conversion on that
+//! path, so the lane instead takes up to 1 024 entries at once and serves
+//! them from a dense buffer; the per-event path reads one slot. The
+//! producer is whoever drives the queue: before each pop or peek the
+//! driver calls [`EventQueue::feed_arrivals`], which takes the next
+//! arrivals when the window has drained — [`crate::Simulation`] does it
+//! from its [`crate::World`]. A refill is the one place every arrival passes
+//! through exactly once, so it carries the lane's sortedness check — an
+//! `assert!`, in every build: the merge is only correct over a sorted
+//! lane, and an unsorted one would deliver events out of order without
+//! any other symptom.
 //!
 //! Determinism requirement: when two events are scheduled for the same
 //! tick, the one scheduled *first* is delivered first. A binary heap is
 //! not stable, so every entry carries a monotonically increasing
-//! sequence number that breaks ties; an attached source reserves
-//! [`ArrivalSource::remaining`] of them — the numbers its arrivals would
-//! have been pushed with — which is why that count must be exact.
+//! sequence number that breaks ties; an attached lane reserves one per
+//! arrival — the numbers its arrivals would have been pushed with — which
+//! is why the count given at attach must be exact (the lane's contract:
+//! `arrivals.rs`).
 
-use crate::arrivals::ArrivalSource;
+use crate::arrivals::ArrivalLane;
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -75,61 +80,6 @@ impl<E> Ord for QueueEntry<E> {
     }
 }
 
-/// Arrivals the lane converts ahead of the merge: enough that a refill's
-/// virtual call vanishes per event, and 16 KB of the DDC model's 16 B
-/// entries (256 measured a tie end to end, 4 096 no better).
-const ARRIVAL_WINDOW: usize = 1024;
-
-/// The arrival lane: a source read through a bounded window.
-struct ArrivalLane<E> {
-    source: Box<dyn ArrivalSource<E> + Send>,
-    /// Entries handed over by the source and not yet delivered, *latest
-    /// first*: the head of the lane is `window.last()`, so delivering it
-    /// is a `Vec::pop`.
-    window: Vec<(SimTime, E)>,
-    /// Sequence number of the lane's head.
-    next_seq: u64,
-    /// Entries the source has handed over so far, and the time of the
-    /// last of them ([`SimTime::ZERO`], the earliest there is, before the
-    /// first): what the next refill's order check continues from.
-    handed: u64,
-    last: SimTime,
-}
-
-impl<E> ArrivalLane<E> {
-    fn remaining(&self) -> usize {
-        self.source.remaining() + self.window.len()
-    }
-
-    /// Refill the drained window from the source. Leaves it empty only if
-    /// the source is exhausted.
-    ///
-    /// # Panics
-    /// If the source hands over an entry earlier than its predecessor.
-    fn refill(&mut self) {
-        debug_assert!(self.window.is_empty(), "refill of a window in use");
-        self.source.fill(&mut self.window, ARRIVAL_WINDOW);
-        assert!(
-            !self.window.is_empty() || self.source.remaining() == 0,
-            "ArrivalSource::fill handed over nothing with {} arrivals remaining",
-            self.source.remaining()
-        );
-        for (at, _) in &self.window {
-            assert!(
-                self.last <= *at,
-                "preloaded events must be sorted by time: entry {} at {:?} precedes entry {} at {:?}",
-                self.handed,
-                at,
-                self.handed - 1,
-                self.last,
-            );
-            self.last = *at;
-            self.handed += 1;
-        }
-        self.window.reverse();
-    }
-}
-
 /// A deterministic two-lane event queue.
 pub struct EventQueue<E> {
     arrivals: Option<ArrivalLane<E>>,
@@ -157,32 +107,41 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Load the arrival lane: the source's arrivals are delivered merged
+    /// Load the arrival lane: exactly `count` arrivals, delivered merged
     /// against dynamically pushed events exactly as if they had all been
-    /// pushed now — they reserve the next [`ArrivalSource::remaining`]
-    /// sequence numbers — but never enter the future-event list, and are
-    /// only asked of the source one window ahead of the merge.
-    ///
-    /// The source must yield non-decreasing times (checked as the window
-    /// refills, in every build) and an exact `remaining` count (see
-    /// [`ArrivalSource`]).
+    /// pushed now — they reserve the next `count` sequence numbers — but
+    /// never entering the future-event list. The queue's driver hands
+    /// them over, in non-decreasing time order (checked as the window
+    /// refills, in every build), by calling
+    /// [`EventQueue::feed_arrivals`] before each pop and peek.
     ///
     /// # Panics
     /// If a previous arrival lane has not been fully delivered yet.
-    pub fn attach_arrivals(&mut self, source: Box<dyn ArrivalSource<E> + Send>) {
+    pub fn attach_arrivals(&mut self, count: usize) {
         assert!(
             self.stream_remaining() == 0,
             "attach_arrivals: a previous arrival lane is still being delivered"
         );
-        let n = source.remaining() as u64;
-        self.arrivals = Some(ArrivalLane {
-            source,
-            window: Vec::new(),
-            next_seq: self.next_seq,
-            handed: 0,
-            last: SimTime::ZERO,
-        });
-        self.next_seq += n;
+        self.arrivals = Some(ArrivalLane::new(count, self.next_seq));
+        self.next_seq += count as u64;
+    }
+
+    /// Refill the arrival lane's window if it has drained and arrivals
+    /// are left — what the driver does before every pop and peek. `fill`
+    /// appends the next arrivals, in order, to the buffer it is given: at
+    /// least one, at most the count it is given.
+    ///
+    /// # Panics
+    /// If `fill` hands over no entry, too many, or one earlier than its
+    /// predecessor.
+    #[inline]
+    pub fn feed_arrivals(&mut self, fill: impl FnOnce(&mut Vec<(SimTime, E)>, usize)) {
+        if let Some(lane) = self.arrivals.as_mut() {
+            if lane.window.is_empty() && lane.unfilled > 0 {
+                lane.refill(fill);
+                self.peak_window = self.peak_window.max(lane.window.len());
+            }
+        }
     }
 
     /// Schedule `event` for delivery at `at`. Returns the sequence number
@@ -212,8 +171,8 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Delivery time of the earliest pending event. Takes `&mut self` so
-    /// lazy arrival sources may fault in their next buffer internally.
+    /// Delivery time of the earliest pending event. Takes `&mut self`
+    /// because looking at an exhausted arrival lane retires it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         match (self.arrival_key(), self.fel_key()) {
             (None, None) => None,
@@ -226,21 +185,24 @@ impl<E> EventQueue<E> {
         self.fel.peek().map(|e| (e.at, e.seq))
     }
 
-    /// `(time, seq)` of the arrival lane's head. Refills the window when
-    /// it has drained, and drops the lane once its source has too, so an
-    /// exhausted lane costs the rest of the run one `None` test.
+    /// `(time, seq)` of the arrival lane's head. Drops the lane once every
+    /// arrival has been delivered, so an exhausted lane costs the rest of
+    /// the run one `None` test.
+    ///
+    /// # Panics
+    /// If the lane was left waiting (see [`EventQueue::feed_arrivals`]).
     #[inline]
     fn arrival_key(&mut self) -> Option<EventKey> {
         let lane = self.arrivals.as_mut()?;
-        if lane.window.is_empty() {
-            lane.refill();
-            self.peak_window = self.peak_window.max(lane.window.len());
-            if lane.window.is_empty() {
-                self.arrivals = None;
-                return None;
-            }
-        }
-        lane.window.last().map(|(at, _)| (*at, lane.next_seq))
+        let Some((at, _)) = lane.window.last() else {
+            assert!(
+                lane.unfilled == 0,
+                "the arrival lane is fed by the queue's driver before each pop or peek"
+            );
+            self.arrivals = None;
+            return None;
+        };
+        Some((*at, lane.next_seq))
     }
 
     /// Deliver the head `arrival_key` just reported.
@@ -263,8 +225,8 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Events still waiting in the arrival lane: the source's plus the
-    /// window's.
+    /// Events still waiting in the arrival lane: those its producer has
+    /// yet to hand over plus the window's.
     pub fn stream_remaining(&self) -> usize {
         self.arrivals.as_ref().map_or(0, ArrivalLane::remaining)
     }
@@ -307,10 +269,9 @@ impl<E> EventQueue<E> {
     /// and accepts entries carrying their original sequence numbers, the
     /// queue's observable behaviour is unchanged by taking a snapshot. The
     /// arrival lane is recorded only by its `remaining` count — a restore
-    /// rebuilds the lane from the workload spec and fast-forwards it (see
-    /// [`EventQueue::fast_forward_arrivals`]), which re-executes the exact
-    /// accumulation the original run performed and therefore reproduces
-    /// the cursor bit-for-bit.
+    /// re-attaches the lane and fast-forwards it (see
+    /// [`EventQueue::fast_forward_arrivals`]); the window's entries are
+    /// the producer's to hand over again.
     pub fn snapshot(&mut self) -> QueueSnapshot<E>
     where
         E: Clone,
@@ -330,23 +291,22 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Discard arrivals from the arrival lane until exactly `remaining`
-    /// are left undelivered (restore path: the lane re-derives the same
-    /// times the original run consumed, so the cursor state afterwards is
-    /// bit-identical to the checkpointed run's).
+    /// Skip arrivals on a freshly attached lane until exactly `remaining`
+    /// are left undelivered (restore path): the lane moves its sequence
+    /// numbers past them, and the driver moves its producer to match
+    /// before it next feeds the lane.
     ///
     /// # Panics
-    /// If the lane holds fewer than `remaining` arrivals.
+    /// If the lane holds fewer than `remaining` arrivals, or has a window
+    /// in use.
     pub fn fast_forward_arrivals(&mut self, remaining: usize) {
         assert!(
             remaining <= self.stream_remaining(),
             "fast_forward_arrivals: lane has {} arrivals, cannot leave {remaining}",
             self.stream_remaining(),
         );
-        for _ in remaining..self.stream_remaining() {
-            self.arrival_key();
-            self.pop_arrival()
-                .expect("arrival lane remaining() over-reported");
+        if let Some(lane) = self.arrivals.as_mut() {
+            lane.skip(lane.remaining() - remaining);
         }
     }
 
@@ -398,7 +358,7 @@ impl<E> fmt::Debug for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arrivals::vec_source;
+    use crate::arrivals::{tests::Fed, ARRIVAL_WINDOW};
 
     fn t(u: f64) -> SimTime {
         SimTime::from_units(u)
@@ -469,25 +429,21 @@ mod tests {
             oracle.push(at, ev);
         }
         // Two-lane: arrivals on their lane, nothing in the FEL.
-        let mut lanes = EventQueue::new();
-        lanes.attach_arrivals(vec_source(arrivals.clone()));
+        let mut lanes = Fed::attach(EventQueue::new(), arrivals.clone());
         assert_eq!(lanes.fel_len(), 0);
         assert_eq!(lanes.len(), oracle.len());
         // Interleave identical dynamic pushes (same-tick collisions
         // with the lane's entries included) on both queues.
-        let mut log = Vec::new();
-        for queue in [&mut oracle, &mut lanes] {
-            let mut order = Vec::new();
-            for round in 0..3 {
-                let e = queue.pop().unwrap();
-                order.push((e.at, e.seq, e.event));
-                queue.push(e.at, 100 + round); // same-tick as the popped entry
-            }
-            while let Some(e) = queue.pop() {
-                order.push((e.at, e.seq, e.event));
-            }
-            log.push(order);
+        let mut log = [Vec::new(), Vec::new()];
+        for round in 0..3 {
+            let (a, b) = (oracle.pop().unwrap(), lanes.pop().unwrap());
+            log[0].push((a.at, a.seq, a.event));
+            log[1].push((b.at, b.seq, b.event));
+            oracle.push(a.at, 100 + round); // same-tick as the popped entry
+            lanes.push(b.at, 100 + round);
         }
+        log[0].extend(std::iter::from_fn(|| oracle.pop()).map(|e| (e.at, e.seq, e.event)));
+        log[1].extend(std::iter::from_fn(|| lanes.pop()).map(|e| (e.at, e.seq, e.event)));
         assert_eq!(log[0], log[1], "lanes diverged");
     }
 
@@ -495,7 +451,7 @@ mod tests {
     fn preload_tracks_lengths_and_seq() {
         let mut q = EventQueue::new();
         q.push(t(5.0), 99u32);
-        q.attach_arrivals(vec_source(vec![(t(1.0), 1), (t(2.0), 2)]));
+        let mut q = Fed::attach(q, vec![(t(1.0), 1), (t(2.0), 2)]);
         assert_eq!(q.len(), 3);
         assert_eq!(q.stream_remaining(), 2);
         assert_eq!(q.fel_len(), 1);
@@ -505,22 +461,25 @@ mod tests {
         let popped: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| (e.seq, e.event))).collect();
         assert_eq!(popped, vec![(1, 1), (2, 2), (0, 99)]);
         // A fully-drained lane allows a fresh one.
-        q.attach_arrivals(vec_source(vec![(t(9.0), 7)]));
+        q.attach_arrivals(1);
+        q.feed_arrivals(|out, _| out.push((t(9.0), 7)));
         assert_eq!(q.pop().map(|e| (e.seq, e.event)), Some((3, 7)));
     }
 
     #[test]
     #[should_panic(expected = "still being delivered")]
     fn double_preload_rejected() {
-        let mut q = EventQueue::new();
-        q.attach_arrivals(vec_source(vec![(t(1.0), 1u32)]));
-        q.attach_arrivals(vec_source(vec![(t(2.0), 2)]));
+        let mut q = EventQueue::<u32>::new();
+        q.attach_arrivals(1);
+        q.attach_arrivals(1);
     }
 
     #[test]
     fn peak_fel_len_counts_only_the_dynamic_lane() {
-        let mut q = EventQueue::new();
-        q.attach_arrivals(vec_source((0..100).map(|i| (t(i as f64), i)).collect()));
+        let mut q = Fed::attach(
+            EventQueue::new(),
+            (0..100).map(|i| (t(i as f64), i)).collect(),
+        );
         assert_eq!(q.peak_fel_len(), 0);
         q.push(t(50.0), 1000);
         q.push(t(60.0), 1001);
@@ -538,9 +497,7 @@ mod tests {
         for i in 0..10 {
             q.push(SimTime::MAX, i); // seqs 0..10 go to the FEL
         }
-        q.attach_arrivals(vec_source(
-            (0..n).map(|i| (SimTime::from_ticks(i / 3), i)).collect(),
-        ));
+        let mut q = Fed::attach(q, (0..n).map(|i| (SimTime::from_ticks(i / 3), i)).collect());
         assert_eq!(q.scheduled_total(), 10 + n);
         assert_eq!(q.stream_remaining(), n as usize);
         for i in 0..n {
@@ -560,8 +517,7 @@ mod tests {
     fn unsorted_lane_panics() {
         let mut entries: Vec<_> = (0..2000u64).map(|i| (SimTime::from_ticks(i), ())).collect();
         entries[ARRIVAL_WINDOW + 1].0 = SimTime::from_ticks(5);
-        let mut q = EventQueue::new();
-        q.attach_arrivals(vec_source(entries));
+        let mut q = Fed::attach(EventQueue::new(), entries);
         while q.pop().is_some() {}
     }
 
@@ -570,19 +526,53 @@ mod tests {
     fn unsorted_lane_panics_across_a_refill() {
         let mut entries: Vec<_> = (0..2000u64).map(|i| (SimTime::from_ticks(i), ())).collect();
         entries[ARRIVAL_WINDOW].0 = SimTime::from_ticks(5);
-        let mut q = EventQueue::new();
-        q.attach_arrivals(vec_source(entries));
+        let mut q = Fed::attach(EventQueue::new(), entries);
         while q.pop().is_some() {}
+    }
+
+    /// A resumed lane skips by count and moves its sequence numbers with
+    /// it; the driver feeds it from where its producer was moved to.
+    #[test]
+    fn lane_fast_forwards_by_count() {
+        let mut q = EventQueue::new();
+        q.attach_arrivals(10);
+        q.fast_forward_arrivals(4);
+        assert_eq!(q.stream_remaining(), 4);
+        q.feed_arrivals(|out, max| {
+            assert_eq!(max, 4);
+            out.extend((6..10).map(|i| (SimTime::from_ticks(i), i)));
+        });
+        q.feed_arrivals(|_, _| panic!("fed a window in use"));
+        let popped: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| (e.seq, e.event))).collect();
+        assert_eq!(popped, vec![(6, 6), (7, 7), (8, 8), (9, 9)]);
+        assert_eq!(q.scheduled_total(), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "fed by the queue's driver")]
+    fn starved_lane_panics() {
+        let mut q = EventQueue::<u8>::new();
+        q.attach_arrivals(3);
+        q.pop();
+    }
+
+    #[test]
+    #[should_panic(expected = "handed over 0 entries")]
+    fn short_producer_panics() {
+        let mut q = EventQueue::<u8>::new();
+        q.attach_arrivals(3);
+        q.feed_arrivals(|_, _| {});
     }
 
     #[test]
     fn empty_lane_is_fine() {
         let mut q = EventQueue::<u8>::new();
-        q.attach_arrivals(vec_source(vec![]));
+        q.attach_arrivals(0);
+        q.feed_arrivals(|_, _| panic!("fed an empty lane"));
         assert_eq!(q.peek_time(), None);
         assert!(q.pop().is_none());
         assert_eq!(q.scheduled_total(), 0);
-        q.attach_arrivals(vec_source(vec![(t(1.0), 1)]));
+        let mut q = Fed::attach(q, vec![(t(1.0), 1)]);
         assert_eq!(q.pop().map(|e| e.seq), Some(0));
     }
 }

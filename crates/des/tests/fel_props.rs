@@ -3,13 +3,13 @@
 //! `EventQueue` must pop in strict `(time, seq)` order under arbitrary
 //! push/pop interleavings — including same-tick bursts, where only the
 //! sequence number breaks ties — with or without an arrival lane attached,
-//! whatever the lane's source hands over per refill, and across a
-//! snapshot / rebuild / fast-forward / restore taken at any point. All of
-//! it is checked against one linear-scan `Vec` model that knows nothing
-//! of lanes, windows or heaps.
+//! whatever its driver hands over per refill, and across a snapshot /
+//! rebuild / fast-forward / restore taken at any point. All of it is
+//! checked against one linear-scan `Vec` model that knows nothing of
+//! lanes, windows or heaps.
 
 use proptest::prelude::*;
-use risa_des::{ArrivalSource, EventQueue, SimTime};
+use risa_des::{EventQueue, SimTime};
 
 /// One scripted operation against the queue.
 #[derive(Debug, Clone, Copy)]
@@ -23,17 +23,17 @@ enum Op {
     Resume,
 }
 
-/// A sorted arrival lane: entry *i* fires at `ticks[i]`, and `fill`
-/// hands over at most `step` entries a call.
+/// A sorted arrival lane: entry *i* fires at `ticks[i]`, and a refill
+/// hands over at most `step` entries.
 #[derive(Debug, Clone)]
 struct Lane {
     ticks: Vec<u64>,
     step: usize,
 }
 
-/// The lane's source. Its payloads are what the *model* says the entries'
-/// sequence numbers are (`base + i`), so the pop logs also check the
-/// reservation made at attach.
+/// The lane's producer. Its payloads are what the *model* says the
+/// entries' sequence numbers are (`base + i`), so the pop logs also check
+/// the reservation made at attach.
 #[derive(Debug)]
 struct StepSource {
     lane: Lane,
@@ -41,47 +41,63 @@ struct StepSource {
     next: usize,
 }
 
-impl ArrivalSource<u64> for StepSource {
-    fn peek_time(&mut self) -> Option<SimTime> {
-        self.lane
-            .ticks
-            .get(self.next)
-            .map(|&t| SimTime::from_ticks(t))
-    }
-    fn next(&mut self) -> Option<(SimTime, u64)> {
-        let at = self.peek_time()?;
-        self.next += 1;
-        Some((at, self.base + self.next as u64 - 1))
-    }
-    fn remaining(&self) -> usize {
-        self.lane.ticks.len() - self.next
-    }
+impl StepSource {
     fn fill(&mut self, out: &mut Vec<(SimTime, u64)>, max: usize) {
-        for _ in 0..max.min(self.lane.step) {
-            match self.next() {
-                Some(entry) => out.push(entry),
-                None => break,
-            }
-        }
+        let upto = self
+            .lane
+            .ticks
+            .len()
+            .min(self.next + max.min(self.lane.step));
+        out.extend((self.next..upto).map(|i| {
+            (
+                SimTime::from_ticks(self.lane.ticks[i]),
+                self.base + i as u64,
+            )
+        }));
+        self.next = upto;
+    }
+}
+
+/// A queue and its lane's producer: this file drives the queue the way an
+/// engine drives one from its world.
+struct Driven {
+    queue: EventQueue<u64>,
+    feeder: Option<StepSource>,
+}
+
+impl Driven {
+    /// What a driver owes the lane before every pop and peek.
+    fn feed(&mut self) {
+        let feeder = &mut self.feeder;
+        self.queue.feed_arrivals(|out, max| {
+            let feeder = feeder.as_mut().expect("only a lane asks");
+            feeder.fill(out, max)
+        });
+    }
+
+    fn pop(&mut self) -> Option<Popped> {
+        self.feed();
+        self.queue.pop().map(|e| (e.at.ticks(), e.seq, e.event))
     }
 }
 
 /// A queue holding `pre` pushed entries (seqs `0..pre.len()`) and then,
 /// if there is one, the lane (the next `lane.ticks.len()` seqs).
-fn build(pre: &[u64], lane: Option<&Lane>) -> EventQueue<u64> {
+fn build(pre: &[u64], lane: Option<&Lane>) -> Driven {
     let mut queue = EventQueue::new();
     for &ticks in pre {
         let seq = queue.scheduled_total();
         assert_eq!(queue.push(SimTime::from_ticks(ticks), seq), seq);
     }
+    let feeder = lane.map(|lane| StepSource {
+        lane: lane.clone(),
+        base: queue.scheduled_total(),
+        next: 0,
+    });
     if let Some(lane) = lane {
-        queue.attach_arrivals(Box::new(StepSource {
-            lane: lane.clone(),
-            base: queue.scheduled_total(),
-            next: 0,
-        }));
+        queue.attach_arrivals(lane.ticks.len());
     }
-    queue
+    Driven { queue, feeder }
 }
 
 /// A popped entry: `(ticks, seq, payload)`.
@@ -98,44 +114,51 @@ fn replay(pre: &[u64], lane: Option<&Lane>, script: &[Op]) -> (Vec<Popped>, Vec<
         model.swap_remove(i);
         Some((ticks, seq, seq))
     }
-    let mut queue = build(pre, lane);
+    let mut driven = build(pre, lane);
     let lane_ticks = lane.map_or(&[][..], |l| &l.ticks);
     let mut model: Vec<(u64, u64)> = pre.iter().chain(lane_ticks).copied().zip(0u64..).collect();
     let (mut popped, mut expected) = (Vec::new(), Vec::new());
     for op in script {
         match *op {
             Op::Push(ticks) => {
-                let seq = queue.scheduled_total();
-                assert_eq!(queue.push(SimTime::from_ticks(ticks), seq), seq);
+                let seq = driven.queue.scheduled_total();
+                assert_eq!(driven.queue.push(SimTime::from_ticks(ticks), seq), seq);
                 model.push((ticks, seq));
             }
             Op::Pop(times) => {
                 for _ in 0..times {
                     // Exercise peek_time too: it must agree with the pop.
-                    let peeked = queue.peek_time();
-                    let entry = queue.pop();
-                    assert_eq!(peeked, entry.as_ref().map(|e| e.at));
-                    popped.extend(entry.map(|e| (e.at.ticks(), e.seq, e.event)));
+                    driven.feed();
+                    let peeked = driven.queue.peek_time();
+                    let entry = driven.pop();
+                    assert_eq!(peeked.map(SimTime::ticks), entry.map(|e| e.0));
+                    popped.extend(entry);
                     expected.extend(model_pop(&mut model));
                 }
             }
             Op::Resume => {
-                let snap = queue.snapshot();
-                assert_eq!(snap.arrivals_remaining, queue.stream_remaining());
+                let snap = driven.queue.snapshot();
+                assert_eq!(snap.arrivals_remaining, driven.queue.stream_remaining());
                 let mut resumed = build(pre, lane);
-                resumed.fast_forward_arrivals(snap.arrivals_remaining);
-                resumed.restore_fel(snap.fel, snap.next_seq, snap.peak_fel);
-                queue = resumed;
+                resumed.queue.fast_forward_arrivals(snap.arrivals_remaining);
+                // The lane skips by count; its driver moves the producer.
+                if let Some(feeder) = &mut resumed.feeder {
+                    feeder.next = lane_ticks.len() - snap.arrivals_remaining;
+                }
+                resumed
+                    .queue
+                    .restore_fel(snap.fel, snap.next_seq, snap.peak_fel);
+                driven = resumed;
             }
         }
-        assert_eq!(queue.len(), model.len());
+        assert_eq!(driven.queue.len(), model.len());
     }
     // Drain the remainder: the tail order matters as much as the live one.
-    popped.extend(std::iter::from_fn(|| queue.pop()).map(|e| (e.at.ticks(), e.seq, e.event)));
+    popped.extend(std::iter::from_fn(|| driven.pop()));
     expected.extend(std::iter::from_fn(|| model_pop(&mut model)));
     // Whatever the lane's length, the queue held one window of it at most.
     let bound = lane.map_or(0, |l| l.step.min(1024));
-    assert!(queue.peak_arrival_window() <= bound);
+    assert!(driven.queue.peak_arrival_window() <= bound);
     (popped, expected)
 }
 
@@ -240,8 +263,8 @@ proptest! {
 }
 
 /// The lane's order check is not a `debug_assert!`: CI runs this file with
-/// `--release` too. Whatever the refill size, an out-of-order source stops
-/// the run at the refill that meets the offending entry.
+/// `--release` too. Whatever the refill size, an out-of-order producer
+/// stops the run at the refill that meets the offending entry.
 #[test]
 fn unsorted_source_panics_in_every_build() {
     let mut ticks: Vec<u64> = (0..1500).collect();
@@ -252,8 +275,8 @@ fn unsorted_source_panics_in_every_build() {
             step,
         };
         let drained = std::panic::catch_unwind(|| {
-            let mut queue = build(&[], Some(&lane));
-            std::iter::from_fn(|| queue.pop()).count()
+            let mut driven = build(&[], Some(&lane));
+            std::iter::from_fn(|| driven.pop()).count()
         });
         let message = *drained
             .expect_err("an unsorted lane must not drain")

@@ -582,7 +582,7 @@ mod tests {
         let f = lint_source("crates/cli/src/checkpoint.rs", clock);
         assert_eq!(active(&f), vec![("checkpoint_purity", 1)]);
         // Engine checkpoint code gets both the scope rule and this one.
-        let env = "let v = std::env::var(\"RISA_ARRIVALS\");\n";
+        let env = "let v = std::env::var(\"RISA_FAULTS\");\n";
         let f = lint_source("crates/sim/src/checkpoint.rs", env);
         assert_eq!(active(&f), vec![("checkpoint_purity", 1), ("env_read", 1)]);
         // Non-checkpoint CLI code keeps its exemptions.
@@ -591,7 +591,7 @@ mod tests {
 
     #[test]
     fn env_reads_flagged_in_engine_crates_only() {
-        let src = "let v = std::env::var(\"RISA_ARRIVALS\");\n";
+        let src = "let v = std::env::var(\"RISA_FAULTS\");\n";
         assert_eq!(
             active(&lint_source("crates/des/src/x.rs", src)),
             vec![("env_read", 1)]

@@ -4,14 +4,14 @@ use crate::config::{LatencyConfig, SimConfig};
 use crate::faults::FaultSpec;
 use crate::report::RunReport;
 use crate::spec::WorkloadSpec;
-use crate::streaming::{arrival_event, ArrivalMode, StreamingArrivals, TraceArrivals};
+use crate::streaming::{arrival_event, ArrivalMode};
 use crate::world::{DdcWorld, DEFAULT_SCHED_TIMING_BATCH};
 use risa_des::{EventTrace, Simulation};
 use risa_network::NetworkConfig;
 use risa_photonics::PhotonicsConfig;
 use risa_sched::Algorithm;
-use risa_topology::{ResourceKind, TopologyConfig, ALL_RESOURCES};
-use risa_workload::{StreamingShards, TraceFileError};
+use risa_topology::{ResourceKind, TopologyConfig, UnitDemand, ALL_RESOURCES};
+use risa_workload::{ShardSource, TraceFileError, TraceShards, VmRequest, Workload};
 use std::sync::Arc;
 
 /// Why a simulation could not be built. [`SimulationBuilder::try_build`]
@@ -33,8 +33,8 @@ pub enum BuildError {
     /// A pre-built [`WorkloadSpec::Trace`] whose VM ids are not each VM's
     /// arrival rank (a gap, a duplicate, a permutation). Events address
     /// VMs by rank, so such a trace would run with some arrivals placed
-    /// as another row's VM; refused on every arrival pipeline, as a CSV
-    /// file with the same defect is ([`TraceFileError::NonDenseId`]).
+    /// as another row's VM; refused, as a CSV file with the same defect
+    /// is ([`TraceFileError::NonDenseId`]).
     NonDenseTrace {
         /// Workload name.
         workload: String,
@@ -44,7 +44,8 @@ pub enum BuildError {
         found: u32,
     },
     /// A VM's demand exceeds single-box capacity, violating the paper's
-    /// §2 placement assumption.
+    /// §2 placement assumption: the first such VM of the workload —
+    /// loaded, read from a file either way, or yet to be generated.
     OversizedVm {
         /// Offending VM id.
         id: u32,
@@ -52,7 +53,7 @@ pub enum BuildError {
         workload: String,
     },
     /// A [`WorkloadSpec::TraceCsv`] file is missing, unreadable or
-    /// invalid — the same error whichever arrival pipeline loads it.
+    /// invalid — the same error whichever way the file is read.
     TraceFile(TraceFileError),
 }
 
@@ -154,18 +155,14 @@ impl SimulationBuilder {
         self
     }
 
-    /// Choose how arrivals reach the engine (default: the `RISA_ARRIVALS`
-    /// environment variable, falling back to
-    /// [`ArrivalMode::Materialized`]). [`ArrivalMode::Streaming`]
-    /// generates the trace shard-by-shard *during* the run — peak memory
-    /// O(resident VMs + 2 shards) instead of O(trace length) — and is
-    /// byte-identical to the materialized path (pinned by
-    /// `tests/hot_path_differential.rs`). Every [`WorkloadSpec`] streams:
-    /// generators regenerate shards, pre-built traces are served in
-    /// shard-sized slices, and CSV trace files are read chunk-by-chunk.
-    /// Only the legacy arrival path forces
-    /// [`ArrivalMode::Materialized`] — check
-    /// [`DdcSimulation::arrival_mode`] for the mode actually in effect.
+    /// Choose how a [`WorkloadSpec::TraceCsv`] file is read (default
+    /// [`ArrivalMode::Materialized`]: loaded whole at build).
+    /// [`ArrivalMode::Streaming`] re-reads it a shard at a time during
+    /// the run — peak memory O(resident VMs + one shard) instead of
+    /// O(trace length), each row parsed a second time — and is
+    /// byte-identical (pinned by `tests/hot_path_differential.rs`). No
+    /// other workload consults the mode: generators always generate on
+    /// demand, a pre-built trace is already in memory.
     pub fn arrivals(mut self, mode: ArrivalMode) -> Self {
         self.arrivals = Some(mode);
         self
@@ -180,10 +177,11 @@ impl SimulationBuilder {
     }
 
     /// Schedule every arrival through the future-event list, as the
-    /// engine did before the two-lane queue (PR 5). This is the *oracle*
-    /// configuration for the hot-path differential tests; behavior is
-    /// byte-identical to the default arrival-lane path, just slower on
-    /// big traces.
+    /// engine did before the two-lane queue (PR 5), from a trace
+    /// materialized up front. This is the *oracle* configuration for the
+    /// hot-path differential tests — the arrival lane's and the shard
+    /// cursor's only independent one; behavior is byte-identical to the
+    /// default path, just slower and O(trace) in memory.
     pub fn legacy_arrival_path(mut self, on: bool) -> Self {
         self.legacy_arrival_path = on;
         self
@@ -246,24 +244,23 @@ impl SimulationBuilder {
         self
     }
 
-    /// Materialize the workload and prime the event queue.
+    /// Resolve the workload to a shard source and prime the event queue.
     ///
-    /// Trace generation fans out over the `rayon` pool (sharded,
-    /// deterministic — see [`WorkloadSpec::materialize`]); it happens
-    /// here, *before* the run, so the report's scheduler wall-clock
-    /// (`sched_seconds`) is never polluted by generation threads.
-    ///
-    /// Under [`ArrivalMode::Streaming`] (generator-backed specs only) no
-    /// trace is materialized at all: the run consumes the workload
-    /// shard-by-shard, prefetching the next shard on the pool while the
-    /// engine drains the current one — same report, same event order,
-    /// O(resident VMs + 2 shards) peak memory.
+    /// No trace is built: the world reads the spec's
+    /// [`risa_workload::ShardSource`] through one shard cursor,
+    /// generating (or slicing, or re-reading) a 4096-VM shard at a time,
+    /// inline, as the run reaches it — O(resident VMs + one shard) of
+    /// memory for a generator, and the report's scheduler wall-clock
+    /// (`sched_seconds`) times scheduling calls only, so generation
+    /// between them never pollutes it. A pre-built trace and — unless
+    /// [`ArrivalMode::Streaming`] is asked for — a CSV file are loaded
+    /// and validated here, then served through the same cursor.
     ///
     /// Arrivals are fed to the engine through the two-lane queue's
-    /// arrival lane ([`Simulation::attach_arrivals`]): a cursor over the
-    /// one trace the world also reads — nothing is copied — and the
-    /// future-event list only ever holds in-flight departures,
-    /// O(resident VMs) instead of O(trace length).
+    /// arrival lane ([`Simulation::attach_arrivals`]), which reads
+    /// its window off that same cursor — nothing is copied, no arrival
+    /// time is drawn twice — and the future-event list only ever holds
+    /// in-flight departures, O(resident VMs) instead of O(trace length).
     ///
     /// Panics on an invalid workload (unsorted or non-dense pre-built
     /// trace, VM exceeding single-box capacity, unusable trace file) with
@@ -278,29 +275,75 @@ impl SimulationBuilder {
     /// unusable trace files surface as a typed [`BuildError`] instead of
     /// a panic.
     pub fn try_build(self) -> Result<DdcSimulation, BuildError> {
-        // Resolve every env-deferred knob *now* and remember the result:
-        // the recipe a checkpoint stores must be able to rebuild this run
+        // Resolve every deferred knob *now* and remember the result: the
+        // recipe a checkpoint stores must be able to rebuild this run
         // without consulting ambient state (env vars may differ — or be
         // gone — by resume time; see `crate::checkpoint`).
         let fault_spec = match &self.faults {
             Some(choice) => choice.clone(),
             None => FaultSpec::from_env(),
         };
-        let mode = self.arrivals.unwrap_or_else(ArrivalMode::from_env);
+        let mode = self.arrivals.unwrap_or(ArrivalMode::Materialized);
         let mut recipe = self.clone();
         recipe.faults = Some(fault_spec.clone());
         recipe.arrivals = Some(mode);
+        let oversized = |vm: VmRequest, workload: &str| BuildError::OversizedVm {
+            id: vm.id.0,
+            workload: workload.to_string(),
+        };
 
-        // Typed rejection of unsorted pre-built traces. Generators emit
-        // sorted traces by construction and CSV parsing validates order,
-        // but a `Trace` deserialized from tampered or buggy JSON bypasses
-        // `Workload::from_vms`' debug_assert in release builds — catch it
-        // here on every build profile, before any arrival pipeline runs.
-        // The legacy oracle path is exempt: it pushes every arrival
-        // through the FEL, which orders them itself — accepting unsorted
-        // traces is that path's job.
-        if !self.legacy_arrival_path {
-            if let WorkloadSpec::Trace(w) = &self.workload {
+        let mut sim = if self.legacy_arrival_path {
+            // The oracle: materialize, push every arrival through the
+            // FEL — which orders them itself, so accepting unsorted
+            // traces is this path's job — and look VMs up by index.
+            let workload = Arc::new(self.workload.load().map_err(BuildError::TraceFile)?);
+            if let Err(vm) = workload.validate_fits(&self.cfg.topology) {
+                return Err(oversized(vm, workload.name()));
+            }
+            let span = workload.vms().last().map_or(0.0, |vm| vm.arrival);
+            let world = DdcWorld::new_oracle(self.cfg, self.algorithm, Arc::clone(&workload));
+            let mut sim = Simulation::new(self.primed(world, fault_spec, || span));
+            for (vm, idx) in workload.vms().iter().zip(0..) {
+                let (at, event) = arrival_event(idx, vm.arrival);
+                sim.schedule(at, event);
+            }
+            sim
+        } else {
+            let source = self.shard_source(mode)?;
+            if let Some(vm) = first_oversized(&*source, &self.cfg.topology) {
+                return Err(oversized(vm, source.label()));
+            }
+            let total = source.total_vms() as usize;
+            let world = DdcWorld::new(self.cfg, self.algorithm, Arc::clone(&source));
+            let mut sim = Simulation::new(self.primed(world, fault_spec, || source.span_units()));
+            sim.attach_arrivals(total);
+            sim
+        };
+        Self::seed_faults(&mut sim);
+        Ok(DdcSimulation {
+            sim,
+            arrival_mode: if self.legacy_arrival_path {
+                ArrivalMode::Materialized
+            } else {
+                mode
+            },
+            recipe,
+            checkpoint_every: self.checkpoint_every,
+        })
+    }
+
+    /// The workload as the source the run's cursor reads — the one place
+    /// the arrival mode is consulted: it decides how a trace *file*
+    /// becomes a source. A pre-built trace is checked here, typed, for
+    /// what the lane and the cursor rely on.
+    fn shard_source(&self, mode: ArrivalMode) -> Result<Arc<dyn ShardSource>, BuildError> {
+        match &self.workload {
+            // Generators emit sorted, dense traces by construction and a
+            // CSV scan validates both, but a `Trace` deserialized from
+            // tampered or buggy JSON bypasses `Workload::from_vms`'
+            // debug_assert in release builds — catch it on every build
+            // profile, before anything runs.
+            WorkloadSpec::Trace(w) => {
                 let vms = w.vms();
                 if let Some(index) = (1..vms.len()).find(|&i| vms[i].arrival < vms[i - 1].arrival) {
                     return Err(BuildError::UnsortedTrace {
@@ -308,9 +351,9 @@ impl SimulationBuilder {
                         index,
                     });
                 }
-                // Events carry a VM's rank and the world looks it up by
-                // that; a trace whose ids disagree with the ranks was
-                // produced by something that means otherwise.
+                // Events carry a VM's rank and the cursor yields VMs in
+                // rank order; a trace whose ids disagree with the ranks
+                // was produced by something that means otherwise.
                 if let Some(index) = (0..vms.len()).find(|&i| vms[i].id.0 as usize != i) {
                     return Err(BuildError::NonDenseTrace {
                         workload: w.name().to_string(),
@@ -318,103 +361,21 @@ impl SimulationBuilder {
                         found: vms[index].id.0,
                     });
                 }
-                // Same early-rejection contract for capacity: a pre-built
-                // trace is already in memory, so an oversized VM is
-                // detectable now on *both* arrival pipelines — the
-                // streaming branch below otherwise defers validation to
-                // each arrival, turning a build-time error into a
-                // mid-run panic.
-                if let Err(vm) = w.validate_fits(&self.cfg.topology) {
-                    return Err(BuildError::OversizedVm {
-                        id: vm.id.0,
-                        workload: w.name().to_string(),
-                    });
-                }
             }
-        }
-
-        // The streaming pipeline serves every spec kind (generators
-        // regenerate shards; pre-built and on-disk traces are served in
-        // shard-sized chunks); only the legacy push-everything oracle
-        // path forces materialization.
-        if mode == ArrivalMode::Streaming && !self.legacy_arrival_path {
-            // Streaming: the world pulls full VmRequests from a
-            // double-buffered shard cursor; the queue pulls arrival
-            // *times* from an independent arrivals-only cursor. Nothing
-            // is materialized — peak memory is O(resident + 2 shards).
-            // Per-VM capacity validation happens at each arrival.
-            let source = self
-                .workload
-                .shard_source()
-                .map_err(BuildError::TraceFile)?;
-            let cursor = StreamingShards::new(Arc::clone(&source));
-            let mut world = DdcWorld::new_streaming(self.cfg, self.algorithm, cursor);
-            self.prime(&mut world);
-            if let Some(spec) = fault_spec {
-                world.enable_faults(spec, source.span_units());
+            WorkloadSpec::TraceCsv { name, path } if mode == ArrivalMode::Materialized => {
+                let loaded = Workload::read_csv_file(name, path).map_err(BuildError::TraceFile)?;
+                return Ok(Arc::new(TraceShards::new(loaded)));
             }
-            let mut sim = Simulation::new(world);
-            sim.attach_arrivals(Box::new(StreamingArrivals::new(source)));
-            Self::seed_faults(&mut sim);
-            return Ok(DdcSimulation {
-                sim,
-                arrival_mode: ArrivalMode::Streaming,
-                recipe,
-                checkpoint_every: self.checkpoint_every,
-            });
+            _ => {}
         }
-
-        let workload = Arc::new(self.workload.load().map_err(BuildError::TraceFile)?);
-        if let Err(vm) = workload.validate_fits(&self.cfg.topology) {
-            return Err(BuildError::OversizedVm {
-                id: vm.id.0,
-                workload: workload.name().to_string(),
-            });
-        }
-        // After the typed Trace check above, every materialized workload
-        // reaching the arrival lane is sorted (generators by
-        // construction, CSV by validation) — and the lane itself refuses
-        // one that is not, in every build; the legacy lane pushes through
-        // the FEL and tolerates any order.
-        debug_assert!(
-            self.legacy_arrival_path
-                || workload
-                    .vms()
-                    .windows(2)
-                    .all(|w| w[0].arrival <= w[1].arrival),
-            "generator produced an unsorted trace"
-        );
-        let span = workload.vms().last().map_or(0.0, |vm| vm.arrival);
-        // One trace, two readers: the world looks VMs up in it, the
-        // queue's cursor walks its arrival column.
-        let mut world = DdcWorld::new(self.cfg, self.algorithm, Arc::clone(&workload));
-        self.prime(&mut world);
-        if let Some(spec) = fault_spec {
-            world.enable_faults(spec, span);
-        }
-        let mut sim = Simulation::new(world);
-        if self.legacy_arrival_path {
-            for (vm, idx) in workload.vms().iter().zip(0..) {
-                let (at, event) = arrival_event(idx, vm.arrival);
-                sim.schedule(at, event);
-            }
-        } else {
-            sim.attach_arrivals(Box::new(TraceArrivals::new(workload)));
-        }
-        Self::seed_faults(&mut sim);
-        Ok(DdcSimulation {
-            sim,
-            arrival_mode: ArrivalMode::Materialized,
-            recipe,
-            checkpoint_every: self.checkpoint_every,
-        })
+        self.workload.shard_source().map_err(BuildError::TraceFile)
     }
 
     /// Push each fault chain's first onset through the FEL. Must run
-    /// *after* arrivals are attached: both arrival pipelines
+    /// *after* arrivals are attached: the lane and the legacy path
     /// reserve the same sequence-number block for the trace, so seeding
     /// afterwards gives every fault event the identical sequence number
-    /// (and therefore identical same-time ordering) on both paths.
+    /// (and therefore identical same-time ordering) on both.
     fn seed_faults(sim: &mut Simulation<DdcWorld>) {
         if sim.world().faults.is_some() {
             for (at, event) in sim.world_mut().initial_fault_events() {
@@ -423,8 +384,15 @@ impl SimulationBuilder {
         }
     }
 
-    /// Apply the builder knobs shared by both arrival paths.
-    fn prime(&self, world: &mut DdcWorld) {
+    /// Apply the builder knobs to a fresh world; `span` (the last
+    /// arrival time — an arrivals-only pass over a generator) is only
+    /// asked for when a fault scenario stretches over it.
+    fn primed(
+        &self,
+        mut world: DdcWorld,
+        faults: Option<FaultSpec>,
+        span: impl FnOnce() -> f64,
+    ) -> DdcWorld {
         world.set_sched_timing_batch(self.sched_timing_batch);
         if let Some(interval) = self.timeline_interval {
             world.enable_timeline(interval);
@@ -432,7 +400,28 @@ impl SimulationBuilder {
         if self.audit {
             world.enable_audit();
         }
+        if let Some(spec) = faults {
+            world.enable_faults(spec, span());
+        }
+        world
     }
+}
+
+/// The first VM `source` yields that does not fit one box, if any.
+/// Decided from [`ShardSource::largest_request`] alone when that fits —
+/// demand is monotone in each amount — so only a source that *could*
+/// yield an oversized VM is walked for the first one that does. Either
+/// way no oversized VM reaches the run: the event path does not look.
+fn first_oversized(source: &dyn ShardSource, cfg: &TopologyConfig) -> Option<VmRequest> {
+    let cap = cfg.box_capacity_units();
+    let (cpu, ram, sto) = source.largest_request();
+    if UnitDemand::from_natural(&cfg.units, cpu, ram, sto).max_units() <= cap {
+        return None;
+    }
+    (0..source.num_shards()).find_map(|shard| {
+        let (vms, _) = source.shard_vms(shard);
+        vms.into_iter().find(|vm| vm.demand(cfg).max_units() > cap)
+    })
 }
 
 impl Default for SimulationBuilder {
@@ -566,27 +555,27 @@ impl DdcSimulation {
         self.sim.queue().peak_fel_len()
     }
 
-    /// The arrival pipeline actually in effect. Every workload spec
-    /// streams (generators, pre-built traces, and on-disk CSV traces
-    /// alike); only the legacy arrival path forces
+    /// The resolved [`SimulationBuilder::arrivals`] mode — how a trace
+    /// file is (or would be) read; the legacy arrival path, which
+    /// materializes everything, always reports
     /// [`ArrivalMode::Materialized`].
     pub fn arrival_mode(&self) -> ArrivalMode {
         self.arrival_mode
     }
 
-    /// High-water mark of VMs buffered by the streaming workload cursor;
-    /// `None` on the materialized path. Bounded by
-    /// 2×[`risa_workload::shard::SHARD_SIZE`] by construction — the
-    /// memory-bound half of the streaming pipeline's contract (asserted
-    /// by `tests/streaming_bounds.rs`).
+    /// High-water mark of VMs buffered by the workload cursor: at most
+    /// one [`risa_workload::shard::SHARD_SIZE`] shard plus one lane
+    /// window, whatever the trace length (asserted by
+    /// `tests/streaming_bounds.rs`). `None` only on the legacy path,
+    /// which holds the whole trace.
     pub fn peak_buffered_arrivals(&self) -> Option<usize> {
         self.sim.world().stream_peak_buffered()
     }
 
     /// High-water mark of arrivals the event queue itself held at once:
-    /// one window of its arrival lane at most, on every arrival pipeline
-    /// and whatever the trace length (0 on the legacy path, which has no
-    /// lane). Asserted by `tests/streaming_bounds.rs`.
+    /// one window of its arrival lane at most, whatever the trace length
+    /// (0 on the legacy path, which has no lane). Asserted by
+    /// `tests/streaming_bounds.rs`.
     pub fn peak_arrival_window(&self) -> usize {
         self.sim.queue().peak_arrival_window()
     }
@@ -657,13 +646,15 @@ mod tests {
     }
 
     /// The whole point of the pipeline: identical reports (and admitted
-    /// counters, energies, …) whether the trace is materialized up front
-    /// or streamed shard-by-shard during the run.
+    /// counters, energies, …) whether the trace is generated on demand
+    /// during the run or materialized up front and served to it — under
+    /// either arrival mode, which a generator has no use for.
     #[test]
     fn streaming_report_equals_materialized_report() {
-        let run = |mode: ArrivalMode| {
+        let spec = WorkloadSpec::synthetic(9000, 13); // 3 shards
+        let run = |spec: WorkloadSpec, mode: ArrivalMode| {
             let mut sim = SimulationBuilder::new()
-                .workload(WorkloadSpec::synthetic(9000, 13)) // 3 shards
+                .workload(spec)
                 .arrivals(mode)
                 .audit(true)
                 .build();
@@ -672,11 +663,11 @@ mod tests {
             r.sched_seconds = 0.0;
             (r, sim.events_dispatched(), sim.peak_fel_len())
         };
-        let (m_report, m_events, m_fel) = run(ArrivalMode::Materialized);
-        let (s_report, s_events, s_fel) = run(ArrivalMode::Streaming);
-        assert_eq!(s_report, m_report);
-        assert_eq!(s_events, m_events);
-        assert_eq!(s_fel, m_fel);
+        let held = WorkloadSpec::Trace(spec.materialize());
+        let materialized = run(held, ArrivalMode::Materialized);
+        for mode in ArrivalMode::ALL {
+            assert_eq!(run(spec.clone(), mode), materialized, "{mode}");
+        }
     }
 
     #[test]
@@ -684,36 +675,37 @@ mod tests {
         use risa_workload::shard::SHARD_SIZE;
         let mut sim = SimulationBuilder::new()
             .workload(WorkloadSpec::synthetic(3 * SHARD_SIZE, 5))
-            .arrivals(ArrivalMode::Streaming)
             .build();
         sim.run();
-        let peak = sim.peak_buffered_arrivals().expect("streaming run");
-        assert!(peak <= 2 * SHARD_SIZE as usize, "peak {peak}");
-        assert!(peak > 0);
+        let peak = sim.peak_buffered_arrivals().expect("a default run");
+        assert_eq!(peak, SHARD_SIZE as usize);
     }
 
     #[test]
     fn pre_built_traces_stream_and_match_their_materialized_run() {
-        // A pre-built trace streams through TraceShards — no silent
-        // fallback to the materialized path — and the result is
-        // byte-identical to running the same trace materialized.
+        // A pre-built trace is served through TraceShards on the one
+        // cursor whatever the arrival mode says, and the result is
+        // byte-identical to the legacy path's, which indexes the trace.
         let w = WorkloadSpec::synthetic(300, 2).materialize();
-        let run = |mode| {
+        let run = |mode, legacy| {
             let mut sim = SimulationBuilder::new()
                 .workload(WorkloadSpec::Trace(w.clone()))
                 .arrivals(mode)
+                .legacy_arrival_path(legacy)
                 .build();
+            assert_eq!(sim.peak_buffered_arrivals().is_some(), !legacy);
             let mut r = sim.run();
             r.sched_seconds = 0.0;
             (sim.arrival_mode(), r)
         };
-        let (streamed_mode, streamed) = run(ArrivalMode::Streaming);
-        let (materialized_mode, materialized) = run(ArrivalMode::Materialized);
+        let (streamed_mode, streamed) = run(ArrivalMode::Streaming, false);
+        let (materialized_mode, materialized) = run(ArrivalMode::Materialized, false);
         assert_eq!(streamed_mode, ArrivalMode::Streaming);
         assert_eq!(materialized_mode, ArrivalMode::Materialized);
         assert_eq!(streamed, materialized);
+        assert_eq!(run(ArrivalMode::Materialized, true).1, materialized);
 
-        // Only the legacy oracle path still forces materialization.
+        // Only the legacy oracle path materializes whatever it is given.
         let sim = SimulationBuilder::new()
             .workload(WorkloadSpec::synthetic(20, 2))
             .arrivals(ArrivalMode::Streaming)
@@ -774,12 +766,11 @@ mod tests {
         assert!(err.to_string().contains("not sorted by arrival"));
     }
 
-    /// A trace whose ids are not its rows' ranks used to run on the
-    /// default pipeline — swapped rows to exit 0 with each arrival placed
-    /// as the *other* row's VM, sparse and duplicate ids into an index
-    /// panic mid-run — while the streaming pipeline refused the same CSV
-    /// file typed. Both pipelines now refuse it, with the same error,
-    /// whether it arrives as a CSV file or as a deserialized trace.
+    /// A trace whose ids are not its rows' ranks once ran — swapped rows
+    /// to exit 0 with each arrival placed as the *other* row's VM, sparse
+    /// and duplicate ids into an index panic mid-run. It is refused, with
+    /// the same error under either arrival mode, whether it arrives as a
+    /// CSV file or as a deserialized trace.
     #[test]
     fn non_dense_ids_rejected_typed_on_both_arrival_modes() {
         use risa_workload::{csv, TraceFileError, VmId, Workload};
@@ -833,7 +824,7 @@ mod tests {
     }
 
     /// A trace file that cannot be loaded is a `BuildError`, the same one
-    /// on both pipelines — not a panic inside the builder.
+    /// whole-file and chunked — not a panic inside the builder.
     #[test]
     fn unusable_trace_files_are_build_errors_on_both_arrival_modes() {
         use risa_workload::{csv::CsvError, TraceFileError};
@@ -888,6 +879,69 @@ mod tests {
             }
             std::fs::remove_file(&path).ok();
         }
+    }
+
+    /// A VM past a box is the typed `OversizedVm` naming the first one,
+    /// whatever would have yielded it — a generator config that was never
+    /// going to be materialized, a CSV file read whole or chunked, the
+    /// legacy path — and never a panic at the offending arrival.
+    #[test]
+    fn oversized_requests_are_typed_build_errors_from_every_source() {
+        use risa_workload::SyntheticConfig;
+        let topology = TopologyConfig::paper();
+        let try_build = |spec: &WorkloadSpec, mode, legacy| {
+            SimulationBuilder::new()
+                .workload(spec.clone())
+                .arrivals(mode)
+                .legacy_arrival_path(legacy)
+                .faults_off()
+                .try_build()
+        };
+        // A box holds 512 cores; this config asks for up to 4096.
+        let cfg = SyntheticConfig {
+            cpu_cores: (1, 4096),
+            ..SyntheticConfig::small(9000, 3)
+        };
+        let spec = WorkloadSpec::Synthetic(cfg);
+        let trace = spec.materialize();
+        let first = trace
+            .validate_fits(&topology)
+            .expect_err("some VM is oversized");
+        assert!(first.cpu_cores > 512);
+        let want = BuildError::OversizedVm {
+            id: first.id.0,
+            workload: "synthetic".into(),
+        };
+        let path =
+            std::env::temp_dir().join(format!("risa_builder_{}_oversized.csv", std::process::id()));
+        std::fs::write(&path, risa_workload::csv::to_csv(&trace)).unwrap();
+        let file = WorkloadSpec::TraceCsv {
+            name: "synthetic".into(),
+            path: path.display().to_string(),
+        };
+        for mode in ArrivalMode::ALL {
+            for spec in [&spec, &file] {
+                for legacy in [false, true] {
+                    let err = try_build(spec, mode, legacy).expect_err("must not build");
+                    assert_eq!(err, want, "{mode}/legacy={legacy}/{spec:?}");
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
+        assert!(want.to_string().contains("single-box capacity"));
+
+        // A bound past a box that no VM of this seed reaches is no error:
+        // the build walked the workload and found every VM fits.
+        let cfg = SyntheticConfig {
+            cpu_cores: (1, 513),
+            ..SyntheticConfig::small(5, 3)
+        };
+        let spec = WorkloadSpec::Synthetic(cfg);
+        assert!(spec.materialize().validate_fits(&topology).is_ok());
+        let report = try_build(&spec, ArrivalMode::Materialized, false)
+            .expect("every VM fits")
+            .run();
+        assert_eq!(report.admitted + report.dropped, 5);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! | `recipe` | The fully-resolved [`SimulationBuilder`]: workload spec, algorithm, topology/network/photonics config, arrival mode, fault spec, audit/timeline settings. Every env-deferred knob was pinned at build time, so restoring **never reads the environment** (enforced by the `checkpoint_purity` lint rule). |
 //! | clock | `(at, dispatched, clamped)` — the engine clock and dispatch counters. |
 //! | FEL | Every future-event-list entry with its original `(time, seq)` pair, plus the `next_seq` counter and FEL high-water mark. |
-//! | arrivals | The arrival lane as a *cursor position* (`arrivals_remaining`): a restore rebuilds the lane from the recipe and fast-forwards it, re-executing the exact `f64` accumulation the original run performed. |
-//! | `world` | Cluster, network, scheduler, per-VM assignments, metric accumulators (latency as raw bits), audit ledger, fault-injection state (RNG chains as draw counts, down racks, in-transit migrations — *not* residents by rack: a failing rack's victims are derived from the assignments at the failure), and the streaming-cursor position. |
+//! | arrivals | The arrival lane *and* the world's workload cursor as one position (`arrivals_remaining`): a restore rebuilds both from the recipe and moves them there, re-executing the exact `f64` accumulation the original run performed. |
+//! | `world` | Cluster, network, scheduler, per-VM assignments, metric accumulators (latency as raw bits), audit ledger, fault-injection state (RNG chains as draw counts, down racks, in-transit migrations — *not* residents by rack: a failing rack's victims are derived from the assignments at the failure). The workload cursor's position is not here: it is the arrival count above (documents written before the cursor had one owner also carry it as `stream_consumed`, which is ignored). |
 //!
 //! # Versioning
 //!
@@ -102,15 +102,21 @@ impl Checkpoint {
             .clone()
             .try_build()
             .unwrap_or_else(|e| panic!("checkpoint recipe failed to rebuild: {e}"));
+        let total = run.sim.queue().stream_remaining();
         run.sim
             .queue_mut()
             .fast_forward_arrivals(self.arrivals_remaining);
+        // Every arrival the lane no longer holds had been dispatched, and
+        // so taken off the world's cursor, when the snapshot was taken.
+        let consumed = total - self.arrivals_remaining;
         run.sim
             .queue_mut()
             .restore_fel(self.fel.clone(), self.next_seq, self.peak_fel);
         run.sim
             .restore_clock(self.at, self.dispatched, self.clamped);
-        run.sim.world_mut().restore(self.world.clone());
+        run.sim
+            .world_mut()
+            .restore(self.world.clone(), consumed as u32);
         run
     }
 

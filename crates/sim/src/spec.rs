@@ -22,10 +22,10 @@ pub enum WorkloadSpec {
     },
     /// A pre-built trace (e.g. loaded from JSON).
     Trace(Workload),
-    /// A CSV trace file on disk: parsed a block at a time when
-    /// materialized ([`risa_workload::csv::read_csv`]), re-read in
-    /// shard-sized chunks when streamed
-    /// ([`risa_workload::CsvFileShards`]) — never resident as text.
+    /// A CSV trace file on disk: loaded whole, a block at a time
+    /// ([`risa_workload::csv::read_csv`]), or — under
+    /// [`crate::ArrivalMode::Streaming`] — re-read in shard-sized chunks
+    /// ([`risa_workload::CsvFileShards`]); never resident as text.
     TraceCsv {
         /// Workload label for reports.
         name: String,
@@ -51,14 +51,16 @@ impl WorkloadSpec {
     }
 
     /// Materialize the trace, or say why the trace file it names cannot
-    /// be one (only [`WorkloadSpec::TraceCsv`] can fail).
+    /// be one (only [`WorkloadSpec::TraceCsv`] can fail). A simulation
+    /// does not call this for a generator — it reads
+    /// [`WorkloadSpec::shard_source`] on demand; `risa-cli generate`, the
+    /// legacy arrival path and tests that want the whole trace do.
     ///
     /// Synthetic and Azure specs generate **sharded** on the `rayon`
     /// pool: fixed 4096-VM index shards with `(seed, shard)`-derived RNG
     /// streams, stitched by a prefix sum over per-shard interarrival
-    /// totals (`risa_workload::shard`). A single big trial therefore uses
-    /// every worker, and the result is byte-identical at any thread count
-    /// (pinned by `tests/determinism.rs`).
+    /// totals (`risa_workload::shard`). The result is byte-identical at
+    /// any thread count (pinned by `tests/determinism.rs`).
     pub fn load(&self) -> Result<Workload, TraceFileError> {
         Ok(match self {
             WorkloadSpec::Synthetic(cfg) => Workload::synthetic(cfg),
@@ -75,12 +77,13 @@ impl WorkloadSpec {
         self.load().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The spec as a lazy per-shard source — the handle
-    /// [`crate::ArrivalMode::Streaming`] runs on. Generator-backed specs
-    /// regenerate each shard from its RNG streams; pre-built traces are
-    /// *served* in shard-sized slices ([`risa_workload::TraceShards`]),
-    /// and on-disk CSV traces are read chunk-by-chunk
-    /// ([`risa_workload::CsvFileShards`]), so every spec streams.
+    /// The spec as a lazy per-shard source — what a run's shard cursor
+    /// reads. Generator-backed specs generate each shard from its RNG
+    /// streams; pre-built traces are *served* in shard-sized slices
+    /// ([`risa_workload::TraceShards`]), and on-disk CSV traces are read
+    /// chunk-by-chunk ([`risa_workload::CsvFileShards`]; the builder
+    /// instead loads the file whole and serves it through `TraceShards`
+    /// unless asked for [`crate::ArrivalMode::Streaming`]).
     ///
     /// The source yields the *same trace* [`WorkloadSpec::load`]
     /// produces, bit-for-bit, so consuming it through a cursor is
@@ -125,8 +128,8 @@ mod tests {
     }
 
     /// The shard source must yield exactly the trace `materialize`
-    /// yields — the foundation of the streaming/materialized identity.
-    /// Every spec kind streams, including pre-built traces.
+    /// yields — the foundation of the on-demand/materialized identity —
+    /// for every spec kind, pre-built traces included.
     #[test]
     fn shard_source_reproduces_materialize() {
         for spec in [
@@ -134,7 +137,7 @@ mod tests {
             WorkloadSpec::azure(AzureSubset::N3000, 8),
             WorkloadSpec::Trace(WorkloadSpec::synthetic(5000, 21).materialize()),
         ] {
-            let source = spec.shard_source().expect("every spec kind streams");
+            let source = spec.shard_source().expect("no file to fail on");
             assert_eq!(
                 risa_workload::shard::materialize(&*source),
                 spec.materialize().vms()
@@ -155,7 +158,7 @@ mod tests {
         let materialized = spec.materialize();
         assert_eq!(materialized.name(), "disk");
         assert_eq!(materialized.vms(), w.vms());
-        let source = spec.shard_source().expect("CSV traces stream");
+        let source = spec.shard_source().expect("a valid file opens");
         assert_eq!(risa_workload::shard::materialize(&*source), w.vms());
         std::fs::remove_file(&path).ok();
     }

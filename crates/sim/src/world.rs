@@ -5,6 +5,7 @@ use crate::config::SimConfig;
 use crate::faults::{
     ChainDraws, ChainSet, FaultMeters, FaultReport, FaultSpec, FaultTallies, Migration,
 };
+use crate::streaming::arrival_event;
 use crate::timeline::{Timeline, TimelinePoint};
 use risa_des::{EventCtx, SimDuration, SimTime, World};
 use risa_metrics::{OnlineStats, TimeWeighted};
@@ -13,10 +14,8 @@ use risa_photonics::{EnergyModel, SwitchPath};
 use risa_sched::audit::AuditorParts;
 use risa_sched::audit::ScheduleAuditor;
 use risa_sched::{Algorithm, DropReason, ScheduleOutcome, Scheduler, VmAssignment};
-use risa_topology::{
-    BoxId, Cluster, RackId, ResourceKind, TopologyConfig, UnitDemand, ALL_RESOURCES,
-};
-use risa_workload::{StreamingShards, VmRequest, Workload};
+use risa_topology::{BoxId, Cluster, RackId, ResourceKind, UnitDemand, ALL_RESOURCES};
+use risa_workload::{ShardSource, StreamingShards, VmRequest, Workload};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -156,66 +155,55 @@ pub enum SimEvent {
     Migrate(u32),
 }
 
-/// Where the world's VM requests come from: the whole trace up front, or
-/// a bounded-memory cursor yielding them in arrival (= index) order.
+/// Where the world's VM requests come from.
 ///
-/// Arrival events are delivered strictly in VM-index order on both paths
-/// (the stitched trace is sorted and the queue's arrival lane preserves
-/// insertion order among equal times), so the streaming cursor — which
-/// can only move forward — always has the VM the next `Arrival(idx)`
-/// event asks for.
+/// Arrival events are delivered strictly in VM-index order off the
+/// arrival lane (the stitched trace is sorted and the lane preserves
+/// insertion order among equal times), so the cursor — which can only
+/// move forward — always has the VM the next `Arrival(idx)` event asks
+/// for.
 #[derive(Debug)]
 pub(crate) enum VmSource {
-    /// The full trace, indexable at random; shared with the queue's
-    /// arrival cursor (`crate::streaming::TraceArrivals`), so it is held
-    /// once.
-    Materialized(Arc<Workload>),
-    /// A double-buffered shard cursor: ≤ 2 shards of VMs resident.
-    Streaming(StreamingShards),
+    /// Every run but the oracle's: the one shard cursor, which also feeds
+    /// the queue's arrival lane ([`World::fill_arrivals`]).
+    Cursor(StreamingShards),
+    /// `legacy_arrival_path` only: the loaded trace, looked up by index —
+    /// that path delivers arrivals through the FEL in time order, which
+    /// for the unsorted traces it accepts is not index order.
+    Oracle(Arc<Workload>),
 }
 
 impl VmSource {
     /// Workload label for reports.
     pub(crate) fn name(&self) -> &str {
         match self {
-            VmSource::Materialized(w) => w.name(),
-            VmSource::Streaming(c) => c.label(),
+            VmSource::Cursor(c) => c.label(),
+            VmSource::Oracle(w) => w.name(),
         }
     }
 
     /// Total requests in the workload.
     pub(crate) fn total(&self) -> u32 {
         match self {
-            VmSource::Materialized(w) => w.len() as u32,
-            VmSource::Streaming(c) => c.total_vms(),
+            VmSource::Cursor(c) => c.total_vms(),
+            VmSource::Oracle(w) => w.len() as u32,
         }
     }
 
     /// The request for arrival event `idx`.
-    ///
-    /// The materialized path validated every VM against the single-box
-    /// assumption at build time; the streaming path cannot (the trace
-    /// does not exist yet), so it checks each VM here as it surfaces —
-    /// same panic, just deferred to the offending arrival.
-    fn take(&mut self, idx: u32, cfg: &TopologyConfig) -> VmRequest {
+    fn take(&mut self, idx: u32) -> VmRequest {
         match self {
-            VmSource::Materialized(w) => w.vms()[idx as usize],
-            VmSource::Streaming(cursor) => {
+            VmSource::Cursor(cursor) => {
                 let vm = cursor
                     .next()
-                    .expect("arrival event beyond the end of the streamed workload");
+                    .expect("arrival event beyond the end of the workload");
                 debug_assert_eq!(
                     vm.id.0, idx,
-                    "streamed VM out of step with the arrival event order"
+                    "cursor out of step with the arrival event order"
                 );
-                if vm.demand(cfg).max_units() > cfg.box_capacity_units() {
-                    panic!(
-                        "VM {} exceeds single-box capacity (paper §2 assumption)",
-                        vm.id
-                    );
-                }
                 vm
             }
+            VmSource::Oracle(w) => w.vms()[idx as usize],
         }
     }
 }
@@ -575,19 +563,25 @@ pub struct DdcWorld {
 }
 
 impl DdcWorld {
-    /// Build a pristine world for `algorithm` over `workload`.
-    pub fn new(cfg: SimConfig, algorithm: Algorithm, workload: Arc<Workload>) -> Self {
-        Self::with_source(cfg, algorithm, VmSource::Materialized(workload))
+    /// Build a pristine world for `algorithm` over the workload `source`
+    /// yields, read on demand through one shard cursor. Run it behind
+    /// [`risa_des::Simulation::attach_arrivals`].
+    pub fn new(cfg: SimConfig, algorithm: Algorithm, source: Arc<dyn ShardSource>) -> Self {
+        Self::with_source(
+            cfg,
+            algorithm,
+            VmSource::Cursor(StreamingShards::new(source)),
+        )
     }
 
-    /// Build a world consuming VMs lazily from a streaming shard cursor
-    /// (bounded memory; see [`crate::ArrivalMode::Streaming`]).
-    pub(crate) fn new_streaming(
+    /// Build the `legacy_arrival_path` oracle's world over a loaded trace
+    /// (the caller schedules every arrival through the FEL).
+    pub(crate) fn new_oracle(
         cfg: SimConfig,
         algorithm: Algorithm,
-        cursor: StreamingShards,
+        workload: Arc<Workload>,
     ) -> Self {
-        Self::with_source(cfg, algorithm, VmSource::Streaming(cursor))
+        Self::with_source(cfg, algorithm, VmSource::Oracle(workload))
     }
 
     fn with_source(cfg: SimConfig, algorithm: Algorithm, source: VmSource) -> Self {
@@ -787,28 +781,28 @@ impl DdcWorld {
         self.assignments.get(idx)
     }
 
-    /// High-water mark of VMs buffered by the streaming workload cursor
-    /// (current shard + outstanding prefetch); `None` on the materialized
-    /// path. Bounded by 2×`risa_workload::shard::SHARD_SIZE`.
+    /// High-water mark of VMs buffered by the workload cursor: one shard,
+    /// plus at most the lane's window; `None` only on the legacy path,
+    /// which holds the whole trace instead.
     pub fn stream_peak_buffered(&self) -> Option<usize> {
         match &self.source {
-            VmSource::Materialized(_) => None,
-            VmSource::Streaming(c) => Some(c.peak_buffered()),
+            VmSource::Cursor(c) => Some(c.peak_buffered()),
+            VmSource::Oracle(_) => None,
         }
     }
 
-    /// Shards the streaming cursor has generated so far; `None` on the
-    /// materialized path.
+    /// Shards the cursor has generated so far; `None` on the legacy path.
     pub fn stream_shards_generated(&self) -> Option<u32> {
         match &self.source {
-            VmSource::Materialized(_) => None,
-            VmSource::Streaming(c) => Some(c.shards_generated()),
+            VmSource::Cursor(c) => Some(c.shards_generated()),
+            VmSource::Oracle(_) => None,
         }
     }
 
     /// Capture the world's full mutable state for a checkpoint. Excluded
-    /// by design: the workload source (rebuilt from the run configuration
-    /// and fast-forwarded by [`DdcWorld::restore`]), the stateless energy
+    /// by design: the workload cursor (rebuilt from the run configuration
+    /// and moved by [`DdcWorld::restore`] to where the checkpoint's
+    /// arrival count says it stood), the stateless energy
     /// model, the config (in the checkpoint's recipe block), and the
     /// scheduler wall-clock timer (wall time is not simulation state — a
     /// resumed run measures only its own scheduling work).
@@ -834,25 +828,22 @@ impl DdcWorld {
                 .as_ref()
                 .map(|(a, seqs)| (a.to_parts(), seqs.occupied_pairs())),
             faults: self.faults.as_ref().map(|fs| fs.snapshot()),
-            stream_consumed: match &self.source {
-                VmSource::Materialized(_) => 0,
-                VmSource::Streaming(c) => c.total_vms() - c.remaining() as u32,
-            },
         }
     }
 
-    /// Overwrite this (pristine, freshly-built) world with a snapshot.
+    /// Overwrite this (pristine, freshly-built) world with a snapshot
+    /// taken when `consumed` arrivals had been dispatched.
     ///
-    /// The streaming cursor is advanced by replaying `stream_consumed`
-    /// `next()` calls — re-executing the *identical* running-offset `f64`
-    /// additions the original run performed, so the VMs it will yield
-    /// after restore are bit-identical to the uninterrupted run's. The
-    /// caller must have built `self` from the same run configuration the
-    /// snapshot was taken under (same workload, algorithm, topology,
+    /// The cursor is advanced by replaying `consumed` `next()` calls —
+    /// re-executing the *identical* running-offset `f64` additions the
+    /// original run performed, so the VMs it will yield after restore are
+    /// bit-identical to the uninterrupted run's. The caller must have
+    /// built `self` from the same run configuration the snapshot was
+    /// taken under (same workload, algorithm, topology,
     /// audit/timeline/fault settings).
-    pub(crate) fn restore(&mut self, snap: WorldSnapshot) {
-        if let VmSource::Streaming(cursor) = &mut self.source {
-            for _ in 0..snap.stream_consumed {
+    pub(crate) fn restore(&mut self, snap: WorldSnapshot, consumed: u32) {
+        if let VmSource::Cursor(cursor) = &mut self.source {
+            for _ in 0..consumed {
                 cursor
                     .next()
                     .expect("checkpoint consumed more VMs than the workload holds");
@@ -934,8 +925,16 @@ impl DdcWorld {
     }
 
     fn on_arrival(&mut self, idx: u32, now: f64, ctx: &mut EventCtx<'_, SimEvent>) {
-        let vm = self.source.take(idx, &self.cfg.topology);
+        let vm = self.source.take(idx);
         let demand = vm.demand(&self.cfg.topology);
+        // Unreachable otherwise: `try_build` refuses a workload whose
+        // `ShardSource::largest_request` does not fit a box unless a walk
+        // of every VM finds none that does not (`first_oversized`).
+        debug_assert!(
+            demand.max_units() <= self.cfg.topology.box_capacity_units(),
+            "{} exceeds single-box capacity past the build-time check",
+            vm.id
+        );
 
         let timing = self.sched.start();
         let outcome = self
@@ -1239,6 +1238,20 @@ impl DdcWorld {
 impl World for DdcWorld {
     type Event = SimEvent;
 
+    /// The arrival lane's window, straight off the cursor's resident
+    /// shard: the arrival column of the VMs `on_arrival` is about to take.
+    fn fill_arrivals(&mut self, out: &mut Vec<(SimTime, SimEvent)>, max: usize) {
+        let VmSource::Cursor(cursor) = &mut self.source else {
+            return; // the legacy path attaches no lane
+        };
+        let (first, vms) = cursor.next_arrivals(max);
+        out.extend(
+            vms.iter()
+                .zip(first..)
+                .map(|(vm, idx)| arrival_event(idx, vm.arrival)),
+        );
+    }
+
     fn handle(&mut self, ctx: &mut EventCtx<'_, SimEvent>, event: SimEvent) {
         let now = ctx.now().as_units();
         self.end_time = self.end_time.max(now);
@@ -1288,33 +1301,32 @@ pub(crate) struct WorldSnapshot {
     timeline: Option<Timeline>,
     auditor: Option<(AuditorParts, Vec<(u32, u64)>)>,
     faults: Option<FaultSnapshot>,
-    /// VMs the streaming cursor had yielded at snapshot time (0 on the
-    /// materialized path); restore replays this many `next()` calls.
-    stream_consumed: u32,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::streaming::TraceArrivals;
     use proptest::prelude::*;
     use risa_des::Simulation;
-    use risa_workload::SyntheticConfig;
+    use risa_workload::{SyntheticConfig, SyntheticShards, TraceShards};
     use std::collections::btree_map;
 
-    /// A world over `workload` with the trace's arrivals on the queue's
-    /// arrival lane — read straight off the shared trace, nothing copied,
-    /// nothing entering the FEL.
-    fn primed(algo: Algorithm, workload: Workload) -> Simulation<DdcWorld> {
-        let workload = Arc::new(workload);
-        let arrivals = TraceArrivals::new(Arc::clone(&workload));
-        let mut sim = Simulation::new(DdcWorld::new(SimConfig::paper(), algo, workload));
-        sim.attach_arrivals(Box::new(arrivals));
+    /// A world over `source` with its arrivals on the queue's arrival
+    /// lane — read off the cursor the world takes its VMs from, nothing
+    /// entering the FEL.
+    fn primed(algo: Algorithm, source: Arc<dyn ShardSource>) -> Simulation<DdcWorld> {
+        let total = source.total_vms() as usize;
+        let mut sim = Simulation::new(DdcWorld::new(SimConfig::paper(), algo, source));
+        sim.attach_arrivals(total);
         sim
     }
 
+    fn synthetic(n: u32, seed: u64) -> Arc<dyn ShardSource> {
+        Arc::new(SyntheticShards::new(&SyntheticConfig::small(n, seed)))
+    }
+
     fn run_world(algo: Algorithm, n: u32, seed: u64) -> DdcWorld {
-        let mut sim = primed(algo, Workload::synthetic(&SyntheticConfig::small(n, seed)));
+        let mut sim = primed(algo, synthetic(n, seed));
         sim.run_to_completion();
         sim.into_world()
     }
@@ -1332,26 +1344,22 @@ mod tests {
         w.cluster.check_invariants().unwrap();
     }
 
-    /// A world fed by the streaming cursor reaches the same end state as
-    /// the materialized one (the full differential lives in
-    /// `tests/hot_path_differential.rs`; this is the in-module smoke).
+    /// A world generating its workload on demand reaches the same end
+    /// state as one served the materialized trace (the full differential
+    /// lives in `tests/hot_path_differential.rs`; this is the in-module
+    /// smoke).
     #[test]
     fn streaming_world_matches_materialized_end_state() {
-        use crate::streaming::StreamingArrivals;
-        use risa_workload::{ShardSource, SyntheticShards};
-
-        let cfg = SyntheticConfig::small(200, 3);
-        let source: Arc<dyn ShardSource> = Arc::new(SyntheticShards::new(&cfg));
-        let cursor = StreamingShards::new(Arc::clone(&source));
-        let mut world = DdcWorld::new_streaming(SimConfig::paper(), Algorithm::Risa, cursor);
-        world.enable_audit();
-        let mut sim = Simulation::new(world);
-        sim.attach_arrivals(Box::new(StreamingArrivals::new(source)));
+        let mut sim = primed(Algorithm::Risa, synthetic(200, 3));
+        sim.world_mut().enable_audit();
         sim.run_to_completion();
         let mut w = sim.into_world();
         w.finish_audit();
 
-        let oracle = run_world(Algorithm::Risa, 200, 3);
+        let trace = Workload::synthetic(&SyntheticConfig::small(200, 3));
+        let mut held = primed(Algorithm::Risa, Arc::new(TraceShards::new(trace)));
+        held.run_to_completion();
+        let oracle = held.into_world();
         assert_eq!(w.counters.admitted, oracle.counters.admitted);
         assert_eq!(w.counters.inter_rack, oracle.counters.inter_rack);
         assert_eq!(w.optical_energy_j, oracle.optical_energy_j);
@@ -1359,9 +1367,9 @@ mod tests {
         assert!(w.assignments.all_free());
         assert_eq!(w.source.name(), "synthetic");
         assert_eq!(w.source.total(), 200);
-        assert!(w.stream_peak_buffered().unwrap() >= 200);
+        assert_eq!(w.stream_peak_buffered(), Some(200));
         assert_eq!(w.stream_shards_generated(), Some(1));
-        assert_eq!(oracle.stream_peak_buffered(), None);
+        assert_eq!(oracle.stream_peak_buffered(), Some(200));
     }
 
     /// One scripted operation against the store.
@@ -1489,11 +1497,7 @@ mod tests {
     /// bits, for both paths, over sizes and lifetimes of every magnitude.
     #[test]
     fn flow_energy_has_the_models_bits() {
-        let w = DdcWorld::new(
-            SimConfig::paper(),
-            Algorithm::Risa,
-            Arc::new(Workload::synthetic(&SyntheticConfig::small(1, 1))),
-        );
+        let w = DdcWorld::new(SimConfig::paper(), Algorithm::Risa, synthetic(1, 1));
         let n = &w.cfg.network;
         let paths = [
             SwitchPath::intra_rack(n.box_switch_ports, n.rack_switch_ports),
@@ -1575,10 +1579,7 @@ mod tests {
 
     #[test]
     fn exact_timing_batch_samples_every_call() {
-        let mut sim = primed(
-            Algorithm::Risa,
-            Workload::synthetic(&SyntheticConfig::small(20, 3)),
-        );
+        let mut sim = primed(Algorithm::Risa, synthetic(20, 3));
         sim.world_mut().set_sched_timing_batch(1);
         sim.run_to_completion();
         let w = sim.world();

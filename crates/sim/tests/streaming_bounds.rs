@@ -1,7 +1,6 @@
-//! Bounded-memory properties of the arrival pipelines — the streaming
-//! cursor's two shards, and the one window of arrivals the event queue
-//! holds on every pipeline — plus the loud-rejection contract for
-//! unsorted traces.
+//! Bounded-memory properties of the arrival pipeline — the one shard the
+//! workload cursor holds, and the one window of arrivals the event queue
+//! holds — plus the loud-rejection contract for unsorted traces.
 
 use risa_sim::{Algorithm, ArrivalMode, SimulationBuilder, WorkloadSpec};
 use risa_workload::shard::SHARD_SIZE;
@@ -11,71 +10,85 @@ use risa_workload::{LifetimeModel, SyntheticConfig};
 /// may hold (`ARRIVAL_WINDOW` in `risa_des::queue`).
 const ARRIVAL_WINDOW: usize = 1024;
 
-/// The memory bound the tentpole promises: over a 100k-VM streaming run
-/// the workload cursor never buffers more than two shards of VMs, and the
-/// per-VM bookkeeping tracks residency, not trace length. (A fixed
-/// lifetime keeps the resident population small; the default staircase
-/// would make resident VMs — a *separate* memory term — grow with n.)
-#[test]
-fn peak_buffered_arrivals_is_two_shards_on_100k_run() {
+fn fixed_lifetime_100k() -> (u32, WorkloadSpec) {
     let n = 100_000;
     let cfg = SyntheticConfig {
         lifetime_model: LifetimeModel::Fixed { value: 6300.0 },
         ..SyntheticConfig::small(n, 17)
     };
-    let mut sim = SimulationBuilder::new()
-        .algorithm(Algorithm::Risa)
-        .workload(WorkloadSpec::Synthetic(cfg))
-        .arrivals(ArrivalMode::Streaming)
-        .faults_off() // churn events would share the FEL bound asserted below
-        .build();
-    let report = sim.run();
-    assert_eq!(report.total_vms, n);
-    assert_eq!(report.admitted + report.dropped, n);
-
-    let peak = sim.peak_buffered_arrivals().expect("streaming run");
-    assert!(
-        peak <= 2 * SHARD_SIZE as usize,
-        "peak buffered {peak} exceeds two shards ({})",
-        2 * SHARD_SIZE
-    );
-    assert!(
-        peak >= SHARD_SIZE as usize,
-        "peak buffered {peak} implausibly small for a {n}-VM run"
-    );
-    // The FEL holds in-flight departures only — the other bounded term.
-    assert!(sim.peak_fel_len() <= sim.world().peak_resident() as usize);
-    assert!((sim.world().peak_resident() as usize) < n as usize / 10);
-    // And the queue's own view of the schedule is one window (a shard's
-    // worth of times is the source's, counted above).
-    assert!((1..=ARRIVAL_WINDOW).contains(&sim.peak_arrival_window()));
+    (n, WorkloadSpec::Synthetic(cfg))
 }
 
-/// A *materialized* run holds its trace once: the event queue reads the
-/// arrival schedule from the trace the world reads, one window at a time,
-/// instead of owning a second, 16 B/VM copy of it. Over 100k VMs it never
-/// buffers more than that window — and it does use the window, and the
-/// FEL stays as resident-bounded as on the streaming pipeline.
+/// The memory bound the tentpole promises, on a *default* run: over
+/// 100k generated VMs the trace is never allocated — the workload cursor
+/// buffers one shard, plus at most the lane's window, and the queue holds
+/// one window of converted arrivals — and the per-VM bookkeeping tracks
+/// residency, not trace length. (A fixed lifetime keeps the resident
+/// population small; the default staircase would make resident VMs — a
+/// *separate* memory term — grow with n.) Asking for either arrival mode
+/// changes nothing: a generator has no file to read.
+#[test]
+fn default_run_buffers_one_shard_and_one_window_on_100k_run() {
+    let (n, spec) = fixed_lifetime_100k();
+    for mode in [
+        None,
+        Some(ArrivalMode::Materialized),
+        Some(ArrivalMode::Streaming),
+    ] {
+        let mut builder = SimulationBuilder::new()
+            .algorithm(Algorithm::Risa)
+            .workload(spec.clone())
+            .faults_off(); // churn events would share the FEL bound asserted below
+        if let Some(mode) = mode {
+            builder = builder.arrivals(mode);
+        }
+        let mut sim = builder.build();
+        let report = sim.run();
+        assert_eq!(report.total_vms, n);
+        assert_eq!(report.admitted + report.dropped, n);
+
+        let peak = sim
+            .peak_buffered_arrivals()
+            .expect("every non-legacy run reads the cursor");
+        assert!(
+            (SHARD_SIZE as usize..=SHARD_SIZE as usize + ARRIVAL_WINDOW).contains(&peak),
+            "{mode:?}: peak buffered {peak} is not one shard (+ at most one window)"
+        );
+        assert_eq!(
+            sim.world().stream_shards_generated(),
+            Some(n.div_ceil(SHARD_SIZE)),
+            "each shard generated once"
+        );
+        // The FEL holds in-flight departures only — the other bounded term.
+        assert!(sim.peak_fel_len() <= sim.world().peak_resident() as usize);
+        assert!((sim.world().peak_resident() as usize) < n as usize / 10);
+        // And the queue's own view of the schedule is one window, which a
+        // shard fills exactly four times.
+        assert_eq!(sim.peak_arrival_window(), ARRIVAL_WINDOW);
+    }
+}
+
+/// A *materialized* trace is held once: a pre-built 100k-VM trace is
+/// served through the same cursor a shard-sized slice at a time, and the
+/// event queue reads the arrival schedule off that slice one window at a
+/// time instead of owning a second, 16 B/VM copy of it — and the FEL
+/// stays as resident-bounded as on a generated run.
 #[test]
 fn materialized_run_buffers_one_window_of_arrivals_on_100k_run() {
-    let n = 100_000;
-    let cfg = SyntheticConfig {
-        lifetime_model: LifetimeModel::Fixed { value: 6300.0 },
-        ..SyntheticConfig::small(n, 17)
-    };
+    let (n, spec) = fixed_lifetime_100k();
     let mut sim = SimulationBuilder::new()
         .algorithm(Algorithm::Risa)
-        .workload(WorkloadSpec::Synthetic(cfg))
-        .arrivals(ArrivalMode::Materialized)
+        .workload(WorkloadSpec::Trace(spec.materialize()))
         .faults_off()
         .build();
     let report = sim.run();
     assert_eq!(report.total_vms, n);
     assert_eq!(sim.peak_arrival_window(), ARRIVAL_WINDOW);
-    assert_eq!(sim.peak_buffered_arrivals(), None, "no shard cursor here");
+    assert_eq!(sim.peak_buffered_arrivals(), Some(SHARD_SIZE as usize));
     assert!(sim.peak_fel_len() <= sim.world().peak_resident() as usize);
 
-    // The legacy oracle has no lane: every arrival sits in the FEL.
+    // The legacy oracle has neither lane nor cursor: every arrival sits
+    // in the FEL, over the whole trace.
     let mut legacy = SimulationBuilder::new()
         .workload(WorkloadSpec::synthetic(3000, 17))
         .legacy_arrival_path(true)
@@ -83,23 +96,24 @@ fn materialized_run_buffers_one_window_of_arrivals_on_100k_run() {
         .build();
     legacy.run();
     assert_eq!(legacy.peak_arrival_window(), 0);
+    assert_eq!(legacy.peak_buffered_arrivals(), None);
     assert!(legacy.peak_fel_len() >= 3000);
 }
 
 /// The bound holds under every arrival-order stress we can apply: a fast
 /// arrival process that keeps tens of thousands resident still caps the
-/// *cursor* at two shards (resident VMs are the workload's business, not
-/// the pipeline's).
+/// *cursor* at its one shard — well inside the two the prefetching cursor
+/// this test was named for was allowed (resident VMs are the workload's
+/// business, not the pipeline's).
 #[test]
 fn saturating_run_still_caps_cursor_at_two_shards() {
     let mut sim = SimulationBuilder::new()
         .workload(WorkloadSpec::Synthetic(SyntheticConfig::small(20_000, 9)))
-        .arrivals(ArrivalMode::Streaming)
         .audit(true)
         .build();
     sim.run();
     let peak = sim.peak_buffered_arrivals().unwrap();
-    assert!(peak <= 2 * SHARD_SIZE as usize, "peak {peak}");
+    assert!(peak <= SHARD_SIZE as usize + ARRIVAL_WINDOW, "peak {peak}");
 }
 
 /// Satellite fix: an unsorted trace handed to the builder must fail

@@ -123,8 +123,8 @@ pub fn generate(subset: AzureSubset, seed: u64) -> Workload {
 /// at the largest slice, negligible next to a shard buffer); each shard's
 /// per-VM draws then come from that shard's own RNG streams, so
 /// [`ShardSource::shard_vms`] is a pure function of `(self, shard)` and
-/// the streaming cursor reproduces the materialized trace byte-for-byte.
-/// [`ShardSource::shard_arrivals`] walks only the arrivals stream — the
+/// the shard cursor reproduces the materialized trace byte-for-byte.
+/// [`ShardSource::shard_total`] walks only the arrivals stream — the
 /// decks and the small-RAM coin never perturb arrival times.
 pub struct AzureShards {
     subset: AzureSubset,
@@ -233,20 +233,23 @@ impl ShardSource for AzureShards {
         (vms, t)
     }
 
-    fn shard_arrivals(&self, shard_idx: u32) -> (Vec<f64>, f64) {
+    fn shard_total(&self, shard_idx: u32) -> f64 {
         // Arrivals-stream-only pass: decks, the small-RAM coin, and the
-        // staircase never touch the arrivals RNG, so the delta sequence is
-        // bit-identical to the full pass above.
+        // staircase never touch the arrivals RNG, so the delta sequence —
+        // and its sum — is bit-identical to the full pass above.
         let mut arrivals = shard::stream_rng(self.deck_seed, shard_idx, Stream::Arrivals);
         let mut t = 0.0f64;
-        let times = self
-            .shard_range(shard_idx)
-            .map(|_| {
-                t += self.exp.sample(&mut arrivals);
-                t
-            })
-            .collect();
-        (times, t)
+        for _ in self.shard_range(shard_idx) {
+            t += self.exp.sample(&mut arrivals);
+        }
+        t
+    }
+
+    fn largest_request(&self) -> (u32, u32, u32) {
+        // The decks' maxima; a "small" RAM card (0) draws 2 or 4 GB.
+        let cpu = self.cpu_deck.iter().copied().max().unwrap_or(0);
+        let ram = self.ram_deck.iter().map(|&gb| gb.max(4)).max().unwrap_or(0);
+        (cpu, ram, 128)
     }
 }
 
@@ -433,19 +436,36 @@ mod tests {
         }
     }
 
-    /// The arrivals-only pass must be bit-identical to the arrival column
-    /// of the full per-shard pass (decks and the small-RAM coin draw from
-    /// other streams).
+    /// The arrivals-only pass must be bit-identical to the full per-shard
+    /// pass's delta total (decks and the small-RAM coin draw from other
+    /// streams), and the span summed from it to the last stitched arrival.
     #[test]
     fn shard_arrivals_match_full_pass_bit_for_bit() {
         let source = AzureShards::new(AzureSubset::N7500, 13, AzureProcess::default());
         assert_eq!(source.num_shards(), 2);
         for shard_idx in 0..source.num_shards() {
             let (vms, full_total) = source.shard_vms(shard_idx);
-            let (times, cheap_total) = source.shard_arrivals(shard_idx);
+            let cheap_total = source.shard_total(shard_idx);
             assert_eq!(full_total.to_bits(), cheap_total.to_bits());
-            let full_times: Vec<f64> = vms.iter().map(|vm| vm.arrival).collect();
-            assert_eq!(times, full_times, "shard {shard_idx}");
+            assert_eq!(vms.last().unwrap().arrival.to_bits(), cheap_total.to_bits());
+        }
+        let last = generate(AzureSubset::N7500, 13)
+            .vms()
+            .last()
+            .unwrap()
+            .arrival;
+        assert_eq!(source.span_units().to_bits(), last.to_bits());
+    }
+
+    /// The decks' maxima bound every VM of every slice, and are attained.
+    #[test]
+    fn largest_request_is_the_decks_maxima() {
+        for subset in AzureSubset::ALL {
+            let source = AzureShards::new(subset, 3, AzureProcess::default());
+            assert_eq!(source.largest_request(), (8, 56, 128));
+            let w = generate(subset, 3);
+            assert_eq!(w.vms().iter().map(|v| v.cpu_cores).max(), Some(8));
+            assert_eq!(w.vms().iter().map(|v| v.ram_gb).max(), Some(56));
         }
     }
 

@@ -199,13 +199,6 @@ fn plain_row(line: &[u8]) -> Option<VmRequest> {
     })
 }
 
-/// The arrival column alone of a row [`parse_row`] has accepted before —
-/// the same field, trimmed and parsed the same way, hence the same bits —
-/// or `None` if the row no longer has one.
-pub(crate) fn parse_arrival(row: &str) -> Option<f64> {
-    row.split(',').nth(4)?.trim().parse().ok()
-}
-
 /// Parse a workload from CSV produced by [`to_csv`] (or hand-written in
 /// the same schema). `name` labels the resulting workload.
 pub fn from_csv(name: &str, csv: &str) -> Result<Workload, CsvError> {

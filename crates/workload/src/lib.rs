@@ -24,14 +24,14 @@
 //! `--jobs 8` agree exactly).
 //!
 //! Because every shard is independently derivable, traces can also be
-//! consumed **lazily**: a generator exposed as a [`ShardSource`] produces
-//! any single shard on demand, and a [`StreamingShards`] cursor walks the
-//! workload holding at most two shards in memory — the one being consumed
-//! plus the next one prefetching on the `rayon` pool. The cursor's running
-//! offset performs the same sequential `f64` additions as the materialized
-//! prefix sum, so streaming and materialized traces are byte-identical by
-//! construction (see [`shard`] and the `risa-sim` streaming arrival
-//! pipeline built on top).
+//! consumed **on demand**: a generator exposed as a [`ShardSource`]
+//! produces any single shard when asked, and a [`StreamingShards`] cursor
+//! walks the workload generating one shard at a time, inline, holding one
+//! shard in memory — and serving from it both the arrival times an event
+//! queue reads ahead and the VMs themselves. The cursor's running offset
+//! performs the same sequential `f64` additions as the materialized
+//! prefix sum, so its VMs and a materialized trace are byte-identical by
+//! construction (see [`shard`]; `risa-sim` runs every simulation on it).
 //!
 //! > **Trace-version note:** the sharded stream replaced the legacy
 //! > single-stream generator as the canonical trace. Distributions and all

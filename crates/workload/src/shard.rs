@@ -88,7 +88,7 @@ pub fn stream_rng(seed: u64, shard: u32, stream: Stream) -> StdRng {
 /// A workload that can generate any single shard independently — the lazy
 /// counterpart of the closure `generate_stitched` fans out over.
 ///
-/// This is what makes **streaming** runs possible: because every shard
+/// This is what makes **on-demand** runs possible: because every shard
 /// draws from its own `(seed, shard, stream)`-derived RNGs, shard `k` can
 /// be produced without generating shards `0..k` first, and the absolute
 /// time offset of shard `k+1` is known as soon as shard `k`'s delta total
@@ -97,12 +97,12 @@ pub fn stream_rng(seed: u64, shard: u32, stream: Stream) -> StdRng {
 /// same sequential `f64` additions in the same order* as the materialized
 /// prefix sum in [`materialize`]. That, plus sharing the per-shard
 /// generation code verbatim between the two paths, is the determinism
-/// argument: streaming and materialized traces are byte-identical by
-/// construction (pinned by the generator tests and
-/// `crates/sim/tests/hot_path_differential.rs`).
+/// argument: a cursor's VMs and a materialized trace are byte-identical
+/// by construction (pinned by the generator tests, the cursor's proptest
+/// and `crates/sim/tests/hot_path_differential.rs`).
 ///
 /// Implementations must be cheap to share across threads (`Send + Sync`)
-/// — shard prefetch runs them on the `rayon` pool — and must derive all
+/// — [`materialize`] runs them on the `rayon` pool — and must derive all
 /// randomness from per-shard streams, never from mutable state.
 pub trait ShardSource: Send + Sync {
     /// Total number of VMs in the workload.
@@ -115,21 +115,24 @@ pub trait ShardSource: Send + Sync {
     /// (the running sum of the shard's interarrival deltas, starting at
     /// zero), plus the shard's delta total (the final running sum).
     ///
-    /// Must be a pure function of `(self, shard)` — called from prefetch
-    /// tasks on arbitrary pool threads.
+    /// Must be a pure function of `(self, shard)` — [`materialize`] calls
+    /// it from arbitrary pool threads.
     fn shard_vms(&self, shard: u32) -> (Vec<VmRequest>, f64);
 
-    /// Shard-local arrival times only, plus the delta total — the cheap
-    /// pass for a cursor that needs *when* VMs arrive but not their
-    /// resource draws. Implementations should override this to touch only
-    /// the [`Stream::Arrivals`] stream; the default derives it from
-    /// [`ShardSource::shard_vms`] (correct, but pays for the full shard).
-    ///
-    /// Must be bit-identical to the arrival column of `shard_vms(shard)`.
-    fn shard_arrivals(&self, shard: u32) -> (Vec<f64>, f64) {
-        let (vms, total) = self.shard_vms(shard);
-        (vms.iter().map(|vm| vm.arrival).collect(), total)
+    /// The shard's delta total alone — `shard_vms(shard).1`, bit for bit.
+    /// Generators override this to walk only the [`Stream::Arrivals`]
+    /// stream; its one caller is [`ShardSource::span_units`].
+    fn shard_total(&self, shard: u32) -> f64 {
+        self.shard_vms(shard).1
     }
+
+    /// The most any one request of the workload can ask for of each
+    /// resource — `(cpu_cores, ram_gb, storage_gb)`, each an upper bound
+    /// over every VM any shard yields. A run decides from this, before its
+    /// first event, whether every VM fits one box (the paper's §2
+    /// assumption): demand is monotone in each amount, so when the bound
+    /// fits, every VM does.
+    fn largest_request(&self) -> (u32, u32, u32);
 
     /// Number of [`SHARD_SIZE`] shards covering the workload.
     fn num_shards(&self) -> u32 {
@@ -157,7 +160,7 @@ pub trait ShardSource: Send + Sync {
     fn span_units(&self) -> f64 {
         let mut span = 0.0f64;
         for shard in 0..self.num_shards() {
-            span += self.shard_arrivals(shard).1;
+            span += self.shard_total(shard);
         }
         span
     }
@@ -166,7 +169,7 @@ pub trait ShardSource: Send + Sync {
 /// Materialize a [`ShardSource`] into the full VM vector: all shards
 /// generated concurrently on the `rayon` pool, absolute arrivals stitched
 /// by the sequential prefix sum over per-shard delta totals. This is the
-/// oracle the streaming cursor is proven against — both paths run the
+/// oracle the on-demand cursor is proven against — both paths run the
 /// same per-shard code and the same offset additions.
 pub fn materialize(source: &dyn ShardSource) -> Vec<VmRequest> {
     generate_stitched(source.total_vms(), |shard, range| {

@@ -1,15 +1,24 @@
-//! A double-buffered cursor over a [`ShardSource`] — bounded-memory
-//! workload consumption with shard prefetch.
+//! The shard cursor: a [`ShardSource`] consumed in order, one shard
+//! resident at a time.
 //!
 //! [`StreamingShards`] walks a workload in VM-index order (which, for the
-//! stitched trace, is also arrival-time order) holding **at most two
-//! shards** in memory: the shard currently being consumed and the next
-//! one, generating on the resident `rayon` pool via
-//! [`rayon::spawn_task`] while the consumer drains the current buffer.
-//! Peak buffered VMs is therefore ≤ 2×[`SHARD_SIZE`] regardless of trace
-//! length (tracked exactly by [`StreamingShards::peak_buffered`] and
-//! asserted by `crates/sim/tests/streaming_bounds.rs`), and generation
-//! wall-clock overlaps consumption instead of preceding it.
+//! stitched trace, is also arrival-time order) and generates each shard
+//! **inline, once, when it is first needed**. It serves two readers that
+//! advance independently over the same buffer:
+//!
+//! * [`StreamingShards::next_arrivals`] hands out the VMs a consumer
+//!   wants the *arrival times* of ahead of the VMs themselves — an event
+//!   queue's arrival lane, a window at a time; and
+//! * [`Iterator::next`] yields each VM once, when its arrival is
+//!   dispatched.
+//!
+//! A VM stays buffered until the second reader has taken it, so peak
+//! buffered VMs is one shard plus however far the first reader ran ahead
+//! when the next shard was generated — one lane window at most in a
+//! simulation, none when the engine refills the lane between events
+//! (tracked exactly by [`StreamingShards::peak_buffered`], asserted by
+//! `crates/sim/tests/streaming_bounds.rs`). The trace never exists as a
+//! whole, and its arrival times are drawn once.
 //!
 //! ## Determinism
 //!
@@ -23,99 +32,101 @@
 //!   accumulation (`offset += total`, then `offset + local`) the
 //!   materialized prefix sum performs — the identical `f64` additions in
 //!   the identical order, hence bit-equal times;
-//! * prefetch only moves *where* a shard is generated, never *what* it
-//!   contains — at pool width 1 the task runs inline and the cursor is
-//!   exactly sequential.
+//! * generation is inline on the consuming thread, so no thread count can
+//!   matter.
 
-use crate::shard::{ShardSource, SHARD_SIZE};
+use crate::shard::ShardSource;
 use crate::vm::VmRequest;
-use rayon::Task;
 use std::fmt;
 use std::sync::Arc;
 
-/// A bounded-memory, prefetching cursor over a [`ShardSource`]; see the
-/// module docs.
+/// A bounded-memory cursor over a [`ShardSource`]; see the module docs.
 pub struct StreamingShards {
     source: Arc<dyn ShardSource>,
-    /// Current shard's VMs, arrivals already rebased to absolute time.
-    current: Vec<VmRequest>,
-    /// Cursor into `current`.
-    pos: usize,
-    /// Global index of the next VM [`StreamingShards::next`] will yield.
-    consumed: u32,
-    /// The shard the outstanding `prefetch` (or the next swap) produces.
+    total: u32,
+    num_shards: u32,
+    /// VMs generated and not yet yielded, arrivals already rebased to
+    /// absolute time: `buf[0]` is VM `base`.
+    buf: Vec<VmRequest>,
+    base: u32,
+    /// Global index of the next VM [`Iterator::next`] yields.
+    taken: u32,
+    /// Global index of the next VM [`StreamingShards::next_arrivals`]
+    /// hands out. `base <= taken <= handed <= base + buf.len()`.
+    handed: u32,
+    /// The next shard to generate, and its absolute time offset — the
+    /// running prefix sum.
     next_shard: u32,
-    /// Absolute time offset of `next_shard` — the running prefix sum.
     offset: f64,
-    prefetch: Option<Task<(Vec<VmRequest>, f64)>>,
     peak_buffered: usize,
-    shards_generated: u32,
 }
 
 impl StreamingShards {
-    /// Start a cursor at VM 0 and kick off the prefetch of shard 0.
+    /// Start a cursor at VM 0. Nothing is generated until it is read.
     pub fn new(source: Arc<dyn ShardSource>) -> Self {
-        let (prefetch, peak_buffered) = if source.num_shards() > 0 {
-            (Some(Self::launch(&source, 0)), source.shard_range(0).len())
-        } else {
-            (None, 0)
-        };
         StreamingShards {
+            total: source.total_vms(),
+            num_shards: source.num_shards(),
             source,
-            current: Vec::new(),
-            pos: 0,
-            consumed: 0,
+            buf: Vec::new(),
+            base: 0,
+            taken: 0,
+            handed: 0,
             next_shard: 0,
             offset: 0.0,
-            prefetch,
-            peak_buffered,
-            shards_generated: 0,
+            peak_buffered: 0,
         }
     }
 
-    fn launch(source: &Arc<dyn ShardSource>, shard: u32) -> Task<(Vec<VmRequest>, f64)> {
-        let src = Arc::clone(source);
-        rayon::spawn_task(move || src.shard_vms(shard))
-    }
-
-    fn swap_in_next_shard(&mut self) {
-        // Invariant: `prefetch`, when present, holds shard `next_shard`.
-        let task = self
-            .prefetch
-            .take()
-            .unwrap_or_else(|| Self::launch(&self.source, self.next_shard));
-        let (mut vms, total) = task.wait();
+    /// Generate the next shard behind whatever of the buffer has not been
+    /// yielded yet.
+    fn load_next_shard(&mut self) {
+        let (mut vms, total) = self.source.shard_vms(self.next_shard);
         debug_assert_eq!(vms.len(), self.source.shard_range(self.next_shard).len());
-        // Rebase shard-local arrivals: the same `offset + local` addition
-        // the materialized path performs, against the same running offset.
-        let o = self.offset;
+        // Rebase shard-local arrivals: `+=` is the same IEEE addition as
+        // the materialized path's `offset + local` (f64 `+` commutes)
+        // against the same running offset, so times stay bit-identical.
+        let offset = self.offset;
         for vm in &mut vms {
-            // `+=` is the same IEEE addition as the materialized path's
-            // `o + local` (f64 `+` is commutative), so times stay
-            // bit-identical.
-            vm.arrival += o;
+            vm.arrival += offset;
         }
         self.offset += total;
-        self.current = vms;
-        self.pos = 0;
         self.next_shard += 1;
-        self.shards_generated += 1;
-        let mut buffered = self.current.len();
-        if self.next_shard < self.source.num_shards() {
-            self.prefetch = Some(Self::launch(&self.source, self.next_shard));
-            buffered += self.source.shard_range(self.next_shard).len();
+        self.buf.drain(..(self.taken - self.base) as usize);
+        self.base = self.taken;
+        if self.buf.is_empty() {
+            // The usual case: take the new shard's buffer, copy nothing.
+            self.buf = vms;
+        } else {
+            self.buf.append(&mut vms);
         }
-        self.peak_buffered = self.peak_buffered.max(buffered);
+        self.peak_buffered = self.peak_buffered.max(self.buf.len());
+    }
+
+    /// The next VMs in arrival order that this method has not handed out
+    /// before — up to `max` of them, fewer at the end of the resident
+    /// shard, none only once the workload is exhausted — and the global
+    /// index of the first. For the reader that needs arrival *times*
+    /// ahead of the VMs; [`Iterator::next`] still yields every one.
+    pub fn next_arrivals(&mut self, max: usize) -> (u32, &[VmRequest]) {
+        if self.handed - self.base == self.buf.len() as u32 && self.next_shard < self.num_shards {
+            self.load_next_shard();
+        }
+        let at = (self.handed - self.base) as usize;
+        let n = (self.buf.len() - at).min(max);
+        let first = self.handed;
+        self.handed += n as u32;
+        (first, &self.buf[at..at + n])
     }
 
     /// VMs not yet yielded (exact).
     pub fn remaining(&self) -> usize {
-        (self.source.total_vms() - self.consumed) as usize
+        (self.total - self.taken) as usize
     }
 
     /// Total VMs in the underlying workload.
     pub fn total_vms(&self) -> u32 {
-        self.source.total_vms()
+        self.total
     }
 
     /// Workload name, from the source.
@@ -123,16 +134,16 @@ impl StreamingShards {
         self.source.label()
     }
 
-    /// High-water mark of VMs buffered at once (current shard plus any
-    /// outstanding prefetch). Bounded by 2×[`SHARD_SIZE`] by construction.
+    /// High-water mark of VMs buffered at once: one shard, plus the VMs
+    /// handed out as arrivals but not yet yielded when the next shard was
+    /// generated.
     pub fn peak_buffered(&self) -> usize {
-        debug_assert!(self.peak_buffered <= 2 * SHARD_SIZE as usize);
         self.peak_buffered
     }
 
-    /// Shards generated so far (consumed or in the current buffer).
+    /// Shards generated so far (consumed or in the buffer).
     pub fn shards_generated(&self) -> u32 {
-        self.shards_generated
+        self.next_shard
     }
 }
 
@@ -140,19 +151,18 @@ impl Iterator for StreamingShards {
     type Item = VmRequest;
 
     /// Yield the next VM in index order, or `None` when the workload is
-    /// exhausted. Crossing a shard boundary waits for the prefetched
-    /// shard, rebases its arrivals, and immediately starts prefetching
-    /// the one after.
+    /// exhausted. Crossing a shard boundary generates the next shard,
+    /// unless [`StreamingShards::next_arrivals`] already has.
     fn next(&mut self) -> Option<VmRequest> {
-        while self.pos == self.current.len() {
-            if self.next_shard >= self.source.num_shards() {
+        if self.taken - self.base == self.buf.len() as u32 {
+            if self.next_shard == self.num_shards {
                 return None;
             }
-            self.swap_in_next_shard();
+            self.load_next_shard();
         }
-        let vm = self.current[self.pos];
-        self.pos += 1;
-        self.consumed += 1;
+        let vm = self.buf[(self.taken - self.base) as usize];
+        self.taken += 1;
+        self.handed = self.handed.max(self.taken);
         Some(vm)
     }
 
@@ -162,16 +172,16 @@ impl Iterator for StreamingShards {
     }
 }
 
-// Manual `Debug`: the source trait object and the prefetch task are
-// opaque; summarize progress instead.
+// Manual `Debug`: the source trait object is opaque; summarize progress
+// instead.
 impl fmt::Debug for StreamingShards {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StreamingShards")
             .field("label", &self.source.label())
-            .field("consumed", &self.consumed)
-            .field("total_vms", &self.source.total_vms())
+            .field("taken", &self.taken)
+            .field("handed", &self.handed)
+            .field("total_vms", &self.total)
             .field("next_shard", &self.next_shard)
-            .field("prefetch_outstanding", &self.prefetch.is_some())
             .field("peak_buffered", &self.peak_buffered)
             .finish()
     }
@@ -180,30 +190,35 @@ impl fmt::Debug for StreamingShards {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::materialize;
+    use crate::azure::{AzureProcess, AzureShards, AzureSubset};
+    use crate::csv::to_csv;
+    use crate::shard::{materialize, SHARD_SIZE};
     use crate::synthetic::SyntheticShards;
-    use crate::SyntheticConfig;
+    use crate::trace::{CsvFileShards, TraceShards};
+    use crate::{SyntheticConfig, Workload};
+    use proptest::prelude::*;
 
     fn source(n: u32, seed: u64) -> Arc<dyn ShardSource> {
         Arc::new(SyntheticShards::new(&SyntheticConfig::small(n, seed)))
     }
 
-    /// The streaming cursor must reproduce the materialized VM sequence
-    /// bit-for-bit — including arrivals across shard boundaries — at any
-    /// thread count.
+    /// The cursor must reproduce the materialized VM sequence bit-for-bit
+    /// — including arrivals across shard boundaries — at any thread count
+    /// (it generates inline; the pool only ever runs the oracle).
     #[test]
     fn cursor_matches_materialized_byte_for_byte() {
         let n = 3 * SHARD_SIZE + 123;
         let expect = materialize(&*source(n, 42));
         for threads in [1, 2, 8] {
-            let got: Vec<VmRequest> = rayon::with_num_threads(threads, || {
-                let mut cursor = StreamingShards::new(source(n, 42));
-                std::iter::from_fn(|| cursor.next()).collect()
-            });
+            let got: Vec<VmRequest> =
+                rayon::with_num_threads(threads, || StreamingShards::new(source(n, 42)).collect());
             assert_eq!(got, expect, "threads={threads}");
         }
     }
 
+    /// Read by `next` alone the cursor holds exactly one shard. (The name
+    /// predates the single buffer; two shards was the prefetching
+    /// cursor's bound.)
     #[test]
     fn peak_buffered_is_bounded_by_two_shards() {
         let n = 5 * SHARD_SIZE + 7;
@@ -211,11 +226,11 @@ mod tests {
         let mut count = 0u32;
         while cursor.next().is_some() {
             count += 1;
-            assert!(cursor.peak_buffered() <= 2 * SHARD_SIZE as usize);
+            assert!(cursor.peak_buffered() <= SHARD_SIZE as usize);
         }
         assert_eq!(count, n);
         assert_eq!(cursor.remaining(), 0);
-        assert!(cursor.peak_buffered() >= SHARD_SIZE as usize);
+        assert_eq!(cursor.peak_buffered(), SHARD_SIZE as usize);
         assert_eq!(cursor.shards_generated(), cursor.source.num_shards());
     }
 
@@ -238,8 +253,109 @@ mod tests {
     #[test]
     fn empty_workload_yields_nothing() {
         let mut cursor = StreamingShards::new(source(0, 1));
+        assert!(cursor.next_arrivals(8).1.is_empty());
         assert!(cursor.next().is_none());
         assert_eq!(cursor.remaining(), 0);
         assert_eq!(cursor.peak_buffered(), 0);
+        assert_eq!(cursor.shards_generated(), 0);
+    }
+
+    /// Drive both readers the way a simulation does — the arrivals reader
+    /// a `window` at a time, the VM reader trailing it by up to `lag`
+    /// (a full window included, so a shard is generated while the tail of
+    /// the previous one is still owed) — and check every byte both hand
+    /// out against `expect`, and the buffer against its bound.
+    fn check_cursor(
+        source: Arc<dyn ShardSource>,
+        expect: &[VmRequest],
+        window: usize,
+        lag: usize,
+    ) -> Result<(), TestCaseError> {
+        let mut cursor = StreamingShards::new(source);
+        let mut ahead: std::collections::VecDeque<VmRequest> = Default::default();
+        let (mut handed, mut taken) = (0usize, 0usize);
+        loop {
+            while ahead.len() > lag || (handed == expect.len() && !ahead.is_empty()) {
+                let vm = cursor.next().expect("a handed-out VM is still owed");
+                prop_assert_eq!(Some(vm), ahead.pop_front());
+                prop_assert_eq!(vm, expect[taken]);
+                taken += 1;
+            }
+            let (first, vms) = cursor.next_arrivals(window);
+            if vms.is_empty() {
+                break;
+            }
+            prop_assert_eq!(first as usize, handed);
+            prop_assert!(vms.len() <= window);
+            prop_assert_eq!(vms, &expect[handed..handed + vms.len()]);
+            handed += vms.len();
+            ahead.extend(vms.iter().copied());
+        }
+        prop_assert_eq!((handed, taken), (expect.len(), expect.len()));
+        prop_assert!(cursor.next().is_none());
+        prop_assert!(cursor.peak_buffered() <= SHARD_SIZE as usize + lag);
+        Ok(())
+    }
+
+    /// The sizes shard arithmetic can get wrong.
+    fn ragged_sizes() -> impl Strategy<Value = u32> {
+        prop_oneof![
+            Just(0u32),
+            Just(1),
+            Just(SHARD_SIZE - 1),
+            Just(SHARD_SIZE),
+            Just(SHARD_SIZE + 1),
+            Just(3 * SHARD_SIZE + 123),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Every kind of source through the one cursor, at ragged sizes:
+        /// both readers yield `shard::materialize`'s bytes while the
+        /// arrivals reader runs up to a full window ahead across shard
+        /// boundaries.
+        #[test]
+        fn cursor_yields_materialized_bytes_for_every_source(
+            n in ragged_sizes(),
+            seed in 0u64..1000,
+            window in prop_oneof![Just(1usize), Just(7), Just(1024)],
+            lag in prop_oneof![Just(0usize), Just(1), Just(1024)],
+        ) {
+            let synthetic = source(n, seed);
+            let trace = materialize(&*synthetic);
+            check_cursor(Arc::clone(&synthetic), &trace, window, lag)?;
+
+            let held = Workload::from_vms("held", trace.clone());
+            check_cursor(Arc::new(TraceShards::new(held.clone())), &trace, window, lag)?;
+
+            let path = std::env::temp_dir().join(format!(
+                "risa_cursor_{}_{n}_{seed}_{window}_{lag}.csv",
+                std::process::id()
+            ));
+            std::fs::write(&path, to_csv(&held)).unwrap();
+            let file = CsvFileShards::open("held", &path).unwrap();
+            let checked = check_cursor(Arc::new(file), &trace, window, lag);
+            std::fs::remove_file(&path).ok();
+            checked?;
+        }
+
+        /// Likewise the Azure-like generator (its three fixed sizes).
+        #[test]
+        fn cursor_yields_materialized_bytes_for_azure(
+            subset in prop_oneof![
+                Just(AzureSubset::N3000),
+                Just(AzureSubset::N5000),
+                Just(AzureSubset::N7500),
+            ],
+            seed in 0u64..1000,
+            lag in prop_oneof![Just(0usize), Just(1024)],
+        ) {
+            let azure: Arc<dyn ShardSource> =
+                Arc::new(AzureShards::new(subset, seed, AzureProcess::default()));
+            let trace = materialize(&*azure);
+            check_cursor(azure, &trace, 1024, lag)?;
+        }
     }
 }

@@ -98,10 +98,10 @@ impl SyntheticConfig {
 /// Construction validates the config once (the same panics as
 /// `generate`); [`ShardSource::shard_vms`] then runs the per-shard
 /// generation code shared with the materialized path, and
-/// [`ShardSource::shard_arrivals`] is overridden to walk only the
+/// [`ShardSource::shard_total`] is overridden to walk only the
 /// [`Stream::Arrivals`] stream — arrival deltas never depend on resource
-/// draws, so the cheap pass is bit-identical to the full one's arrival
-/// column (asserted in this module's tests).
+/// draws, so the cheap pass is bit-identical to the full one's total
+/// (asserted in this module's tests).
 #[derive(Debug, Clone, Copy)]
 pub struct SyntheticShards {
     cfg: SyntheticConfig,
@@ -198,20 +198,20 @@ impl ShardSource for SyntheticShards {
         (vms, t)
     }
 
-    fn shard_arrivals(&self, shard_idx: u32) -> (Vec<f64>, f64) {
+    fn shard_total(&self, shard_idx: u32) -> f64 {
         // Arrivals-stream-only pass: the resource RNG is never touched, so
-        // the delta sequence — and therefore every time — is bit-identical
+        // the delta sequence — and therefore its sum — is bit-identical
         // to the full pass above.
         let mut arrivals = shard::stream_rng(self.cfg.seed, shard_idx, Stream::Arrivals);
         let mut t = 0.0f64;
-        let times = self
-            .shard_range(shard_idx)
-            .map(|_| {
-                t += self.exp.sample(&mut arrivals);
-                t
-            })
-            .collect();
-        (times, t)
+        for _ in self.shard_range(shard_idx) {
+            t += self.exp.sample(&mut arrivals);
+        }
+        t
+    }
+
+    fn largest_request(&self) -> (u32, u32, u32) {
+        (self.cfg.cpu_cores.1, self.cfg.ram_gb.1, self.cfg.storage_gb)
     }
 }
 
@@ -369,9 +369,10 @@ mod tests {
         assert_eq!(w.vms()[150].lifetime, 6660.0);
     }
 
-    /// The arrivals-only pass must be bit-identical to the arrival column
-    /// of the full per-shard pass — for every lifetime model, including
-    /// the one whose lifetimes sample the *resources* stream.
+    /// The arrivals-only pass must be bit-identical to the full per-shard
+    /// pass's delta total — for every lifetime model, including the one
+    /// whose lifetimes sample the *resources* stream — and so must the
+    /// span summed from it to the last stitched arrival.
     #[test]
     fn shard_arrivals_match_full_pass_bit_for_bit() {
         let models = [
@@ -387,11 +388,28 @@ mod tests {
             let source = SyntheticShards::new(&cfg);
             for shard_idx in 0..source.num_shards() {
                 let (vms, full_total) = source.shard_vms(shard_idx);
-                let (times, cheap_total) = source.shard_arrivals(shard_idx);
+                let cheap_total = source.shard_total(shard_idx);
                 assert_eq!(full_total.to_bits(), cheap_total.to_bits(), "{model:?}");
-                let full_times: Vec<f64> = vms.iter().map(|vm| vm.arrival).collect();
-                assert_eq!(times, full_times, "{model:?} shard {shard_idx}");
+                assert_eq!(vms.last().unwrap().arrival.to_bits(), cheap_total.to_bits());
             }
+            let last = generate(&cfg).vms().last().unwrap().arrival;
+            assert_eq!(source.span_units().to_bits(), last.to_bits(), "{model:?}");
         }
+    }
+
+    /// The stated bound really bounds every VM, and is attained.
+    #[test]
+    fn largest_request_bounds_every_vm() {
+        let cfg = SyntheticConfig {
+            cpu_cores: (3, 17),
+            ram_gb: (2, 9),
+            storage_gb: 64,
+            ..SyntheticConfig::small(5000, 4)
+        };
+        let (cpu, ram, sto) = SyntheticShards::new(&cfg).largest_request();
+        let w = generate(&cfg);
+        assert_eq!(w.vms().iter().map(|v| v.cpu_cores).max(), Some(cpu));
+        assert_eq!(w.vms().iter().map(|v| v.ram_gb).max(), Some(ram));
+        assert!(w.vms().iter().all(|v| v.storage_gb == sto));
     }
 }

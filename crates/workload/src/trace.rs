@@ -4,14 +4,14 @@
 //! shard is *derivable* on demand from per-shard RNG streams. A pre-built
 //! trace (a [`Workload`] literal, or a CSV file on disk) has no generator
 //! to re-run — but it can still be **served** in shard-sized chunks, which
-//! is all the streaming arrival pipeline needs. This module provides the
-//! two adapters:
+//! is all the shard cursor needs. This module provides the two adapters:
 //!
 //! * [`TraceShards`] slices an in-memory [`Workload`] into shards; and
 //! * [`CsvFileShards`] is the chunked trace-file reader: one validating
 //!   scan at open records the byte offset of each shard's first row, and
 //!   each `shard_vms` call re-reads only that shard's rows — so a run
-//!   over an on-disk CSV holds at most two shards of VMs in memory.
+//!   over an on-disk CSV holds one shard of VMs in memory, and parses
+//!   each row twice (the scan, then the read).
 //!
 //! ## The zero-delta stitching trick
 //!
@@ -28,7 +28,7 @@
 //! adapters override [`ShardSource::span_units`] with the true last
 //! arrival.
 
-use crate::csv::{self, parse_arrival, parse_row, CsvError, ReadError};
+use crate::csv::{self, parse_row, CsvError, ReadError};
 use crate::shard::{ShardSource, SHARD_SIZE};
 use crate::vm::{VmRequest, Workload};
 use std::fs::File;
@@ -37,9 +37,8 @@ use std::path::{Path, PathBuf};
 
 /// An in-memory [`Workload`] served shard-by-shard.
 ///
-/// Lets `WorkloadSpec::Trace` runs use the streaming arrival pipeline
-/// (bounded arrival-lane buffering, identical event sequencing) instead of
-/// silently falling back to the materialized path.
+/// How a trace that is already loaded — a `WorkloadSpec::Trace`, a CSV
+/// file read whole — reaches the same cursor a generator feeds.
 #[derive(Debug, Clone)]
 pub struct TraceShards {
     workload: Workload,
@@ -72,15 +71,10 @@ impl ShardSource for TraceShards {
         )
     }
 
-    fn shard_arrivals(&self, shard: u32) -> (Vec<f64>, f64) {
-        let r = self.shard_range(shard);
-        (
-            self.workload.vms()[r.start as usize..r.end as usize]
-                .iter()
-                .map(|vm| vm.arrival)
-                .collect(),
-            0.0,
-        )
+    fn largest_request(&self) -> (u32, u32, u32) {
+        self.workload.vms().iter().fold((0, 0, 0), |(c, r, s), vm| {
+            (c.max(vm.cpu_cores), r.max(vm.ram_gb), s.max(vm.storage_gb))
+        })
     }
 
     fn span_units(&self) -> f64 {
@@ -201,6 +195,8 @@ pub struct CsvFileShards {
     offsets: Vec<u64>,
     total: u32,
     span: f64,
+    /// Per-column maxima over every row: `(cpu_cores, ram_gb, storage_gb)`.
+    largest: (u32, u32, u32),
 }
 
 impl CsvFileShards {
@@ -211,6 +207,7 @@ impl CsvFileShards {
         let mut offsets = Vec::new();
         let mut total: u32 = 0;
         let mut span = 0.0f64;
+        let mut largest = (0u32, 0u32, 0u32);
         csv::scan(file, |row_start, vm| {
             // `vm.id` is the row's rank, and the row count fits a `u32`
             // (the scan checked both).
@@ -219,6 +216,11 @@ impl CsvFileShards {
             }
             total = vm.id.0 + 1;
             span = vm.arrival;
+            largest = (
+                largest.0.max(vm.cpu_cores),
+                largest.1.max(vm.ram_gb),
+                largest.2.max(vm.storage_gb),
+            );
         })
         .map_err(|e| TraceFileError::from_read(&path, e))?;
         Ok(CsvFileShards {
@@ -227,6 +229,7 @@ impl CsvFileShards {
             offsets,
             total,
             span,
+            largest,
         })
     }
 
@@ -295,19 +298,8 @@ impl ShardSource for CsvFileShards {
         (vms, 0.0)
     }
 
-    /// Only the arrival column is parsed: `open` validated every row, and
-    /// the queue-side cursor needs nothing else of them.
-    fn shard_arrivals(&self, shard: u32) -> (Vec<f64>, f64) {
-        let mut arrivals = Vec::with_capacity(self.shard_range(shard).len());
-        self.for_each_row(shard, |row, nth| {
-            arrivals.push(parse_arrival(row).unwrap_or_else(|| {
-                panic!(
-                    "trace file '{}' changed since open(): shard {shard}, row {nth} has no arrival",
-                    self.path.display()
-                )
-            }));
-        });
-        (arrivals, 0.0)
+    fn largest_request(&self) -> (u32, u32, u32) {
+        self.largest
     }
 
     fn span_units(&self) -> f64 {
@@ -340,12 +332,13 @@ mod tests {
             shards.span_units().to_bits(),
             w.vms().last().unwrap().arrival.to_bits()
         );
-        // Every per-shard delta total is exactly zero, so a streaming
-        // consumer's offset never moves.
+        // Every per-shard delta total is exactly zero, so a cursor's
+        // offset never moves.
         for s in 0..shards.num_shards() {
             assert_eq!(shards.shard_vms(s).1, 0.0);
-            assert_eq!(shards.shard_arrivals(s).1, 0.0);
+            assert_eq!(shards.shard_total(s), 0.0);
         }
+        assert_eq!(shards.largest_request(), (32, 32, 128));
     }
 
     #[test]
@@ -382,9 +375,10 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// The arrival-only pass is bit-identical to the arrival column of the
-    /// full pass, for every shard, with blank lines scattered through the
-    /// file (one right at a shard boundary).
+    /// The arrival column a lane reads off each re-read shard is the
+    /// trace's, bit for bit, with blank lines scattered through the file
+    /// (one right at a shard boundary), and the per-column maxima the
+    /// opening scan kept are the trace's too.
     #[test]
     fn csv_shard_arrivals_equal_the_arrival_column_of_shard_vms() {
         let w = sample_workload(SHARD_SIZE * 2 + 50);
@@ -401,13 +395,20 @@ mod tests {
         assert_eq!(shards.num_shards(), 3);
         for s in 0..shards.num_shards() {
             let (vms, total) = shards.shard_vms(s);
-            let (arrivals, arrivals_total) = shards.shard_arrivals(s);
-            assert_eq!(total.to_bits(), arrivals_total.to_bits());
-            let column: Vec<u64> = vms.iter().map(|vm| vm.arrival.to_bits()).collect();
-            let bits: Vec<u64> = arrivals.iter().map(|a| a.to_bits()).collect();
+            assert_eq!(total.to_bits(), shards.shard_total(s).to_bits());
+            let r = shards.shard_range(s);
+            let column: Vec<u64> = w.vms()[r.start as usize..r.end as usize]
+                .iter()
+                .map(|vm| vm.arrival.to_bits())
+                .collect();
+            let bits: Vec<u64> = vms.iter().map(|vm| vm.arrival.to_bits()).collect();
             assert_eq!(bits, column, "shard {s}");
         }
         assert_eq!(materialize(&shards), w.vms());
+        assert_eq!(
+            shards.largest_request(),
+            TraceShards::new(w).largest_request()
+        );
         std::fs::remove_file(&path).ok();
     }
 
