@@ -35,7 +35,6 @@ fn one_run(trace: &Workload, faults: bool) -> (u64, f64, u32, u32) {
 }
 
 fn main() {
-    rayon::warm_up();
     println!("{}", risa_sim::host_info());
     let trace = Workload::synthetic(&SyntheticConfig::small(SATURATING_VMS, 42));
 

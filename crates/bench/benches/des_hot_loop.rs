@@ -35,8 +35,6 @@ fn one_run(trace: &Workload) -> (u64, f64, usize, u32, u32) {
 }
 
 fn main() {
-    // Trace generation (sharded) happens before anything is timed.
-    rayon::warm_up();
     println!("{}", risa_sim::host_info());
     let trace = Workload::synthetic(&SyntheticConfig::small(SATURATING_VMS, 42));
 

@@ -29,7 +29,6 @@ fn big_config(vms: u32) -> SyntheticConfig {
 }
 
 fn main() {
-    rayon::warm_up();
     println!("{}", risa_sim::host_info());
 
     let vms: u32 = std::env::var("RISA_STREAM_VMS")

@@ -49,9 +49,6 @@ fn bench(c: &mut Criterion) {
 }
 
 fn main() {
-    // Spawn the resident pool before anything is timed: the replication
-    // setup and the fig11 matrix reuse the same parked workers.
-    rayon::warm_up();
     println!("{}", risa_sim::host_info());
     println!("{}", experiments::fig11(42));
     println!(

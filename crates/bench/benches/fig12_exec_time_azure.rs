@@ -50,9 +50,6 @@ fn bench(c: &mut Criterion) {
 }
 
 fn main() {
-    // Spawn the resident pool before anything is timed: the replication
-    // setup and the fig12 matrix reuse the same parked workers.
-    rayon::warm_up();
     println!("{}", risa_sim::host_info());
     println!("{}", experiments::fig12(2023));
     println!("paper Azure-7500: NALB 15929 s > NULB 10361 s > RISA-BF 4013 s > RISA 3679 s");

@@ -52,8 +52,6 @@ fn bench_scale(c: &mut Criterion) {
 }
 
 fn main() {
-    // Spawn the resident pool before the (timed-adjacent) warm-up fan-out.
-    rayon::warm_up();
     println!("schedule/release cycle time vs cluster size (paper rack shape)");
     let mut c = Criterion::default().configure_from_args();
     bench_scale(&mut c);

@@ -43,9 +43,6 @@ fn bench_azure_7500(c: &mut Criterion) {
 }
 
 fn main() {
-    // Spawn the resident pool at the sweep's widest point up front, so
-    // the 2/4/8-thread legs measure generation, not worker spawning.
-    with_num_threads(THREAD_SWEEP[THREAD_SWEEP.len() - 1], rayon::warm_up);
     println!("sharded workload-generation throughput vs pinned thread count");
     let mut c = Criterion::default().configure_from_args();
     bench_synthetic_1m(&mut c);

@@ -1,12 +1,10 @@
 //! Command execution.
 //!
-//! Commands that fan work out (`experiment`, `bench`, `generate`; a `run`
-//! generates its workload inline, on demand) use the process-wide
-//! **resident** `rayon` pool;
-//! `--jobs` (applied here via [`rayon::set_num_threads`]) or the
-//! `RISA_THREADS` env var size it, and [`apply_jobs`] pre-warms it
-//! ([`rayon::warm_up`]) so the workers are spawned once up front rather
-//! than inside the first timed cell of a sweep. Simulation *reports* are
+//! Commands that fan work out (`experiment`, `bench`, `generate`) drive
+//! the vendored `rayon` executor, whose scoped workers live for one drive;
+//! a `run` generates its workload inline and creates no thread. `--jobs`
+//! (applied by [`apply_jobs`] via [`rayon::set_num_threads`]) or the
+//! `RISA_THREADS` env var sets the width. Simulation *reports* are
 //! byte-identical at any thread count; wall-clock measurements (`bench`'s
 //! ops/s, the fig11/fig12 timings) are not, which is why those stay
 //! sequential or warn about contention. A panic inside a worker (e.g. a
@@ -40,7 +38,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             checkpoint_every,
             resume,
         } => {
-            apply_jobs(jobs);
+            apply_jobs(jobs)?;
             let mut sim = if let Some(path) = resume {
                 // The checkpoint embeds the fully-resolved run recipe:
                 // nothing is re-read from flags or the environment.
@@ -117,14 +115,14 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             gen_vms,
             out,
         } => {
-            apply_jobs(jobs);
+            apply_jobs(jobs)?;
             if json {
                 crate::benchjson::write_snapshots(&out, &racks, vms, des_vms, gen_vms)?;
             }
             bench(&racks, vms)
         }
         Command::Experiment { id, seed, jobs } => {
-            apply_jobs(jobs);
+            apply_jobs(jobs)?;
             experiment(&id, seed)
         }
         Command::Generate {
@@ -133,7 +131,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             out,
             jobs,
         } => {
-            apply_jobs(jobs);
+            apply_jobs(jobs)?;
             generate(workload, seed, out)
         }
         Command::Replay { trace, algo, json } => {
@@ -175,14 +173,17 @@ fn lint(json: bool, deny_warnings: bool) -> Result<(), String> {
     }
 }
 
-/// `--jobs` wins over `RISA_THREADS` and the core-count default, then
-/// the resident pool is spawned eagerly at the resolved width so no
-/// command pays the one-off thread-spawn cost mid-measurement.
-fn apply_jobs(jobs: Option<usize>) {
-    if let Some(n) = jobs {
-        rayon::set_num_threads(n);
+/// `--jobs` wins over `RISA_THREADS` and the core-count default. Without
+/// the flag the variable is what sizes the command, so one that is not a
+/// positive integer is refused in the words `--jobs` uses, not skipped.
+fn apply_jobs(jobs: Option<usize>) -> Result<(), String> {
+    match jobs {
+        Some(n) => rayon::set_num_threads(n),
+        None => {
+            rayon::env_num_threads()?;
+        }
     }
-    rayon::warm_up();
+    Ok(())
 }
 
 fn spec_of(workload: WorkloadArg, seed: u64) -> WorkloadSpec {

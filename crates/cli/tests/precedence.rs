@@ -2,7 +2,8 @@
 //!
 //! Two run knobs have a flag and an environment fallback: `--faults` /
 //! `RISA_FAULTS`, `--jobs` / `RISA_THREADS`. The contract is that an
-//! explicit flag always beats a conflicting env var. (`--arrivals` has a
+//! explicit flag always beats a conflicting env var, and that a variable
+//! which *is* consulted is either understood or refused. (`--arrivals` has a
 //! constant default and no variable: the one it had went when generated
 //! workloads stopped having a second pipeline to select, and setting it
 //! now does nothing.) Before PR 9 that contract was only
@@ -10,8 +11,8 @@
 //! with deliberately contradictory env + flags and reading the one
 //! `resolved: arrivals=… faults=… jobs=…` line the run prints to
 //! stderr. Spawning (rather than calling `execute`) matters because
-//! `RISA_THREADS` is read once per process when the resident pool first
-//! spins up — in-process tests would see a stale cached value.
+//! `RISA_THREADS` is read once per process and cached — in-process tests
+//! would see a stale value.
 
 use std::collections::HashMap;
 use std::process::Command;
@@ -90,6 +91,32 @@ fn faults_flag_beats_env() {
 #[test]
 fn jobs_flag_beats_env() {
     let (resolved, _) = run_with(&[("RISA_THREADS", "3")], &["--jobs", "2"]);
+    assert_eq!(resolved["jobs"], "2");
+}
+
+/// `RISA_THREADS` is what sizes an unflagged command, so a value that is
+/// not a positive thread count is refused — in the words `--jobs` uses,
+/// exit 1, nothing run — instead of silently meaning "all cores"; with
+/// `--jobs` the variable is not consulted, junk or not.
+#[test]
+fn malformed_risa_threads_is_refused_unless_jobs_is_given() {
+    for junk in ["zero", "0", ""] {
+        let out = Command::new(BIN)
+            .args(["run", "--workload", "synthetic", "--n", "30", "--json"])
+            .env_remove("RISA_FAULTS")
+            .env("RISA_THREADS", junk)
+            .output()
+            .expect("spawn risa-cli");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{junk:?}: {stderr}");
+        let line = format!("error: RISA_THREADS: need a positive thread count, got '{junk}'");
+        assert!(stderr.lines().any(|l| l == line), "{junk:?}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{junk:?}: a refused command runs nothing"
+        );
+    }
+    let (resolved, _) = run_with(&[("RISA_THREADS", "zero")], &["--jobs", "2"]);
     assert_eq!(resolved["jobs"], "2");
 }
 

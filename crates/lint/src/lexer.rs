@@ -7,8 +7,7 @@
 //!   `HashMap` never fire inside a message or a doc string;
 //! * **`comment`** is the concatenated comment text of the line (line
 //!   comments, doc comments, and any block-comment text crossing it) —
-//!   where `// SAFETY:` justifications and `risa-lint: allow(...)`
-//!   waivers live;
+//!   where `risa-lint: allow(...)` waivers live;
 //! * **`in_test`** marks `#[cfg(test)]` regions, tracked by brace depth,
 //!   so test-only code is exempt from the engine-code rules.
 //!

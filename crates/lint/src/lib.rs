@@ -14,8 +14,6 @@
 //! | `hash_state` | no `HashMap`/`HashSet` in engine-crate state or report paths |
 //! | `rng_seed` | RNG seeds only via `stream_seed`/`chain_seed` derivation |
 //! | `thread_primitive` | no threads/locks/atomics outside `vendor/rayon` |
-//! | `safety_comment` | every `unsafe` in `vendor/rayon` carries a `// SAFETY:` justification |
-//! | `no_unsafe` | no `unsafe` at all outside `vendor/rayon` |
 //! | `env_read` | no environment reads in engine crates (nothing env-dependent may reach `RunReport`) |
 //! | `checkpoint_purity` | checkpoint/restore code reads no ambient state (clock, env, entropy) — even in crates the scopes above exempt |
 //!

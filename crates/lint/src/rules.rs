@@ -9,22 +9,16 @@ use crate::lexer::{clean_source, is_ident_char};
 use crate::{Finding, Severity};
 
 /// Every rule id, for waiver validation and docs.
-pub const RULE_IDS: [&str; 10] = [
+pub const RULE_IDS: [&str; 8] = [
     "wall_clock",
     "hash_state",
     "rng_seed",
     "thread_primitive",
-    "safety_comment",
-    "no_unsafe",
     "env_read",
     "checkpoint_purity",
     "bad_waiver",
     "unused_waiver",
 ];
-
-/// How many lines above an `unsafe` token a `// SAFETY:` justification
-/// (or a `# Safety` doc section) may sit.
-const SAFETY_WINDOW: usize = 12;
 
 /// How many lines below a comment-only waiver the waived code line may
 /// sit (doc comments and blank lines in between are skipped).
@@ -224,37 +218,8 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
         if code.trim().is_empty() {
             continue;
         }
-        let in_test = test_file || line.in_test;
-
-        // D5: `unsafe` handling first — it applies to test code too.
-        if hit(code, &Needle::Exact("unsafe")).is_some() {
-            if in_vendor_rayon(path) {
-                let lo = idx.saturating_sub(SAFETY_WINDOW);
-                let justified = lines[lo..=idx]
-                    .iter()
-                    .any(|l| l.comment.contains("SAFETY:") || l.comment.contains("# Safety"));
-                if !justified {
-                    raw.push((
-                        idx,
-                        "safety_comment",
-                        "`unsafe` without a `// SAFETY:` justification (or `# Safety` doc \
-                         section) within the preceding lines"
-                            .into(),
-                    ));
-                }
-            } else {
-                raw.push((
-                    idx,
-                    "no_unsafe",
-                    "`unsafe` outside vendor/rayon: the workspace is unsafe-free by policy; \
-                     new unsafe code belongs in the vendored pool or needs a waiver"
-                        .into(),
-                ));
-            }
-        }
-
-        if in_test {
-            continue; // the engine-code rules below exempt test code
+        if test_file || line.in_test {
+            continue; // the rules exempt test code
         }
 
         // D1: wall-clock reads.
@@ -332,8 +297,8 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
                         "thread_primitive",
                         format!(
                             "concurrency primitive (`{tok}`) outside vendor/rayon: all \
-                             parallelism must go through the resident pool so thread count \
-                             can never change a result"
+                             parallelism must go through the pool so thread count can \
+                             never change a result"
                         ),
                     ));
                 }
@@ -543,28 +508,6 @@ mod tests {
         let clock = "let t = Instant::now();\n";
         assert!(active(&lint_source("crates/sim/tests/x.rs", clock)).is_empty());
         assert!(active(&lint_source("vendor/rayon/tests/x.rs", clock)).is_empty());
-    }
-
-    #[test]
-    fn unsafe_rules_split_by_path() {
-        let bare = "let x = unsafe { *p };\n";
-        let f = lint_source("vendor/rayon/src/x.rs", bare);
-        assert_eq!(active(&f), vec![("safety_comment", 1)]);
-        let f = lint_source("crates/des/src/x.rs", bare);
-        assert_eq!(active(&f), vec![("no_unsafe", 1)]);
-
-        let justified =
-            "// SAFETY: p is valid for reads, see caller contract.\nlet x = unsafe { *p };\n";
-        assert!(active(&lint_source("vendor/rayon/src/x.rs", justified)).is_empty());
-        // A `# Safety` doc section also counts.
-        let doc = "/// # Safety\n/// `p` must be valid.\npub unsafe fn f(p: *const u8) {}\n";
-        assert!(active(&lint_source("vendor/rayon/src/x.rs", doc)).is_empty());
-        // `unsafe` applies inside test code too.
-        let test_unsafe = "#[cfg(test)]\nmod tests {\n    fn t() { unsafe { core::hint::unreachable_unchecked() } }\n}\n";
-        assert_eq!(
-            active(&lint_source("vendor/rayon/src/x.rs", test_unsafe)),
-            vec![("safety_comment", 3)]
-        );
     }
 
     #[test]

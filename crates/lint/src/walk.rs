@@ -10,8 +10,8 @@ use crate::{lint_source, logical_path, sort_findings, Finding};
 const SKIP_DIRS: [&str; 3] = ["target", ".git", "fixtures"];
 
 /// Top-level roots that are scanned. Everything under `vendor/` except
-/// the work-stealing pool is an API-subset stand-in with no engine
-/// logic, so only `vendor/rayon` is in scope.
+/// the thread pool is an API-subset stand-in with no engine logic, so
+/// only `vendor/rayon` is in scope.
 const ROOTS: [&str; 5] = ["src", "crates", "tests", "examples", "vendor/rayon"];
 
 /// Locate the workspace root by walking up from `start` until a

@@ -9,13 +9,14 @@ fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_risa-lint")
 }
 
-/// A throwaway workspace root with the given `src/lib.rs` contents.
+/// A throwaway workspace root with the given `crates/sim/src/lib.rs`
+/// contents (an engine crate: every rule is in scope there).
 fn mini_workspace(tag: &str, lib_rs: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("risa-lint-{}-{tag}", std::process::id()));
     let _ = fs::remove_dir_all(&root);
-    fs::create_dir_all(root.join("src")).unwrap();
+    fs::create_dir_all(root.join("crates/sim/src")).unwrap();
     fs::write(root.join("Cargo.toml"), "[workspace]\n").unwrap();
-    fs::write(root.join("src/lib.rs"), lib_rs).unwrap();
+    fs::write(root.join("crates/sim/src/lib.rs"), lib_rs).unwrap();
     root
 }
 
@@ -45,11 +46,11 @@ fn clean_tree_exits_zero() {
 fn findings_exit_one() {
     let root = mini_workspace(
         "dirty",
-        "pub fn bad(p: *const u8) -> u8 { unsafe { *p } }\n",
+        "pub fn bad() -> usize { std::collections::HashMap::<u8, u8>::new().len() }\n",
     );
     let (code, stdout) = run(&root, &[]);
     assert_eq!(code, Some(1), "{stdout}");
-    assert!(stdout.contains("error[no_unsafe]"), "{stdout}");
+    assert!(stdout.contains("error[hash_state]"), "{stdout}");
     fs::remove_dir_all(root).unwrap();
 }
 
@@ -67,7 +68,7 @@ fn warnings_exit_zero_unless_denied() {
 
 #[test]
 fn waived_findings_exit_zero_and_render_in_json() {
-    let lib = "pub mod state {\n    // risa-lint: allow(no_unsafe) — test fixture\n    pub fn f(p: *const u8) -> u8 { unsafe { *p } }\n}\n";
+    let lib = "pub mod state {\n    // risa-lint: allow(hash_state) — test fixture\n    pub fn f() -> usize { std::collections::HashMap::<u8, u8>::new().len() }\n}\n";
     let root = mini_workspace("waived", lib);
     let (code, stdout) = run(&root, &["--json"]);
     assert_eq!(code, Some(0), "{stdout}");

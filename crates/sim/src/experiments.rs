@@ -2,21 +2,15 @@
 //!
 //! Each function runs the required simulations and renders a paper-style
 //! table. The (algorithm × workload) matrices run concurrently on the
-//! **resident** `rayon` pool (work-stealing per-worker deques; workers
-//! spawn once on first use and park between drives; sized by
-//! `RISA_THREADS` / `risa-cli --jobs`), **except** the execution-time
-//! experiments (Figures 11/12), which run sequentially so the wall-clock
-//! measurement is uncontended. Within each trial, workload generation is
-//! itself sharded over the pool (`risa_workload::shard`), which makes a
-//! matrix a *nested* drive: the per-cell generation work subdivides onto
-//! the same workers the matrix occupies instead of serializing behind
-//! them — safe even for the sequentially-run Figures 11/12, because
-//! generation happens in `SimulationBuilder::build` while the reported
-//! scheduler wall-clock accrues only during `run`. Parallelism never
-//! changes results: the pool preserves input order at every nesting
-//! level, every run is independently seeded, and `tests/determinism.rs`
-//! asserts byte-identical reports across thread counts, including nested
-//! and oversubscribed drives. A panicking run (e.g. an oversized VM
+//! vendored `rayon` executor (scoped workers dealing jobs off one cursor;
+//! sized by `RISA_THREADS` / `risa-cli --jobs`), **except** the
+//! execution-time experiments (Figures 11/12), which run sequentially so
+//! the wall-clock measurement is uncontended. Each trial generates its
+//! workload inline, on demand, on the thread that runs it. Parallelism
+//! never changes results: the executor preserves input order, every run
+//! is independently seeded, and `tests/determinism.rs` asserts
+//! byte-identical reports across thread counts, oversubscribed widths
+//! included. A panicking run (e.g. an oversized VM
 //! rejected by the builder) propagates its panic out of the matrix, as
 //! the sequential loop would. The returned [`ExperimentReport`] carries
 //! both the rendering and the raw [`RunReport`]s for programmatic

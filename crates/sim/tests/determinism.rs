@@ -1,22 +1,21 @@
 //! Parallelism must be invisible in the results.
 //!
-//! The `rayon` stand-in became a real pool in PR 2 and a **resident
-//! work-stealing pool** in this PR; the contract (ROADMAP
-//! "Architecture") is that thread count only changes wall-clock time,
-//! never a report. These tests pin that contract: the same seeded
+//! The contract of the `rayon` stand-in (ROADMAP "Architecture") is
+//! that thread count only changes wall-clock time, never a report. These
+//! tests pin that contract: the same seeded
 //! experiment matrix serialized after a 1-thread run and a 4-thread run
 //! must be **byte-identical** — modulo `sched_seconds`, the report's one
 //! wall-clock field, which is zeroed before comparison (`builder.rs`
 //! documents it as the only nondeterministic field).
 //!
-//! Workload generation is itself parallel (sharded per 4096-VM index
+//! Materializing a trace is itself parallel (sharded per 4096-VM index
 //! block, `risa_workload::shard`), so the same contract is pinned one
 //! layer down — materializing a spec at 1 vs 8 threads must produce
-//! byte-identical traces — and one layer *up*: a parallel matrix whose
-//! cells generate multi-shard traces is a nested drive that subdivides
-//! onto the same resident workers, and its reports must not move either,
-//! including when the pool is oversubscribed far past the machine's
-//! cores. CI runs this suite under `RISA_THREADS=1`, `=4`, *and* `=8`.
+//! byte-identical traces — and on a matrix of multi-shard workloads,
+//! whose cells generate their shards inline on the worker that runs them:
+//! its reports must not move either, including when the width is far past
+//! the machine's cores. CI runs this suite under `RISA_THREADS=1` *and*
+//! `=8`.
 
 use rayon::with_num_threads;
 use risa_sim::{experiments, Algorithm, RunReport, SimConfig, WorkloadSpec};
@@ -128,14 +127,14 @@ fn workload_generation_is_stable_across_repeated_runs() {
     );
 }
 
-/// A *nested* drive: a parallel experiment matrix whose cells generate
-/// multi-shard traces in parallel — `par_iter` (matrix) around
-/// `par_iter` (shard generation), the shape the resident pool's
-/// work-stealing subdivision exists for.
+/// A parallel experiment matrix over multi-shard workloads. What the
+/// tests below pin is matrix determinism at width 1 vs 8 vs
+/// oversubscribed; nothing nests (the name is from when cells generated
+/// their shards through a `par_iter` of their own — they generate inline
+/// since runs generate on demand).
 fn nested_matrix() -> Vec<RunReport> {
     let cfg = SimConfig::paper();
-    // > SHARD_SIZE VMs per spec, so builds inside the matrix cells fan
-    // out over the same workers the matrix itself occupies.
+    // > SHARD_SIZE VMs per spec, so every cell crosses a shard boundary.
     let specs = [
         WorkloadSpec::synthetic(5000, 21),
         WorkloadSpec::synthetic(4500, 22),
@@ -154,15 +153,15 @@ fn nested_matrix_over_generated_traces_is_byte_identical_1_vs_8() {
     assert_eq!(
         canonical_json(sequential),
         canonical_json(parallel),
-        "nested (matrix x shard-generation) runs must be byte-identical"
+        "a matrix over multi-shard workloads must be byte-identical"
     );
 }
 
 #[test]
 fn oversubscribed_nested_run_is_still_deterministic() {
     // RISA_THREADS=16-style width, far beyond this machine's cores (CI
-    // runners have <= 8): more workers than jobs at both nesting levels,
-    // plus OS-level oversubscription. Results must not move.
+    // runners have <= 8): more workers than jobs, plus OS-level
+    // oversubscription. Results must not move.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let wide = 16.max(2 * cores);
     assert_eq!(

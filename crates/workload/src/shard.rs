@@ -24,8 +24,11 @@
 //! * **Determinism** — shard boundaries depend only on [`SHARD_SIZE`],
 //!   never on the thread count, so the output is **byte-identical at any
 //!   thread count** (asserted by the generator tests and
-//!   `crates/sim/tests/determinism.rs`). Generation fans out over the
-//!   `rayon` pool; only the stitch (one addition per VM) is sequential.
+//!   `crates/sim/tests/determinism.rs`). [`materialize`] — `risa-cli
+//!   generate`, the legacy oracle, tests — fans the shards out over the
+//!   vendored `rayon` executor and only its stitch (one addition per VM)
+//!   is sequential; a run never materializes: it generates one shard at a
+//!   time, inline ([`crate::StreamingShards`]).
 //!
 //! This sharded stream is the canonical trace as of trace version 2 (the
 //! PR that introduced this module): the same seed yields a different — but
