@@ -58,11 +58,16 @@ commands:
       --des-vms <count>      VMs in the --json DES run (default 100000)
       --gen-vms <count>      VMs generated by the --json gen suite (default 1000000)
       --out <dir>            directory for the --json snapshots (default .)
-  generate                   write a workload trace as JSON
+  generate                   write a workload trace, as JSON or as CSV
       --workload <...>       as for run
       --n <count> --seed <u64>
-      --out <path>           output file (default: stdout)
-      --jobs <n>             threads for sharded trace generation
+      --out <path>           output file (default: stdout). A path ending
+                             in .csv gets the risa CSV schema, which
+                             run --workload reads back, written a
+                             4096-row shard at a time; any other path
+                             and stdout get JSON (for replay)
+      --jobs <n>             threads for sharded trace generation (JSON;
+                             a CSV is generated inline, shard by shard)
   replay                     run a saved trace
       --trace <path> --algo <...> [--json]
   lint                       determinism/concurrency static analysis over
@@ -181,8 +186,14 @@ pub enum WorkloadArg {
     },
 }
 
+/// Whether `path` names a CSV file: by its extension, in any case. The
+/// one rule for what `--workload` reads and what `generate --out` writes.
+pub fn is_csv_path(path: &str) -> bool {
+    path.to_ascii_lowercase().ends_with(".csv")
+}
+
 fn parse_workload(s: &str, n: u32) -> Result<WorkloadArg, String> {
-    if s.to_ascii_lowercase().ends_with(".csv") {
+    if is_csv_path(s) {
         return Ok(WorkloadArg::TraceCsv {
             path: s.to_string(),
         });

@@ -11,7 +11,7 @@
 //! workload that fails validation) propagates to the command and aborts
 //! it, exactly as the sequential loop would.
 
-use crate::args::{Command, WorkloadArg};
+use crate::args::{is_csv_path, Command, WorkloadArg};
 use rayon::prelude::*;
 use risa_metrics::{Align, Table};
 use risa_network::NetworkConfig;
@@ -19,7 +19,9 @@ use risa_sched::cycle::ScheduleCycle;
 use risa_sched::Algorithm;
 use risa_sim::{experiments, host_info, Checkpoint, RunReport, SimulationBuilder, WorkloadSpec};
 use risa_topology::TopologyConfig;
-use risa_workload::{SyntheticConfig, Workload};
+use risa_workload::shard::SHARD_SIZE;
+use risa_workload::{csv, StreamingShards, SyntheticConfig, Workload};
+use std::io::Write as _;
 
 /// Execute a parsed command.
 pub fn execute(cmd: Command) -> Result<(), String> {
@@ -441,9 +443,15 @@ fn experiment(id: &str, seed: Option<u64>) -> Result<(), String> {
 }
 
 fn generate(workload: WorkloadArg, seed: u64, out: Option<String>) -> Result<(), String> {
+    let spec = spec_of(workload, seed);
+    // The extension names the format, by the rule `--workload` reads a
+    // file by: what `generate --out` writes, `run --workload` takes.
+    if let Some(path) = out.as_deref().filter(|path| is_csv_path(path)) {
+        return generate_csv(&spec, path);
+    }
     // Generation is sharded over the pool (risa_workload::shard); the
     // trace is byte-identical at any --jobs value.
-    let w = spec_of(workload, seed).materialize();
+    let w = spec.materialize();
     let json = w.to_json();
     match out {
         None => {
@@ -456,6 +464,27 @@ fn generate(workload: WorkloadArg, seed: u64, out: Option<String>) -> Result<(),
             Ok(())
         }
     }
+}
+
+/// Write the trace as CSV through the shard cursor, a shard of rows at a
+/// time: the file costs one shard of memory whatever its length.
+fn generate_csv(spec: &WorkloadSpec, path: &str) -> Result<(), String> {
+    let cannot_write = |e: std::io::Error| format!("cannot write {path}: {e}");
+    let source = spec.shard_source().map_err(|e| e.to_string())?;
+    let mut file = std::fs::File::create(path).map_err(cannot_write)?;
+    let mut rows = format!("{}\n", csv::HEADER);
+    let mut written = 0u32;
+    for vm in StreamingShards::new(source) {
+        csv::write_row(&mut rows, &vm);
+        written += 1;
+        if written.is_multiple_of(SHARD_SIZE) {
+            file.write_all(rows.as_bytes()).map_err(cannot_write)?;
+            rows.clear();
+        }
+    }
+    file.write_all(rows.as_bytes()).map_err(cannot_write)?;
+    eprintln!("wrote {written} VMs to {path}");
+    Ok(())
 }
 
 #[cfg(test)]

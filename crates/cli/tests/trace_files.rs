@@ -8,6 +8,9 @@
 //! default once ran to exit 0, placing each arrival as some other row's
 //! VM), and a row no box can hold — the same boundary an oversized
 //! `--workload synthetic` would cross if the flags could ask for one.
+//!
+//! And the other direction: a trace `generate --out <file.csv>` writes is
+//! one `run --workload` takes, and runs as the generator itself runs.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -146,4 +149,42 @@ fn replay_of_a_non_dense_json_trace_is_an_error_line() {
         stderr.contains("error: workload 'edited': VM ids must be dense and in order"),
         "{stderr}"
     );
+}
+
+/// `generate --out t.csv` writes the CSV schema (it once wrote JSON into
+/// the file, which `run` then refused as a bad header), and a run over
+/// that file — read whole or chunked — is the run over the generator, in
+/// every report field but the workload's name.
+#[test]
+fn a_generated_csv_runs_as_the_generator_does() {
+    let path = std::env::temp_dir().join(format!("risa_cli_{}_generated.CSV", std::process::id()));
+    let path = path.to_str().unwrap();
+    let spec = ["--workload", "synthetic", "--n", "20000", "--seed", "7"];
+    let (code, stdout, stderr) = cli(&[&["generate"], &spec[..], &["--out", path]].concat());
+    assert_eq!((code, stdout.as_str()), (Some(0), ""), "{stderr}");
+    assert!(stderr.contains("wrote 20000 VMs"), "{stderr}");
+    let text = std::fs::read_to_string(path).unwrap();
+    assert!(text.starts_with(HEADER) && text.lines().count() == 20_001);
+
+    // The report without its wall-clock field and its name.
+    let report = |args: &[&str]| -> Vec<String> {
+        let (code, stdout, stderr) = cli(&[&["run", "--json"], args].concat());
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
+        let fields: Vec<String> = stdout
+            .lines()
+            .filter(|l| !l.contains("\"sched_seconds\"") && !l.contains("\"workload\""))
+            .map(String::from)
+            .collect();
+        assert_eq!(fields.len() + 2, stdout.lines().count(), "{stdout}");
+        fields
+    };
+    let generated = report(&spec);
+    for mode in ["materialized", "streaming"] {
+        assert_eq!(
+            report(&["--workload", path, "--arrivals", mode]),
+            generated,
+            "--arrivals {mode}"
+        );
+    }
+    std::fs::remove_file(path).ok();
 }

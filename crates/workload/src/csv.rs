@@ -21,8 +21,17 @@
 //! simulation is about to replay — that one never holds the file, and
 //! also requires what a replay requires of a trace: ids equal to each
 //! row's rank.
+//!
+//! The block reader is one row loop (`rows`), under the validating scan
+//! and under [`crate::CsvFileShards`]' re-read of a shard alike. At each
+//! line start it tries `fast_row`: the row a trace writer emits, read in
+//! one walk over its bytes — newline included, no UTF-8 pass, the times
+//! without `str::parse` where a division is exact. Its `None` is *not* a
+//! verdict; the loop then finds the line's end and `parse_row` accepts
+//! the line or names its error.
 
 use crate::vm::{VmId, VmRequest, Workload};
+use std::fmt::Write as _;
 use std::io::{self, Read};
 
 /// The exact header line emitted and required.
@@ -91,24 +100,30 @@ pub fn to_csv(w: &Workload) -> String {
     out.push_str(HEADER);
     out.push('\n');
     for vm in w.vms() {
-        // `{:?}` (shortest round-trip rendering) for the two floats:
-        // `{}` Display can render a value whose re-parse differs in the
-        // last ulp, which would silently break trace byte-identity.
-        out.push_str(&format!(
-            "{},{},{},{},{:?},{:?}\n",
-            vm.id.0, vm.cpu_cores, vm.ram_gb, vm.storage_gb, vm.arrival, vm.lifetime
-        ));
+        write_row(&mut out, vm);
     }
     out
+}
+
+/// Append `vm`'s row, newline included, to `out`.
+pub fn write_row(out: &mut String, vm: &VmRequest) {
+    // `{:?}` (shortest round-trip rendering) for the two floats:
+    // `{}` Display can render a value whose re-parse differs in the
+    // last ulp, which would silently break trace byte-identity.
+    writeln!(
+        out,
+        "{},{},{},{},{:?},{:?}",
+        vm.id.0, vm.cpu_cores, vm.ram_gb, vm.storage_gb, vm.arrival, vm.lifetime
+    )
+    .expect("writing to a String cannot fail");
 }
 
 /// Parse one data row (no header, already trimmed, non-empty) into a
 /// [`VmRequest`]. `line` is the 1-based line number used in errors.
 ///
-/// Shared by [`from_csv`] and the chunked trace-file reader
-/// ([`crate::CsvFileShards`]), so both paths accept exactly the same
-/// rows. The sorted-arrivals check stays with the callers because it
-/// needs cross-row state.
+/// Shared by [`from_csv`] and the block reader's row loop ([`rows`]), so
+/// both accept exactly the same rows. The sorted-arrivals check stays
+/// with the callers because it needs cross-row state.
 pub(crate) fn parse_row(row: &str, line: usize) -> Result<VmRequest, CsvError> {
     // Exactly six fields, checked before any of them is parsed, without
     // a per-row allocation.
@@ -150,53 +165,82 @@ fn valid_time(value: f64) -> bool {
     value.is_finite() && value >= 0.0
 }
 
+/// `10^k`, each an exact `f64`, for the `k` a 19-digit field can have behind its point.
+const POW10: [f64; 20] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19,
+];
+
+/// The run of decimal digits at `bytes[at]`, appended to `value`: the
+/// new value and where the run ends. Wraps past 19 digits in all; the
+/// callers count them.
+fn digits(bytes: &[u8], mut at: usize, mut value: u64) -> (u64, usize) {
+    while at < bytes.len() && bytes[at].wrapping_sub(b'0') < 10 {
+        value = value
+            .wrapping_mul(10)
+            .wrapping_add(u64::from(bytes[at] - b'0'));
+        at += 1;
+    }
+    (value, at)
+}
+
+/// The time field starting at `bytes[start]`, walked once to the first
+/// byte outside `[0-9.eE+-]`: its value and where that byte is. Digits
+/// around at most one point — 1 to 19 of them, so the `u64` holds them —
+/// with a mantissa below 2⁵³ are `mantissa / 10^frac`: both operands are
+/// exact and the division rounds once (Clinger's exact case), so the
+/// bits are `str::parse`'s, which gets every other spelling. `None` if
+/// the buffer ends first, or the field is not a time in the domain.
+fn fast_time(bytes: &[u8], start: usize) -> Option<(f64, usize)> {
+    let (mut mantissa, mut at) = digits(bytes, start, 0);
+    let mut count = at - start;
+    let mut frac = 0;
+    if bytes.get(at) == Some(&b'.') {
+        let point = at;
+        (mantissa, at) = digits(bytes, at + 1, mantissa);
+        frac = at - point - 1;
+        count += frac;
+    }
+    let spelled = |byte: u8| matches!(byte, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-');
+    if !spelled(*bytes.get(at)?) && (1..=19).contains(&count) && mantissa < 1 << 53 {
+        return Some((mantissa as f64 / POW10[frac], at));
+    }
+    while spelled(*bytes.get(at)?) {
+        at += 1;
+    }
+    let value = std::str::from_utf8(&bytes[start..at]).ok()?.parse().ok()?;
+    valid_time(value).then_some((value, at))
+}
+
 /// The row a trace writer emits — `digits,digits,digits,digits,time,time`,
-/// nothing padded, no sign on the integers, at most a CR behind it — read
-/// in one pass over its bytes: the integers accumulated as they are
-/// walked, the two times handed to the same `str::parse` [`parse_row`]
-/// uses. `None` is not a verdict: padding, a sign, a seventh field, an
-/// overflow, a time outside its domain all go to [`parse_row`], which
-/// accepts the row or names its error. So this decides nothing about what
-/// a row may look like; it only skips, for the rows that are plainly
-/// fine, the UTF-8 check, the Unicode trims and the generic integer
-/// parses.
-fn plain_row(line: &[u8]) -> Option<VmRequest> {
-    let line = line.strip_suffix(b"\r").unwrap_or(line);
+/// nothing padded, no sign on the integers, then `\n` or `\r\n` — read in
+/// one walk from the start of its line: the row, and the bytes it took,
+/// newline included. `None` is not a verdict: padding, a sign, a seventh
+/// field, an overflow, a time outside its domain, a buffer that ends
+/// before the newline all leave the line to [`parse_row`]. So this
+/// decides nothing about what a row may look like.
+fn fast_row(bytes: &[u8]) -> Option<(VmRequest, usize)> {
     let mut at = 0;
     let mut int = || {
-        let mut value: u32 = 0;
-        let start = at;
-        while let Some(digit) = line
-            .get(at)
-            .map(|b| b.wrapping_sub(b'0'))
-            .filter(|d| *d < 10)
-        {
-            value = value.checked_mul(10)?.checked_add(u32::from(digit))?;
-            at += 1;
-        }
-        (at > start && line.get(at) == Some(&b',')).then(|| {
-            at += 1;
-            value
-        })
+        // Ten digits cannot wrap the `u64`; more are not tried.
+        let (value, end) = digits(bytes, at, 0);
+        let field = (1..=10).contains(&(end - at)) && bytes.get(end) == Some(&b',');
+        at = end + 1;
+        u32::try_from(value).ok().filter(|_| field)
     };
     let (id, cpu_cores, ram_gb, storage_gb) = (int()?, int()?, int()?, int()?);
-    let (arrival, lifetime) = line[at..].split_at(line[at..].iter().position(|&b| b == b',')?);
-    let time = |field: &[u8]| -> Option<f64> {
-        let plain = |b: &u8| matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-');
-        if !field.iter().all(plain) {
-            return None;
-        }
-        let value = std::str::from_utf8(field).ok()?.parse().ok()?;
-        valid_time(value).then_some(value)
-    };
-    Some(VmRequest {
+    let (arrival, at) = fast_time(bytes, at).filter(|&(_, at)| bytes[at] == b',')?;
+    let (lifetime, at) = fast_time(bytes, at + 1)?;
+    let at = at + usize::from(bytes[at] == b'\r');
+    let vm = VmRequest {
         id: VmId(id),
         cpu_cores,
         ram_gb,
         storage_gb,
-        arrival: time(arrival)?,
-        lifetime: time(&lifetime[1..])?,
-    })
+        arrival,
+        lifetime,
+    };
+    (bytes.get(at) == Some(&b'\n')).then_some((vm, at + 1))
 }
 
 /// Parse a workload from CSV produced by [`to_csv`] (or hand-written in
@@ -230,7 +274,7 @@ pub fn from_csv(name: &str, csv: &str) -> Result<Workload, CsvError> {
 pub enum ReadError {
     /// The reader failed, or the bytes were not UTF-8 (an
     /// [`io::ErrorKind::InvalidData`] error, as `read_to_string` reports
-    /// it), or a line ran past one read block.
+    /// it), or a line ran past a megabyte.
     Io(io::Error),
     /// A row broke the rules [`from_csv`] enforces.
     Csv(CsvError),
@@ -274,45 +318,101 @@ impl ReadError {
     }
 }
 
-/// Bytes asked of the reader at a time, and the longest line accepted (a
-/// row is under a hundred bytes; a "line" of a megabyte is not a trace).
+/// The longest line accepted (a row is under a hundred bytes; a "line" of
+/// a megabyte is not a trace). A sixteenth of it is asked of the reader
+/// at a time, and more only under a line that does not fit.
 const BLOCK: usize = 1 << 20;
 
-/// The one validating pass over a CSV trace, a block at a time: header,
-/// then per data row [`parse_row`], dense ids and sorted arrivals, in
-/// that order. Hands `each` the byte offset at which the row's line
-/// starts and the row. Memory: one block.
-pub(crate) fn scan(
+/// A whole line, for what [`fast_row`] left alone: the header where it is
+/// due, a blank line (both `None`), a row only [`parse_row`] can judge.
+fn judge(bytes: &[u8], line: usize, headed: bool) -> Result<Option<VmRequest>, ReadError> {
+    let text = std::str::from_utf8(bytes)
+        .map_err(|_| ReadError::invalid_data("stream did not contain valid UTF-8"))?;
+    match (headed, text.trim()) {
+        (false, HEADER) | (true, "") => Ok(None),
+        (false, _) => Err(ReadError::Csv(CsvError::BadHeader)),
+        (true, row) => parse_row(row, line).map(Some).map_err(ReadError::Csv),
+    }
+}
+
+/// The one row loop: every data row of `reader`, a block at a time —
+/// [`fast_row`] where it answers, else the line through [`parse_row`];
+/// blank lines skipped; the header required first unless `seen_header`
+/// says the reader starts behind it. Hands `each` the byte offset of the
+/// row's line, its 1-based line number and the row; returns the bytes read.
+pub(crate) fn rows(
     mut reader: impl Read,
-    mut each: impl FnMut(u64, VmRequest),
-) -> Result<(), ReadError> {
-    let mut seen_header = false;
-    let mut rank: u32 = 0;
-    let mut last_arrival = f64::NEG_INFINITY;
-    let mut line = 0usize;
-    // `line` is 1-based and counts the line being judged.
-    let mut judge = |bytes: &[u8], offset: u64| -> Result<(), ReadError> {
-        line += 1;
-        let vm = match plain_row(bytes).filter(|_| seen_header) {
-            Some(vm) => vm,
-            None => {
-                let text = std::str::from_utf8(bytes)
-                    .map_err(|_| ReadError::invalid_data("stream did not contain valid UTF-8"))?;
-                let row = text.trim();
-                if !seen_header {
-                    seen_header = true;
-                    return if row == HEADER {
-                        Ok(())
-                    } else {
-                        Err(ReadError::Csv(CsvError::BadHeader))
-                    };
-                }
-                if row.is_empty() {
-                    return Ok(());
-                }
-                parse_row(row, line).map_err(ReadError::Csv)?
+    mut seen_header: bool,
+    mut each: impl FnMut(u64, usize, VmRequest) -> Result<(), ReadError>,
+) -> Result<u64, ReadError> {
+    // `buf[..filled]`: the bytes from `base` on that no complete line has
+    // claimed yet (a line's carried head, then the reader's last block).
+    let mut buf = vec![0u8; BLOCK >> 4];
+    let (mut filled, mut base, mut line) = (0usize, 0u64, 0usize);
+    loop {
+        if filled == BLOCK {
+            return Err(ReadError::invalid_data(format!(
+                "line {} is longer than {BLOCK} bytes",
+                line + 1
+            )));
+        } else if filled == buf.len() {
+            buf.resize(2 * filled, 0);
+        }
+        let got = loop {
+            match reader.read(&mut buf[filled..]) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                other => break other.map_err(ReadError::Io)?,
             }
         };
+        // The carried bytes hold no newline: only the new ones can end a line.
+        let mut searched = filled;
+        filled += got;
+        let mut start = 0;
+        while start < filled {
+            let (vm, next) = match seen_header.then(|| fast_row(&buf[start..filled])).flatten() {
+                Some((vm, used)) => (Some(vm), start + used),
+                None => {
+                    let end = match buf[searched..filled].iter().position(|&b| b == b'\n') {
+                        Some(at) => searched + at,
+                        None if got == 0 => filled,
+                        None => break,
+                    };
+                    let vm = judge(&buf[start..end], line + 1, seen_header)?;
+                    seen_header = true;
+                    (vm, (end + 1).min(filled))
+                }
+            };
+            line += 1;
+            if let Some(vm) = vm {
+                each(base + start as u64, line, vm)?;
+            }
+            start = next;
+            searched = next;
+        }
+        if got == 0 {
+            break;
+        }
+        buf.copy_within(start..filled, 0);
+        filled -= start;
+        base += start as u64;
+    }
+    if seen_header {
+        Ok(base + filled as u64)
+    } else {
+        Err(ReadError::Csv(CsvError::BadHeader))
+    }
+}
+
+/// The one validating pass over a CSV trace: [`rows`] from the header
+/// on, then per data row dense ids and sorted arrivals, in that order.
+/// Hands `each` the row and its line's byte offset; returns the bytes read.
+pub(crate) fn scan(
+    reader: impl Read,
+    mut each: impl FnMut(u64, VmRequest),
+) -> Result<u64, ReadError> {
+    let mut rank: u32 = 0;
+    let mut last_arrival = f64::NEG_INFINITY;
+    rows(reader, false, |offset, line, vm| {
         if vm.id.0 != rank {
             return Err(ReadError::NonDenseId {
                 line,
@@ -333,51 +433,7 @@ pub(crate) fn scan(
         last_arrival = vm.arrival;
         each(offset, vm);
         Ok(())
-    };
-
-    // `buf[..filled]` holds the bytes of the file from `base` on that no
-    // complete line has claimed yet: the carried head of a line, then
-    // whatever the reader gave last.
-    let mut buf = vec![0u8; BLOCK];
-    let (mut filled, mut base) = (0usize, 0u64);
-    loop {
-        if filled == buf.len() {
-            return Err(ReadError::invalid_data(format!(
-                "line {} is longer than {BLOCK} bytes",
-                line + 1
-            )));
-        }
-        let got = loop {
-            match reader.read(&mut buf[filled..]) {
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                other => break other.map_err(ReadError::Io)?,
-            }
-        };
-        // The carried bytes hold no newline: only the new ones can end a line.
-        let mut searched = filled;
-        filled += got;
-        let mut start = 0;
-        while let Some(at) = buf[searched..filled].iter().position(|&b| b == b'\n') {
-            let end = searched + at;
-            judge(&buf[start..end], base + start as u64)?;
-            start = end + 1;
-            searched = start;
-        }
-        if got == 0 {
-            if start < filled {
-                judge(&buf[start..filled], base + start as u64)?;
-            }
-            break;
-        }
-        buf.copy_within(start..filled, 0);
-        filled -= start;
-        base += start as u64;
-    }
-    if seen_header {
-        Ok(())
-    } else {
-        Err(ReadError::Csv(CsvError::BadHeader))
-    }
+    })
 }
 
 /// Read a workload from a CSV trace (the [`to_csv`] schema) without ever
@@ -613,6 +669,10 @@ mod tests {
             9 => format!("{value:?}s"),
             10 => ".".into(),
             11 => format!("{}", value as u64),
+            // Either side of the exact-decimal line: a mantissa past 2⁵³
+            // (and past 19 digits), and one of 16 digits, mostly under it.
+            12 => format!("{value:.17}"),
+            13 => format!("{value:.*}", 16 - (value as u64).to_string().len()),
             _ => format!("{value:?}"),
         }
     }
@@ -730,6 +790,93 @@ mod tests {
         }
     }
 
+    /// What [`fast_time`] may say of `field` (a `,` put behind it): the
+    /// bits `str::parse` gives where those are a time, else nothing.
+    fn assert_reads_as_parsed(field: &str) {
+        let parsed = field.parse::<f64>().ok().filter(|v| valid_time(*v));
+        let read = fast_time(format!("{field},").as_bytes(), 0);
+        assert_eq!(
+            read.map(|(value, at)| (value.to_bits(), at)),
+            parsed.map(|value| (value.to_bits(), field.len())),
+            "field {field:?}: read {read:?}, parsed {parsed:?}"
+        );
+    }
+
+    /// The exact-decimal case against `str::parse`, bit for bit, along
+    /// each of its edges: no digit, leading zeros, 2⁵³, 19 digits, 22
+    /// digits behind the point — and the spellings that are not its own.
+    #[test]
+    fn exact_decimals_are_the_bits_str_parse_gives() {
+        // 19 digits, 20, the largest 19; 2⁶⁴, which wraps the accumulator
+        // to 0, and ten times it; 22, 23 and 28 zeros; last, no field.
+        let mut fields: Vec<String> = "0 0.0 1. .5 . 000012.50 1e5 1.2.3 -0.0 -2.5 +7 \
+            1234567890123456789 12345678901234567890 9999999999999999999 \
+            18446744073709551616 184467440737095516160 0.0000000000000000000001 \
+            0.00000000000000000000001 00000000000000000000000000001"
+            .split(' ')
+            .map(String::from)
+            .collect();
+        fields.push(String::new());
+        for mantissa in [(1u64 << 53) - 1, 1 << 53, (1 << 53) + 1] {
+            fields.push(mantissa.to_string());
+            for frac in [1usize, 15, 22, 23] {
+                let digits = format!("{mantissa:0>width$}", width = frac + 1);
+                let (int, fraction) = digits.split_at(digits.len() - frac);
+                fields.push(format!("{int}.{fraction}"));
+            }
+        }
+        for field in &fields {
+            assert_reads_as_parsed(field);
+        }
+        // And as rows: each field through both readers, alone and — those
+        // that are times — together.
+        let mut text = format!("{HEADER}\n");
+        let mut rank = 0;
+        for field in &fields {
+            let one = format!("{HEADER}\n0,1,2,128,0,{field}\n");
+            let judged = from_csv("doc", &one);
+            assert_eq!(
+                verdict(read_csv("doc", one.as_bytes())),
+                judged,
+                "{field:?}"
+            );
+            if judged.is_ok() {
+                text.push_str(&format!("{rank},1,2,128,0,{field}\r\n"));
+                rank += 1;
+            }
+        }
+        let bits =
+            |w: Workload| -> Vec<u64> { w.vms().iter().map(|vm| vm.lifetime.to_bits()).collect() };
+        assert_eq!(
+            bits(read_csv("doc", text.as_bytes()).unwrap()),
+            bits(from_csv("doc", &text).unwrap())
+        );
+        assert!(rank > 20, "only {rank} of the fields are times");
+    }
+
+    proptest! {
+        /// Any digits-and-a-point field, on both sides of every bound of
+        /// the exact case: what the fused reader makes of it is what
+        /// `str::parse` makes of it.
+        #[test]
+        fn plain_decimal_fields_read_as_parsed(
+            mantissa in 0u64..1 << 54,
+            frac in 0usize..=24,
+            lead in 0usize..4,
+            trail in 0usize..4,
+            point in any::<bool>(),
+            int_zero in any::<bool>(),
+        ) {
+            let digits = format!("{mantissa:0>width$}", width = frac + usize::from(int_zero));
+            let (int, fraction) = digits.split_at(digits.len() - frac);
+            let point = if point || frac > 0 { "." } else { "" };
+            let field = format!(
+                "{}{int}{point}{fraction}{}", "0".repeat(lead), "0".repeat(trail)
+            );
+            assert_reads_as_parsed(&field);
+        }
+    }
+
     /// The generator above must not be vacuous: over a fixed sweep of
     /// documents both verdicts, and every error kind, turn up.
     #[test]
@@ -829,6 +976,11 @@ mod tests {
             ReadError::Io(e) => assert!(e.to_string().contains("line 3 is longer than")),
             other => panic!("expected an I/O error, got {other}"),
         }
+        // Two bytes fewer and it is a line (a blank one) that just fits:
+        // the read buffer grows to hold it, and the rows behind it count.
+        bytes.truncate(bytes.len() - 2);
+        bytes.extend(b"\n1,1,2,128,2.0,10\n");
+        assert_eq!(read_csv("x", &bytes[..]).unwrap().len(), 2);
         // A reader's own failure is handed on as it is.
         struct Broken;
         impl Read for Broken {

@@ -9,9 +9,10 @@
 //! * [`TraceShards`] slices an in-memory [`Workload`] into shards; and
 //! * [`CsvFileShards`] is the chunked trace-file reader: one validating
 //!   scan at open records the byte offset of each shard's first row, and
-//!   each `shard_vms` call re-reads only that shard's rows — so a run
+//!   each `shard_vms` call re-reads only that shard's bytes — so a run
 //!   over an on-disk CSV holds one shard of VMs in memory, and parses
-//!   each row twice (the scan, then the read).
+//!   each row twice (the scan, then the read), both times through the
+//!   one row loop in [`crate::csv`].
 //!
 //! ## The zero-delta stitching trick
 //!
@@ -28,11 +29,11 @@
 //! adapters override [`ShardSource::span_units`] with the true last
 //! arrival.
 
-use crate::csv::{self, parse_row, CsvError, ReadError};
+use crate::csv::{self, CsvError, ReadError};
 use crate::shard::{ShardSource, SHARD_SIZE};
 use crate::vm::{VmRequest, Workload};
 use std::fs::File;
-use std::io::{BufRead, BufReader, Seek, SeekFrom};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 /// An in-memory [`Workload`] served shard-by-shard.
@@ -183,15 +184,18 @@ impl Workload {
 /// pass [`crate::csv::read_csv`] makes: header, arity, field domains,
 /// dense ids, sorted arrivals — and records, per [`SHARD_SIZE`] rows, the
 /// byte offset of the shard's first row. Each [`ShardSource::shard_vms`]
-/// call then reopens the file, seeks to the shard's offset and parses
-/// only its rows. The file must not be
-/// modified between `open` and the run — `shard_vms` panics (loudly, with
-/// the offending line) if a previously-valid row stops parsing.
+/// call then reopens the file and runs the same row loop over the bytes
+/// from the shard's offset to the next shard's (to the length the file
+/// had at `open` for the last; bytes appended since are never read). The
+/// file must not otherwise be modified between `open` and the run —
+/// `shard_vms` panics (loudly, naming the file and the shard) if those
+/// bytes no longer hold exactly the shard's rows.
 #[derive(Debug, Clone)]
 pub struct CsvFileShards {
     path: PathBuf,
     name: String,
-    /// Byte offset of the first data row of each shard.
+    /// Byte offset of the first data row of each shard, then the file's
+    /// length: shard `s` is the bytes `offsets[s]..offsets[s + 1]`.
     offsets: Vec<u64>,
     total: u32,
     span: f64,
@@ -208,7 +212,7 @@ impl CsvFileShards {
         let mut total: u32 = 0;
         let mut span = 0.0f64;
         let mut largest = (0u32, 0u32, 0u32);
-        csv::scan(file, |row_start, vm| {
+        let len = csv::scan(file, |row_start, vm| {
             // `vm.id` is the row's rank, and the row count fits a `u32`
             // (the scan checked both).
             if vm.id.0.is_multiple_of(SHARD_SIZE) {
@@ -223,6 +227,7 @@ impl CsvFileShards {
             );
         })
         .map_err(|e| TraceFileError::from_read(&path, e))?;
+        offsets.push(len);
         Ok(CsvFileShards {
             path,
             name: name.into(),
@@ -237,40 +242,6 @@ impl CsvFileShards {
     pub fn path(&self) -> &Path {
         &self.path
     }
-
-    /// Re-read shard `shard`: hand each of its data rows (trimmed, blank
-    /// lines skipped) and the row's 1-based place in the shard to `each`.
-    fn for_each_row(&self, shard: u32, mut each: impl FnMut(&str, usize)) {
-        let want = self.shard_range(shard).len();
-        let mut reader = BufReader::new(File::open(&self.path).unwrap_or_else(|e| {
-            panic!(
-                "trace file '{}' unreadable after open(): {e}",
-                self.path.display()
-            )
-        }));
-        reader
-            .seek(SeekFrom::Start(self.offsets[shard as usize]))
-            .unwrap_or_else(|e| panic!("seek in trace file '{}': {e}", self.path.display()));
-        let mut buf = String::new();
-        let mut rows = 0;
-        while rows < want {
-            buf.clear();
-            let n = reader
-                .read_line(&mut buf)
-                .unwrap_or_else(|e| panic!("read from trace file '{}': {e}", self.path.display()));
-            assert!(
-                n > 0,
-                "trace file '{}' truncated since open(): shard {shard} ended after {rows} of {want} rows",
-                self.path.display(),
-            );
-            let row = buf.trim();
-            if row.is_empty() {
-                continue;
-            }
-            rows += 1;
-            each(row, rows);
-        }
-    }
 }
 
 impl ShardSource for CsvFileShards {
@@ -283,19 +254,32 @@ impl ShardSource for CsvFileShards {
     }
 
     fn shard_vms(&self, shard: u32) -> (Vec<VmRequest>, f64) {
-        let mut vms = Vec::with_capacity(self.shard_range(shard).len());
-        self.for_each_row(shard, |row, nth| {
-            // Line numbers are unknown on the re-read path; report the
-            // shard-relative row instead.
-            vms.push(parse_row(row, nth).unwrap_or_else(|e| {
-                panic!(
-                    "trace file '{}' changed since open(): shard {shard}, {e}",
-                    self.path.display()
-                )
-            }));
-        });
-        // Absolute arrivals, zero delta total (see module docs).
-        (vms, 0.0)
+        let want = self.shard_range(shard).len();
+        let bytes = self.offsets[shard as usize]..self.offsets[shard as usize + 1];
+        let mut vms = Vec::with_capacity(want);
+        // An error of the re-read counts lines from the shard's first.
+        let read = File::open(&self.path)
+            .and_then(|mut file| {
+                file.seek(SeekFrom::Start(bytes.start))?;
+                Ok(file.take(bytes.end - bytes.start))
+            })
+            .map_err(ReadError::Io)
+            .and_then(|file| {
+                csv::rows(file, true, |_, _, vm| {
+                    vms.push(vm);
+                    Ok(())
+                })
+            });
+        let changed = match read {
+            // Absolute arrivals, zero delta total (see module docs).
+            Ok(_) if vms.len() == want => return (vms, 0.0),
+            Ok(_) => format!("holds {} rows, not {want}", vms.len()),
+            Err(e) => e.to_string(),
+        };
+        panic!(
+            "trace file '{}' changed since open(): shard {shard}: {changed}",
+            self.path.display()
+        )
     }
 
     fn largest_request(&self) -> (u32, u32, u32) {
@@ -426,6 +410,100 @@ mod tests {
         assert_eq!(shards.num_shards(), 0);
         assert_eq!(shards.span_units(), 0.0);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The re-read is the scan: every shard of a file equals the matching
+    /// slice of the whole-file read — CRLF endings, blank and
+    /// whitespace-only lines inside a shard and between two, padded and
+    /// signed rows only `parse_row` takes, no final newline, row counts
+    /// around the shard size.
+    #[test]
+    fn shard_reads_equal_the_matching_slice_of_the_whole_read() {
+        for n in [
+            0,
+            1,
+            SHARD_SIZE - 1,
+            SHARD_SIZE,
+            SHARD_SIZE + 1,
+            3 * SHARD_SIZE + 123,
+        ] {
+            let w = sample_workload(n);
+            let mut text = format!("{HEADER}\r\n");
+            for (i, row) in to_csv(&w).lines().skip(1).enumerate() {
+                if i % SHARD_SIZE as usize == 0 || i % 613 == 5 {
+                    text.push_str(if i % 2 == 0 { "\n \t\r\n" } else { "\r\n" });
+                }
+                match i % 7 {
+                    0 => text.push_str(&format!("  {row}\t")),
+                    1 => text.push_str(&format!("+{row}")),
+                    _ => text.push_str(row),
+                }
+                text.push_str(if i % 3 == 0 { "\r\n" } else { "\n" });
+            }
+            if n % 2 == 1 {
+                text.truncate(text.trim_end().len());
+            }
+            let path = temp_csv(&format!("slices_{n}"), &text);
+            let whole = Workload::read_csv_file("x", &path).unwrap();
+            assert_eq!(whole.vms(), w.vms(), "n = {n}");
+            let shards = CsvFileShards::open("x", &path).unwrap();
+            // Bytes appended once the file is open are not the trace's.
+            let mut grown = text.clone().into_bytes();
+            grown.extend(b"\nnot,a,row\n\xff\n");
+            std::fs::write(&path, grown).unwrap();
+            assert_eq!(shards.total_vms(), n);
+            for s in 0..shards.num_shards() {
+                let r = shards.shard_range(s);
+                assert_eq!(
+                    shards.shard_vms(s).0,
+                    whole.vms()[r.start as usize..r.end as usize],
+                    "n = {n}, shard {s}"
+                );
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    /// A file that no longer holds a shard's rows where `open` found them
+    /// — a row edited, a row gone, the file cut short — stops the run,
+    /// naming the file and the shard.
+    #[test]
+    fn a_file_changed_after_open_panics_naming_file_and_shard() {
+        let w = sample_workload(SHARD_SIZE + 50);
+        let text = to_csv(&w);
+        let second_shard = text.match_indices('\n').nth(SHARD_SIZE as usize).unwrap().0 + 1;
+        let edited = format!("{}x{}", &text[..second_shard], &text[second_shard + 1..]);
+        let row_gone = text[..second_shard].trim_end().rsplit_once('\n').unwrap().0;
+        let row_gone = format!(
+            "{row_gone}\n{}{}",
+            " ".repeat(second_shard - row_gone.len() - 1),
+            &text[second_shard..]
+        );
+        for (tag, changed, shard, want) in [
+            ("edited", edited.as_str(), 1, "cannot parse column 'id'"),
+            (
+                "row_gone",
+                row_gone.as_str(),
+                0,
+                "holds 4095 rows, not 4096",
+            ),
+            ("cut", &text[..text.len() - 20], 1, "shard 1"),
+            ("cut_short", &text[..second_shard + 10], 1, "shard 1"),
+        ] {
+            let path = temp_csv(&format!("changed_{tag}"), &text);
+            let shards = CsvFileShards::open("x", &path).unwrap();
+            std::fs::write(&path, changed).unwrap();
+            let panic = std::panic::catch_unwind(|| shards.shard_vms(shard))
+                .expect_err("a changed file must not be served");
+            let message = panic.downcast_ref::<String>().expect("a formatted panic");
+            assert!(
+                message.contains(&path.display().to_string())
+                    && message.contains(&format!("changed since open(): shard {shard}"))
+                    && message.contains(want),
+                "{tag}: {message}"
+            );
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]
