@@ -31,10 +31,12 @@ commands:
                              each cadence; a resumed run replays into the
                              uninterrupted run's exact bytes
       --checkpoint-every <units>  simulated-time cadence for --checkpoint
-      --resume <path>        resume a run from a checkpoint file; the run
-                             configuration is embedded in the checkpoint
+      --resume <path>        resume a run from a checkpoint file: rebuild
+                             it from the configuration embedded there
                              (workload/algo/arrivals flags are rejected
-                             — nothing is re-read from the environment)
+                             — nothing is re-read from the environment),
+                             replay it to the recorded event count, and
+                             refuse it if its inputs have changed
       --faults               inject the canonical failure/repair scenario
                              (rack failures with evacuation, trunk and
                              transceiver flaps) and report resilience

@@ -48,14 +48,9 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                     .map_err(|e| format!("cannot read checkpoint {path}: {e}"))?;
                 let cp = Checkpoint::from_json(&text)
                     .map_err(|e| format!("bad checkpoint {path}: {e}"))?;
-                eprintln!(
-                    "resuming at t={} ({} events dispatched, {} pending, {} arrivals left)",
-                    cp.at(),
-                    cp.events_dispatched(),
-                    cp.pending_events(),
-                    cp.arrivals_remaining()
-                );
+                eprintln!("resuming after {} events", cp.events_dispatched());
                 cp.resume()
+                    .map_err(|e| format!("cannot resume {path}: {e}"))?
             } else {
                 let paper = TopologyConfig::paper();
                 if u32::from(paper.racks) * u32::from(scale) > u32::from(u16::MAX) {
@@ -98,9 +93,10 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 Some(path) => {
                     let mut written = 0u32;
                     let report = sim.run_checkpointed(|cp| {
-                        write_checkpoint(&path, cp);
+                        write_checkpoint(&path, cp)?;
                         written += 1;
-                    });
+                        Ok::<_, String>(())
+                    })?;
                     eprintln!("wrote {written} checkpoint(s) to {path}");
                     report
                 }
@@ -205,12 +201,11 @@ fn spec_of(workload: WorkloadArg, seed: u64) -> WorkloadSpec {
 /// Write one checkpoint atomically: serialize to a sibling temp file,
 /// then rename over the target so an interrupted write never leaves a
 /// truncated (unresumable) checkpoint behind.
-fn write_checkpoint(path: &str, cp: &Checkpoint) {
+fn write_checkpoint(path: &str, cp: &Checkpoint) -> Result<(), String> {
     let tmp = format!("{path}.tmp");
-    let json = cp.to_json();
-    if let Err(e) = std::fs::write(&tmp, json).and_then(|()| std::fs::rename(&tmp, path)) {
-        panic!("cannot write checkpoint {path}: {e}");
-    }
+    std::fs::write(&tmp, cp.to_json())
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .map_err(|e| format!("cannot write checkpoint {path}: {e}"))
 }
 
 fn emit(report: &RunReport, json: bool) -> Result<(), String> {

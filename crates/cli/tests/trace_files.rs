@@ -11,6 +11,11 @@
 //!
 //! And the other direction: a trace `generate --out <file.csv>` writes is
 //! one `run --workload` takes, and runs as the generator itself runs.
+//!
+//! A checkpoint names its trace file: `run --resume` after the file was
+//! deleted, or replaced by another of the same row count, is refused the
+//! same way — as are an unwritable `--checkpoint` path and a document of
+//! an older version.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -38,28 +43,35 @@ fn cli(args: &[&str]) -> (Option<i32>, String, String) {
     )
 }
 
+/// The CLI must refuse `args`: exit code 1, nothing on stdout, no panic,
+/// and one `error:` line, containing `want`. Returns the stderr.
+fn refused_with(args: &[&str], want: &str) -> String {
+    let (code, stdout, stderr) = cli(args);
+    assert_eq!(code, Some(1), "{args:?}: {stderr}");
+    assert_eq!(stdout, "", "{args:?}: a refused command must not report");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    let error: Vec<_> = stderr
+        .lines()
+        .filter(|l| l.starts_with("error: "))
+        .collect();
+    assert!(
+        error.len() == 1 && error[0].contains(want),
+        "{args:?}: want '{want}' in:\n{stderr}"
+    );
+    stderr
+}
+
 /// `run --workload <path>` must fail, identically under both `--arrivals`
 /// values, with `want` in its one `error:` line.
 fn refused(path: &str, want: &str) {
-    let runs = ["materialized", "streaming"]
-        .map(|mode| cli(&["run", "--workload", path, "--arrivals", mode, "--json"]));
-    for (code, stdout, stderr) in &runs {
-        assert_eq!(*code, Some(1), "{path}: {stderr}");
-        assert_eq!(stdout, "", "{path}: a refused trace must not report");
-        assert!(!stderr.contains("panicked"), "{path}: {stderr}");
-        let error: Vec<_> = stderr
-            .lines()
-            .filter(|l| l.starts_with("error: "))
-            .collect();
-        assert_eq!(error.len(), 1, "{path}: {stderr}");
-        assert!(
-            error[0].contains(want),
-            "{path}: want '{want}' in '{}'",
-            error[0]
-        );
-    }
+    let runs = ["materialized", "streaming"].map(|mode| {
+        refused_with(
+            &["run", "--workload", path, "--arrivals", mode, "--json"],
+            want,
+        )
+    });
     assert_eq!(
-        runs[0].2, runs[1].2,
+        runs[0], runs[1],
         "{path}: the two reads word it differently"
     );
 }
@@ -140,15 +152,11 @@ fn replay_of_a_non_dense_json_trace_is_an_error_line() {
         vm(0, 2.0)
     );
     let path = temp("swapped.json", &json);
-    let (code, stdout, stderr) = cli(&["replay", "--trace", path.to_str().unwrap(), "--json"]);
-    std::fs::remove_file(&path).ok();
-    assert_eq!(code, Some(1), "{stderr}");
-    assert_eq!(stdout, "");
-    assert!(!stderr.contains("panicked"), "{stderr}");
-    assert!(
-        stderr.contains("error: workload 'edited': VM ids must be dense and in order"),
-        "{stderr}"
+    refused_with(
+        &["replay", "--trace", path.to_str().unwrap(), "--json"],
+        "error: workload 'edited': VM ids must be dense and in order",
     );
+    std::fs::remove_file(&path).ok();
 }
 
 /// `generate --out t.csv` writes the CSV schema (it once wrote JSON into
@@ -187,4 +195,65 @@ fn a_generated_csv_runs_as_the_generator_does() {
         );
     }
     std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn an_unwritable_checkpoint_path_is_an_error_line() {
+    let args = "run --n 300 --checkpoint /nonexistent/dir/c.ckpt --checkpoint-every 1000";
+    refused_with(
+        &args.split(' ').collect::<Vec<_>>(),
+        "cannot write checkpoint /nonexistent/dir/c.ckpt",
+    );
+}
+
+/// The checkpoint pins its trace: replaced by another trace of the same
+/// row count it is refused by digest, naming the event count; deleted, by
+/// the build error.
+#[test]
+fn resume_refuses_a_replaced_or_deleted_trace() {
+    let dir = std::env::temp_dir().join(format!("risa-cli-resume-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("t.csv").display().to_string();
+    let ckpt = dir.join("t.ckpt").display().to_string();
+    let generate = |seed: &str| {
+        let (code, _, stderr) = cli(&["generate", "--n", "3000", "--seed", seed, "--out", &trace]);
+        assert_eq!(code, Some(0), "{stderr}");
+    };
+    generate("1");
+    let every = ["--checkpoint", &ckpt, "--checkpoint-every", "15000"];
+    let (code, _, stderr) = cli(&[&["run", "--workload", &trace, "--json"], &every[..]].concat());
+    assert_eq!(code, Some(0), "{stderr}");
+    let (code, _, stderr) = cli(&["run", "--resume", &ckpt, "--json"]);
+    assert_eq!(code, Some(0), "{stderr}");
+
+    let document = std::fs::read_to_string(&ckpt).unwrap();
+    let dispatched = document
+        .split("\"dispatched\":")
+        .nth(1)
+        .and_then(|rest| rest.split(',').next())
+        .expect("the document records its event count");
+    generate("2");
+    refused_with(
+        &["run", "--resume", &ckpt],
+        &format!("digest mismatch after {dispatched} events"),
+    );
+    std::fs::remove_file(&trace).unwrap();
+    refused_with(
+        &["run", "--resume", &ckpt],
+        &format!("cannot read trace file '{trace}'"),
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A version-3 document (a state image) is refused by its version.
+#[test]
+fn resume_refuses_version_3_checkpoints() {
+    let v3 = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../sim/tests/fixtures/v3_synthetic_materialized.ckpt"
+    );
+    refused_with(
+        &["run", "--resume", v3],
+        "checkpoint version 3 is not supported",
+    );
 }

@@ -66,7 +66,7 @@ pub enum DropReason {
 }
 
 /// A successfully admitted VM: its compute grants and reserved flows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmAssignment {
     /// One box grant per resource kind.
     pub placement: VmPlacement,
@@ -79,7 +79,7 @@ pub struct VmAssignment {
 }
 
 /// Result of one scheduling attempt.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScheduleOutcome {
     /// The VM was admitted.
     Assigned(VmAssignment),

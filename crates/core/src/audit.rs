@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A violation detected by the auditor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AuditViolation {
     /// A grant names a box of the wrong resource kind.
     WrongKind {
@@ -208,55 +208,6 @@ impl ScheduleAuditor {
     pub fn config(&self) -> &TopologyConfig {
         &self.cfg
     }
-
-    /// Checkpoint capture: the auditor's dynamic ledger, with the resident
-    /// map flattened to sorted `(vm, assignment)` pairs.
-    pub fn to_parts(&self) -> AuditorParts {
-        AuditorParts {
-            used: self.used.clone(),
-            resident: self
-                .resident
-                .iter()
-                .map(|(vm, a)| (*vm, a.clone()))
-                .collect(),
-            next_vm: self.next_vm,
-            violations: self.violations.clone(),
-            admitted: self.admitted,
-            released: self.released,
-        }
-    }
-
-    /// Rebuild an auditor from [`ScheduleAuditor::to_parts`] output; the
-    /// topology is re-taken from the (restored) live cluster.
-    pub fn from_parts(cluster: &Cluster, parts: AuditorParts) -> Self {
-        ScheduleAuditor {
-            cfg: *cluster.config(),
-            used: parts.used,
-            resident: parts.resident.into_iter().collect(),
-            next_vm: parts.next_vm,
-            violations: parts.violations,
-            admitted: parts.admitted,
-            released: parts.released,
-        }
-    }
-}
-
-/// Checkpointable state of a [`ScheduleAuditor`] (see
-/// [`ScheduleAuditor::to_parts`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AuditorParts {
-    /// Shadow used-units per box.
-    pub used: Vec<u64>,
-    /// Resident assignments as `(vm, assignment)` pairs, ascending by vm.
-    pub resident: Vec<(u64, VmAssignment)>,
-    /// Next admission sequence number.
-    pub next_vm: u64,
-    /// Violations recorded so far.
-    pub violations: Vec<AuditViolation>,
-    /// Admissions seen.
-    pub admitted: u64,
-    /// Releases seen.
-    pub released: u64,
 }
 
 /// A clean audit.

@@ -113,19 +113,6 @@ impl<E> ArrivalLane<E> {
         }
         self.window.reverse();
     }
-
-    /// Drop the next `skip` arrivals unseen (a checkpoint resume: the
-    /// producer is moved past them by whoever owns it). Only between
-    /// windows.
-    pub(crate) fn skip(&mut self, skip: usize) {
-        assert!(
-            self.window.is_empty() && skip <= self.unfilled,
-            "arrival lane skipped mid-window or past its end"
-        );
-        self.unfilled -= skip;
-        self.next_seq += skip as u64;
-        self.handed += skip as u64;
-    }
 }
 
 #[cfg(test)]

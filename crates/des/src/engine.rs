@@ -136,8 +136,8 @@ impl<W: World> Simulation<W> {
             format!("{e:?}")
         }
         // Seed the trace's sequence counter with the events already
-        // dispatched, so a trace enabled on a restored simulation numbers
-        // its entries exactly as the uninterrupted run would have.
+        // dispatched, so a trace enabled mid-run (on a resumed checkpoint)
+        // numbers its entries exactly as the uninterrupted run would have.
         self.trace = Some((
             EventTrace::with_base(capacity, self.dispatched),
             render::<W::Event>,
@@ -172,26 +172,6 @@ impl<W: World> Simulation<W> {
     /// Shared view of the two-lane event queue (lengths, peak FEL size).
     pub fn queue(&self) -> &EventQueue<W::Event> {
         &self.queue
-    }
-
-    /// Mutable access to the queue, for checkpoint capture and restore
-    /// (see [`EventQueue::snapshot`] / [`EventQueue::restore_fel`]).
-    pub fn queue_mut(&mut self) -> &mut EventQueue<W::Event> {
-        &mut self.queue
-    }
-
-    /// Engine clock state for a checkpoint: `(now, dispatched, clamped)`.
-    pub fn clock_state(&self) -> (SimTime, u64, u64) {
-        (self.now, self.dispatched, self.clamped)
-    }
-
-    /// Restore engine clock state previously captured with
-    /// [`Simulation::clock_state`]. The next dispatched event continues
-    /// the original run's clock and dispatch count exactly.
-    pub fn restore_clock(&mut self, now: SimTime, dispatched: u64, clamped: u64) {
-        self.now = now;
-        self.dispatched = dispatched;
-        self.clamped = clamped;
     }
 
     /// Current simulation clock. Advances only when events are dispatched.

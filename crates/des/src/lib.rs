@@ -69,6 +69,6 @@ mod time;
 mod trace;
 
 pub use engine::{EventCtx, RunOutcome, Simulation, StepOutcome, World};
-pub use queue::{EventKey, EventQueue, QueueEntry, QueueSnapshot};
+pub use queue::{EventKey, EventQueue, QueueEntry};
 pub use time::{SimDuration, SimTime, TICKS_PER_UNIT};
 pub use trace::{EventTrace, TraceEntry};

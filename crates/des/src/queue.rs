@@ -261,87 +261,6 @@ impl<E> EventQueue<E> {
         self.arrivals = None;
         self.fel.clear();
     }
-
-    /// Capture the queue's dynamic state for a checkpoint.
-    ///
-    /// The future-event list is drained and immediately re-filled with the
-    /// same entries; since the heap pops in exact `(time, seq)` order
-    /// and accepts entries carrying their original sequence numbers, the
-    /// queue's observable behaviour is unchanged by taking a snapshot. The
-    /// arrival lane is recorded only by its `remaining` count — a restore
-    /// re-attaches the lane and fast-forwards it (see
-    /// [`EventQueue::fast_forward_arrivals`]); the window's entries are
-    /// the producer's to hand over again.
-    pub fn snapshot(&mut self) -> QueueSnapshot<E>
-    where
-        E: Clone,
-    {
-        let mut fel = Vec::with_capacity(self.fel.len());
-        while let Some(entry) = self.fel.pop() {
-            fel.push(entry);
-        }
-        for entry in &fel {
-            self.fel.push(entry.clone());
-        }
-        QueueSnapshot {
-            fel,
-            next_seq: self.next_seq,
-            peak_fel: self.peak_fel,
-            arrivals_remaining: self.stream_remaining(),
-        }
-    }
-
-    /// Skip arrivals on a freshly attached lane until exactly `remaining`
-    /// are left undelivered (restore path): the lane moves its sequence
-    /// numbers past them, and the driver moves its producer to match
-    /// before it next feeds the lane.
-    ///
-    /// # Panics
-    /// If the lane holds fewer than `remaining` arrivals, or has a window
-    /// in use.
-    pub fn fast_forward_arrivals(&mut self, remaining: usize) {
-        assert!(
-            remaining <= self.stream_remaining(),
-            "fast_forward_arrivals: lane has {} arrivals, cannot leave {remaining}",
-            self.stream_remaining(),
-        );
-        if let Some(lane) = self.arrivals.as_mut() {
-            lane.skip(lane.remaining() - remaining);
-        }
-    }
-
-    /// Replace the future-event list and counters with checkpointed state
-    /// (see [`EventQueue::snapshot`]). Entries keep the sequence numbers
-    /// they carried when first scheduled, so tie-breaking after the
-    /// restore matches the uninterrupted run exactly.
-    pub fn restore_fel(&mut self, entries: Vec<QueueEntry<E>>, next_seq: u64, peak_fel: usize) {
-        self.fel.clear();
-        for entry in entries {
-            debug_assert!(
-                entry.seq < next_seq,
-                "restored entry seq {} not covered by next_seq {next_seq}",
-                entry.seq
-            );
-            self.fel.push(entry);
-        }
-        self.next_seq = next_seq;
-        self.peak_fel = peak_fel;
-    }
-}
-
-/// Dynamic queue state captured by [`EventQueue::snapshot`]: the full
-/// future-event list (in pop order) plus the counters a restored queue
-/// must resume from. The arrival lane is represented only by its
-/// remaining count; restores rebuild it from the workload spec.
-pub struct QueueSnapshot<E> {
-    /// Future-event-list entries in exact `(time, seq)` pop order.
-    pub fel: Vec<QueueEntry<E>>,
-    /// Sequence counter the next scheduled event will receive.
-    pub next_seq: u64,
-    /// High-water mark of the future-event list so far.
-    pub peak_fel: usize,
-    /// Arrivals not yet delivered from the arrival lane.
-    pub arrivals_remaining: usize,
 }
 
 // Payload-opaque `Debug` (no `E: Debug` bound): summarizes both lanes.
@@ -528,24 +447,6 @@ mod tests {
         entries[ARRIVAL_WINDOW].0 = SimTime::from_ticks(5);
         let mut q = Fed::attach(EventQueue::new(), entries);
         while q.pop().is_some() {}
-    }
-
-    /// A resumed lane skips by count and moves its sequence numbers with
-    /// it; the driver feeds it from where its producer was moved to.
-    #[test]
-    fn lane_fast_forwards_by_count() {
-        let mut q = EventQueue::new();
-        q.attach_arrivals(10);
-        q.fast_forward_arrivals(4);
-        assert_eq!(q.stream_remaining(), 4);
-        q.feed_arrivals(|out, max| {
-            assert_eq!(max, 4);
-            out.extend((6..10).map(|i| (SimTime::from_ticks(i), i)));
-        });
-        q.feed_arrivals(|_, _| panic!("fed a window in use"));
-        let popped: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| (e.seq, e.event))).collect();
-        assert_eq!(popped, vec![(6, 6), (7, 7), (8, 8), (9, 9)]);
-        assert_eq!(q.scheduled_total(), 10);
     }
 
     #[test]

@@ -39,8 +39,8 @@ impl EventTrace {
     }
 
     /// Keep the most recent `capacity` events, numbering the first entry
-    /// `base` instead of 0 — used when tracing resumes mid-run (e.g. on a
-    /// simulation restored from a checkpoint) so entry sequence numbers
+    /// `base` instead of 0 — used when tracing starts mid-run (e.g. on a
+    /// run resumed from a checkpoint) so entry sequence numbers
     /// stay aligned with the global dispatch count.
     pub fn with_base(capacity: usize, base: u64) -> Self {
         assert!(capacity > 0, "trace capacity must be positive");

@@ -3,10 +3,9 @@
 //! `EventQueue` must pop in strict `(time, seq)` order under arbitrary
 //! push/pop interleavings — including same-tick bursts, where only the
 //! sequence number breaks ties — with or without an arrival lane attached,
-//! whatever its driver hands over per refill, and across a snapshot /
-//! rebuild / fast-forward / restore taken at any point. All of it is
-//! checked against one linear-scan `Vec` model that knows nothing of
-//! lanes, windows or heaps.
+//! whatever its driver hands over per refill. All of it is checked
+//! against one linear-scan `Vec` model that knows nothing of lanes,
+//! windows or heaps.
 
 use proptest::prelude::*;
 use risa_des::{EventQueue, SimTime};
@@ -18,9 +17,6 @@ enum Op {
     Push(u64),
     /// Pop the earliest entry, this many times.
     Pop(u32),
-    /// Snapshot the queue and carry on with a queue rebuilt from the
-    /// snapshot, as a checkpoint resume does.
-    Resume,
 }
 
 /// A sorted arrival lane: entry *i* fires at `ticks[i]`, and a refill
@@ -136,20 +132,6 @@ fn replay(pre: &[u64], lane: Option<&Lane>, script: &[Op]) -> (Vec<Popped>, Vec<
                     expected.extend(model_pop(&mut model));
                 }
             }
-            Op::Resume => {
-                let snap = driven.queue.snapshot();
-                assert_eq!(snap.arrivals_remaining, driven.queue.stream_remaining());
-                let mut resumed = build(pre, lane);
-                resumed.queue.fast_forward_arrivals(snap.arrivals_remaining);
-                // The lane skips by count; its driver moves the producer.
-                if let Some(feeder) = &mut resumed.feeder {
-                    feeder.next = lane_ticks.len() - snap.arrivals_remaining;
-                }
-                resumed
-                    .queue
-                    .restore_fel(snap.fel, snap.next_seq, snap.peak_fel);
-                driven = resumed;
-            }
         }
         assert_eq!(driven.queue.len(), model.len());
     }
@@ -201,14 +183,12 @@ fn lane() -> impl Strategy<Value = Lane> {
 
 /// Scripts for a queue with a lane: pops come in runs long enough to walk
 /// through refills, pushes land on the ticks the lane is crossing (ties
-/// between the lanes, on both sides of a refill), and now and then the
-/// queue is checkpointed and resumed wherever that leaves the window.
+/// between the lanes, on both sides of a refill).
 fn lane_ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
-        (0u32..8, 0u64..2600, 1u32..300).prop_map(|(sel, t, run)| match sel {
+        (0u32..7, 0u64..2600, 1u32..300).prop_map(|(sel, t, run)| match sel {
             0..=3 => Op::Push(t),
-            4..=6 => Op::Pop(run),
-            _ => Op::Resume,
+            _ => Op::Pop(run),
         }),
         0..60,
     )
@@ -249,8 +229,8 @@ proptest! {
     }
 
     /// The windowed lane against the same model: any refill size, a
-    /// non-zero sequence base, pushes tying with the lane across refills,
-    /// and resumes landing mid-window.
+    /// non-zero sequence base, and pushes tying with the lane across
+    /// refills.
     #[test]
     fn windowed_lane_pops_in_time_seq_order(
         pre in prop::collection::vec(0u64..2600, 0..4),

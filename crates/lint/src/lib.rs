@@ -15,7 +15,6 @@
 //! | `rng_seed` | RNG seeds only via `stream_seed`/`chain_seed` derivation |
 //! | `thread_primitive` | no threads/locks/atomics outside `vendor/rayon` |
 //! | `env_read` | no environment reads in engine crates (nothing env-dependent may reach `RunReport`) |
-//! | `checkpoint_purity` | checkpoint/restore code reads no ambient state (clock, env, entropy) — even in crates the scopes above exempt |
 //!
 //! A finding is suppressed with an in-source **waiver** that must carry a
 //! reason:

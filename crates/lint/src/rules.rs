@@ -9,13 +9,12 @@ use crate::lexer::{clean_source, is_ident_char};
 use crate::{Finding, Severity};
 
 /// Every rule id, for waiver validation and docs.
-pub const RULE_IDS: [&str; 8] = [
+pub const RULE_IDS: [&str; 7] = [
     "wall_clock",
     "hash_state",
     "rng_seed",
     "thread_primitive",
     "env_read",
-    "checkpoint_purity",
     "bad_waiver",
     "unused_waiver",
 ];
@@ -98,14 +97,6 @@ fn in_env_scope(path: &str) -> bool {
 /// Timing code that legitimately reads the wall clock.
 fn wall_clock_exempt(path: &str) -> bool {
     path.starts_with("crates/bench/") || path.starts_with("crates/cli/")
-}
-
-/// Snapshot/restore code, where *no* ambient state may be read — not
-/// even in crates the broader `wall_clock`/`env_read` scopes exempt. A
-/// checkpoint that bakes in a clock reading, an env var, or fresh
-/// entropy cannot resume byte-identically.
-fn in_checkpoint_scope(path: &str) -> bool {
-    path.contains("checkpoint")
 }
 
 /// Files that *are* the sanctioned seed-derivation helpers.
@@ -326,32 +317,6 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
                 }
             }
         }
-        // D7: ambient state in checkpoint/restore code.
-        if in_checkpoint_scope(path) {
-            for n in [
-                Needle::Exact("Instant::now"),
-                Needle::Exact("SystemTime::now"),
-                Needle::Exact("env::var"),
-                Needle::Exact("var_os"),
-                Needle::Exact("env!("),
-                Needle::Exact("option_env!("),
-                Needle::Exact("thread_rng"),
-                Needle::Exact("from_entropy"),
-            ] {
-                if let Some(tok) = hit(code, &n) {
-                    raw.push((
-                        idx,
-                        "checkpoint_purity",
-                        format!(
-                            "ambient-state read (`{tok}`) in checkpoint/restore code: a \
-                             snapshot must be a pure function of simulation state and resume \
-                             must not consult the clock, environment, or an entropy source, \
-                             or the resumed run cannot be byte-identical"
-                        ),
-                    ));
-                }
-            }
-        }
     }
 
     // Pass 3: apply waivers.
@@ -514,22 +479,6 @@ mod tests {
     fn strings_and_comments_never_fire() {
         let src = "let s = \"Instant::now HashMap Mutex\"; // Instant::now\n/* seed_from_u64 */ let x = 1;\n";
         assert!(active(&lint_source("crates/sim/src/x.rs", src)).is_empty());
-    }
-
-    /// `checkpoint_purity` fires on checkpoint paths even where the
-    /// broader scopes are exempt (the CLI may read clocks and env —
-    /// its checkpoint-writing code still may not).
-    #[test]
-    fn checkpoint_paths_reject_ambient_state_everywhere() {
-        let clock = "let t = Instant::now();\n";
-        let f = lint_source("crates/cli/src/checkpoint.rs", clock);
-        assert_eq!(active(&f), vec![("checkpoint_purity", 1)]);
-        // Engine checkpoint code gets both the scope rule and this one.
-        let env = "let v = std::env::var(\"RISA_FAULTS\");\n";
-        let f = lint_source("crates/sim/src/checkpoint.rs", env);
-        assert_eq!(active(&f), vec![("checkpoint_purity", 1), ("env_read", 1)]);
-        // Non-checkpoint CLI code keeps its exemptions.
-        assert!(active(&lint_source("crates/cli/src/commands.rs", clock)).is_empty());
     }
 
     #[test]

@@ -99,31 +99,6 @@ impl OnlineStats {
     pub fn sum(&self) -> f64 {
         self.mean() * self.n as f64
     }
-
-    /// Checkpoint encoding: `(n, mean, m2, min, max)` with every float as
-    /// its IEEE-754 bit pattern. The empty accumulator's ±∞ sentinels are
-    /// not JSON-representable as floats, so checkpoints carry bits and
-    /// round-trip every state exactly.
-    pub fn to_raw_bits(&self) -> (u64, u64, u64, u64, u64) {
-        (
-            self.n,
-            self.mean.to_bits(),
-            self.m2.to_bits(),
-            self.min.to_bits(),
-            self.max.to_bits(),
-        )
-    }
-
-    /// Rebuild an accumulator from [`OnlineStats::to_raw_bits`] output.
-    pub fn from_raw_bits((n, mean, m2, min, max): (u64, u64, u64, u64, u64)) -> Self {
-        OnlineStats {
-            n,
-            mean: f64::from_bits(mean),
-            m2: f64::from_bits(m2),
-            min: f64::from_bits(min),
-            max: f64::from_bits(max),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -176,25 +151,6 @@ mod tests {
         assert_eq!(a.count(), whole.count());
         assert!((a.mean() - whole.mean()).abs() < 1e-9);
         assert!((a.variance() - whole.variance()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn raw_bits_round_trip_is_exact_even_when_empty() {
-        // The empty accumulator's ±∞ min/max sentinels must survive; the
-        // derived serde path cannot represent them in JSON.
-        let mut samples = vec![OnlineStats::new()];
-        let mut populated = OnlineStats::new();
-        for x in [110.0, 330.0, 0.1 + 0.2] {
-            populated.record(x);
-        }
-        samples.push(populated);
-        for s in samples {
-            let back = OnlineStats::from_raw_bits(s.to_raw_bits());
-            assert_eq!(back.to_raw_bits(), s.to_raw_bits());
-            assert_eq!(back.count(), s.count());
-            assert_eq!(back.min(), s.min());
-            assert_eq!(back.max(), s.max());
-        }
     }
 
     #[test]

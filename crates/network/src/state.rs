@@ -16,7 +16,7 @@ pub enum LinkPolicy {
 }
 
 /// Bandwidth reserved on one specific link of one trunk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HopGrant {
     /// Which trunk.
     pub trunk: TrunkId,
@@ -72,9 +72,7 @@ impl PackedHop {
 
 /// A fully reserved end-to-end flow. The hops live inline — granting or
 /// releasing a flow never touches the allocator — and are read through
-/// [`FlowPath::hops`]; the serialized form is unchanged from the
-/// `Vec<HopGrant>` this replaced (`{hops: [{trunk, link, mbps}, …],
-/// inter_rack, mbps}`).
+/// [`FlowPath::hops`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlowPath {
     /// Per-trunk grants along the path (2 hops intra-rack, 4 inter-rack);
@@ -117,57 +115,8 @@ impl FlowPath {
     }
 }
 
-impl Serialize for FlowPath {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            (
-                "hops".to_string(),
-                serde::Value::Seq(self.hops().map(|h| h.to_value()).collect()),
-            ),
-            ("inter_rack".to_string(), self.inter_rack.to_value()),
-            ("mbps".to_string(), self.mbps.to_value()),
-        ])
-    }
-}
-
-/// Refuses what the inline form cannot hold — more than four hops,
-/// a hop whose bandwidth is not the flow's, a link index past `u16` — none
-/// of which a run ever writes.
-impl Deserialize for FlowPath {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let mut path = FlowPath::new(
-            u64::from_value(serde::value::field(v, "mbps")?)?,
-            bool::from_value(serde::value::field(v, "inter_rack")?)?,
-        );
-        let hops = serde::value::field(v, "hops")?;
-        let hops = hops
-            .as_seq()
-            .ok_or_else(|| serde::Error::type_mismatch("sequence", hops))?;
-        if hops.len() > MAX_HOPS {
-            return Err(serde::Error::new(format!(
-                "a flow crosses at most {MAX_HOPS} trunks, got {} hops",
-                hops.len()
-            )));
-        }
-        for hop in hops {
-            let hop = HopGrant::from_value(hop)?;
-            if hop.mbps != path.mbps {
-                return Err(serde::Error::new(format!(
-                    "hop on {:?} reserves {} Mb/s of a {} Mb/s flow",
-                    hop.trunk, hop.mbps, path.mbps
-                )));
-            }
-            let link = u16::try_from(hop.link).map_err(|_| {
-                serde::Error::new(format!("link {} of {:?} out of range", hop.link, hop.trunk))
-            })?;
-            path.push(PackedHop::new(hop.trunk, link));
-        }
-        Ok(path)
-    }
-}
-
 /// The two reserved flows of one admitted VM.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VmNetAllocation {
     /// CPU↔RAM flow.
     pub cpu_ram: FlowPath,
@@ -224,7 +173,7 @@ impl std::error::Error for NetError {}
 /// The most a rack uplink trunk may carry: a rack's key in the bandwidth
 /// ordering holds its trunk's free Mb/s in the 48 bits above the rack id.
 /// (The paper's trunk is 3.2 × 10⁶ Mb/s.) Enforced by
-/// [`NetworkConfig::validate`] and by `Deserialize`.
+/// [`NetworkConfig::validate`].
 pub(crate) const MAX_RACK_TRUNK_MBPS: u64 = (1 << 48) - 1;
 
 /// `(free_mbps, Reverse(rack))` in one word: more bandwidth sorts higher,
@@ -271,13 +220,6 @@ impl NetworkState {
         };
         let box_trunks = trunks(cluster.num_boxes(), cfg.box_uplink_width);
         let rack_trunks = trunks(cluster.num_racks() as usize, cfg.rack_uplink_width);
-        Self::assemble(cfg, box_trunks, rack_trunks)
-    }
-
-    /// The one constructor: derives the rack ordering and the layer totals
-    /// from the trunk ledgers (shared by [`NetworkState::new`] and
-    /// `Deserialize`, so neither is ever serialized).
-    fn assemble(cfg: NetworkConfig, box_trunks: Vec<Trunk>, rack_trunks: Vec<Trunk>) -> Self {
         let [intra_used, inter_used, stranded] = Self::sum_totals(&box_trunks, &rack_trunks);
         NetworkState {
             rack_bw: Self::build_rack_bw(&rack_trunks),
@@ -672,36 +614,6 @@ impl NetworkState {
     }
 }
 
-/// The network serializes as configuration plus trunk ledgers; the
-/// rack-bandwidth ordering and the layer totals are derived state rebuilt
-/// on load.
-impl Serialize for NetworkState {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("cfg".to_string(), self.cfg.to_value()),
-            ("box_trunks".to_string(), self.box_trunks.to_value()),
-            ("rack_trunks".to_string(), self.rack_trunks.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for NetworkState {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let cfg = NetworkConfig::from_value(serde::value::field(v, "cfg")?)?;
-        let box_trunks = Vec::<Trunk>::from_value(serde::value::field(v, "box_trunks")?)?;
-        let rack_trunks = Vec::<Trunk>::from_value(serde::value::field(v, "rack_trunks")?)?;
-        if let Some(r) = rack_trunks.iter().position(|t| {
-            let capacity = t.link_capacity_mbps().checked_mul(t.width() as u64);
-            capacity.is_none_or(|c| c > MAX_RACK_TRUNK_MBPS)
-        }) {
-            return Err(serde::Error::new(format!(
-                "rack trunk {r} exceeds {MAX_RACK_TRUNK_MBPS} Mb/s"
-            )));
-        }
-        Ok(Self::assemble(cfg, box_trunks, rack_trunks))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1028,17 +940,6 @@ mod tests {
             }
         ));
         net.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn trunk_serde_preserves_link_state() {
-        let (c, mut net) = setup();
-        net.fail_link(TrunkId::BoxUplink(5), 1).unwrap();
-        let back = NetworkState::from_value(&net.to_value()).unwrap();
-        back.check_invariants().unwrap();
-        assert!(!back.trunk(TrunkId::BoxUplink(5)).link_up(1));
-        assert_eq!(back.stranded_mbps(), net.stranded_mbps());
-        let _ = c;
     }
 
     #[test]

@@ -223,7 +223,7 @@ impl Trunk {
     /// aggregates do not.
     pub fn give(&mut self, i: usize, mbps: u64) -> Result<(), TrunkError> {
         let free = *self.free.get(i).ok_or(TrunkError::NoSuchLink { link: i })?;
-        // `mbps` can come from a checkpoint's hop: no wrapping past the test.
+        // A replayed hop's `mbps` is the caller's word: no wrapping past the test.
         if free
             .checked_add(mbps)
             .is_none_or(|sum| sum > self.link_mbps)
@@ -284,66 +284,6 @@ impl Trunk {
             .filter_map(|(&f, &u)| u.then_some(f))
             .max()
             .unwrap_or(0)
-    }
-}
-
-/// Trunks serialize as link capacity, the per-link free vector, and the
-/// per-link up flags; the headroom caches are rebuilt on load. Snapshots
-/// written before link faults existed omit `up` and load as all-up.
-impl Serialize for Trunk {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("link_mbps".to_string(), self.link_mbps.to_value()),
-            ("free".to_string(), self.free.to_value()),
-            ("up".to_string(), self.up.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Trunk {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let link_mbps = u64::from_value(serde::value::field(v, "link_mbps")?)?;
-        let free = Vec::<u64>::from_value(serde::value::field(v, "free")?)?;
-        if free.len() > usize::from(u16::MAX) {
-            return Err(serde::Error::new(format!(
-                "a trunk holds at most {} links, got {}",
-                u16::MAX,
-                free.len()
-            )));
-        }
-        if let Some((i, &f)) = free.iter().enumerate().find(|&(_, &f)| f > link_mbps) {
-            return Err(serde::Error::new(format!(
-                "link {i} claims {f} Mb/s free of a {link_mbps} Mb/s link"
-            )));
-        }
-        let up = match serde::value::field(v, "up") {
-            Ok(val) => Vec::<bool>::from_value(val)?,
-            Err(_) => vec![true; free.len()],
-        };
-        if up.len() != free.len() {
-            return Err(serde::Error::new(format!(
-                "up mask covers {} links of {}",
-                up.len(),
-                free.len()
-            )));
-        }
-        Ok(Trunk {
-            link_mbps,
-            free_total: free
-                .iter()
-                .zip(&up)
-                .filter_map(|(&f, &u)| u.then_some(f))
-                .sum(),
-            free_all: free.iter().sum(),
-            max_free: free
-                .iter()
-                .zip(&up)
-                .filter_map(|(&f, &u)| u.then_some(f))
-                .max()
-                .unwrap_or(0),
-            free,
-            up,
-        })
     }
 }
 
@@ -488,21 +428,6 @@ mod tests {
         assert_eq!(t.max_link_free_mbps(), 30, "max recomputed over up links");
         t.restore_link(0).unwrap();
         assert_eq!(t.max_link_free_mbps(), 100);
-    }
-
-    /// Link indices travel as `u16`: a snapshot claiming a wider trunk is
-    /// refused where it enters.
-    #[test]
-    fn a_trunk_wider_than_u16_is_refused_on_load() {
-        let wide = |links: usize| {
-            serde::Value::Map(vec![
-                ("link_mbps".to_string(), 100u64.to_value()),
-                ("free".to_string(), vec![100u64; links].to_value()),
-            ])
-        };
-        assert_eq!(Trunk::from_value(&wide(65_535)).unwrap().width(), 65_535);
-        let err = Trunk::from_value(&wide(65_536)).unwrap_err();
-        assert!(err.to_string().contains("at most 65535 links"), "{err}");
     }
 
     #[test]

@@ -123,7 +123,7 @@ impl SimulationBuilder {
         }
     }
 
-    /// Snapshot the run every `interval` simulated time units when driven
+    /// Checkpoint the run every `interval` simulated time units when driven
     /// by [`DdcSimulation::run_checkpointed`] (see `crate::checkpoint`).
     /// Plain [`DdcSimulation::run`] ignores the cadence; the interval is
     /// carried in every checkpoint's recipe so resumed runs keep it.
@@ -328,7 +328,6 @@ impl SimulationBuilder {
                 mode
             },
             recipe,
-            checkpoint_every: self.checkpoint_every,
         })
     }
 
@@ -441,9 +440,6 @@ pub struct DdcSimulation {
     /// recipe can rebuild the identical pristine run without consulting
     /// ambient state (see [`crate::checkpoint`]).
     pub(crate) recipe: SimulationBuilder,
-    /// Checkpoint cadence for [`DdcSimulation::run_checkpointed`], in
-    /// simulated time units.
-    pub(crate) checkpoint_every: Option<f64>,
 }
 
 impl DdcSimulation {

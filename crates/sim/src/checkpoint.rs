@@ -1,134 +1,170 @@
-//! Checkpoint/restore for single runs: snapshot a [`DdcSimulation`] at a
-//! simulated time `T`, serialize it, and later resume a run that is
-//! **byte-identical** to the uninterrupted one — same report JSON, same
-//! event trace, same sequence numbers.
+//! Checkpoint/resume for single runs: a checkpoint is a **position**, not
+//! a state.
 //!
-//! # What a checkpoint holds
+//! Everything a run computes is a deterministic function of its recipe
+//! (the fully-resolved [`SimulationBuilder`]: every env-deferred knob
+//! pinned at build time) and the number of events it has dispatched. So a
+//! checkpoint is `{version, recipe, dispatched, digest}`, where `digest`
+//! is an FNV-1a hash of the [`RunReport`] the run would print if it ended
+//! there (`sched_seconds` zeroed), the engine clock and — for a trace
+//! file — the file's bytes, computed only when a checkpoint is taken or
+//! resumed.
 //!
-//! | Block | Contents |
-//! |---|---|
-//! | `recipe` | The fully-resolved [`SimulationBuilder`]: workload spec, algorithm, topology/network/photonics config, arrival mode, fault spec, audit/timeline settings. Every env-deferred knob was pinned at build time, so restoring **never reads the environment** (enforced by the `checkpoint_purity` lint rule). |
-//! | clock | `(at, dispatched, clamped)` — the engine clock and dispatch counters. |
-//! | FEL | Every future-event-list entry with its original `(time, seq)` pair, plus the `next_seq` counter and FEL high-water mark. |
-//! | arrivals | The arrival lane *and* the world's workload cursor as one position (`arrivals_remaining`): a restore rebuilds both from the recipe and moves them there, re-executing the exact `f64` accumulation the original run performed. |
-//! | `world` | Cluster, network, scheduler, per-VM assignments, metric accumulators (latency as raw bits), audit ledger, fault-injection state (RNG chains as draw counts, down racks, in-transit migrations — *not* residents by rack: a failing rack's victims are derived from the assignments at the failure). The workload cursor's position is not here: it is the arrival count above (documents written before the cursor had one owner also carry it as `stream_consumed`, which is ignored). |
-//!
-//! # Versioning
-//!
-//! The JSON encoding is hand-rolled (like [`crate::RunReport`]'s) and
-//! carries an explicit `"version"` field ([`CHECKPOINT_VERSION`]);
-//! loading a checkpoint from a different version fails loudly instead of
-//! misinterpreting bytes. Nested state blocks reuse the validated serde
-//! of their own types (`Cluster` and `NetworkState` rebuild and check
-//! derived state on load).
-//!
-//! # Why resume is byte-identical
-//!
-//! Everything downstream of the scheduler is deterministic given (a) the
-//! exact mutable state at `T` and (b) the exact pending event set with
-//! its tie-breaking sequence numbers. The snapshot captures both; the
-//! parts that are *not* serialized (workload generators, RNG chains) are
-//! re-derived from the recipe and fast-forwarded by replaying the same
-//! bounded number of draws/`next()` calls, which re-executes bit-for-bit
-//! the same `f64` arithmetic. `tests/hot_path_differential.rs` proves the
-//! guarantee across arrival modes × thread counts × faults on/off.
+//! [`Checkpoint::resume`] rebuilds the run from the recipe, replays
+//! `dispatched` events with no output, and compares digests: a run whose
+//! inputs changed (a trace file deleted, or any byte of it edited) is
+//! refused with a typed [`ResumeError`]. The replay
+//! re-executes the original arithmetic, so the resumed run is
+//! byte-identical to the uninterrupted one — report and event trace
+//! (`tests/hot_path_differential.rs`). Resuming at a fraction f of a run
+//! costs about f of the run; the document is the size of its recipe.
 
-use crate::builder::{DdcSimulation, SimulationBuilder};
+use crate::builder::{BuildError, DdcSimulation, SimulationBuilder};
 use crate::spec::WorkloadSpec;
 use crate::streaming::ArrivalMode;
-use crate::world::{SimEvent, WorldSnapshot};
 use crate::{FaultSpec, RunReport, SimConfig};
-use risa_des::{QueueEntry, RunOutcome, SimTime};
+use risa_des::{RunOutcome, SimTime};
 use risa_sched::Algorithm;
 use serde::value::field;
 use serde::{Deserialize, Error, Serialize, Value};
 
-/// Version tag written into every serialized checkpoint; loading any
-/// other version is an error. Version 3 removed the engine-selection
-/// fields from the recipe and the executor counters from the world block.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// Version tag of every checkpoint; any other is a [`ResumeError::Version`].
+/// Version 4 replaced the state image of versions 2 and 3 with an event
+/// count and a digest.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
-/// A serializable snapshot of a [`DdcSimulation`] at one simulated
-/// instant. Produce with [`DdcSimulation::checkpoint`] (or the cadence
-/// driver [`DdcSimulation::run_checkpointed`]); turn back into a running
-/// simulation with [`Checkpoint::resume`].
+/// A run's position. Produce with [`DdcSimulation::checkpoint`] or
+/// [`DdcSimulation::run_checkpointed`]; continue with [`Checkpoint::resume`].
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     recipe: SimulationBuilder,
-    at: SimTime,
     dispatched: u64,
-    clamped: u64,
-    fel: Vec<QueueEntry<SimEvent>>,
-    next_seq: u64,
-    peak_fel: usize,
-    arrivals_remaining: usize,
-    world: WorldSnapshot,
+    digest: u64,
 }
 
-impl Checkpoint {
-    /// Simulated time the snapshot was taken at, in time units.
-    pub fn at(&self) -> f64 {
-        self.at.as_units()
-    }
+/// Why a checkpoint could not be loaded or resumed.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ResumeError {
+    /// Not a checkpoint document: malformed JSON, a missing field, a field
+    /// of the wrong type, or a recipe no run could be built from.
+    Document(Error),
+    /// A document of another [`CHECKPOINT_VERSION`].
+    Version {
+        /// The version the document carries.
+        found: u32,
+    },
+    /// The recipe no longer builds (its trace file is gone or invalid).
+    Recipe(BuildError),
+    /// The rebuilt run ended before reaching the recorded event count.
+    Truncated {
+        /// Events the checkpoint was taken after.
+        dispatched: u64,
+        /// Events the rebuilt run holds.
+        ran: u64,
+    },
+    /// After `dispatched` events the rebuilt run is not where the recorded
+    /// one was: its inputs changed.
+    Digest {
+        /// Events replayed before comparing.
+        dispatched: u64,
+        /// The digest the checkpoint recorded.
+        recorded: u64,
+        /// The digest the replay reached.
+        found: u64,
+    },
+}
 
-    /// Events dispatched up to the snapshot.
+impl std::fmt::Display for ResumeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ResumeError::Document(e) => write!(f, "not a checkpoint document: {e}"),
+            ResumeError::Version { found } => write!(
+                f,
+                "checkpoint version {found} is not supported \
+                 (this build reads version {CHECKPOINT_VERSION})"
+            ),
+            ResumeError::Recipe(e) => write!(f, "the checkpoint's run cannot be rebuilt: {e}"),
+            ResumeError::Truncated { dispatched, ran } => write!(
+                f,
+                "the run ends after {ran} events, before the checkpoint's {dispatched}: \
+                 its inputs changed"
+            ),
+            ResumeError::Digest {
+                dispatched,
+                recorded,
+                found,
+            } => write!(
+                f,
+                "digest mismatch after {dispatched} events (recorded {recorded:016x}, \
+                 replayed {found:016x}): the checkpoint's inputs changed"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ResumeError {}
+
+impl Checkpoint {
+    /// Events dispatched when the checkpoint was taken.
     pub fn events_dispatched(&self) -> u64 {
         self.dispatched
     }
 
-    /// Future-event-list entries pending at the snapshot.
-    pub fn pending_events(&self) -> usize {
-        self.fel.len()
-    }
-
-    /// Arrivals not yet delivered from the arrival lane at the snapshot.
-    pub fn arrivals_remaining(&self) -> usize {
-        self.arrivals_remaining
-    }
-
-    /// Rebuild a running simulation from this checkpoint.
-    ///
-    /// A pristine run is rebuilt from the embedded recipe (no environment
-    /// reads — every knob was resolved when the original run was built),
-    /// the arrival lane is fast-forwarded to the recorded cursor
-    /// position, the future-event list is replaced with the recorded
-    /// entries (original sequence numbers included), the clock is
-    /// restored, and the world state is overwritten with the snapshot.
-    /// The result behaves byte-identically to the uninterrupted run from
-    /// `at` onward.
-    pub fn resume(&self) -> DdcSimulation {
+    /// Rebuild the run from the recipe, replay it to the recorded event
+    /// count and check the digest; the result continues byte-identically
+    /// to the uninterrupted run.
+    pub fn resume(&self) -> Result<DdcSimulation, ResumeError> {
         let mut run = self
             .recipe
             .clone()
             .try_build()
-            .unwrap_or_else(|e| panic!("checkpoint recipe failed to rebuild: {e}"));
-        let total = run.sim.queue().stream_remaining();
-        run.sim
-            .queue_mut()
-            .fast_forward_arrivals(self.arrivals_remaining);
-        // Every arrival the lane no longer holds had been dispatched, and
-        // so taken off the world's cursor, when the snapshot was taken.
-        let consumed = total - self.arrivals_remaining;
-        run.sim
-            .queue_mut()
-            .restore_fel(self.fel.clone(), self.next_seq, self.peak_fel);
-        run.sim
-            .restore_clock(self.at, self.dispatched, self.clamped);
-        run.sim
-            .world_mut()
-            .restore(self.world.clone(), consumed as u32);
-        run
+            .map_err(ResumeError::Recipe)?;
+        run.sim.run_until(SimTime::MAX, self.dispatched);
+        let (dispatched, ran) = (self.dispatched, run.sim.dispatched());
+        if ran < dispatched {
+            return Err(ResumeError::Truncated { dispatched, ran });
+        }
+        let found = run.digest();
+        if found != self.digest {
+            return Err(ResumeError::Digest {
+                dispatched,
+                recorded: self.digest,
+                found,
+            });
+        }
+        Ok(run)
     }
 
     /// Serialize to JSON text (see the module docs for the format).
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("checkpoint serialization is infallible")
+        let doc = Value::Map(vec![
+            ("version".into(), CHECKPOINT_VERSION.to_value()),
+            ("recipe".into(), recipe_to_value(&self.recipe)),
+            ("dispatched".into(), self.dispatched.to_value()),
+            ("digest".into(), self.digest.to_value()),
+        ]);
+        serde_json::to_string(&doc).expect("checkpoint serialization is infallible")
     }
 
-    /// Load a checkpoint from JSON text, rejecting version mismatches and
-    /// malformed state loudly.
-    pub fn from_json(json: &str) -> Result<Checkpoint, Error> {
-        serde_json::from_str(json)
+    /// Load a checkpoint from JSON text: a typed error for anything that
+    /// is not a version-[`CHECKPOINT_VERSION`] document with a buildable
+    /// recipe.
+    pub fn from_json(json: &str) -> Result<Checkpoint, ResumeError> {
+        let doc: Value = serde_json::from_str(json).map_err(ResumeError::Document)?;
+        let found = field(&doc, "version")
+            .and_then(u32::from_value)
+            .map_err(ResumeError::Document)?;
+        if found != CHECKPOINT_VERSION {
+            return Err(ResumeError::Version { found });
+        }
+        let read = || -> Result<Checkpoint, Error> {
+            Ok(Checkpoint {
+                recipe: recipe_from_value(field(&doc, "recipe")?)?,
+                dispatched: u64::from_value(field(&doc, "dispatched")?)?,
+                digest: u64::from_value(field(&doc, "digest")?)?,
+            })
+        };
+        read().map_err(ResumeError::Document)
     }
 }
 
@@ -142,112 +178,88 @@ impl DdcSimulation {
         self.sim.run_until(SimTime::from_units(horizon), u64::MAX)
     }
 
-    /// Snapshot the paused run. Taking a checkpoint does not perturb the
-    /// run: the future-event list is drained and rebuilt with identical
-    /// `(time, seq)` entries, and everything else is read-only.
-    pub fn checkpoint(&mut self) -> Checkpoint {
-        let qs = self.sim.queue_mut().snapshot();
-        let (at, dispatched, clamped) = self.sim.clock_state();
+    /// The run's position: its recipe, the events dispatched so far and
+    /// their digest. Reads the run, does not change it.
+    pub fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
             recipe: self.recipe.clone(),
-            at,
-            dispatched,
-            clamped,
-            fel: qs.fel,
-            next_seq: qs.next_seq,
-            peak_fel: qs.peak_fel,
-            arrivals_remaining: qs.arrivals_remaining,
-            world: self.sim.world().snapshot(),
+            dispatched: self.sim.dispatched(),
+            digest: self.digest(),
         }
+    }
+
+    /// FNV-1a over the report as it stands (wall clock zeroed), the clock's
+    /// ticks and, for a trace file, its bytes — so an edit past the replayed
+    /// prefix is caught too. Checkpoint and resume time only.
+    fn digest(&self) -> u64 {
+        let mut report = self.report();
+        report.sched_seconds = 0.0;
+        let json = serde_json::to_string(&report).expect("reports serialize");
+        let mut hash = Fnv1a(0xCBF2_9CE4_8422_2325);
+        hash.update(json.as_bytes());
+        hash.update(&self.sim.now().ticks().to_le_bytes());
+        if let WorkloadSpec::TraceCsv { path, .. } = &self.recipe.workload {
+            // A file unreadable now hashes as empty: no readable file,
+            // which a resume needs to rebuild the run, matches it.
+            let _ = std::fs::File::open(path).and_then(|mut f| std::io::copy(&mut f, &mut hash));
+        }
+        hash.0
     }
 
     /// Run to completion like [`DdcSimulation::run`], handing a
-    /// [`Checkpoint`] to `sink` every
-    /// [`SimulationBuilder::checkpoint_every`] simulated time units.
-    /// Without a cadence this is exactly [`DdcSimulation::run`]. The
-    /// checkpoints are a pure tap: the report (and the event trace) are
-    /// byte-identical to an un-checkpointed run.
-    pub fn run_checkpointed(&mut self, mut sink: impl FnMut(&Checkpoint)) -> RunReport {
-        let Some(every) = self.checkpoint_every else {
-            return self.run();
+    /// [`Checkpoint`] to `sink` at every multiple of
+    /// [`SimulationBuilder::checkpoint_every`] simulated time units that
+    /// events were dispatched up to since the last one — so a resumed run
+    /// checkpoints where the original did after the one it resumed from.
+    /// The first error the sink returns ends the run. Without a cadence
+    /// this is exactly [`DdcSimulation::run`]. The checkpoints are a pure
+    /// tap: the report (and the event trace) are byte-identical to an
+    /// un-checkpointed run.
+    pub fn run_checkpointed<E>(
+        &mut self,
+        mut sink: impl FnMut(&Checkpoint) -> Result<(), E>,
+    ) -> Result<RunReport, E> {
+        let Some(every) = self.recipe.checkpoint_every else {
+            return Ok(self.run());
         };
-        let mut horizon = every;
-        while let RunOutcome::HorizonReached = self.run_until(horizon) {
-            let cp = self.checkpoint();
-            sink(&cp);
-            horizon += every;
+        let mut last = self.sim.dispatched();
+        let mut k = (self.sim.now().as_units() / every).floor() + 1.0;
+        while let RunOutcome::HorizonReached = self.run_until(every * k) {
+            if self.sim.dispatched() > last {
+                last = self.sim.dispatched();
+                sink(&self.checkpoint())?;
+            }
+            k += 1.0;
         }
-        self.finish()
+        Ok(self.finish())
     }
 }
 
-// ---------------------------------------------------------------------
-// Serialization. Hand-rolled (like `RunReport`'s) so the format carries
-// an explicit version tag and the recipe's enum knobs travel as their
-// canonical CLI strings (`materialized`/`streaming`)
-// rather than as derive-shaped trees.
-// ---------------------------------------------------------------------
+/// FNV-1a, fed through [`std::io::Write`] so a file can be copied into it.
+struct Fnv1a(u64);
 
-impl Serialize for Checkpoint {
-    fn to_value(&self) -> Value {
-        let fel: Vec<Value> = self
-            .fel
-            .iter()
-            .map(|e| (e.at, e.seq, e.event).to_value())
-            .collect();
-        Value::Map(vec![
-            ("version".into(), CHECKPOINT_VERSION.to_value()),
-            ("recipe".into(), recipe_to_value(&self.recipe)),
-            ("at".into(), self.at.to_value()),
-            ("dispatched".into(), self.dispatched.to_value()),
-            ("clamped".into(), self.clamped.to_value()),
-            ("fel".into(), Value::Seq(fel)),
-            ("next_seq".into(), self.next_seq.to_value()),
-            ("peak_fel".into(), self.peak_fel.to_value()),
-            (
-                "arrivals_remaining".into(),
-                self.arrivals_remaining.to_value(),
-            ),
-            ("world".into(), self.world.to_value()),
-        ])
+impl Fnv1a {
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
     }
 }
 
-impl Deserialize for Checkpoint {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let version = u32::from_value(field(v, "version")?)?;
-        if version != CHECKPOINT_VERSION {
-            return Err(Error::new(format!(
-                "checkpoint version {version} is not supported \
-                 (this build reads version {CHECKPOINT_VERSION})"
-            )));
-        }
-        let fel = field(v, "fel")?
-            .as_seq()
-            .ok_or_else(|| Error::new("checkpoint 'fel' must be a sequence"))?
-            .iter()
-            .map(|e| {
-                let (at, seq, event) = <(SimTime, u64, SimEvent)>::from_value(e)?;
-                Ok(QueueEntry { at, seq, event })
-            })
-            .collect::<Result<Vec<_>, Error>>()?;
-        Ok(Checkpoint {
-            recipe: recipe_from_value(field(v, "recipe")?)?,
-            at: SimTime::from_value(field(v, "at")?)?,
-            dispatched: u64::from_value(field(v, "dispatched")?)?,
-            clamped: u64::from_value(field(v, "clamped")?)?,
-            fel,
-            next_seq: u64::from_value(field(v, "next_seq")?)?,
-            peak_fel: usize::from_value(field(v, "peak_fel")?)?,
-            arrivals_remaining: usize::from_value(field(v, "arrivals_remaining")?)?,
-            world: WorldSnapshot::from_value(field(v, "world")?)?,
-        })
+impl std::io::Write for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.update(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 
 /// Serialize a *fully-resolved* recipe: `arrivals` and `faults` must
 /// have been pinned by `try_build` (panics otherwise — a checkpoint
-/// must never defer a knob to the restore-time environment).
+/// must never defer a knob to the resume-time environment).
 fn recipe_to_value(r: &SimulationBuilder) -> Value {
     let arrivals = r
         .arrivals
@@ -273,29 +285,44 @@ fn recipe_to_value(r: &SimulationBuilder) -> Value {
     ])
 }
 
+/// The inverse of [`recipe_to_value`], refusing the values the builder
+/// would panic on.
 fn recipe_from_value(v: &Value) -> Result<SimulationBuilder, Error> {
     let arrivals: ArrivalMode = String::from_value(field(v, "arrivals")?)?
         .parse()
         .map_err(Error::new)?;
+    let cfg = SimConfig::from_value(field(v, "cfg")?)?;
+    cfg.topology.validate().map_err(Error::new)?;
+    cfg.network.validate().map_err(Error::new)?;
+    cfg.photonics.validate().map_err(Error::new)?;
+    let positive = |name: &str| match Option::<f64>::from_value(field(v, name)?)? {
+        Some(x) if !(x > 0.0 && x.is_finite()) => Err(Error::new(format!(
+            "{name} must be positive and finite, got {x}"
+        ))),
+        x => Ok(x),
+    };
+    let sched_timing_batch = u32::from_value(field(v, "sched_timing_batch")?)?;
+    if sched_timing_batch == 0 {
+        return Err(Error::new("sched_timing_batch must be at least 1"));
+    }
     Ok(SimulationBuilder {
-        cfg: SimConfig::from_value(field(v, "cfg")?)?,
+        cfg,
         algorithm: Algorithm::from_value(field(v, "algorithm")?)?,
         workload: WorkloadSpec::from_value(field(v, "workload")?)?,
-        timeline_interval: Option::<f64>::from_value(field(v, "timeline_interval")?)?,
+        timeline_interval: positive("timeline_interval")?,
         audit: bool::from_value(field(v, "audit")?)?,
-        sched_timing_batch: u32::from_value(field(v, "sched_timing_batch")?)?,
+        sched_timing_batch,
         legacy_arrival_path: bool::from_value(field(v, "legacy_arrival_path")?)?,
         arrivals: Some(arrivals),
         faults: Some(Option::<FaultSpec>::from_value(field(v, "faults")?)?),
-        checkpoint_every: Option::<f64>::from_value(field(v, "checkpoint_every")?)?,
+        checkpoint_every: positive("checkpoint_every")?,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimulationBuilder;
-    use risa_sched::Algorithm;
+    use std::convert::Infallible;
 
     fn base() -> SimulationBuilder {
         SimulationBuilder::new()
@@ -310,150 +337,95 @@ mod tests {
         r
     }
 
+    /// `base()` paused at `horizon`: the run and its checkpoint.
+    fn paused(horizon: f64) -> (DdcSimulation, Checkpoint) {
+        let mut run = base().build();
+        assert_eq!(run.run_until(horizon), RunOutcome::HorizonReached);
+        let cp = run.checkpoint();
+        (run, cp)
+    }
+
     #[test]
     fn resume_matches_uninterrupted_run() {
-        let mut whole = base().build();
-        let baseline = finish_report(&mut whole);
-
-        let mut first = base().build();
-        assert_eq!(first.run_until(3000.0), RunOutcome::HorizonReached);
-        let cp = first.checkpoint();
-        // The clock sits at the last dispatched event, at or before the
-        // horizon (the engine advances time only on dispatch).
-        assert!(cp.at() > 0.0 && cp.at() <= 3000.0);
-        assert!(cp.pending_events() > 0);
-        let mut resumed = cp.resume();
-        let report = finish_report(&mut resumed);
-        assert_eq!(
-            serde_json::to_string(&report).unwrap(),
-            serde_json::to_string(&baseline).unwrap()
-        );
+        let baseline = finish_report(&mut base().build());
+        let (first, cp) = paused(3000.0);
+        let mut resumed = cp.resume().expect("an untouched run resumes");
+        assert_eq!(resumed.sim.now(), first.sim.now());
+        assert_eq!(finish_report(&mut resumed), baseline);
     }
 
     #[test]
     fn resume_after_json_round_trip_is_still_identical() {
-        let mut whole = base().build();
-        let baseline = finish_report(&mut whole);
-
-        let mut first = base().build();
-        first.run_until(5000.0);
-        let json = first.checkpoint().to_json();
+        let baseline = finish_report(&mut base().build());
+        let json = paused(5000.0).1.to_json();
         let cp = Checkpoint::from_json(&json).unwrap();
-        let mut resumed = cp.resume();
-        assert_eq!(finish_report(&mut resumed), baseline);
-        // The serialized form itself round-trips byte-identically.
         assert_eq!(cp.to_json(), json);
+        assert_eq!(finish_report(&mut cp.resume().unwrap()), baseline);
     }
 
+    /// Checkpointing does not perturb the run it observes; a run resumed
+    /// from a checkpoint takes the ones the original took after it; a
+    /// sink's error ends the run and is what it returns.
     #[test]
     fn checkpoint_is_a_pure_tap_on_the_run() {
-        // Checkpointing mid-run must not perturb the run it observes.
-        let mut plain = base().build();
-        let baseline = finish_report(&mut plain);
+        // Run to the end, collecting the checkpoints as JSON.
+        let tapped = |mut run: DdcSimulation| {
+            let mut taken = Vec::new();
+            let mut report = run
+                .run_checkpointed(|cp| {
+                    taken.push(cp.to_json());
+                    Ok::<_, Infallible>(())
+                })
+                .unwrap();
+            report.sched_seconds = 0.0;
+            (report, taken)
+        };
+        let (report, taken) = tapped(base().checkpoint_every(1500.0).build());
+        assert_eq!(report, finish_report(&mut base().build()));
+        assert!(taken.len() >= 2, "expected several checkpoints");
+        let resumed = Checkpoint::from_json(&taken[0]).unwrap().resume();
+        assert_eq!(tapped(resumed.unwrap()), (report, taken[1..].to_vec()));
 
-        let mut tapped = base().checkpoint_every(1500.0).build();
-        let mut count = 0usize;
-        let mut report = tapped.run_checkpointed(|_| count += 1);
-        report.sched_seconds = 0.0;
-        assert_eq!(report, baseline);
-        assert!(count >= 2, "expected several checkpoints, got {count}");
+        let mut run = base().checkpoint_every(1500.0).build();
+        assert_eq!(run.run_checkpointed(|_| Err("disk full")), Err("disk full"));
+    }
+
+    /// The document does not depend on the wall clock or the pool: the
+    /// same run checkpointed at 1 and at 8 threads writes the same bytes.
+    #[test]
+    fn checkpoint_documents_are_deterministic() {
+        let doc = |threads| rayon::with_num_threads(threads, || paused(2000.0).1.to_json());
+        assert_eq!(doc(1), doc(8));
     }
 
     #[test]
     fn streaming_runs_checkpoint_too() {
-        let spec = WorkloadSpec::synthetic(6000, 13);
-        let run = |mode| {
+        let run = || {
             SimulationBuilder::new()
-                .workload(spec.clone())
-                .arrivals(mode)
+                .workload(WorkloadSpec::synthetic(6000, 13))
+                .arrivals(ArrivalMode::Streaming)
                 .faults_off()
                 .build()
         };
-        let mut whole = run(ArrivalMode::Streaming);
-        let baseline = finish_report(&mut whole);
-
-        let mut first = run(ArrivalMode::Streaming);
+        let baseline = finish_report(&mut run());
+        let mut first = run();
         assert_eq!(first.run_until(20_000.0), RunOutcome::HorizonReached);
+        let left = first.sim.queue().stream_remaining();
+        assert!(left > 0, "horizon lands mid-arrivals");
         let cp = Checkpoint::from_json(&first.checkpoint().to_json()).unwrap();
-        assert!(cp.arrivals_remaining() > 0, "horizon lands mid-arrivals");
-        let mut resumed = cp.resume();
+        let mut resumed = cp.resume().unwrap();
         assert_eq!(resumed.arrival_mode(), ArrivalMode::Streaming);
+        assert_eq!(resumed.sim.queue().stream_remaining(), left);
         assert_eq!(finish_report(&mut resumed), baseline);
-    }
-
-    /// Documents written before the fault layer stopped storing residents
-    /// by rack carry a `rack_residents` array in their `faults` block. The
-    /// version did not change, so they must still load — the field is
-    /// looked up by nobody and ignored — and resume byte-identically.
-    #[test]
-    fn stale_rack_residents_field_is_ignored_on_load() {
-        let faulty = || {
-            SimulationBuilder::new()
-                .algorithm(Algorithm::Nalb)
-                .workload(WorkloadSpec::synthetic(3000, 11))
-                .faults(FaultSpec::canonical())
-                .audit(true)
-        };
-        let mut whole = faulty().build();
-        let baseline = finish_report(&mut whole);
-        let churn = baseline.faults.as_ref().expect("faults attached");
-        assert!(churn.evacuated > 0, "the scenario must evacuate: {churn:?}");
-
-        let mut first = faulty().build();
-        // Mid-outage: one rack is down, three failures are still to come.
-        assert_eq!(first.run_until(5_500.0), RunOutcome::HorizonReached);
-        let json = first.checkpoint().to_json();
-        assert!(!json.contains("rack_residents"));
-
-        // The array as the parent wrote it: per rack, the resident VMs
-        // with a grant there, ascending — between `rack_down_since` and
-        // `in_transit`.
-        let world = first.sim.world();
-        let so_far = world.fault_report().expect("faults attached").evacuated;
-        assert!(so_far < churn.evacuated, "failures must follow the resume");
-        let mut residents = vec![Vec::new(); world.cluster.num_racks() as usize];
-        for (idx, a) in world.assignments.occupied_pairs() {
-            for rack in a.placement.racks(&world.cluster) {
-                residents[rack.0 as usize].push(idx);
-            }
-        }
-        assert!(residents.iter().any(|r| !r.is_empty()));
-        let stale = format!(
-            "\"rack_residents\":{},\"in_transit\":",
-            serde_json::to_string(&residents).unwrap()
-        );
-        assert_eq!(json.matches("\"in_transit\":").count(), 1);
-        let old = json.replacen("\"in_transit\":", &stale, 1);
-
-        let cp = Checkpoint::from_json(&old).expect("a parent-written document loads");
-        assert_eq!(
-            cp.to_json(),
-            json,
-            "the stale field is dropped, nothing else"
-        );
-        let mut resumed = cp.resume();
-        assert_eq!(
-            serde_json::to_string(&finish_report(&mut resumed)).unwrap(),
-            serde_json::to_string(&baseline).unwrap()
-        );
     }
 
     #[test]
     fn version_mismatch_is_rejected() {
-        let mut run = base().build();
-        run.run_until(1000.0);
-        // Bump the version tag in the serialized tree, not via string
-        // surgery (the text rendering of the tag is an encoding detail).
-        let mut tree = run.checkpoint().to_value();
-        let Value::Map(fields) = &mut tree else {
-            panic!("checkpoint serializes as a map")
-        };
-        fields
-            .iter_mut()
-            .find(|(k, _)| k == "version")
-            .expect("version field present in the encoding")
-            .1 = Value::Int(999);
-        let err = Checkpoint::from_value(&tree).expect_err("future version must be rejected");
+        let json = paused(1000.0).1.to_json();
+        let head = format!("{{\"version\":{CHECKPOINT_VERSION},");
+        let future = json.replacen(&head, "{\"version\":999,", 1);
+        let err = Checkpoint::from_json(&future).expect_err("future version must be rejected");
+        assert_eq!(err, ResumeError::Version { found: 999 });
         assert!(err.to_string().contains("version 999"), "got: {err}");
     }
 
@@ -465,16 +437,8 @@ mod tests {
         // Spelled in two halves so the workspace-wide grep for the
         // deleted executor's names stays empty.
         let optimistic = concat!("specu", "lative");
-        let mut run = base().build();
-        run.run_until(1000.0);
-        let v3 = run.checkpoint().to_json();
-        let head = format!("{{\"version\":{CHECKPOINT_VERSION},\"recipe\":{{");
-        assert!(v3.starts_with(&head), "encoding changed: {}", &v3[..60]);
         for (fel, exec) in [("heap", optimistic), ("calendar", "sequential")] {
-            let json = format!(
-                "{{\"version\":2,\"recipe\":{{\"fel\":\"{fel}\",\"exec\":\"{exec}\",{}",
-                &v3[head.len()..]
-            );
+            let json = format!(r#"{{"version":2,"recipe":{{"fel":"{fel}","exec":"{exec}"}}}}"#);
             let err = Checkpoint::from_json(&json).expect_err("version 2 must be refused");
             assert!(
                 err.to_string()

@@ -186,10 +186,6 @@ pub(crate) struct Chain {
     rng: StdRng,
     up_mean: f64,
     down_mean: f64,
-    /// Draws consumed so far. Every [`Chain::uptime`]/[`Chain::downtime`]
-    /// call costs exactly one RNG output (see [`exp_draw`]), so this count
-    /// is the chain's complete position for checkpoint/restore.
-    draws: u64,
 }
 
 impl Chain {
@@ -198,40 +194,17 @@ impl Chain {
             rng: StdRng::seed_from_u64(chain_seed(spec_seed, component, family)),
             up_mean,
             down_mean,
-            draws: 0,
         }
     }
 
     /// Next healthy interval (time to the next failure onset).
     pub(crate) fn uptime(&mut self) -> f64 {
-        self.draws += 1;
         exp_draw(&mut self.rng, self.up_mean)
     }
 
     /// Next repair duration.
     pub(crate) fn downtime(&mut self) -> f64 {
-        self.draws += 1;
         exp_draw(&mut self.rng, self.down_mean)
-    }
-
-    /// Draws consumed so far (checkpoint capture).
-    pub(crate) fn draws(&self) -> u64 {
-        self.draws
-    }
-
-    /// Advance the chain to `draws` consumed outputs by burning RNG
-    /// values, restoring the exact stream position a checkpointed run
-    /// recorded. The chain must not already be past that position.
-    pub(crate) fn burn_to(&mut self, draws: u64) {
-        assert!(
-            self.draws <= draws,
-            "chain already at draw {} > checkpointed {draws}",
-            self.draws
-        );
-        while self.draws < draws {
-            let _ = rand::next_f64(&mut self.rng);
-            self.draws += 1;
-        }
     }
 }
 
@@ -307,52 +280,10 @@ impl ChainSet {
     pub(crate) fn xcvr_chain(&mut self, box_idx: u32, link: u16) -> &mut Chain {
         &mut self.xcvr_links[box_idx as usize * self.xcvr_width as usize + link as usize]
     }
-
-    /// Per-family draw counts, in chain order (checkpoint capture).
-    pub(crate) fn draw_counts(&self) -> ChainDraws {
-        let counts = |chains: &[Chain]| chains.iter().map(Chain::draws).collect();
-        ChainDraws {
-            racks: counts(&self.racks),
-            trunk_links: counts(&self.trunk_links),
-            xcvr_links: counts(&self.xcvr_links),
-        }
-    }
-
-    /// Fast-forward every chain to the checkpointed draw counts (see
-    /// [`Chain::burn_to`]).
-    ///
-    /// # Panics
-    /// If the counts do not match this set's chain layout.
-    pub(crate) fn burn_to(&mut self, draws: &ChainDraws) {
-        let burn = |chains: &mut [Chain], counts: &[u64]| {
-            assert_eq!(chains.len(), counts.len(), "chain layout mismatch");
-            for (chain, &n) in chains.iter_mut().zip(counts) {
-                chain.burn_to(n);
-            }
-        };
-        burn(&mut self.racks, &draws.racks);
-        burn(&mut self.trunk_links, &draws.trunk_links);
-        burn(&mut self.xcvr_links, &draws.xcvr_links);
-    }
-}
-
-/// RNG stream positions of every chain in a [`ChainSet`], the complete
-/// checkpoint representation of a fault scenario's randomness: restoring
-/// rebuilds the chains from `(spec, span)` and burns each stream to its
-/// recorded position.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub(crate) struct ChainDraws {
-    /// Draws per rack chain.
-    pub(crate) racks: Vec<u64>,
-    /// Draws per trunk-link chain (rack-major).
-    pub(crate) trunk_links: Vec<u64>,
-    /// Draws per transceiver chain (box-major).
-    pub(crate) xcvr_links: Vec<u64>,
 }
 
 /// A VM displaced by a rack failure, travelling to its re-placement.
-/// Serialized in checkpoints (in-transit migrations outlive a snapshot).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Migration {
     /// The demand to re-place (recovered from the released grants).
     pub(crate) demand: risa_topology::UnitDemand,
@@ -361,7 +292,7 @@ pub(crate) struct Migration {
 }
 
 /// Per-run fault bookkeeping carried by the world.
-#[derive(Debug, Default, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct FaultTallies {
     pub(crate) rack_failures: u32,
     pub(crate) rack_repairs: u32,
@@ -413,40 +344,6 @@ mod tests {
         assert_ne!(draws_a[0], other_component.uptime());
         assert_ne!(draws_a[0], other_family.uptime());
         assert!(draws_a.iter().all(|&d| d.is_finite() && d >= 0.0));
-    }
-
-    #[test]
-    fn burned_chain_continues_identically() {
-        let mut live = Chain::new(7, 3, Family::Rack, 100.0, 10.0);
-        for _ in 0..5 {
-            live.uptime();
-            live.downtime();
-        }
-        let mut restored = Chain::new(7, 3, Family::Rack, 100.0, 10.0);
-        restored.burn_to(live.draws());
-        assert_eq!(restored.draws(), live.draws());
-        let a: Vec<f64> = (0..4).map(|_| live.uptime()).collect();
-        let b: Vec<f64> = (0..4).map(|_| restored.uptime()).collect();
-        assert_eq!(a, b, "restored chain diverged after burn");
-    }
-
-    #[test]
-    fn chain_set_draw_counts_round_trip() {
-        let spec = FaultSpec::canonical();
-        let mut live = ChainSet::new(&spec, 500.0, 3, 9, 2, 2);
-        live.racks[1].uptime();
-        live.trunk_chain(2, 1).uptime();
-        live.trunk_chain(2, 1).downtime();
-        live.xcvr_chain(8, 0).uptime();
-        let counts = live.draw_counts();
-        let mut restored = ChainSet::new(&spec, 500.0, 3, 9, 2, 2);
-        restored.burn_to(&counts);
-        assert_eq!(restored.draw_counts(), counts);
-        assert_eq!(restored.racks[1].uptime(), live.racks[1].uptime());
-        assert_eq!(
-            restored.trunk_chain(2, 1).downtime(),
-            live.trunk_chain(2, 1).downtime()
-        );
     }
 
     #[test]

@@ -40,7 +40,7 @@ mod timeline;
 mod world;
 
 pub use builder::{BuildError, DdcSimulation, SimulationBuilder};
-pub use checkpoint::{Checkpoint, CHECKPOINT_VERSION};
+pub use checkpoint::{Checkpoint, ResumeError, CHECKPOINT_VERSION};
 pub use config::{LatencyConfig, SimConfig};
 pub use faults::{FaultReport, FaultSpec};
 pub use report::{host_info, peak_rss_bytes, ExperimentReport, RunReport};

@@ -2,10 +2,8 @@
 //! grid over the run — the raw series behind the paper's time-averaged
 //! figures, exportable as CSV for plotting.
 
-use serde::{Deserialize, Serialize};
-
 /// One sample of the simulated system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimelinePoint {
     /// Sample time, paper time units.
     pub t: f64,
@@ -26,7 +24,7 @@ pub struct TimelinePoint {
 /// A fixed-interval sampler. The simulation driver offers it every event;
 /// it keeps at most one sample per grid point (the state as of the first
 /// event at-or-after the grid time).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Timeline {
     interval: f64,
     next_sample: f64,

@@ -2,21 +2,17 @@
 //! driven by VM arrival/departure events.
 
 use crate::config::SimConfig;
-use crate::faults::{
-    ChainDraws, ChainSet, FaultMeters, FaultReport, FaultSpec, FaultTallies, Migration,
-};
+use crate::faults::{ChainSet, FaultMeters, FaultReport, FaultSpec, FaultTallies, Migration};
 use crate::streaming::arrival_event;
 use crate::timeline::{Timeline, TimelinePoint};
 use risa_des::{EventCtx, SimDuration, SimTime, World};
 use risa_metrics::{OnlineStats, TimeWeighted};
 use risa_network::{NetworkState, TrunkId};
 use risa_photonics::{EnergyModel, SwitchPath};
-use risa_sched::audit::AuditorParts;
 use risa_sched::audit::ScheduleAuditor;
 use risa_sched::{Algorithm, DropReason, ScheduleOutcome, Scheduler, VmAssignment};
 use risa_topology::{BoxId, Cluster, RackId, ResourceKind, UnitDemand, ALL_RESOURCES};
 use risa_workload::{ShardSource, StreamingShards, VmRequest, Workload};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -109,9 +105,7 @@ impl SchedTimer {
 /// Events driving the DDC simulation. The fault variants are injected
 /// only when a [`crate::FaultSpec`] is attached (see `crate::faults`);
 /// faults-off runs dispatch arrivals and departures exclusively.
-/// Serialized in checkpoints (the FEL's pending events are part of the
-/// snapshot).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimEvent {
     /// VM `idx` (index into the workload) arrives and must be scheduled.
     Arrival(u32),
@@ -233,7 +227,7 @@ pub(crate) struct PerVmSlots<T> {
 /// holds at most one entry per `u32` VM index).
 const NO_SLOT: u32 = u32::MAX;
 
-impl<T: Clone> PerVmSlots<T> {
+impl<T> PerVmSlots<T> {
     fn new() -> Self {
         PerVmSlots {
             base: 0,
@@ -251,7 +245,7 @@ impl<T: Clone> PerVmSlots<T> {
 
     /// Store `value` for VM `idx` (slot must be empty). Ascending `idx`
     /// appends; an `idx` below the live span (an evacuated VM re-placed
-    /// after the span moved on, a checkpoint restore) extends the front.
+    /// after the span moved on) extends the front.
     fn insert(&mut self, idx: u32, value: T) {
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -336,16 +330,10 @@ impl<T: Clone> PerVmSlots<T> {
                 (self.base + pos as u32, value)
             })
     }
-
-    /// Every occupied `(vm index, value)` pair in ascending index order —
-    /// the canonical encoding checkpoints use.
-    pub(crate) fn occupied_pairs(&self) -> Vec<(u32, T)> {
-        self.iter().map(|(idx, v)| (idx, v.clone())).collect()
-    }
 }
 
 /// Raw per-run counters, exposed through [`crate::RunReport`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Counters {
     pub admitted: u32,
     pub dropped_compute: u32,
@@ -440,67 +428,6 @@ impl FaultState {
             mean_stranded_mbps: mean_to(&self.meters.stranded_mbps),
         }
     }
-
-    /// Capture everything a resumed run needs to continue the scenario
-    /// bit-identically. `spec`, `span` and `pristine_units` are *not*
-    /// captured — the restore path rebuilds them from the checkpointed
-    /// run configuration, and the RNG chains re-seed from the spec and
-    /// burn forward to the recorded draw counts (see `crate::faults`).
-    pub(crate) fn snapshot(&self) -> FaultSnapshot {
-        let bits = |s: &OnlineStats| {
-            let (n, mean, m2, min, max) = s.to_raw_bits();
-            [n, mean, m2, min, max]
-        };
-        FaultSnapshot {
-            chain_draws: self.chains.draw_counts(),
-            tallies: self.tallies,
-            evac_latency: bits(&self.meters.evac_latency),
-            recovery: bits(&self.meters.recovery),
-            stranded_units: self.meters.stranded_units.clone(),
-            stranded_mbps: self.meters.stranded_mbps.clone(),
-            rack_down_since: self.rack_down_since.clone(),
-            in_transit: self.in_transit.iter().map(|(&k, &v)| (k, v)).collect(),
-            tombstones: self.tombstones.iter().copied().collect(),
-        }
-    }
-
-    /// Overwrite this (pristine, freshly-built) scenario state with a
-    /// snapshot: chains burn forward to the recorded draw counts, every
-    /// accumulator and ledger is swapped in.
-    pub(crate) fn restore(&mut self, snap: FaultSnapshot) {
-        let stats = |b: [u64; 5]| OnlineStats::from_raw_bits((b[0], b[1], b[2], b[3], b[4]));
-        self.chains.burn_to(&snap.chain_draws);
-        self.tallies = snap.tallies;
-        self.meters.evac_latency = stats(snap.evac_latency);
-        self.meters.recovery = stats(snap.recovery);
-        self.meters.stranded_units = snap.stranded_units;
-        self.meters.stranded_mbps = snap.stranded_mbps;
-        assert_eq!(
-            self.rack_down_since.len(),
-            snap.rack_down_since.len(),
-            "checkpoint topology does not match the rebuilt cluster"
-        );
-        self.rack_down_since = snap.rack_down_since;
-        self.in_transit = snap.in_transit.into_iter().collect();
-        self.tombstones = snap.tombstones.into_iter().collect();
-    }
-}
-
-/// Serializable image of a [`FaultState`] mid-run (checkpoint payload).
-/// `OnlineStats` accumulators travel as raw IEEE-754 bit patterns: their
-/// empty-state ±∞ sentinels are not JSON floats, and bits round-trip
-/// every state exactly.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct FaultSnapshot {
-    chain_draws: ChainDraws,
-    tallies: FaultTallies,
-    evac_latency: [u64; 5],
-    recovery: [u64; 5],
-    stranded_units: TimeWeighted,
-    stranded_mbps: TimeWeighted,
-    rack_down_since: Vec<Option<f64>>,
-    in_transit: Vec<(u32, Migration)>,
-    tombstones: Vec<u32>,
 }
 
 /// The terms of one flow's optical energy that depend only on whether the
@@ -796,92 +723,6 @@ impl DdcWorld {
         match &self.source {
             VmSource::Cursor(c) => Some(c.shards_generated()),
             VmSource::Oracle(_) => None,
-        }
-    }
-
-    /// Capture the world's full mutable state for a checkpoint. Excluded
-    /// by design: the workload cursor (rebuilt from the run configuration
-    /// and moved by [`DdcWorld::restore`] to where the checkpoint's
-    /// arrival count says it stood), the stateless energy
-    /// model, the config (in the checkpoint's recipe block), and the
-    /// scheduler wall-clock timer (wall time is not simulation state — a
-    /// resumed run measures only its own scheduling work).
-    pub(crate) fn snapshot(&self) -> WorldSnapshot {
-        let (n, mean, m2, min, max) = self.latency.to_raw_bits();
-        WorldSnapshot {
-            cluster: self.cluster.clone(),
-            net: self.net.clone(),
-            scheduler: self.scheduler.clone(),
-            assignments: self.assignments.occupied_pairs(),
-            counters: self.counters.clone(),
-            util: self.util.clone(),
-            intra_bw: self.intra_bw.clone(),
-            inter_bw: self.inter_bw.clone(),
-            latency: [n, mean, m2, min, max],
-            optical_energy_j: self.optical_energy_j,
-            end_time: self.end_time,
-            resident: self.resident,
-            peak_resident: self.peak_resident,
-            timeline: self.timeline.clone(),
-            auditor: self
-                .auditor
-                .as_ref()
-                .map(|(a, seqs)| (a.to_parts(), seqs.occupied_pairs())),
-            faults: self.faults.as_ref().map(|fs| fs.snapshot()),
-        }
-    }
-
-    /// Overwrite this (pristine, freshly-built) world with a snapshot
-    /// taken when `consumed` arrivals had been dispatched.
-    ///
-    /// The cursor is advanced by replaying `consumed` `next()` calls —
-    /// re-executing the *identical* running-offset `f64` additions the
-    /// original run performed, so the VMs it will yield after restore are
-    /// bit-identical to the uninterrupted run's. The caller must have
-    /// built `self` from the same run configuration the snapshot was
-    /// taken under (same workload, algorithm, topology,
-    /// audit/timeline/fault settings).
-    pub(crate) fn restore(&mut self, snap: WorldSnapshot, consumed: u32) {
-        if let VmSource::Cursor(cursor) = &mut self.source {
-            for _ in 0..consumed {
-                cursor
-                    .next()
-                    .expect("checkpoint consumed more VMs than the workload holds");
-            }
-        }
-        self.cluster = snap.cluster;
-        self.net = snap.net;
-        self.scheduler = snap.scheduler;
-        debug_assert!(self.assignments.all_free(), "restore into a used world");
-        for (idx, a) in snap.assignments {
-            self.assignments.insert(idx, a);
-        }
-        self.counters = snap.counters;
-        self.util = snap.util;
-        self.intra_bw = snap.intra_bw;
-        self.inter_bw = snap.inter_bw;
-        let [n, mean, m2, min, max] = snap.latency;
-        self.latency = OnlineStats::from_raw_bits((n, mean, m2, min, max));
-        self.optical_energy_j = snap.optical_energy_j;
-        self.end_time = snap.end_time;
-        self.resident = snap.resident;
-        self.peak_resident = snap.peak_resident;
-        self.timeline = snap.timeline;
-        match (snap.auditor, self.auditor.as_mut()) {
-            (Some((parts, seqs)), Some((auditor, slots))) => {
-                *auditor = ScheduleAuditor::from_parts(&self.cluster, parts);
-                debug_assert!(slots.all_free(), "restore into a used audit ledger");
-                for (idx, seq) in seqs {
-                    slots.insert(idx, seq);
-                }
-            }
-            (None, None) => {}
-            _ => panic!("checkpoint audit setting does not match the rebuilt run"),
-        }
-        match (snap.faults, self.faults.as_mut()) {
-            (Some(fsnap), Some(fs)) => fs.restore(fsnap),
-            (None, None) => {}
-            _ => panic!("checkpoint fault setting does not match the rebuilt run"),
         }
     }
 
@@ -1277,32 +1118,6 @@ impl World for DdcWorld {
     }
 }
 
-/// Serializable image of a [`DdcWorld`] mid-run — the `world` block of a
-/// checkpoint (see `crate::checkpoint`). Cluster, network and scheduler
-/// reuse their existing (validated, derived-state-rebuilding) serde
-/// implementations; per-VM slot stores flatten to ascending
-/// `(index, value)` pairs; the
-/// latency accumulator travels as raw bits (±∞ empty-state sentinels).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct WorldSnapshot {
-    cluster: Cluster,
-    net: NetworkState,
-    scheduler: Scheduler,
-    assignments: Vec<(u32, VmAssignment)>,
-    counters: Counters,
-    util: [TimeWeighted; 3],
-    intra_bw: TimeWeighted,
-    inter_bw: TimeWeighted,
-    latency: [u64; 5],
-    optical_energy_j: f64,
-    end_time: f64,
-    resident: u32,
-    peak_resident: u32,
-    timeline: Option<Timeline>,
-    auditor: Option<(AuditorParts, Vec<(u32, u64)>)>,
-    faults: Option<FaultSnapshot>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1448,7 +1263,7 @@ mod tests {
                 prop_assert_eq!(slots.occupied(), model.len());
                 prop_assert_eq!(slots.all_free(), model.is_empty());
                 let pairs: Vec<(u32, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
-                prop_assert_eq!(slots.occupied_pairs(), pairs);
+                prop_assert_eq!(slots.iter().map(|(k, &v)| (k, v)).collect::<Vec<_>>(), pairs);
                 prop_assert!(slots.slab.len() <= peak, "slab {} > peak {peak}", slots.slab.len());
                 let span = match (model.keys().next(), model.keys().next_back()) {
                     (Some(oldest), Some(newest)) => (newest - oldest + 1) as usize,

@@ -1,35 +1,30 @@
-//! Checkpoints the *parent commit's* binary wrote must resume here.
-//!
-//! `CHECKPOINT_VERSION` did not move when the arrival pipelines became
-//! one cursor, so version-3 documents written before it — by a run that
-//! materialized its synthetic trace, and by one that streamed a CSV file
-//! through two cursors and recorded `stream_consumed` — have to load and
-//! replay into the uninterrupted run's exact report and event order.
-//! `tests/fixtures/` holds two such documents, each with the report the
-//! same parent process printed for its (uninterrupted: checkpoints are a
-//! pure tap) run:
+//! Checkpoints an earlier build wrote must resume here — or be refused,
+//! typed. `tests/fixtures/` holds two version-4 documents, each beside the
+//! report its run printed uninterrupted (the reports the version-3
+//! fixtures pinned: the replay reaches what the state image restored):
 //!
 //! ```text
-//! # PR 21 head (f1218a3), cwd crates/sim, --jobs default
+//! # cwd crates/sim
 //! risa-cli run --workload synthetic --n 1500 --seed 7 --algo RISA --json \
-//!     --checkpoint tests/fixtures/v3_synthetic_materialized.ckpt --checkpoint-every 14000
+//!     --checkpoint tests/fixtures/v4_synthetic.ckpt --checkpoint-every 14000
 //! risa-cli run --workload tests/fixtures/steady_small.csv --algo RISA --faults \
 //!     --arrivals streaming --json \
-//!     --checkpoint tests/fixtures/v3_csv_faults_streaming.ckpt --checkpoint-every 5000
+//!     --checkpoint tests/fixtures/v4_csv_faults_streaming.ckpt --checkpoint-every 5000
 //! ```
 //!
-//! Each cadence fires once, mid-arrivals (154 of 1 500 and 340 of 900
-//! arrivals still to come; the CSV run has one link down across it). The
-//! CSV checkpoint names its trace by the relative path it was given, so
-//! this file relies on cargo running integration tests from the crate
-//! root.
+//! Each cadence fires once, mid-run; the CSV document names its trace by
+//! a path relative to the crate root, where cargo runs integration tests.
+//! A version-3 document (a state image) pins that format's refusal, and a
+//! copy of the CSV with one row edited that of changed inputs.
 
 use rayon::with_num_threads;
 use risa_sim::{
-    Algorithm, ArrivalMode, Checkpoint, DdcSimulation, FaultSpec, SimulationBuilder, WorkloadSpec,
+    Algorithm, ArrivalMode, Checkpoint, DdcSimulation, FaultSpec, ResumeError, SimulationBuilder,
+    WorkloadSpec,
 };
 
 const TRACE_CAP: usize = 16_000;
+const CSV: &str = "tests/fixtures/steady_small.csv";
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -57,26 +52,27 @@ fn finish(mut sim: DdcSimulation) -> (String, Vec<String>) {
     (stable(&json), events)
 }
 
-/// The parent's document `ckpt` resumes — at 1 and 8 pool threads — into
-/// the report the parent printed and into the event order of the same
-/// run built from scratch by this commit (`fresh`, under each arrival
-/// mode given).
-fn resumes_into(ckpt: &str, parent_report: &str, fresh: impl Fn(ArrivalMode) -> DdcSimulation) {
-    let parent_report = stable(&fixture(parent_report));
+/// The document `ckpt` resumes — at 1 and 8 pool threads — into the
+/// report checked in beside it and into the event order of the same run
+/// built from scratch (`fresh`, under each arrival mode given).
+fn resumes_into(ckpt: &str, report: &str, fresh: impl Fn(ArrivalMode) -> DdcSimulation) {
+    let report = stable(&fixture(report));
     let document = fixture(ckpt);
-    let cp = Checkpoint::from_json(&document).expect("a parent-written v3 document loads");
-    assert!(cp.arrivals_remaining() > 0, "{ckpt}: taken mid-arrivals");
+    assert!(document.len() < 1200, "{ckpt}: a position, not a state");
+    let cp = Checkpoint::from_json(&document).expect("a v4 document loads");
     let skipped = cp.events_dispatched() as usize;
 
     for mode in ArrivalMode::ALL {
-        let (report, events) = finish(fresh(mode));
-        assert_eq!(report, parent_report, "{ckpt}/{mode}: uninterrupted report");
+        let (uninterrupted, events) = finish(fresh(mode));
+        assert_eq!(uninterrupted, report, "{ckpt}/{mode}: uninterrupted report");
+        assert!(
+            0 < skipped && skipped < events.len(),
+            "{ckpt}: taken mid-run"
+        );
         for threads in [1usize, 8] {
-            let (resumed, suffix) = with_num_threads(threads, || finish(cp.resume()));
-            assert_eq!(
-                resumed, parent_report,
-                "{ckpt}/threads={threads}: resumed report"
-            );
+            let (resumed, suffix) =
+                with_num_threads(threads, || finish(cp.resume().expect("inputs unchanged")));
+            assert_eq!(resumed, report, "{ckpt}/threads={threads}: resumed report");
             assert_eq!(
                 suffix,
                 events[skipped..],
@@ -86,44 +82,90 @@ fn resumes_into(ckpt: &str, parent_report: &str, fresh: impl Fn(ArrivalMode) -> 
     }
 }
 
+fn csv_run(path: &str, mode: ArrivalMode) -> DdcSimulation {
+    SimulationBuilder::new()
+        .algorithm(Algorithm::Risa)
+        .workload(WorkloadSpec::TraceCsv {
+            name: "steady_small".into(),
+            path: path.into(),
+        })
+        .arrivals(mode)
+        .faults(FaultSpec::canonical())
+        .build()
+}
+
 #[test]
 fn parent_written_materialized_synthetic_checkpoint_resumes() {
-    assert!(fixture("v3_synthetic_materialized.ckpt").contains("\"arrivals\":\"materialized\""));
-    resumes_into(
-        "v3_synthetic_materialized.ckpt",
-        "v3_synthetic_materialized.report.json",
-        |mode| {
-            SimulationBuilder::new()
-                .algorithm(Algorithm::Risa)
-                .workload(WorkloadSpec::synthetic(1500, 7))
-                .arrivals(mode)
-                .faults_off()
-                .build()
-        },
-    );
+    assert!(fixture("v4_synthetic.ckpt").contains("\"arrivals\":\"materialized\""));
+    resumes_into("v4_synthetic.ckpt", "synthetic.report.json", |mode| {
+        SimulationBuilder::new()
+            .algorithm(Algorithm::Risa)
+            .workload(WorkloadSpec::synthetic(1500, 7))
+            .arrivals(mode)
+            .faults_off()
+            .build()
+    });
 }
 
 #[test]
 fn parent_written_streaming_csv_faults_checkpoint_resumes() {
-    let document = fixture("v3_csv_faults_streaming.ckpt");
-    assert!(document.contains("\"arrivals\":\"streaming\""));
-    assert!(
-        document.contains("\"stream_consumed\":560"),
-        "the parent's world block still carries its second cursor's position"
-    );
+    assert!(fixture("v4_csv_faults_streaming.ckpt").contains("\"arrivals\":\"streaming\""));
     resumes_into(
-        "v3_csv_faults_streaming.ckpt",
-        "v3_csv_faults_streaming.report.json",
-        |mode| {
-            SimulationBuilder::new()
-                .algorithm(Algorithm::Risa)
-                .workload(WorkloadSpec::TraceCsv {
-                    name: "steady_small".into(),
-                    path: "tests/fixtures/steady_small.csv".into(),
-                })
-                .arrivals(mode)
-                .faults(FaultSpec::canonical())
-                .build()
-        },
+        "v4_csv_faults_streaming.ckpt",
+        "csv_faults_streaming.report.json",
+        |mode| csv_run(CSV, mode),
     );
+}
+
+/// The CSV document pointed at a copy of its trace resumes; after one row
+/// of the copy is edited — same row count, same length, before or after
+/// the checkpoint's position — it is refused
+/// with a digest mismatch naming the event count, and once the copy is
+/// deleted, with the build error. Never a panic, never a wrong run.
+#[test]
+fn a_checkpoint_whose_trace_changed_is_refused() {
+    let copy = std::env::temp_dir().join(format!("risa_ckpt_edited_{}.csv", std::process::id()));
+    let original = std::fs::read_to_string(CSV).unwrap();
+    std::fs::write(&copy, &original).unwrap();
+    let document = fixture("v4_csv_faults_streaming.ckpt").replace(
+        &format!("\"path\":\"{CSV}\""),
+        &format!("\"path\":\"{}\"", copy.display()),
+    );
+    let cp = Checkpoint::from_json(&document).unwrap();
+    let dispatched = cp.events_dispatched();
+    assert!(cp.resume().is_ok(), "an identical copy is the same input");
+
+    // VM 0 asks for 25 cores instead of 24: one more CPU unit from t ≈ 4.4,
+    // inside the replayed prefix. VM 899 asks for 17 instead of 13 at
+    // t ≈ 7867, past the checkpoint (t ≤ 5000): only the file's bytes show it.
+    for (row, edit) in [("\n0,24,29,", "\n0,25,29,"), ("\n899,13,", "\n899,17,")] {
+        let edited = original.replacen(row, edit, 1);
+        assert!(edited != original && edited.len() == original.len());
+        std::fs::write(&copy, &edited).unwrap();
+        let err = cp.resume().expect_err("an edited trace must be refused");
+        assert!(
+            matches!(err, ResumeError::Digest { dispatched: d, .. } if d == dispatched),
+            "{row}: {err:?}"
+        );
+        assert!(err
+            .to_string()
+            .contains(&format!("digest mismatch after {dispatched} events")));
+    }
+
+    std::fs::remove_file(&copy).unwrap();
+    let err = cp.resume().expect_err("a deleted trace must be refused");
+    assert!(matches!(err, ResumeError::Recipe(_)), "{err:?}");
+    assert!(err.to_string().contains("cannot read trace file"), "{err}");
+}
+
+/// A version-3 document — the state image this format replaced — is
+/// refused by its version, not half-parsed.
+#[test]
+fn v3_documents_are_refused() {
+    let err = Checkpoint::from_json(&fixture("v3_synthetic_materialized.ckpt"))
+        .expect_err("version 3 must be refused");
+    assert_eq!(err, ResumeError::Version { found: 3 });
+    assert!(err
+        .to_string()
+        .contains("checkpoint version 3 is not supported"));
 }

@@ -6,8 +6,7 @@ use risa_sim::{
     Algorithm, ArrivalMode, DdcSimulation, FaultSpec, RunReport, SimulationBuilder, WorkloadSpec,
 };
 use risa_topology::{Cluster, RackId, ResourceKind, TopologyConfig};
-use serde::Serialize as _;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn churn_run(algo: Algorithm, spec: FaultSpec) -> RunReport {
     let mut r = SimulationBuilder::new()
@@ -167,25 +166,13 @@ struct EvacuationLog {
     evacuated_again: u32,
 }
 
-/// `Migrate` events pending in the future-event list, as `(seq, vm)`.
-fn pending_migrations(sim: &mut DdcSimulation) -> BTreeSet<(i128, u32)> {
-    let tree = sim.checkpoint().to_value();
-    let fel = tree.get("fel").and_then(|f| f.as_seq()).expect("fel");
-    fel.iter()
-        .filter_map(|entry| {
-            let entry = entry.as_seq().expect("(at, seq, event)");
-            let vm = entry[2].get("Migrate")?.as_int().expect("vm index");
-            Some((entry[1].as_int().expect("seq"), vm as u32))
-        })
-        .collect()
-}
-
 /// Run `build()` once for its dispatch log, then again in lockstep with
 /// that log, pausing around every rack failure: the VMs it evacuates
-/// must be exactly the residents holding a grant in the failed rack, in
-/// ascending index order (the order their `Migrate` events were
-/// scheduled in), each once. Also follows every re-placed VM to its
-/// release — by its original departure, or by another evacuation.
+/// must be exactly the residents holding a grant in the failed rack, each
+/// migrated once, same-instant migrations of one failure in ascending
+/// index order (the order they were scheduled in). Also follows every
+/// re-placed VM to its release — by its original departure, or by
+/// another evacuation.
 fn walk_evacuations(n: u32, build: impl Fn() -> DdcSimulation) -> EvacuationLog {
     let mut reference = build();
     reference.enable_trace(4 * n as usize);
@@ -209,6 +196,10 @@ fn walk_evacuations(n: u32, build: impl Fn() -> DdcSimulation) -> EvacuationLog 
     let mut sim = build();
     let mut seen = EvacuationLog::default();
     let mut replaced: BTreeSet<u32> = BTreeSet::new();
+    // Victim -> the log index of the failure that evacuated it, until its
+    // `Migrate`; and the last `Migrate` seen, as (log index, at, vm, failure).
+    let mut in_transit: BTreeMap<u32, usize> = BTreeMap::new();
+    let mut last_migrate = None;
     for (k, &(at, event)) in log.iter().enumerate() {
         if let Some(rack) = arg(event, "RackFail") {
             let rack = RackId(rack as u16);
@@ -236,24 +227,31 @@ fn walk_evacuations(n: u32, build: impl Fn() -> DdcSimulation) -> EvacuationLog 
                 seen.evacuated_again += u32::from(replaced.remove(&vm));
             }
             let tally = |sim: &DdcSimulation| sim.world().fault_report().expect("faults").evacuated;
-            let (tally_before, pending_before) = (tally(&sim), pending_migrations(&mut sim));
+            let tally_before = tally(&sim);
 
             sim.run_until(at);
             assert_eq!(sim.events_dispatched(), k as u64 + 1);
-            let scheduled: Vec<u32> = pending_migrations(&mut sim)
-                .difference(&pending_before)
-                .map(|&(_, vm)| vm)
-                .collect();
-            assert_eq!(scheduled, expected, "victims of {event} at {at}");
             assert_eq!(tally(&sim) - tally_before, expected.len() as u32);
             for vm in residents {
                 let evacuated = expected.binary_search(&vm).is_ok();
                 assert_eq!(sim.world().assignment(vm).is_none(), evacuated, "vm {vm}");
             }
+            for &vm in &expected {
+                assert_eq!(in_transit.insert(vm, k), None, "vm {vm} evacuated twice");
+            }
             seen.rack_failures += 1;
             seen.victims += expected.len() as u32;
         } else if let Some(vm) = arg(event, "Migrate") {
-            // Same-sized victims of one failure migrate at one instant.
+            let failure = in_transit.remove(&vm);
+            let failure = failure.unwrap_or_else(|| panic!("Migrate({vm}) of no victim"));
+            // Same-sized victims of one failure migrate at one instant, in
+            // the order their failure scheduled them.
+            if let Some((prev_k, prev_at, prev_vm, prev_failure)) = last_migrate {
+                if prev_k + 1 == k && prev_at == at && prev_failure == failure {
+                    assert!(prev_vm < vm, "victims of {} out of order", log[failure].1);
+                }
+            }
+            last_migrate = Some((k, at, vm, failure));
             sim.run_until(at);
             if sim.world().assignment(vm).is_some() {
                 replaced.insert(vm);
@@ -271,6 +269,7 @@ fn walk_evacuations(n: u32, build: impl Fn() -> DdcSimulation) -> EvacuationLog 
         replaced.is_empty(),
         "re-placed and never released: {replaced:?}"
     );
+    assert!(in_transit.is_empty(), "never migrated: {in_transit:?}");
     // Drains clean: the audit ledger balances and nothing stays resident.
     let report = sim.run();
     let faults = report.faults.expect("faults attached");

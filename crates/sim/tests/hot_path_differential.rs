@@ -25,12 +25,13 @@
 //! faults-free legs pin `.faults_off()` so the `RISA_FAULTS=1` CI leg
 //! cannot change what they measure.
 //!
-//! PR 9 added the checkpoint/restore lane: a run snapshotted at a
-//! simulated time `T`, serialized to JSON, and resumed must replay into
+//! PR 9 added the checkpoint/resume lane: a run checkpointed at a
+//! simulated time `T`, serialized to JSON, and resumed — rebuilt from its
+//! recipe and replayed to the recorded event count — must continue into
 //! the **byte-identical** report and event dispatch order the
 //! uninterrupted run produces — across arrival paths, pool sizes, and
 //! faults on/off (`tests/checkpoint_fixtures.rs` does the same for
-//! documents the parent commit wrote).
+//! checked-in documents).
 //!
 //! CI runs this file under `RISA_FAULTS=1` so that toggle cannot rot.
 
@@ -323,7 +324,7 @@ fn checkpointed(
     );
     let json = first.checkpoint().to_json();
     let cp = Checkpoint::from_json(&json).expect("checkpoint JSON round-trips");
-    let mut resumed = cp.resume();
+    let mut resumed = cp.resume().expect("an untouched run resumes");
     resumed.enable_trace(TRACE_CAP);
     let mut report = resumed.run();
     report.sched_seconds = 0.0;
@@ -348,10 +349,10 @@ fn checkpointed(
 /// replays into the uninterrupted run's exact bytes — report JSON **and**
 /// the full event sequence (prefix recorded before the snapshot plus
 /// suffix recorded after resume, with continuous sequence numbers) — on
-/// both canonical traces, across both arrival paths (the cursor resumed
-/// mid-shard by position; the legacy path's arrivals restored with the
-/// FEL), 1 vs 8 pool threads, and faults off/on; and on the synthetic
-/// trace as a file read whole and chunked.
+/// both canonical traces, across both arrival paths (the cursor and the
+/// legacy path, each replayed to the checkpoint's event count), 1 vs 8
+/// pool threads, and faults off/on; and on the synthetic trace as a file
+/// read whole and chunked.
 #[test]
 fn checkpoint_resume_is_byte_identical_across_modes_and_jobs() {
     let (csv_spec, path) = csv_of(&canonical_specs()[0].1, "ckpt");

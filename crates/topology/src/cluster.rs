@@ -63,7 +63,7 @@ impl std::fmt::Display for AllocError {
 impl std::error::Error for AllocError {}
 
 /// State of one single-resource box.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BoxState {
     /// Global box id (index into the cluster's box table).
     pub id: BoxId,
@@ -85,7 +85,7 @@ impl BoxState {
 }
 
 /// One box-level grant: `units` taken from `box_id`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BoxAllocation {
     /// The granting box.
     pub box_id: BoxId,
@@ -95,7 +95,7 @@ pub struct BoxAllocation {
 
 /// A complete compute placement for one VM: one box per resource kind
 /// (the paper guarantees VM demands fit within a single box, §2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VmPlacement {
     /// Grants in canonical kind order (CPU, RAM, storage).
     pub grants: [BoxAllocation; 3],
@@ -178,20 +178,9 @@ impl Cluster {
                 }
             }
         }
-        let n = boxes.len();
-        Cluster::from_parts(cfg, boxes, vec![false; n])
-    }
-
-    /// Assemble a cluster around an explicit box table in
-    /// [`Cluster::new`]'s layout, rebuilding every derived structure
-    /// (totals, the placement index). Failed boxes contribute to none of
-    /// the aggregates. Shared by [`Cluster::new`] and deserialization.
-    fn from_parts(cfg: TopologyConfig, boxes: Vec<BoxState>, failed: Vec<bool>) -> Self {
-        debug_assert_eq!(boxes.len(), failed.len());
-        let mut totals_avail = [0u64; 3];
+        let failed = vec![false; boxes.len()];
         let mut totals_cap = [0u64; 3];
-        for b in boxes.iter().filter(|b| !failed[b.id.0 as usize]) {
-            totals_avail[b.kind.index()] += b.available as u64;
+        for b in &boxes {
             totals_cap[b.kind.index()] += b.capacity as u64;
         }
         let index = PlacementIndex::build(cfg.racks, cfg.box_mix, live_avail(&boxes, &failed));
@@ -201,7 +190,7 @@ impl Cluster {
             boxes,
             index,
             failed,
-            totals_avail,
+            totals_avail: totals_cap,
             totals_cap,
         }
     }
@@ -413,8 +402,7 @@ impl Cluster {
         if self.failed[box_id.0 as usize] {
             return Err(AllocError::BoxFailed);
         }
-        // `units` can come from a checkpoint's assignment: no wrapping past
-        // the test.
+        // `units` is the caller's word: no wrapping past the test.
         if b.available
             .checked_add(units)
             .is_none_or(|sum| sum > b.capacity)
@@ -599,93 +587,6 @@ fn live_avail<'a>(
         .iter()
         .zip(failed)
         .map(|(b, &failed)| (!failed).then_some(b.available))
-}
-
-/// Clusters serialize as configuration plus box table; every derived
-/// structure (totals, the placement index) is rebuilt on load, so
-/// serialized state can never go stale against the index.
-impl Serialize for Cluster {
-    fn to_value(&self) -> serde::Value {
-        let failed_ids: Vec<u32> = self
-            .boxes
-            .iter()
-            .filter(|b| self.failed[b.id.0 as usize])
-            .map(|b| b.id.0)
-            .collect();
-        serde::Value::Map(vec![
-            ("cfg".to_string(), self.cfg.to_value()),
-            ("boxes".to_string(), self.boxes.to_value()),
-            ("failed".to_string(), failed_ids.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Cluster {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let cfg = TopologyConfig::from_value(serde::value::field(v, "cfg")?)?;
-        let boxes = Vec::<BoxState>::from_value(serde::value::field(v, "boxes")?)?;
-        let failed_ids = Vec::<u32>::from_value(serde::value::field(v, "failed")?)?;
-        // Reject malformed box tables up front so corruption surfaces as a
-        // deserialization error instead of a panic or silently broken
-        // aggregates.
-        cfg.validate().map_err(serde::Error::new)?;
-        if boxes.len() != cfg.total_boxes() as usize {
-            return Err(serde::Error::new(format!(
-                "box table holds {} boxes; the configuration says {}",
-                boxes.len(),
-                cfg.total_boxes()
-            )));
-        }
-        // `boxes_in_rack`, `kind_position` and the placement index read a
-        // rack's boxes of a kind as a range of ids — Cluster::new's
-        // rack-major, CPU → RAM → storage layout — so a table in any other
-        // order is refused, not merely one with the wrong counts.
-        let per_rack = cfg.box_mix.total() as usize;
-        for (i, b) in boxes.iter().enumerate() {
-            if b.id.0 as usize != i {
-                return Err(serde::Error::new(format!(
-                    "box table entry {i} carries id {}",
-                    b.id
-                )));
-            }
-            let rack = RackId((i / per_rack) as u16);
-            let kind = ALL_RESOURCES
-                .into_iter()
-                .find(|&kind| cfg.box_mix.box_range(rack, kind).contains(&i))
-                .expect("a rack's three ranges cover its ids");
-            if (b.rack, b.kind) != (rack, kind) {
-                return Err(serde::Error::new(format!(
-                    "{} is a {} box of {}; the configuration's layout puts a {kind} box of {rack} there",
-                    b.id, b.kind, b.rack
-                )));
-            }
-            if b.available > b.capacity {
-                return Err(serde::Error::new(format!(
-                    "{} has {}u available of {}u capacity",
-                    b.id, b.available, b.capacity
-                )));
-            }
-            if b.capacity > TopologyConfig::MAX_BOX_UNITS {
-                return Err(serde::Error::new(format!(
-                    "{} has {}u capacity; at most {}u is supported",
-                    b.id,
-                    b.capacity,
-                    TopologyConfig::MAX_BOX_UNITS
-                )));
-            }
-        }
-        let mut failed = vec![false; boxes.len()];
-        for id in failed_ids {
-            let slot = failed
-                .get_mut(id as usize)
-                .ok_or_else(|| serde::Error::new(format!("failed id {id} out of range")))?;
-            if *slot {
-                return Err(serde::Error::new(format!("failed id {id} listed twice")));
-            }
-            *slot = true;
-        }
-        Ok(Cluster::from_parts(cfg, boxes, failed))
-    }
 }
 
 #[cfg(test)]
@@ -951,82 +852,6 @@ mod tests {
             Some(RackId(4))
         );
         c.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn failed_boxes_roundtrip_through_serde() {
-        let mut c = paper_cluster();
-        c.take(BoxId(0), 100).unwrap();
-        c.remove_box(BoxId(0)).unwrap();
-        c.remove_box(BoxId(17)).unwrap();
-        let json = serde_json::to_string(&c).unwrap();
-        let back: Cluster = serde_json::from_str(&json).unwrap();
-        assert!(back.is_failed(BoxId(0)));
-        assert!(back.is_failed(BoxId(17)));
-        assert_eq!(back.available(BoxId(0)), 28);
-        assert_eq!(
-            back.total_available(ResourceKind::Cpu),
-            c.total_available(ResourceKind::Cpu)
-        );
-        back.check_invariants().unwrap();
-        // Malformed failed lists are rejected, not absorbed.
-        let bad = json.replace("\"failed\":[0,17]", "\"failed\":[0,99999]");
-        assert!(serde_json::from_str::<Cluster>(&bad).is_err());
-        let dup = json.replace("\"failed\":[0,17]", "\"failed\":[0,0]");
-        assert!(serde_json::from_str::<Cluster>(&dup).is_err());
-    }
-
-    #[test]
-    fn serde_roundtrip_rebuilds_derived_state() {
-        let mut c = paper_cluster();
-        c.take(BoxId(0), 100).unwrap();
-        c.take(BoxId(7), 3).unwrap();
-        let json = serde_json::to_string(&c).unwrap();
-        let back: Cluster = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.available(BoxId(0)), 28);
-        assert_eq!(back.rack_max_available(RackId(0), ResourceKind::Cpu), 128);
-        back.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn deserialize_rejects_malformed_box_tables() {
-        let json = serde_json::to_string(&paper_cluster()).unwrap();
-        // A box naming a rack outside the configuration must error (not
-        // panic), as must availability above capacity.
-        let bad_rack = json.replace("\"rack\":17", "\"rack\":99");
-        assert!(serde_json::from_str::<Cluster>(&bad_rack).is_err());
-        let over = json.replace("\"available\":128", "\"available\":999");
-        assert!(serde_json::from_str::<Cluster>(&over).is_err());
-        // A box the placement index's dense key table must not be sized by.
-        let huge = json.replace("\"capacity\":128", "\"capacity\":4000000000");
-        assert!(serde_json::from_str::<Cluster>(&huge).is_err());
-        // Right counts, wrong order: `boxes_in_rack`, `kind_position` and the
-        // placement index read a (rack, kind)'s boxes as an id range, so two
-        // boxes swapped across kinds (1 ↔ 2: rack 0's second CPU box and
-        // first RAM box) or across racks (5 ↔ 11: both second storage boxes)
-        // are refused by name.
-        let swapped = |a: u32, b: u32| {
-            let mut c = paper_cluster();
-            let (at_a, at_b) = (c.boxes[a as usize], c.boxes[b as usize]);
-            c.boxes[a as usize] = BoxState {
-                id: BoxId(a),
-                ..at_b
-            };
-            c.boxes[b as usize] = BoxState {
-                id: BoxId(b),
-                ..at_a
-            };
-            serde_json::from_str::<Cluster>(&serde_json::to_string(&c).unwrap())
-        };
-        let err = swapped(1, 2).unwrap_err().to_string();
-        assert!(err.contains("box1 is a RAM box of rack0"), "{err}");
-        let err = swapped(5, 11).unwrap_err().to_string();
-        assert!(err.contains("box5 is a STO box of rack1"), "{err}");
-        // A table of the wrong length is refused before any box is read.
-        let mut short = paper_cluster();
-        short.boxes.pop();
-        let json = serde_json::to_string(&short).unwrap();
-        assert!(serde_json::from_str::<Cluster>(&json).is_err());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! Times are written with `{:?}` — Rust's shortest-round-trip float
 //! rendering — so a CSV round trip preserves every `f64` bit-for-bit
 //! (asserted by `csv_round_trip_is_bit_exact` below). This matters for
-//! the streaming trace reader and checkpoint paths, whose byte-identity
+//! the streaming trace reader and checkpoint resumes, whose byte-identity
 //! guarantees assume the trace survives interchange exactly.
 //!
 //! Two readers accept the same language, row for row (`parse_row` is
