@@ -3,7 +3,7 @@
 //!
 //! A trace knows every arrival up front, already sorted by time. Pushing
 //! a million arrivals through the future-event list just to pop them back
-//! in the same order pays O(n log n) heap traffic and keeps the FEL at
+//! in the same order pays a push and a pop apiece and keeps the FEL at
 //! O(total VMs); copying them into the queue instead holds the schedule
 //! twice. The lane does neither: [`crate::EventQueue::attach_arrivals`]
 //! announces how many arrivals there will be, and whoever drives the
@@ -22,10 +22,12 @@
 //! A producer must uphold two invariants the queue's determinism rests
 //! on:
 //!
-//! 1. **Monotone times** — each entry's time is ≥ its predecessor's. The
-//!    merge against the future-event list is only correct over a sorted
-//!    lane, so the lane `assert!`s this on every entry as its window
-//!    refills, in release builds too.
+//! 1. **Monotone times** — each entry's time is ≥ its predecessor's, and
+//!    the first is ≥ the last event the queue delivered before the lane
+//!    was attached. The merge against the future-event list is only
+//!    correct over a sorted lane, and the future-event list only accepts
+//!    what does not precede a delivered event, so the lane `assert!`s
+//!    this on every entry as its window refills, in release builds too.
 //! 2. **Exact count** — the producer hands over precisely the number of
 //!    arrivals announced at attach, at least one per refill until then.
 //!    The queue reserves that many sequence numbers for the lane — entry
@@ -58,22 +60,23 @@ pub(crate) struct ArrivalLane<E> {
     pub(crate) window: Vec<(SimTime, E)>,
     /// Sequence number of the lane's head.
     pub(crate) next_seq: u64,
-    /// Entries handed over so far, and the time of the last of them
-    /// ([`SimTime::ZERO`], the earliest there is, before the first): what
-    /// the next refill's order check continues from.
+    /// Entries handed over so far, and the time of the last of them (the
+    /// queue's last delivered time before the first): what the next
+    /// refill's order check continues from.
     handed: u64,
     last: SimTime,
 }
 
 impl<E> ArrivalLane<E> {
-    /// A lane of `count` arrivals whose head will carry `next_seq`.
-    pub(crate) fn new(count: usize, next_seq: u64) -> Self {
+    /// A lane of `count` arrivals whose head will carry `next_seq`, none
+    /// of them earlier than `delivered`.
+    pub(crate) fn new(count: usize, next_seq: u64, delivered: SimTime) -> Self {
         ArrivalLane {
             unfilled: count,
             window: Vec::new(),
             next_seq,
             handed: 0,
-            last: SimTime::ZERO,
+            last: delivered,
         }
     }
 
@@ -102,10 +105,13 @@ impl<E> ArrivalLane<E> {
         for (at, _) in &self.window {
             assert!(
                 self.last <= *at,
-                "preloaded events must be sorted by time: entry {} at {:?} precedes entry {} at {:?}",
+                "preloaded events must be sorted by time: entry {} at {:?} precedes {} at {:?}",
                 self.handed,
                 at,
-                self.handed - 1,
+                match self.handed.checked_sub(1) {
+                    Some(previous) => format!("entry {previous}"),
+                    None => "the last event delivered before the lane was attached".into(),
+                },
                 self.last,
             );
             self.last = *at;

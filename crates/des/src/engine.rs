@@ -150,6 +150,11 @@ impl<W: World> Simulation<W> {
     }
 
     /// Schedule an event before (or during) the run.
+    ///
+    /// # Panics
+    /// If `at` precedes [`Simulation::now`], the time of the last event
+    /// dispatched: the queue only moves forward (handlers get the same
+    /// guarantee from [`EventCtx::schedule_at`], which clamps to now).
     pub fn schedule(&mut self, at: SimTime, event: W::Event) {
         self.queue.push(at, event);
     }
@@ -230,7 +235,6 @@ impl<W: World> Simulation<W> {
         let Some(entry) = self.queue.pop() else {
             return StepOutcome::Empty;
         };
-        debug_assert!(entry.at >= self.now, "event queue went back in time");
         self.now = entry.at;
         self.dispatched += 1;
         if let Some((trace, render)) = &mut self.trace {

@@ -26,16 +26,22 @@
 //! Attaching reserves the sequence numbers the arrivals would have been
 //! pushed with, so delivery order is *byte-identical* to pushing
 //! everything up front — but the FEL stays sized to the events in flight
-//! (O(resident VMs) instead of O(all VMs)) and the up-front O(n log n)
-//! heap build disappears. The merge is only correct over a sorted lane,
+//! (O(resident VMs) instead of O(all VMs)) and no arrival passes through
+//! it. The merge is only correct over a sorted lane,
 //! so the window's refill `assert!`s the source's order in every build.
 //!
-//! The FEL is a `std::collections::BinaryHeap` over the reversed
-//! `(time, seq)` order of [`QueueEntry`]. A proptest
+//! Time only moves forward: [`EventQueue::push`] refuses (an `assert!`,
+//! in every build) an entry earlier than the last one delivered from
+//! either lane — [`EventCtx`] clamps to now, so a handler never trips it.
+//! That contract is what lets the FEL be a monotone radix heap over the
+//! tick count rather than a comparison heap: a push is a bit scan, and an
+//! entry moves down at most 64 times before it is popped, FIFO among
+//! equal times (`src/queue.rs` has the layout). A proptest
 //! (`tests/fel_props.rs`) pins strict `(time, seq)` pop order under
-//! arbitrary push/pop interleavings of both lanes against one
-//! linear-scan model (`src/arrivals.rs` states the contract an arrival
-//! producer must uphold).
+//! push/pop interleavings of both lanes that keep the contract — times
+//! from same-tick bursts to spans of 2⁴¹ ticks — against one linear-scan
+//! model (`src/arrivals.rs` states the contract an arrival producer must
+//! uphold).
 //!
 //! ```
 //! use risa_des::{Simulation, SimDuration, SimTime, World, EventCtx};

@@ -4,14 +4,50 @@
 //! front and already sorted, announced with
 //! [`EventQueue::attach_arrivals`] and read through a small bounded
 //! *window* of already-converted `(time, event)` entries; lane 2 is the
-//! dynamic future-event list (FEL), a binary min-heap that holds events
-//! scheduled during the run.
-//! [`EventQueue::pop`] merges the lanes at `(time, seq)`, so delivery
-//! order is exactly what pushing everything into one heap would produce —
+//! dynamic future-event list (FEL) that holds events scheduled during the
+//! run. [`EventQueue::pop`] merges the lanes at `(time, seq)`, so delivery
+//! order is exactly what pushing everything into one FEL would produce —
 //! but the FEL stays O(events in flight) instead of O(all events ever
-//! known), the up-front heap build disappears, and the queue itself never
-//! holds more than one window of the schedule: whether the arrivals exist
-//! all at once is their producer's business.
+//! known), and the queue itself never holds more than one window of the
+//! schedule: whether the arrivals exist all at once is their producer's
+//! business.
+//!
+//! ## The monotone contract
+//!
+//! Time never runs backwards: [`EventQueue::push`] refuses — an
+//! `assert!`, in every build — an entry earlier than the last one the
+//! queue delivered from either lane, and a lane attached after deliveries
+//! must not start before them either (checked as its window refills).
+//! A discrete-event engine never needs more: a handler schedules at or
+//! after "now", which is the time just delivered. The queue turns that
+//! contract into its speed.
+//!
+//! ## The FEL: a monotone radix heap
+//!
+//! Because no key is ever pushed below the last one delivered, the FEL is
+//! a radix heap (Ahuja, Mehlhorn, Orlin & Tarjan, JACM 1990) over
+//! `at.ticks()` instead of a comparison heap. Keys are measured against a
+//! *base*, the last key the heap moved down (never above a pending key):
+//! the `ready` bucket holds the keys equal to it, FIFO, and far bucket
+//! `i` the keys whose highest bit differing from it is bit `i`, each far
+//! bucket remembering its earliest entry. A push is one XOR, one
+//! `leading_zeros` and one compare. A pop takes the head of `ready`, and
+//! when that is empty *refills* it: the first non-empty far bucket (a
+//! mask's `trailing_zeros`) gives up its minimum as the new base, and its
+//! entries move down, in order, to `ready` or to lower buckets. An entry
+//! only ever moves down, so it moves at most 64 times however deep the
+//! list — and every entry with a given key always shares one bucket, and
+//! moves in order, so equal times leave in push order: exactly
+//! `(time, seq)` for the FEL's own entries. The sequence number stays in
+//! each entry for the merge with the arrival lane and for
+//! [`EventQueue::pop`]'s caller.
+//!
+//! Looking at the FEL's minimum ([`EventQueue::peek_time`], and every
+//! merge decision) must **not** move the base: an arrival earlier than the
+//! FEL's minimum is still to be delivered and may schedule a departure
+//! below that minimum. It does not need to: the minimum is the head of
+//! `ready`, or else the remembered earliest entry of the lowest non-empty
+//! far bucket — O(1), no scan, and nothing to invalidate.
 //!
 //! ## The window
 //!
@@ -29,17 +65,16 @@
 //! any other symptom.
 //!
 //! Determinism requirement: when two events are scheduled for the same
-//! tick, the one scheduled *first* is delivered first. A binary heap is
-//! not stable, so every entry carries a monotonically increasing
-//! sequence number that breaks ties; an attached lane reserves one per
-//! arrival — the numbers its arrivals would have been pushed with — which
-//! is why the count given at attach must be exact (the lane's contract:
+//! tick, the one scheduled *first* is delivered first. Every entry
+//! carries a monotonically increasing sequence number that breaks ties
+//! across the lanes; an attached lane reserves one per arrival — the
+//! numbers its arrivals would have been pushed with — which is why the
+//! count given at attach must be exact (the lane's contract:
 //! `arrivals.rs`).
 
 use crate::arrivals::ArrivalLane;
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// The total-order key the engine dispatches by: `(time, seq)`.
@@ -56,35 +91,14 @@ pub struct QueueEntry<E> {
     pub event: E,
 }
 
-impl<E> PartialEq for QueueEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for QueueEntry<E> {}
-
-impl<E> PartialOrd for QueueEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for QueueEntry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we need the *earliest* entry
-        // on top, and among equal times the *lowest* sequence.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// A deterministic two-lane event queue.
 pub struct EventQueue<E> {
     arrivals: Option<ArrivalLane<E>>,
-    fel: BinaryHeap<QueueEntry<E>>,
+    fel: RadixFel<E>,
     next_seq: u64,
+    /// Time of the last entry delivered from either lane: the earliest a
+    /// push may be.
+    delivered: SimTime,
     peak_fel: usize,
     peak_window: usize,
 }
@@ -100,8 +114,9 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             arrivals: None,
-            fel: BinaryHeap::new(),
+            fel: RadixFel::new(),
             next_seq: 0,
+            delivered: SimTime::ZERO,
             peak_fel: 0,
             peak_window: 0,
         }
@@ -111,9 +126,10 @@ impl<E> EventQueue<E> {
     /// against dynamically pushed events exactly as if they had all been
     /// pushed now — they reserve the next `count` sequence numbers — but
     /// never entering the future-event list. The queue's driver hands
-    /// them over, in non-decreasing time order (checked as the window
-    /// refills, in every build), by calling
-    /// [`EventQueue::feed_arrivals`] before each pop and peek.
+    /// them over, in non-decreasing time order and none before the last
+    /// event already delivered (checked as the window refills, in every
+    /// build), by calling [`EventQueue::feed_arrivals`] before each pop
+    /// and peek.
     ///
     /// # Panics
     /// If a previous arrival lane has not been fully delivered yet.
@@ -122,7 +138,7 @@ impl<E> EventQueue<E> {
             self.stream_remaining() == 0,
             "attach_arrivals: a previous arrival lane is still being delivered"
         );
-        self.arrivals = Some(ArrivalLane::new(count, self.next_seq));
+        self.arrivals = Some(ArrivalLane::new(count, self.next_seq, self.delivered));
         self.next_seq += count as u64;
     }
 
@@ -146,18 +162,27 @@ impl<E> EventQueue<E> {
 
     /// Schedule `event` for delivery at `at`. Returns the sequence number
     /// assigned to the entry (useful in tests asserting FIFO tie order).
+    ///
+    /// # Panics
+    /// If `at` is earlier than the last entry delivered from either lane
+    /// (the monotone contract, checked in every build).
     pub fn push(&mut self, at: SimTime, event: E) -> u64 {
+        assert!(
+            at >= self.delivered,
+            "EventQueue::push at {at:?} precedes the last delivered event at {:?}",
+            self.delivered
+        );
         let seq = self.next_seq;
         self.next_seq += 1;
         self.fel.push(QueueEntry { at, seq, event });
-        self.peak_fel = self.peak_fel.max(self.fel.len());
+        self.peak_fel = self.peak_fel.max(self.fel.len);
         seq
     }
 
     /// Remove and return the earliest entry across both lanes, or `None`
     /// when empty.
     pub fn pop(&mut self) -> Option<QueueEntry<E>> {
-        match (self.arrival_key(), self.fel_key()) {
+        let entry = match (self.arrival_key(), self.fel.min_key()) {
             (None, None) => None,
             (Some(_), None) => self.pop_arrival(),
             (None, Some(_)) => self.fel.pop(),
@@ -168,21 +193,19 @@ impl<E> EventQueue<E> {
                     self.fel.pop()
                 }
             }
-        }
+        }?;
+        self.delivered = entry.at;
+        Some(entry)
     }
 
     /// Delivery time of the earliest pending event. Takes `&mut self`
     /// because looking at an exhausted arrival lane retires it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        match (self.arrival_key(), self.fel_key()) {
+        match (self.arrival_key(), self.fel.min_key()) {
             (None, None) => None,
             (Some((t, _)), None) | (None, Some((t, _))) => Some(t),
             (Some(s), Some(f)) => Some(s.min(f).0),
         }
-    }
-
-    fn fel_key(&self) -> Option<EventKey> {
-        self.fel.peek().map(|e| (e.at, e.seq))
     }
 
     /// `(time, seq)` of the arrival lane's head. Drops the lane once every
@@ -217,7 +240,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events across both lanes.
     pub fn len(&self) -> usize {
-        self.stream_remaining() + self.fel.len()
+        self.stream_remaining() + self.fel.len
     }
 
     /// True when no events are pending in either lane.
@@ -233,7 +256,7 @@ impl<E> EventQueue<E> {
 
     /// Events currently in the future-event list (the dynamic lane).
     pub fn fel_len(&self) -> usize {
-        self.fel.len()
+        self.fel.len
     }
 
     /// High-water mark of the future-event list. With an arrival lane
@@ -254,13 +277,6 @@ impl<E> EventQueue<E> {
     pub fn scheduled_total(&self) -> u64 {
         self.next_seq
     }
-
-    /// Drop all pending events in both lanes (sequence counter keeps
-    /// advancing so replay determinism is preserved across a clear).
-    pub fn clear(&mut self) {
-        self.arrivals = None;
-        self.fel.clear();
-    }
 }
 
 // Payload-opaque `Debug` (no `E: Debug` bound): summarizes both lanes.
@@ -268,9 +284,109 @@ impl<E> fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EventQueue")
             .field("stream_remaining", &self.stream_remaining())
-            .field("fel_len", &self.fel.len())
+            .field("fel_len", &self.fel.len)
             .field("next_seq", &self.next_seq)
             .finish()
+    }
+}
+
+/// The future-event list: a monotone radix heap over `at.ticks()` (see
+/// the module docs). Every pending key is at or above `base`.
+struct RadixFel<E> {
+    /// The key every bucket is measured against: the minimum the last
+    /// refill moved down.
+    base: u64,
+    /// Entries whose key equals `base`, in push order.
+    ready: VecDeque<QueueEntry<E>>,
+    /// `far[i]`: entries whose key's highest bit differing from `base` is
+    /// bit `i`, in push order. A drained bucket keeps its capacity.
+    far: [Vec<QueueEntry<E>>; 64],
+    /// `far_min[i]`: `(ticks, seq)` of `far[i]`'s earliest entry, while
+    /// the bucket holds one.
+    far_min: [(u64, u64); 64],
+    /// Bit `i` set while `far[i]` is non-empty.
+    occupied: u64,
+    /// Entries held, `ready` and `far` together.
+    len: usize,
+}
+
+impl<E> RadixFel<E> {
+    fn new() -> Self {
+        RadixFel {
+            base: 0,
+            ready: VecDeque::new(),
+            far: std::array::from_fn(|_| Vec::new()),
+            far_min: [(0, 0); 64],
+            occupied: 0,
+            len: 0,
+        }
+    }
+
+    /// File `entry` under the current base: `ready`, or the far bucket
+    /// its key's highest differing bit names, whose earliest entry it may
+    /// become. The caller guarantees the key is not below the base.
+    #[inline]
+    fn place(&mut self, entry: QueueEntry<E>) {
+        let key = (entry.at.ticks(), entry.seq);
+        let diff = key.0 ^ self.base;
+        if diff == 0 {
+            self.ready.push_back(entry);
+        } else {
+            let i = 63 - diff.leading_zeros() as usize;
+            // Entries reach a bucket in sequence order, so among equal
+            // times the first to arrive stays the minimum.
+            if self.occupied & (1 << i) == 0 || key.0 < self.far_min[i].0 {
+                self.far_min[i] = key;
+            }
+            self.far[i].push(entry);
+            self.occupied |= 1 << i;
+        }
+    }
+
+    /// Add an entry whose key is at or above the base (the queue's push
+    /// check guarantees it: the base was delivered, or lies below what
+    /// was).
+    #[inline]
+    fn push(&mut self, entry: QueueEntry<E>) {
+        debug_assert!(entry.at.ticks() >= self.base, "a key below the radix base");
+        self.place(entry);
+        self.len += 1;
+    }
+
+    /// `(time, seq)` of the earliest entry: the head of `ready`, or else
+    /// the lowest non-empty far bucket's earliest, since every key in a
+    /// bucket lies below every key in the next. Does not move the base.
+    #[inline]
+    fn min_key(&self) -> Option<EventKey> {
+        let (ticks, seq) = match self.ready.front() {
+            Some(head) => (self.base, head.seq),
+            None if self.occupied != 0 => self.far_min[self.occupied.trailing_zeros() as usize],
+            None => return None,
+        };
+        Some((SimTime::from_ticks(ticks), seq))
+    }
+
+    /// Remove the earliest entry, refilling `ready` first if it is empty.
+    fn pop(&mut self) -> Option<QueueEntry<E>> {
+        if self.ready.is_empty() {
+            if self.occupied == 0 {
+                return None;
+            }
+            let i = self.occupied.trailing_zeros() as usize;
+            self.occupied &= !(1 << i);
+            self.base = self.far_min[i].0;
+            // Every key in bucket `i` now differs from the base below bit
+            // `i`: each entry moves down, in order, and the bucket keeps
+            // its allocation for the next time it fills.
+            let mut bucket = std::mem::take(&mut self.far[i]);
+            for entry in bucket.drain(..) {
+                self.place(entry);
+            }
+            self.far[i] = bucket;
+        }
+        let entry = self.ready.pop_front()?;
+        self.len -= 1;
+        Some(entry)
     }
 }
 
@@ -327,16 +443,59 @@ mod tests {
         assert!(!q.is_empty());
     }
 
+    /// Entries at one time pushed before a refill moves them down and
+    /// after it — into the far bucket they share, then into the ready
+    /// bucket — still leave in push order.
     #[test]
-    fn clear_preserves_sequence_counter() {
+    fn equal_times_stay_fifo_across_refills() {
         let mut q = EventQueue::new();
-        q.push(t(1.0), 1u32);
-        q.push(t(2.0), 2);
-        q.clear();
-        assert!(q.is_empty());
-        let seq = q.push(t(3.0), 3);
-        assert_eq!(seq, 2, "sequence numbers keep increasing after clear");
-        assert_eq!(q.scheduled_total(), 3);
+        let at = SimTime::from_ticks(1000);
+        q.push(at, 0);
+        q.push(SimTime::from_ticks(5), 100);
+        q.push(at, 1);
+        assert_eq!(q.pop().map(|e| e.event), Some(100), "refills t=5");
+        q.push(at, 2);
+        assert_eq!(
+            q.pop().map(|e| (e.at, e.event)),
+            Some((at, 0)),
+            "refills t=1000"
+        );
+        q.push(at, 3);
+        assert_eq!(drain(&mut q), vec![1, 2, 3]);
+    }
+
+    /// Looking at the FEL does not commit it: an arrival earlier than the
+    /// FEL's minimum may still schedule an entry below that minimum — in a
+    /// lower bucket or in the minimum's own — which then leads.
+    #[test]
+    fn peek_does_not_move_the_base() {
+        let late = SimTime::from_ticks((1 << 20) + 5);
+        let mut q = EventQueue::new();
+        q.push(late, "late");
+        let arrivals = vec![(SimTime::from_ticks(10), "arrival"); 2];
+        let mut q = Fed::attach(q, arrivals);
+        assert_eq!(q.peek_time(), Some(SimTime::from_ticks(10)));
+        assert_eq!(q.pop().map(|e| e.event), Some("arrival"));
+        q.push(SimTime::from_ticks(20), "departure");
+        q.push(SimTime::from_ticks((1 << 20) + 1), "sooner");
+        assert_eq!(q.peek_time(), Some(SimTime::from_ticks(10)));
+        assert_eq!(q.pop().map(|e| e.event), Some("arrival"));
+        assert_eq!(q.peek_time(), Some(SimTime::from_ticks(20)));
+        assert_eq!(drain(&mut q), vec!["departure", "sooner", "late"]);
+    }
+
+    /// An arrival tying with FEL entries is delivered between those pushed
+    /// before its lane was attached and those pushed after, wherever they
+    /// sit in the radix heap.
+    #[test]
+    fn lane_ties_split_the_fel_at_the_attach() {
+        let at = SimTime::from_ticks(1000);
+        let mut q = EventQueue::new();
+        q.push(at, "before");
+        let mut q = Fed::attach(q, vec![(at, "arrival")]);
+        q.push(at, "after");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
+        assert_eq!(order, vec!["before", "arrival", "after"]);
     }
 
     #[test]
@@ -393,6 +552,21 @@ mod tests {
         q.attach_arrivals(1);
     }
 
+    /// The monotone contract holds for the arrival lane too: a lane
+    /// attached after deliveries may not start before them.
+    #[test]
+    #[should_panic(
+        expected = "sorted by time: entry 0 at t=1.000000u precedes the last event \
+                               delivered before the lane was attached at t=5.000000u"
+    )]
+    fn a_lane_starting_before_the_delivered_time_panics() {
+        let mut q = EventQueue::new();
+        q.push(t(5.0), 0u32);
+        q.pop();
+        let mut q = Fed::attach(q, vec![(t(1.0), 1)]);
+        q.pop();
+    }
+
     #[test]
     fn peak_fel_len_counts_only_the_dynamic_lane() {
         let mut q = Fed::attach(
@@ -447,6 +621,21 @@ mod tests {
         entries[ARRIVAL_WINDOW].0 = SimTime::from_ticks(5);
         let mut q = Fed::attach(EventQueue::new(), entries);
         while q.pop().is_some() {}
+    }
+
+    /// The push-side check is an `assert!` too, whichever lane delivered
+    /// the entry the push would precede.
+    #[test]
+    #[should_panic(
+        expected = "EventQueue::push at t=3.000000u precedes the last delivered event \
+                               at t=4.000000u"
+    )]
+    fn push_before_the_last_delivered_time_panics() {
+        let mut q = Fed::attach(EventQueue::new(), vec![(t(4.0), 0u32)]);
+        q.push(t(9.0), 1);
+        assert_eq!(q.pop().map(|e| e.event), Some(0));
+        q.push(t(4.0), 2);
+        q.push(t(3.0), 3);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Ordering properties of the event queue, both lanes.
 //!
-//! `EventQueue` must pop in strict `(time, seq)` order under arbitrary
-//! push/pop interleavings — including same-tick bursts, where only the
-//! sequence number breaks ties — with or without an arrival lane attached,
-//! whatever its driver hands over per refill. All of it is checked
-//! against one linear-scan `Vec` model that knows nothing of lanes,
-//! windows or heaps.
+//! `EventQueue` must pop in strict `(time, seq)` order under any push/pop
+//! interleaving that keeps its contract — no push before the last entry
+//! delivered — including same-tick bursts, where only the sequence number
+//! breaks ties, with or without an arrival lane attached, whatever its
+//! driver hands over per refill, and over time spans that walk the radix
+//! heap through many refills. All of it is checked against one
+//! linear-scan `Vec` model that knows nothing of lanes, windows, buckets
+//! or bases. A push that breaks the contract is refused in every build.
 
 use proptest::prelude::*;
 use risa_des::{EventQueue, SimTime};
@@ -13,8 +15,12 @@ use risa_des::{EventQueue, SimTime};
 /// One scripted operation against the queue.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// Push an entry at this many ticks.
+    /// Push an entry this many ticks after the last entry delivered (or
+    /// after tick 0, before the first pop).
     Push(u64),
+    /// Push this many entries at the time of the latest push (or of the
+    /// last delivery, if that is later).
+    Burst(u32),
     /// Pop the earliest entry, this many times.
     Pop(u32),
 }
@@ -114,12 +120,24 @@ fn replay(pre: &[u64], lane: Option<&Lane>, script: &[Op]) -> (Vec<Popped>, Vec<
     let lane_ticks = lane.map_or(&[][..], |l| &l.ticks);
     let mut model: Vec<(u64, u64)> = pre.iter().chain(lane_ticks).copied().zip(0u64..).collect();
     let (mut popped, mut expected) = (Vec::new(), Vec::new());
+    fn push(driven: &mut Driven, model: &mut Vec<(u64, u64)>, ticks: u64) {
+        let seq = driven.queue.scheduled_total();
+        assert_eq!(driven.queue.push(SimTime::from_ticks(ticks), seq), seq);
+        model.push((ticks, seq));
+    }
+    // The last delivered time and the latest pushed one.
+    let (mut delivered, mut pushed) = (0u64, 0u64);
     for op in script {
         match *op {
-            Op::Push(ticks) => {
-                let seq = driven.queue.scheduled_total();
-                assert_eq!(driven.queue.push(SimTime::from_ticks(ticks), seq), seq);
-                model.push((ticks, seq));
+            Op::Push(offset) => {
+                pushed = delivered + offset;
+                push(&mut driven, &mut model, pushed);
+            }
+            Op::Burst(count) => {
+                pushed = pushed.max(delivered);
+                for _ in 0..count {
+                    push(&mut driven, &mut model, pushed);
+                }
             }
             Op::Pop(times) => {
                 for _ in 0..times {
@@ -128,6 +146,9 @@ fn replay(pre: &[u64], lane: Option<&Lane>, script: &[Op]) -> (Vec<Popped>, Vec<
                     let peeked = driven.queue.peek_time();
                     let entry = driven.pop();
                     assert_eq!(peeked.map(SimTime::ticks), entry.map(|e| e.0));
+                    if let Some((ticks, _, _)) = entry {
+                        delivered = ticks;
+                    }
                     popped.extend(entry);
                     expected.extend(model_pop(&mut model));
                 }
@@ -144,19 +165,33 @@ fn replay(pre: &[u64], lane: Option<&Lane>, script: &[Op]) -> (Vec<Popped>, Vec<
     (popped, expected)
 }
 
-/// Random scripts biased ~3:1 toward pushes, with times drawn from a small
-/// range so same-tick collisions are common.
-fn ops(max_ticks: u64) -> impl Strategy<Value = Vec<Op>> {
+/// Random scripts biased ~3:1 toward pushes, each landing up to
+/// `max_offset` ticks after the last delivery: a small range keeps
+/// same-tick collisions common.
+fn ops(max_offset: u64) -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
-        (0u32..4, 0u64..max_ticks).prop_map(
-            |(sel, t)| {
-                if sel < 3 {
-                    Op::Push(t)
-                } else {
-                    Op::Pop(1)
-                }
-            },
-        ),
+        (0u32..4, 0u64..max_offset).prop_map(|(sel, offset)| {
+            if sel < 3 {
+                Op::Push(offset)
+            } else {
+                Op::Pop(1)
+            }
+        }),
+        0..400,
+    )
+}
+
+/// Scripts whose pushes land anywhere from 0 to 2⁴¹ ticks after the last
+/// delivery, the magnitude drawn first so every scale is common; bursts
+/// repeat the latest push's time, before and after the pops that refill
+/// its bucket, and pops come in short runs.
+fn wide_ops() -> impl Strategy<Value = Vec<Op>> {
+    prop::collection::vec(
+        (0u32..8, 0u32..42, any::<u64>(), 1u32..6).prop_map(|(sel, bits, draw, n)| match sel {
+            0..=3 => Op::Push(draw & ((1u64 << bits) - 1)),
+            4 => Op::Burst(n),
+            _ => Op::Pop(n),
+        }),
         0..400,
     )
 }
@@ -182,12 +217,12 @@ fn lane() -> impl Strategy<Value = Lane> {
 }
 
 /// Scripts for a queue with a lane: pops come in runs long enough to walk
-/// through refills, pushes land on the ticks the lane is crossing (ties
-/// between the lanes, on both sides of a refill).
+/// through refills, pushes land on or just past the tick the lane is
+/// crossing (ties between the lanes, on both sides of a refill).
 fn lane_ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
-        (0u32..7, 0u64..2600, 1u32..300).prop_map(|(sel, t, run)| match sel {
-            0..=3 => Op::Push(t),
+        (0u32..7, 0u64..16, 1u32..300).prop_map(|(sel, offset, run)| match sel {
+            0..=3 => Op::Push(offset),
             _ => Op::Pop(run),
         }),
         0..60,
@@ -203,11 +238,25 @@ proptest! {
         prop_assert_eq!(popped, expected);
     }
 
-    /// Same-tick-burst-heavy scripts (8 distinct times): ties must pop in
-    /// push order.
+    /// Same-tick-burst-heavy scripts (8 distinct offsets): ties must pop
+    /// in push order.
     #[test]
     fn queue_same_tick_bursts_are_fifo(script in ops(8)) {
         let (popped, expected) = replay(&[], None, &script);
+        prop_assert_eq!(popped, expected);
+    }
+
+    /// Times spanning 2⁴¹ ticks walk the radix heap through many refills
+    /// and every bucket, with equal-time bursts pushed on both sides of
+    /// the refill that moves their time down; on some, a lane merges in,
+    /// tying with entries pushed before it was attached and after.
+    #[test]
+    fn wide_times_pop_in_time_seq_order_across_refills(
+        pre in prop::collection::vec(0u64..64, 0..4),
+        lane in prop_oneof![Just(None), lane().prop_map(Some)],
+        script in wide_ops(),
+    ) {
+        let (popped, expected) = replay(&pre, lane.as_ref(), &script);
         prop_assert_eq!(popped, expected);
     }
 
@@ -266,5 +315,34 @@ fn unsorted_source_panics_in_every_build() {
             message.contains("sorted by time: entry 1200 at"),
             "step {step}: {message}"
         );
+    }
+}
+
+/// The push-side half of the contract is not a `debug_assert!` either: a
+/// push before the last delivered time — delivered from the future-event
+/// list, or from the lane — is refused in every build.
+#[test]
+fn push_before_the_last_delivery_panics_in_every_build() {
+    let lane = Lane {
+        ticks: vec![100],
+        step: usize::MAX,
+    };
+    for (pre, delivered) in [(&[50u64][..], 50u64), (&[][..], 100)] {
+        let refused = std::panic::catch_unwind(|| {
+            let mut driven = build(pre, Some(&lane));
+            driven.pop();
+            driven.queue.push(SimTime::from_ticks(delivered), 0);
+            driven.queue.push(SimTime::from_ticks(delivered - 1), 0);
+        });
+        let message = *refused
+            .expect_err("a push before the last delivery must be refused")
+            .downcast::<String>()
+            .expect("assert! panics with a String");
+        let expected = format!(
+            "push at {:?} precedes the last delivered event at {:?}",
+            SimTime::from_ticks(delivered - 1),
+            SimTime::from_ticks(delivered)
+        );
+        assert!(message.contains(&expected), "{message}");
     }
 }

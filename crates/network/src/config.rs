@@ -56,7 +56,10 @@ impl NetworkConfig {
         self.link_mbps * self.rack_uplink_width as u64
     }
 
-    /// Sanity-check the configuration.
+    /// Sanity-check the configuration. A rack uplink trunk must carry
+    /// less than 2⁴⁸ Mb/s: the rack ordering keys its free bandwidth in
+    /// 48 bits, and so any one link's free bandwidth leaves the top bit
+    /// of its word in the flat trunk layout free for the down flag.
     pub fn validate(&self) -> Result<(), String> {
         if self.link_mbps == 0 {
             return Err("links must have non-zero capacity".into());

@@ -2,7 +2,7 @@
 
 use crate::config::NetworkConfig;
 use crate::demand::FlowDemands;
-use crate::trunk::{Trunk, TrunkId};
+use crate::trunk::{Trunk, TrunkId, TrunkLayer, TrunkMut};
 use risa_topology::{BoxId, Cluster, RackId};
 use serde::{Deserialize, Serialize};
 
@@ -187,19 +187,21 @@ fn key_rack(key: u64) -> RackId {
     RackId(!(key as u16))
 }
 
-/// The mutable network: one trunk per box and one per rack, plus two
-/// pieces of derived state kept coherent by the single private mutation
-/// funnel (`mutate`): an ordering of racks by free uplink bandwidth
-/// (so NALB's "modified BFS" reads its neighbour order instead of
-/// re-sorting every rack per probe) and per-layer running totals (so the
-/// world's per-event sampler reads three fields instead of every trunk).
-/// The ordering is one flat sorted array: a re-rank is two binary searches
-/// and a rotate of the entries in between, the walk a reverse slice scan.
+/// The mutable network: one trunk per box and one per rack, each layer
+/// stored flat (one vector of fixed-stride records: `trunk.rs` has the
+/// layout), plus two pieces of derived state kept coherent by the single
+/// private mutation funnel (`mutate`): an ordering of racks by free uplink
+/// bandwidth (so NALB's "modified BFS" reads its neighbour order instead
+/// of re-sorting every rack per probe) and per-layer running totals (so
+/// the world's per-event sampler reads three fields instead of every
+/// trunk). The ordering is one flat sorted array: a re-rank is two binary
+/// searches and a rotate of the entries in between, the walk a reverse
+/// slice scan.
 #[derive(Debug, Clone)]
 pub struct NetworkState {
     cfg: NetworkConfig,
-    box_trunks: Vec<Trunk>,
-    rack_trunks: Vec<Trunk>,
+    box_trunks: TrunkLayer,
+    rack_trunks: TrunkLayer,
     /// Every rack's [`rack_key`], ascending, so reverse iteration yields
     /// NALB's neighbour order: descending bandwidth, ties to the lower id.
     rack_bw: Vec<u64>,
@@ -215,11 +217,12 @@ impl NetworkState {
     /// Build a pristine network mirroring `cluster`'s boxes and racks.
     pub fn new(cfg: NetworkConfig, cluster: &Cluster) -> Self {
         cfg.validate().expect("invalid network configuration");
-        let trunks = |n: usize, width: u16| -> Vec<Trunk> {
-            (0..n).map(|_| Trunk::new(width, cfg.link_mbps)).collect()
-        };
-        let box_trunks = trunks(cluster.num_boxes(), cfg.box_uplink_width);
-        let rack_trunks = trunks(cluster.num_racks() as usize, cfg.rack_uplink_width);
+        let box_trunks = TrunkLayer::new(cluster.num_boxes(), cfg.box_uplink_width, cfg.link_mbps);
+        let rack_trunks = TrunkLayer::new(
+            cluster.num_racks() as usize,
+            cfg.rack_uplink_width,
+            cfg.link_mbps,
+        );
         let [intra_used, inter_used, stranded] = Self::sum_totals(&box_trunks, &rack_trunks);
         NetworkState {
             rack_bw: Self::build_rack_bw(&rack_trunks),
@@ -232,9 +235,9 @@ impl NetworkState {
         }
     }
 
-    fn build_rack_bw(rack_trunks: &[Trunk]) -> Vec<u64> {
+    fn build_rack_bw(rack_trunks: &TrunkLayer) -> Vec<u64> {
         let mut order: Vec<u64> = rack_trunks
-            .iter()
+            .trunks()
             .enumerate()
             .map(|(r, t)| rack_key(t.free_mbps(), r as u16))
             .collect();
@@ -265,9 +268,9 @@ impl NetworkState {
     /// `[intra_used, inter_used, stranded]` summed over every trunk — what
     /// the running totals must equal (construction and
     /// [`NetworkState::check_invariants`] only; never on the event path).
-    fn sum_totals(box_trunks: &[Trunk], rack_trunks: &[Trunk]) -> [u64; 3] {
-        let used = |ts: &[Trunk]| ts.iter().map(Trunk::used_mbps).sum::<u64>();
-        let stranded = |ts: &[Trunk]| ts.iter().map(Trunk::stranded_mbps).sum::<u64>();
+    fn sum_totals(box_trunks: &TrunkLayer, rack_trunks: &TrunkLayer) -> [u64; 3] {
+        let used = |l: &TrunkLayer| l.trunks().map(Trunk::used_mbps).sum::<u64>();
+        let stranded = |l: &TrunkLayer| l.trunks().map(Trunk::stranded_mbps).sum::<u64>();
         [
             used(box_trunks),
             used(rack_trunks),
@@ -280,11 +283,12 @@ impl NetworkState {
         &self.cfg
     }
 
-    /// Immutable access to a trunk.
-    pub fn trunk(&self, id: TrunkId) -> &Trunk {
+    /// Read-only view of a trunk.
+    #[inline]
+    pub fn trunk(&self, id: TrunkId) -> Trunk<'_> {
         match id {
-            TrunkId::BoxUplink(b) => &self.box_trunks[b as usize],
-            TrunkId::RackUplink(r) => &self.rack_trunks[r as usize],
+            TrunkId::BoxUplink(b) => self.box_trunks.trunk(b as usize),
+            TrunkId::RackUplink(r) => self.rack_trunks.trunk(r as usize),
         }
     }
 
@@ -293,14 +297,16 @@ impl NetworkState {
     /// the rack in the bandwidth ordering only when a rack trunk's free
     /// bandwidth moved. A refused `op` leaves the trunk untouched, so
     /// every delta is zero and nothing else changes.
-    fn mutate<R>(&mut self, id: TrunkId, op: impl FnOnce(&mut Trunk) -> R) -> R {
-        let (trunk, layer_used) = match id {
-            TrunkId::BoxUplink(b) => (&mut self.box_trunks[b as usize], &mut self.intra_used),
-            TrunkId::RackUplink(r) => (&mut self.rack_trunks[r as usize], &mut self.inter_used),
+    fn mutate<R>(&mut self, id: TrunkId, op: impl FnOnce(&mut TrunkMut<'_>) -> R) -> R {
+        let (mut trunk, layer_used) = match id {
+            TrunkId::BoxUplink(b) => (self.box_trunks.trunk_mut(b as usize), &mut self.intra_used),
+            TrunkId::RackUplink(r) => {
+                (self.rack_trunks.trunk_mut(r as usize), &mut self.inter_used)
+            }
         };
-        let (free, free_all) = trunk.ledger();
-        let out = op(trunk);
-        let (free_after, free_all_after) = trunk.ledger();
+        let (free, free_all) = trunk.view().ledger();
+        let out = op(&mut trunk);
+        let (free_after, free_all_after) = trunk.view().ledger();
         // used = capacity − free_all and stranded = free_all − free, so
         // the deltas need no capacity product. Unsigned totals: add
         // before subtracting what each total already contains.
@@ -352,12 +358,12 @@ impl NetworkState {
 
     /// Total free bandwidth on a box's uplink trunk (NALB's sort key).
     pub fn box_uplink_free_mbps(&self, b: BoxId) -> u64 {
-        self.box_trunks[b.0 as usize].free_mbps()
+        self.box_trunks.trunk(b.0 as usize).free_mbps()
     }
 
     /// Total free bandwidth on a rack's uplink trunk.
     pub fn rack_uplink_free_mbps(&self, r: RackId) -> u64 {
-        self.rack_trunks[r.0 as usize].free_mbps()
+        self.rack_trunks.trunk(r.0 as usize).free_mbps()
     }
 
     /// The trunks an `src → dst` flow must cross, in order: the first
@@ -515,7 +521,7 @@ impl NetworkState {
     ) -> bool {
         use risa_topology::ResourceKind;
         let fits =
-            |b: &BoxId, mbps: u64| self.box_trunks[b.0 as usize].max_link_free_mbps() >= mbps;
+            |b: &BoxId, mbps: u64| self.box_trunks.trunk(b.0 as usize).max_link_free_mbps() >= mbps;
         let cpu_ok = cluster
             .boxes_in_rack(rack, ResourceKind::Cpu)
             .iter()
@@ -528,7 +534,7 @@ impl NetworkState {
             .boxes_in_rack(rack, ResourceKind::Ram)
             .iter()
             .any(|b| {
-                let t = &self.box_trunks[b.0 as usize];
+                let t = self.box_trunks.trunk(b.0 as usize);
                 t.max_link_free_mbps() >= demand.cpu_ram_mbps.max(demand.ram_sto_mbps)
                     && t.free_mbps() >= demand.ram_box_mbps()
             });
@@ -537,7 +543,7 @@ impl NetworkState {
 
     /// Total capacity of the intra-rack layer (all box uplink trunks).
     pub fn intra_capacity_mbps(&self) -> u64 {
-        self.box_trunks.iter().map(Trunk::capacity_mbps).sum()
+        self.box_trunks.capacity_mbps()
     }
 
     /// Bandwidth currently reserved on the intra-rack layer. O(1).
@@ -547,7 +553,7 @@ impl NetworkState {
 
     /// Total capacity of the inter-rack layer (all rack uplink trunks).
     pub fn inter_capacity_mbps(&self) -> u64 {
-        self.rack_trunks.iter().map(Trunk::capacity_mbps).sum()
+        self.rack_trunks.capacity_mbps()
     }
 
     /// Bandwidth currently reserved on the inter-rack layer. O(1).
@@ -572,34 +578,15 @@ impl NetworkState {
         self.inter_used_mbps() as f64 / self.inter_capacity_mbps() as f64
     }
 
-    /// Debug invariant: every link's free bandwidth within `[0, capacity]`
-    /// (guaranteed by construction; kept for the property suite's belt and
-    /// braces).
+    /// Every aggregate recomputed from the link words: each link's free
+    /// bandwidth (the down bit masked off) within `[0, capacity]` and each
+    /// trunk's three ledgers (`Trunk::check`), then the rack ordering and
+    /// the layer totals from those (guaranteed by construction; kept for
+    /// the property suites' belt and braces).
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (i, t) in self.box_trunks.iter().enumerate() {
-            for l in 0..t.width() {
-                if t.link_free_mbps(l) > t.link_capacity_mbps() {
-                    return Err(format!("box trunk {i} link {l} over capacity"));
-                }
-            }
-        }
-        for (i, t) in self.rack_trunks.iter().enumerate() {
-            for l in 0..t.width() {
-                if t.link_free_mbps(l) > t.link_capacity_mbps() {
-                    return Err(format!("rack trunk {i} link {l} over capacity"));
-                }
-            }
-        }
-        for (i, t) in self.box_trunks.iter().chain(&self.rack_trunks).enumerate() {
-            let up_links = || (0..t.width()).filter(|&l| t.link_up(l));
-            let total_up: u64 = up_links().map(|l| t.link_free_mbps(l)).sum();
-            let max_up = up_links().map(|l| t.link_free_mbps(l)).max().unwrap_or(0);
-            let total_all: u64 = (0..t.width()).map(|l| t.link_free_mbps(l)).sum();
-            if t.free_mbps() != total_up
-                || t.max_link_free_mbps() != max_up
-                || t.used_mbps() != t.capacity_mbps() - total_all
-            {
-                return Err(format!("trunk {i}: stale headroom cache"));
+        for (layer, trunks) in [("box", &self.box_trunks), ("rack", &self.rack_trunks)] {
+            for (i, t) in trunks.trunks().enumerate() {
+                t.check().map_err(|e| format!("{layer} trunk {i}: {e}"))?;
             }
         }
         if self.rack_bw != Self::build_rack_bw(&self.rack_trunks) {
@@ -940,6 +927,22 @@ mod tests {
             }
         ));
         net.check_invariants().unwrap();
+    }
+
+    /// `check_invariants` recomputes the derived state from the trunks
+    /// too: a trunk changed outside the mutation funnel leaves the layer
+    /// totals or the rack ordering behind, and is caught.
+    #[test]
+    fn check_invariants_catches_a_mutation_outside_the_funnel() {
+        let (_c, mut net) = setup();
+        assert!(net.box_trunks.trunk_mut(5).take(0, 1_000));
+        assert_eq!(net.check_invariants(), Err("layer totals stale".into()));
+        let (_c, mut net) = setup();
+        assert!(net.rack_trunks.trunk_mut(3).take(0, 1_000));
+        assert_eq!(
+            net.check_invariants(),
+            Err("rack bandwidth ordering stale".into())
+        );
     }
 
     #[test]

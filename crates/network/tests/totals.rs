@@ -5,7 +5,11 @@
 //! `stranded_mbps` equal the sums over every trunk,
 //! `racks_by_free_bw_desc` equals a sort of the racks by their trunks'
 //! free bandwidth, and `check_invariants` (which recomputes all of it
-//! too) holds, after each step.
+//! too) holds, after each step. On the trunks the operations touch, every
+//! read a scheduler makes — the ledgers, `max_link_free_mbps`,
+//! `first_fit`, `most_available` — also equals a recount over the links'
+//! public free/up state, so the down bit stored in a link word never
+//! leaks into one, at the paper's trunk widths and at 1, 3, 63, 64 and 65.
 
 use proptest::prelude::*;
 use risa_network::{
@@ -97,7 +101,40 @@ fn naive_rack_order(cluster: &Cluster, net: &NetworkState) -> Vec<RackId> {
     racks
 }
 
-fn assert_coherent(cluster: &Cluster, net: &NetworkState) -> Result<(), TestCaseError> {
+/// One trunk's scheduler-facing reads against a recount over its links'
+/// free bandwidth and up/down state, for every demand the operations use
+/// and one past a whole link.
+fn assert_trunk_reads(t: Trunk<'_>) -> Result<(), TestCaseError> {
+    let links: Vec<(u64, bool)> = (0..t.width())
+        .map(|l| (t.link_free_mbps(l), t.link_up(l)))
+        .collect();
+    let up = || links.iter().filter(|(_, up)| *up).map(|&(free, _)| free);
+    let all: u64 = links.iter().map(|&(free, _)| free).sum();
+    let max_up = up().max().unwrap_or(0);
+    prop_assert!(links
+        .iter()
+        .all(|&(free, _)| free <= t.link_capacity_mbps()));
+    prop_assert_eq!(t.free_mbps(), up().sum::<u64>());
+    prop_assert_eq!(t.used_mbps(), t.capacity_mbps() - all);
+    prop_assert_eq!(t.stranded_mbps(), all - t.free_mbps());
+    prop_assert_eq!(t.max_link_free_mbps(), max_up);
+    prop_assert_eq!(t.up_width(), up().count());
+    for mbps in [1, MBPS[1], MBPS[2], MBPS[3], MBPS[3] + 1] {
+        let fits = |&(free, up): &(u64, bool)| up && free >= mbps;
+        prop_assert_eq!(t.first_fit(mbps), links.iter().position(fits));
+        let most = links
+            .iter()
+            .position(|&(free, up)| up && free == max_up && max_up >= mbps);
+        prop_assert_eq!(t.most_available(mbps), most);
+    }
+    Ok(())
+}
+
+fn assert_coherent(
+    cluster: &Cluster,
+    net: &NetworkState,
+    touched: impl Iterator<Item = TrunkId>,
+) -> Result<(), TestCaseError> {
     net.check_invariants().map_err(TestCaseError::fail)?;
     prop_assert_eq!(
         net.racks_by_free_bw_desc().collect::<Vec<_>>(),
@@ -111,18 +148,28 @@ fn assert_coherent(cluster: &Cluster, net: &NetworkState) -> Result<(), TestCase
         ],
         naive_totals(cluster, net)
     );
+    for id in touched {
+        assert_trunk_reads(net.trunk(id))?;
+    }
     Ok(())
 }
 
-fn drive(topology: TopologyConfig, ops: &[Op]) -> Result<(), TestCaseError> {
+fn drive(topology: TopologyConfig, cfg: NetworkConfig, ops: &[Op]) -> Result<(), TestCaseError> {
     let cluster = Cluster::new(topology);
-    let mut net = NetworkState::new(NetworkConfig::paper(), &cluster);
+    let mut net = NetworkState::new(cfg, &cluster);
     let num_boxes = cluster.num_boxes() as u32;
     let window = WINDOW_RACKS as u32 * (num_boxes / cluster.num_racks() as u32);
     let box_at = |i: u32| num_boxes - window + i % window;
+    let first_rack = cluster.num_racks() - WINDOW_RACKS;
+    let touched = || {
+        (0..window)
+            .map(|i| TrunkId::BoxUplink(box_at(i)))
+            .chain((first_rack..cluster.num_racks()).map(TrunkId::RackUplink))
+    };
+    let assert_coherent = |net: &NetworkState| assert_coherent(&cluster, net, touched());
     let mut held: Vec<VmNetAllocation> = Vec::new();
     let mut released: Vec<VmNetAllocation> = Vec::new();
-    assert_coherent(&cluster, &net)?;
+    assert_coherent(&net)?;
     for op in ops {
         match *op {
             Op::Alloc {
@@ -179,9 +226,7 @@ fn drive(topology: TopologyConfig, ops: &[Op]) -> Result<(), TestCaseError> {
                 link,
             } => {
                 let id = if rack_trunk {
-                    TrunkId::RackUplink(
-                        cluster.num_racks() - WINDOW_RACKS + idx as u16 % WINDOW_RACKS,
-                    )
+                    TrunkId::RackUplink(first_rack + idx as u16 % WINDOW_RACKS)
                 } else {
                     TrunkId::BoxUplink(box_at(idx))
                 };
@@ -193,7 +238,7 @@ fn drive(topology: TopologyConfig, ops: &[Op]) -> Result<(), TestCaseError> {
                 };
             }
         }
-        assert_coherent(&cluster, &net)?;
+        assert_coherent(&net)?;
     }
     Ok(())
 }
@@ -205,7 +250,7 @@ proptest! {
     fn layer_totals_match_trunk_sums_on_the_paper_network(
         ops in prop::collection::vec(op_strategy(), 1..250),
     ) {
-        drive(TopologyConfig::paper(), &ops)?;
+        drive(TopologyConfig::paper(), NetworkConfig::paper(), &ops)?;
     }
 }
 
@@ -216,6 +261,27 @@ proptest! {
     fn layer_totals_match_trunk_sums_at_720_racks(
         ops in prop::collection::vec(op_strategy(), 1..250),
     ) {
-        drive(TopologyConfig::paper().scaled(40), &ops)?;
+        drive(TopologyConfig::paper().scaled(40), NetworkConfig::paper(), &ops)?;
+    }
+}
+
+/// The trunk widths the flat layout is checked at besides the paper's
+/// 8 / 16: one link, a few, and either side of 64.
+const WIDTHS: [u16; 5] = [1, 3, 63, 64, 65];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn layer_totals_match_trunk_sums_at_every_trunk_width(
+        widths in (0..WIDTHS.len(), 0..WIDTHS.len()),
+        ops in prop::collection::vec(op_strategy(), 1..250),
+    ) {
+        let cfg = NetworkConfig {
+            box_uplink_width: WIDTHS[widths.0],
+            rack_uplink_width: WIDTHS[widths.1],
+            ..NetworkConfig::paper()
+        };
+        drive(TopologyConfig::paper(), cfg, &ops)?;
     }
 }
