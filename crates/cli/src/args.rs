@@ -72,10 +72,6 @@ commands:
                              a CSV is generated inline, shard by shard)
   replay                     run a saved trace
       --trace <path> --algo <...> [--json]
-  lint                       determinism/concurrency static analysis over
-                             the workspace sources (risa-lint)
-      --json                 machine-readable report (schema risa-lint/v1)
-      --deny-warnings        treat warnings (unused waivers) as failures
 
 --jobs (or the RISA_THREADS env var; the flag wins) sizes the global
 thread pool. Simulation reports are identical at any thread count;
@@ -160,13 +156,6 @@ pub enum Command {
         algo: Algorithm,
         /// Emit JSON instead of the text report.
         json: bool,
-    },
-    /// `lint`
-    Lint {
-        /// Emit the machine-readable `risa-lint/v1` report.
-        json: bool,
-        /// Treat warnings (e.g. unused waivers) as failures.
-        deny_warnings: bool,
     },
 }
 
@@ -458,16 +447,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 json: opt(&options, "json").is_some(),
             })
         }
-        "lint" => {
-            let (pos, options) = split_options(rest, &["json", "deny-warnings"], &[])?;
-            if !pos.is_empty() {
-                return Err(format!("unexpected argument '{}'", pos[0]));
-            }
-            Ok(Command::Lint {
-                json: opt(&options, "json").is_some(),
-                deny_warnings: opt(&options, "deny-warnings").is_some(),
-            })
-        }
         other => Err(format!("unknown command '{other}'")),
     }
 }
@@ -663,25 +642,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_lint() {
-        assert_eq!(
-            parse(&v(&["lint"])).unwrap(),
-            Command::Lint {
-                json: false,
-                deny_warnings: false,
-            }
-        );
-        assert_eq!(
-            parse(&v(&["lint", "--json", "--deny-warnings"])).unwrap(),
-            Command::Lint {
-                json: true,
-                deny_warnings: true,
-            }
-        );
-        assert!(parse(&v(&["lint", "stray"])).is_err());
-    }
-
-    #[test]
     fn parses_checkpoint_and_resume() {
         let c = parse(&v(&[
             "run",
@@ -762,6 +722,7 @@ mod tests {
     fn rejects_garbage() {
         assert!(parse(&v(&[])).is_err());
         assert!(parse(&v(&["frobnicate"])).is_err());
+        assert_eq!(parse(&v(&["lint"])).unwrap_err(), "unknown command 'lint'");
         assert!(parse(&v(&["run", "--algo"])).is_err());
         assert!(parse(&v(&["run", "--seed", "NaN"])).is_err());
         assert!(parse(&v(&["run", "--workload", "gcp"])).is_err());
@@ -771,7 +732,6 @@ mod tests {
             &["run", "--fel", "heap"][..],
             &["run", "--exec", "sequential"],
             &["bench", "--fel", "heap"],
-            &["lint", "--root", "."],
         ] {
             let err = parse(&v(argv)).unwrap_err();
             assert_eq!(err, format!("unknown option '{}'", argv[1]));

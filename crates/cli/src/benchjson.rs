@@ -10,6 +10,11 @@
 //! changes), the git revision, and the thread count, so a snapshot is
 //! interpretable on its own.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "bench timings are wall-clock by definition and reach no RunReport"
+)]
+
 use rayon::prelude::*;
 use risa_sched::cycle::ScheduleCycle;
 use risa_sched::Algorithm;

@@ -12,11 +12,9 @@
 //! it, exactly as the sequential loop would.
 
 use crate::args::{is_csv_path, Command, WorkloadArg};
-use rayon::prelude::*;
+use crate::benchjson;
 use risa_metrics::{Align, Table};
 use risa_network::NetworkConfig;
-use risa_sched::cycle::ScheduleCycle;
-use risa_sched::Algorithm;
 use risa_sim::{experiments, host_info, Checkpoint, RunReport, SimulationBuilder, WorkloadSpec};
 use risa_topology::TopologyConfig;
 use risa_workload::shard::SHARD_SIZE;
@@ -115,7 +113,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
         } => {
             apply_jobs(jobs)?;
             if json {
-                crate::benchjson::write_snapshots(&out, &racks, vms, des_vms, gen_vms)?;
+                benchjson::write_snapshots(&out, &racks, vms, des_vms, gen_vms)?;
             }
             bench(&racks, vms)
         }
@@ -144,30 +142,6 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 .run();
             emit(&report, json)
         }
-        Command::Lint {
-            json,
-            deny_warnings,
-        } => lint(json, deny_warnings),
-    }
-}
-
-/// `lint`: run the determinism/concurrency static analysis over the
-/// workspace this binary was built from (found by walking up from the
-/// current directory to a `[workspace]` manifest).
-fn lint(json: bool, deny_warnings: bool) -> Result<(), String> {
-    let cwd = std::env::current_dir().map_err(|e| format!("cannot read current dir: {e}"))?;
-    let root = risa_lint::find_workspace_root(&cwd)
-        .ok_or_else(|| format!("no workspace root found above {}", cwd.display()))?;
-    let findings = risa_lint::lint_workspace(&root)
-        .map_err(|e| format!("lint walk failed under {}: {e}", root.display()))?;
-    if json {
-        print!("{}", risa_lint::render_json(&findings));
-    } else {
-        print!("{}", risa_lint::render_text(&findings, false));
-    }
-    match risa_lint::exit_code(&findings, deny_warnings) {
-        0 => Ok(()),
-        _ => Err("lint findings (see report above)".into()),
     }
 }
 
@@ -361,35 +335,18 @@ fn info() -> Result<(), String> {
 fn bench(racks: &[u16], vms: u32) -> Result<(), String> {
     println!("{}", host_info());
     let threads = rayon::current_num_threads();
-    let cells: Vec<(u16, Algorithm)> = racks
-        .iter()
-        .flat_map(|&n| Algorithm::ALL.iter().map(move |&a| (n, a)))
-        .collect();
-    let rows: Vec<Vec<String>> = cells
-        .par_iter()
-        .map(|&(n, algo)| {
-            let mut cycle = ScheduleCycle::new(n, algo);
-            let t0 = std::time::Instant::now();
-            for _ in 0..vms {
-                cycle.step();
-            }
-            let secs = t0.elapsed().as_secs_f64();
-            let ops = vms as f64 / secs.max(1e-9);
-            vec![
-                n.to_string(),
-                algo.to_string(),
-                format!("{ops:.0}"),
-                format!("{:.2}", 1e6 / ops),
-            ]
-        })
-        .collect();
     let mut t = Table::new(
         format!("Scheduling throughput vs cluster size ({vms} schedule/release cycles)"),
         &["racks", "algorithm", "sched ops/s", "µs/op"],
     )
     .align(&[Align::Right, Align::Left, Align::Right, Align::Right]);
-    for row in &rows {
-        t.row(row);
+    for row in benchjson::scale_rows(racks, vms) {
+        t.row(&[
+            row.racks.to_string(),
+            row.algorithm,
+            format!("{:.0}", row.ops_per_sec),
+            format!("{:.2}", row.us_per_op),
+        ]);
     }
     println!("{t}");
     if threads > 1 {

@@ -10,7 +10,6 @@
 //! risa-cli replay --trace trace.json --algo NALB  # run a saved trace
 //! risa-cli generate --n 100000 --out trace.csv    # .csv: the CSV schema ...
 //! risa-cli run --workload trace.csv --faults      # ... which `run` reads
-//! risa-cli lint --deny-warnings                   # determinism static analysis
 //! ```
 //!
 //! `experiment` and `bench` fan out over the `rayon` thread pool; `--jobs`

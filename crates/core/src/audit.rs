@@ -96,7 +96,7 @@ pub struct ScheduleAuditor {
     used: Vec<u64>,
     /// Resident assignments by admission sequence number. BTreeMap so a
     /// future "list the leaked VMs" diagnostic can never depend on hash
-    /// order (risa-lint `hash_state`).
+    /// order (`clippy.toml`'s `disallowed-types`).
     resident: BTreeMap<u64, VmAssignment>,
     next_vm: u64,
     violations: Vec<AuditViolation>,

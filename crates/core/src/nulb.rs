@@ -109,7 +109,10 @@ fn first_box_of_kind(
 /// to it. NALB orders the boxes by descending free uplink bandwidth (ties
 /// to the lower id) in the scheduler's scratch buffer; rack size is a
 /// small constant, so the sort is O(1).
-#[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors the paper's parameter list"
+)]
 fn fit_in_rack(
     cluster: &Cluster,
     net: &NetworkState,
@@ -154,7 +157,10 @@ fn fit_in_rack(
 /// rack-successor query, which also tells NALB when there is nothing to
 /// walk for; NALB's bandwidth-descending walk reads the network's
 /// incremental rack ordering instead of sorting per probe.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors the paper's parameter list"
+)]
 fn bfs_find(
     cluster: &Cluster,
     net: &NetworkState,
@@ -224,7 +230,10 @@ fn bfs_find(
 /// [`RackFilter::Admitting`] limits each kind's candidate boxes to the
 /// `SUPER_RACK`'s racks (RISA's fallback path); [`RackFilter::All`] is the
 /// plain NULB/NALB behaviour.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors the paper's parameter list"
+)]
 pub(crate) fn nulb_schedule(
     cluster: &mut Cluster,
     net: &mut NetworkState,

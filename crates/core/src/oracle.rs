@@ -164,7 +164,10 @@ fn first_box_of_kind_naive(
 
 /// Seed BFS: home rack first, then every other rack, re-sorting per probe
 /// under NALB's modified order.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors the paper's parameter list"
+)]
 fn bfs_find_naive(
     cluster: &Cluster,
     net: &NetworkState,

@@ -114,7 +114,7 @@ mod tests {
     use crate::time::SimTime;
 
     #[derive(Debug)]
-    #[allow(dead_code)] // fields exist to show up in Debug renderings
+    #[expect(dead_code, reason = "fields exist to show up in Debug renderings")]
     enum Ev {
         Arrive(u32),
         Depart(u32),

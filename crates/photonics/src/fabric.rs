@@ -277,7 +277,10 @@ fn route_recursive(
 
 /// Recurse into one subnet, translating sub-paths back onto the original
 /// inputs so `paths` stays keyed by the outermost input index.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one recursion level's whole frame"
+)]
 fn remap_and_recurse(
     ports: u16,
     sub_pairs: &[(u16, u16)],
@@ -349,7 +352,10 @@ fn set_cell(
 
 /// Append `cell` to input `i`'s path if this call belongs to the outermost
 /// recursion level (paths for inner levels are remapped by the caller).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one recursion level's whole frame"
+)]
 fn record(
     routing: &mut Routing,
     i: u16,

@@ -86,8 +86,12 @@ impl FaultSpec {
     /// The scenario selected by the `RISA_FAULTS` environment variable:
     /// unset/`0`/`off` → `None`; `1`/`on`/`canonical` → the canonical
     /// scenario; any other integer → canonical with that seed.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "selects the fault scenario under test; the spec itself is fully seed-derived \
+                  and written into the run's recipe"
+    )]
     pub fn from_env() -> Option<Self> {
-        // risa-lint: allow(env_read) — selects the fault scenario under test; the spec itself is fully seed-derived
         match std::env::var("RISA_FAULTS") {
             Err(_) => None,
             Ok(v) => match v.trim() {
@@ -189,6 +193,10 @@ pub(crate) struct Chain {
 }
 
 impl Chain {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the sanctioned seeding site: chain_seed derives each component's stream"
+    )]
     fn new(spec_seed: u64, component: u64, family: Family, up_mean: f64, down_mean: f64) -> Self {
         Chain {
             rng: StdRng::seed_from_u64(chain_seed(spec_seed, component, family)),

@@ -64,9 +64,13 @@ impl SchedTimer {
     /// `every == 1` call 0 *is* a regular point, so exact mode includes
     /// the cold call like the seed did).
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "SchedTimer is the sanctioned scheduler-wall instrument; sched_seconds is \
+                  left out of every report comparison"
+    )]
     fn start(&self) -> Option<Instant> {
         (self.calls == 0 || (self.calls + 1).is_multiple_of(u64::from(self.every)))
-            // risa-lint: allow(wall_clock) — SchedTimer IS the sanctioned scheduler-wall instrument
             .then(Instant::now)
     }
 

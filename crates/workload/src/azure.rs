@@ -155,7 +155,11 @@ impl AzureShards {
         );
         let n = subset.len();
         let deck_seed = seed ^ 0xA2A2_5EED;
-        // risa-lint: allow(rng_seed) — deck derivation predates and spans the shard streams; trace-v2 bytes are pinned by tests, so it must not move to stream_seed
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "deck derivation predates and spans the shard streams; trace-v2 bytes are \
+                      pinned by tests, so it must not move to stream_seed"
+        )]
         let mut rng = StdRng::seed_from_u64(deck_seed);
 
         // Deck draws: exact marginal counts, seeded order.

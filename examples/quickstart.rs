@@ -54,7 +54,7 @@ fn main() {
         "  round-robin spread the VMs over {} distinct racks\n",
         held.iter()
             .map(|a| cluster.rack_of(a.placement.grant(ResourceKind::Cpu).box_id))
-            .collect::<std::collections::HashSet<_>>()
+            .collect::<std::collections::BTreeSet<_>>()
             .len()
     );
     for a in &held {
