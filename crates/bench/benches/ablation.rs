@@ -1,38 +1,9 @@
 //! Ablations beyond the paper: trunk width, the Eq. (1) α factor, seed
-//! sensitivity, and a *measured* cell-sharing factor from actual Beneš
-//! routing — the design-choice studies DESIGN.md calls out.
+//! sensitivity and VM lifetimes — each varies one design choice the paper
+//! fixes.
 
 use criterion::Criterion;
-use risa_photonics::fabric::Fabric;
 use risa_sim::experiments;
-
-/// Route deterministic connection sets through the paper's 64-port box
-/// switch and report the measured sharing factor per load level.
-fn empirical_alpha_table() {
-    println!("Measured Benes cell-sharing factor (64-port box switch)");
-    println!("=======================================================");
-    println!("active connections   measured alpha   (paper assumes 0.90)");
-    for &active in &[4usize, 16, 32, 64] {
-        let ports = 64u16;
-        let mut perm = vec![None; ports as usize];
-        let mut used_out = vec![false; ports as usize];
-        let mut placed = 0usize;
-        let mut k = 0usize;
-        while placed < active && k < 4 * ports as usize {
-            let i = (k * 7) % ports as usize;
-            let o = (i * 37 + 11) % ports as usize;
-            if perm[i].is_none() && !used_out[o] {
-                perm[i] = Some(o as u16);
-                used_out[o] = true;
-                placed += 1;
-            }
-            k += 1;
-        }
-        let alpha = Fabric::route(ports, &perm).unwrap().empirical_alpha();
-        println!("{placed:>18}   {alpha:>14.3}");
-    }
-    println!();
-}
 
 fn main() {
     println!("{}", experiments::ablation_trunk_width(7, &[1, 2, 4, 8]));
@@ -43,7 +14,6 @@ fn main() {
         "{}",
         experiments::fig5_seed_sweep(&[1, 2, 3, 4, 5, 6, 7, 8], 1200)
     );
-    empirical_alpha_table();
 
     // No kernel benchmark here — the tables above are the artifact — but
     // keep Criterion's argument handling so `cargo bench ablation` works

@@ -27,7 +27,7 @@ fn bench(c: &mut Criterion) {
 fn main() {
     println!("{}", experiments::fig7(2023));
     println!("paper: NULB/NALB up to 52/48 %; RISA and RISA-BF exactly 0 % (reproduced);");
-    println!("our NULB/NALB fragment less than the paper's (see EXPERIMENTS.md)\n");
+    println!("our NULB/NALB fragment less than the paper's\n");
 
     let mut c = Criterion::default().configure_from_args();
     bench(&mut c);

@@ -22,7 +22,7 @@ fn main() {
     println!("{}", experiments::fig9(2023));
     println!("paper: Azure-3000 5.22 (NULB) / 5.27 (NALB) / 3.36 kW (RISA, -33 %);");
     println!("direction reproduced — RISA strictly below NULB/NALB; magnitude tracks");
-    println!("the inter-rack rate (see EXPERIMENTS.md)\n");
+    println!("the inter-rack rate, which is far below the paper's here (fig7)\n");
 
     let mut c = Criterion::default().configure_from_args();
     bench(&mut c);

@@ -15,7 +15,8 @@ commands:
       --workload <synthetic|azure-3000|azure-5000|azure-7500|<file>.csv>
                              (default synthetic; a path ending in .csv is
                              read as a trace file in the risa CSV schema)
-      --n <count>            synthetic VM count (default 2500)
+      --n <count>            synthetic VM count (default 2500; refused
+                             with any other workload)
       --seed <u64>           (default 42)
       --scale <mult>         run on a mult x paper cluster (default 1)
       --arrivals <materialized|streaming>  how a .csv trace file is
@@ -183,19 +184,32 @@ pub fn is_csv_path(path: &str) -> bool {
     path.to_ascii_lowercase().ends_with(".csv")
 }
 
-fn parse_workload(s: &str, n: u32) -> Result<WorkloadArg, String> {
-    if is_csv_path(s) {
-        return Ok(WorkloadArg::TraceCsv {
+/// `--workload` with its `--n`, if one was given: only a synthetic
+/// workload has a VM count to set, so `--n` with any other is an error
+/// rather than silently ignored.
+fn parse_workload(s: &str, n: Option<u32>) -> Result<WorkloadArg, String> {
+    let w = if is_csv_path(s) {
+        WorkloadArg::TraceCsv {
             path: s.to_string(),
-        });
+        }
+    } else {
+        match s.to_ascii_lowercase().as_str() {
+            "synthetic" => WorkloadArg::Synthetic {
+                n: n.unwrap_or(2500),
+            },
+            "azure-3000" => WorkloadArg::Azure(AzureSubset::N3000),
+            "azure-5000" => WorkloadArg::Azure(AzureSubset::N5000),
+            "azure-7500" => WorkloadArg::Azure(AzureSubset::N7500),
+            other => return Err(format!("unknown workload '{other}'")),
+        }
+    };
+    if n.is_some() && !matches!(w, WorkloadArg::Synthetic { .. }) {
+        return Err(format!(
+            "--n sets the synthetic VM count; --workload {s} has its own and \
+             cannot be combined with it"
+        ));
     }
-    match s.to_ascii_lowercase().as_str() {
-        "synthetic" => Ok(WorkloadArg::Synthetic { n }),
-        "azure-3000" => Ok(WorkloadArg::Azure(AzureSubset::N3000)),
-        "azure-5000" => Ok(WorkloadArg::Azure(AzureSubset::N5000)),
-        "azure-7500" => Ok(WorkloadArg::Azure(AzureSubset::N7500)),
-        other => Err(format!("unknown workload '{other}'")),
-    }
+    Ok(w)
 }
 
 /// Leftover positionals plus parsed `(key, value)` option pairs.
@@ -247,20 +261,17 @@ fn opt_u64(options: &[(String, String)], key: &str, default: u64) -> Result<u64,
 }
 
 /// As [`opt_u64`] but range-checked into a narrower integer type, so
-/// oversized values error instead of silently truncating.
-fn opt_int<T: TryFrom<u64>>(
-    options: &[(String, String)],
-    key: &str,
-    default: T,
-) -> Result<T, String> {
-    match opt(options, key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse::<u64>()
-            .ok()
-            .and_then(|n| T::try_from(n).ok())
-            .ok_or_else(|| format!("--{key}: number out of range '{v}'")),
-    }
+/// oversized values error instead of silently truncating; `None` when the
+/// option is absent.
+fn opt_int<T: TryFrom<u64>>(options: &[(String, String)], key: &str) -> Result<Option<T>, String> {
+    opt(options, key)
+        .map(|v| {
+            v.parse::<u64>()
+                .ok()
+                .and_then(|n| T::try_from(n).ok())
+                .ok_or_else(|| format!("--{key}: number out of range '{v}'"))
+        })
+        .transpose()
 }
 
 /// `--jobs`: an optional thread-pool size, at least 1.
@@ -307,8 +318,8 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             if !pos.is_empty() {
                 return Err(format!("unexpected argument '{}'", pos[0]));
             }
-            let n = opt_int::<u32>(&options, "n", 2500)?;
-            let scale = opt_int::<u16>(&options, "scale", 1)?;
+            let n = opt_int::<u32>(&options, "n")?;
+            let scale = opt_int::<u16>(&options, "scale")?.unwrap_or(1);
             if scale == 0 {
                 return Err("--scale must be at least 1".into());
             }
@@ -392,11 +403,11 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             }
             Ok(Command::Bench {
                 racks,
-                vms: opt_int::<u32>(&options, "vms", 2000)?,
+                vms: opt_int::<u32>(&options, "vms")?.unwrap_or(2000),
                 jobs: opt_jobs(&options)?,
                 json: opt(&options, "json").is_some(),
-                des_vms: opt_int::<u32>(&options, "des-vms", 100_000)?,
-                gen_vms: opt_int::<u32>(&options, "gen-vms", 1_000_000)?,
+                des_vms: opt_int::<u32>(&options, "des-vms")?.unwrap_or(100_000),
+                gen_vms: opt_int::<u32>(&options, "gen-vms")?.unwrap_or(1_000_000),
                 out: opt(&options, "out").unwrap_or(".").to_string(),
             })
         }
@@ -426,7 +437,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             if !pos.is_empty() {
                 return Err(format!("unexpected argument '{}'", pos[0]));
             }
-            let n = opt_int::<u32>(&options, "n", 2500)?;
+            let n = opt_int::<u32>(&options, "n")?;
             Ok(Command::Generate {
                 workload: parse_workload(opt(&options, "workload").unwrap_or("synthetic"), n)?,
                 seed: opt_u64(&options, "seed", 42)?,
@@ -530,6 +541,9 @@ mod tests {
         assert!(parse(&v(&["run", "--scale", "65536"])).is_err());
         assert!(parse(&v(&["run", "--n", "4294967296"])).is_err());
         assert!(parse(&v(&["bench", "--vms", "4294967296"])).is_err());
+        // --n sizes only a synthetic workload; with any other it is refused.
+        assert!(parse(&v(&["run", "--workload", "azure-3000", "--n", "5"])).is_err());
+        assert!(parse(&v(&["run", "--workload", "t.csv", "--n", "5"])).is_err());
     }
 
     #[test]
@@ -629,6 +643,8 @@ mod tests {
             }
         );
         assert!(parse(&v(&["generate", "--jobs", "0"])).is_err());
+        assert!(parse(&v(&["generate", "--workload", "azure-3000", "--n", "5"])).is_err());
+        assert!(parse(&v(&["generate", "--workload", "t.csv", "--n", "5"])).is_err());
         let c = parse(&v(&["replay", "--trace", "t.json", "--algo", "risa-bf"])).unwrap();
         assert_eq!(
             c,

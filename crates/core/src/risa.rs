@@ -31,11 +31,10 @@ use risa_network::{FlowDemands, LinkPolicy, NetworkState};
 use risa_topology::{
     BoxAllocation, BoxId, Cluster, RackId, ResourceKind, UnitDemand, VmPlacement, ALL_RESOURCES,
 };
-use serde::{Deserialize, Serialize};
 
 /// Persistent RISA state: the rack round-robin cursor and the per-rack,
 /// per-resource next-fit box cursors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct RisaState {
     /// Next rack id the round-robin should prefer.
     rr_cursor: u16,
@@ -334,7 +333,7 @@ mod tests {
 
     /// Table 4, RISA-BF column: best-fit alternation 1,1,0,0,1,0,(drop),0.
     /// The paper prints VM 6 as box 0, but Table 4 demands 100 cores of a
-    /// 96-core rack — VM 6 is arithmetically unplaceable (EXPERIMENTS.md).
+    /// 96-core rack — VM 6 is arithmetically unplaceable (see `toy`).
     #[test]
     fn table4_risa_bf_best_fit_trace() {
         let mut c = toy::table4_cluster();
@@ -371,7 +370,7 @@ mod tests {
                 None,
                 Some(0),
             ],
-            "Table 4 RISA-BF column (VM 6 corrected per EXPERIMENTS.md)"
+            "Table 4 RISA-BF column (VM 6 cannot fit: 100 cores vs 96)"
         );
     }
 

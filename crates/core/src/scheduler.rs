@@ -6,19 +6,17 @@ use crate::risa::RisaState;
 use crate::work::WorkCounters;
 use risa_network::{FlowDemands, NetworkState};
 use risa_topology::{Cluster, UnitDemand};
-use serde::{Deserialize, Serialize};
 
 /// A stateful scheduler instance. NULB/NALB are stateless per VM; RISA and
 /// RISA-BF carry the round-robin and next-fit cursors across VMs, so one
 /// `Scheduler` must live for the whole workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Scheduler {
     algo: Algorithm,
     risa: RisaState,
     work: WorkCounters,
     /// NALB's within-rack sort buffer, the only per-VM working memory any
-    /// algorithm needs; excluded from serialization.
-    #[serde(skip)]
+    /// algorithm needs.
     scratch: Scratch,
 }
 

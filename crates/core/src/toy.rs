@@ -13,9 +13,9 @@
 //! there, so [`table4_cluster`] uses a 1-core CPU unit; [`table3_cluster`]
 //! keeps the paper's 4-core unit.
 //!
-//! Known paper inconsistency (documented in EXPERIMENTS.md): Table 4's
-//! RISA-BF column claims all eight VMs fit, but they total 100 cores
-//! against 96 available — VM 6 (16 cores) cannot fit under any policy.
+//! Known paper inconsistency: Table 4's RISA-BF column claims all eight
+//! VMs fit, but they total 100 cores against 96 available — VM 6
+//! (16 cores) cannot fit under any policy.
 //! Our reproduction matches every Table 4 cell *except* that impossible
 //! one, for both RISA and RISA-BF.
 

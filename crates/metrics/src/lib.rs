@@ -15,13 +15,11 @@
 mod chart;
 mod histogram;
 mod online;
-mod quantiles;
 mod table;
 mod timeweighted;
 
 pub use chart::BarChart;
 pub use histogram::{BinnedHistogram, HistogramSpec};
 pub use online::OnlineStats;
-pub use quantiles::Quantiles;
 pub use table::{Align, Table};
 pub use timeweighted::TimeWeighted;

@@ -15,7 +15,7 @@ pub struct NetworkConfig {
     /// brick, so a box's uplink trunk is bricks-per-box = 8 links
     /// (8 × 200 Gb/s = 1.6 Tb/s). This width admits even a fully packed
     /// box's flows, matching the paper's drop-free evaluations
-    /// (see EXPERIMENTS.md "calibration").
+    /// (`experiments::ablation_trunk_width` shows narrower trunks drop).
     pub box_uplink_width: u16,
     /// Parallel links between a rack switch and the inter-rack switch.
     pub rack_uplink_width: u16,

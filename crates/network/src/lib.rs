@@ -44,7 +44,6 @@
 mod config;
 mod demand;
 mod state;
-pub mod stats;
 mod trunk;
 
 pub use config::NetworkConfig;

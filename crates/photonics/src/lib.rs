@@ -40,7 +40,6 @@
 pub mod benes;
 mod config;
 mod energy;
-pub mod fabric;
 
 pub use config::PhotonicsConfig;
 pub use energy::{EnergyModel, SwitchPath};

@@ -329,7 +329,8 @@ pub fn fig12(seed: u64) -> ExperimentReport {
 }
 
 /// Ablation: sweep the box-uplink trunk width and report drop counts and
-/// inter-rack assignments (our DESIGN.md "trunk width" calibration study).
+/// inter-rack assignments — why `NetworkConfig::paper` uses one link per
+/// brick (8): narrower trunks drop VMs the paper admits.
 pub fn ablation_trunk_width(seed: u64, widths: &[u16]) -> ExperimentReport {
     let mut t = Table::new(
         "Ablation: box-uplink trunk width (synthetic, 1000 VMs)",

@@ -7,7 +7,7 @@
 //! the run into the numbers the paper reports.
 //!
 //! The [`experiments`] module has one entry point per figure/table of the
-//! paper's evaluation (see DESIGN.md §5 for the index). Experiment
+//! paper's evaluation, plus ablations the paper does not run. Experiment
 //! matrices fan out over the `rayon` thread pool (sized by `RISA_THREADS`
 //! or `risa-cli --jobs`); thread count never changes a report —
 //! `tests/determinism.rs` asserts 1-thread and 4-thread runs serialize

@@ -45,8 +45,8 @@ impl Default for UnitSizes {
 ///
 /// Table 1 says "rack size = 6 boxes" without stating the mix; the paper's
 /// reported utilizations (§5.1: CPU 64.66%, RAM 65.11%, storage 31.72%) are
-/// consistent only with a balanced 2+2+2 mix — see DESIGN.md §3 and the
-/// calibration test in `risa-sim`.
+/// consistent only with a balanced 2+2+2 mix; `risa-cli experiment fig5`
+/// prints the utilizations this mix yields beside the paper's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BoxMix {
     /// CPU boxes per rack.

@@ -37,7 +37,6 @@
 
 mod cluster;
 mod config;
-pub mod display;
 mod index;
 mod resources;
 

@@ -14,8 +14,7 @@
 //! affect scheduling. The paper does not describe the Azure arrival
 //! process; we reuse the §5.1 Poisson/staircase process with a mean
 //! interarrival of 12 time units, the fastest rate at which no VM drops on
-//! any slice — matching the paper's "no VMs were dropped" observation
-//! (see EXPERIMENTS.md "calibration").
+//! any slice — matching the paper's "no VMs were dropped" observation.
 
 use crate::shard::{self, ShardSource, Stream};
 use crate::synthetic::SyntheticConfig;
@@ -87,7 +86,7 @@ impl AzureSubset {
 /// Arrival/lifetime process parameters for the Azure-like workloads.
 ///
 /// Defaults chosen so the paper's "no VMs were dropped" holds on the
-/// Table 1 DDC for all three slices (see EXPERIMENTS.md "calibration").
+/// Table 1 DDC for all three slices.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AzureProcess {
     /// Mean interarrival, time units.

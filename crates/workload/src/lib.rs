@@ -11,8 +11,10 @@
 //!    redistributable, but Figure 6 prints the exact per-bin histogram
 //!    counts of CPU cores and RAM for each slice; [`azure`] regenerates
 //!    VM populations with **exactly** those marginal counts (storage fixed
-//!    at 128 GB, as the paper assumes). See DESIGN.md §2 for why this
-//!    substitution preserves the scheduling-relevant structure.
+//!    at 128 GB, as the paper assumes). A scheduler sees only each VM's
+//!    unit demand, arrival and lifetime, so the published marginals are
+//!    what it reacts to; the unpublished CPU × RAM pairing is drawn
+//!    independently.
 //!
 //! All generation is seeded and deterministic — and, since trace version 2,
 //! **sharded**: every [`shard::SHARD_SIZE`] (= 4096) VMs draw from their own
@@ -55,7 +57,6 @@
 
 pub mod azure;
 pub mod csv;
-pub mod ops;
 pub mod shard;
 mod stats;
 mod streaming;

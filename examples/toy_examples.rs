@@ -55,7 +55,7 @@ fn toy_example_1() {
 /// RISA's next-fit fills box 0 then box 1; RISA-BF alternates by best-fit.
 /// Note: the paper's Table 4 RISA-BF column claims VM 6 (16 cores) fits,
 /// but the eight VMs total 100 cores against 96 available — VM 6 is
-/// unplaceable under any policy (see EXPERIMENTS.md).
+/// unplaceable under any policy (see `risa::sched::toy`).
 fn toy_example_2() {
     println!("=== Toy example 2 (paper §4.3.2, Table 4) ===");
     println!("  VM:        {:?}", toy::TABLE4_CPU_REQUESTS);

@@ -80,7 +80,7 @@ fn fig9_fig10_shape_on_azure_3000() {
 }
 
 /// Identical seeds reproduce identical reports (wall-clock field aside) —
-/// the determinism claim of DESIGN.md.
+/// the determinism claim of the `risa-sim` crate docs.
 #[test]
 fn determinism_across_runs() {
     let spec = WorkloadSpec::Synthetic(SyntheticConfig::small(400, 99));

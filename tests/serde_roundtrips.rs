@@ -1,9 +1,9 @@
 //! Serialization round-trips across the whole public surface: traces
-//! (JSON and CSV), configurations, reports, and scheduler state.
+//! (JSON and CSV), configurations and reports.
 
 use risa::prelude::*;
 use risa::sim::SimConfig;
-use risa::workload::{csv, ops};
+use risa::workload::csv;
 
 #[test]
 fn workload_json_and_csv_agree() {
@@ -26,7 +26,7 @@ fn azure_trace_roundtrips() {
 #[test]
 fn sliced_traces_replay_identically() {
     let base = Workload::azure(AzureSubset::N3000, 4);
-    let slice = ops::take_first(&base, 500);
+    let slice = Workload::from_vms(base.name(), base.vms()[..500].to_vec());
     let run = |w: &Workload| {
         SimulationBuilder::new()
             .algorithm(Algorithm::Risa)
@@ -64,33 +64,4 @@ fn run_report_roundtrips() {
     assert_eq!(report, back);
     // The JSON exposes the work counters for external analysis.
     assert!(json.contains("boxes_scanned"));
-}
-
-#[test]
-fn scheduler_state_roundtrips() {
-    // RISA's cursors are part of its semantics; serializing mid-run and
-    // resuming must continue the same round-robin sequence.
-    use risa::network::{NetworkConfig, NetworkState};
-    use risa::sched::ScheduleOutcome;
-    let mut cluster = Cluster::new(TopologyConfig::paper());
-    let mut net = NetworkState::new(NetworkConfig::paper(), &cluster);
-    let mut sched = Scheduler::new(Algorithm::Risa, &cluster);
-    let d = UnitDemand::new(2, 4, 2);
-    for _ in 0..5 {
-        assert!(matches!(
-            sched.schedule(&mut cluster, &mut net, &d),
-            ScheduleOutcome::Assigned(_)
-        ));
-    }
-    let json = serde_json::to_string(&sched).unwrap();
-    let mut resumed: Scheduler = serde_json::from_str(&json).unwrap();
-    // Both continue at rack 5.
-    let a = match resumed.schedule(&mut cluster, &mut net, &d) {
-        ScheduleOutcome::Assigned(a) => a,
-        ScheduleOutcome::Dropped(r) => panic!("{r:?}"),
-    };
-    assert_eq!(
-        cluster.rack_of(a.placement.grant(ResourceKind::Cpu).box_id),
-        risa::topology::RackId(5)
-    );
 }

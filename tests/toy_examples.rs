@@ -57,7 +57,7 @@ fn toy_example_1_matches_paper() {
 
 /// Table 4 via the public API: the full RISA and RISA-BF box traces.
 /// VM 6 (16 cores) is unplaceable for both (the paper's RISA-BF column for
-/// that cell is arithmetically impossible — 100 cores vs 96; EXPERIMENTS.md).
+/// that cell is arithmetically impossible — 100 cores vs 96; see `toy`).
 #[test]
 fn table_4_traces_match_paper() {
     let run = |algo: Algorithm| -> Vec<Option<u8>> {
