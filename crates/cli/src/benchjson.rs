@@ -42,9 +42,6 @@ pub struct DesBench {
 /// One DES measurement row.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct DesRun {
-    /// The run's resolved `--arrivals` value (the default's name: the
-    /// key `scripts/bench_diff.py` matches rows on).
-    pub arrival_mode: String,
     /// Events dispatched (arrivals + departures).
     pub events: u64,
     /// Wall-clock seconds of the run, which generates its trace on
@@ -151,12 +148,11 @@ pub fn des_bench(vms: u32) -> DesBench {
     let seconds = t0.elapsed().as_secs_f64();
     let events = sim.events_dispatched();
     DesBench {
-        schema: "risa-bench-des/v3".into(),
+        schema: "risa-bench-des/v4".into(),
         git_rev: git_rev(),
         threads: rayon::current_num_threads(),
         vms,
         runs: vec![DesRun {
-            arrival_mode: sim.arrival_mode().to_string(),
             events,
             seconds,
             events_per_sec: events as f64 / seconds.max(1e-9),
@@ -241,8 +237,8 @@ pub fn write_snapshots(
     let des = des_bench(des_vms);
     for r in &des.runs {
         println!(
-            "des: {} {:.0} events/s (peak FEL {}, peak buffered {:?})",
-            r.arrival_mode, r.events_per_sec, r.peak_fel, r.peak_buffered_arrivals
+            "des: {:.0} events/s (peak FEL {}, peak buffered {:?})",
+            r.events_per_sec, r.peak_fel, r.peak_buffered_arrivals
         );
     }
     write(
@@ -279,11 +275,10 @@ mod tests {
     #[test]
     fn des_envelope_roundtrips_with_schema() {
         let b = des_bench(2000);
-        assert_eq!(b.schema, "risa-bench-des/v3");
+        assert_eq!(b.schema, "risa-bench-des/v4");
         assert_eq!(b.runs.len(), 1, "one lane, one row");
         assert!(b.threads >= 1);
         let r = &b.runs[0];
-        assert_eq!(r.arrival_mode, "materialized");
         assert!(r.events >= 2 * 2000 - 2000); // ≥ arrivals
         assert!(r.events_per_sec > 0.0);
         assert_eq!(r.peak_buffered_arrivals, Some(2000), "under one shard");

@@ -1,8 +1,8 @@
 //! Command execution.
 //!
-//! Commands that fan work out (`experiment`, `bench`, `generate`) drive
-//! the vendored `rayon` executor, whose scoped workers live for one drive;
-//! a `run` generates its workload inline and creates no thread. `--jobs`
+//! Commands that fan work out (`experiment`, `bench`) drive the vendored
+//! `rayon` executor, whose scoped workers live for one drive; a `run` and
+//! `generate` generate their workload inline and create no thread. `--jobs`
 //! (applied by [`apply_jobs`] via [`rayon::set_num_threads`]) or the
 //! `RISA_THREADS` env var sets the width. Simulation *reports* are
 //! byte-identical at any thread count; wall-clock measurements (`bench`'s
@@ -11,14 +11,14 @@
 //! workload that fails validation) propagates to the command and aborts
 //! it, exactly as the sequential loop would.
 
-use crate::args::{is_csv_path, Command, WorkloadArg};
+use crate::args::{Command, WorkloadArg};
 use crate::benchjson;
 use risa_metrics::{Align, Table};
 use risa_network::NetworkConfig;
 use risa_sim::{experiments, host_info, Checkpoint, RunReport, SimulationBuilder, WorkloadSpec};
 use risa_topology::TopologyConfig;
 use risa_workload::shard::SHARD_SIZE;
-use risa_workload::{csv, StreamingShards, SyntheticConfig, Workload};
+use risa_workload::{csv, StreamingShards, SyntheticConfig};
 use std::io::Write as _;
 
 /// Execute a parsed command.
@@ -30,7 +30,6 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             workload,
             seed,
             scale,
-            arrivals,
             faults,
             json,
             jobs,
@@ -63,9 +62,6 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                     .algorithm(algo)
                     .workload(spec)
                     .topology(paper.scaled(scale));
-                if let Some(mode) = arrivals {
-                    builder = builder.arrivals(mode);
-                }
                 if faults {
                     builder = builder.faults(risa_sim::FaultSpec::canonical());
                 }
@@ -78,8 +74,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             // uses after flag-vs-env precedence (flags win; see
             // tests/precedence.rs).
             eprintln!(
-                "resolved: arrivals={} faults={} jobs={}",
-                sim.arrival_mode(),
+                "resolved: faults={} jobs={}",
                 if sim.world().fault_report().is_some() {
                     "on"
                 } else {
@@ -125,23 +120,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             workload,
             seed,
             out,
-            jobs,
-        } => {
-            apply_jobs(jobs)?;
-            generate(workload, seed, out)
-        }
-        Command::Replay { trace, algo, json } => {
-            let text =
-                std::fs::read_to_string(&trace).map_err(|e| format!("cannot read {trace}: {e}"))?;
-            let w = Workload::from_json(&text).map_err(|e| format!("bad trace: {e}"))?;
-            let report = SimulationBuilder::new()
-                .algorithm(algo)
-                .workload(WorkloadSpec::Trace(w))
-                .try_build()
-                .map_err(|e| e.to_string())?
-                .run();
-            emit(&report, json)
-        }
+        } => generate(workload, seed, out.as_deref()),
     }
 }
 
@@ -394,48 +373,35 @@ fn experiment(id: &str, seed: Option<u64>) -> Result<(), String> {
     }
 }
 
-fn generate(workload: WorkloadArg, seed: u64, out: Option<String>) -> Result<(), String> {
-    let spec = spec_of(workload, seed);
-    // The extension names the format, by the rule `--workload` reads a
-    // file by: what `generate --out` writes, `run --workload` takes.
-    if let Some(path) = out.as_deref().filter(|path| is_csv_path(path)) {
-        return generate_csv(&spec, path);
-    }
-    // Generation is sharded over the pool (risa_workload::shard); the
-    // trace is byte-identical at any --jobs value.
-    let w = spec.materialize();
-    let json = w.to_json();
-    match out {
-        None => {
-            println!("{json}");
-            Ok(())
-        }
-        Some(path) => {
-            std::fs::write(&path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("wrote {} VMs to {path}", w.len());
-            Ok(())
-        }
-    }
-}
-
-/// Write the trace as CSV through the shard cursor, a shard of rows at a
-/// time: the file costs one shard of memory whatever its length.
-fn generate_csv(spec: &WorkloadSpec, path: &str) -> Result<(), String> {
-    let cannot_write = |e: std::io::Error| format!("cannot write {path}: {e}");
-    let source = spec.shard_source().map_err(|e| e.to_string())?;
-    let mut file = std::fs::File::create(path).map_err(cannot_write)?;
+/// Write the trace as CSV — to `out` (a `.csv` path, checked by the
+/// parser) or to stdout — through the shard cursor, a shard of rows at a
+/// time: the output costs one shard of memory whatever its length.
+fn generate(workload: WorkloadArg, seed: u64, out: Option<&str>) -> Result<(), String> {
+    let source = spec_of(workload, seed)
+        .shard_source()
+        .map_err(|e| e.to_string())?;
+    let name = out.unwrap_or("stdout");
+    let cannot_write = |e: std::io::Error| format!("cannot write {name}: {e}");
+    let mut sink: Box<dyn std::io::Write> = match out {
+        Some(path) => Box::new(std::fs::File::create(path).map_err(cannot_write)?),
+        None => Box::new(std::io::stdout().lock()),
+    };
     let mut rows = format!("{}\n", csv::HEADER);
     let mut written = 0u32;
     for vm in StreamingShards::new(source) {
         csv::write_row(&mut rows, &vm);
         written += 1;
         if written.is_multiple_of(SHARD_SIZE) {
-            file.write_all(rows.as_bytes()).map_err(cannot_write)?;
+            sink.write_all(rows.as_bytes()).map_err(cannot_write)?;
             rows.clear();
         }
     }
-    file.write_all(rows.as_bytes()).map_err(cannot_write)?;
-    eprintln!("wrote {written} VMs to {path}");
+    sink.write_all(rows.as_bytes())
+        .and_then(|()| sink.flush())
+        .map_err(cannot_write)?;
+    if let Some(path) = out {
+        eprintln!("wrote {written} VMs to {path}");
+    }
     Ok(())
 }
 
@@ -456,7 +422,6 @@ mod tests {
             workload: WorkloadArg::Synthetic { n: 50 },
             seed: 1,
             scale: 1,
-            arrivals: Some(risa_sim::ArrivalMode::Streaming),
             faults: false,
             json: false,
             jobs: None,
@@ -474,7 +439,6 @@ mod tests {
             workload: WorkloadArg::Synthetic { n: 20 },
             seed: 1,
             scale: 1,
-            arrivals: None,
             faults: false,
             json: true,
             jobs: None,
@@ -485,56 +449,38 @@ mod tests {
         assert!(execute(cmd).is_ok());
     }
 
-    #[test]
-    fn generate_and_replay_roundtrip() {
-        let dir = std::env::temp_dir().join("risa-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.json").to_string_lossy().to_string();
-        execute(Command::Generate {
-            workload: WorkloadArg::Synthetic { n: 30 },
-            seed: 5,
-            out: Some(path.clone()),
-            jobs: None,
-        })
-        .unwrap();
-        execute(Command::Replay {
-            trace: path.clone(),
-            algo: Algorithm::RisaBf,
-            json: true,
-        })
-        .unwrap();
-        std::fs::remove_file(path).unwrap();
-    }
-
-    /// `generate --jobs` sizes the sharded-generation pool — and the trace
-    /// written is byte-identical at any thread count.
+    /// `generate --out <file>.csv` writes the library's CSV rendering of
+    /// the workload, which the trace reader loads back as that workload —
+    /// the same bytes at any pool width, since it generates inline.
     #[test]
     fn generate_jobs_is_thread_count_invariant() {
-        let dir = std::env::temp_dir().join("risa-cli-test-jobs");
+        let dir = std::env::temp_dir().join(format!("risa-cli-gen-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let gen_with = |jobs: Option<usize>, name: &str| {
-            let path = dir.join(name).to_string_lossy().to_string();
-            execute(Command::Generate {
-                workload: WorkloadArg::Synthetic { n: 5000 },
-                seed: 9,
-                out: Some(path.clone()),
-                jobs,
+        let workload = WorkloadArg::Synthetic { n: 5000 };
+        let gen_with = |threads: usize| {
+            let path = dir
+                .join(format!("t{threads}.csv"))
+                .to_string_lossy()
+                .to_string();
+            let out = Some(path.clone());
+            rayon::with_num_threads(threads, || {
+                execute(Command::Generate {
+                    workload: workload.clone(),
+                    seed: 9,
+                    out,
+                })
             })
             .unwrap();
-            let json = std::fs::read_to_string(&path).unwrap();
-            std::fs::remove_file(path).unwrap();
-            json
+            std::fs::read_to_string(&path).unwrap()
         };
-        // --jobs lands in the process-global pool size; restore the
-        // pre-test width afterwards so sibling tests (and the CI
-        // RISA_THREADS=8 pass, which the global would shadow) keep their
-        // configured pool.
-        let prev = rayon::current_num_threads();
-        let two = gen_with(Some(2), "t2.json");
-        let one = gen_with(Some(1), "t1.json");
-        rayon::set_num_threads(prev);
-        assert_eq!(one, two, "trace must not depend on --jobs");
-        assert!(Workload::from_json(&one).is_ok());
+        let one = gen_with(1);
+        assert_eq!(gen_with(2), one, "trace must not depend on the pool");
+        let expect = spec_of(workload.clone(), 9).materialize();
+        assert_eq!(one, csv::to_csv(&expect));
+        let path = dir.join("t1.csv");
+        let read = risa_workload::Workload::read_csv_file("synthetic", path).unwrap();
+        assert_eq!(read, expect);
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
@@ -544,7 +490,6 @@ mod tests {
             workload: WorkloadArg::Synthetic { n: 40 },
             seed: 2,
             scale: 10,
-            arrivals: None,
             faults: false,
             json: false,
             jobs: None,
@@ -565,7 +510,6 @@ mod tests {
             workload: WorkloadArg::Synthetic { n: 400 },
             seed: 3,
             scale: 1,
-            arrivals: None,
             faults: true,
             json: false,
             jobs: None,
@@ -607,7 +551,7 @@ mod tests {
         })
         .unwrap();
         for (name, schema) in [
-            ("BENCH_des.json", "risa-bench-des/v3"),
+            ("BENCH_des.json", "risa-bench-des/v4"),
             ("BENCH_scale.json", "risa-bench-scale/v1"),
             ("BENCH_gen.json", "risa-bench-gen/v1"),
         ] {
@@ -631,7 +575,6 @@ mod tests {
             workload: WorkloadArg::Synthetic { n: 400 },
             seed: 3,
             scale: 1,
-            arrivals: None,
             faults: false,
             json: true,
             jobs: None,
@@ -647,7 +590,6 @@ mod tests {
             workload: WorkloadArg::Synthetic { n: 50 },
             seed: 1,
             scale: 1,
-            arrivals: None,
             faults: false,
             json: true,
             jobs: None,
@@ -666,7 +608,6 @@ mod tests {
             workload: WorkloadArg::Synthetic { n: 50 },
             seed: 1,
             scale: 1,
-            arrivals: None,
             faults: false,
             json: false,
             jobs: None,
@@ -687,8 +628,8 @@ mod tests {
         std::fs::remove_file(path).unwrap();
     }
 
-    /// `run --workload <file>.csv` streams the trace file chunk-by-chunk
-    /// through the same pipeline as the generator workloads.
+    /// `run --workload <file>.csv` loads the trace file and serves it
+    /// through the same shard cursor as the generator workloads.
     #[test]
     fn run_csv_trace_workload() {
         let dir = std::env::temp_dir().join("risa-cli-csv");
@@ -702,7 +643,6 @@ mod tests {
             workload: WorkloadArg::TraceCsv { path: path.clone() },
             seed: 1,
             scale: 1,
-            arrivals: None,
             faults: false,
             json: true,
             jobs: None,
@@ -712,16 +652,6 @@ mod tests {
         })
         .unwrap();
         std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn replay_missing_file_fails() {
-        let cmd = Command::Replay {
-            trace: "/nonexistent/trace.json".into(),
-            algo: Algorithm::Risa,
-            json: false,
-        };
-        assert!(execute(cmd).is_err());
     }
 
     #[test]

@@ -6,9 +6,7 @@
 //! risa-cli experiment fig5 [--seed 42]            # regenerate a figure
 //! risa-cli experiment all --jobs 8                # every figure, 8 threads
 //! risa-cli bench --racks 12,768 --jobs 1          # throughput sweep, uncontended
-//! risa-cli generate --workload synthetic --n 2500 --seed 42 --out trace.json
-//! risa-cli replay --trace trace.json --algo NALB  # run a saved trace
-//! risa-cli generate --n 100000 --out trace.csv    # .csv: the CSV schema ...
+//! risa-cli generate --n 100000 --out trace.csv    # a trace, as CSV ...
 //! risa-cli run --workload trace.csv --faults      # ... which `run` reads
 //! ```
 //!

@@ -1,16 +1,17 @@
 //! A trace the CLI cannot run is an `error:` line and exit code 1 —
-//! read whole or chunked, with the same words — never a panic and never
-//! a run.
+//! never a panic and never a run.
 //!
-//! Covers the input boundary `run --workload <file.csv>` and `replay
-//! --trace <file.json>` cross: a missing file, a bad header, a bad row
-//! (line number intact), ids that are not the rows' ranks (which the
-//! default once ran to exit 0, placing each arrival as some other row's
-//! VM), and a row no box can hold — the same boundary an oversized
-//! `--workload synthetic` would cross if the flags could ask for one.
+//! Covers the input boundary `run --workload <file.csv>` crosses: a
+//! missing file, a bad header, a bad row (line number intact), ids that
+//! are not the rows' ranks (which the default once ran to exit 0, placing
+//! each arrival as some other row's VM), times past the engine's clock
+//! (once clamped to its end and run), and a row no box can hold — the
+//! same boundary an oversized `--workload synthetic` would cross if the
+//! flags could ask for one.
 //!
-//! And the other direction: a trace `generate --out <file.csv>` writes is
-//! one `run --workload` takes, and runs as the generator itself runs.
+//! And the other direction: a trace `generate` writes, to stdout or to
+//! `--out <file.csv>`, is one `run --workload` takes, and runs as the
+//! generator itself runs.
 //!
 //! A checkpoint names its trace file: `run --resume` after the file was
 //! deleted, or replaced by another of the same row count, is refused the
@@ -61,19 +62,9 @@ fn refused_with(args: &[&str], want: &str) -> String {
     stderr
 }
 
-/// `run --workload <path>` must fail, identically under both `--arrivals`
-/// values, with `want` in its one `error:` line.
+/// `run --workload <path>` must fail with `want` in its one `error:` line.
 fn refused(path: &str, want: &str) {
-    let runs = ["materialized", "streaming"].map(|mode| {
-        refused_with(
-            &["run", "--workload", path, "--arrivals", mode, "--json"],
-            want,
-        )
-    });
-    assert_eq!(
-        runs[0], runs[1],
-        "{path}: the two reads word it differently"
-    );
+    refused_with(&["run", "--workload", path, "--json"], want);
 }
 
 #[test]
@@ -124,9 +115,33 @@ fn ids_that_are_not_ranks_are_refused() {
     }
 }
 
-/// A row past a box (513 cores; a box holds 512) is refused at build on
-/// both `--arrivals` values, naming the row's VM — not a panic when the
-/// chunked read reaches it mid-run.
+/// Rows whose VM would arrive or leave past the engine's clock (about
+/// 1.8·10¹³ time units) once ran to exit 0 with the time clamped to the
+/// clock's end: a nonsense `sim_duration`, or a `null` energy. They are
+/// refused by the reader, naming the line and the column.
+#[test]
+fn times_past_the_engine_clock_are_error_lines() {
+    for (tag, row, want) in [
+        (
+            "arrival.csv",
+            "0,1,1,128,1e15,10",
+            "line 2: column 'arrival'",
+        ),
+        (
+            "lifetime.csv",
+            "0,1,1,128,1,1e300",
+            "line 2: column 'lifetime'",
+        ),
+    ] {
+        let path = temp(tag, &format!("{HEADER}\n{row}\n"));
+        refused(path.to_str().unwrap(), want);
+        refused(path.to_str().unwrap(), "arrival + lifetime at most 1e13");
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// A row past a box (513 cores; a box holds 512) is refused at build,
+/// naming the row's VM — not a panic when the run reaches it.
 #[test]
 fn oversized_row_is_an_error_line() {
     let rows = "0,1,2,128,1.0,10\n1,513,2,128,2.0,10\n2,1,2,128,3.0,10\n";
@@ -136,33 +151,10 @@ fn oversized_row_is_an_error_line() {
     std::fs::remove_file(&path).ok();
 }
 
-/// The JSON side of the same boundary: `replay` of a trace whose ids were
-/// edited reports it instead of panicking in the builder.
-#[test]
-fn replay_of_a_non_dense_json_trace_is_an_error_line() {
-    let vm = |id: u32, arrival: f64| {
-        format!(
-            "{{\"id\":{id},\"cpu_cores\":1,\"ram_gb\":2,\"storage_gb\":128,\
-             \"arrival\":{arrival:?},\"lifetime\":10.0}}"
-        )
-    };
-    let json = format!(
-        "{{\"name\":\"edited\",\"vms\":[{},{}]}}",
-        vm(1, 1.0),
-        vm(0, 2.0)
-    );
-    let path = temp("swapped.json", &json);
-    refused_with(
-        &["replay", "--trace", path.to_str().unwrap(), "--json"],
-        "error: workload 'edited': VM ids must be dense and in order",
-    );
-    std::fs::remove_file(&path).ok();
-}
-
-/// `generate --out t.csv` writes the CSV schema (it once wrote JSON into
-/// the file, which `run` then refused as a bad header), and a run over
-/// that file — read whole or chunked — is the run over the generator, in
-/// every report field but the workload's name.
+/// `generate` writes the CSV schema and nothing else: to stdout the
+/// bytes it writes to `--out t.csv`, and no file under any other name. A
+/// run over that file is the run over the generator, in every report
+/// field but the workload's name.
 #[test]
 fn a_generated_csv_runs_as_the_generator_does() {
     let path = std::env::temp_dir().join(format!("risa_cli_{}_generated.CSV", std::process::id()));
@@ -173,6 +165,15 @@ fn a_generated_csv_runs_as_the_generator_does() {
     assert!(stderr.contains("wrote 20000 VMs"), "{stderr}");
     let text = std::fs::read_to_string(path).unwrap();
     assert!(text.starts_with(HEADER) && text.lines().count() == 20_001);
+    let (code, stdout, stderr) = cli(&[&["generate"], &spec[..]].concat());
+    assert_eq!((code, stderr.as_str()), (Some(0), ""));
+    assert!(stdout == text, "stdout differs from the --out file");
+    let json = path.replace(".CSV", ".json");
+    refused_with(
+        &["generate", "--n", "50", "--out", &json],
+        "--out must name a .csv file",
+    );
+    assert!(!std::path::Path::new(&json).exists());
 
     // The report without its wall-clock field and its name.
     let report = |args: &[&str]| -> Vec<String> {
@@ -186,14 +187,7 @@ fn a_generated_csv_runs_as_the_generator_does() {
         assert_eq!(fields.len() + 2, stdout.lines().count(), "{stdout}");
         fields
     };
-    let generated = report(&spec);
-    for mode in ["materialized", "streaming"] {
-        assert_eq!(
-            report(&["--workload", path, "--arrivals", mode]),
-            generated,
-            "--arrivals {mode}"
-        );
-    }
+    assert_eq!(report(&["--workload", path]), report(&spec));
     std::fs::remove_file(path).ok();
 }
 

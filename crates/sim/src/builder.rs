@@ -4,14 +4,13 @@ use crate::config::{LatencyConfig, SimConfig};
 use crate::faults::FaultSpec;
 use crate::report::RunReport;
 use crate::spec::WorkloadSpec;
-use crate::streaming::{arrival_event, ArrivalMode};
-use crate::world::{DdcWorld, DEFAULT_SCHED_TIMING_BATCH};
+use crate::world::{arrival_event, DdcWorld, DEFAULT_SCHED_TIMING_BATCH};
 use risa_des::{EventTrace, Simulation};
 use risa_network::NetworkConfig;
 use risa_photonics::PhotonicsConfig;
 use risa_sched::Algorithm;
 use risa_topology::{ResourceKind, TopologyConfig, UnitDemand, ALL_RESOURCES};
-use risa_workload::{ShardSource, TraceFileError, TraceShards, VmRequest, Workload};
+use risa_workload::{ShardSource, TraceFileError, VmRequest};
 use std::sync::Arc;
 
 /// Why a simulation could not be built. [`SimulationBuilder::try_build`]
@@ -21,9 +20,10 @@ use std::sync::Arc;
 pub enum BuildError {
     /// A pre-built [`WorkloadSpec::Trace`] is not sorted by arrival time.
     /// Reachable in release builds (where `Workload::from_vms` only
-    /// debug-asserts order) via traces deserialized from tampered or
-    /// buggy JSON; rejected *typed and loud* rather than silently routed
-    /// through a slower arrival path that would mask the producer's bug.
+    /// debug-asserts order) via a trace deserialized by a library caller
+    /// from tampered or buggy input; rejected *typed and loud* rather than
+    /// silently routed through a slower arrival path that would mask the
+    /// producer's bug.
     UnsortedTrace {
         /// Workload name.
         workload: String,
@@ -45,7 +45,7 @@ pub enum BuildError {
     },
     /// A VM's demand exceeds single-box capacity, violating the paper's
     /// §2 placement assumption: the first such VM of the workload —
-    /// loaded, read from a file either way, or yet to be generated.
+    /// loaded, read from a file, or yet to be generated.
     OversizedVm {
         /// Offending VM id.
         id: u32,
@@ -53,7 +53,7 @@ pub enum BuildError {
         workload: String,
     },
     /// A [`WorkloadSpec::TraceCsv`] file is missing, unreadable or
-    /// invalid — the same error whichever way the file is read.
+    /// invalid.
     TraceFile(TraceFileError),
 }
 
@@ -101,7 +101,6 @@ pub struct SimulationBuilder {
     pub(crate) audit: bool,
     pub(crate) sched_timing_batch: u32,
     pub(crate) legacy_arrival_path: bool,
-    pub(crate) arrivals: Option<ArrivalMode>,
     pub(crate) faults: Option<Option<FaultSpec>>,
     pub(crate) checkpoint_every: Option<f64>,
 }
@@ -117,7 +116,6 @@ impl SimulationBuilder {
             audit: false,
             sched_timing_batch: DEFAULT_SCHED_TIMING_BATCH,
             legacy_arrival_path: false,
-            arrivals: None,
             faults: None,
             checkpoint_every: None,
         }
@@ -152,19 +150,6 @@ impl SimulationBuilder {
     /// — for tests and experiments that assert exact faults-free outcomes.
     pub fn faults_off(mut self) -> Self {
         self.faults = Some(None);
-        self
-    }
-
-    /// Choose how a [`WorkloadSpec::TraceCsv`] file is read (default
-    /// [`ArrivalMode::Materialized`]: loaded whole at build).
-    /// [`ArrivalMode::Streaming`] re-reads it a shard at a time during
-    /// the run — peak memory O(resident VMs + one shard) instead of
-    /// O(trace length), each row parsed a second time — and is
-    /// byte-identical (pinned by `tests/hot_path_differential.rs`). No
-    /// other workload consults the mode: generators always generate on
-    /// demand, a pre-built trace is already in memory.
-    pub fn arrivals(mut self, mode: ArrivalMode) -> Self {
-        self.arrivals = Some(mode);
         self
     }
 
@@ -248,13 +233,12 @@ impl SimulationBuilder {
     ///
     /// No trace is built: the world reads the spec's
     /// [`risa_workload::ShardSource`] through one shard cursor,
-    /// generating (or slicing, or re-reading) a 4096-VM shard at a time,
-    /// inline, as the run reaches it — O(resident VMs + one shard) of
-    /// memory for a generator, and the report's scheduler wall-clock
-    /// (`sched_seconds`) times scheduling calls only, so generation
-    /// between them never pollutes it. A pre-built trace and — unless
-    /// [`ArrivalMode::Streaming`] is asked for — a CSV file are loaded
-    /// and validated here, then served through the same cursor.
+    /// generating (or slicing) a 4096-VM shard at a time, inline, as the
+    /// run reaches it — O(resident VMs + one shard) of memory for a
+    /// generator, and the report's scheduler wall-clock (`sched_seconds`)
+    /// times scheduling calls only, so generation between them never
+    /// pollutes it. A pre-built trace is checked and a CSV file loaded
+    /// whole and validated here, then served through the same cursor.
     ///
     /// Arrivals are fed to the engine through the two-lane queue's
     /// arrival lane ([`Simulation::attach_arrivals`]), which reads
@@ -283,10 +267,8 @@ impl SimulationBuilder {
             Some(choice) => choice.clone(),
             None => FaultSpec::from_env(),
         };
-        let mode = self.arrivals.unwrap_or(ArrivalMode::Materialized);
         let mut recipe = self.clone();
         recipe.faults = Some(fault_spec.clone());
-        recipe.arrivals = Some(mode);
         let oversized = |vm: VmRequest, workload: &str| BuildError::OversizedVm {
             id: vm.id.0,
             workload: workload.to_string(),
@@ -309,7 +291,7 @@ impl SimulationBuilder {
             }
             sim
         } else {
-            let source = self.shard_source(mode)?;
+            let source = self.shard_source()?;
             if let Some(vm) = first_oversized(&*source, &self.cfg.topology) {
                 return Err(oversized(vm, source.label()));
             }
@@ -320,52 +302,36 @@ impl SimulationBuilder {
             sim
         };
         Self::seed_faults(&mut sim);
-        Ok(DdcSimulation {
-            sim,
-            arrival_mode: if self.legacy_arrival_path {
-                ArrivalMode::Materialized
-            } else {
-                mode
-            },
-            recipe,
-        })
+        Ok(DdcSimulation { sim, recipe })
     }
 
-    /// The workload as the source the run's cursor reads — the one place
-    /// the arrival mode is consulted: it decides how a trace *file*
-    /// becomes a source. A pre-built trace is checked here, typed, for
-    /// what the lane and the cursor rely on.
-    fn shard_source(&self, mode: ArrivalMode) -> Result<Arc<dyn ShardSource>, BuildError> {
-        match &self.workload {
-            // Generators emit sorted, dense traces by construction and a
-            // CSV scan validates both, but a `Trace` deserialized from
-            // tampered or buggy JSON bypasses `Workload::from_vms`'
-            // debug_assert in release builds — catch it on every build
-            // profile, before anything runs.
-            WorkloadSpec::Trace(w) => {
-                let vms = w.vms();
-                if let Some(index) = (1..vms.len()).find(|&i| vms[i].arrival < vms[i - 1].arrival) {
-                    return Err(BuildError::UnsortedTrace {
-                        workload: w.name().to_string(),
-                        index,
-                    });
-                }
-                // Events carry a VM's rank and the cursor yields VMs in
-                // rank order; a trace whose ids disagree with the ranks
-                // was produced by something that means otherwise.
-                if let Some(index) = (0..vms.len()).find(|&i| vms[i].id.0 as usize != i) {
-                    return Err(BuildError::NonDenseTrace {
-                        workload: w.name().to_string(),
-                        index,
-                        found: vms[index].id.0,
-                    });
-                }
+    /// The workload as the source the run's cursor reads
+    /// ([`WorkloadSpec::shard_source`]), a pre-built trace first checked,
+    /// typed, for what the lane and the cursor rely on.
+    fn shard_source(&self) -> Result<Arc<dyn ShardSource>, BuildError> {
+        // Generators emit sorted, dense traces by construction and the CSV
+        // reader validates both, but a `Trace` deserialized from tampered
+        // or buggy input bypasses `Workload::from_vms`' debug_assert in
+        // release builds — catch it on every build profile, before
+        // anything runs.
+        if let WorkloadSpec::Trace(w) = &self.workload {
+            let vms = w.vms();
+            if let Some(index) = (1..vms.len()).find(|&i| vms[i].arrival < vms[i - 1].arrival) {
+                return Err(BuildError::UnsortedTrace {
+                    workload: w.name().to_string(),
+                    index,
+                });
             }
-            WorkloadSpec::TraceCsv { name, path } if mode == ArrivalMode::Materialized => {
-                let loaded = Workload::read_csv_file(name, path).map_err(BuildError::TraceFile)?;
-                return Ok(Arc::new(TraceShards::new(loaded)));
+            // Events carry a VM's rank and the cursor yields VMs in
+            // rank order; a trace whose ids disagree with the ranks
+            // was produced by something that means otherwise.
+            if let Some(index) = (0..vms.len()).find(|&i| vms[i].id.0 as usize != i) {
+                return Err(BuildError::NonDenseTrace {
+                    workload: w.name().to_string(),
+                    index,
+                    found: vms[index].id.0,
+                });
             }
-            _ => {}
         }
         self.workload.shard_source().map_err(BuildError::TraceFile)
     }
@@ -434,7 +400,6 @@ impl Default for SimulationBuilder {
 #[derive(Debug)]
 pub struct DdcSimulation {
     pub(crate) sim: Simulation<DdcWorld>,
-    pub(crate) arrival_mode: ArrivalMode,
     /// The fully-resolved builder that produced this run: every
     /// env-deferred knob pinned at build time, so a checkpoint's embedded
     /// recipe can rebuild the identical pristine run without consulting
@@ -551,14 +516,6 @@ impl DdcSimulation {
         self.sim.queue().peak_fel_len()
     }
 
-    /// The resolved [`SimulationBuilder::arrivals`] mode — how a trace
-    /// file is (or would be) read; the legacy arrival path, which
-    /// materializes everything, always reports
-    /// [`ArrivalMode::Materialized`].
-    pub fn arrival_mode(&self) -> ArrivalMode {
-        self.arrival_mode
-    }
-
     /// High-water mark of VMs buffered by the workload cursor: at most
     /// one [`risa_workload::shard::SHARD_SIZE`] shard plus one lane
     /// window, whatever the trace length (asserted by
@@ -643,27 +600,18 @@ mod tests {
 
     /// The whole point of the pipeline: identical reports (and admitted
     /// counters, energies, …) whether the trace is generated on demand
-    /// during the run or materialized up front and served to it — under
-    /// either arrival mode, which a generator has no use for.
+    /// during the run or materialized up front and served to it.
     #[test]
     fn streaming_report_equals_materialized_report() {
         let spec = WorkloadSpec::synthetic(9000, 13); // 3 shards
-        let run = |spec: WorkloadSpec, mode: ArrivalMode| {
-            let mut sim = SimulationBuilder::new()
-                .workload(spec)
-                .arrivals(mode)
-                .audit(true)
-                .build();
-            assert_eq!(sim.arrival_mode(), mode);
+        let run = |spec: WorkloadSpec| {
+            let mut sim = SimulationBuilder::new().workload(spec).audit(true).build();
             let mut r = sim.run();
             r.sched_seconds = 0.0;
             (r, sim.events_dispatched(), sim.peak_fel_len())
         };
         let held = WorkloadSpec::Trace(spec.materialize());
-        let materialized = run(held, ArrivalMode::Materialized);
-        for mode in ArrivalMode::ALL {
-            assert_eq!(run(spec.clone(), mode), materialized, "{mode}");
-        }
+        assert_eq!(run(spec), run(held));
     }
 
     #[test]
@@ -680,39 +628,31 @@ mod tests {
     #[test]
     fn pre_built_traces_stream_and_match_their_materialized_run() {
         // A pre-built trace is served through TraceShards on the one
-        // cursor whatever the arrival mode says, and the result is
-        // byte-identical to the legacy path's, which indexes the trace.
+        // cursor, and the result is byte-identical to the legacy path's,
+        // which indexes the trace.
         let w = WorkloadSpec::synthetic(300, 2).materialize();
-        let run = |mode, legacy| {
+        let run = |legacy| {
             let mut sim = SimulationBuilder::new()
                 .workload(WorkloadSpec::Trace(w.clone()))
-                .arrivals(mode)
                 .legacy_arrival_path(legacy)
                 .build();
             assert_eq!(sim.peak_buffered_arrivals().is_some(), !legacy);
             let mut r = sim.run();
             r.sched_seconds = 0.0;
-            (sim.arrival_mode(), r)
+            r
         };
-        let (streamed_mode, streamed) = run(ArrivalMode::Streaming, false);
-        let (materialized_mode, materialized) = run(ArrivalMode::Materialized, false);
-        assert_eq!(streamed_mode, ArrivalMode::Streaming);
-        assert_eq!(materialized_mode, ArrivalMode::Materialized);
-        assert_eq!(streamed, materialized);
-        assert_eq!(run(ArrivalMode::Materialized, true).1, materialized);
+        assert_eq!(run(false), run(true));
 
         // Only the legacy oracle path materializes whatever it is given.
         let sim = SimulationBuilder::new()
             .workload(WorkloadSpec::synthetic(20, 2))
-            .arrivals(ArrivalMode::Streaming)
             .legacy_arrival_path(true)
             .build();
-        assert_eq!(sim.arrival_mode(), ArrivalMode::Materialized);
         assert_eq!(sim.peak_buffered_arrivals(), None);
     }
 
     /// An unsorted trace — only reachable by deserializing tampered or
-    /// buggy JSON, since `Workload::from_vms` merely debug-asserts order —
+    /// buggy input, since `Workload::from_vms` merely debug-asserts order —
     /// must be rejected with a typed error in *every* build profile.
     /// Regression for the release-mode hole where the old code silently
     /// fell back to routing arrivals through the FEL.
@@ -764,11 +704,10 @@ mod tests {
 
     /// A trace whose ids are not its rows' ranks once ran — swapped rows
     /// to exit 0 with each arrival placed as the *other* row's VM, sparse
-    /// and duplicate ids into an index panic mid-run. It is refused, with
-    /// the same error under either arrival mode, whether it arrives as a
-    /// CSV file or as a deserialized trace.
+    /// and duplicate ids into an index panic mid-run. It is refused, typed,
+    /// whether it arrives as a CSV file or as a deserialized trace.
     #[test]
-    fn non_dense_ids_rejected_typed_on_both_arrival_modes() {
+    fn non_dense_ids_rejected_typed_from_file_and_trace() {
         use risa_workload::{csv, TraceFileError, VmId, Workload};
         let good = WorkloadSpec::synthetic(4, 3).materialize();
         // (what, ids by row, first offending row, id found there)
@@ -785,44 +724,41 @@ mod tests {
             let path = std::env::temp_dir()
                 .join(format!("risa_builder_{}_{what}.csv", std::process::id()));
             std::fs::write(&path, csv::to_csv(&trace)).unwrap();
-            for mode in ArrivalMode::ALL {
-                let build = |spec| {
-                    SimulationBuilder::new()
-                        .workload(spec)
-                        .arrivals(mode)
-                        .try_build()
-                        .expect_err("non-dense ids must not build")
-                };
-                assert_eq!(
-                    build(WorkloadSpec::Trace(trace.clone())),
-                    BuildError::NonDenseTrace {
-                        workload: "odd".into(),
-                        index,
-                        found
-                    },
-                    "{what}/{mode}"
-                );
-                assert_eq!(
-                    build(WorkloadSpec::TraceCsv {
-                        name: "odd".into(),
-                        path: path.display().to_string()
-                    }),
-                    BuildError::TraceFile(TraceFileError::NonDenseId {
-                        line: index + 2, // a header line, and lines count from 1
-                        expected: index as u32,
-                        found
-                    }),
-                    "{what}/{mode}"
-                );
-            }
+            let build = |spec| {
+                SimulationBuilder::new()
+                    .workload(spec)
+                    .try_build()
+                    .expect_err("non-dense ids must not build")
+            };
+            assert_eq!(
+                build(WorkloadSpec::Trace(trace.clone())),
+                BuildError::NonDenseTrace {
+                    workload: "odd".into(),
+                    index,
+                    found
+                },
+                "{what}"
+            );
+            assert_eq!(
+                build(WorkloadSpec::TraceCsv {
+                    name: "odd".into(),
+                    path: path.display().to_string()
+                }),
+                BuildError::TraceFile(TraceFileError::NonDenseId {
+                    line: index + 2, // a header line, and lines count from 1
+                    expected: index as u32,
+                    found
+                }),
+                "{what}"
+            );
             std::fs::remove_file(&path).ok();
         }
     }
 
-    /// A trace file that cannot be loaded is a `BuildError`, the same one
-    /// whole-file and chunked — not a panic inside the builder.
+    /// A trace file that cannot be loaded is a `BuildError` — not a panic
+    /// inside the builder.
     #[test]
-    fn unusable_trace_files_are_build_errors_on_both_arrival_modes() {
+    fn unusable_trace_files_are_build_errors() {
         use risa_workload::{csv::CsvError, TraceFileError};
         let dir = std::env::temp_dir();
         let file = |tag: &str, contents: &str| {
@@ -834,7 +770,7 @@ mod tests {
         let cases = [
             (
                 "/nonexistent/risa/builder.csv".to_string(),
-                None, // an I/O error: compared across modes, and by its text
+                None, // an I/O error: compared by its text
             ),
             (
                 file("header", "id,cpu\n0,1,2,128,1.0,10\n"),
@@ -852,25 +788,20 @@ mod tests {
             ),
         ];
         for (path, want) in cases {
-            let errors = ArrivalMode::ALL.map(|mode| {
-                SimulationBuilder::new()
-                    .workload(WorkloadSpec::TraceCsv {
-                        name: "t".into(),
-                        path: path.clone(),
-                    })
-                    .arrivals(mode)
-                    .try_build()
-                    .expect_err("unusable trace file must not build")
-            });
-            assert_eq!(errors[0], errors[1], "{path}");
+            let error = SimulationBuilder::new()
+                .workload(WorkloadSpec::TraceCsv {
+                    name: "t".into(),
+                    path: path.clone(),
+                })
+                .try_build()
+                .expect_err("unusable trace file must not build");
             match want {
-                Some(e) => assert_eq!(errors[0], BuildError::TraceFile(e), "{path}"),
+                Some(e) => assert_eq!(error, BuildError::TraceFile(e), "{path}"),
                 None => assert!(
-                    errors[0]
+                    error
                         .to_string()
                         .starts_with(&format!("cannot read trace file '{path}'")),
-                    "{}",
-                    errors[0]
+                    "{error}"
                 ),
             }
             std::fs::remove_file(&path).ok();
@@ -879,16 +810,15 @@ mod tests {
 
     /// A VM past a box is the typed `OversizedVm` naming the first one,
     /// whatever would have yielded it — a generator config that was never
-    /// going to be materialized, a CSV file read whole or chunked, the
-    /// legacy path — and never a panic at the offending arrival.
+    /// going to be materialized, a CSV file, the legacy path — and never a
+    /// panic at the offending arrival.
     #[test]
     fn oversized_requests_are_typed_build_errors_from_every_source() {
         use risa_workload::SyntheticConfig;
         let topology = TopologyConfig::paper();
-        let try_build = |spec: &WorkloadSpec, mode, legacy| {
+        let try_build = |spec: &WorkloadSpec, legacy| {
             SimulationBuilder::new()
                 .workload(spec.clone())
-                .arrivals(mode)
                 .legacy_arrival_path(legacy)
                 .faults_off()
                 .try_build()
@@ -915,12 +845,10 @@ mod tests {
             name: "synthetic".into(),
             path: path.display().to_string(),
         };
-        for mode in ArrivalMode::ALL {
-            for spec in [&spec, &file] {
-                for legacy in [false, true] {
-                    let err = try_build(spec, mode, legacy).expect_err("must not build");
-                    assert_eq!(err, want, "{mode}/legacy={legacy}/{spec:?}");
-                }
+        for spec in [&spec, &file] {
+            for legacy in [false, true] {
+                let err = try_build(spec, legacy).expect_err("must not build");
+                assert_eq!(err, want, "legacy={legacy}/{spec:?}");
             }
         }
         std::fs::remove_file(&path).ok();
@@ -934,10 +862,33 @@ mod tests {
         };
         let spec = WorkloadSpec::Synthetic(cfg);
         assert!(spec.materialize().validate_fits(&topology).is_ok());
-        let report = try_build(&spec, ArrivalMode::Materialized, false)
-            .expect("every VM fits")
-            .run();
+        let report = try_build(&spec, false).expect("every VM fits").run();
         assert_eq!(report.admitted + report.dropped, 5);
+    }
+
+    /// The CSV reader's bound on a row's departure lies inside the engine
+    /// clock: a VM leaving at `csv::MAX_TIME` itself departs there,
+    /// exactly, with room to spare — not clamped to the clock's end (the
+    /// fate of the times the bound refuses).
+    #[test]
+    fn csv_time_bound_is_inside_the_engine_clock() {
+        use risa_des::{SimDuration, SimTime};
+        use risa_workload::csv::{from_csv, HEADER, MAX_TIME};
+        let (arrival, lifetime) = (6e12, 4e12);
+        assert_eq!(arrival + lifetime, MAX_TIME);
+        let departure = SimTime::from_units(arrival) + SimDuration::from_units(lifetime);
+        assert_eq!(departure.as_units(), MAX_TIME);
+        assert!(SimTime::from_units(1.8 * MAX_TIME) < SimTime::MAX);
+
+        let csv = format!("{HEADER}\n0,1,2,128,{arrival},{lifetime}\n");
+        let report = SimulationBuilder::new()
+            .workload(WorkloadSpec::Trace(from_csv("edge", &csv).unwrap()))
+            .faults_off()
+            .build()
+            .run();
+        assert_eq!(report.admitted, 1);
+        assert_eq!(report.sim_duration, MAX_TIME);
+        assert!(report.optical_energy_j.is_finite() && report.optical_energy_j > 0.0);
     }
 
     #[test]

@@ -21,7 +21,6 @@
 
 use crate::builder::{BuildError, DdcSimulation, SimulationBuilder};
 use crate::spec::WorkloadSpec;
-use crate::streaming::ArrivalMode;
 use crate::{FaultSpec, RunReport, SimConfig};
 use risa_des::{RunOutcome, SimTime};
 use risa_sched::Algorithm;
@@ -257,13 +256,10 @@ impl std::io::Write for Fnv1a {
     }
 }
 
-/// Serialize a *fully-resolved* recipe: `arrivals` and `faults` must
-/// have been pinned by `try_build` (panics otherwise — a checkpoint
-/// must never defer a knob to the resume-time environment).
+/// Serialize a *fully-resolved* recipe: `faults` must have been pinned
+/// by `try_build` (panics otherwise — a checkpoint must never defer a
+/// knob to the resume-time environment).
 fn recipe_to_value(r: &SimulationBuilder) -> Value {
-    let arrivals = r
-        .arrivals
-        .expect("checkpoint recipe has an unresolved arrival mode");
     let faults = r
         .faults
         .as_ref()
@@ -279,18 +275,15 @@ fn recipe_to_value(r: &SimulationBuilder) -> Value {
             "legacy_arrival_path".into(),
             r.legacy_arrival_path.to_value(),
         ),
-        ("arrivals".into(), arrivals.to_string().to_value()),
         ("faults".into(), faults.to_value()),
         ("checkpoint_every".into(), r.checkpoint_every.to_value()),
     ])
 }
 
 /// The inverse of [`recipe_to_value`], refusing the values the builder
-/// would panic on.
+/// would panic on. Fields are looked up by name, so a key no recipe reads
+/// any more (the `arrivals` of earlier version-4 documents) is ignored.
 fn recipe_from_value(v: &Value) -> Result<SimulationBuilder, Error> {
-    let arrivals: ArrivalMode = String::from_value(field(v, "arrivals")?)?
-        .parse()
-        .map_err(Error::new)?;
     let cfg = SimConfig::from_value(field(v, "cfg")?)?;
     cfg.topology.validate().map_err(Error::new)?;
     cfg.network.validate().map_err(Error::new)?;
@@ -313,7 +306,6 @@ fn recipe_from_value(v: &Value) -> Result<SimulationBuilder, Error> {
         audit: bool::from_value(field(v, "audit")?)?,
         sched_timing_batch,
         legacy_arrival_path: bool::from_value(field(v, "legacy_arrival_path")?)?,
-        arrivals: Some(arrivals),
         faults: Some(Option::<FaultSpec>::from_value(field(v, "faults")?)?),
         checkpoint_every: positive("checkpoint_every")?,
     })
@@ -403,7 +395,6 @@ mod tests {
         let run = || {
             SimulationBuilder::new()
                 .workload(WorkloadSpec::synthetic(6000, 13))
-                .arrivals(ArrivalMode::Streaming)
                 .faults_off()
                 .build()
         };
@@ -414,7 +405,6 @@ mod tests {
         assert!(left > 0, "horizon lands mid-arrivals");
         let cp = Checkpoint::from_json(&first.checkpoint().to_json()).unwrap();
         let mut resumed = cp.resume().unwrap();
-        assert_eq!(resumed.arrival_mode(), ArrivalMode::Streaming);
         assert_eq!(resumed.sim.queue().stream_remaining(), left);
         assert_eq!(finish_report(&mut resumed), baseline);
     }

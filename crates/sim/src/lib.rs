@@ -35,7 +35,6 @@ pub mod experiments;
 mod faults;
 mod report;
 mod spec;
-mod streaming;
 mod timeline;
 mod world;
 
@@ -45,7 +44,6 @@ pub use config::{LatencyConfig, SimConfig};
 pub use faults::{FaultReport, FaultSpec};
 pub use report::{host_info, peak_rss_bytes, ExperimentReport, RunReport};
 pub use spec::WorkloadSpec;
-pub use streaming::ArrivalMode;
 pub use timeline::{Timeline, TimelinePoint};
 pub use world::{DdcWorld, SimEvent, DEFAULT_SCHED_TIMING_BATCH};
 

@@ -2,8 +2,8 @@
 
 use risa_workload::azure::AzureProcess;
 use risa_workload::{
-    AzureShards, AzureSubset, CsvFileShards, ShardSource, SyntheticConfig, SyntheticShards,
-    TraceFileError, TraceShards, Workload,
+    AzureShards, AzureSubset, ShardSource, SyntheticConfig, SyntheticShards, TraceFileError,
+    TraceShards, Workload,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -20,12 +20,10 @@ pub enum WorkloadSpec {
         /// Generation seed.
         seed: u64,
     },
-    /// A pre-built trace (e.g. loaded from JSON).
+    /// A pre-built trace, already in memory.
     Trace(Workload),
-    /// A CSV trace file on disk: loaded whole, a block at a time
-    /// ([`risa_workload::csv::read_csv`]), or — under
-    /// [`crate::ArrivalMode::Streaming`] — re-read in shard-sized chunks
-    /// ([`risa_workload::CsvFileShards`]); never resident as text.
+    /// A CSV trace file on disk, loaded whole a block at a time
+    /// ([`Workload::read_csv_file`]); never resident as text.
     TraceCsv {
         /// Workload label for reports.
         name: String,
@@ -52,9 +50,9 @@ impl WorkloadSpec {
 
     /// Materialize the trace, or say why the trace file it names cannot
     /// be one (only [`WorkloadSpec::TraceCsv`] can fail). A simulation
-    /// does not call this for a generator — it reads
-    /// [`WorkloadSpec::shard_source`] on demand; `risa-cli generate`, the
-    /// legacy arrival path and tests that want the whole trace do.
+    /// does not call this — it reads [`WorkloadSpec::shard_source`] on
+    /// demand; the legacy arrival path and tests that want the whole
+    /// trace do.
     ///
     /// Synthetic and Azure specs generate **sharded** on the `rayon`
     /// pool: fixed 4096-VM index shards with `(seed, shard)`-derived RNG
@@ -78,12 +76,10 @@ impl WorkloadSpec {
     }
 
     /// The spec as a lazy per-shard source — what a run's shard cursor
-    /// reads. Generator-backed specs generate each shard from its RNG
-    /// streams; pre-built traces are *served* in shard-sized slices
-    /// ([`risa_workload::TraceShards`]), and on-disk CSV traces are read
-    /// chunk-by-chunk ([`risa_workload::CsvFileShards`]; the builder
-    /// instead loads the file whole and serves it through `TraceShards`
-    /// unless asked for [`crate::ArrivalMode::Streaming`]).
+    /// reads, and the one place a spec becomes one. Generator-backed specs
+    /// generate each shard from its RNG streams; a pre-built trace, and a
+    /// CSV file once loaded whole, are *served* in shard-sized slices
+    /// ([`risa_workload::TraceShards`]).
     ///
     /// The source yields the *same trace* [`WorkloadSpec::load`]
     /// produces, bit-for-bit, so consuming it through a cursor is
@@ -97,7 +93,7 @@ impl WorkloadSpec {
             }
             WorkloadSpec::Trace(w) => Arc::new(TraceShards::new(w.clone())),
             WorkloadSpec::TraceCsv { name, path } => {
-                Arc::new(CsvFileShards::open(name.clone(), path)?)
+                Arc::new(TraceShards::new(Workload::read_csv_file(name, path)?))
             }
         })
     }

@@ -3,7 +3,6 @@
 
 use crate::config::SimConfig;
 use crate::faults::{ChainSet, FaultMeters, FaultReport, FaultSpec, FaultTallies, Migration};
-use crate::streaming::arrival_event;
 use crate::timeline::{Timeline, TimelinePoint};
 use risa_des::{EventCtx, SimDuration, SimTime, World};
 use risa_metrics::{OnlineStats, TimeWeighted};
@@ -151,6 +150,13 @@ pub enum SimEvent {
     /// VM `idx`, evacuated from a failed rack, finishes its migration and
     /// is re-placed through the scheduler (or dropped if nothing fits).
     Migrate(u32),
+}
+
+/// How arrival `idx` of a trace maps onto the event timeline — the one
+/// definition the arrival lane ([`DdcWorld`]'s `fill_arrivals`) and the
+/// legacy arrival path share.
+pub(crate) fn arrival_event(idx: u32, arrival: f64) -> (SimTime, SimEvent) {
+    (SimTime::from_units(arrival), SimEvent::Arrival(idx))
 }
 
 /// Where the world's VM requests come from.
@@ -1189,6 +1195,41 @@ mod tests {
         assert_eq!(w.stream_peak_buffered(), Some(200));
         assert_eq!(w.stream_shards_generated(), Some(1));
         assert_eq!(oracle.stream_peak_buffered(), Some(200));
+    }
+
+    /// What the world hands the arrival lane must be exactly the
+    /// materialized trace's schedule — VM `i` at its arrival time,
+    /// bit-equal, in index order — at any window size, with a window
+    /// stopping short at a shard's end and never coming back empty before
+    /// the trace does.
+    #[test]
+    fn streaming_arrivals_match_materialized_schedule() {
+        use crate::spec::WorkloadSpec;
+        for spec in [
+            WorkloadSpec::synthetic(9000, 11), // > 2 shards
+            WorkloadSpec::azure(risa_workload::AzureSubset::N3000, 4),
+        ] {
+            let expect: Vec<_> = spec
+                .materialize()
+                .vms()
+                .iter()
+                .map(|vm| (SimTime::from_units(vm.arrival), SimEvent::Arrival(vm.id.0)))
+                .collect();
+            for max in [1, 7, 1024, usize::MAX] {
+                let source = spec
+                    .shard_source()
+                    .expect("generators have no file to fail");
+                let mut world = DdcWorld::new(SimConfig::paper(), Algorithm::Risa, source);
+                let mut got = Vec::new();
+                while got.len() < expect.len() {
+                    let before = got.len();
+                    world.fill_arrivals(&mut got, max);
+                    assert!((1..=max).contains(&(got.len() - before)), "max {max}");
+                }
+                world.fill_arrivals(&mut got, max); // an exhausted cursor hands over nothing
+                assert_eq!(got, expect, "max {max}");
+            }
+        }
     }
 
     /// One scripted operation against the store.

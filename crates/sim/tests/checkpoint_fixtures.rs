@@ -7,20 +7,22 @@
 //! # cwd crates/sim
 //! risa-cli run --workload synthetic --n 1500 --seed 7 --algo RISA --json \
 //!     --checkpoint tests/fixtures/v4_synthetic.ckpt --checkpoint-every 14000
-//! risa-cli run --workload tests/fixtures/steady_small.csv --algo RISA --faults \
-//!     --arrivals streaming --json \
+//! risa-cli run --workload tests/fixtures/steady_small.csv --algo RISA --faults --json \
 //!     --checkpoint tests/fixtures/v4_csv_faults_streaming.ckpt --checkpoint-every 5000
 //! ```
 //!
 //! Each cadence fires once, mid-run; the CSV document names its trace by
 //! a path relative to the crate root, where cargo runs integration tests.
+//! The build that wrote them also recorded how a trace file was read
+//! (`"arrivals"`, `materialized` or `streaming` — the second asked for by
+//! a run flag since removed); the recipe no longer has that key, and a
+//! document that carries it resumes all the same.
 //! A version-3 document (a state image) pins that format's refusal, and a
 //! copy of the CSV with one row edited that of changed inputs.
 
 use rayon::with_num_threads;
 use risa_sim::{
-    Algorithm, ArrivalMode, Checkpoint, DdcSimulation, FaultSpec, ResumeError, SimulationBuilder,
-    WorkloadSpec,
+    Algorithm, Checkpoint, DdcSimulation, FaultSpec, ResumeError, SimulationBuilder, WorkloadSpec,
 };
 
 const TRACE_CAP: usize = 16_000;
@@ -54,42 +56,54 @@ fn finish(mut sim: DdcSimulation) -> (String, Vec<String>) {
 
 /// The document `ckpt` resumes — at 1 and 8 pool threads — into the
 /// report checked in beside it and into the event order of the same run
-/// built from scratch (`fresh`, under each arrival mode given).
-fn resumes_into(ckpt: &str, report: &str, fresh: impl Fn(ArrivalMode) -> DdcSimulation) {
+/// built from scratch (`fresh`).
+fn resumes_into(ckpt: &str, report: &str, fresh: impl Fn() -> DdcSimulation) {
     let report = stable(&fixture(report));
     let document = fixture(ckpt);
     assert!(document.len() < 1200, "{ckpt}: a position, not a state");
     let cp = Checkpoint::from_json(&document).expect("a v4 document loads");
     let skipped = cp.events_dispatched() as usize;
 
-    for mode in ArrivalMode::ALL {
-        let (uninterrupted, events) = finish(fresh(mode));
-        assert_eq!(uninterrupted, report, "{ckpt}/{mode}: uninterrupted report");
-        assert!(
-            0 < skipped && skipped < events.len(),
-            "{ckpt}: taken mid-run"
+    let (uninterrupted, events) = finish(fresh());
+    assert_eq!(uninterrupted, report, "{ckpt}: uninterrupted report");
+    assert!(
+        0 < skipped && skipped < events.len(),
+        "{ckpt}: taken mid-run"
+    );
+    for threads in [1usize, 8] {
+        let (resumed, suffix) =
+            with_num_threads(threads, || finish(cp.resume().expect("inputs unchanged")));
+        assert_eq!(resumed, report, "{ckpt}/threads={threads}: resumed report");
+        assert_eq!(
+            suffix,
+            events[skipped..],
+            "{ckpt}/threads={threads}: resumed event order"
         );
-        for threads in [1usize, 8] {
-            let (resumed, suffix) =
-                with_num_threads(threads, || finish(cp.resume().expect("inputs unchanged")));
-            assert_eq!(resumed, report, "{ckpt}/threads={threads}: resumed report");
-            assert_eq!(
-                suffix,
-                events[skipped..],
-                "{ckpt}/{mode}/threads={threads}: resumed event order"
-            );
-        }
     }
+
+    // What this build writes at the same position is that document
+    // without the key the recipe dropped.
+    let written = cp
+        .resume()
+        .expect("inputs unchanged")
+        .checkpoint()
+        .to_json();
+    assert!(!written.contains("\"arrivals\""), "{written}");
+    let key = document
+        .find("\"arrivals\":")
+        .expect("written with the key");
+    let value_end = key + document[key..].find(',').expect("not the last key") + 1;
+    let without = format!("{}{}", &document[..key], &document[value_end..]);
+    assert_eq!(written, without.trim_end(), "{ckpt}: rewritten");
 }
 
-fn csv_run(path: &str, mode: ArrivalMode) -> DdcSimulation {
+fn csv_run(path: &str) -> DdcSimulation {
     SimulationBuilder::new()
         .algorithm(Algorithm::Risa)
         .workload(WorkloadSpec::TraceCsv {
             name: "steady_small".into(),
             path: path.into(),
         })
-        .arrivals(mode)
         .faults(FaultSpec::canonical())
         .build()
 }
@@ -97,11 +111,10 @@ fn csv_run(path: &str, mode: ArrivalMode) -> DdcSimulation {
 #[test]
 fn parent_written_materialized_synthetic_checkpoint_resumes() {
     assert!(fixture("v4_synthetic.ckpt").contains("\"arrivals\":\"materialized\""));
-    resumes_into("v4_synthetic.ckpt", "synthetic.report.json", |mode| {
+    resumes_into("v4_synthetic.ckpt", "synthetic.report.json", || {
         SimulationBuilder::new()
             .algorithm(Algorithm::Risa)
             .workload(WorkloadSpec::synthetic(1500, 7))
-            .arrivals(mode)
             .faults_off()
             .build()
     });
@@ -113,7 +126,7 @@ fn parent_written_streaming_csv_faults_checkpoint_resumes() {
     resumes_into(
         "v4_csv_faults_streaming.ckpt",
         "csv_faults_streaming.report.json",
-        |mode| csv_run(CSV, mode),
+        || csv_run(CSV),
     );
 }
 

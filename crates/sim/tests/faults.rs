@@ -2,9 +2,7 @@
 //! evacuation pipeline balances, runs stay deterministic and drained
 //! runs end pristine (audited).
 
-use risa_sim::{
-    Algorithm, ArrivalMode, DdcSimulation, FaultSpec, RunReport, SimulationBuilder, WorkloadSpec,
-};
+use risa_sim::{Algorithm, DdcSimulation, FaultSpec, RunReport, SimulationBuilder, WorkloadSpec};
 use risa_topology::{Cluster, RackId, ResourceKind, TopologyConfig};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -60,16 +58,17 @@ fn scenario_seed_changes_the_churn() {
 }
 
 /// The tentpole determinism claim: a churn scenario is byte-identical
-/// across arrival pipelines (thread count is covered by
-/// the CI matrix — nothing in a run draws from the pool under faults
-/// except workload generation, which is pinned separately).
+/// across arrival pipelines — the shard cursor and the legacy path — with
+/// the audit on (thread count is covered by the CI matrix — nothing in a
+/// run draws from the pool under faults except workload generation,
+/// which is pinned separately).
 #[test]
-fn churn_is_byte_identical_across_arrival_modes() {
-    let run = |mode: ArrivalMode| {
+fn churn_is_byte_identical_across_arrival_paths() {
+    let run = |legacy: bool| {
         let mut sim = SimulationBuilder::new()
             .workload(WorkloadSpec::synthetic(6000, 9))
             .faults(FaultSpec::canonical())
-            .arrivals(mode)
+            .legacy_arrival_path(legacy)
             .audit(true)
             .build();
         sim.enable_trace(40_000);
@@ -78,7 +77,7 @@ fn churn_is_byte_identical_across_arrival_modes() {
         let trace = format!("{:?}", sim.trace().unwrap());
         (serde_json::to_string(&r).unwrap(), trace)
     };
-    assert_eq!(run(ArrivalMode::Streaming), run(ArrivalMode::Materialized));
+    assert_eq!(run(false), run(true));
 }
 
 /// Faults-off runs are byte-identical to a builder that never heard of

@@ -16,8 +16,8 @@
 //! run that ever holds a generated trace — the on-demand cursor's
 //! independent oracle. The arrivals axis is therefore {on-demand cursor,
 //! legacy path} for generator specs — × algorithms × faults × jobs 1/8 —
-//! plus {whole-file, chunked} (`ArrivalMode`) for a CSV trace file, the
-//! one input the mode still means something for.
+//! plus a CSV trace file of a generated trace, loaded whole and served
+//! through the same cursor.
 //!
 //! PR 7 added the fault-injection lane: the canonical **churn** scenario
 //! (rack failures with evacuation, trunk/transceiver flaps) must be
@@ -37,8 +37,8 @@
 
 use rayon::with_num_threads;
 use risa_sim::{
-    Algorithm, ArrivalMode, Checkpoint, DdcSimulation, FaultSpec, RunOutcome, RunReport,
-    SimulationBuilder, WorkloadSpec,
+    Algorithm, Checkpoint, DdcSimulation, FaultSpec, RunOutcome, RunReport, SimulationBuilder,
+    WorkloadSpec,
 };
 use risa_workload::{AzureSubset, SyntheticConfig};
 
@@ -58,17 +58,11 @@ fn canonical_specs() -> Vec<(&'static str, WorkloadSpec)> {
 /// canonicalized report (wall-clock zeroed — the one nondeterministic
 /// field) and the full event dispatch order.
 fn run(spec: &WorkloadSpec, algo: Algorithm, legacy: bool) -> (String, String) {
-    run_cfg(spec, algo, legacy, ArrivalMode::Materialized, false)
+    run_cfg(spec, algo, legacy, false)
 }
 
-fn run_cfg(
-    spec: &WorkloadSpec,
-    algo: Algorithm,
-    legacy: bool,
-    arrivals: ArrivalMode,
-    faults: bool,
-) -> (String, String) {
-    let mut sim = build_cfg(spec, algo, legacy, arrivals, faults);
+fn run_cfg(spec: &WorkloadSpec, algo: Algorithm, legacy: bool, faults: bool) -> (String, String) {
+    let mut sim = build_cfg(spec, algo, legacy, faults);
     // Only the legacy path may hold a trace; everything else reads a
     // bounded cursor.
     assert_eq!(sim.peak_buffered_arrivals().is_none(), legacy);
@@ -80,17 +74,10 @@ fn run_cfg(
     (json, order)
 }
 
-fn build_cfg(
-    spec: &WorkloadSpec,
-    algo: Algorithm,
-    legacy: bool,
-    arrivals: ArrivalMode,
-    faults: bool,
-) -> DdcSimulation {
+fn build_cfg(spec: &WorkloadSpec, algo: Algorithm, legacy: bool, faults: bool) -> DdcSimulation {
     let mut b = SimulationBuilder::new()
         .algorithm(algo)
         .workload(spec.clone())
-        .arrivals(arrivals)
         .legacy_arrival_path(legacy);
     b = if faults {
         b.faults(FaultSpec::canonical())
@@ -113,9 +100,8 @@ fn legacy_and_two_lane_paths_are_byte_identical() {
     for (name, spec) in canonical_specs() {
         for algo in [Algorithm::Risa, Algorithm::Nalb] {
             for faults in [false, true] {
-                let mode = ArrivalMode::Materialized;
-                let (legacy_report, legacy_order) = run_cfg(&spec, algo, true, mode, faults);
-                let (report, order) = run_cfg(&spec, algo, false, mode, faults);
+                let (legacy_report, legacy_order) = run_cfg(&spec, algo, true, faults);
+                let (report, order) = run_cfg(&spec, algo, false, faults);
                 assert_eq!(
                     legacy_report, report,
                     "{name}/{algo}/faults={faults}: RunReport diverged from the legacy engine"
@@ -186,43 +172,34 @@ fn legacy_path_peaks_at_trace_length() {
 /// On demand ≡ materialized: a generator read through the cursor and the
 /// same trace built by `shard::materialize` first and *served* through
 /// the cursor (`WorkloadSpec::Trace`) produce byte-identical `RunReport`
-/// JSON and event dispatch order on both canonical traces — and the
-/// arrival mode, which only ever concerns trace files, changes neither.
+/// JSON and event dispatch order on both canonical traces.
 #[test]
 fn streaming_pipeline_is_byte_identical_to_materialized() {
     for (name, spec) in canonical_specs() {
         let held = WorkloadSpec::Trace(spec.materialize());
         for algo in [Algorithm::Risa, Algorithm::Nalb] {
             let (m_report, m_order) = run(&held, algo, false);
-            for mode in ArrivalMode::ALL {
-                let (report, order) = run_cfg(&spec, algo, false, mode, false);
-                assert_eq!(
-                    m_report, report,
-                    "{name}/{algo}/{mode}: on-demand RunReport diverged"
-                );
-                assert_eq!(
-                    m_order, order,
-                    "{name}/{algo}/{mode}: on-demand dispatch order diverged"
-                );
-            }
+            let (report, order) = run(&spec, algo, false);
+            assert_eq!(
+                m_report, report,
+                "{name}/{algo}: on-demand RunReport diverged"
+            );
+            assert_eq!(
+                m_order, order,
+                "{name}/{algo}: on-demand dispatch order diverged"
+            );
         }
     }
 }
 
-/// A trace file's bytes do not depend on the thread count either way it
-/// is read: whole or chunked, at 1 and 8 pool threads.
+/// A trace file's run does not depend on the thread count: the same
+/// bytes at 1 and 8 pool threads.
 #[test]
 fn streaming_reports_identical_at_1_and_8_jobs() {
     let (csv_spec, path) = csv_of(&canonical_specs()[0].1, "jobs");
     let base = with_num_threads(1, || run(&csv_spec, Algorithm::Risa, false));
-    for mode in ArrivalMode::ALL {
-        for jobs in [1usize, 8] {
-            let got = with_num_threads(jobs, || {
-                run_cfg(&csv_spec, Algorithm::Risa, false, mode, false)
-            });
-            assert_eq!(base, got, "{mode}/jobs={jobs}: the trace-file run diverged");
-        }
-    }
+    let eight = with_num_threads(8, || run(&csv_spec, Algorithm::Risa, false));
+    assert_eq!(base, eight, "jobs=8: the trace-file run diverged");
     std::fs::remove_file(&path).ok();
 }
 
@@ -252,15 +229,7 @@ fn csv_of(spec: &WorkloadSpec, tag: &str) -> (WorkloadSpec, std::path::PathBuf) 
 #[test]
 fn churn_scenario_is_byte_identical_across_modes_and_jobs() {
     for (name, spec) in canonical_specs() {
-        let go = |legacy: bool| {
-            run_cfg(
-                &spec,
-                Algorithm::Risa,
-                legacy,
-                ArrivalMode::Materialized,
-                true,
-            )
-        };
+        let go = |legacy: bool| run_cfg(&spec, Algorithm::Risa, legacy, true);
         let base = with_num_threads(1, || go(false));
         assert!(
             base.0.contains("\"faults\""),
@@ -285,13 +254,7 @@ const TRACE_CAP: usize = 64_000;
 /// Full uninterrupted run: canonical report JSON, every dispatched event
 /// rendered, and the simulated duration (for picking a mid-run horizon).
 fn uninterrupted(spec: &WorkloadSpec, faults: bool) -> (String, Vec<String>, f64) {
-    let mut sim = build_cfg(
-        spec,
-        Algorithm::Risa,
-        false,
-        ArrivalMode::Materialized,
-        faults,
-    );
+    let mut sim = build_cfg(spec, Algorithm::Risa, false, faults);
     sim.enable_trace(TRACE_CAP);
     let mut report = sim.run();
     report.sched_seconds = 0.0;
@@ -308,14 +271,8 @@ fn uninterrupted(spec: &WorkloadSpec, faults: bool) -> (String, Vec<String>, f64
 /// The same run split in two: run to `t`, checkpoint, serialize to JSON,
 /// load it back, resume, run to completion. Returns the report and the
 /// stitched prefix + suffix event sequence.
-fn checkpointed(
-    spec: &WorkloadSpec,
-    legacy: bool,
-    arrivals: ArrivalMode,
-    faults: bool,
-    t: f64,
-) -> (String, Vec<String>) {
-    let mut first = build_cfg(spec, Algorithm::Risa, legacy, arrivals, faults);
+fn checkpointed(spec: &WorkloadSpec, legacy: bool, faults: bool, t: f64) -> (String, Vec<String>) {
+    let mut first = build_cfg(spec, Algorithm::Risa, legacy, faults);
     first.enable_trace(TRACE_CAP);
     assert_eq!(
         first.run_until(t),
@@ -351,8 +308,7 @@ fn checkpointed(
 /// suffix recorded after resume, with continuous sequence numbers) — on
 /// both canonical traces, across both arrival paths (the cursor and the
 /// legacy path, each replayed to the checkpoint's event count), 1 vs 8
-/// pool threads, and faults off/on; and on the synthetic trace as a file
-/// read whole and chunked.
+/// pool threads, and faults off/on; and on the synthetic trace as a file.
 #[test]
 fn checkpoint_resume_is_byte_identical_across_modes_and_jobs() {
     let (csv_spec, path) = csv_of(&canonical_specs()[0].1, "ckpt");
@@ -365,17 +321,16 @@ fn checkpoint_resume_is_byte_identical_across_modes_and_jobs() {
             let (base_report, base_events, duration) =
                 with_num_threads(1, || uninterrupted(&spec, faults));
             let t = duration * 0.4;
-            let whole = ArrivalMode::Materialized;
-            let mut lanes = vec![(&spec, false, whole), (&spec, true, whole)];
+            let mut lanes = vec![(&spec, false), (&spec, true)];
             if name.starts_with("synthetic") {
-                lanes.extend(ArrivalMode::ALL.map(|mode| (&csv_spec, false, mode)));
+                lanes.push((&csv_spec, false));
             }
-            for (spec, legacy, arrivals) in lanes {
+            for (spec, legacy) in lanes {
                 for jobs in [1usize, 8] {
                     let (report, events) =
-                        with_num_threads(jobs, || checkpointed(spec, legacy, arrivals, faults, t));
+                        with_num_threads(jobs, || checkpointed(spec, legacy, faults, t));
                     let lane = format!(
-                        "{name}/csv={}/legacy={legacy}/{arrivals}/faults={faults}/jobs={jobs}",
+                        "{name}/csv={}/legacy={legacy}/faults={faults}/jobs={jobs}",
                         matches!(spec, WorkloadSpec::TraceCsv { .. })
                     );
                     assert_eq!(
@@ -394,55 +349,32 @@ fn checkpoint_resume_is_byte_identical_across_modes_and_jobs() {
 }
 
 /// PR 9 trace-file acceptance: a `WorkloadSpec::TraceCsv` run — the file
-/// loaded whole (the default) or re-read in shard-sized chunks
-/// (`ArrivalMode::Streaming`) — is byte-identical, report and dispatch
-/// order, to the generator-backed run that produced the file, under
-/// every algorithm family; both reads go through the one cursor, whose
-/// buffer stays within a shard and a window; only the whole-file read
-/// holds the trace.
+/// loaded whole and served to the one cursor in shard-sized chunks — is
+/// byte-identical, report and dispatch order, to the generator-backed run
+/// that produced the file, under every algorithm family, and the cursor's
+/// buffer stays within a shard and a window.
 #[test]
 fn trace_csv_file_streams_chunked_and_matches_generator_run() {
     let spec = WorkloadSpec::Synthetic(SyntheticConfig::small(6000, 9));
     let (csv_spec, path) = csv_of(&spec, "csv");
     for algo in [Algorithm::Risa, Algorithm::Nalb] {
         let (base_json, base_order) = run(&spec, algo, false);
-        for mode in ArrivalMode::ALL {
-            let (json, order) = run_cfg(&csv_spec, algo, false, mode, false);
-            assert_eq!(base_json, json, "{algo}/{mode}: TraceCsv report diverged");
-            assert_eq!(
-                base_order, order,
-                "{algo}/{mode}: TraceCsv dispatch order diverged"
-            );
-        }
-    }
-
-    for mode in ArrivalMode::ALL {
-        let mut sim = build_cfg(&csv_spec, Algorithm::Risa, false, mode, false);
-        assert_eq!(sim.arrival_mode(), mode);
-        sim.run();
-        let peak = sim
-            .peak_buffered_arrivals()
-            .expect("every non-legacy run reads a cursor");
-        assert!(
-            peak <= risa_workload::shard::SHARD_SIZE as usize + 1024,
-            "{mode}: peak buffered VMs {peak} exceeds one shard and one window"
+        let (json, order) = run(&csv_spec, algo, false);
+        assert_eq!(base_json, json, "{algo}: TraceCsv report diverged");
+        assert_eq!(
+            base_order, order,
+            "{algo}: TraceCsv dispatch order diverged"
         );
     }
-    std::fs::remove_file(&path).ok();
-}
 
-/// Without `.arrivals()` a trace file is read whole, whatever the
-/// environment says: the mode is a constant default, not an env toggle
-/// (`crates/cli/tests/precedence.rs` sets the retired variable and sees
-/// it ignored).
-#[test]
-fn builder_default_arrival_mode_is_materialized() {
-    let sim = SimulationBuilder::new()
-        .workload(WorkloadSpec::synthetic(10, 1))
-        .build();
-    assert_eq!(sim.arrival_mode(), ArrivalMode::Materialized);
+    let mut sim = build_cfg(&csv_spec, Algorithm::Risa, false, false);
+    sim.run();
+    let peak = sim
+        .peak_buffered_arrivals()
+        .expect("every non-legacy run reads a cursor");
     assert!(
-        sim.peak_buffered_arrivals().is_some(),
-        "and still on demand"
+        peak <= risa_workload::shard::SHARD_SIZE as usize + 1024,
+        "peak buffered VMs {peak} exceeds one shard and one window"
     );
+    std::fs::remove_file(&path).ok();
 }

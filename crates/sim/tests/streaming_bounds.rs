@@ -2,7 +2,7 @@
 //! workload cursor holds, and the one window of arrivals the event queue
 //! holds — plus the loud-rejection contract for unsorted traces.
 
-use risa_sim::{Algorithm, ArrivalMode, SimulationBuilder, WorkloadSpec};
+use risa_sim::{Algorithm, SimulationBuilder, WorkloadSpec};
 use risa_workload::shard::SHARD_SIZE;
 use risa_workload::{LifetimeModel, SyntheticConfig};
 
@@ -25,47 +25,37 @@ fn fixed_lifetime_100k() -> (u32, WorkloadSpec) {
 /// one window of converted arrivals — and the per-VM bookkeeping tracks
 /// residency, not trace length. (A fixed lifetime keeps the resident
 /// population small; the default staircase would make resident VMs — a
-/// *separate* memory term — grow with n.) Asking for either arrival mode
-/// changes nothing: a generator has no file to read.
+/// *separate* memory term — grow with n.)
 #[test]
 fn default_run_buffers_one_shard_and_one_window_on_100k_run() {
     let (n, spec) = fixed_lifetime_100k();
-    for mode in [
-        None,
-        Some(ArrivalMode::Materialized),
-        Some(ArrivalMode::Streaming),
-    ] {
-        let mut builder = SimulationBuilder::new()
-            .algorithm(Algorithm::Risa)
-            .workload(spec.clone())
-            .faults_off(); // churn events would share the FEL bound asserted below
-        if let Some(mode) = mode {
-            builder = builder.arrivals(mode);
-        }
-        let mut sim = builder.build();
-        let report = sim.run();
-        assert_eq!(report.total_vms, n);
-        assert_eq!(report.admitted + report.dropped, n);
+    let mut sim = SimulationBuilder::new()
+        .algorithm(Algorithm::Risa)
+        .workload(spec)
+        .faults_off() // churn events would share the FEL bound asserted below
+        .build();
+    let report = sim.run();
+    assert_eq!(report.total_vms, n);
+    assert_eq!(report.admitted + report.dropped, n);
 
-        let peak = sim
-            .peak_buffered_arrivals()
-            .expect("every non-legacy run reads the cursor");
-        assert!(
-            (SHARD_SIZE as usize..=SHARD_SIZE as usize + ARRIVAL_WINDOW).contains(&peak),
-            "{mode:?}: peak buffered {peak} is not one shard (+ at most one window)"
-        );
-        assert_eq!(
-            sim.world().stream_shards_generated(),
-            Some(n.div_ceil(SHARD_SIZE)),
-            "each shard generated once"
-        );
-        // The FEL holds in-flight departures only — the other bounded term.
-        assert!(sim.peak_fel_len() <= sim.world().peak_resident() as usize);
-        assert!((sim.world().peak_resident() as usize) < n as usize / 10);
-        // And the queue's own view of the schedule is one window, which a
-        // shard fills exactly four times.
-        assert_eq!(sim.peak_arrival_window(), ARRIVAL_WINDOW);
-    }
+    let peak = sim
+        .peak_buffered_arrivals()
+        .expect("every non-legacy run reads the cursor");
+    assert!(
+        (SHARD_SIZE as usize..=SHARD_SIZE as usize + ARRIVAL_WINDOW).contains(&peak),
+        "peak buffered {peak} is not one shard (+ at most one window)"
+    );
+    assert_eq!(
+        sim.world().stream_shards_generated(),
+        Some(n.div_ceil(SHARD_SIZE)),
+        "each shard generated once"
+    );
+    // The FEL holds in-flight departures only — the other bounded term.
+    assert!(sim.peak_fel_len() <= sim.world().peak_resident() as usize);
+    assert!((sim.world().peak_resident() as usize) < n as usize / 10);
+    // And the queue's own view of the schedule is one window, which a
+    // shard fills exactly four times.
+    assert_eq!(sim.peak_arrival_window(), ARRIVAL_WINDOW);
 }
 
 /// A *materialized* trace is held once: a pre-built 100k-VM trace is

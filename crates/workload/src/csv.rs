@@ -1,8 +1,7 @@
-//! CSV trace interchange.
+//! CSV traces: the one trace file format.
 //!
-//! JSON (in `vm.rs`) is the lossless native format; CSV is the lingua
-//! franca of trace analysis tooling (the Azure trace itself ships as CSV),
-//! so workloads can also round-trip through a simple header-checked CSV:
+//! CSV is the lingua franca of trace analysis tooling (the Azure trace
+//! itself ships as CSV), so a trace is a simple header-checked CSV:
 //!
 //! ```text
 //! id,cpu_cores,ram_gb,storage_gb,arrival,lifetime
@@ -12,7 +11,7 @@
 //! Times are written with `{:?}` — Rust's shortest-round-trip float
 //! rendering — so a CSV round trip preserves every `f64` bit-for-bit
 //! (asserted by `csv_round_trip_is_bit_exact` below). This matters for
-//! the streaming trace reader and checkpoint resumes, whose byte-identity
+//! runs over a trace file and checkpoint resumes, whose byte-identity
 //! guarantees assume the trace survives interchange exactly.
 //!
 //! Two readers accept the same language, row for row (`parse_row` is
@@ -22,13 +21,12 @@
 //! also requires what a replay requires of a trace: ids equal to each
 //! row's rank.
 //!
-//! The block reader is one row loop (`rows`), under the validating scan
-//! and under [`crate::CsvFileShards`]' re-read of a shard alike. At each
-//! line start it tries `fast_row`: the row a trace writer emits, read in
-//! one walk over its bytes — newline included, no UTF-8 pass, the times
-//! without `str::parse` where a division is exact. Its `None` is *not* a
-//! verdict; the loop then finds the line's end and `parse_row` accepts
-//! the line or names its error.
+//! The block reader is one row loop (`rows`). At each line start it tries
+//! `fast_row`: the row a trace writer emits, read in one walk over its
+//! bytes — newline included, no UTF-8 pass, the times without
+//! `str::parse` where a division is exact. Its `None` is *not* a verdict;
+//! the loop then finds the line's end and `parse_row` accepts the line or
+//! names its error.
 
 use crate::vm::{VmId, VmRequest, Workload};
 use std::fmt::Write as _;
@@ -36,6 +34,12 @@ use std::io::{self, Read};
 
 /// The exact header line emitted and required.
 pub const HEADER: &str = "id,cpu_cores,ram_gb,storage_gb,arrival,lifetime";
+
+/// The latest a row's VM may leave: its `arrival + lifetime`, in time
+/// units. A simulation's clock counts `u64` ticks of 10⁻⁶ units, so it ends
+/// near 1.8·10¹³ units, and a time past it would be clamped to that end
+/// rather than run; this bound keeps every row's times inside the clock.
+pub const MAX_TIME: f64 = 1e13;
 
 /// Errors raised while parsing a CSV trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,10 +58,11 @@ pub enum CsvError {
         /// Column name.
         column: &'static str,
     },
-    /// A field parsed but its value is outside the valid domain
-    /// (non-finite or negative time). NaN in particular would otherwise
-    /// silently defeat the sorted-arrivals check (`NaN < last` is false)
-    /// and poison downstream event ordering.
+    /// A field parsed but its value is outside the valid domain: a
+    /// non-finite or negative time, or a VM that would leave after
+    /// [`MAX_TIME`]. NaN in particular would otherwise silently defeat the
+    /// sorted-arrivals check (`NaN < last` is false) and poison downstream
+    /// event ordering.
     BadValue {
         /// 1-based line number.
         line: usize,
@@ -82,7 +87,8 @@ impl std::fmt::Display for CsvError {
             CsvError::BadValue { line, column } => {
                 write!(
                     f,
-                    "line {line}: column '{column}' must be a finite, non-negative number"
+                    "line {line}: column '{column}' must be a finite, non-negative number, \
+                     with arrival + lifetime at most {MAX_TIME:e}"
                 )
             }
             CsvError::NotSorted { line } => {
@@ -152,17 +158,28 @@ pub(crate) fn parse_row(row: &str, line: usize) -> Result<VmRequest, CsvError> {
         arrival: num(fields[4], line, "arrival")?,
         lifetime: num(fields[5], line, "lifetime")?,
     };
-    for (value, column) in [(vm.arrival, "arrival"), (vm.lifetime, "lifetime")] {
-        if !valid_time(value) {
-            return Err(CsvError::BadValue { line, column });
-        }
+    match bad_time(vm.arrival, vm.lifetime) {
+        Some(column) => Err(CsvError::BadValue { line, column }),
+        None => Ok(vm),
     }
-    Ok(vm)
 }
 
-/// The domain of the two time columns.
+/// The domain of one time field.
 fn valid_time(value: f64) -> bool {
     value.is_finite() && value >= 0.0
+}
+
+/// The column that takes a row's times out of their domain — each a
+/// [`valid_time`], and the VM gone by [`MAX_TIME`] — if one does. The one
+/// judgment of a row's times, [`parse_row`]'s and [`fast_row`]'s.
+fn bad_time(arrival: f64, lifetime: f64) -> Option<&'static str> {
+    if !valid_time(arrival) || arrival > MAX_TIME {
+        Some("arrival")
+    } else if !valid_time(lifetime) || arrival + lifetime > MAX_TIME {
+        Some("lifetime")
+    } else {
+        None
+    }
 }
 
 /// `10^k`, each an exact `f64`, for the `k` a 19-digit field can have behind its point.
@@ -216,7 +233,7 @@ fn fast_time(bytes: &[u8], start: usize) -> Option<(f64, usize)> {
 /// nothing padded, no sign on the integers, then `\n` or `\r\n` — read in
 /// one walk from the start of its line: the row, and the bytes it took,
 /// newline included. `None` is not a verdict: padding, a sign, a seventh
-/// field, an overflow, a time outside its domain, a buffer that ends
+/// field, an overflow, times outside their domain, a buffer that ends
 /// before the newline all leave the line to [`parse_row`]. So this
 /// decides nothing about what a row may look like.
 fn fast_row(bytes: &[u8]) -> Option<(VmRequest, usize)> {
@@ -240,7 +257,7 @@ fn fast_row(bytes: &[u8]) -> Option<(VmRequest, usize)> {
         arrival,
         lifetime,
     };
-    (bytes.get(at) == Some(&b'\n')).then_some((vm, at + 1))
+    (bytes.get(at) == Some(&b'\n') && bad_time(arrival, lifetime).is_none()).then_some((vm, at + 1))
 }
 
 /// Parse a workload from CSV produced by [`to_csv`] (or hand-written in
@@ -337,18 +354,16 @@ fn judge(bytes: &[u8], line: usize, headed: bool) -> Result<Option<VmRequest>, R
 
 /// The one row loop: every data row of `reader`, a block at a time —
 /// [`fast_row`] where it answers, else the line through [`parse_row`];
-/// blank lines skipped; the header required first unless `seen_header`
-/// says the reader starts behind it. Hands `each` the byte offset of the
-/// row's line, its 1-based line number and the row; returns the bytes read.
-pub(crate) fn rows(
+/// blank lines skipped; the header required first. Hands `each` the row's
+/// 1-based line number and the row.
+fn rows(
     mut reader: impl Read,
-    mut seen_header: bool,
-    mut each: impl FnMut(u64, usize, VmRequest) -> Result<(), ReadError>,
-) -> Result<u64, ReadError> {
-    // `buf[..filled]`: the bytes from `base` on that no complete line has
-    // claimed yet (a line's carried head, then the reader's last block).
+    mut each: impl FnMut(usize, VmRequest) -> Result<(), ReadError>,
+) -> Result<(), ReadError> {
+    // `buf[..filled]`: the bytes no complete line has claimed yet (a
+    // line's carried head, then the reader's last block).
     let mut buf = vec![0u8; BLOCK >> 4];
-    let (mut filled, mut base, mut line) = (0usize, 0u64, 0usize);
+    let (mut filled, mut line, mut headed) = (0usize, 0usize, false);
     loop {
         if filled == BLOCK {
             return Err(ReadError::invalid_data(format!(
@@ -369,7 +384,7 @@ pub(crate) fn rows(
         filled += got;
         let mut start = 0;
         while start < filled {
-            let (vm, next) = match seen_header.then(|| fast_row(&buf[start..filled])).flatten() {
+            let (vm, next) = match headed.then(|| fast_row(&buf[start..filled])).flatten() {
                 Some((vm, used)) => (Some(vm), start + used),
                 None => {
                     let end = match buf[searched..filled].iter().position(|&b| b == b'\n') {
@@ -377,14 +392,14 @@ pub(crate) fn rows(
                         None if got == 0 => filled,
                         None => break,
                     };
-                    let vm = judge(&buf[start..end], line + 1, seen_header)?;
-                    seen_header = true;
+                    let vm = judge(&buf[start..end], line + 1, headed)?;
+                    headed = true;
                     (vm, (end + 1).min(filled))
                 }
             };
             line += 1;
             if let Some(vm) = vm {
-                each(base + start as u64, line, vm)?;
+                each(line, vm)?;
             }
             start = next;
             searched = next;
@@ -394,25 +409,25 @@ pub(crate) fn rows(
         }
         buf.copy_within(start..filled, 0);
         filled -= start;
-        base += start as u64;
     }
-    if seen_header {
-        Ok(base + filled as u64)
+    if headed {
+        Ok(())
     } else {
         Err(ReadError::Csv(CsvError::BadHeader))
     }
 }
 
-/// The one validating pass over a CSV trace: [`rows`] from the header
-/// on, then per data row dense ids and sorted arrivals, in that order.
-/// Hands `each` the row and its line's byte offset; returns the bytes read.
-pub(crate) fn scan(
-    reader: impl Read,
-    mut each: impl FnMut(u64, VmRequest),
-) -> Result<u64, ReadError> {
+/// Read a workload from a CSV trace (the [`to_csv`] schema) without ever
+/// holding more of it than one read block: what a trace *file* is loaded
+/// through. Accepts exactly the rows [`from_csv`] accepts, with the same
+/// errors, and additionally requires each row's id to be its rank (see
+/// [`ReadError::NonDenseId`]), judged after the row itself and before its
+/// order. `name` labels the resulting workload.
+pub fn read_csv(name: &str, reader: impl Read) -> Result<Workload, ReadError> {
+    let mut vms = Vec::new();
     let mut rank: u32 = 0;
     let mut last_arrival = f64::NEG_INFINITY;
-    rows(reader, false, |offset, line, vm| {
+    rows(reader, |line, vm| {
         if vm.id.0 != rank {
             return Err(ReadError::NonDenseId {
                 line,
@@ -431,19 +446,9 @@ pub(crate) fn scan(
             ))
         })?;
         last_arrival = vm.arrival;
-        each(offset, vm);
+        vms.push(vm);
         Ok(())
-    })
-}
-
-/// Read a workload from a CSV trace (the [`to_csv`] schema) without ever
-/// holding more of it than one read block: what a trace *file* is loaded
-/// through. Accepts exactly the rows [`from_csv`] accepts, with the same
-/// errors, and additionally requires each row's id to be its rank (see
-/// [`ReadError::NonDenseId`]). `name` labels the resulting workload.
-pub fn read_csv(name: &str, reader: impl Read) -> Result<Workload, ReadError> {
-    let mut vms = Vec::new();
-    scan(reader, |_, vm| vms.push(vm))?;
+    })?;
     Ok(Workload::from_vms(name, vms))
 }
 
@@ -461,8 +466,9 @@ mod tests {
     }
 
     /// Regression for the `{}`-formatted writer: every `f64` bit pattern
-    /// that can legally appear in a trace (subnormals, extremes, values
-    /// with no short decimal form) must survive a CSV round trip exactly.
+    /// that can legally appear in a trace (subnormals, values with no
+    /// short decimal form, a departure at [`MAX_TIME`] itself) must survive
+    /// a CSV round trip exactly.
     #[test]
     fn csv_round_trip_is_bit_exact() {
         let times = [
@@ -473,8 +479,8 @@ mod tests {
             1.5e-10,
             12.5,
             6300.000000000001,
-            1e300,
-            f64::MAX,
+            MAX_TIME / 3.0,
+            MAX_TIME / 2.0, // the last VM leaves at MAX_TIME exactly
         ];
         let mut sorted: Vec<f64> = times.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -580,17 +586,29 @@ mod tests {
             ("0,1,2,128,1.0,NaN", "lifetime"),
             ("0,1,2,128,1.0,-inf", "lifetime"),
             ("0,1,2,128,1.0,-3", "lifetime"),
+            // Past the engine clock: a time once clamped to its end.
+            ("0,1,1,128,1e15,10", "arrival"),
+            ("0,1,1,128,10000000000001,0", "arrival"),
+            ("0,1,2,128,1.0,1e300", "lifetime"),
+            ("0,1,2,128,6e12,4000000000001", "lifetime"),
+            ("0,1,2,128,9999999999999.5,0.75", "lifetime"),
         ] {
             let csv = format!("{HEADER}\n{row}\n");
-            assert_eq!(
-                from_csv("x", &csv).unwrap_err(),
-                CsvError::BadValue { line: 2, column },
-                "row: {row}"
-            );
+            let want = CsvError::BadValue { line: 2, column };
+            assert_eq!(from_csv("x", &csv).unwrap_err(), want, "row: {row}");
+            assert_eq!(verdict(read_csv("x", csv.as_bytes())), Err(want), "{row}");
         }
-        // Zero times are valid (a trace may start at t = 0).
-        let csv = format!("{HEADER}\n0,1,2,128,0,0\n");
-        assert!(from_csv("x", &csv).is_ok());
+        // Zero times are valid (a trace may start at t = 0), and so is a
+        // VM that leaves at the bound itself.
+        for row in [
+            "0,0,0,128,0,0",
+            "0,1,2,128,6e12,4e12",
+            "0,1,2,128,10000000000000,0",
+        ] {
+            let csv = format!("{HEADER}\n{row}\n");
+            assert!(from_csv("x", &csv).is_ok(), "{row}");
+            assert_eq!(verdict(read_csv("x", csv.as_bytes())), from_csv("x", &csv));
+        }
     }
 
     #[test]
@@ -673,6 +691,8 @@ mod tests {
             // (and past 19 digits), and one of 16 digits, mostly under it.
             12 => format!("{value:.17}"),
             13 => format!("{value:.*}", 16 - (value as u64).to_string().len()),
+            // At the departure bound: past it once the other time is not 0.
+            14 => "10000000000000".into(),
             _ => format!("{value:?}"),
         }
     }
@@ -808,11 +828,13 @@ mod tests {
     #[test]
     fn exact_decimals_are_the_bits_str_parse_gives() {
         // 19 digits, 20, the largest 19; 2⁶⁴, which wraps the accumulator
-        // to 0, and ten times it; 22, 23 and 28 zeros; last, no field.
+        // to 0, and ten times it; 22, 23 and 28 zeros; either side of
+        // `MAX_TIME`; last, no field.
         let mut fields: Vec<String> = "0 0.0 1. .5 . 000012.50 1e5 1.2.3 -0.0 -2.5 +7 \
             1234567890123456789 12345678901234567890 9999999999999999999 \
             18446744073709551616 184467440737095516160 0.0000000000000000000001 \
-            0.00000000000000000000001 00000000000000000000000000001"
+            0.00000000000000000000001 00000000000000000000000000001 \
+            1e13 10000000000000 9999999999999.999 10000000000000.001"
             .split(' ')
             .map(String::from)
             .collect();

@@ -69,5 +69,5 @@ pub use shard::ShardSource;
 pub use stats::WorkloadStats;
 pub use streaming::StreamingShards;
 pub use synthetic::{LifetimeModel, SyntheticConfig, SyntheticShards};
-pub use trace::{CsvFileShards, TraceFileError, TraceShards};
+pub use trace::{TraceFileError, TraceShards};
 pub use vm::{VmId, VmRequest, Workload};

@@ -191,10 +191,9 @@ impl fmt::Debug for StreamingShards {
 mod tests {
     use super::*;
     use crate::azure::{AzureProcess, AzureShards, AzureSubset};
-    use crate::csv::to_csv;
     use crate::shard::{materialize, SHARD_SIZE};
     use crate::synthetic::SyntheticShards;
-    use crate::trace::{CsvFileShards, TraceShards};
+    use crate::trace::TraceShards;
     use crate::{SyntheticConfig, Workload};
     use proptest::prelude::*;
 
@@ -328,17 +327,7 @@ mod tests {
             check_cursor(Arc::clone(&synthetic), &trace, window, lag)?;
 
             let held = Workload::from_vms("held", trace.clone());
-            check_cursor(Arc::new(TraceShards::new(held.clone())), &trace, window, lag)?;
-
-            let path = std::env::temp_dir().join(format!(
-                "risa_cursor_{}_{n}_{seed}_{window}_{lag}.csv",
-                std::process::id()
-            ));
-            std::fs::write(&path, to_csv(&held)).unwrap();
-            let file = CsvFileShards::open("held", &path).unwrap();
-            let checked = check_cursor(Arc::new(file), &trace, window, lag);
-            std::fs::remove_file(&path).ok();
-            checked?;
+            check_cursor(Arc::new(TraceShards::new(held)), &trace, window, lag)?;
         }
 
         /// Likewise the Azure-like generator (its three fixed sizes).

@@ -114,7 +114,8 @@ impl Workload {
         Ok(())
     }
 
-    /// Serialize to pretty JSON (trace exchange format).
+    /// Serialize to pretty JSON (a library serialization; trace files are
+    /// CSV, [`crate::csv`]).
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("workload serializes")
     }

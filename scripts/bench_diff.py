@@ -5,9 +5,7 @@ Usage: bench_diff.py <baseline.json> <current.json> [--threshold 0.20]
 
 Understands the snapshot schemas the bench suite writes:
 
-  risa-bench-des/v3    events/s of the DES run (one cell; snapshots from
-                       before the arrival pipelines merged have a second,
-                       `streaming`, whose absence now is not a regression)
+  risa-bench-des/v4    events/s of the DES run (one cell)
   risa-bench-scale/v1  ops/s per (racks x algorithm) cell
   risa-bench-gen/v1    one VMs/s cell
 
@@ -31,12 +29,10 @@ import sys
 
 # schema -> (display name, unit, cell extractor).
 SCHEMAS = {
-    "risa-bench-des/v3": (
+    "risa-bench-des/v4": (
         "DES",
         "events/s",
-        lambda doc: {
-            ("run", r["arrival_mode"]): r["events_per_sec"] for r in doc["runs"]
-        },
+        lambda doc: {("run", "lane"): r["events_per_sec"] for r in doc["runs"]},
     ),
     "risa-bench-scale/v1": (
         "scheduling scale",
@@ -51,12 +47,6 @@ SCHEMAS = {
         lambda doc: {("generate", "synthetic"): doc["vms_per_sec"]},
     ),
 }
-
-
-# The DES suite timed each arrival mode while a generated trace could be
-# materialized or streamed; it times the one lane now. An older baseline
-# still lists the second row.
-RETIRED_CELL = ("run", "streaming")
 
 
 def load(path):
@@ -105,10 +95,7 @@ def main():
         b = base[key]
         c = cur.get(key)
         if c is None:
-            if key == RETIRED_CELL:
-                print(f"  {a:>12}/{b_label:<8} {b:>12.0f} ->      retired  (one arrival lane)")
-            else:
-                regressed.append(f"{a}/{b_label}: cell missing from {args.current}")
+            regressed.append(f"{a}/{b_label}: cell missing from {args.current}")
             continue
         delta = c / b - 1.0
         flag = " <-- REGRESSION" if delta < -args.threshold else ""
