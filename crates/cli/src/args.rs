@@ -43,16 +43,10 @@ commands:
       <id> ∈ fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 ablation all
       --seed <u64>           (default 42 for fig5/fig11, 2023 otherwise)
       --jobs <n>             threads for the experiment matrix (default: all cores)
-  bench                      scheduling-throughput sweep over cluster sizes
+  bench                      scheduling-throughput sweep over cluster sizes x
+                             algorithms, one cell after another on one thread
       --racks <a,b,c>        rack counts to sweep (default 12,48,192,768)
-      --vms <count>          schedule/release cycles per point (default 2000)
-      --jobs <n>             threads timing cells concurrently (1 = uncontended)
-      --json                 also run the DES and generation suites and
-                             write BENCH_des.json / BENCH_scale.json /
-                             BENCH_gen.json machine-readable snapshots
-      --des-vms <count>      VMs in the --json DES run (default 100000)
-      --gen-vms <count>      VMs generated by the --json gen suite (default 1000000)
-      --out <dir>            directory for the --json snapshots (default .)
+      --vms <count>          schedule/release cycles per cell (default 2000)
   generate                   write a workload trace in the risa CSV schema,
                              which run --workload reads back, a 4096-row
                              shard at a time
@@ -60,9 +54,9 @@ commands:
       --n <count> --seed <u64>
       --out <file>.csv       output file (default: stdout)
 
---jobs (or the RISA_THREADS env var; the flag wins) sizes the global
-thread pool. Simulation reports are identical at any thread count;
-only wall-clock timings (bench's ops/s, fig11/fig12 times) vary.
+--jobs (or the RISA_THREADS env var; the flag wins) sizes the thread
+pool experiment fans out on. Simulation reports are identical at any
+thread count; only wall-clock timings (fig11/fig12 times) vary.
 ";
 
 /// A parsed command.
@@ -99,18 +93,8 @@ pub enum Command {
     Bench {
         /// Rack counts to sweep.
         racks: Vec<u16>,
-        /// Schedule/release cycles measured per point.
+        /// Schedule/release cycles measured per cell, at least 1.
         vms: u32,
-        /// Thread-pool size (`None` = `RISA_THREADS` or all cores).
-        jobs: Option<usize>,
-        /// Also write the machine-readable `BENCH_*.json` snapshots.
-        json: bool,
-        /// VMs in the `--json` DES throughput run.
-        des_vms: u32,
-        /// VMs generated by the `--json` generation suite.
-        gen_vms: u32,
-        /// Snapshot output directory (default `.`).
-        out: String,
     },
     /// `experiment <id>`
     Experiment {
@@ -348,11 +332,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             })
         }
         "bench" => {
-            let (pos, options) = split_options(
-                rest,
-                &["json"],
-                &["racks", "vms", "jobs", "des-vms", "gen-vms", "out"],
-            )?;
+            let (pos, options) = split_options(rest, &[], &["racks", "vms"])?;
             if !pos.is_empty() {
                 return Err(format!("unexpected argument '{}'", pos[0]));
             }
@@ -370,15 +350,11 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             if racks.is_empty() || racks.contains(&0) {
                 return Err("--racks needs positive rack counts".into());
             }
-            Ok(Command::Bench {
-                racks,
-                vms: opt_int::<u32>(&options, "vms")?.unwrap_or(2000),
-                jobs: opt_jobs(&options)?,
-                json: opt(&options, "json").is_some(),
-                des_vms: opt_int::<u32>(&options, "des-vms")?.unwrap_or(100_000),
-                gen_vms: opt_int::<u32>(&options, "gen-vms")?.unwrap_or(1_000_000),
-                out: opt(&options, "out").unwrap_or(".").to_string(),
-            })
+            let vms = opt_int::<u32>(&options, "vms")?.unwrap_or(2000);
+            if vms == 0 {
+                return Err("--vms needs a positive cycle count".into());
+            }
+            Ok(Command::Bench { racks, vms })
         }
         "experiment" => {
             let (pos, options) = split_options(rest, &[], &["seed", "jobs"])?;
@@ -517,45 +493,23 @@ mod tests {
             Command::Bench {
                 racks: vec![12, 48, 192, 768],
                 vms: 2000,
-                jobs: None,
-                json: false,
-                des_vms: 100_000,
-                gen_vms: 1_000_000,
-                out: ".".into(),
             }
         );
-        let c = parse(&v(&[
-            "bench",
-            "--racks",
-            "18,36",
-            "--vms",
-            "500",
-            "--jobs",
-            "1",
-            "--json",
-            "--des-vms",
-            "5000",
-            "--gen-vms",
-            "20000",
-            "--out",
-            "snaps",
-        ]))
-        .unwrap();
+        let c = parse(&v(&["bench", "--racks", "18,36", "--vms", "500"])).unwrap();
         assert_eq!(
             c,
             Command::Bench {
                 racks: vec![18, 36],
                 vms: 500,
-                jobs: Some(1),
-                json: true,
-                des_vms: 5000,
-                gen_vms: 20_000,
-                out: "snaps".into(),
             }
         );
         assert!(parse(&v(&["bench", "--racks", "12,x"])).is_err());
         assert!(parse(&v(&["bench", "--racks", "0"])).is_err());
-        assert!(parse(&v(&["bench", "--des-vms", "4294967296"])).is_err());
+        // Zero cycles would time nothing and print `inf` µs/op.
+        assert_eq!(
+            parse(&v(&["bench", "--vms", "0"])).unwrap_err(),
+            "--vms needs a positive cycle count"
+        );
     }
 
     #[test]
@@ -712,6 +666,11 @@ mod tests {
             &["run", "--fel", "heap"][..],
             &["run", "--exec", "sequential"],
             &["bench", "--fel", "heap"],
+            &["bench", "--jobs", "1"],
+            &["bench", "--json"],
+            &["bench", "--des-vms", "5000"],
+            &["bench", "--gen-vms", "20000"],
+            &["bench", "--out", "snaps"],
         ] {
             let err = parse(&v(argv)).unwrap_err();
             assert_eq!(err, format!("unknown option '{}'", argv[1]));

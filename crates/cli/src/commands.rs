@@ -1,25 +1,28 @@
 //! Command execution.
 //!
-//! Commands that fan work out (`experiment`, `bench`) drive the vendored
-//! `rayon` executor, whose scoped workers live for one drive; a `run` and
-//! `generate` generate their workload inline and create no thread. `--jobs`
-//! (applied by [`apply_jobs`] via [`rayon::set_num_threads`]) or the
-//! `RISA_THREADS` env var sets the width. Simulation *reports* are
-//! byte-identical at any thread count; wall-clock measurements (`bench`'s
-//! ops/s, the fig11/fig12 timings) are not, which is why those stay
-//! sequential or warn about contention. A panic inside a worker (e.g. a
-//! workload that fails validation) propagates to the command and aborts
-//! it, exactly as the sequential loop would.
+//! `experiment` is the one command that fans work out: its matrices drive
+//! the vendored `rayon` executor, whose scoped workers live for one drive.
+//! A `run` and `generate` generate their workload inline and create no
+//! thread, and `bench` times its cells one after another on the calling
+//! thread. `--jobs` (applied by [`apply_jobs`] via
+//! [`rayon::set_num_threads`]) or the `RISA_THREADS` env var sets the
+//! width. Simulation *reports* are byte-identical at any thread count;
+//! wall-clock measurements (the fig11/fig12 timings) are not, which is why
+//! those stay sequential. A panic inside a worker (e.g. a workload that
+//! fails validation) propagates to the command and aborts it, exactly as
+//! the sequential loop would.
 
 use crate::args::{Command, WorkloadArg};
-use crate::benchjson;
 use risa_metrics::{Align, Table};
 use risa_network::NetworkConfig;
+use risa_sched::cycle::ScheduleCycle;
+use risa_sched::Algorithm;
 use risa_sim::{experiments, host_info, Checkpoint, RunReport, SimulationBuilder, WorkloadSpec};
 use risa_topology::TopologyConfig;
 use risa_workload::shard::SHARD_SIZE;
 use risa_workload::{csv, StreamingShards, SyntheticConfig};
 use std::io::Write as _;
+use std::time::Instant;
 
 /// Execute a parsed command.
 pub fn execute(cmd: Command) -> Result<(), String> {
@@ -97,21 +100,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             };
             emit(&report, json)
         }
-        Command::Bench {
-            racks,
-            vms,
-            jobs,
-            json,
-            des_vms,
-            gen_vms,
-            out,
-        } => {
-            apply_jobs(jobs)?;
-            if json {
-                benchjson::write_snapshots(&out, &racks, vms, des_vms, gen_vms)?;
-            }
-            bench(&racks, vms)
-        }
+        Command::Bench { racks, vms } => bench(&racks, vms),
         Command::Experiment { id, seed, jobs } => {
             apply_jobs(jobs)?;
             experiment(&id, seed)
@@ -301,36 +290,41 @@ fn info() -> Result<(), String> {
     Ok(())
 }
 
-/// Time `vms` schedule/release cycles per (cluster size × algorithm) and
-/// report schedule operations per second — the Figure 11/12 scaling story
-/// at beyond-paper cluster sizes. With the placement index, throughput
-/// stays near-flat as racks grow; the seed's linear scans degraded.
-///
-/// The (racks × algorithm) cells are independent, so they run concurrently
-/// on the `rayon` pool and the sweep's wall-clock time scales with
-/// `--jobs`. Per-cell `µs/op` figures are then contended by siblings; pass
-/// `--jobs 1` (or `RISA_THREADS=1`) when the per-op numbers, not the
-/// sweep time, are the measurement.
+/// Time `vms` schedule/release cycles per (cluster size × algorithm) cell
+/// on the shared [`ScheduleCycle`] treadmill and report schedule
+/// operations per second — the Figure 11/12 scaling story at
+/// beyond-paper cluster sizes. With the placement index, throughput
+/// stays near-flat as racks grow; the seed's linear scans degraded. The
+/// cells run one after another on the calling thread, so no sibling
+/// contends a cell's per-op number.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "bench timings are wall-clock by definition and reach no RunReport"
+)]
 fn bench(racks: &[u16], vms: u32) -> Result<(), String> {
     println!("{}", host_info());
-    let threads = rayon::current_num_threads();
     let mut t = Table::new(
         format!("Scheduling throughput vs cluster size ({vms} schedule/release cycles)"),
         &["racks", "algorithm", "sched ops/s", "µs/op"],
     )
     .align(&[Align::Right, Align::Left, Align::Right, Align::Right]);
-    for row in benchjson::scale_rows(racks, vms) {
-        t.row(&[
-            row.racks.to_string(),
-            row.algorithm,
-            format!("{:.0}", row.ops_per_sec),
-            format!("{:.2}", row.us_per_op),
-        ]);
+    for &n in racks {
+        for algo in Algorithm::ALL {
+            let mut cycle = ScheduleCycle::new(n, algo);
+            let t0 = Instant::now();
+            for _ in 0..vms {
+                cycle.step();
+            }
+            let ops = f64::from(vms) / t0.elapsed().as_secs_f64().max(1e-9);
+            t.row(&[
+                n.to_string(),
+                algo.to_string(),
+                format!("{ops:.0}"),
+                format!("{:.2}", 1e6 / ops),
+            ]);
+        }
     }
     println!("{t}");
-    if threads > 1 {
-        println!("(cells timed concurrently on {threads} threads; use --jobs 1 for uncontended per-op numbers)");
-    }
     Ok(())
 }
 
@@ -353,6 +347,14 @@ fn experiment(id: &str, seed: Option<u64>) -> Result<(), String> {
                 println!(
                     "{}",
                     experiments::ablation_alpha(seed.unwrap_or(7), &[0.5, 0.7, 0.9, 1.0])
+                );
+                println!(
+                    "{}",
+                    experiments::ablation_lifetimes(seed.unwrap_or(7), 1200)
+                );
+                println!(
+                    "{}",
+                    experiments::fig5_seed_sweep(&[1, 2, 3, 4, 5, 6, 7, 8], 1200)
                 );
                 return Ok(());
             }
@@ -408,7 +410,6 @@ fn generate(workload: WorkloadArg, seed: u64, out: Option<&str>) -> Result<(), S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use risa_sched::Algorithm;
 
     #[test]
     fn info_runs() {
@@ -525,41 +526,8 @@ mod tests {
         assert!(execute(Command::Bench {
             racks: vec![12, 24],
             vms: 200,
-            jobs: Some(2),
-            json: false,
-            des_vms: 100_000,
-            gen_vms: 1_000_000,
-            out: ".".into(),
         })
         .is_ok());
-    }
-
-    /// `bench --json` writes the three snapshot envelopes with their
-    /// schema tags; tiny sizes keep this a smoke test.
-    #[test]
-    fn bench_json_writes_snapshots() {
-        let dir = std::env::temp_dir().join("risa-cli-bench-json");
-        std::fs::create_dir_all(&dir).unwrap();
-        execute(Command::Bench {
-            racks: vec![12],
-            vms: 50,
-            jobs: None,
-            json: true,
-            des_vms: 1000,
-            gen_vms: 5000,
-            out: dir.to_string_lossy().to_string(),
-        })
-        .unwrap();
-        for (name, schema) in [
-            ("BENCH_des.json", "risa-bench-des/v4"),
-            ("BENCH_scale.json", "risa-bench-scale/v1"),
-            ("BENCH_gen.json", "risa-bench-gen/v1"),
-        ] {
-            let path = dir.join(name);
-            let text = std::fs::read_to_string(&path).unwrap();
-            assert!(text.contains(schema), "{name} missing schema tag");
-            std::fs::remove_file(path).unwrap();
-        }
     }
 
     /// `run --checkpoint/--checkpoint-every` leaves a resumable snapshot

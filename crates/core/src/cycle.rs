@@ -1,9 +1,8 @@
 //! A shared steady-state scheduling workload for throughput studies.
 //!
-//! `risa-cli bench` and the criterion `scale` bench must measure the same
-//! thing — and the differential suite's saturation history should stress
-//! the same demand mix — so the cycle lives here once instead of being
-//! copy-pasted per driver.
+//! `risa-cli bench` times it, and the differential suite's saturation
+//! history stresses the same demand mix, so the cycle lives here once
+//! instead of being copy-pasted per driver.
 
 use crate::algorithm::{Algorithm, ScheduleOutcome, VmAssignment};
 use crate::scheduler::Scheduler;

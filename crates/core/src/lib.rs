@@ -25,7 +25,7 @@
 //! it. [`WorkCounters`] still charges the naive scan costs that the
 //! paper's Figures 11/12 model. Key entry points: [`Scheduler::schedule`],
 //! [`Scheduler::release`], and [`cycle::ScheduleCycle`] (the throughput
-//! treadmill shared by `risa-cli bench` and the criterion `scale` bench).
+//! treadmill `risa-cli bench` times).
 //!
 //! ```
 //! use risa_sched::{Algorithm, Scheduler, ScheduleOutcome};

@@ -1,13 +1,12 @@
 //! Send/Sync audit for the scheduling types that parallel experiment
 //! matrices move across worker threads.
 //!
-//! The `rayon` pool runs whole simulation jobs on scoped threads:
-//! `ScheduleCycle` treadmills are built and warmed concurrently by the
-//! benches, and every scheduler/cluster/network value lives inside a job
-//! that may be produced on one thread and consumed on another. These
-//! assertions are compile-time (auto-trait) checks; if a future refactor
-//! introduces `Rc`, `RefCell`, or a raw pointer into any of these types,
-//! this test stops compiling rather than the benches failing at a distance.
+//! The `rayon` pool runs whole simulation jobs on scoped threads: every
+//! scheduler/cluster/network value lives inside a job that may be produced
+//! on one thread and consumed on another. These assertions are
+//! compile-time (auto-trait) checks; if a future refactor introduces `Rc`,
+//! `RefCell`, or a raw pointer into any of these types, this test stops
+//! compiling rather than an experiment matrix failing at a distance.
 
 use risa_network::NetworkState;
 use risa_sched::cycle::ScheduleCycle;
@@ -27,7 +26,8 @@ fn scheduling_state_crosses_threads() {
     assert_send_sync::<VmAssignment>();
     assert_send_sync::<ScheduleOutcome>();
     assert_send_sync::<DropReason>();
-    // The bench treadmill only needs to *move* to a worker, not be shared.
+    // The throughput treadmill only needs to *move* between threads, not
+    // be shared.
     assert_send::<ScheduleCycle>();
 }
 

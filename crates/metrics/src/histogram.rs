@@ -122,7 +122,7 @@ impl BinnedHistogram {
         self.total
     }
 
-    /// Render as `"[lo,hi) count"` lines, the format the Fig 6 bench prints.
+    /// Render as `"[lo,hi) count"` lines, the format `experiment fig6` prints.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();

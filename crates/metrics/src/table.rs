@@ -1,7 +1,7 @@
 //! Plain-text table rendering for paper-style experiment reports.
 //!
-//! Every experiment binary and bench in this workspace ends by printing a
-//! table whose rows mirror a table/figure of the paper (e.g. Figure 5's
+//! Every experiment and `risa-cli` report in this workspace ends by
+//! printing a table whose rows mirror a table/figure of the paper (e.g. Figure 5's
 //! four inter-rack-assignment counts). Keeping the renderer here means the
 //! report format is identical everywhere and testable in one place.
 

@@ -568,16 +568,6 @@ impl NetworkState {
         self.stranded
     }
 
-    /// Intra-rack layer utilization in `[0, 1]` (Figure 8 left panel).
-    pub fn intra_utilization(&self) -> f64 {
-        self.intra_used_mbps() as f64 / self.intra_capacity_mbps() as f64
-    }
-
-    /// Inter-rack layer utilization in `[0, 1]` (Figure 8 right panel).
-    pub fn inter_utilization(&self) -> f64 {
-        self.inter_used_mbps() as f64 / self.inter_capacity_mbps() as f64
-    }
-
     /// Every aggregate recomputed from the link words: each link's free
     /// bandwidth (the down bit masked off) within `[0, capacity]` and each
     /// trunk's three ledgers (`Trunk::check`), then the rack ordering and
@@ -620,7 +610,7 @@ mod tests {
         // 18 rack trunks x 16 links x 200 Gb/s.
         assert_eq!(net.inter_capacity_mbps(), 18 * 16 * 200_000);
         assert_eq!(net.intra_used_mbps(), 0);
-        assert_eq!(net.inter_utilization(), 0.0);
+        assert_eq!(net.inter_used_mbps(), 0);
     }
 
     #[test]

@@ -494,41 +494,6 @@ pub fn ablation_lifetimes(seed: u64, n: u32) -> ExperimentReport {
     }
 }
 
-/// Ablation: disable RISA's round-robin by comparing RISA against RISA-BF
-/// across seeds, reporting rack-utilization spread (load-balance quality).
-pub fn ablation_seeds(seeds: &[u64], n: u32) -> ExperimentReport {
-    let mut t = Table::new(
-        "Seed sensitivity: inter-rack assignments (synthetic)",
-        &["seed", "NULB", "NALB", "RISA", "RISA-BF"],
-    )
-    .align(&[
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-    ]);
-    let cfg = SimConfig::paper();
-    let mut runs = vec![];
-    for &seed in seeds {
-        let spec = WorkloadSpec::Synthetic(risa_workload::SyntheticConfig::small(n, seed));
-        let rs = run_matrix(&cfg, &[spec], &Algorithm::ALL, true);
-        let mut row = vec![seed.to_string()];
-        for algo in Algorithm::ALL {
-            let r = rs.iter().find(|r| r.algorithm == algo).unwrap();
-            row.push(r.inter_rack_assignments.to_string());
-        }
-        t.row(&row);
-        runs.extend(rs);
-    }
-    ExperimentReport {
-        id: "ablation-seeds".into(),
-        title: "Seed sensitivity".into(),
-        rendered: t.render(),
-        runs,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -39,7 +39,7 @@ use serde::{Deserialize, Serialize};
 /// One fault scenario: per-component failure rates, repair times and the
 /// evacuation cost model. Rates are **scale-free** — expressed per
 /// workload span — so the same spec produces comparable churn on a
-/// 100-VM smoke test and a 10M-VM bench run.
+/// 100-VM smoke test and a 10M-VM run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultSpec {
     /// Scenario seed: all chain RNGs derive from it.

@@ -176,7 +176,7 @@ pub struct ExperimentReport {
     pub id: String,
     /// Human title.
     pub title: String,
-    /// Rendered monospace table (what benches print).
+    /// Rendered monospace table (what `risa-cli experiment` prints).
     pub rendered: String,
     /// The underlying runs.
     pub runs: Vec<RunReport>,
@@ -205,7 +205,8 @@ impl std::fmt::Display for ExperimentReport {
     }
 }
 
-/// Host description for the Table 5 analogue printed in bench preambles.
+/// Host description for the Table 5 analogue that `risa-cli info` and
+/// `risa-cli bench` print first.
 pub fn host_info() -> String {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -220,9 +221,10 @@ pub fn host_info() -> String {
 
 /// Peak resident-set size of this process so far, in bytes (`VmHWM` from
 /// `/proc/self/status`); `None` where procfs is unavailable. The
-/// instrumentation hook behind the streaming pipeline's bounded-memory
-/// claim: a 10M-VM streaming run's RSS stays flat where a materialized
-/// one grows with the trace (see `risa-bench --bench des_streaming`).
+/// in-process view of the streaming pipeline's bounded-memory claim: a
+/// run's RSS stays flat as its trace grows. `tests/streaming_bounds.rs`
+/// pins the buffer bounds behind it, and `benchmark/run.py` reports each
+/// run's `peak_rss_mb` from outside the process.
 ///
 /// This is a *high-water mark* of the whole process (allocator slack
 /// included), so compare runs in separate processes, not phases of one.

@@ -69,7 +69,7 @@ impl WorkloadSpec {
     }
 
     /// [`WorkloadSpec::load`] for callers with nobody to report to
-    /// (tests, benches, the probe): panics on a missing or invalid trace
+    /// (tests, the probe): panics on a missing or invalid trace
     /// file.
     pub fn materialize(&self) -> Workload {
         self.load().unwrap_or_else(|e| panic!("{e}"))

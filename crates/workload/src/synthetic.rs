@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// The paper uses the deterministic staircase (§5.1); the other models are
 /// ablation hooks showing RISA's advantage is not an artifact of the
-/// staircase (`cargo bench -p risa-bench --bench ablation`).
+/// staircase (`risa-cli experiment ablation` prints the lifetime table).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub enum LifetimeModel {
     /// The paper's staircase: `base + step × ⌊i / step_every⌋`.
