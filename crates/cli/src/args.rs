@@ -33,16 +33,18 @@ commands:
       --faults               inject the canonical failure/repair scenario
                              (rack failures with evacuation, trunk and
                              transceiver flaps) and report resilience
-                             metrics; deterministic — same bytes at any
-                             thread count. Without the flag the
+                             metrics; deterministic — the same bytes on
+                             every run. Without the flag the
                              RISA_FAULTS env var applies (1 = canonical,
                              any other integer = that scenario seed)
       --json                 emit the RunReport as JSON
-      --jobs <n>             thread-pool size for parallel sections
+      --jobs <n>             accepted, if a positive integer, and unused:
+                             a run uses one thread
   experiment <id>            regenerate a paper artifact
       <id> ∈ fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 ablation all
       --seed <u64>           (default 42 for fig5/fig11, 2023 otherwise)
-      --jobs <n>             threads for the experiment matrix (default: all cores)
+      --jobs <n>             runs at once in the experiment matrix (default:
+                             all cores)
   bench                      scheduling-throughput sweep over cluster sizes x
                              algorithms, one cell after another on one thread
       --racks <a,b,c>        rack counts to sweep (default 12,48,192,768)
@@ -54,9 +56,9 @@ commands:
       --n <count> --seed <u64>
       --out <file>.csv       output file (default: stdout)
 
---jobs (or the RISA_THREADS env var; the flag wins) sizes the thread
-pool experiment fans out on. Simulation reports are identical at any
-thread count; only wall-clock timings (fig11/fig12 times) vary.
+experiment --jobs sets how many of its independent runs go at once.
+Simulation reports are identical at any width; only wall-clock timings
+(fig11/fig12 times) vary.
 ";
 
 /// A parsed command.
@@ -79,8 +81,6 @@ pub enum Command {
         faults: bool,
         /// Emit JSON instead of the text report.
         json: bool,
-        /// Thread-pool size (`None` = `RISA_THREADS` or all cores).
-        jobs: Option<usize>,
         /// Write the latest checkpoint to this path at each
         /// `--checkpoint-every` cadence.
         checkpoint: Option<String>,
@@ -102,7 +102,7 @@ pub enum Command {
         id: String,
         /// Seed, if overridden.
         seed: Option<u64>,
-        /// Thread-pool size (`None` = `RISA_THREADS` or all cores).
+        /// Runs at once (`None` = all cores).
         jobs: Option<usize>,
     },
     /// `generate`
@@ -229,7 +229,7 @@ fn opt_int<T: TryFrom<u64>>(options: &[(String, String)], key: &str) -> Result<O
         .transpose()
 }
 
-/// `--jobs`: an optional thread-pool size, at least 1.
+/// `--jobs`: an optional width, at least 1.
 fn opt_jobs(options: &[(String, String)]) -> Result<Option<usize>, String> {
     match opt(options, "jobs") {
         None => Ok(None),
@@ -290,6 +290,8 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 },
             };
             let resume = opt(&options, "resume").map(str::to_string);
+            // A run uses one thread; `--jobs` is still checked, not stored.
+            opt_jobs(&options)?;
             if resume.is_some() {
                 // The run configuration is embedded in the checkpoint;
                 // accepting config flags here would silently ignore them.
@@ -325,7 +327,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 scale,
                 faults: opt(&options, "faults").is_some(),
                 json: opt(&options, "json").is_some(),
-                jobs: opt_jobs(&options)?,
                 checkpoint,
                 checkpoint_every,
                 resume,
@@ -425,7 +426,6 @@ mod tests {
                 scale: 1,
                 faults: false,
                 json: false,
-                jobs: None,
                 checkpoint: None,
                 checkpoint_every: None,
                 resume: None,
@@ -460,7 +460,6 @@ mod tests {
                 scale: 10,
                 faults: true,
                 json: true,
-                jobs: Some(4),
                 checkpoint: None,
                 checkpoint_every: None,
                 resume: None,

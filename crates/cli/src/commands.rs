@@ -1,12 +1,11 @@
 //! Command execution.
 //!
-//! `experiment` is the one command that fans work out: its matrices drive
-//! the vendored `rayon` executor, whose scoped workers live for one drive.
-//! A `run` and `generate` generate their workload inline and create no
-//! thread, and `bench` times its cells one after another on the calling
-//! thread. `--jobs` (applied by [`apply_jobs`] via
-//! [`rayon::set_num_threads`]) or the `RISA_THREADS` env var sets the
-//! width. Simulation *reports* are byte-identical at any thread count;
+//! `experiment` is the one command that fans work out: its matrices run on
+//! `risa-sim`'s experiment dealer, whose scoped workers live for one
+//! matrix, as many as `--jobs` says ([`risa_sim::with_jobs`]; all cores
+//! without it). A `run` and `generate` generate their workload inline and
+//! create no thread, and `bench` times its cells one after another on the
+//! calling thread. Simulation *reports* are byte-identical at any width;
 //! wall-clock measurements (the fig11/fig12 timings) are not, which is why
 //! those stay sequential. A panic inside a worker (e.g. a workload that
 //! fails validation) propagates to the command and aborts it, exactly as
@@ -35,12 +34,10 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             scale,
             faults,
             json,
-            jobs,
             checkpoint,
             checkpoint_every,
             resume,
         } => {
-            apply_jobs(jobs)?;
             let mut sim = if let Some(path) = resume {
                 // The checkpoint embeds the fully-resolved run recipe:
                 // nothing is re-read from flags or the environment.
@@ -77,13 +74,12 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             // uses after flag-vs-env precedence (flags win; see
             // tests/precedence.rs).
             eprintln!(
-                "resolved: faults={} jobs={}",
+                "resolved: faults={}",
                 if sim.world().fault_report().is_some() {
                     "on"
                 } else {
                     "off"
-                },
-                rayon::current_num_threads()
+                }
             );
             let report = match checkpoint {
                 Some(path) => {
@@ -101,29 +97,16 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             emit(&report, json)
         }
         Command::Bench { racks, vms } => bench(&racks, vms),
-        Command::Experiment { id, seed, jobs } => {
-            apply_jobs(jobs)?;
-            experiment(&id, seed)
-        }
+        Command::Experiment { id, seed, jobs } => match jobs {
+            Some(n) => risa_sim::with_jobs(n, || experiment(&id, seed)),
+            None => experiment(&id, seed),
+        },
         Command::Generate {
             workload,
             seed,
             out,
         } => generate(workload, seed, out.as_deref()),
     }
-}
-
-/// `--jobs` wins over `RISA_THREADS` and the core-count default. Without
-/// the flag the variable is what sizes the command, so one that is not a
-/// positive integer is refused in the words `--jobs` uses, not skipped.
-fn apply_jobs(jobs: Option<usize>) -> Result<(), String> {
-    match jobs {
-        Some(n) => rayon::set_num_threads(n),
-        None => {
-            rayon::env_num_threads()?;
-        }
-    }
-    Ok(())
 }
 
 fn spec_of(workload: WorkloadArg, seed: u64) -> WorkloadSpec {
@@ -425,7 +408,6 @@ mod tests {
             scale: 1,
             faults: false,
             json: false,
-            jobs: None,
             checkpoint: None,
             checkpoint_every: None,
             resume: None,
@@ -442,7 +424,6 @@ mod tests {
             scale: 1,
             faults: false,
             json: true,
-            jobs: None,
             checkpoint: None,
             checkpoint_every: None,
             resume: None,
@@ -451,35 +432,25 @@ mod tests {
     }
 
     /// `generate --out <file>.csv` writes the library's CSV rendering of
-    /// the workload, which the trace reader loads back as that workload —
-    /// the same bytes at any pool width, since it generates inline.
+    /// the workload, which the trace reader loads back as that workload.
     #[test]
-    fn generate_jobs_is_thread_count_invariant() {
+    fn generate_out_round_trips() {
         let dir = std::env::temp_dir().join(format!("risa-cli-gen-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let workload = WorkloadArg::Synthetic { n: 5000 };
-        let gen_with = |threads: usize| {
-            let path = dir
-                .join(format!("t{threads}.csv"))
-                .to_string_lossy()
-                .to_string();
-            let out = Some(path.clone());
-            rayon::with_num_threads(threads, || {
-                execute(Command::Generate {
-                    workload: workload.clone(),
-                    seed: 9,
-                    out,
-                })
-            })
-            .unwrap();
-            std::fs::read_to_string(&path).unwrap()
-        };
-        let one = gen_with(1);
-        assert_eq!(gen_with(2), one, "trace must not depend on the pool");
-        let expect = spec_of(workload.clone(), 9).materialize();
-        assert_eq!(one, csv::to_csv(&expect));
-        let path = dir.join("t1.csv");
-        let read = risa_workload::Workload::read_csv_file("synthetic", path).unwrap();
+        let path = dir.join("t.csv");
+        execute(Command::Generate {
+            workload: workload.clone(),
+            seed: 9,
+            out: Some(path.to_string_lossy().to_string()),
+        })
+        .unwrap();
+        let expect = spec_of(workload, 9).materialize();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            csv::to_csv(&expect)
+        );
+        let read = risa_workload::Workload::read_csv_file("synthetic", &path).unwrap();
         assert_eq!(read, expect);
         std::fs::remove_dir_all(dir).unwrap();
     }
@@ -493,7 +464,6 @@ mod tests {
             scale: 10,
             faults: false,
             json: false,
-            jobs: None,
             checkpoint: None,
             checkpoint_every: None,
             resume: None,
@@ -513,7 +483,6 @@ mod tests {
             scale: 1,
             faults: true,
             json: false,
-            jobs: None,
             checkpoint: None,
             checkpoint_every: None,
             resume: None,
@@ -545,7 +514,6 @@ mod tests {
             scale: 1,
             faults: false,
             json: true,
-            jobs: None,
             checkpoint: Some(path.clone()),
             checkpoint_every: Some(2000.0),
             resume: None,
@@ -560,7 +528,6 @@ mod tests {
             scale: 1,
             faults: false,
             json: true,
-            jobs: None,
             checkpoint: None,
             checkpoint_every: None,
             resume: Some(path.clone()),
@@ -578,7 +545,6 @@ mod tests {
             scale: 1,
             faults: false,
             json: false,
-            jobs: None,
             checkpoint: None,
             checkpoint_every: None,
             resume: Some(resume),
@@ -613,7 +579,6 @@ mod tests {
             scale: 1,
             faults: false,
             json: true,
-            jobs: None,
             checkpoint: None,
             checkpoint_every: None,
             resume: None,

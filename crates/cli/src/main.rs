@@ -4,15 +4,16 @@
 //! risa-cli info                                   # Tables 1/2 + host
 //! risa-cli run --algo RISA --workload azure-3000  # one simulation
 //! risa-cli experiment fig5 [--seed 42]            # regenerate a figure
-//! risa-cli experiment all --jobs 8                # every figure, 8 threads
+//! risa-cli experiment all --jobs 8                # every figure, 8 runs at once
 //! risa-cli bench --racks 12,768 --vms 2000        # scheduler throughput sweep
 //! risa-cli generate --n 100000 --out trace.csv    # a trace, as CSV ...
 //! risa-cli run --workload trace.csv --faults      # ... which `run` reads
 //! ```
 //!
-//! `experiment` fans out over the `rayon` thread pool; `--jobs` (or
-//! `RISA_THREADS`) sizes it, and results are byte-identical at any thread
-//! count. `bench` times its cells one after another on one thread.
+//! `experiment` runs its independent simulations on `--jobs` threads (all
+//! cores by default), and its results are byte-identical at any width.
+//! Every other command runs on one thread; `bench` times its cells one
+//! after another.
 //! Entry points: `args::parse` → `commands::execute`.
 
 mod args;

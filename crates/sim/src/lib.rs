@@ -7,11 +7,12 @@
 //! the run into the numbers the paper reports.
 //!
 //! The [`experiments`] module has one entry point per figure/table of the
-//! paper's evaluation, plus ablations the paper does not run. Experiment
-//! matrices fan out over the `rayon` thread pool (sized by `RISA_THREADS`
-//! or `risa-cli --jobs`); thread count never changes a report —
-//! `tests/determinism.rs` asserts 1-thread and 4-thread runs serialize
-//! byte-identically.
+//! paper's evaluation, plus ablations the paper does not run. Their
+//! matrices of independent runs are the only work that uses threads:
+//! [`with_jobs`] (`risa-cli experiment --jobs`) sets how many, and the
+//! count never changes a report — `tests/determinism.rs` asserts 1-wide
+//! and 4-wide matrices serialize byte-identically. A single run creates
+//! no thread.
 //!
 //! ```
 //! use risa_sim::{Algorithm, SimulationBuilder, WorkloadSpec};
@@ -31,6 +32,7 @@
 mod builder;
 mod checkpoint;
 mod config;
+mod dealer;
 pub mod experiments;
 mod faults;
 mod report;
@@ -41,8 +43,9 @@ mod world;
 pub use builder::{BuildError, DdcSimulation, SimulationBuilder};
 pub use checkpoint::{Checkpoint, ResumeError, CHECKPOINT_VERSION};
 pub use config::{LatencyConfig, SimConfig};
+pub use dealer::with_jobs;
 pub use faults::{FaultReport, FaultSpec};
-pub use report::{host_info, peak_rss_bytes, ExperimentReport, RunReport};
+pub use report::{host_info, ExperimentReport, RunReport};
 pub use spec::WorkloadSpec;
 pub use timeline::{Timeline, TimelinePoint};
 pub use world::{DdcWorld, SimEvent, DEFAULT_SCHED_TIMING_BATCH};

@@ -219,31 +219,6 @@ pub fn host_info() -> String {
     )
 }
 
-/// Peak resident-set size of this process so far, in bytes (`VmHWM` from
-/// `/proc/self/status`); `None` where procfs is unavailable. The
-/// in-process view of the streaming pipeline's bounded-memory claim: a
-/// run's RSS stays flat as its trace grows. `tests/streaming_bounds.rs`
-/// pins the buffer bounds behind it, and `benchmark/run.py` reports each
-/// run's `peak_rss_mb` from outside the process.
-///
-/// This is a *high-water mark* of the whole process (allocator slack
-/// included), so compare runs in separate processes, not phases of one.
-/// It is not guaranteed to be monotone between two reads: since Linux 6.2
-/// the kernel reports the larger of a stored peak and an *approximate*
-/// per-CPU RSS counter, so a later read taken while other threads free
-/// memory can come out lower.
-pub fn peak_rss_bytes() -> Option<u64> {
-    vm_hwm_bytes(&std::fs::read_to_string("/proc/self/status").ok()?)
-}
-
-/// The `VmHWM:` line of a `/proc/<pid>/status` text, in bytes; `None`
-/// when the line is missing or its value is not a whole number of KiB.
-fn vm_hwm_bytes(status: &str) -> Option<u64> {
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    kib.checked_mul(1024)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,30 +289,6 @@ mod tests {
     #[test]
     fn host_info_mentions_cores() {
         assert!(host_info().contains("cores"));
-    }
-
-    /// The live read: only that it is there and positive. Two reads are not
-    /// compared (see [`peak_rss_bytes`]: the kernel's value is approximate).
-    #[test]
-    #[cfg(target_os = "linux")]
-    fn peak_rss_is_positive() {
-        let bytes = peak_rss_bytes().expect("procfs available on linux");
-        assert!(bytes > 0);
-    }
-
-    #[test]
-    fn vm_hwm_is_read_from_fixed_status_texts() {
-        let status = "Name:\trisa\nVmPeak:\t  20000 kB\nVmHWM:\t   3512 kB\nVmRSS:\t 3000 kB\n";
-        assert_eq!(vm_hwm_bytes(status), Some(3512 * 1024));
-        assert_eq!(vm_hwm_bytes("VmHWM:\t0 kB\n"), Some(0));
-        // Absent: a kernel without the line, or an empty text.
-        assert_eq!(vm_hwm_bytes("Name:\trisa\nVmRSS:\t 3000 kB\n"), None);
-        assert_eq!(vm_hwm_bytes(""), None);
-        // Malformed: no value, a non-number, a negative, an overflow.
-        assert_eq!(vm_hwm_bytes("VmHWM:\n"), None);
-        assert_eq!(vm_hwm_bytes("VmHWM:\tlots kB\n"), None);
-        assert_eq!(vm_hwm_bytes("VmHWM:\t-5 kB\n"), None);
-        assert_eq!(vm_hwm_bytes(&format!("VmHWM:\t{} kB\n", u64::MAX)), None);
     }
 
     #[test]

@@ -54,11 +54,11 @@ impl WorkloadSpec {
     /// demand; the legacy arrival path and tests that want the whole
     /// trace do.
     ///
-    /// Synthetic and Azure specs generate **sharded** on the `rayon`
-    /// pool: fixed 4096-VM index shards with `(seed, shard)`-derived RNG
+    /// Synthetic and Azure specs generate **sharded**, on the calling
+    /// thread: fixed 4096-VM index shards with `(seed, shard)`-derived RNG
     /// streams, stitched by a prefix sum over per-shard interarrival
-    /// totals (`risa_workload::shard`). The result is byte-identical at
-    /// any thread count (pinned by `tests/determinism.rs`).
+    /// totals (`risa_workload::shard`) — the same VMs, bit for bit, that a
+    /// run's on-demand cursor draws.
     pub fn load(&self) -> Result<Workload, TraceFileError> {
         Ok(match self {
             WorkloadSpec::Synthetic(cfg) => Workload::synthetic(cfg),

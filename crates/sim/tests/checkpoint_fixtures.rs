@@ -20,7 +20,6 @@
 //! A version-3 document (a state image) pins that format's refusal, and a
 //! copy of the CSV with one row edited that of changed inputs.
 
-use rayon::with_num_threads;
 use risa_sim::{
     Algorithm, Checkpoint, DdcSimulation, FaultSpec, ResumeError, SimulationBuilder, WorkloadSpec,
 };
@@ -54,9 +53,8 @@ fn finish(mut sim: DdcSimulation) -> (String, Vec<String>) {
     (stable(&json), events)
 }
 
-/// The document `ckpt` resumes — at 1 and 8 pool threads — into the
-/// report checked in beside it and into the event order of the same run
-/// built from scratch (`fresh`).
+/// The document `ckpt` resumes into the report checked in beside it and
+/// into the event order of the same run built from scratch (`fresh`).
 fn resumes_into(ckpt: &str, report: &str, fresh: impl Fn() -> DdcSimulation) {
     let report = stable(&fixture(report));
     let document = fixture(ckpt);
@@ -70,16 +68,9 @@ fn resumes_into(ckpt: &str, report: &str, fresh: impl Fn() -> DdcSimulation) {
         0 < skipped && skipped < events.len(),
         "{ckpt}: taken mid-run"
     );
-    for threads in [1usize, 8] {
-        let (resumed, suffix) =
-            with_num_threads(threads, || finish(cp.resume().expect("inputs unchanged")));
-        assert_eq!(resumed, report, "{ckpt}/threads={threads}: resumed report");
-        assert_eq!(
-            suffix,
-            events[skipped..],
-            "{ckpt}/threads={threads}: resumed event order"
-        );
-    }
+    let (resumed, suffix) = finish(cp.resume().expect("inputs unchanged"));
+    assert_eq!(resumed, report, "{ckpt}: resumed report");
+    assert_eq!(suffix, events[skipped..], "{ckpt}: resumed event order");
 
     // What this build writes at the same position is that document
     // without the key the recipe dropped.

@@ -1,24 +1,18 @@
 //! Parallelism must be invisible in the results.
 //!
-//! The contract of the `rayon` stand-in (ROADMAP "Architecture") is
-//! that thread count only changes wall-clock time, never a report. These
-//! tests pin that contract: the same seeded
-//! experiment matrix serialized after a 1-thread run and a 4-thread run
-//! must be **byte-identical** — modulo `sched_seconds`, the report's one
-//! wall-clock field, which is zeroed before comparison (`builder.rs`
-//! documents it as the only nondeterministic field).
+//! An experiment matrix is the one thing that runs on threads (the
+//! crate's dealer, sized by `with_jobs`), and the width may only change
+//! wall-clock time, never a report. These tests pin that contract: the
+//! same seeded experiment matrix serialized after a 1-wide run and a
+//! 4-wide run must be **byte-identical** — modulo `sched_seconds`, the
+//! report's one wall-clock field, which is zeroed before comparison
+//! (`builder.rs` documents it as the only nondeterministic field).
 //!
-//! Materializing a trace is itself parallel (sharded per 4096-VM index
-//! block, `risa_workload::shard`), so the same contract is pinned one
-//! layer down — materializing a spec at 1 vs 8 threads must produce
-//! byte-identical traces — and on a matrix of multi-shard workloads,
-//! whose cells generate their shards inline on the worker that runs them:
-//! its reports must not move either, including when the width is far past
-//! the machine's cores. CI runs this suite under `RISA_THREADS=1` *and*
-//! `=8`.
+//! The same holds on a matrix of multi-shard workloads, whose cells
+//! generate their shards inline on the worker that runs them, including
+//! when the width is far past the machine's cores.
 
-use rayon::with_num_threads;
-use risa_sim::{experiments, Algorithm, RunReport, SimConfig, WorkloadSpec};
+use risa_sim::{experiments, with_jobs, Algorithm, RunReport, SimConfig, WorkloadSpec};
 
 /// A small but non-trivial matrix: two synthetic workloads (with churn)
 /// across all four algorithms = 8 full simulation jobs.
@@ -41,8 +35,8 @@ fn canonical_json(mut runs: Vec<RunReport>) -> String {
 
 #[test]
 fn one_thread_and_four_threads_serialize_identically() {
-    let sequential = with_num_threads(1, matrix);
-    let parallel = with_num_threads(4, matrix);
+    let sequential = with_jobs(1, matrix);
+    let parallel = with_jobs(4, matrix);
     assert_eq!(
         sequential.len(),
         parallel.len(),
@@ -64,10 +58,10 @@ fn one_thread_and_four_threads_serialize_identically() {
 fn oversubscribed_pool_is_still_deterministic() {
     // More threads than jobs, and an odd count that doesn't divide the
     // matrix evenly — the chunk deal must not affect results.
-    let reference = canonical_json(with_num_threads(1, matrix));
+    let reference = canonical_json(with_jobs(1, matrix));
     for threads in [3, 16] {
         assert_eq!(
-            canonical_json(with_num_threads(threads, matrix)),
+            canonical_json(with_jobs(threads, matrix)),
             reference,
             "threads={threads}"
         );
@@ -76,8 +70,8 @@ fn oversubscribed_pool_is_still_deterministic() {
 
 #[test]
 fn seed_sweep_is_thread_count_invariant() {
-    // `fig5_seed_sweep` uses `par_iter().flat_map(..)` — the other parallel
-    // shape in the experiments module.
+    // `fig5_seed_sweep` deals whole seeds and flattens their matrices —
+    // the other parallel shape in the experiments module.
     let run = || {
         experiments::fig5_seed_sweep(&[1, 2], 300)
             .runs
@@ -85,42 +79,19 @@ fn seed_sweep_is_thread_count_invariant() {
             .collect::<Vec<RunReport>>()
     };
     assert_eq!(
-        canonical_json(with_num_threads(1, run)),
-        canonical_json(with_num_threads(4, run))
+        canonical_json(with_jobs(1, run)),
+        canonical_json(with_jobs(4, run))
     );
-}
-
-#[test]
-fn workload_generation_is_byte_identical_across_thread_counts() {
-    // Trace generation itself is sharded (risa_workload::shard): fixed
-    // 4096-VM shards with per-shard RNG streams, stitched by a prefix sum.
-    // 1 thread and 8 threads must materialize byte-identical workloads for
-    // both generator families (the synthetic size spans several shards).
-    let specs = [
-        WorkloadSpec::synthetic(10_000, 42),
-        WorkloadSpec::azure(risa_workload::AzureSubset::N7500, 42),
-    ];
-    for spec in &specs {
-        let one = with_num_threads(1, || spec.materialize());
-        for threads in [4, 8] {
-            let many = with_num_threads(threads, || spec.materialize());
-            assert_eq!(
-                serde_json::to_string(&many).unwrap(),
-                serde_json::to_string(&one).unwrap(),
-                "threads={threads}"
-            );
-        }
-    }
 }
 
 #[test]
 fn workload_generation_is_stable_across_repeated_runs() {
     // Sharded-vs-sharded: two independent materializations of the same
     // spec agree byte-for-byte (no hidden global state in the shard
-    // streams), including under a parallel pool.
+    // streams).
     let spec = WorkloadSpec::synthetic(9000, 7);
-    let a = with_num_threads(8, || spec.materialize());
-    let b = with_num_threads(8, || spec.materialize());
+    let a = spec.materialize();
+    let b = spec.materialize();
     assert_eq!(
         serde_json::to_string(&a).unwrap(),
         serde_json::to_string(&b).unwrap()
@@ -130,8 +101,8 @@ fn workload_generation_is_stable_across_repeated_runs() {
 /// A parallel experiment matrix over multi-shard workloads. What the
 /// tests below pin is matrix determinism at width 1 vs 8 vs
 /// oversubscribed; nothing nests (the name is from when cells generated
-/// their shards through a `par_iter` of their own — they generate inline
-/// since runs generate on demand).
+/// their shards on the pool too — they generate inline since runs
+/// generate on demand).
 fn nested_matrix() -> Vec<RunReport> {
     let cfg = SimConfig::paper();
     // > SHARD_SIZE VMs per spec, so every cell crosses a shard boundary.
@@ -144,8 +115,8 @@ fn nested_matrix() -> Vec<RunReport> {
 
 #[test]
 fn nested_matrix_over_generated_traces_is_byte_identical_1_vs_8() {
-    let sequential = with_num_threads(1, nested_matrix);
-    let parallel = with_num_threads(8, nested_matrix);
+    let sequential = with_jobs(1, nested_matrix);
+    let parallel = with_jobs(8, nested_matrix);
     for (s, p) in sequential.iter().zip(&parallel) {
         assert_eq!(s.algorithm, p.algorithm);
         assert_eq!(s.workload, p.workload);
@@ -159,19 +130,19 @@ fn nested_matrix_over_generated_traces_is_byte_identical_1_vs_8() {
 
 #[test]
 fn oversubscribed_nested_run_is_still_deterministic() {
-    // RISA_THREADS=16-style width, far beyond this machine's cores (CI
-    // runners have <= 8): more workers than jobs, plus OS-level
-    // oversubscription. Results must not move.
+    // A width far beyond this machine's cores (CI runners have <= 8):
+    // more workers than jobs, plus OS-level oversubscription. Results must
+    // not move.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let wide = 16.max(2 * cores);
     assert_eq!(
-        canonical_json(with_num_threads(1, nested_matrix)),
-        canonical_json(with_num_threads(wide, nested_matrix)),
+        canonical_json(with_jobs(1, nested_matrix)),
+        canonical_json(with_jobs(wide, nested_matrix)),
         "width {wide} (> {cores} cores) must not change any report byte"
     );
 }
 
-/// The whole-job types the pool moves between threads.
+/// The whole-job types the dealer moves between threads.
 #[test]
 fn simulation_job_types_are_send_and_sync() {
     fn assert_send<T: Send>() {}

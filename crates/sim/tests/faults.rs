@@ -59,9 +59,7 @@ fn scenario_seed_changes_the_churn() {
 
 /// The tentpole determinism claim: a churn scenario is byte-identical
 /// across arrival pipelines — the shard cursor and the legacy path — with
-/// the audit on (thread count is covered by the CI matrix — nothing in a
-/// run draws from the pool under faults except workload generation,
-/// which is pinned separately).
+/// the audit on (a run creates no thread, so there is no width to vary).
 #[test]
 fn churn_is_byte_identical_across_arrival_paths() {
     let run = |legacy: bool| {

@@ -8,20 +8,20 @@
 //! materialized up front and every arrival pushed through the FEL — the
 //! pre-PR5 code path, kept as `SimulationBuilder::legacy_arrival_path`)
 //! and the two-lane path, asserting byte-identical `RunReport`s and event
-//! dispatch orders, at 1 and 8 worker threads.
+//! dispatch orders.
 //!
 //! Since PR 22 the two-lane path has one feeder: every run generates its
 //! workload **on demand** through one shard cursor that serves the
 //! arrival lane and the world alike, so the legacy path is also the only
 //! run that ever holds a generated trace — the on-demand cursor's
 //! independent oracle. The arrivals axis is therefore {on-demand cursor,
-//! legacy path} for generator specs — × algorithms × faults × jobs 1/8 —
+//! legacy path} for generator specs — × algorithms × faults —
 //! plus a CSV trace file of a generated trace, loaded whole and served
 //! through the same cursor.
 //!
 //! PR 7 added the fault-injection lane: the canonical **churn** scenario
 //! (rack failures with evacuation, trunk/transceiver flaps) must be
-//! byte-identical across arrival paths and pool sizes too. The
+//! byte-identical across arrival paths too. The
 //! faults-free legs pin `.faults_off()` so the `RISA_FAULTS=1` CI leg
 //! cannot change what they measure.
 //!
@@ -29,13 +29,11 @@
 //! simulated time `T`, serialized to JSON, and resumed — rebuilt from its
 //! recipe and replayed to the recorded event count — must continue into
 //! the **byte-identical** report and event dispatch order the
-//! uninterrupted run produces — across arrival paths, pool sizes, and
-//! faults on/off (`tests/checkpoint_fixtures.rs` does the same for
+//! uninterrupted run produces — across arrival paths and faults on/off (`tests/checkpoint_fixtures.rs` does the same for
 //! checked-in documents).
 //!
 //! CI runs this file under `RISA_FAULTS=1` so that toggle cannot rot.
 
-use rayon::with_num_threads;
 use risa_sim::{
     Algorithm, Checkpoint, DdcSimulation, FaultSpec, RunOutcome, RunReport, SimulationBuilder,
     WorkloadSpec,
@@ -115,22 +113,6 @@ fn legacy_and_two_lane_paths_are_byte_identical() {
     }
 }
 
-/// Thread count must not leak into the hot path: the same configuration
-/// at 1 and 8 pool threads produces identical bytes — on the cursor,
-/// which generates inline so cannot see the pool, and against the legacy
-/// path, whose up-front generation is what the pool shards.
-#[test]
-fn reports_identical_at_1_and_8_jobs() {
-    for (name, spec) in canonical_specs() {
-        let go = || run(&spec, Algorithm::Risa, false);
-        let one = with_num_threads(1, go);
-        let eight = with_num_threads(8, go);
-        assert_eq!(one, eight, "{name}: --jobs changed the run");
-        let legacy = with_num_threads(8, || run(&spec, Algorithm::Risa, true));
-        assert_eq!(one, legacy, "{name}: legacy path at 8 jobs diverged");
-    }
-}
-
 /// The two-lane queue's core promise: the FEL never holds the trace, only
 /// in-flight departures — peak FEL length is bounded by peak resident VMs
 /// and stays far below the total VM count.
@@ -192,17 +174,6 @@ fn streaming_pipeline_is_byte_identical_to_materialized() {
     }
 }
 
-/// A trace file's run does not depend on the thread count: the same
-/// bytes at 1 and 8 pool threads.
-#[test]
-fn streaming_reports_identical_at_1_and_8_jobs() {
-    let (csv_spec, path) = csv_of(&canonical_specs()[0].1, "jobs");
-    let base = with_num_threads(1, || run(&csv_spec, Algorithm::Risa, false));
-    let eight = with_num_threads(8, || run(&csv_spec, Algorithm::Risa, false));
-    assert_eq!(base, eight, "jobs=8: the trace-file run diverged");
-    std::fs::remove_file(&path).ok();
-}
-
 /// `spec`'s trace written to a CSV file: the spec that reads it back,
 /// and the file to remove afterwards.
 fn csv_of(spec: &WorkloadSpec, tag: &str) -> (WorkloadSpec, std::path::PathBuf) {
@@ -220,8 +191,8 @@ fn csv_of(spec: &WorkloadSpec, tag: &str) -> (WorkloadSpec, std::path::PathBuf) 
 /// PR 7 tentpole acceptance: the canonical churn scenario — rack
 /// failures evacuating residents through the live scheduler, trunk and
 /// transceiver flaps retracting bandwidth — is byte-identical (report
-/// JSON **and** event dispatch order) across both arrival paths and
-/// 1 vs 8 pool threads, on both canonical traces. Fault onsets ride the
+/// JSON **and** event dispatch order) across both arrival paths, on both
+/// canonical traces. Fault onsets ride the
 /// same two-lane FEL as everything else, and the scenario's span comes
 /// from the arrivals-only pass on the cursor's side and from the built
 /// trace on the legacy side, so this is the end-to-end proof that churn
@@ -230,20 +201,16 @@ fn csv_of(spec: &WorkloadSpec, tag: &str) -> (WorkloadSpec, std::path::PathBuf) 
 fn churn_scenario_is_byte_identical_across_modes_and_jobs() {
     for (name, spec) in canonical_specs() {
         let go = |legacy: bool| run_cfg(&spec, Algorithm::Risa, legacy, true);
-        let base = with_num_threads(1, || go(false));
+        let base = go(false);
         assert!(
             base.0.contains("\"faults\""),
             "{name}: churn run must report resilience metrics"
         );
-        for legacy in [false, true] {
-            for jobs in [1usize, 8] {
-                let got = with_num_threads(jobs, || go(legacy));
-                assert_eq!(
-                    base, got,
-                    "{name}/legacy={legacy}/jobs={jobs}: churn run diverged"
-                );
-            }
-        }
+        let legacy = go(true);
+        assert_eq!(
+            base, legacy,
+            "{name}: churn run diverged on the legacy path"
+        );
     }
 }
 
@@ -307,8 +274,8 @@ fn checkpointed(spec: &WorkloadSpec, legacy: bool, faults: bool, t: f64) -> (Str
 /// the full event sequence (prefix recorded before the snapshot plus
 /// suffix recorded after resume, with continuous sequence numbers) — on
 /// both canonical traces, across both arrival paths (the cursor and the
-/// legacy path, each replayed to the checkpoint's event count), 1 vs 8
-/// pool threads, and faults off/on; and on the synthetic trace as a file.
+/// legacy path, each replayed to the checkpoint's event count) and faults
+/// off/on; and on the synthetic trace as a file.
 #[test]
 fn checkpoint_resume_is_byte_identical_across_modes_and_jobs() {
     let (csv_spec, path) = csv_of(&canonical_specs()[0].1, "ckpt");
@@ -318,30 +285,26 @@ fn checkpoint_resume_is_byte_identical_across_modes_and_jobs() {
             // byte-identity of uninterrupted runs is pinned by the other
             // differential legs, so every resumed run can compare against
             // this single reference transitively.
-            let (base_report, base_events, duration) =
-                with_num_threads(1, || uninterrupted(&spec, faults));
+            let (base_report, base_events, duration) = uninterrupted(&spec, faults);
             let t = duration * 0.4;
             let mut lanes = vec![(&spec, false), (&spec, true)];
             if name.starts_with("synthetic") {
                 lanes.push((&csv_spec, false));
             }
             for (spec, legacy) in lanes {
-                for jobs in [1usize, 8] {
-                    let (report, events) =
-                        with_num_threads(jobs, || checkpointed(spec, legacy, faults, t));
-                    let lane = format!(
-                        "{name}/csv={}/legacy={legacy}/faults={faults}/jobs={jobs}",
-                        matches!(spec, WorkloadSpec::TraceCsv { .. })
-                    );
-                    assert_eq!(
-                        base_report, report,
-                        "{lane}: resumed RunReport diverged from the uninterrupted run"
-                    );
-                    assert_eq!(
-                        base_events, events,
-                        "{lane}: resumed event sequence diverged from the uninterrupted run"
-                    );
-                }
+                let (report, events) = checkpointed(spec, legacy, faults, t);
+                let lane = format!(
+                    "{name}/csv={}/legacy={legacy}/faults={faults}",
+                    matches!(spec, WorkloadSpec::TraceCsv { .. })
+                );
+                assert_eq!(
+                    base_report, report,
+                    "{lane}: resumed RunReport diverged from the uninterrupted run"
+                );
+                assert_eq!(
+                    base_events, events,
+                    "{lane}: resumed event sequence diverged from the uninterrupted run"
+                );
             }
         }
     }

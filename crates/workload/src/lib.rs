@@ -18,12 +18,10 @@
 //!
 //! All generation is seeded and deterministic — and, since trace version 2,
 //! **sharded**: every [`shard::SHARD_SIZE`] (= 4096) VMs draw from their own
-//! `(seed, shard, stream)`-derived RNG streams and generate concurrently on
-//! the `rayon` pool, with absolute arrivals stitched by a prefix sum over
-//! per-shard interarrival totals (see [`shard`]). Shard boundaries are
-//! fixed, never thread-count-dependent, so the same seed yields a
-//! **byte-identical trace at any thread count** (`RISA_THREADS=1` and
-//! `--jobs 8` agree exactly).
+//! `(seed, shard, stream)`-derived RNG streams, with absolute arrivals
+//! stitched by a prefix sum over per-shard interarrival totals (see
+//! [`shard`]). Shard boundaries are fixed, so any shard can be drawn
+//! without those before it, and generation runs on the calling thread.
 //!
 //! Because every shard is independently derivable, traces can also be
 //! consumed **on demand**: a generator exposed as a [`ShardSource`]

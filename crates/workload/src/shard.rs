@@ -1,11 +1,10 @@
-//! Sharded, deterministic parallel trace generation.
+//! Sharded, deterministic trace generation.
 //!
-//! A big trace (millions of VMs at `--scale`) used to be generated by one
-//! thread walking a single RNG stream — inherently sequential, because VM
-//! `i + 1`'s draws depend on how many values VM `i` consumed. This module
-//! breaks that dependency by splitting the index space into **fixed-size
-//! shards** of [`SHARD_SIZE`] VMs and giving every shard its own
-//! independently-derived RNG streams:
+//! Drawn from a single RNG stream, VM `i + 1`'s draws would depend on how
+//! many values VM `i` consumed, and no VM could be drawn without all those
+//! before it. This module breaks that dependency by splitting the index
+//! space into **fixed-size shards** of [`SHARD_SIZE`] VMs and giving every
+//! shard its own independently-derived RNG streams:
 //!
 //! * **Stream derivation** — each `(seed, shard, stream)` triple is mixed
 //!   through a SplitMix64-style finalizer ([`stream_seed`]) into the seed of
@@ -21,14 +20,12 @@
 //!   share). Within a shard the running sum is the shard's local time, so
 //!   the stitched sequence is exactly `offset[shard] + local_cumsum` and
 //!   monotonicity is preserved bit-for-bit.
-//! * **Determinism** — shard boundaries depend only on [`SHARD_SIZE`],
-//!   never on the thread count, so the output is **byte-identical at any
-//!   thread count** (asserted by the generator tests and
-//!   `crates/sim/tests/determinism.rs`). [`materialize`] — `risa-cli
-//!   generate`, the legacy oracle, tests — fans the shards out over the
-//!   vendored `rayon` executor and only its stitch (one addition per VM)
-//!   is sequential; a run never materializes: it generates one shard at a
-//!   time, inline ([`crate::StreamingShards`]).
+//! * **Determinism** — shard boundaries depend only on [`SHARD_SIZE`], so
+//!   a shard's VMs are the same whoever asks for them. [`materialize`] —
+//!   the legacy oracle and tests — generates and stitches the shards in
+//!   one loop on the calling thread; a run never materializes: it
+//!   generates one shard at a time, inline ([`crate::StreamingShards`]),
+//!   and both produce the same bytes.
 //!
 //! This sharded stream is the canonical trace as of trace version 2 (the
 //! PR that introduced this module): the same seed yields a different — but
@@ -37,12 +34,10 @@
 use crate::vm::VmRequest;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use std::ops::Range;
 
-/// Number of VMs per generation shard. Fixed — never derived from the
-/// thread count — so shard boundaries (and therefore every draw) are
-/// identical no matter how many workers generate them.
+/// Number of VMs per generation shard. Fixed, so shard boundaries (and
+/// therefore every draw) never depend on how the trace is consumed.
 pub const SHARD_SIZE: u32 = 4096;
 
 /// Which of a shard's independent RNG streams to derive.
@@ -108,9 +103,10 @@ pub fn stream_rng(seed: u64, shard: u32, stream: Stream) -> StdRng {
 /// by construction (pinned by the generator tests, the cursor's proptest
 /// and `crates/sim/tests/hot_path_differential.rs`).
 ///
-/// Implementations must be cheap to share across threads (`Send + Sync`)
-/// — [`materialize`] runs them on the `rayon` pool — and must derive all
-/// randomness from per-shard streams, never from mutable state.
+/// Implementations must be shareable across threads (`Send + Sync`) — a
+/// run, and the cursor it owns, may move to an experiment worker — and
+/// must derive all randomness from per-shard streams, never from mutable
+/// state.
 pub trait ShardSource: Send + Sync {
     /// Total number of VMs in the workload.
     fn total_vms(&self) -> u32;
@@ -122,8 +118,8 @@ pub trait ShardSource: Send + Sync {
     /// (the running sum of the shard's interarrival deltas, starting at
     /// zero), plus the shard's delta total (the final running sum).
     ///
-    /// Must be a pure function of `(self, shard)` — [`materialize`] calls
-    /// it from arbitrary pool threads.
+    /// Must be a pure function of `(self, shard)`: the cursor and
+    /// [`materialize`] must get the same VMs from it.
     fn shard_vms(&self, shard: u32) -> (Vec<VmRequest>, f64);
 
     /// The shard's delta total alone — `shard_vms(shard).1`, bit for bit.
@@ -173,11 +169,11 @@ pub trait ShardSource: Send + Sync {
     }
 }
 
-/// Materialize a [`ShardSource`] into the full VM vector: all shards
-/// generated concurrently on the `rayon` pool, absolute arrivals stitched
-/// by the sequential prefix sum over per-shard delta totals. This is the
-/// oracle the on-demand cursor is proven against — both paths run the
-/// same per-shard code and the same offset additions.
+/// Materialize a [`ShardSource`] into the full VM vector: every shard
+/// generated in index order, absolute arrivals stitched by the prefix sum
+/// over per-shard delta totals. This is the oracle the on-demand cursor is
+/// proven against — both paths run the same per-shard code and the same
+/// offset additions.
 pub fn materialize(source: &dyn ShardSource) -> Vec<VmRequest> {
     generate_stitched(source.total_vms(), |shard, range| {
         let out = source.shard_vms(shard);
@@ -186,42 +182,28 @@ pub fn materialize(source: &dyn ShardSource) -> Vec<VmRequest> {
     })
 }
 
-/// Generate `n` VM requests shard-by-shard on the `rayon` pool and stitch
-/// absolute arrival times.
+/// Generate `n` VM requests shard by shard and stitch absolute arrival
+/// times.
 ///
 /// `shard_vms(shard, range)` must return the requests for index `range`
 /// (arrivals expressed in *shard-local* time, i.e. the running sum of that
 /// shard's interarrival deltas starting at zero) together with the shard's
-/// total delta — the final value of that running sum. The shards are
-/// generated concurrently; a sequential pass then walks them in index
-/// order, rebasing every arrival to `offset + local` with the running
-/// prefix sum of the totals. Output order is input-index order and the
-/// result is byte-identical at any thread count.
+/// total delta — the final value of that running sum. Each shard is
+/// rebased as it is generated: shard `s` starts where the stitched time of
+/// shards `0..s` ends (`local + offset`, the addition `StreamingShards`
+/// performs — IEEE addition commutes, so the bits equal `offset + local`),
+/// and is then freed, so stitching never holds a second copy of the trace.
 pub(crate) fn generate_stitched<F>(n: u32, shard_vms: F) -> Vec<VmRequest>
 where
-    F: Fn(u32, std::ops::Range<u32>) -> (Vec<VmRequest>, f64) + Sync,
+    F: Fn(u32, Range<u32>) -> (Vec<VmRequest>, f64),
 {
-    let shards: Vec<u32> = (0..n.div_ceil(SHARD_SIZE)).collect();
-    let parts: Vec<(Vec<VmRequest>, f64)> = shards
-        .par_iter()
-        .map(|&shard| {
-            let lo = shard * SHARD_SIZE;
-            let hi = lo.saturating_add(SHARD_SIZE).min(n);
-            let (vms, total) = shard_vms(shard, lo..hi);
-            debug_assert_eq!(vms.len(), (hi - lo) as usize);
-            (vms, total)
-        })
-        .collect();
-
-    // Prefix sum over per-shard delta totals: shard s starts where the
-    // stitched time of shards 0..s ends. Each shard is consumed as it is
-    // rebased (`local + offset`, the addition `StreamingShards` performs —
-    // IEEE addition commutes, so the bits equal `offset + local`) and
-    // freed before the next one is touched, so stitching never holds a
-    // second copy of the trace.
     let mut offset = 0.0f64;
     let mut out = Vec::with_capacity(n as usize);
-    for (vms, total) in parts {
+    for shard in 0..n.div_ceil(SHARD_SIZE) {
+        let lo = shard * SHARD_SIZE;
+        let hi = lo.saturating_add(SHARD_SIZE).min(n);
+        let (vms, total) = shard_vms(shard, lo..hi);
+        debug_assert_eq!(vms.len(), (hi - lo) as usize);
         out.extend(vms.into_iter().map(|mut vm| {
             vm.arrival += offset;
             vm
@@ -297,40 +279,5 @@ mod tests {
         let vms = generate_stitched(3, unit_delta_shard);
         assert_eq!(vms.len(), 3);
         assert_eq!(vms[2].arrival, 3.0);
-    }
-
-    #[test]
-    fn stitched_output_is_thread_count_invariant() {
-        let n = SHARD_SIZE * 3 + 5;
-        let gen = || {
-            generate_stitched(n, |shard, range| {
-                let mut rng = stream_rng(99, shard, Stream::Arrivals);
-                let mut t = 0.0;
-                let vms = range
-                    .map(|i| {
-                        t += (rng.next_u64() >> 40) as f64;
-                        VmRequest {
-                            id: VmId(i),
-                            cpu_cores: 1,
-                            ram_gb: 1,
-                            storage_gb: 128,
-                            arrival: t,
-                            lifetime: 1.0,
-                        }
-                    })
-                    .collect();
-                (vms, t)
-            })
-        };
-        let one = rayon::with_num_threads(1, gen);
-        for threads in [2, 8] {
-            assert_eq!(
-                rayon::with_num_threads(threads, gen),
-                one,
-                "threads={threads}"
-            );
-        }
-        // Monotone across every shard boundary.
-        assert!(one.windows(2).all(|p| p[0].arrival <= p[1].arrival));
     }
 }

@@ -202,17 +202,13 @@ mod tests {
     }
 
     /// The cursor must reproduce the materialized VM sequence bit-for-bit
-    /// — including arrivals across shard boundaries — at any thread count
-    /// (it generates inline; the pool only ever runs the oracle).
+    /// — including arrivals across shard boundaries.
     #[test]
     fn cursor_matches_materialized_byte_for_byte() {
         let n = 3 * SHARD_SIZE + 123;
         let expect = materialize(&*source(n, 42));
-        for threads in [1, 2, 8] {
-            let got: Vec<VmRequest> =
-                rayon::with_num_threads(threads, || StreamingShards::new(source(n, 42)).collect());
-            assert_eq!(got, expect, "threads={threads}");
-        }
+        let got: Vec<VmRequest> = StreamingShards::new(source(n, 42)).collect();
+        assert_eq!(got, expect);
     }
 
     /// Read by `next` alone the cursor holds exactly one shard. (The name

@@ -67,16 +67,14 @@ impl Workload {
 
     /// Generate the paper's synthetic random workload (§5.1).
     ///
-    /// Sharded across the `rayon` pool; byte-identical at any thread
-    /// count (see [`crate::shard`]).
+    /// Sharded, one shard at a time (see [`crate::shard`]).
     pub fn synthetic(cfg: &crate::synthetic::SyntheticConfig) -> Self {
         crate::synthetic::generate(cfg)
     }
 
     /// Generate an Azure-2017-like workload matched to Figure 6 (§5.2).
     ///
-    /// Deck shuffles are sequential; per-VM draws are sharded across the
-    /// `rayon` pool; byte-identical at any thread count (see
+    /// Deck shuffles walk one stream; per-VM draws are sharded (see
     /// [`crate::shard`]).
     pub fn azure(subset: crate::azure::AzureSubset, seed: u64) -> Self {
         crate::azure::generate(subset, seed)
