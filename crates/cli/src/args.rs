@@ -26,17 +26,15 @@ commands:
       --checkpoint-every <units>  simulated-time cadence for --checkpoint
       --resume <path>        resume a run from a checkpoint file: rebuild
                              it from the configuration embedded there
-                             (workload/algo/seed/scale flags are rejected
-                             — nothing is re-read from the environment),
-                             replay it to the recorded event count, and
-                             refuse it if its inputs have changed
+                             (workload/algo/seed/scale/faults flags are
+                             rejected), replay it to the recorded event
+                             count, and refuse it if its inputs have changed
       --faults               inject the canonical failure/repair scenario
                              (rack failures with evacuation, trunk and
                              transceiver flaps) and report resilience
                              metrics; deterministic — the same bytes on
-                             every run. Without the flag the
-                             RISA_FAULTS env var applies (1 = canonical,
-                             any other integer = that scenario seed)
+                             every run. Without the flag a run has no
+                             faults
       --json                 emit the RunReport as JSON
       --jobs <n>             accepted, if a positive integer, and unused:
                              a run uses one thread
@@ -76,8 +74,7 @@ pub enum Command {
         seed: u64,
         /// Cluster-size multiplier over the paper topology.
         scale: u16,
-        /// Inject the canonical fault scenario (`false` = `RISA_FAULTS`
-        /// env var, else faults off).
+        /// Inject the canonical fault scenario (`false` = no faults).
         faults: bool,
         /// Emit JSON instead of the text report.
         json: bool,

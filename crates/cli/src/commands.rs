@@ -39,8 +39,8 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             resume,
         } => {
             let mut sim = if let Some(path) = resume {
-                // The checkpoint embeds the fully-resolved run recipe:
-                // nothing is re-read from flags or the environment.
+                // The checkpoint embeds the run recipe: nothing is
+                // re-read from flags.
                 let text = std::fs::read_to_string(&path)
                     .map_err(|e| format!("cannot read checkpoint {path}: {e}"))?;
                 let cp = Checkpoint::from_json(&text)
@@ -70,9 +70,9 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 }
                 builder.try_build().map_err(|e| e.to_string())?
             };
-            // One resolved-config line on stderr: what the run actually
-            // uses after flag-vs-env precedence (flags win; see
-            // tests/precedence.rs).
+            // One resolved-config line on stderr, printed once the run is
+            // built: whether it injects faults. It also marks the end of
+            // setup — `benchmark/run.py` times `setup_s` up to it.
             eprintln!(
                 "resolved: faults={}",
                 if sim.world().fault_report().is_some() {

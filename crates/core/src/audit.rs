@@ -10,7 +10,6 @@
 
 use crate::algorithm::VmAssignment;
 use risa_topology::{Cluster, ResourceKind, TopologyConfig, ALL_RESOURCES};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A violation detected by the auditor.
@@ -211,7 +210,7 @@ impl ScheduleAuditor {
 }
 
 /// A clean audit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AuditSummary {
     /// Admissions replayed.
     pub admitted: u64,

@@ -21,10 +21,9 @@ use risa_network::{FlowDemands, LinkPolicy, NetworkState};
 use risa_topology::{
     BoxAllocation, BoxId, Cluster, RackId, ResourceKind, UnitDemand, VmPlacement, ALL_RESOURCES,
 };
-use serde::{Deserialize, Serialize};
 
 /// BFS neighbour ordering (§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NeighborOrder {
     /// Racks and boxes in ascending id order (NULB).
     ById,
@@ -34,7 +33,7 @@ pub enum NeighborOrder {
 }
 
 /// Parameter bundle distinguishing NULB from NALB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NulbParams {
     /// BFS neighbour ordering.
     pub neighbor_order: NeighborOrder,

@@ -36,16 +36,11 @@ impl Scheduler {
         self.algo
     }
 
-    /// Deterministic operation counters accumulated since construction (or
-    /// the last [`Scheduler::reset_work`]) — the machine-independent
-    /// backing for the paper's Figure 11/12 execution-time comparison.
+    /// Deterministic operation counters accumulated since construction —
+    /// the machine-independent backing for the paper's Figure 11/12
+    /// execution-time comparison.
     pub fn work(&self) -> &WorkCounters {
         &self.work
-    }
-
-    /// Zero the work counters.
-    pub fn reset_work(&mut self) {
-        self.work = WorkCounters::new();
     }
 
     /// Schedule one VM with `demand` (in units). Bandwidth demands derive

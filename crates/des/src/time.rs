@@ -8,7 +8,6 @@
 //! order with no floating-point tie ambiguity: determinism of the whole
 //! simulation rests on this type.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -20,11 +19,11 @@ pub const TICKS_PER_UNIT: u64 = 1_000_000;
 /// `SimTime` is totally ordered and hashable; arithmetic with
 /// [`SimDuration`] saturates rather than wrapping so that a malformed
 /// workload cannot silently warp the clock backwards.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in integer ticks.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

@@ -6,10 +6,8 @@
 //! those semantics exactly so our regenerated Figure 6 bin counts can be
 //! compared 1:1 against the numbers printed in the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// Bin layout: `bins` equal-width bins spanning `[lo, hi]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistogramSpec {
     /// Inclusive lower bound of the first bin.
     pub lo: f64,
@@ -65,7 +63,7 @@ impl HistogramSpec {
 }
 
 /// A populated fixed-bin histogram.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BinnedHistogram {
     spec: HistogramSpec,
     counts: Vec<u64>,

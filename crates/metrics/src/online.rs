@@ -1,12 +1,10 @@
 //! Streaming mean/variance/extrema via Welford's algorithm.
 
-use serde::{Deserialize, Serialize};
-
 /// Online accumulator for count, mean, variance, min and max.
 ///
 /// Used for per-VM statistics such as the average CPU-RAM round-trip latency
 /// of Figure 10 (where each admitted VM contributes one observation).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,

@@ -6,14 +6,12 @@
 //! holds them for 100. `TimeWeighted` integrates the signal exactly between
 //! change points.
 
-use serde::{Deserialize, Serialize};
-
 /// Integrates a piecewise-constant `f64` signal over simulated time.
 ///
 /// The caller reports every change with [`TimeWeighted::set`]; queries close
 /// the current segment implicitly. Times are plain `f64` time units so this
 /// crate stays independent of `risa-des` (the sim driver converts).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TimeWeighted {
     start: f64,
     last_t: f64,

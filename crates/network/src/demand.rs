@@ -2,7 +2,6 @@
 
 use crate::config::NetworkConfig;
 use risa_topology::{ResourceKind, UnitDemand};
-use serde::{Deserialize, Serialize};
 
 /// The two flows a VM needs once placed: CPU↔RAM and RAM↔storage.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// unit count scales a flow; we charge the **max** of the two endpoints'
 /// unit counts, which upper-bounds either reading and keeps the demand
 /// monotone in every component (property-tested below).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowDemands {
     /// CPU↔RAM flow, Mb/s.
     pub cpu_ram_mbps: u64,

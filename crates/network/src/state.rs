@@ -4,10 +4,9 @@ use crate::config::NetworkConfig;
 use crate::demand::FlowDemands;
 use crate::trunk::{Trunk, TrunkId, TrunkLayer, TrunkMut};
 use risa_topology::{BoxId, Cluster, RackId};
-use serde::{Deserialize, Serialize};
 
 /// How a link is chosen within a trunk — the paper's §4.1 distinction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkPolicy {
     /// First link with enough free bandwidth (NULB, and RISA's AllocNet).
     FirstFit,
@@ -138,7 +137,7 @@ impl VmNetAllocation {
 }
 
 /// Why a flow could not be wired, or a trunk mutation was refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetError {
     /// No up link in `trunk` had `needed_mbps` free.
     InsufficientBandwidth {

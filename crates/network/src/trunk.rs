@@ -27,10 +27,8 @@
 //! hands out, so the layer totals and the rack ordering built on the
 //! ledgers stay coherent by construction.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies one trunk in the network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TrunkId {
     /// The trunk between box `box_idx` and its rack switch.
     BoxUplink(u32),
@@ -48,7 +46,7 @@ impl TrunkId {
 /// Why a trunk-level mutation was refused. These are *loud* typed errors:
 /// the release path used to saturate silently (debug-only assert), which
 /// failure evacuation makes reachable in release builds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrunkError {
     /// Returning `freed_mbps` to `link` would exceed its capacity — the
     /// caller is replaying a grant that was never taken (or taken twice).

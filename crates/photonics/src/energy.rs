@@ -2,14 +2,13 @@
 
 use crate::benes;
 use crate::config::PhotonicsConfig;
-use serde::{Deserialize, Serialize};
 
 /// The ordered list of optical switches (by port count) a flow traverses.
 ///
 /// From Figure 2 of the paper: an intra-rack flow goes
 /// `box switch → rack switch → box switch`; an inter-rack flow goes
 /// `box → rack → inter-rack → rack → box`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SwitchPath {
     /// Port counts of the traversed switches, in order.
     pub switch_ports: Vec<u16>,
@@ -47,7 +46,7 @@ impl SwitchPath {
 }
 
 /// Evaluates Equation (1) and the transceiver model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct EnergyModel {
     cfg: PhotonicsConfig,
 }

@@ -1,13 +1,17 @@
 //! Fluent construction of a ready-to-run DDC simulation.
+//!
+//! A [`SimulationBuilder`] is the whole recipe of a run — configuration,
+//! algorithm, workload, faults, audit, the scheduler-timing batch, the
+//! arrival path and the checkpoint cadence — and nothing else decides
+//! one: no setting is read from the environment, so the builder is
+//! exactly what a checkpoint stores (`crate::checkpoint`).
 
-use crate::config::{LatencyConfig, SimConfig};
+use crate::config::SimConfig;
 use crate::faults::FaultSpec;
 use crate::report::RunReport;
 use crate::spec::WorkloadSpec;
 use crate::world::{arrival_event, DdcWorld, DEFAULT_SCHED_TIMING_BATCH};
 use risa_des::{EventTrace, Simulation};
-use risa_network::NetworkConfig;
-use risa_photonics::PhotonicsConfig;
 use risa_sched::Algorithm;
 use risa_topology::{ResourceKind, TopologyConfig, UnitDemand, ALL_RESOURCES};
 use risa_workload::{ShardSource, TraceFileError, VmRequest};
@@ -18,31 +22,6 @@ use std::sync::Arc;
 /// [`std::fmt::Display`] rendering.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
-    /// A pre-built [`WorkloadSpec::Trace`] is not sorted by arrival time.
-    /// Reachable in release builds (where `Workload::from_vms` only
-    /// debug-asserts order) via a trace deserialized by a library caller
-    /// from tampered or buggy input; rejected *typed and loud* rather than
-    /// silently routed through a slower arrival path that would mask the
-    /// producer's bug.
-    UnsortedTrace {
-        /// Workload name.
-        workload: String,
-        /// Index of the first VM that arrives before its predecessor.
-        index: usize,
-    },
-    /// A pre-built [`WorkloadSpec::Trace`] whose VM ids are not each VM's
-    /// arrival rank (a gap, a duplicate, a permutation). Events address
-    /// VMs by rank, so such a trace would run with some arrivals placed
-    /// as another row's VM; refused, as a CSV file with the same defect
-    /// is ([`TraceFileError::NonDenseId`]).
-    NonDenseTrace {
-        /// Workload name.
-        workload: String,
-        /// Index of the first VM whose id is not its index.
-        index: usize,
-        /// The id found there.
-        found: u32,
-    },
     /// A VM's demand exceeds single-box capacity, violating the paper's
     /// §2 placement assumption: the first such VM of the workload —
     /// loaded, read from a file, or yet to be generated.
@@ -60,20 +39,6 @@ pub enum BuildError {
 impl std::fmt::Display for BuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            BuildError::UnsortedTrace { workload, index } => write!(
-                f,
-                "workload '{workload}' is not sorted by arrival (first violation at VM \
-                 index {index}); fix the trace producer"
-            ),
-            BuildError::NonDenseTrace {
-                workload,
-                index,
-                found,
-            } => write!(
-                f,
-                "workload '{workload}': VM ids must be dense and in order (expected {index} \
-                 at index {index}, found {found}); fix the trace producer"
-            ),
             BuildError::OversizedVm { id, workload } => write!(
                 f,
                 "VM vm{id} in workload '{workload}' exceeds single-box capacity \
@@ -91,17 +56,16 @@ impl std::error::Error for BuildError {}
 /// synthetic workload.
 ///
 /// Fields are `pub(crate)` so the checkpoint codec (`crate::checkpoint`)
-/// can persist a fully-resolved builder as a run recipe.
+/// can persist the builder as a run recipe.
 #[derive(Debug, Clone)]
 pub struct SimulationBuilder {
     pub(crate) cfg: SimConfig,
     pub(crate) algorithm: Algorithm,
     pub(crate) workload: WorkloadSpec,
-    pub(crate) timeline_interval: Option<f64>,
     pub(crate) audit: bool,
     pub(crate) sched_timing_batch: u32,
     pub(crate) legacy_arrival_path: bool,
-    pub(crate) faults: Option<Option<FaultSpec>>,
+    pub(crate) faults: Option<FaultSpec>,
     pub(crate) checkpoint_every: Option<f64>,
 }
 
@@ -112,7 +76,6 @@ impl SimulationBuilder {
             cfg: SimConfig::paper(),
             algorithm: Algorithm::Risa,
             workload: WorkloadSpec::synthetic(100, 0),
-            timeline_interval: None,
             audit: false,
             sched_timing_batch: DEFAULT_SCHED_TIMING_BATCH,
             legacy_arrival_path: false,
@@ -137,19 +100,10 @@ impl SimulationBuilder {
     /// Attach a fault-injection scenario: rack failure/repair, trunk-link
     /// and transceiver outages driven by deterministic per-component RNG
     /// chains (see [`FaultSpec`] and the `crate::faults` module docs).
-    /// The run report gains a [`crate::FaultReport`] block.
-    ///
-    /// Default: the `RISA_FAULTS` environment variable
-    /// ([`FaultSpec::from_env`]), falling back to no faults.
+    /// The run report gains a [`crate::FaultReport`] block. Without this
+    /// call a run has no faults.
     pub fn faults(mut self, spec: FaultSpec) -> Self {
-        self.faults = Some(Some(spec));
-        self
-    }
-
-    /// Force faults off, ignoring the `RISA_FAULTS` environment variable
-    /// — for tests and experiments that assert exact faults-free outcomes.
-    pub fn faults_off(mut self) -> Self {
-        self.faults = Some(None);
+        self.faults = Some(spec);
         self
     }
 
@@ -180,13 +134,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Record a utilization time series sampled every `interval` time
-    /// units, retrievable via [`DdcSimulation::timeline`].
-    pub fn record_timeline(mut self, interval: f64) -> Self {
-        self.timeline_interval = Some(interval);
-        self
-    }
-
     /// Choose the scheduling algorithm.
     pub fn algorithm(mut self, a: Algorithm) -> Self {
         self.algorithm = a;
@@ -205,24 +152,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Override the network (§3.1/Table 2 by default).
-    pub fn network(mut self, n: NetworkConfig) -> Self {
-        self.cfg.network = n;
-        self
-    }
-
-    /// Override the photonics constants (§3.2 by default).
-    pub fn photonics(mut self, p: PhotonicsConfig) -> Self {
-        self.cfg.photonics = p;
-        self
-    }
-
-    /// Override the latency constants (§5.2 by default).
-    pub fn latency(mut self, l: LatencyConfig) -> Self {
-        self.cfg.latency = l;
-        self
-    }
-
     /// Override the whole configuration bundle.
     pub fn config(mut self, c: SimConfig) -> Self {
         self.cfg = c;
@@ -237,8 +166,8 @@ impl SimulationBuilder {
     /// run reaches it — O(resident VMs + one shard) of memory for a
     /// generator, and the report's scheduler wall-clock (`sched_seconds`)
     /// times scheduling calls only, so generation between them never
-    /// pollutes it. A pre-built trace is checked and a CSV file loaded
-    /// whole and validated here, then served through the same cursor.
+    /// pollutes it. A CSV file is loaded whole and validated here, then
+    /// served through the same cursor.
     ///
     /// Arrivals are fed to the engine through the two-lane queue's
     /// arrival lane ([`Simulation::attach_arrivals`]), which reads
@@ -246,11 +175,10 @@ impl SimulationBuilder {
     /// time is drawn twice — and the future-event list only ever holds
     /// in-flight departures, O(resident VMs) instead of O(trace length).
     ///
-    /// Panics on an invalid workload (unsorted or non-dense pre-built
-    /// trace, VM exceeding single-box capacity, unusable trace file) with
-    /// the corresponding [`BuildError`] message; use
-    /// [`SimulationBuilder::try_build`] where a typed error is
-    /// preferable.
+    /// Panics on an invalid workload (VM exceeding single-box capacity,
+    /// unusable trace file) with the corresponding [`BuildError`]
+    /// message; use [`SimulationBuilder::try_build`] where a typed error
+    /// is preferable.
     pub fn build(self) -> DdcSimulation {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -259,16 +187,6 @@ impl SimulationBuilder {
     /// unusable trace files surface as a typed [`BuildError`] instead of
     /// a panic.
     pub fn try_build(self) -> Result<DdcSimulation, BuildError> {
-        // Resolve every deferred knob *now* and remember the result: the
-        // recipe a checkpoint stores must be able to rebuild this run
-        // without consulting ambient state (env vars may differ — or be
-        // gone — by resume time; see `crate::checkpoint`).
-        let fault_spec = match &self.faults {
-            Some(choice) => choice.clone(),
-            None => FaultSpec::from_env(),
-        };
-        let mut recipe = self.clone();
-        recipe.faults = Some(fault_spec.clone());
         let oversized = |vm: VmRequest, workload: &str| BuildError::OversizedVm {
             id: vm.id.0,
             workload: workload.to_string(),
@@ -276,64 +194,35 @@ impl SimulationBuilder {
 
         let mut sim = if self.legacy_arrival_path {
             // The oracle: materialize, push every arrival through the
-            // FEL — which orders them itself, so accepting unsorted
-            // traces is this path's job — and look VMs up by index.
+            // FEL and look VMs up by index.
             let workload = Arc::new(self.workload.load().map_err(BuildError::TraceFile)?);
             if let Err(vm) = workload.validate_fits(&self.cfg.topology) {
                 return Err(oversized(vm, workload.name()));
             }
             let span = workload.vms().last().map_or(0.0, |vm| vm.arrival);
             let world = DdcWorld::new_oracle(self.cfg, self.algorithm, Arc::clone(&workload));
-            let mut sim = Simulation::new(self.primed(world, fault_spec, || span));
+            let mut sim = Simulation::new(self.primed(world, || span));
             for (vm, idx) in workload.vms().iter().zip(0..) {
                 let (at, event) = arrival_event(idx, vm.arrival);
                 sim.schedule(at, event);
             }
             sim
         } else {
-            let source = self.shard_source()?;
+            let source = self
+                .workload
+                .shard_source()
+                .map_err(BuildError::TraceFile)?;
             if let Some(vm) = first_oversized(&*source, &self.cfg.topology) {
                 return Err(oversized(vm, source.label()));
             }
             let total = source.total_vms() as usize;
             let world = DdcWorld::new(self.cfg, self.algorithm, Arc::clone(&source));
-            let mut sim = Simulation::new(self.primed(world, fault_spec, || source.span_units()));
+            let mut sim = Simulation::new(self.primed(world, || source.span_units()));
             sim.attach_arrivals(total);
             sim
         };
         Self::seed_faults(&mut sim);
-        Ok(DdcSimulation { sim, recipe })
-    }
-
-    /// The workload as the source the run's cursor reads
-    /// ([`WorkloadSpec::shard_source`]), a pre-built trace first checked,
-    /// typed, for what the lane and the cursor rely on.
-    fn shard_source(&self) -> Result<Arc<dyn ShardSource>, BuildError> {
-        // Generators emit sorted, dense traces by construction and the CSV
-        // reader validates both, but a `Trace` deserialized from tampered
-        // or buggy input bypasses `Workload::from_vms`' debug_assert in
-        // release builds — catch it on every build profile, before
-        // anything runs.
-        if let WorkloadSpec::Trace(w) = &self.workload {
-            let vms = w.vms();
-            if let Some(index) = (1..vms.len()).find(|&i| vms[i].arrival < vms[i - 1].arrival) {
-                return Err(BuildError::UnsortedTrace {
-                    workload: w.name().to_string(),
-                    index,
-                });
-            }
-            // Events carry a VM's rank and the cursor yields VMs in
-            // rank order; a trace whose ids disagree with the ranks
-            // was produced by something that means otherwise.
-            if let Some(index) = (0..vms.len()).find(|&i| vms[i].id.0 as usize != i) {
-                return Err(BuildError::NonDenseTrace {
-                    workload: w.name().to_string(),
-                    index,
-                    found: vms[index].id.0,
-                });
-            }
-        }
-        self.workload.shard_source().map_err(BuildError::TraceFile)
+        Ok(DdcSimulation { sim, recipe: self })
     }
 
     /// Push each fault chain's first onset through the FEL. Must run
@@ -352,21 +241,13 @@ impl SimulationBuilder {
     /// Apply the builder knobs to a fresh world; `span` (the last
     /// arrival time — an arrivals-only pass over a generator) is only
     /// asked for when a fault scenario stretches over it.
-    fn primed(
-        &self,
-        mut world: DdcWorld,
-        faults: Option<FaultSpec>,
-        span: impl FnOnce() -> f64,
-    ) -> DdcWorld {
+    fn primed(&self, mut world: DdcWorld, span: impl FnOnce() -> f64) -> DdcWorld {
         world.set_sched_timing_batch(self.sched_timing_batch);
-        if let Some(interval) = self.timeline_interval {
-            world.enable_timeline(interval);
-        }
         if self.audit {
             world.enable_audit();
         }
-        if let Some(spec) = faults {
-            world.enable_faults(spec, span());
+        if let Some(spec) = &self.faults {
+            world.enable_faults(spec.clone(), span());
         }
         world
     }
@@ -400,10 +281,9 @@ impl Default for SimulationBuilder {
 #[derive(Debug)]
 pub struct DdcSimulation {
     pub(crate) sim: Simulation<DdcWorld>,
-    /// The fully-resolved builder that produced this run: every
-    /// env-deferred knob pinned at build time, so a checkpoint's embedded
-    /// recipe can rebuild the identical pristine run without consulting
-    /// ambient state (see [`crate::checkpoint`]).
+    /// The builder that produced this run: a checkpoint's embedded recipe
+    /// rebuilds the identical pristine run from it (see
+    /// [`crate::checkpoint`]).
     pub(crate) recipe: SimulationBuilder,
 }
 
@@ -426,7 +306,6 @@ impl DdcSimulation {
             self.sim.world().resident() as usize
         );
         debug_assert!(self.sim.world().assignments.all_free());
-        self.sim.world_mut().flush_timeline();
         self.sim.world_mut().finish_audit();
         self.report()
     }
@@ -532,12 +411,6 @@ impl DdcSimulation {
     pub fn peak_arrival_window(&self) -> usize {
         self.sim.queue().peak_arrival_window()
     }
-
-    /// The recorded time series, when enabled via
-    /// [`SimulationBuilder::record_timeline`].
-    pub fn timeline(&self) -> Option<&crate::timeline::Timeline> {
-        self.sim.world().timeline()
-    }
 }
 
 #[cfg(test)]
@@ -549,7 +422,6 @@ mod tests {
         let report = SimulationBuilder::new()
             .algorithm(Algorithm::RisaBf)
             .workload(WorkloadSpec::synthetic(120, 5))
-            .faults_off() // exact faults-free numbers asserted below
             .build()
             .run();
         assert_eq!(report.total_vms, 120);
@@ -598,9 +470,23 @@ mod tests {
         assert_eq!(a.workload, b.workload);
     }
 
+    /// `spec`'s trace written by `shard::materialize` to a CSV file: the
+    /// spec that reads it back, under the generator's name, and the file.
+    fn csv_of(spec: &WorkloadSpec, tag: &str) -> (WorkloadSpec, std::path::PathBuf) {
+        let w = spec.materialize();
+        let path =
+            std::env::temp_dir().join(format!("risa_builder_{}_{tag}.csv", std::process::id()));
+        std::fs::write(&path, risa_workload::csv::to_csv(&w)).unwrap();
+        let csv_spec = WorkloadSpec::TraceCsv {
+            name: w.name().to_string(),
+            path: path.display().to_string(),
+        };
+        (csv_spec, path)
+    }
+
     /// The whole point of the pipeline: identical reports (and admitted
     /// counters, energies, …) whether the trace is generated on demand
-    /// during the run or materialized up front and served to it.
+    /// during the run or materialized up front and read back from a file.
     #[test]
     fn streaming_report_equals_materialized_report() {
         let spec = WorkloadSpec::synthetic(9000, 13); // 3 shards
@@ -610,8 +496,9 @@ mod tests {
             r.sched_seconds = 0.0;
             (r, sim.events_dispatched(), sim.peak_fel_len())
         };
-        let held = WorkloadSpec::Trace(spec.materialize());
+        let (held, path) = csv_of(&spec, "held");
         assert_eq!(run(spec), run(held));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -625,87 +512,10 @@ mod tests {
         assert_eq!(peak, SHARD_SIZE as usize);
     }
 
-    #[test]
-    fn pre_built_traces_stream_and_match_their_materialized_run() {
-        // A pre-built trace is served through TraceShards on the one
-        // cursor, and the result is byte-identical to the legacy path's,
-        // which indexes the trace.
-        let w = WorkloadSpec::synthetic(300, 2).materialize();
-        let run = |legacy| {
-            let mut sim = SimulationBuilder::new()
-                .workload(WorkloadSpec::Trace(w.clone()))
-                .legacy_arrival_path(legacy)
-                .build();
-            assert_eq!(sim.peak_buffered_arrivals().is_some(), !legacy);
-            let mut r = sim.run();
-            r.sched_seconds = 0.0;
-            r
-        };
-        assert_eq!(run(false), run(true));
-
-        // Only the legacy oracle path materializes whatever it is given.
-        let sim = SimulationBuilder::new()
-            .workload(WorkloadSpec::synthetic(20, 2))
-            .legacy_arrival_path(true)
-            .build();
-        assert_eq!(sim.peak_buffered_arrivals(), None);
-    }
-
-    /// An unsorted trace — only reachable by deserializing tampered or
-    /// buggy input, since `Workload::from_vms` merely debug-asserts order —
-    /// must be rejected with a typed error in *every* build profile.
-    /// Regression for the release-mode hole where the old code silently
-    /// fell back to routing arrivals through the FEL.
-    #[test]
-    fn unsorted_trace_rejected_with_typed_error_in_release_too() {
-        use serde::{Deserialize as _, Serialize as _, Value};
-
-        let good = WorkloadSpec::synthetic(10, 3).materialize();
-        // Tamper via serde: swap two arrivals in the serialized tree so
-        // the workload never passes through `from_vms` ordering checks.
-        let mut tree = good.to_value();
-        {
-            let Value::Map(fields) = &mut tree else {
-                panic!("workload serializes as a map")
-            };
-            let (_, vms) = fields
-                .iter_mut()
-                .find(|(k, _)| k == "vms")
-                .expect("workload map has a vms field");
-            let Value::Seq(items) = vms else {
-                panic!("vms serializes as a sequence")
-            };
-            let arrival = |item: &Value| item.get("arrival").unwrap().clone();
-            let (a3, a7) = (arrival(&items[3]), arrival(&items[7]));
-            let mut set = |i: usize, val: Value| {
-                let Value::Map(vm) = &mut items[i] else {
-                    panic!("VM serializes as a map")
-                };
-                vm.iter_mut().find(|(k, _)| k == "arrival").unwrap().1 = val;
-            };
-            set(3, a7);
-            set(7, a3);
-        }
-        let tampered = risa_workload::Workload::from_value(&tree).unwrap();
-
-        let err = SimulationBuilder::new()
-            .workload(WorkloadSpec::Trace(tampered))
-            .try_build()
-            .expect_err("tampered trace must be rejected");
-        match &err {
-            BuildError::UnsortedTrace { workload, index } => {
-                assert_eq!(workload, "synthetic");
-                assert_eq!(*index, 4, "first out-of-order VM index");
-            }
-            other => panic!("expected UnsortedTrace, got {other:?}"),
-        }
-        assert!(err.to_string().contains("not sorted by arrival"));
-    }
-
     /// A trace whose ids are not its rows' ranks once ran — swapped rows
     /// to exit 0 with each arrival placed as the *other* row's VM, sparse
-    /// and duplicate ids into an index panic mid-run. It is refused, typed,
-    /// whether it arrives as a CSV file or as a deserialized trace.
+    /// and duplicate ids into an index panic mid-run. The CSV reader
+    /// refuses it, typed, and so does the build.
     #[test]
     fn non_dense_ids_rejected_typed_from_file_and_trace() {
         use risa_workload::{csv, TraceFileError, VmId, Workload};
@@ -730,15 +540,6 @@ mod tests {
                     .try_build()
                     .expect_err("non-dense ids must not build")
             };
-            assert_eq!(
-                build(WorkloadSpec::Trace(trace.clone())),
-                BuildError::NonDenseTrace {
-                    workload: "odd".into(),
-                    index,
-                    found
-                },
-                "{what}"
-            );
             assert_eq!(
                 build(WorkloadSpec::TraceCsv {
                     name: "odd".into(),
@@ -820,7 +621,6 @@ mod tests {
             SimulationBuilder::new()
                 .workload(spec.clone())
                 .legacy_arrival_path(legacy)
-                .faults_off()
                 .try_build()
         };
         // A box holds 512 cores; this config asks for up to 4096.
@@ -881,11 +681,18 @@ mod tests {
         assert!(SimTime::from_units(1.8 * MAX_TIME) < SimTime::MAX);
 
         let csv = format!("{HEADER}\n0,1,2,128,{arrival},{lifetime}\n");
+        assert!(from_csv("edge", &csv).is_ok());
+        let path =
+            std::env::temp_dir().join(format!("risa_builder_{}_edge.csv", std::process::id()));
+        std::fs::write(&path, &csv).unwrap();
         let report = SimulationBuilder::new()
-            .workload(WorkloadSpec::Trace(from_csv("edge", &csv).unwrap()))
-            .faults_off()
+            .workload(WorkloadSpec::TraceCsv {
+                name: "edge".into(),
+                path: path.display().to_string(),
+            })
             .build()
             .run();
+        std::fs::remove_file(&path).ok();
         assert_eq!(report.admitted, 1);
         assert_eq!(report.sim_duration, MAX_TIME);
         assert!(report.optical_energy_j.is_finite() && report.optical_energy_j > 0.0);
@@ -894,17 +701,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "single-box capacity")]
     fn oversized_vm_rejected_at_build() {
-        use risa_workload::{VmId, VmRequest, Workload};
-        let vm = VmRequest {
-            id: VmId(0),
-            cpu_cores: 4096,
-            ram_gb: 4,
-            storage_gb: 128,
-            arrival: 1.0,
-            lifetime: 10.0,
+        let cfg = risa_workload::SyntheticConfig {
+            cpu_cores: (4096, 4096),
+            ..risa_workload::SyntheticConfig::small(1, 0)
         };
         SimulationBuilder::new()
-            .workload(WorkloadSpec::Trace(Workload::from_vms("bad", vec![vm])))
+            .workload(WorkloadSpec::Synthetic(cfg))
             .build();
     }
 }

@@ -2,8 +2,8 @@
 //! a state.
 //!
 //! Everything a run computes is a deterministic function of its recipe
-//! (the fully-resolved [`SimulationBuilder`]: every env-deferred knob
-//! pinned at build time) and the number of events it has dispatched. So a
+//! (the [`SimulationBuilder`], which reads nothing from the environment)
+//! and the number of events it has dispatched. So a
 //! checkpoint is `{version, recipe, dispatched, digest}`, where `digest`
 //! is an FNV-1a hash of the [`RunReport`] the run would print if it ended
 //! there (`sched_seconds` zeroed), the engine clock and — for a trace
@@ -256,43 +256,43 @@ impl std::io::Write for Fnv1a {
     }
 }
 
-/// Serialize a *fully-resolved* recipe: `faults` must have been pinned
-/// by `try_build` (panics otherwise — a checkpoint must never defer a
-/// knob to the resume-time environment).
+/// Serialize a recipe: every field of the builder, by name.
 fn recipe_to_value(r: &SimulationBuilder) -> Value {
-    let faults = r
-        .faults
-        .as_ref()
-        .expect("checkpoint recipe has an unresolved fault spec");
     Value::Map(vec![
         ("cfg".into(), r.cfg.to_value()),
         ("algorithm".into(), r.algorithm.to_value()),
         ("workload".into(), r.workload.to_value()),
-        ("timeline_interval".into(), r.timeline_interval.to_value()),
         ("audit".into(), r.audit.to_value()),
         ("sched_timing_batch".into(), r.sched_timing_batch.to_value()),
         (
             "legacy_arrival_path".into(),
             r.legacy_arrival_path.to_value(),
         ),
-        ("faults".into(), faults.to_value()),
+        ("faults".into(), r.faults.to_value()),
         ("checkpoint_every".into(), r.checkpoint_every.to_value()),
     ])
 }
 
 /// The inverse of [`recipe_to_value`], refusing the values the builder
 /// would panic on. Fields are looked up by name, so a key no recipe reads
-/// any more (the `arrivals` of earlier version-4 documents) is ignored.
+/// any more (earlier version-4 documents also carry `arrivals` and a
+/// timeline recorder's sampling interval) is ignored.
 fn recipe_from_value(v: &Value) -> Result<SimulationBuilder, Error> {
     let cfg = SimConfig::from_value(field(v, "cfg")?)?;
     cfg.topology.validate().map_err(Error::new)?;
     cfg.network.validate().map_err(Error::new)?;
     cfg.photonics.validate().map_err(Error::new)?;
-    let positive = |name: &str| match Option::<f64>::from_value(field(v, name)?)? {
-        Some(x) if !(x > 0.0 && x.is_finite()) => Err(Error::new(format!(
-            "{name} must be positive and finite, got {x}"
-        ))),
-        x => Ok(x),
+    let workload = WorkloadSpec::from_value(field(v, "workload")?)?;
+    if let WorkloadSpec::Synthetic(synthetic) = &workload {
+        synthetic.validate().map_err(Error::new)?;
+    }
+    let checkpoint_every = match Option::<f64>::from_value(field(v, "checkpoint_every")?)? {
+        Some(x) if !(x > 0.0 && x.is_finite()) => {
+            return Err(Error::new(format!(
+                "checkpoint_every must be positive and finite, got {x}"
+            )))
+        }
+        x => x,
     };
     let sched_timing_batch = u32::from_value(field(v, "sched_timing_batch")?)?;
     if sched_timing_batch == 0 {
@@ -301,13 +301,12 @@ fn recipe_from_value(v: &Value) -> Result<SimulationBuilder, Error> {
     Ok(SimulationBuilder {
         cfg,
         algorithm: Algorithm::from_value(field(v, "algorithm")?)?,
-        workload: WorkloadSpec::from_value(field(v, "workload")?)?,
-        timeline_interval: positive("timeline_interval")?,
+        workload,
         audit: bool::from_value(field(v, "audit")?)?,
         sched_timing_batch,
         legacy_arrival_path: bool::from_value(field(v, "legacy_arrival_path")?)?,
-        faults: Some(Option::<FaultSpec>::from_value(field(v, "faults")?)?),
-        checkpoint_every: positive("checkpoint_every")?,
+        faults: Option::<FaultSpec>::from_value(field(v, "faults")?)?,
+        checkpoint_every,
     })
 }
 
@@ -395,7 +394,6 @@ mod tests {
         let run = || {
             SimulationBuilder::new()
                 .workload(WorkloadSpec::synthetic(6000, 13))
-                .faults_off()
                 .build()
         };
         let baseline = finish_report(&mut run());

@@ -45,13 +45,12 @@ pub fn run_matrix(
         .flat_map(|w| algos.iter().map(move |&a| (a, w.clone())))
         .collect();
     let run_one = |(a, w): &(Algorithm, WorkloadSpec)| {
-        // Paper figures reproduce fault-free runs; pin churn off so the
-        // `RISA_FAULTS` toggle can never skew a reproduction.
+        // Paper figures reproduce fault-free runs: the builder names no
+        // fault scenario.
         let builder = SimulationBuilder::new()
             .config(*cfg)
             .algorithm(*a)
-            .workload(w.clone())
-            .faults_off();
+            .workload(w.clone());
         let builder = if parallel {
             builder
         } else {

@@ -14,6 +14,10 @@
 //!   charged so releases remain coherent.
 //! * **Transceiver loss / replace** — the same, on a box uplink link.
 //!
+//! A run has a scenario only when its recipe names one
+//! (`SimulationBuilder::faults`, `risa-cli run --faults`); nothing turns
+//! faults on from outside the recipe.
+//!
 //! # Determinism
 //!
 //! Each chain owns an RNG seeded from `(spec.seed, component, family)`
@@ -63,8 +67,8 @@ pub struct FaultSpec {
 }
 
 impl FaultSpec {
-    /// The canonical churn scenario used by the differential tests, the
-    /// `--faults` CLI flag and the `RISA_FAULTS=1` environment default.
+    /// The canonical churn scenario used by the differential tests and
+    /// the `--faults` CLI flag.
     pub fn canonical() -> Self {
         FaultSpec::canonical_seeded(0x5EED_FA17)
     }
@@ -80,25 +84,6 @@ impl FaultSpec {
             xcvr_downs_per_span: 0.02,
             xcvr_downtime_frac: 0.04,
             migration_delay_per_unit: 0.05,
-        }
-    }
-
-    /// The scenario selected by the `RISA_FAULTS` environment variable:
-    /// unset/`0`/`off` → `None`; `1`/`on`/`canonical` → the canonical
-    /// scenario; any other integer → canonical with that seed.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "selects the fault scenario under test; the spec itself is fully seed-derived \
-                  and written into the run's recipe"
-    )]
-    pub fn from_env() -> Option<Self> {
-        match std::env::var("RISA_FAULTS") {
-            Err(_) => None,
-            Ok(v) => match v.trim() {
-                "" | "0" | "off" | "false" => None,
-                "1" | "on" | "true" | "canonical" => Some(FaultSpec::canonical()),
-                other => other.parse::<u64>().ok().map(FaultSpec::canonical_seeded),
-            },
         }
     }
 }
@@ -379,9 +364,7 @@ mod tests {
 
     #[test]
     fn env_parsing() {
-        // from_env reads the live environment; exercise the match arms
-        // through a helper-free round trip instead of mutating env vars
-        // (tests run multi-threaded).
+        // The seeds the canonical scenario and `canonical_seeded` pin.
         assert_eq!(FaultSpec::canonical().seed, 0x5EED_FA17);
         assert_eq!(FaultSpec::canonical_seeded(9).seed, 9);
         assert_eq!(

@@ -37,7 +37,6 @@ pub mod experiments;
 mod faults;
 mod report;
 mod spec;
-mod timeline;
 mod world;
 
 pub use builder::{BuildError, DdcSimulation, SimulationBuilder};
@@ -47,7 +46,6 @@ pub use dealer::with_jobs;
 pub use faults::{FaultReport, FaultSpec};
 pub use report::{host_info, ExperimentReport, RunReport};
 pub use spec::WorkloadSpec;
-pub use timeline::{Timeline, TimelinePoint};
 pub use world::{DdcWorld, SimEvent, DEFAULT_SCHED_TIMING_BATCH};
 
 // Re-export the vocabulary types callers need alongside the builder.

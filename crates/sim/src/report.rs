@@ -170,7 +170,7 @@ impl RunReport {
 
 /// A rendered experiment: identifies the paper artifact it regenerates and
 /// carries both the formatted table and the raw rows.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentReport {
     /// Paper artifact id ("fig5", "table4", …).
     pub id: String,

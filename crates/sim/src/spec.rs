@@ -1,4 +1,6 @@
-//! Workload specification: how the simulation obtains its VM trace.
+//! Workload specification: how the simulation obtains its VM trace — a
+//! generator (synthetic or Azure-like) or a CSV trace file, the one form
+//! in which a recorded trace enters a run.
 
 use risa_workload::azure::AzureProcess;
 use risa_workload::{
@@ -20,8 +22,6 @@ pub enum WorkloadSpec {
         /// Generation seed.
         seed: u64,
     },
-    /// A pre-built trace, already in memory.
-    Trace(Workload),
     /// A CSV trace file on disk, loaded whole a block at a time
     /// ([`Workload::read_csv_file`]); never resident as text.
     TraceCsv {
@@ -63,7 +63,6 @@ impl WorkloadSpec {
         Ok(match self {
             WorkloadSpec::Synthetic(cfg) => Workload::synthetic(cfg),
             WorkloadSpec::Azure { subset, seed } => Workload::azure(*subset, *seed),
-            WorkloadSpec::Trace(w) => w.clone(),
             WorkloadSpec::TraceCsv { name, path } => Workload::read_csv_file(name, path)?,
         })
     }
@@ -77,8 +76,8 @@ impl WorkloadSpec {
 
     /// The spec as a lazy per-shard source — what a run's shard cursor
     /// reads, and the one place a spec becomes one. Generator-backed specs
-    /// generate each shard from its RNG streams; a pre-built trace, and a
-    /// CSV file once loaded whole, are *served* in shard-sized slices
+    /// generate each shard from its RNG streams; a CSV file, once loaded
+    /// whole, is *served* in shard-sized slices
     /// ([`risa_workload::TraceShards`]).
     ///
     /// The source yields the *same trace* [`WorkloadSpec::load`]
@@ -91,7 +90,6 @@ impl WorkloadSpec {
             WorkloadSpec::Azure { subset, seed } => {
                 Arc::new(AzureShards::new(*subset, *seed, AzureProcess::default()))
             }
-            WorkloadSpec::Trace(w) => Arc::new(TraceShards::new(w.clone())),
             WorkloadSpec::TraceCsv { name, path } => {
                 Arc::new(TraceShards::new(Workload::read_csv_file(name, path)?))
             }
@@ -116,30 +114,31 @@ mod tests {
         assert_eq!(w.name(), "Azure-3000");
     }
 
-    #[test]
-    fn trace_passthrough() {
-        let w = WorkloadSpec::synthetic(5, 3).materialize();
-        let spec = WorkloadSpec::Trace(w.clone());
-        assert_eq!(spec.materialize(), w);
-    }
-
     /// The shard source must yield exactly the trace `materialize`
     /// yields — the foundation of the on-demand/materialized identity —
-    /// for every spec kind, pre-built traces included.
+    /// for every spec kind, a CSV file of a generated trace included.
     #[test]
     fn shard_source_reproduces_materialize() {
+        let path =
+            std::env::temp_dir().join(format!("risa_spec_shards_{}.csv", std::process::id()));
+        let csv = risa_workload::csv::to_csv(&WorkloadSpec::synthetic(5000, 21).materialize());
+        std::fs::write(&path, csv).unwrap();
         for spec in [
             WorkloadSpec::synthetic(5000, 21),
             WorkloadSpec::azure(AzureSubset::N3000, 8),
-            WorkloadSpec::Trace(WorkloadSpec::synthetic(5000, 21).materialize()),
+            WorkloadSpec::TraceCsv {
+                name: "synthetic".into(),
+                path: path.display().to_string(),
+            },
         ] {
-            let source = spec.shard_source().expect("no file to fail on");
+            let source = spec.shard_source().expect("a valid file opens");
             assert_eq!(
                 risa_workload::shard::materialize(&*source),
                 spec.materialize().vms()
             );
             assert_eq!(source.label(), spec.materialize().name());
         }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -3,7 +3,6 @@
 
 use crate::config::SimConfig;
 use crate::faults::{ChainSet, FaultMeters, FaultReport, FaultSpec, FaultTallies, Migration};
-use crate::timeline::{Timeline, TimelinePoint};
 use risa_des::{EventCtx, SimDuration, SimTime, World};
 use risa_metrics::{OnlineStats, TimeWeighted};
 use risa_network::{NetworkState, TrunkId};
@@ -490,8 +489,6 @@ pub struct DdcWorld {
     /// High-water mark of `resident` — the bound the two-lane event
     /// queue's FEL length is tested against.
     pub(crate) peak_resident: u32,
-    /// Optional fixed-grid series recorder.
-    pub(crate) timeline: Option<Timeline>,
     /// Optional independent auditor replaying every assignment against a
     /// shadow ledger; violations fail the run loudly.
     pub(crate) auditor: Option<(ScheduleAuditor, PerVmSlots<u64>)>,
@@ -559,7 +556,6 @@ impl DdcWorld {
             end_time: 0.0,
             resident: 0,
             peak_resident: 0,
-            timeline: None,
             auditor: None,
             faults: None,
         }
@@ -645,44 +641,6 @@ impl DdcWorld {
         }
     }
 
-    /// Record a utilization/occupancy series with the given sampling
-    /// interval (paper time units).
-    pub fn enable_timeline(&mut self, interval: f64) {
-        self.timeline = Some(Timeline::new(interval));
-    }
-
-    /// The recorded series, if enabled.
-    pub fn timeline(&self) -> Option<&Timeline> {
-        self.timeline.as_ref()
-    }
-
-    /// Flush the current state into the timeline regardless of the grid
-    /// (called once by the driver when the event queue drains).
-    pub(crate) fn flush_timeline(&mut self) {
-        let point = self.timeline_point(self.end_time);
-        if let Some(tl) = self.timeline.as_mut() {
-            tl.force(point);
-        }
-    }
-
-    /// The current state as one timeline point — every field an O(1)
-    /// read of a running total (shared by the per-event sampler and the
-    /// end-of-run flush).
-    fn timeline_point(&self, t: f64) -> TimelinePoint {
-        let used = |k: ResourceKind| {
-            (self.cluster.total_capacity(k) - self.cluster.total_available(k)) as f64
-        };
-        TimelinePoint {
-            t,
-            cpu_used: used(ResourceKind::Cpu),
-            ram_used: used(ResourceKind::Ram),
-            sto_used: used(ResourceKind::Storage),
-            intra_mbps: self.net.intra_used_mbps() as f64,
-            inter_mbps: self.net.inter_used_mbps() as f64,
-            resident_vms: self.resident,
-        }
-    }
-
     /// The algorithm driving this world.
     pub fn algorithm(&self) -> Algorithm {
         self.scheduler.algorithm()
@@ -736,13 +694,16 @@ impl DdcWorld {
         }
     }
 
+    /// Sample the running totals into the time-weighted meters — every
+    /// value an O(1) read, so sampling after every event is cheap and
+    /// exact.
     fn sample_state(&mut self, t: f64) {
-        let p = self.timeline_point(t);
-        self.util[ResourceKind::Cpu.index()].set(t, p.cpu_used);
-        self.util[ResourceKind::Ram.index()].set(t, p.ram_used);
-        self.util[ResourceKind::Storage.index()].set(t, p.sto_used);
-        self.intra_bw.set(t, p.intra_mbps);
-        self.inter_bw.set(t, p.inter_mbps);
+        for k in ALL_RESOURCES {
+            let used = self.cluster.total_capacity(k) - self.cluster.total_available(k);
+            self.util[k.index()].set(t, used as f64);
+        }
+        self.intra_bw.set(t, self.net.intra_used_mbps() as f64);
+        self.inter_bw.set(t, self.net.inter_used_mbps() as f64);
         if let Some(fs) = self.faults.as_mut() {
             // Stranded capacity: retracted compute inside failed racks
             // plus free bandwidth behind dark links. Both change only at
@@ -757,9 +718,6 @@ impl DdcWorld {
             fs.meters
                 .stranded_mbps
                 .set(t, self.net.stranded_mbps() as f64);
-        }
-        if let Some(tl) = self.timeline.as_mut() {
-            tl.offer(p);
         }
     }
 

@@ -1,8 +1,8 @@
 //! A corrupted checkpoint is refused with a typed [`ResumeError`] every
 //! time — never a panic, never a hang, never a run resumed into the wrong
 //! state. The document under attack sets every recipe knob off its default
-//! (faults, audit, the legacy arrival path, a timeline, exact scheduler
-//! timing, a cadence), and each field can be given a value of the wrong type.
+//! (faults, audit, the legacy arrival path, exact scheduler timing, a
+//! cadence), and each field can be given a value of the wrong type.
 
 use proptest::prelude::*;
 use risa_sim::{Algorithm, Checkpoint, FaultSpec, ResumeError, SimulationBuilder, WorkloadSpec};
@@ -20,7 +20,6 @@ fn document() -> &'static (String, u64) {
             .faults(FaultSpec::canonical())
             .audit(true)
             .legacy_arrival_path(true)
-            .record_timeline(500.0)
             .sched_timing_batch(1)
             .checkpoint_every(1000.0)
             .build();
@@ -121,7 +120,7 @@ fn apply(c: &Corruption) -> String {
 #[test]
 fn the_untouched_document_resumes() {
     let (json, total) = document();
-    assert_eq!(fields().len(), 4 + 9, "every recipe knob is written");
+    assert_eq!(fields().len(), 4 + 8, "every recipe knob is written");
     let at = resume(json).expect("untouched");
     assert!(0 < at && at < *total);
 }
@@ -138,15 +137,21 @@ fn truncation_at_every_byte_is_a_document_error() {
 }
 
 /// Values of the right type that no run can be built with are refused as
-/// documents, not met as a panic (or an endless cadence) in the builder.
+/// documents, not met as a panic (or an endless cadence) in the builder —
+/// a synthetic workload's parameters included.
 #[test]
 fn out_of_range_recipe_values_are_document_errors() {
+    let synthetic = |key: &'static str| ["recipe", "workload", "Synthetic", key];
+    let pair = |lo: i128, hi: i128| Value::Seq(vec![Value::Int(lo), Value::Int(hi)]);
     for (path, value) in [
         (&["recipe", "sched_timing_batch"][..], Value::Int(0)),
         (&["recipe", "checkpoint_every"], Value::Float(0.0)),
-        (&["recipe", "timeline_interval"], Value::Float(-1.0)),
         (&["recipe", "cfg", "topology", "racks"], Value::Int(0)),
         (&["recipe", "cfg", "network", "link_mbps"], Value::Int(0)),
+        (&synthetic("interarrival_mean"), Value::Float(-1.0)),
+        (&synthetic("cpu_cores"), pair(32, 1)),
+        (&synthetic("cpu_cores"), pair(0, 0)),
+        (&synthetic("lifetime_step_every"), Value::Int(0)),
     ] {
         let err = resume(&with(path, value));
         assert!(

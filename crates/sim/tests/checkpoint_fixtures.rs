@@ -15,8 +15,10 @@
 //! a path relative to the crate root, where cargo runs integration tests.
 //! The build that wrote them also recorded how a trace file was read
 //! (`"arrivals"`, `materialized` or `streaming` — the second asked for by
-//! a run flag since removed); the recipe no longer has that key, and a
-//! document that carries it resumes all the same.
+//! a run flag since removed) and a timeline recorder's sampling interval
+//! (`"timeline_interval"`, `null`, the recorder since removed); the recipe
+//! has neither key any more, and a document that carries them resumes all
+//! the same.
 //! A version-3 document (a state image) pins that format's refusal, and a
 //! copy of the CSV with one row edited that of changed inputs.
 
@@ -73,19 +75,20 @@ fn resumes_into(ckpt: &str, report: &str, fresh: impl Fn() -> DdcSimulation) {
     assert_eq!(suffix, events[skipped..], "{ckpt}: resumed event order");
 
     // What this build writes at the same position is that document
-    // without the key the recipe dropped.
+    // without the keys the recipe dropped.
     let written = cp
         .resume()
         .expect("inputs unchanged")
         .checkpoint()
         .to_json();
-    assert!(!written.contains("\"arrivals\""), "{written}");
-    let key = document
-        .find("\"arrivals\":")
-        .expect("written with the key");
-    let value_end = key + document[key..].find(',').expect("not the last key") + 1;
-    let without = format!("{}{}", &document[..key], &document[value_end..]);
-    assert_eq!(written, without.trim_end(), "{ckpt}: rewritten");
+    let mut without = document.trim_end().to_string();
+    for dropped in ["\"arrivals\":", "\"timeline_interval\":"] {
+        assert!(!written.contains(dropped), "{written}");
+        let key = without.find(dropped).expect("written with the key");
+        let value_end = key + without[key..].find(',').expect("not the last key") + 1;
+        without.replace_range(key..value_end, "");
+    }
+    assert_eq!(written, without, "{ckpt}: rewritten");
 }
 
 fn csv_run(path: &str) -> DdcSimulation {
@@ -106,7 +109,6 @@ fn parent_written_materialized_synthetic_checkpoint_resumes() {
         SimulationBuilder::new()
             .algorithm(Algorithm::Risa)
             .workload(WorkloadSpec::synthetic(1500, 7))
-            .faults_off()
             .build()
     });
 }

@@ -78,26 +78,6 @@ fn churn_is_byte_identical_across_arrival_paths() {
     assert_eq!(run(false), run(true));
 }
 
-/// Faults-off runs are byte-identical to a builder that never heard of
-/// faults — the `faults` report block vanishes entirely.
-#[test]
-fn faults_off_is_byte_identical_to_no_faults() {
-    let run = |explicit_off: bool| {
-        let mut b = SimulationBuilder::new().workload(WorkloadSpec::synthetic(800, 4));
-        if explicit_off {
-            b = b.faults_off();
-        }
-        let mut r = b.build().run();
-        r.sched_seconds = 0.0;
-        serde_json::to_string(&r).unwrap()
-    };
-    let off = run(true);
-    assert!(!off.contains("faults"));
-    if std::env::var("RISA_FAULTS").is_err() {
-        assert_eq!(run(false), off);
-    }
-}
-
 /// Migration delays can outlive a VM's remaining lifetime; those VMs
 /// depart in transit and the pipeline still balances. A huge per-unit
 /// delay makes *every* evacuation lose the race with its departure.
@@ -138,7 +118,6 @@ fn zero_rate_scenario_is_quiet() {
     let mut off = SimulationBuilder::new()
         .algorithm(Algorithm::Risa)
         .workload(WorkloadSpec::synthetic(3000, 11))
-        .faults_off()
         .audit(true)
         .build()
         .run();

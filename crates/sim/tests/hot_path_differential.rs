@@ -16,23 +16,22 @@
 //! run that ever holds a generated trace — the on-demand cursor's
 //! independent oracle. The arrivals axis is therefore {on-demand cursor,
 //! legacy path} for generator specs — × algorithms × faults —
-//! plus a CSV trace file of a generated trace, loaded whole and served
-//! through the same cursor.
+//! plus a CSV trace file of a generated trace (stitched by
+//! `shard::materialize`), loaded whole and served through the same
+//! cursor.
 //!
 //! PR 7 added the fault-injection lane: the canonical **churn** scenario
 //! (rack failures with evacuation, trunk/transceiver flaps) must be
-//! byte-identical across arrival paths too. The
-//! faults-free legs pin `.faults_off()` so the `RISA_FAULTS=1` CI leg
-//! cannot change what they measure.
+//! byte-identical across arrival paths too. Faults are an explicit axis:
+//! a leg has them only when its builder calls `.faults(…)`.
 //!
 //! PR 9 added the checkpoint/resume lane: a run checkpointed at a
 //! simulated time `T`, serialized to JSON, and resumed — rebuilt from its
 //! recipe and replayed to the recorded event count — must continue into
 //! the **byte-identical** report and event dispatch order the
-//! uninterrupted run produces — across arrival paths and faults on/off (`tests/checkpoint_fixtures.rs` does the same for
-//! checked-in documents).
-//!
-//! CI runs this file under `RISA_FAULTS=1` so that toggle cannot rot.
+//! uninterrupted run produces — across arrival paths and faults on/off
+//! (`tests/checkpoint_fixtures.rs` does the same for checked-in
+//! documents).
 
 use risa_sim::{
     Algorithm, Checkpoint, DdcSimulation, FaultSpec, RunOutcome, RunReport, SimulationBuilder,
@@ -77,11 +76,9 @@ fn build_cfg(spec: &WorkloadSpec, algo: Algorithm, legacy: bool, faults: bool) -
         .algorithm(algo)
         .workload(spec.clone())
         .legacy_arrival_path(legacy);
-    b = if faults {
-        b.faults(FaultSpec::canonical())
-    } else {
-        b.faults_off()
-    };
+    if faults {
+        b = b.faults(FaultSpec::canonical());
+    }
     if legacy {
         // The pre-PR5 engine also timed every scheduling call.
         b = b.sched_timing_batch(1);
@@ -121,7 +118,6 @@ fn peak_fel_is_resident_bounded_on_10k_run() {
     let mut sim = SimulationBuilder::new()
         .algorithm(Algorithm::Risa)
         .workload(WorkloadSpec::Synthetic(SyntheticConfig::small(10_000, 7)))
-        .faults_off()
         .build();
     sim.run();
     let peak_fel = sim.peak_fel_len();
@@ -145,20 +141,20 @@ fn legacy_path_peaks_at_trace_length() {
     let mut sim = SimulationBuilder::new()
         .workload(WorkloadSpec::Synthetic(SyntheticConfig::small(n, 7)))
         .legacy_arrival_path(true)
-        .faults_off()
         .build();
     sim.run();
     assert!(sim.peak_fel_len() >= n as usize);
 }
 
 /// On demand ≡ materialized: a generator read through the cursor and the
-/// same trace built by `shard::materialize` first and *served* through
-/// the cursor (`WorkloadSpec::Trace`) produce byte-identical `RunReport`
-/// JSON and event dispatch order on both canonical traces.
+/// same trace built by `shard::materialize` first, written to a CSV file
+/// and *served* through the cursor (`WorkloadSpec::TraceCsv`) produce
+/// byte-identical `RunReport` JSON and event dispatch order on both
+/// canonical traces.
 #[test]
 fn streaming_pipeline_is_byte_identical_to_materialized() {
     for (name, spec) in canonical_specs() {
-        let held = WorkloadSpec::Trace(spec.materialize());
+        let (held, path) = csv_of(&spec, "held");
         for algo in [Algorithm::Risa, Algorithm::Nalb] {
             let (m_report, m_order) = run(&held, algo, false);
             let (report, order) = run(&spec, algo, false);
@@ -171,6 +167,7 @@ fn streaming_pipeline_is_byte_identical_to_materialized() {
                 "{name}/{algo}: on-demand dispatch order diverged"
             );
         }
+        std::fs::remove_file(&path).ok();
     }
 }
 
@@ -312,24 +309,14 @@ fn checkpoint_resume_is_byte_identical_across_modes_and_jobs() {
 }
 
 /// PR 9 trace-file acceptance: a `WorkloadSpec::TraceCsv` run — the file
-/// loaded whole and served to the one cursor in shard-sized chunks — is
-/// byte-identical, report and dispatch order, to the generator-backed run
-/// that produced the file, under every algorithm family, and the cursor's
-/// buffer stays within a shard and a window.
+/// loaded whole and served to the one cursor in shard-sized chunks —
+/// keeps the cursor's buffer within a shard and a window (its bytes are
+/// pinned against the generator run by
+/// `streaming_pipeline_is_byte_identical_to_materialized`).
 #[test]
 fn trace_csv_file_streams_chunked_and_matches_generator_run() {
     let spec = WorkloadSpec::Synthetic(SyntheticConfig::small(6000, 9));
     let (csv_spec, path) = csv_of(&spec, "csv");
-    for algo in [Algorithm::Risa, Algorithm::Nalb] {
-        let (base_json, base_order) = run(&spec, algo, false);
-        let (json, order) = run(&csv_spec, algo, false);
-        assert_eq!(base_json, json, "{algo}: TraceCsv report diverged");
-        assert_eq!(
-            base_order, order,
-            "{algo}: TraceCsv dispatch order diverged"
-        );
-    }
-
     let mut sim = build_cfg(&csv_spec, Algorithm::Risa, false, false);
     sim.run();
     let peak = sim

@@ -1,6 +1,6 @@
 //! Bounded-memory properties of the arrival pipeline — the one shard the
 //! workload cursor holds, and the one window of arrivals the event queue
-//! holds — plus the loud-rejection contract for unsorted traces.
+//! holds.
 
 use risa_sim::{Algorithm, SimulationBuilder, WorkloadSpec};
 use risa_workload::shard::SHARD_SIZE;
@@ -31,8 +31,7 @@ fn default_run_buffers_one_shard_and_one_window_on_100k_run() {
     let (n, spec) = fixed_lifetime_100k();
     let mut sim = SimulationBuilder::new()
         .algorithm(Algorithm::Risa)
-        .workload(spec)
-        .faults_off() // churn events would share the FEL bound asserted below
+        .workload(spec) // no faults: churn events would share the FEL bound below
         .build();
     let report = sim.run();
     assert_eq!(report.total_vms, n);
@@ -58,19 +57,24 @@ fn default_run_buffers_one_shard_and_one_window_on_100k_run() {
     assert_eq!(sim.peak_arrival_window(), ARRIVAL_WINDOW);
 }
 
-/// A *materialized* trace is held once: a pre-built 100k-VM trace is
-/// served through the same cursor a shard-sized slice at a time, and the
-/// event queue reads the arrival schedule off that slice one window at a
-/// time instead of owning a second, 16 B/VM copy of it — and the FEL
-/// stays as resident-bounded as on a generated run.
+/// A *materialized* trace is held once: a 100k-VM trace file, loaded
+/// whole, is served through the same cursor a shard-sized slice at a
+/// time, and the event queue reads the arrival schedule off that slice
+/// one window at a time instead of owning a second, 16 B/VM copy of it —
+/// and the FEL stays as resident-bounded as on a generated run.
 #[test]
 fn materialized_run_buffers_one_window_of_arrivals_on_100k_run() {
     let (n, spec) = fixed_lifetime_100k();
+    let path = std::env::temp_dir().join(format!("risa_bounds_{}.csv", std::process::id()));
+    std::fs::write(&path, risa_workload::csv::to_csv(&spec.materialize())).unwrap();
     let mut sim = SimulationBuilder::new()
         .algorithm(Algorithm::Risa)
-        .workload(WorkloadSpec::Trace(spec.materialize()))
-        .faults_off()
+        .workload(WorkloadSpec::TraceCsv {
+            name: "synthetic".into(),
+            path: path.display().to_string(),
+        })
         .build();
+    std::fs::remove_file(&path).ok();
     let report = sim.run();
     assert_eq!(report.total_vms, n);
     assert_eq!(sim.peak_arrival_window(), ARRIVAL_WINDOW);
@@ -82,7 +86,6 @@ fn materialized_run_buffers_one_window_of_arrivals_on_100k_run() {
     let mut legacy = SimulationBuilder::new()
         .workload(WorkloadSpec::synthetic(3000, 17))
         .legacy_arrival_path(true)
-        .faults_off()
         .build();
     legacy.run();
     assert_eq!(legacy.peak_arrival_window(), 0);
@@ -104,45 +107,4 @@ fn saturating_run_still_caps_cursor_at_two_shards() {
     sim.run();
     let peak = sim.peak_buffered_arrivals().unwrap();
     assert!(peak <= SHARD_SIZE as usize + ARRIVAL_WINDOW, "peak {peak}");
-}
-
-/// Satellite fix: an unsorted trace handed to the builder must fail
-/// *loudly* in debug builds instead of silently taking the slow
-/// push-through-the-FEL fallback (which masked generator ordering bugs).
-/// `Workload::from_vms` already debug-asserts order, so the only way an
-/// unsorted workload reaches the builder is deserialization — exactly
-/// what this test does.
-#[test]
-#[cfg(debug_assertions)]
-#[should_panic(expected = "not sorted by arrival")]
-fn unsorted_trace_is_rejected_loudly_in_debug_builds() {
-    SimulationBuilder::new()
-        .workload(WorkloadSpec::Trace(tampered_trace()))
-        .build();
-}
-
-/// An out-of-order trace built through serde — the one constructor
-/// without the `from_vms` ordering debug-assert, i.e. the path a broken
-/// trace file would actually take.
-fn tampered_trace() -> risa_workload::Workload {
-    let sorted = WorkloadSpec::synthetic(10, 4).materialize();
-    let mut vms = sorted.vms().to_vec();
-    vms.swap(2, 7); // break the order, keep ids/fields valid
-    let vms_json = serde_json::to_string(&vms).unwrap();
-    let json = format!("{{\"name\":\"tampered\",\"vms\":{vms_json}}}");
-    risa_workload::Workload::from_json(&json).unwrap()
-}
-
-/// The legacy oracle path deliberately pushes every arrival through the
-/// FEL and never requires sortedness — it must keep accepting unsorted
-/// traces (that is its job), even in debug builds.
-#[test]
-fn legacy_path_accepts_unsorted_traces() {
-    let report = SimulationBuilder::new()
-        .workload(WorkloadSpec::Trace(tampered_trace()))
-        .legacy_arrival_path(true)
-        .build()
-        .run();
-    assert_eq!(report.total_vms, 10);
-    assert_eq!(report.admitted, 10);
 }

@@ -6,10 +6,9 @@
 use crate::config::TopologyConfig;
 use crate::index::PlacementIndex;
 use crate::resources::{BoxId, RackId, ResourceKind, UnitDemand, ALL_RESOURCES};
-use serde::{Deserialize, Serialize};
 
 /// Why an allocation or release was refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocError {
     /// The box does not have `requested` free units (`available` is what it
     /// had at the time).
@@ -135,7 +134,7 @@ impl VmPlacement {
 ///
 /// Box ids are rack-major and, within a rack, CPU → RAM → storage
 /// (`BoxMix::box_range`): a rack's boxes of a kind are a contiguous id
-/// range, which [`Cluster::new`] assigns and deserialization enforces.
+/// range, which [`Cluster::new`] assigns.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     cfg: TopologyConfig,

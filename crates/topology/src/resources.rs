@@ -1,11 +1,10 @@
 //! Resource kinds, identifiers, and unit-granular demand vectors.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
 /// The three disaggregated resource types of the paper (§3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ResourceKind {
     /// Compute boxes (unit = 4 cores in Table 1).
     Cpu,
@@ -59,9 +58,7 @@ impl fmt::Display for ResourceKind {
 }
 
 /// Index of a rack within the cluster.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct RackId(pub u16);
 
 impl fmt::Display for RackId {
@@ -71,9 +68,7 @@ impl fmt::Display for RackId {
 }
 
 /// Global index of a box within the cluster (dense, 0-based, stable).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct BoxId(pub u32);
 
 impl fmt::Display for BoxId {
@@ -86,9 +81,7 @@ impl fmt::Display for BoxId {
 ///
 /// The paper converts a VM's natural requirements (cores, GB) to brick units
 /// using Table 1's unit sizes; allocations happen at unit granularity.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize, PartialOrd, Ord,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct UnitDemand([u32; 3]);
 
 impl UnitDemand {

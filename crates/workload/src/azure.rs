@@ -87,7 +87,7 @@ impl AzureSubset {
 ///
 /// Defaults chosen so the paper's "no VMs were dropped" holds on the
 /// Table 1 DDC for all three slices.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AzureProcess {
     /// Mean interarrival, time units.
     pub interarrival_mean: f64,

@@ -1,10 +1,9 @@
 //! Workload characterization (the numbers behind Figure 6's narrative).
 
 use crate::vm::Workload;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of one workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadStats {
     /// Number of VM requests.
     pub count: usize,

@@ -86,6 +86,45 @@ impl SyntheticConfig {
         }
     }
 
+    /// Check the parameters every generator of this config relies on: a
+    /// finite positive interarrival mean, non-empty CPU and RAM ranges
+    /// starting at 1, a staircase step of at least one request, and a
+    /// finite positive exponential mean or finite non-negative fixed
+    /// lifetime. The one statement of these rules: [`SyntheticShards::new`]
+    /// panics with this message, and a checkpoint recipe is refused with it.
+    pub fn validate(&self) -> Result<(), String> {
+        let fail = |rule: String| -> Result<(), String> { Err(format!("SyntheticConfig: {rule}")) };
+        let mean = self.interarrival_mean;
+        if !(mean.is_finite() && mean > 0.0) {
+            return fail(format!(
+                "interarrival_mean must be finite and > 0 (got {mean})"
+            ));
+        }
+        for (name, (lo, hi)) in [("cpu_cores", self.cpu_cores), ("ram_gb", self.ram_gb)] {
+            if !(lo >= 1 && lo <= hi) {
+                return fail(format!(
+                    "{name} must satisfy 1 <= lo <= hi (got {lo}..={hi})"
+                ));
+            }
+        }
+        if self.lifetime_step_every == 0 {
+            return fail(
+                "lifetime_step_every must be at least 1 (got 0); the staircase divides the \
+                 request index by it"
+                    .into(),
+            );
+        }
+        match self.lifetime_model {
+            LifetimeModel::Exponential { mean } if !(mean.is_finite() && mean > 0.0) => fail(
+                format!("exponential lifetime mean must be finite and > 0 (got {mean})"),
+            ),
+            LifetimeModel::Fixed { value } if !(value.is_finite() && value >= 0.0) => fail(
+                format!("fixed lifetime must be finite and non-negative (got {value})"),
+            ),
+            _ => Ok(()),
+        }
+    }
+
     /// Lifetime of the `i`-th request (0-based) under the staircase rule.
     pub fn lifetime_of(&self, i: u32) -> f64 {
         self.lifetime_base + self.lifetime_step * (i / self.lifetime_step_every) as f64
@@ -113,36 +152,11 @@ impl SyntheticShards {
     /// Validate `cfg` and wrap it as a shard source.
     ///
     /// # Panics
-    /// On non-finite/non-positive interarrival or lifetime parameters,
-    /// inverted resource ranges, or a zero `lifetime_step_every` — the
-    /// same contract as `generate`.
+    /// With [`SyntheticConfig::validate`]'s message when `cfg` breaks its
+    /// rules — the same contract as `generate`.
     pub fn new(cfg: &SyntheticConfig) -> Self {
-        assert!(
-            cfg.interarrival_mean.is_finite() && cfg.interarrival_mean > 0.0,
-            "SyntheticConfig: interarrival_mean must be finite and > 0 (got {})",
-            cfg.interarrival_mean
-        );
-        assert!(cfg.cpu_cores.0 >= 1 && cfg.cpu_cores.0 <= cfg.cpu_cores.1);
-        assert!(cfg.ram_gb.0 >= 1 && cfg.ram_gb.0 <= cfg.ram_gb.1);
-        assert!(
-            cfg.lifetime_step_every >= 1,
-            "SyntheticConfig: lifetime_step_every must be at least 1 (got 0); \
-             the staircase divides the request index by it"
-        );
-        match cfg.lifetime_model {
-            LifetimeModel::Staircase => {}
-            LifetimeModel::Exponential { mean } => {
-                assert!(
-                    mean.is_finite() && mean > 0.0,
-                    "SyntheticConfig: exponential lifetime mean must be finite and > 0 (got {mean})"
-                );
-            }
-            LifetimeModel::Fixed { value } => {
-                assert!(
-                    value.is_finite() && value >= 0.0,
-                    "SyntheticConfig: fixed lifetime must be finite and non-negative (got {value})"
-                );
-            }
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
         }
         let exp = Exp::new(1.0 / cfg.interarrival_mean).expect("positive rate");
         let lifetime_exp = match cfg.lifetime_model {
@@ -335,6 +349,62 @@ mod tests {
             ..SyntheticConfig::small(10, 1)
         };
         let _ = generate(&cfg);
+    }
+
+    /// `validate` accepts the paper's parameters and names the rule each
+    /// broken config breaks — the message `SyntheticShards::new` panics
+    /// with.
+    #[test]
+    fn validate_names_each_broken_rule() {
+        let paper = SyntheticConfig::paper(1);
+        assert_eq!(paper.validate(), Ok(()));
+        for (cfg, rule) in [
+            (
+                SyntheticConfig {
+                    interarrival_mean: -1.0,
+                    ..paper
+                },
+                "interarrival_mean",
+            ),
+            (
+                SyntheticConfig {
+                    cpu_cores: (32, 1),
+                    ..paper
+                },
+                "cpu_cores",
+            ),
+            (
+                SyntheticConfig {
+                    ram_gb: (0, 0),
+                    ..paper
+                },
+                "ram_gb",
+            ),
+            (
+                SyntheticConfig {
+                    lifetime_step_every: 0,
+                    ..paper
+                },
+                "lifetime_step_every",
+            ),
+            (
+                SyntheticConfig {
+                    lifetime_model: LifetimeModel::Exponential { mean: 0.0 },
+                    ..paper
+                },
+                "exponential lifetime mean",
+            ),
+            (
+                SyntheticConfig {
+                    lifetime_model: LifetimeModel::Fixed { value: f64::NAN },
+                    ..paper
+                },
+                "fixed lifetime",
+            ),
+        ] {
+            let err = cfg.validate().expect_err(rule);
+            assert!(err.contains(rule), "{rule}: {err}");
+        }
     }
 
     /// Arrivals stay monotone across shard boundaries after stitching.

@@ -1,12 +1,9 @@
 //! VM requests and workload containers.
 
 use risa_topology::{TopologyConfig, UnitDemand};
-use serde::{Deserialize, Serialize};
 
 /// Dense identifier of a VM within one workload (its arrival rank).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct VmId(pub u32);
 
 impl std::fmt::Display for VmId {
@@ -17,7 +14,7 @@ impl std::fmt::Display for VmId {
 
 /// One VM request: natural-unit resource demands plus its arrival time and
 /// lifetime in paper time units.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmRequest {
     /// Arrival rank / identifier.
     pub id: VmId,
@@ -45,8 +42,9 @@ impl VmRequest {
     }
 }
 
-/// A full, ordered workload (VMs sorted by arrival).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A full, ordered workload (VMs sorted by arrival). Its one serialized
+/// form is the CSV trace ([`crate::csv`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     name: String,
     vms: Vec<VmRequest>,
@@ -111,17 +109,6 @@ impl Workload {
         }
         Ok(())
     }
-
-    /// Serialize to pretty JSON (a library serialization; trace files are
-    /// CSV, [`crate::csv`]).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("workload serializes")
-    }
-
-    /// Parse a workload back from [`Workload::to_json`] output.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
 }
 
 #[cfg(test)]
@@ -170,12 +157,5 @@ mod tests {
 
         let ok = Workload::from_vms("ok", vec![vm(0, 0.0)]);
         assert!(ok.validate_fits(&cfg).is_ok());
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let w = Workload::from_vms("rt", vec![vm(0, 0.0), vm(1, 2.5)]);
-        let back = Workload::from_json(&w.to_json()).unwrap();
-        assert_eq!(w, back);
     }
 }

@@ -163,36 +163,6 @@ fn audited_runs_pass_for_all_algorithms() {
     }
 }
 
-/// Timeline recording: the series ramps up, peaks, and drains to zero,
-/// consistently with the report's aggregates.
-#[test]
-fn timeline_series_is_consistent() {
-    let mut sim = risa::sim::SimulationBuilder::new()
-        .algorithm(Algorithm::Risa)
-        .workload(WorkloadSpec::synthetic(400, 11))
-        .record_timeline(200.0)
-        .build();
-    let report = sim.run();
-    let tl = sim.timeline().expect("enabled");
-    assert!(!tl.points().is_empty());
-    assert!(tl.peak_resident() > 0);
-    assert!(tl.peak_resident() <= report.admitted);
-    // The run ends drained.
-    let last = tl.points().last().unwrap();
-    assert_eq!(last.resident_vms, 0);
-    assert_eq!(last.cpu_used, 0.0);
-    // CSV round shape: header + one line per point.
-    let csv = tl.to_csv();
-    assert_eq!(csv.lines().count(), tl.points().len() + 1);
-    // Samples are strictly time-ordered, and the sampler records at most
-    // one point per grid window (the recorded time is the first event at
-    // or after each grid point, so raw gaps may fall slightly under the
-    // interval while grid indices stay strictly increasing).
-    assert!(tl.points().windows(2).all(|w| w[1].t > w[0].t));
-    let horizon = tl.points().last().unwrap().t;
-    assert!(tl.points().len() as f64 <= horizon / tl.interval() + 2.0);
-}
-
 /// A custom (slower) Azure process keeps every invariant intact.
 #[test]
 fn custom_azure_process_end_to_end() {
@@ -204,7 +174,14 @@ fn custom_azure_process_end_to_end() {
             ..AzureProcess::default()
         },
     );
-    let r = run(Algorithm::Risa, WorkloadSpec::Trace(w));
+    let path = std::env::temp_dir().join(format!("risa_e2e_azure_{}.csv", std::process::id()));
+    std::fs::write(&path, risa::workload::csv::to_csv(&w)).unwrap();
+    let spec = WorkloadSpec::TraceCsv {
+        name: w.name().to_string(),
+        path: path.display().to_string(),
+    };
+    let r = run(Algorithm::Risa, spec);
+    std::fs::remove_file(&path).ok();
     assert_eq!(r.dropped, 0);
     assert_eq!(r.inter_rack_assignments, 0);
     assert!(r.intra_net_utilization > 0.0);

@@ -91,12 +91,4 @@ proptest! {
         sorted.dedup();
         prop_assert_eq!(sorted.len(), 18, "first 18 VMs must cover all 18 racks: {:?}", racks);
     }
-
-    /// Workload JSON serialization round-trips bit-exactly.
-    #[test]
-    fn workload_json_roundtrip(n in 1u32..100, seed in 0u64..1000) {
-        let w = Workload::synthetic(&SyntheticConfig::small(n, seed));
-        let back = Workload::from_json(&w.to_json()).unwrap();
-        prop_assert_eq!(w, back);
-    }
 }
