@@ -5,8 +5,9 @@
 //! ledger** built only from the configuration, catching any divergence
 //! between what a scheduler *claims* and what the shared state allows:
 //! over-capacity grants, wrong-kind boxes, mislabelled intra-rack flags,
-//! double releases, leaks at end of run. The simulation test-suite runs
-//! every workload through it.
+//! double admissions and releases, leaks at end of run. VMs are keyed by
+//! the caller's own index. The simulation test-suite runs every workload
+//! through it.
 
 use crate::algorithm::VmAssignment;
 use risa_topology::{Cluster, ResourceKind, TopologyConfig, ALL_RESOURCES};
@@ -17,15 +18,15 @@ use std::collections::BTreeMap;
 pub enum AuditViolation {
     /// A grant names a box of the wrong resource kind.
     WrongKind {
-        /// Offending VM (auditor-assigned sequence number).
-        vm: u64,
+        /// Offending VM (the caller's index).
+        vm: u32,
         /// Expected kind.
         expected: ResourceKind,
     },
     /// A box's cumulative grants exceed its capacity.
     OverCapacity {
         /// Offending VM.
-        vm: u64,
+        vm: u32,
         /// The box.
         box_id: u32,
         /// Units in use after this grant.
@@ -36,18 +37,23 @@ pub enum AuditViolation {
     /// The `intra_rack` flag disagrees with the placement's racks.
     WrongIntraRackFlag {
         /// Offending VM.
-        vm: u64,
+        vm: u32,
     },
     /// The network allocation claims intra-rack flows for an inter-rack
     /// placement (or vice versa) on the CPU-RAM pair.
     FlowRackMismatch {
         /// Offending VM.
-        vm: u64,
+        vm: u32,
+    },
+    /// Admission of a VM the auditor holds resident already.
+    AlreadyResident {
+        /// The VM admitted twice.
+        vm: u32,
     },
     /// Release of a VM the auditor never saw admitted (or saw released).
     UnknownRelease {
-        /// The release sequence number.
-        vm: u64,
+        /// The VM released.
+        vm: u32,
     },
     /// Resources still held at [`ScheduleAuditor::finish`].
     Leak {
@@ -77,8 +83,11 @@ impl std::fmt::Display for AuditViolation {
             AuditViolation::FlowRackMismatch { vm } => {
                 write!(f, "vm{vm}: flow inter-rack flags contradict placement")
             }
+            AuditViolation::AlreadyResident { vm } => {
+                write!(f, "vm{vm}: admitted while already resident")
+            }
             AuditViolation::UnknownRelease { vm } => {
-                write!(f, "release #{vm}: VM not resident")
+                write!(f, "vm{vm}: released while not resident")
             }
             AuditViolation::Leak { resident } => {
                 write!(f, "{resident} VMs still resident at finish")
@@ -93,11 +102,10 @@ pub struct ScheduleAuditor {
     cfg: TopologyConfig,
     /// Shadow used-units per box.
     used: Vec<u64>,
-    /// Resident assignments by admission sequence number. BTreeMap so a
+    /// Resident assignments by the caller's VM index. BTreeMap so a
     /// future "list the leaked VMs" diagnostic can never depend on hash
     /// order (`clippy.toml`'s `disallowed-types`).
-    resident: BTreeMap<u64, VmAssignment>,
-    next_vm: u64,
+    resident: BTreeMap<u32, VmAssignment>,
     violations: Vec<AuditViolation>,
     admitted: u64,
     released: u64,
@@ -111,18 +119,20 @@ impl ScheduleAuditor {
             cfg: *cluster.config(),
             used: vec![0; cluster.num_boxes()],
             resident: BTreeMap::new(),
-            next_vm: 0,
             violations: Vec::new(),
             admitted: 0,
             released: 0,
         }
     }
 
-    /// Record an admission; returns the auditor's sequence number for the
-    /// VM (pass it back to [`ScheduleAuditor::release`]).
-    pub fn admit(&mut self, cluster: &Cluster, a: &VmAssignment) -> u64 {
-        let vm = self.next_vm;
-        self.next_vm += 1;
+    /// Record the admission of VM `vm` — the index the caller keys its
+    /// VMs by, and passes back to [`ScheduleAuditor::release`]. Admitting
+    /// a VM that is resident already is a violation and changes nothing.
+    pub fn admit(&mut self, cluster: &Cluster, vm: u32, a: &VmAssignment) {
+        if self.resident.contains_key(&vm) {
+            self.violations.push(AuditViolation::AlreadyResident { vm });
+            return;
+        }
         self.admitted += 1;
 
         for kind in ALL_RESOURCES {
@@ -154,11 +164,10 @@ impl ScheduleAuditor {
                 .push(AuditViolation::FlowRackMismatch { vm });
         }
         self.resident.insert(vm, a.clone());
-        vm
     }
 
-    /// Record a release by sequence number.
-    pub fn release(&mut self, vm: u64) {
+    /// Record the release of VM `vm`.
+    pub fn release(&mut self, vm: u32) {
         match self.resident.remove(&vm) {
             None => self.violations.push(AuditViolation::UnknownRelease { vm }),
             Some(a) => {
@@ -235,9 +244,10 @@ mod tests {
         let mut sched = Scheduler::new(algo, &cluster);
         let mut auditor = ScheduleAuditor::new(&cluster);
         let mut resident = Vec::new();
-        for d in demands {
+        for (vm, d) in (0..).zip(demands) {
             if let ScheduleOutcome::Assigned(a) = sched.schedule(&mut cluster, &mut net, d) {
-                resident.push((auditor.admit(&cluster, &a), a));
+                auditor.admit(&cluster, vm, &a);
+                resident.push((vm, a));
             }
         }
         for (vm, a) in resident {
@@ -269,13 +279,15 @@ mod tests {
         let mut auditor = ScheduleAuditor::new(&cluster);
         let d = UnitDemand::new(2, 4, 2);
         if let ScheduleOutcome::Assigned(a) = sched.schedule(&mut cluster, &mut net, &d) {
-            auditor.admit(&cluster, &a);
+            auditor.admit(&cluster, 0, &a);
             // Never released.
         }
         let errs = auditor.finish().unwrap_err();
         assert!(matches!(errs[0], AuditViolation::Leak { resident: 1 }));
     }
 
+    /// A VM is resident at most once: admitting it again, or releasing
+    /// it twice, is a violation naming it.
     #[test]
     fn detects_double_release() {
         let mut cluster = Cluster::new(TopologyConfig::paper());
@@ -286,11 +298,20 @@ mod tests {
         let ScheduleOutcome::Assigned(a) = sched.schedule(&mut cluster, &mut net, &d) else {
             panic!()
         };
-        let vm = auditor.admit(&cluster, &a);
+        let vm = 7;
+        auditor.admit(&cluster, vm, &a);
+        auditor.admit(&cluster, vm, &a); // already resident
         auditor.release(vm);
         auditor.release(vm); // double
+        assert_eq!((auditor.admitted(), auditor.released()), (1, 1));
         let errs = auditor.finish().unwrap_err();
-        assert_eq!(errs, vec![AuditViolation::UnknownRelease { vm }]);
+        assert_eq!(
+            errs,
+            vec![
+                AuditViolation::AlreadyResident { vm },
+                AuditViolation::UnknownRelease { vm }
+            ]
+        );
     }
 
     #[test]
@@ -330,8 +351,8 @@ mod tests {
             intra_rack: true,
             used_fallback: false,
         };
-        let vm = auditor.admit(&cluster, &fake);
-        auditor.release(vm);
+        auditor.admit(&cluster, 0, &fake);
+        auditor.release(0);
         let errs = auditor.finish().unwrap_err();
         assert!(errs
             .iter()
@@ -380,8 +401,8 @@ mod tests {
             intra_rack: true,
             used_fallback: false,
         };
-        let vm = auditor.admit(&cluster, &fake);
-        auditor.release(vm);
+        auditor.admit(&cluster, 0, &fake);
+        auditor.release(0);
         let errs = auditor.finish().unwrap_err();
         assert!(errs.iter().any(|e| matches!(
             e,

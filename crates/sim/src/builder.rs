@@ -9,12 +9,13 @@
 use crate::config::SimConfig;
 use crate::faults::FaultSpec;
 use crate::report::RunReport;
+use crate::sched_timer::DEFAULT_SCHED_TIMING_BATCH;
 use crate::spec::WorkloadSpec;
-use crate::world::{arrival_event, DdcWorld, DEFAULT_SCHED_TIMING_BATCH};
+use crate::world::{arrival_event, DdcWorld};
 use risa_des::{EventTrace, Simulation};
 use risa_sched::Algorithm;
 use risa_topology::{ResourceKind, TopologyConfig, UnitDemand, ALL_RESOURCES};
-use risa_workload::{ShardSource, TraceFileError, VmRequest};
+use risa_workload::{ShardSource, TraceFileError, TraceShards, VmRequest};
 use std::sync::Arc;
 
 /// Why a simulation could not be built. [`SimulationBuilder::try_build`]
@@ -116,11 +117,11 @@ impl SimulationBuilder {
     }
 
     /// Schedule every arrival through the future-event list, as the
-    /// engine did before the two-lane queue (PR 5), from a trace
-    /// materialized up front. This is the *oracle* configuration for the
-    /// hot-path differential tests — the arrival lane's and the shard
-    /// cursor's only independent one; behavior is byte-identical to the
-    /// default path, just slower and O(trace) in memory.
+    /// engine did before the two-lane queue, from a trace materialized
+    /// up front and read through the same cursor. This is the *oracle*
+    /// configuration for the hot-path differential tests — the lane's
+    /// and the on-demand generators' only independent one; behavior is
+    /// byte-identical to the default path, slower and O(trace) in memory.
     pub fn legacy_arrival_path(mut self, on: bool) -> Self {
         self.legacy_arrival_path = on;
         self
@@ -187,40 +188,39 @@ impl SimulationBuilder {
     /// unusable trace files surface as a typed [`BuildError`] instead of
     /// a panic.
     pub fn try_build(self) -> Result<DdcSimulation, BuildError> {
-        let oversized = |vm: VmRequest, workload: &str| BuildError::OversizedVm {
-            id: vm.id.0,
-            workload: workload.to_string(),
-        };
-
-        let mut sim = if self.legacy_arrival_path {
-            // The oracle: materialize, push every arrival through the
-            // FEL and look VMs up by index.
-            let workload = Arc::new(self.workload.load().map_err(BuildError::TraceFile)?);
-            if let Err(vm) = workload.validate_fits(&self.cfg.topology) {
-                return Err(oversized(vm, workload.name()));
-            }
-            let span = workload.vms().last().map_or(0.0, |vm| vm.arrival);
-            let world = DdcWorld::new_oracle(self.cfg, self.algorithm, Arc::clone(&workload));
-            let mut sim = Simulation::new(self.primed(world, || span));
-            for (vm, idx) in workload.vms().iter().zip(0..) {
-                let (at, event) = arrival_event(idx, vm.arrival);
-                sim.schedule(at, event);
-            }
-            sim
+        // Every run reads its VMs through one cursor over `source`; the
+        // legacy oracle materializes it and pushes each arrival.
+        let (source, legacy_arrivals) = if self.legacy_arrival_path {
+            let workload = self.workload.load().map_err(BuildError::TraceFile)?;
+            let arrivals: Vec<_> = workload
+                .vms()
+                .iter()
+                .zip(0..)
+                .map(|(vm, idx)| arrival_event(idx, vm.arrival))
+                .collect();
+            let source: Arc<dyn ShardSource> = Arc::new(TraceShards::new(workload));
+            (source, Some(arrivals))
         } else {
-            let source = self
-                .workload
-                .shard_source()
-                .map_err(BuildError::TraceFile)?;
-            if let Some(vm) = first_oversized(&*source, &self.cfg.topology) {
-                return Err(oversized(vm, source.label()));
-            }
-            let total = source.total_vms() as usize;
-            let world = DdcWorld::new(self.cfg, self.algorithm, Arc::clone(&source));
-            let mut sim = Simulation::new(self.primed(world, || source.span_units()));
-            sim.attach_arrivals(total);
-            sim
+            let source = self.workload.shard_source();
+            (source.map_err(BuildError::TraceFile)?, None)
         };
+        if let Some(vm) = first_oversized(&*source, &self.cfg.topology) {
+            return Err(BuildError::OversizedVm {
+                id: vm.id.0,
+                workload: source.label().to_string(),
+            });
+        }
+        let total = source.total_vms() as usize;
+        let world = DdcWorld::new(self.cfg, self.algorithm, Arc::clone(&source));
+        let mut sim = Simulation::new(self.primed(world, || source.span_units()));
+        match legacy_arrivals {
+            Some(arrivals) => {
+                for (at, event) in arrivals {
+                    sim.schedule(at, event);
+                }
+            }
+            None => sim.attach_arrivals(total),
+        }
         Self::seed_faults(&mut sim);
         Ok(DdcSimulation { sim, recipe: self })
     }
@@ -330,8 +330,8 @@ impl DdcSimulation {
         let inter_cap = w.net.inter_capacity_mbps() as f64;
         RunReport {
             algorithm: w.algorithm(),
-            workload: w.source.name().to_string(),
-            total_vms: w.source.total(),
+            workload: w.cursor.label().to_string(),
+            total_vms: w.cursor.total_vms(),
             admitted: w.counters.admitted,
             dropped: w.counters.dropped_compute + w.counters.dropped_network,
             dropped_compute: w.counters.dropped_compute,
@@ -383,7 +383,8 @@ impl DdcSimulation {
         self.sim.trace()
     }
 
-    /// Total events dispatched so far (arrivals + departures).
+    /// Total events dispatched so far: arrivals and departures, and on a
+    /// run with faults the fault and `Migrate` events too.
     pub fn events_dispatched(&self) -> u64 {
         self.sim.dispatched()
     }
@@ -398,10 +399,9 @@ impl DdcSimulation {
     /// High-water mark of VMs buffered by the workload cursor: at most
     /// one [`risa_workload::shard::SHARD_SIZE`] shard plus one lane
     /// window, whatever the trace length (asserted by
-    /// `tests/streaming_bounds.rs`). `None` only on the legacy path,
-    /// which holds the whole trace.
-    pub fn peak_buffered_arrivals(&self) -> Option<usize> {
-        self.sim.world().stream_peak_buffered()
+    /// `tests/streaming_bounds.rs`).
+    pub fn peak_buffered_arrivals(&self) -> usize {
+        self.sim.world().cursor.peak_buffered()
     }
 
     /// High-water mark of arrivals the event queue itself held at once:
@@ -508,8 +508,7 @@ mod tests {
             .workload(WorkloadSpec::synthetic(3 * SHARD_SIZE, 5))
             .build();
         sim.run();
-        let peak = sim.peak_buffered_arrivals().expect("a default run");
-        assert_eq!(peak, SHARD_SIZE as usize);
+        assert_eq!(sim.peak_buffered_arrivals(), SHARD_SIZE as usize);
     }
 
     /// A trace whose ids are not its rows' ranks once ran — swapped rows

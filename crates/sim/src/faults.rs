@@ -363,7 +363,7 @@ mod tests {
     }
 
     #[test]
-    fn env_parsing() {
+    fn canonical_seeds_are_pinned() {
         // The seeds the canonical scenario and `canonical_seeded` pin.
         assert_eq!(FaultSpec::canonical().seed, 0x5EED_FA17);
         assert_eq!(FaultSpec::canonical_seeded(9).seed, 9);

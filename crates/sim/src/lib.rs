@@ -31,11 +31,15 @@
 
 mod builder;
 mod checkpoint;
+mod churn;
 mod config;
 mod dealer;
 pub mod experiments;
 mod faults;
+mod meters;
 mod report;
+mod sched_timer;
+mod slots;
 mod spec;
 mod world;
 
@@ -45,8 +49,9 @@ pub use config::{LatencyConfig, SimConfig};
 pub use dealer::with_jobs;
 pub use faults::{FaultReport, FaultSpec};
 pub use report::{host_info, ExperimentReport, RunReport};
+pub use sched_timer::DEFAULT_SCHED_TIMING_BATCH;
 pub use spec::WorkloadSpec;
-pub use world::{DdcWorld, SimEvent, DEFAULT_SCHED_TIMING_BATCH};
+pub use world::{DdcWorld, SimEvent};
 
 // Re-export the vocabulary types callers need alongside the builder.
 pub use risa_des::RunOutcome;

@@ -32,6 +32,8 @@ fn canonical_scenario_produces_churn_and_balances() {
         f.evac_replaced + f.dropped_churn + f.evac_departed
     );
     assert!(f.evacuated > 0, "rack failures displace residents: {f:?}");
+    // Evacuees re-placed through the audited `admit` a first arrival uses.
+    assert!(f.evac_replaced > 0, "some evacuees are re-placed: {f:?}");
     assert!(f.mean_recovery_time > 0.0);
     assert!(f.mean_stranded_units > 0.0, "downtime strands capacity");
     // The main drop counters are churn-free: evacuation drops are

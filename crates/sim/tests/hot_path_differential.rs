@@ -60,11 +60,18 @@ fn run(spec: &WorkloadSpec, algo: Algorithm, legacy: bool) -> (String, String) {
 
 fn run_cfg(spec: &WorkloadSpec, algo: Algorithm, legacy: bool, faults: bool) -> (String, String) {
     let mut sim = build_cfg(spec, algo, legacy, faults);
-    // Only the legacy path may hold a trace; everything else reads a
-    // bounded cursor.
-    assert_eq!(sim.peak_buffered_arrivals().is_none(), legacy);
     sim.enable_trace(40_000);
     let mut report: RunReport = sim.run();
+    // Only the legacy path pushes the trace through the FEL; everything
+    // else reads it off the arrival lane, a window at a time.
+    let n = report.total_vms as usize;
+    if legacy {
+        assert_eq!(sim.peak_arrival_window(), 0);
+        assert!(sim.peak_fel_len() >= n, "{} < {n}", sim.peak_fel_len());
+    } else {
+        assert!(sim.peak_arrival_window() > 0);
+        assert!(sim.peak_fel_len() < n, "{} >= {n}", sim.peak_fel_len());
+    }
     report.sched_seconds = 0.0;
     let json = serde_json::to_string(&report).expect("report serializes");
     let order = sim.trace().expect("trace enabled").dump();
@@ -319,9 +326,7 @@ fn trace_csv_file_streams_chunked_and_matches_generator_run() {
     let (csv_spec, path) = csv_of(&spec, "csv");
     let mut sim = build_cfg(&csv_spec, Algorithm::Risa, false, false);
     sim.run();
-    let peak = sim
-        .peak_buffered_arrivals()
-        .expect("every non-legacy run reads a cursor");
+    let peak = sim.peak_buffered_arrivals();
     assert!(
         peak <= risa_workload::shard::SHARD_SIZE as usize + 1024,
         "peak buffered VMs {peak} exceeds one shard and one window"

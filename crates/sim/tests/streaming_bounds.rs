@@ -37,16 +37,14 @@ fn default_run_buffers_one_shard_and_one_window_on_100k_run() {
     assert_eq!(report.total_vms, n);
     assert_eq!(report.admitted + report.dropped, n);
 
-    let peak = sim
-        .peak_buffered_arrivals()
-        .expect("every non-legacy run reads the cursor");
+    let peak = sim.peak_buffered_arrivals();
     assert!(
         (SHARD_SIZE as usize..=SHARD_SIZE as usize + ARRIVAL_WINDOW).contains(&peak),
         "peak buffered {peak} is not one shard (+ at most one window)"
     );
     assert_eq!(
         sim.world().stream_shards_generated(),
-        Some(n.div_ceil(SHARD_SIZE)),
+        n.div_ceil(SHARD_SIZE),
         "each shard generated once"
     );
     // The FEL holds in-flight departures only — the other bounded term.
@@ -78,18 +76,18 @@ fn materialized_run_buffers_one_window_of_arrivals_on_100k_run() {
     let report = sim.run();
     assert_eq!(report.total_vms, n);
     assert_eq!(sim.peak_arrival_window(), ARRIVAL_WINDOW);
-    assert_eq!(sim.peak_buffered_arrivals(), Some(SHARD_SIZE as usize));
+    assert_eq!(sim.peak_buffered_arrivals(), SHARD_SIZE as usize);
     assert!(sim.peak_fel_len() <= sim.world().peak_resident() as usize);
 
-    // The legacy oracle has neither lane nor cursor: every arrival sits
-    // in the FEL, over the whole trace.
+    // The legacy oracle has no lane: every arrival sits in the FEL, over
+    // the whole trace, and the world reads the materialized trace through
+    // the same cursor.
     let mut legacy = SimulationBuilder::new()
         .workload(WorkloadSpec::synthetic(3000, 17))
         .legacy_arrival_path(true)
         .build();
     legacy.run();
     assert_eq!(legacy.peak_arrival_window(), 0);
-    assert_eq!(legacy.peak_buffered_arrivals(), None);
     assert!(legacy.peak_fel_len() >= 3000);
 }
 
@@ -105,6 +103,6 @@ fn saturating_run_still_caps_cursor_at_two_shards() {
         .audit(true)
         .build();
     sim.run();
-    let peak = sim.peak_buffered_arrivals().unwrap();
+    let peak = sim.peak_buffered_arrivals();
     assert!(peak <= SHARD_SIZE as usize + ARRIVAL_WINDOW, "peak {peak}");
 }

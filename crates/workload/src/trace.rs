@@ -29,8 +29,9 @@ use std::path::Path;
 
 /// An in-memory [`Workload`] served shard-by-shard.
 ///
-/// How a trace that is already loaded — a `WorkloadSpec::Trace`, a CSV
-/// file read whole — reaches the same cursor a generator feeds.
+/// How a trace that is already loaded — a CSV file read whole, or a
+/// generated trace materialized up front — reaches the same cursor a
+/// generator feeds.
 #[derive(Debug, Clone)]
 pub struct TraceShards {
     workload: Workload,
