@@ -167,8 +167,8 @@ impl SimulationBuilder {
     /// run reaches it — O(resident VMs + one shard) of memory for a
     /// generator, and the report's scheduler wall-clock (`sched_seconds`)
     /// times scheduling calls only, so generation between them never
-    /// pollutes it. A CSV file is loaded whole and validated here, then
-    /// served through the same cursor.
+    /// pollutes it. A CSV file is loaded into columns (20 B a row) and
+    /// validated here, then served through the same cursor.
     ///
     /// Arrivals are fed to the engine through the two-lane queue's
     /// arrival lane ([`Simulation::attach_arrivals`]), which reads

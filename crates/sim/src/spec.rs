@@ -22,8 +22,10 @@ pub enum WorkloadSpec {
         /// Generation seed.
         seed: u64,
     },
-    /// A CSV trace file on disk, loaded whole a block at a time
-    /// ([`Workload::read_csv_file`]); never resident as text.
+    /// A CSV trace file on disk, read once at build time, a block at a
+    /// time, into a columnar store of 20 B a row
+    /// ([`TraceShards::read_csv_file`]); never resident as text or as a
+    /// request list.
     TraceCsv {
         /// Workload label for reports.
         name: String,
@@ -76,8 +78,8 @@ impl WorkloadSpec {
 
     /// The spec as a lazy per-shard source — what a run's shard cursor
     /// reads, and the one place a spec becomes one. Generator-backed specs
-    /// generate each shard from its RNG streams; a CSV file, once loaded
-    /// whole, is *served* in shard-sized slices
+    /// generate each shard from its RNG streams; a CSV file is loaded
+    /// into columns and *served* in shard-sized slices gathered from them
     /// ([`risa_workload::TraceShards`]).
     ///
     /// The source yields the *same trace* [`WorkloadSpec::load`]
@@ -91,7 +93,7 @@ impl WorkloadSpec {
                 Arc::new(AzureShards::new(*subset, *seed, AzureProcess::default()))
             }
             WorkloadSpec::TraceCsv { name, path } => {
-                Arc::new(TraceShards::new(Workload::read_csv_file(name, path)?))
+                Arc::new(TraceShards::read_csv_file(name, path)?)
             }
         })
     }

@@ -17,7 +17,7 @@
 //! independent oracle. The arrivals axis is therefore {on-demand cursor,
 //! legacy path} for generator specs — × algorithms × faults —
 //! plus a CSV trace file of a generated trace (stitched by
-//! `shard::materialize`), loaded whole and served through the same
+//! `shard::materialize`), read into columns and served through the same
 //! cursor.
 //!
 //! PR 7 added the fault-injection lane: the canonical **churn** scenario
@@ -316,7 +316,7 @@ fn checkpoint_resume_is_byte_identical_across_modes_and_jobs() {
 }
 
 /// PR 9 trace-file acceptance: a `WorkloadSpec::TraceCsv` run — the file
-/// loaded whole and served to the one cursor in shard-sized chunks —
+/// read into columns and served to the one cursor in shard-sized chunks —
 /// keeps the cursor's buffer within a shard and a window (its bytes are
 /// pinned against the generator run by
 /// `streaming_pipeline_is_byte_identical_to_materialized`).

@@ -16,17 +16,20 @@
 //!
 //! Two readers accept the same language, row for row (`parse_row` is
 //! its one definition): [`from_csv`] over text already in memory, and
-//! [`read_csv`] over any [`Read`], a block at a time, for trace files a
-//! simulation is about to replay — that one never holds the file, and
-//! also requires what a replay requires of a trace: ids equal to each
-//! row's rank.
+//! [`read_csv`] over any [`Read`], a block at a time — that one never holds
+//! the text, and also requires what a replay requires of a trace
+//! (`ranked_rows`: ids equal to each row's rank, arrivals sorted). A trace
+//! *file* a simulation replays goes through the same `ranked_rows` into
+//! columns ([`crate::TraceShards::read_csv_file`]), never into a list of
+//! requests.
 //!
 //! The block reader is one row loop (`rows`). At each line start it tries
 //! `fast_row`: the row a trace writer emits, read in one walk over its
-//! bytes — newline included, no UTF-8 pass, the times without
-//! `str::parse` where a division is exact. Its `None` is *not* a verdict;
-//! the loop then finds the line's end and `parse_row` accepts the line or
-//! names its error.
+//! bytes — newline included, no UTF-8 pass, digits eight at a time, and a
+//! time that is a plain decimal of at most 19 digits read exactly in
+//! integers (`plain_decimal`), so `str::parse` sees only exponents, signs
+//! and longer fields. Its `None` is *not* a verdict; the loop then finds
+//! the line's end and `parse_row` accepts the line or names its error.
 
 use crate::vm::{VmId, VmRequest, Workload};
 use std::fmt::Write as _;
@@ -188,10 +191,48 @@ const POW10: [f64; 20] = [
     1e17, 1e18, 1e19,
 ];
 
+/// `10^k` as integers, for the same `k`.
+const POW10_INT: [u64; 20] = {
+    let mut table = [1u64; 20];
+    let mut k = 1;
+    while k < 20 {
+        table[k] = table[k - 1] * 10;
+        k += 1;
+    }
+    table
+};
+
+/// `b'0'` in every byte of a word.
+const ZEROS: u64 = 0x3030_3030_3030_3030;
+
 /// The run of decimal digits at `bytes[at]`, appended to `value`: the
 /// new value and where the run ends. Wraps past 19 digits in all; the
 /// callers count them.
+///
+/// Eight bytes at a time while eight are left: one load says how many of
+/// them lead with digits, and those are folded in at once.
 fn digits(bytes: &[u8], mut at: usize, mut value: u64) -> (u64, usize) {
+    while let Some(&word) = bytes.get(at..).and_then(<[u8]>::first_chunk) {
+        let word = u64::from_le_bytes(word);
+        // A byte is a digit iff its `- b'0'` is below 10: no high-nibble bit
+        // set, before or after adding 6. Borrows and carries only run from a
+        // lower byte to a higher one, so the lowest byte flagged is the
+        // first that is not a digit, and the bytes below it are exact.
+        let less = word.wrapping_sub(ZEROS);
+        let flagged = (less | less.wrapping_add(0x0606_0606_0606_0606)) & 0xf0f0_f0f0_f0f0_f0f0;
+        let run = (flagged.trailing_zeros() / 8) as usize;
+        if run == 0 {
+            return (value, at);
+        }
+        // The run's digits, shifted to the top of the word, read as an
+        // eight-digit number behind leading zeros.
+        let chunk = eight_digits(less << (64 - 8 * run));
+        value = value.wrapping_mul(POW10_INT[run]).wrapping_add(chunk);
+        at += run;
+        if run < 8 {
+            return (value, at);
+        }
+    }
     while at < bytes.len() && bytes[at].wrapping_sub(b'0') < 10 {
         value = value
             .wrapping_mul(10)
@@ -201,14 +242,54 @@ fn digits(bytes: &[u8], mut at: usize, mut value: u64) -> (u64, usize) {
     (value, at)
 }
 
-/// The time field starting at `bytes[start]`, walked once to the first
-/// byte outside `[0-9.eE+-]`: its value and where that byte is. Digits
-/// around at most one point — 1 to 19 of them, so the `u64` holds them —
-/// with a mantissa below 2⁵³ are `mantissa / 10^frac`: both operands are
-/// exact and the division rounds once (Clinger's exact case), so the
-/// bits are `str::parse`'s, which gets every other spelling. `None` if
-/// the buffer ends first, or the field is not a time in the domain.
-fn fast_time(bytes: &[u8], start: usize) -> Option<(f64, usize)> {
+/// The number eight digits spell, one digit a byte, the first in the
+/// lowest byte (a little-endian load of their text, less `b'0'` each):
+/// adjacent digits pair into 2-digit lanes, those into 4-digit lanes, and
+/// those into the value. No lane outgrows its width.
+fn eight_digits(word: u64) -> u64 {
+    let pairs = (word * 10 + (word >> 8)) & 0x00ff_00ff_00ff_00ff;
+    let quads = (pairs * 100 + (pairs >> 16)) & 0x0000_ffff_0000_ffff;
+    (quads * 10_000 + (quads >> 32)) & 0xffff_ffff
+}
+
+/// `mantissa / 10^frac` rounded once, to nearest with ties to even: the
+/// `f64` `str::parse` gives for that decimal. Below 2⁵³ both operands are
+/// exact `f64`s and one IEEE division rounds once (Clinger's exact case).
+/// Above, the mantissa is not an `f64`, so the quotient is taken in
+/// integers: `mantissa · 2⁶⁴ / 10^frac` has at least 54 bits (the mantissa
+/// is at least 2⁵³ and the divisor below 2⁶⁴), the top 53 are the
+/// significand, the next the round bit, and the bits under it and the
+/// division's remainder the sticky bit.
+fn exact_quotient(mantissa: u64, frac: usize) -> f64 {
+    if mantissa < 1 << 53 {
+        return mantissa as f64 / POW10[frac];
+    }
+    let divisor = u128::from(POW10_INT[frac]);
+    let scaled = u128::from(mantissa) << 64;
+    let quotient = scaled / divisor;
+    let inexact = quotient * divisor != scaled;
+    let shift = 128 - 53 - quotient.leading_zeros();
+    let half = 1u128 << (shift - 1);
+    let below = quotient & (2 * half - 1);
+    let significand = (quotient >> shift) as u64;
+    let up = below > half || (below == half && (inexact || significand & 1 == 1));
+    // The value is `significand · 2^(shift − 64)` with the significand in
+    // [2⁵², 2⁵³): a normal `f64` whose biased exponent is `shift + 1011`.
+    // Rounding up to 2⁵³ carries into that exponent, as it should.
+    let bits = (u64::from(shift) + 1011) << 52;
+    f64::from_bits(bits + (significand - (1 << 52)) + u64::from(up))
+}
+
+/// A byte a time field may be spelled with.
+fn spelled(byte: u8) -> bool {
+    matches!(byte, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+}
+
+/// The plain decimal at `bytes[start]` — 1 to 19 digits around at most
+/// one point, then a byte outside [`spelled`] — as `str::parse` reads it:
+/// its value and where that byte is. `None` for any other spelling, or a
+/// buffer that ends first.
+fn plain_decimal(bytes: &[u8], start: usize) -> Option<(f64, usize)> {
     let (mut mantissa, mut at) = digits(bytes, start, 0);
     let mut count = at - start;
     let mut frac = 0;
@@ -218,15 +299,22 @@ fn fast_time(bytes: &[u8], start: usize) -> Option<(f64, usize)> {
         frac = at - point - 1;
         count += frac;
     }
-    let spelled = |byte: u8| matches!(byte, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-');
-    if !spelled(*bytes.get(at)?) && (1..=19).contains(&count) && mantissa < 1 << 53 {
-        return Some((mantissa as f64 / POW10[frac], at));
+    (!spelled(*bytes.get(at)?) && (1..=19).contains(&count))
+        .then(|| (exact_quotient(mantissa, frac), at))
+}
+
+/// The time field starting at `bytes[start]`: its value and where the
+/// first byte outside [`spelled`] is. A [`plain_decimal`] is read
+/// exactly; `str::parse` gets every other spelling (a sign, an exponent,
+/// 20 digits or more). `None` if the buffer ends first, or the field is
+/// not a time in the domain.
+fn fast_time(bytes: &[u8], start: usize) -> Option<(f64, usize)> {
+    if let Some(read) = plain_decimal(bytes, start) {
+        return Some(read);
     }
-    while spelled(*bytes.get(at)?) {
-        at += 1;
-    }
-    let value = std::str::from_utf8(&bytes[start..at]).ok()?.parse().ok()?;
-    valid_time(value).then_some((value, at))
+    let end = start + bytes.get(start..)?.iter().position(|&b| !spelled(b))?;
+    let value = std::str::from_utf8(&bytes[start..end]).ok()?.parse().ok()?;
+    valid_time(value).then_some((value, end))
 }
 
 /// The row a trace writer emits — `digits,digits,digits,digits,time,time`,
@@ -417,14 +505,16 @@ fn rows(
     }
 }
 
-/// Read a workload from a CSV trace (the [`to_csv`] schema) without ever
-/// holding more of it than one read block: what a trace *file* is loaded
-/// through. Accepts exactly the rows [`from_csv`] accepts, with the same
-/// errors, and additionally requires each row's id to be its rank (see
-/// [`ReadError::NonDenseId`]), judged after the row itself and before its
-/// order. `name` labels the resulting workload.
-pub fn read_csv(name: &str, reader: impl Read) -> Result<Workload, ReadError> {
-    let mut vms = Vec::new();
+/// The rows of a trace a replay can take, in order: [`rows`], and on each
+/// row what a replay requires of a trace — its id equal to its rank
+/// (judged after the row itself and before its order, see
+/// [`ReadError::NonDenseId`]), arrivals non-decreasing, and at most
+/// `u32::MAX` rows. The one definition of those checks, for [`read_csv`]
+/// and for the trace store a run replays ([`crate::TraceShards`]).
+pub(crate) fn ranked_rows(
+    reader: impl Read,
+    mut each: impl FnMut(&VmRequest),
+) -> Result<(), ReadError> {
     let mut rank: u32 = 0;
     let mut last_arrival = f64::NEG_INFINITY;
     rows(reader, |line, vm| {
@@ -446,9 +536,21 @@ pub fn read_csv(name: &str, reader: impl Read) -> Result<Workload, ReadError> {
             ))
         })?;
         last_arrival = vm.arrival;
-        vms.push(vm);
+        each(&vm);
         Ok(())
-    })?;
+    })
+}
+
+/// Read a workload from a CSV trace (the [`to_csv`] schema) without ever
+/// holding more of it than one read block. Accepts exactly the rows
+/// [`from_csv`] accepts, with the same errors, and additionally requires
+/// what a replay requires of a trace: each id its row's rank (see
+/// [`ReadError::NonDenseId`]) and at most `u32::MAX` rows. `name` labels
+/// the resulting workload. The library's reader of a whole trace, and the
+/// oracle the trace store a run replays is tested against.
+pub fn read_csv(name: &str, reader: impl Read) -> Result<Workload, ReadError> {
+    let mut vms = Vec::new();
+    ranked_rows(reader, |vm| vms.push(*vm))?;
     Ok(Workload::from_vms(name, vms))
 }
 
@@ -822,9 +924,19 @@ mod tests {
         );
     }
 
+    /// Whether [`plain_decimal`] reads `field` (a `,` put behind it).
+    fn is_plain(field: &str) -> bool {
+        plain_decimal(format!("{field},").as_bytes(), 0).is_some()
+    }
+
     /// The exact-decimal case against `str::parse`, bit for bit, along
-    /// each of its edges: no digit, leading zeros, 2⁵³, 19 digits, 22
-    /// digits behind the point — and the spellings that are not its own.
+    /// each of its edges — no digit, leading zeros, the mantissas either
+    /// side of 2⁵³ and the largest 19-digit one with the point at every
+    /// position (k = 0 to 19, and 22 and 23 behind it, which are too
+    /// long), halfway cases of the integer quotient, which round to even,
+    /// and one unit either side of them, which its remainder decides —
+    /// and the spellings that are not its own: a sign, an exponent, a 20th
+    /// digit.
     #[test]
     fn exact_decimals_are_the_bits_str_parse_gives() {
         // 19 digits, 20, the largest 19; 2⁶⁴, which wraps the accumulator
@@ -839,14 +951,54 @@ mod tests {
             .map(String::from)
             .collect();
         fields.push(String::new());
-        for mantissa in [(1u64 << 53) - 1, 1 << 53, (1 << 53) + 1] {
-            fields.push(mantissa.to_string());
-            for frac in [1usize, 15, 22, 23] {
-                let digits = format!("{mantissa:0>width$}", width = frac + 1);
-                let (int, fraction) = digits.split_at(digits.len() - frac);
-                fields.push(format!("{int}.{fraction}"));
+        for field in [
+            "12345678901234567890",
+            ".00000000000000000001",
+            "1e5",
+            "1.5E3",
+            "+7",
+            "-0.0",
+        ] {
+            assert!(!is_plain(field), "{field:?} is read by `str::parse`");
+        }
+        let tie = (1u64 << 53) + 1;
+        let mut plain = Vec::new();
+        for mantissa in [
+            (1u64 << 53) - 1,
+            1 << 53,
+            tie,
+            (1 << 53) + 3,
+            POW10_INT[19] - 1,
+            POW10_INT[18],
+            u64::MAX / 2,
+        ] {
+            let text = mantissa.to_string();
+            plain.push(text.clone());
+            for k in (0..=19).chain([22, 23]) {
+                let field = if k >= text.len() {
+                    format!(".{text:0>k$}")
+                } else {
+                    let (int, frac) = text.split_at(text.len() - k);
+                    format!("{int}.{frac}")
+                };
+                if k <= 19 {
+                    plain.push(field);
+                } else {
+                    fields.push(field);
+                }
             }
         }
+        for (k, scale) in (1..=3).zip(&POW10_INT[1..]) {
+            for m in [tie * scale - 1, tie * scale, tie * scale + 1] {
+                let text = m.to_string();
+                let (int, frac) = text.split_at(text.len() - k);
+                plain.push(format!("{int}.{frac}"));
+            }
+        }
+        for field in &plain {
+            assert!(is_plain(field), "{field:?} is a plain decimal");
+        }
+        fields.extend(plain);
         for field in &fields {
             assert_reads_as_parsed(field);
         }
@@ -873,29 +1025,48 @@ mod tests {
             bits(read_csv("doc", text.as_bytes()).unwrap()),
             bits(from_csv("doc", &text).unwrap())
         );
-        assert!(rank > 20, "only {rank} of the fields are times");
+        assert!(rank > 100, "only {rank} of the fields are times");
     }
 
     proptest! {
-        /// Any digits-and-a-point field, on both sides of every bound of
-        /// the exact case: what the fused reader makes of it is what
-        /// `str::parse` makes of it.
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// Any digits-and-a-point field — 1 to 19 digits, the point at
+        /// every position (leading, inside, trailing, or none), up to three
+        /// more zeros either side — is what `str::parse` makes of it, and
+        /// it is read in integers exactly when it has at most 19 digits in
+        /// all: half of the 17-digit times a trace writer emits have a
+        /// mantissa of 2⁵³ or more.
         #[test]
         fn plain_decimal_fields_read_as_parsed(
-            mantissa in 0u64..1 << 54,
-            frac in 0usize..=24,
+            width in 1usize..=19,
+            bits in any::<u64>(),
+            point in 0usize..=26,
             lead in 0usize..4,
             trail in 0usize..4,
-            point in any::<bool>(),
-            int_zero in any::<bool>(),
         ) {
-            let digits = format!("{mantissa:0>width$}", width = frac + usize::from(int_zero));
-            let (int, fraction) = digits.split_at(digits.len() - frac);
-            let point = if point || frac > 0 { "." } else { "" };
-            let field = format!(
-                "{}{int}{point}{fraction}{}", "0".repeat(lead), "0".repeat(trail)
+            let digits = format!(
+                "{}{:0>width$}{}", "0".repeat(lead), bits % POW10_INT[width], "0".repeat(trail)
             );
+            let at = point % (digits.len() + 2);
+            let field = if at > digits.len() {
+                digits.clone()
+            } else {
+                format!("{}.{}", &digits[..at], &digits[at..])
+            };
             assert_reads_as_parsed(&field);
+            prop_assert_eq!(is_plain(&field), digits.len() <= 19, "{:?}", field);
+        }
+
+        /// The fields a trace writer emits — `{:?}` of any time in
+        /// `[0, MAX_TIME]`, drawn uniform over the bit patterns (every
+        /// binade alike, subnormals included) and uniform over the values —
+        /// read as `str::parse` reads them, through whichever path.
+        #[test]
+        fn debug_rendered_times_read_as_parsed(bits in any::<u64>(), scale in 0u32..64) {
+            assert_reads_as_parsed(&format!("{:?}", f64::from_bits(bits % MAX_TIME.to_bits())));
+            let uniform = (bits >> 11) as f64 / (1u64 << 53) as f64 * MAX_TIME;
+            assert_reads_as_parsed(&format!("{:?}", uniform / 2f64.powi(scale as i32)));
         }
     }
 

@@ -1,16 +1,31 @@
-//! Pre-built traces as shard sources.
+//! Recorded traces as shard sources, held as columns.
 //!
 //! Generated workloads stream through [`crate::ShardSource`] because every
-//! shard is *derivable* on demand from per-shard RNG streams. A pre-built
-//! trace (a [`Workload`] literal, or a CSV file loaded whole by
-//! [`Workload::read_csv_file`]) has no generator to re-run — but it can
-//! still be **served** in shard-sized slices, which is all the shard
-//! cursor needs: [`TraceShards`] does that.
+//! shard is *derivable* on demand from per-shard RNG streams. A recorded
+//! trace (a CSV file, or a [`Workload`] already in memory) has no
+//! generator to re-run — but it can still be **served** in shard-sized
+//! slices, which is all the shard cursor needs: [`TraceShards`] does that.
+//!
+//! ## A trace as columns
+//!
+//! A replay reads each row's arrival, lifetime and three amounts, and its
+//! id is its rank (a trace file whose ids are not is refused, see
+//! [`TraceFileError::NonDenseId`]). So the store holds no id and no
+//! request list: an arrival column, a lifetime column, and a column of
+//! *shape* ids indexing the distinct `(cpu_cores, ram_gb, storage_gb)`
+//! triples in order of first appearance — 20 B a row and 12 B a shape,
+//! where a `Vec<VmRequest>` takes 32 B a row. A trace file is read once,
+//! at build time, through the CSV reader's one row loop straight into the
+//! columns ([`TraceShards::read_csv_file`]); the shape ids come from an
+//! open-addressing table that lives only while the file loads, and since
+//! they are handed out in order of first appearance, the same file always
+//! makes the same store. A shard is gathered from the columns when the
+//! cursor asks for it.
 //!
 //! ## The zero-delta stitching trick
 //!
 //! Generated shards report arrivals in *shard-local* time plus a per-shard
-//! delta total, and the consumer rebases with `offset + local`. A pre-built
+//! delta total, and the consumer rebases with `offset + local`. A recorded
 //! trace's arrivals are already absolute, and `offset + (absolute - offset)`
 //! is **not** an `f64` identity — rebasing through deltas would break
 //! byte-identity with the materialized path. [`TraceShards`] therefore
@@ -23,60 +38,197 @@
 
 use crate::csv::{self, CsvError, ReadError};
 use crate::shard::ShardSource;
-use crate::vm::{VmRequest, Workload};
+use crate::vm::{VmId, VmRequest, Workload};
 use std::fs::File;
+use std::ops::Range;
 use std::path::Path;
 
-/// An in-memory [`Workload`] served shard-by-shard.
+/// A recorded trace, held as columns and served shard by shard (see the
+/// module docs).
 ///
-/// How a trace that is already loaded — a CSV file read whole, or a
-/// generated trace materialized up front — reaches the same cursor a
-/// generator feeds.
+/// How a trace file — or a trace already in memory, which the legacy
+/// arrival path and tests hand over — reaches the same cursor a generator
+/// feeds.
 #[derive(Debug, Clone)]
 pub struct TraceShards {
-    workload: Workload,
+    name: String,
+    /// Each row's arrival time.
+    arrival: Vec<f64>,
+    /// Each row's lifetime.
+    lifetime: Vec<f64>,
+    /// Each row's index into `shapes`.
+    shape: Vec<u32>,
+    /// The distinct `[cpu_cores, ram_gb, storage_gb]` triples, in order
+    /// of first appearance.
+    shapes: Vec<[u32; 3]>,
 }
 
 impl TraceShards {
-    /// Wrap a workload. The workload must be sorted by arrival (enforced
-    /// by [`Workload`] construction).
+    /// Hold a workload as columns. Its VMs must be sorted by arrival
+    /// (enforced by [`Workload`] construction), and their ids are not
+    /// kept: a VM's id is its rank, as it is in every generated trace and
+    /// in every trace file [`TraceShards::read_csv_file`] accepts.
     pub fn new(workload: Workload) -> Self {
-        TraceShards { workload }
+        debug_assert!(
+            workload
+                .vms()
+                .iter()
+                .zip(0..)
+                .all(|(vm, rank)| vm.id.0 == rank),
+            "a stored trace's ids are its ranks"
+        );
+        let mut loader = Loader::new(workload.name());
+        workload.vms().iter().for_each(|vm| loader.push(vm));
+        loader.finish()
     }
+
+    /// Load the CSV trace file at `path` into columns, in one pass of the
+    /// CSV reader's row loop under the checks a replay needs
+    /// ([`csv::read_csv`]'s, with the same errors): validated a block at a
+    /// time, and never resident as text or as a request list. `name`
+    /// labels the workload.
+    pub fn read_csv_file(name: &str, path: impl AsRef<Path>) -> Result<Self, TraceFileError> {
+        let path = path.as_ref();
+        let file = File::open(path).map_err(|e| TraceFileError::io(path, e))?;
+        let mut loader = Loader::new(name);
+        csv::ranked_rows(file, |vm| loader.push(vm))
+            .map_err(|e| TraceFileError::from_read(path, e))?;
+        Ok(loader.finish())
+    }
+
+    /// Rows `range` as requests, each with its rank for its id.
+    fn gather(&self, range: Range<u32>) -> Vec<VmRequest> {
+        let r = range.start as usize..range.end as usize;
+        self.arrival[r.clone()]
+            .iter()
+            .zip(&self.lifetime[r.clone()])
+            .zip(&self.shape[r])
+            .zip(range)
+            .map(|(((&arrival, &lifetime), &shape), id)| {
+                let [cpu_cores, ram_gb, storage_gb] = self.shapes[shape as usize];
+                VmRequest {
+                    id: VmId(id),
+                    cpu_cores,
+                    ram_gb,
+                    storage_gb,
+                    arrival,
+                    lifetime,
+                }
+            })
+            .collect()
+    }
+}
+
+/// A [`TraceShards`] being filled row by row, with the table that hands
+/// out its shape ids. [`Loader::finish`] keeps the store and drops the
+/// table.
+struct Loader {
+    store: TraceShards,
+    /// Open addressing, linear probing, a power-of-two length at most half
+    /// full: each slot holds a shape id plus one, or 0 when empty.
+    slots: Vec<u32>,
+}
+
+impl Loader {
+    fn new(name: &str) -> Self {
+        Loader {
+            store: TraceShards {
+                name: name.to_string(),
+                arrival: Vec::new(),
+                lifetime: Vec::new(),
+                shape: Vec::new(),
+                shapes: Vec::new(),
+            },
+            slots: vec![0; 64],
+        }
+    }
+
+    fn push(&mut self, vm: &VmRequest) {
+        let shape = self.intern([vm.cpu_cores, vm.ram_gb, vm.storage_gb]);
+        self.store.arrival.push(vm.arrival);
+        self.store.lifetime.push(vm.lifetime);
+        self.store.shape.push(shape);
+    }
+
+    /// The id of `shape`: the one it was given when first seen, else the
+    /// next.
+    fn intern(&mut self, shape: [u32; 3]) -> u32 {
+        let shapes = &mut self.store.shapes;
+        let mask = self.slots.len() - 1;
+        let mut at = home(shape) & mask;
+        loop {
+            match self.slots[at] {
+                0 => break,
+                slot if shapes[slot as usize - 1] == shape => return slot - 1,
+                _ => at = (at + 1) & mask,
+            }
+        }
+        // Ids stay below the row count, itself a `u32`.
+        let id = shapes.len() as u32;
+        shapes.push(shape);
+        self.slots[at] = id + 1;
+        if 2 * shapes.len() > self.slots.len() {
+            self.slots = vec![0; 2 * self.slots.len()];
+            let mask = self.slots.len() - 1;
+            for (slot, &shape) in (1..).zip(shapes.iter()) {
+                let mut at = home(shape) & mask;
+                while self.slots[at] != 0 {
+                    at = (at + 1) & mask;
+                }
+                self.slots[at] = slot;
+            }
+        }
+        id
+    }
+
+    /// The store, its columns trimmed to their length.
+    fn finish(self) -> TraceShards {
+        let mut store = self.store;
+        store.arrival.shrink_to_fit();
+        store.lifetime.shrink_to_fit();
+        store.shape.shrink_to_fit();
+        store.shapes.shrink_to_fit();
+        store
+    }
+}
+
+/// Where `shape`'s probe starts, before masking to the table's length.
+fn home([cpu, ram, storage]: [u32; 3]) -> usize {
+    let key = u64::from(cpu) ^ u64::from(ram).rotate_left(21) ^ u64::from(storage).rotate_left(42);
+    let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (mixed ^ (mixed >> 32)) as usize
 }
 
 impl ShardSource for TraceShards {
     fn total_vms(&self) -> u32 {
-        self.workload.len() as u32
+        self.arrival.len() as u32
     }
 
     fn label(&self) -> &str {
-        self.workload.name()
+        &self.name
     }
 
     fn shard_vms(&self, shard: u32) -> (Vec<VmRequest>, f64) {
-        let r = self.shard_range(shard);
         // Arrivals stay absolute; delta total 0.0 keeps the consumer's
         // running offset at zero (see module docs).
-        (
-            self.workload.vms()[r.start as usize..r.end as usize].to_vec(),
-            0.0,
-        )
+        (self.gather(self.shard_range(shard)), 0.0)
     }
 
     fn largest_request(&self) -> (u32, u32, u32) {
-        self.workload.vms().iter().fold((0, 0, 0), |(c, r, s), vm| {
-            (c.max(vm.cpu_cores), r.max(vm.ram_gb), s.max(vm.storage_gb))
-        })
+        self.shapes
+            .iter()
+            .fold((0, 0, 0), |(c, r, s), &[cpu, ram, storage]| {
+                (c.max(cpu), r.max(ram), s.max(storage))
+            })
     }
 
     fn span_units(&self) -> f64 {
-        self.workload.vms().last().map_or(0.0, |vm| vm.arrival)
+        self.arrival.last().copied().unwrap_or(0.0)
     }
 }
 
 /// Errors raised while loading a CSV trace file
-/// ([`Workload::read_csv_file`]).
+/// ([`TraceShards::read_csv_file`], [`Workload::read_csv_file`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceFileError {
     /// The file could not be read.
@@ -157,20 +309,19 @@ impl TraceFileError {
 }
 
 impl Workload {
-    /// Load the CSV trace file at `path` whole, through
-    /// [`csv::read_csv`]: validated a block at a time, and never resident
-    /// as text. `name` labels the workload.
+    /// The CSV trace file at `path` as a request list: the trace store's
+    /// load ([`TraceShards::read_csv_file`], the one loader of a trace
+    /// file) with every row gathered. `name` labels the workload.
     pub fn read_csv_file(name: &str, path: impl AsRef<Path>) -> Result<Self, TraceFileError> {
-        let path = path.as_ref();
-        let file = File::open(path).map_err(|e| TraceFileError::io(path, e))?;
-        csv::read_csv(name, file).map_err(|e| TraceFileError::from_read(path, e))
+        let store = TraceShards::read_csv_file(name, path)?;
+        Ok(Workload::from_vms(name, store.gather(0..store.total_vms())))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csv::{from_csv, HEADER};
+    use crate::csv::{from_csv, to_csv, HEADER};
     use crate::shard::{materialize, SHARD_SIZE};
     use crate::streaming::StreamingShards;
     use crate::synthetic::SyntheticConfig;
@@ -180,6 +331,44 @@ mod tests {
         Workload::synthetic(&SyntheticConfig::small(n, 11))
     }
 
+    /// Every field of every row, the times as bits.
+    fn bits(vms: &[VmRequest]) -> Vec<(u32, [u32; 3], u64, u64)> {
+        vms.iter()
+            .map(|vm| {
+                let shape = [vm.cpu_cores, vm.ram_gb, vm.storage_gb];
+                (vm.id.0, shape, vm.arrival.to_bits(), vm.lifetime.to_bits())
+            })
+            .collect()
+    }
+
+    /// The trace store's verdict on `contents` as a file, checked against
+    /// [`csv::read_csv`]'s on the same file: the rows served, bit for bit,
+    /// the largest request and the span, or the same refusal.
+    fn load(tag: &str, contents: &[u8]) -> Result<TraceShards, TraceFileError> {
+        let path =
+            std::env::temp_dir().join(format!("risa_trace_{}_{tag}.csv", std::process::id()));
+        std::fs::write(&path, contents).unwrap();
+        let store = TraceShards::read_csv_file("x", &path);
+        let read = File::open(&path)
+            .map_err(ReadError::Io)
+            .and_then(|file| csv::read_csv("x", file))
+            .map_err(|e| TraceFileError::from_read(&path, e));
+        std::fs::remove_file(&path).ok();
+        match (&store, read) {
+            (Ok(store), Ok(read)) => {
+                assert_eq!(bits(&materialize(store)), bits(read.vms()), "{tag}");
+                let fold = read.vms().iter().fold((0, 0, 0), |(c, r, s), vm| {
+                    (c.max(vm.cpu_cores), r.max(vm.ram_gb), s.max(vm.storage_gb))
+                });
+                assert_eq!(store.largest_request(), fold, "{tag}");
+                let last = read.vms().last().map_or(0.0, |vm| vm.arrival);
+                assert_eq!(store.span_units().to_bits(), last.to_bits(), "{tag}");
+            }
+            (store, read) => assert_eq!(store.as_ref().err(), read.err().as_ref(), "{tag}"),
+        }
+        store
+    }
+
     #[test]
     fn trace_shards_reproduce_the_workload_exactly() {
         // 2.5 shards so the ragged tail and shard boundaries are exercised.
@@ -187,7 +376,7 @@ mod tests {
         let shards = TraceShards::new(w.clone());
         assert_eq!(shards.total_vms(), w.len() as u32);
         assert_eq!(shards.label(), w.name());
-        assert_eq!(materialize(&shards), w.vms());
+        assert_eq!(bits(&materialize(&shards)), bits(w.vms()));
         assert_eq!(
             shards.span_units().to_bits(),
             w.vms().last().unwrap().arrival.to_bits()
@@ -209,117 +398,172 @@ mod tests {
         assert_eq!(streamed, *w.vms());
     }
 
-    fn temp_csv(tag: &str, contents: &str) -> std::path::PathBuf {
-        let path =
-            std::env::temp_dir().join(format!("risa_trace_{}_{tag}.csv", std::process::id()));
-        std::fs::write(&path, contents).unwrap();
-        path
+    /// The store serves what [`csv::read_csv`] reads, bit for bit: a trace
+    /// with a ragged last shard, one of a single shape, and one in which every row is a shape of its own, so
+    /// the shape table grows many times over while it loads.
+    #[test]
+    fn store_serves_what_read_csv_reads() {
+        let ragged = to_csv(&sample_workload(SHARD_SIZE * 2 + 50));
+        let store = load("ragged", ragged.as_bytes()).unwrap();
+        assert_eq!(store.total_vms(), SHARD_SIZE * 2 + 50);
+        assert_eq!(store.shard_vms(2).0.len(), 50);
+
+        let mut one = format!("{HEADER}\n");
+        let mut distinct = one.clone();
+        for i in 0..5000u32 {
+            let t = f64::from(i) * 0.1;
+            one.push_str(&format!("{i},8,16,128,{t:?},6300.0\n"));
+            distinct.push_str(&format!(
+                "{i},{},{},{},{t:?},{:?}\n",
+                i + 1,
+                5000 - i,
+                i % 7,
+                t / 3.0
+            ));
+        }
+        let store = load("one", one.as_bytes()).unwrap();
+        assert_eq!((store.total_vms(), store.shapes.len()), (5000, 1));
+        let store = load("distinct", distinct.as_bytes()).unwrap();
+        assert_eq!((store.total_vms(), store.shapes.len()), (5000, 5000));
+        assert_eq!(store.largest_request(), (5000, 5000, 6));
+        // Ids come from first appearance, so the same file makes the same
+        // store however its shapes hash.
+        assert!(store.shape.iter().zip(0..).all(|(&id, rank)| id == rank));
     }
 
     #[test]
     fn csv_file_shards_tolerate_blank_lines_and_empty_files() {
-        let path = temp_csv("blanks", &format!("{HEADER}\n\n0,1,2,128,1.0,10.0\n\n"));
-        let shards = TraceShards::new(Workload::read_csv_file("blanky", &path).unwrap());
-        assert_eq!(shards.total_vms(), 1);
-        assert_eq!(shards.shard_vms(0).0.len(), 1);
-        std::fs::remove_file(&path).ok();
+        let crlf = format!("{HEADER}\r\n\r\n0,1,2,128,1.0,10.0\r\n\n1,3,4,128,2.5,0.125\r\n\r\n");
+        let store = load("crlf", crlf.as_bytes()).unwrap();
+        assert_eq!(store.total_vms(), 2);
+        assert_eq!(store.shard_vms(0).0.len(), 2);
 
-        let path = temp_csv("empty", &format!("{HEADER}\n"));
-        let shards = TraceShards::new(Workload::read_csv_file("empty", &path).unwrap());
-        assert_eq!(shards.total_vms(), 0);
-        assert_eq!(shards.num_shards(), 0);
-        assert_eq!(shards.span_units(), 0.0);
-        std::fs::remove_file(&path).ok();
+        let empty = load("empty", format!("{HEADER}\n").as_bytes()).unwrap();
+        assert_eq!(empty.total_vms(), 0);
+        assert_eq!(empty.num_shards(), 0);
+        assert_eq!(empty.span_units(), 0.0);
+        assert_eq!(empty.largest_request(), (0, 0, 0));
     }
 
+    /// Bytes per row: 20 of heap capacity in the columns and 12 per
+    /// distinct shape, and no load-time table kept — pinned so a stored
+    /// trace does not grow back into a request list (32 B a row) unnoticed.
+    #[test]
+    fn bytes_per_row_are_pinned() {
+        let rows = 100_000u32;
+        let mut text = format!("{HEADER}\n");
+        for i in 0..rows {
+            let (cpu, ram) = (i % 32 + 1, i / 32 % 32 + 1);
+            let t = f64::from(i) * 9.25;
+            text.push_str(&format!("{i},{cpu},{ram},128,{t:?},6300.5\n"));
+        }
+        let store = load("footprint", text.as_bytes()).unwrap();
+        let shapes = store.shapes.len();
+        assert_eq!(shapes, 1024);
+        let heap = 8 * store.arrival.capacity()
+            + 8 * store.lifetime.capacity()
+            + 4 * store.shape.capacity()
+            + 12 * store.shapes.capacity();
+        let bound = 20 * rows as usize + 12 * shapes;
+        assert!(heap <= bound + 64, "{heap} B of columns, bound {bound} B");
+        assert_eq!(
+            std::mem::size_of::<TraceShards>(),
+            std::mem::size_of::<String>() + 4 * std::mem::size_of::<Vec<u8>>(),
+            "a name and four columns"
+        );
+        assert_eq!(std::mem::size_of::<VmRequest>(), 32);
+    }
+
+    /// Every file refused is refused by the store as [`csv::read_csv`]
+    /// refuses it: the same [`TraceFileError`], line and column.
     #[test]
     fn open_validates_eagerly() {
-        let missing = Workload::read_csv_file("x", "/nonexistent/risa/trace.csv").unwrap_err();
+        let missing = TraceShards::read_csv_file("x", "/nonexistent/risa/trace.csv").unwrap_err();
         assert!(matches!(missing, TraceFileError::Io { .. }));
         assert!(missing.to_string().contains("/nonexistent/risa/trace.csv"));
-
-        let path = temp_csv("badheader", "nope\n0,1,2,128,1.0,10.0\n");
         assert_eq!(
-            Workload::read_csv_file("x", &path).unwrap_err(),
-            TraceFileError::Csv(CsvError::BadHeader)
+            Workload::read_csv_file("x", "/nonexistent/risa/trace.csv").unwrap_err(),
+            missing
         );
-        std::fs::remove_file(&path).ok();
 
-        let path = temp_csv(
-            "unsorted",
-            &format!("{HEADER}\n0,1,2,128,5.0,10.0\n1,1,2,128,4.0,10.0\n"),
-        );
-        assert_eq!(
-            Workload::read_csv_file("x", &path).unwrap_err(),
-            TraceFileError::Csv(CsvError::NotSorted { line: 3 })
-        );
-        std::fs::remove_file(&path).ok();
-
-        let path = temp_csv(
-            "sparseid",
-            &format!("{HEADER}\n0,1,2,128,1.0,10.0\n5,1,2,128,2.0,10.0\n"),
-        );
-        assert_eq!(
-            Workload::read_csv_file("x", &path).unwrap_err(),
-            TraceFileError::NonDenseId {
-                line: 3,
-                expected: 1,
-                found: 5
-            }
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// A trace file reaches a run as one whole-file load served through
-    /// [`TraceShards`]: a file it accepts is served row for row as the
-    /// text reader reads it, and a file it refuses gets a typed verdict.
-    #[test]
-    fn whole_file_load_and_shard_open_agree() {
-        let same = |tag: &str, contents: &[u8]| {
-            let path = std::env::temp_dir()
-                .join(format!("risa_trace_{}_same_{tag}.csv", std::process::id()));
-            std::fs::write(&path, contents).unwrap();
-            let refused = Workload::read_csv_file("x", &path)
-                .map(|w| {
-                    let text = std::str::from_utf8(contents).unwrap();
-                    let served = materialize(&TraceShards::new(w));
-                    assert_eq!(served, from_csv("x", text).unwrap().vms(), "{tag}");
-                })
-                .err();
-            std::fs::remove_file(&path).ok();
-            refused
-        };
         let doc = |rows: &str| format!("{HEADER}\n{rows}").into_bytes();
+        let refused = |tag: &str, contents: &[u8]| load(tag, contents).err();
+        assert_eq!(refused("empty", b""), Some(CsvError::BadHeader.into()));
         assert_eq!(
-            same("ok", &doc("0,1,2,128,1.0,10\r\n\n 1,+1,2,128,1.0,10")),
-            None
+            refused("badheader", b"nope\n0,1,2,128,1.0,10.0\n"),
+            Some(CsvError::BadHeader.into())
         );
-        assert_eq!(same("empty", b""), Some(CsvError::BadHeader.into()));
-        assert_eq!(
-            same("row", &doc("0,1,2,128,1.0,10\n1,1,2,128,2.0\n")),
-            Some(CsvError::BadArity { line: 3 }.into())
-        );
+        for (tag, rows, error) in [
+            (
+                "unsorted",
+                "0,1,2,128,5.0,10.0\n1,1,2,128,4.0,10.0\n",
+                CsvError::NotSorted { line: 3 },
+            ),
+            (
+                "arity",
+                "0,1,2,128,1.0,10\n1,1,2,128,2.0\n",
+                CsvError::BadArity { line: 3 },
+            ),
+            (
+                "field",
+                "0,1,2,128,1.0,10\n1,1,x,128,2.0,10\n",
+                CsvError::BadField {
+                    line: 3,
+                    column: "ram_gb",
+                },
+            ),
+            (
+                "value",
+                "0,1,2,128,1.0,10\n\n1,1,2,128,2.0,1e13\n",
+                CsvError::BadValue {
+                    line: 4,
+                    column: "lifetime",
+                },
+            ),
+        ] {
+            assert_eq!(refused(tag, &doc(rows)), Some(error.into()), "{tag}");
+        }
         for (tag, rows, line, expected, found) in [
             ("swapped", "1,1,2,128,1.0,10\n0,1,2,128,2.0,10\n", 2, 0, 1),
             ("sparse", "0,1,2,128,1.0,10\n2,1,2,128,2.0,10\n", 3, 1, 2),
             ("dup", "0,1,2,128,1.0,10\n0,1,2,128,2.0,10\n", 3, 1, 0),
+            ("gap", "0,1,2,128,1.0,10.0\n5,1,2,128,2.0,10.0\n", 3, 1, 5),
         ] {
             assert_eq!(
-                same(tag, &doc(rows)),
+                refused(tag, &doc(rows)),
                 Some(TraceFileError::NonDenseId {
                     line,
                     expected,
                     found
-                })
+                }),
+                "{tag}"
             );
         }
         let mut binary = doc("0,1,2,128,1.0,10\n");
         binary.extend([0xc3, 0x28, b'\n']);
-        let refused = same("binary", &binary).expect("not text");
+        let refused = refused("binary", &binary).expect("not text");
         assert!(
             matches!(&refused, TraceFileError::Io { path, message }
-                if path.ends_with("same_binary.csv") && message.contains("UTF-8")),
+                if path.ends_with("_binary.csv") && message.contains("UTF-8")),
             "{refused:?}"
         );
+    }
+
+    /// A file the store takes is the trace the text reader reads, in any
+    /// spelling the language allows, and the whole-file load of it
+    /// ([`Workload::read_csv_file`]) is that trace too.
+    #[test]
+    fn whole_file_load_and_shard_open_agree() {
+        let text = format!("{HEADER}\n0,1,2,128,1.0,10\r\n\n 1,+1,2,128,1.0,10");
+        let store = load("spelled", text.as_bytes()).unwrap();
+        let judged = from_csv("x", &text).unwrap();
+        assert_eq!(bits(&materialize(&store)), bits(judged.vms()));
+        let path =
+            std::env::temp_dir().join(format!("risa_trace_{}_whole.csv", std::process::id()));
+        std::fs::write(&path, &text).unwrap();
+        let whole = Workload::read_csv_file("x", &path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(whole.name(), "x");
+        assert_eq!(bits(whole.vms()), bits(judged.vms()));
     }
 }
