@@ -153,7 +153,8 @@ fn oversized_row_is_an_error_line() {
 /// `generate` writes the CSV schema and nothing else: to stdout the
 /// bytes it writes to `--out t.csv`, and no file under any other name. A
 /// run over that file is the run over the generator, in every report
-/// field but the workload's name.
+/// field but the workload's name, with faults off and on — and faults
+/// change the report.
 #[test]
 fn a_generated_csv_runs_as_the_generator_does() {
     let path = std::env::temp_dir().join(format!("risa_cli_{}_generated.CSV", std::process::id()));
@@ -186,7 +187,11 @@ fn a_generated_csv_runs_as_the_generator_does() {
         assert_eq!(fields.len() + 2, stdout.lines().count(), "{stdout}");
         fields
     };
-    assert_eq!(report(&["--workload", path]), report(&spec));
+    let file = report(&["--workload", path]);
+    assert_eq!(file, report(&spec));
+    let faults = report(&["--workload", path, "--faults"]);
+    assert_eq!(faults, report(&[&spec[..], &["--faults"]].concat()));
+    assert_ne!(faults, file, "faults must change the report");
     std::fs::remove_file(path).ok();
 }
 

@@ -55,6 +55,8 @@
 
 pub mod azure;
 pub mod csv;
+mod decimal;
+mod rows;
 pub mod shard;
 mod stats;
 mod streaming;

@@ -36,7 +36,8 @@
 //! stored one. Because the totals no longer encode the span, it
 //! overrides [`ShardSource::span_units`] with the true last arrival.
 
-use crate::csv::{self, CsvError, ReadError};
+use crate::csv::{CsvError, ReadError};
+use crate::rows::{self, Row};
 use crate::shard::ShardSource;
 use crate::vm::{VmId, VmRequest, Workload};
 use std::fs::File;
@@ -78,21 +79,28 @@ impl TraceShards {
             "a stored trace's ids are its ranks"
         );
         let mut loader = Loader::new(workload.name());
-        workload.vms().iter().for_each(|vm| loader.push(vm));
+        for vm in workload.vms() {
+            let shape = [vm.cpu_cores, vm.ram_gb, vm.storage_gb];
+            loader.push((shape, vm.arrival, vm.lifetime));
+        }
         loader.finish()
     }
 
     /// Load the CSV trace file at `path` into columns, in one pass of the
     /// CSV reader's row loop under the checks a replay needs
-    /// ([`csv::read_csv`]'s, with the same errors): validated a block at a
-    /// time, and never resident as text or as a request list. `name`
-    /// labels the workload.
+    /// ([`crate::csv::read_csv`]'s, with the same errors): validated a
+    /// block at a time, and never resident as text or as a request list.
+    /// `name` labels the workload.
     pub fn read_csv_file(name: &str, path: impl AsRef<Path>) -> Result<Self, TraceFileError> {
         let path = path.as_ref();
         let file = File::open(path).map_err(|e| TraceFileError::io(path, e))?;
         let mut loader = Loader::new(name);
-        csv::ranked_rows(file, |vm| loader.push(vm))
-            .map_err(|e| TraceFileError::from_read(path, e))?;
+        rows::ranked_rows(
+            file,
+            #[inline(always)]
+            |row| loader.push(row),
+        )
+        .map_err(|e| TraceFileError::from_read(path, e))?;
         Ok(loader.finish())
     }
 
@@ -124,9 +132,10 @@ impl TraceShards {
 /// table.
 struct Loader {
     store: TraceShards,
-    /// Open addressing, linear probing, a power-of-two length at most half
-    /// full: each slot holds a shape id plus one, or 0 when empty.
-    slots: Vec<u32>,
+    /// Open addressing, linear probing, a power-of-two length at most a
+    /// quarter full: a slot holds a shape and its id plus one inline (0:
+    /// empty), so a hit is one load and one compare.
+    slots: Vec<[u32; 4]>,
 }
 
 impl Loader {
@@ -139,43 +148,38 @@ impl Loader {
                 shape: Vec::new(),
                 shapes: Vec::new(),
             },
-            slots: vec![0; 64],
+            slots: vec![[0; 4]; 64],
         }
     }
 
-    fn push(&mut self, vm: &VmRequest) {
-        let shape = self.intern([vm.cpu_cores, vm.ram_gb, vm.storage_gb]);
-        self.store.arrival.push(vm.arrival);
-        self.store.lifetime.push(vm.lifetime);
+    /// Append a row: its shape's id and its two times.
+    #[inline(always)]
+    fn push(&mut self, (shape, arrival, lifetime): Row) {
+        let at = probe(&self.slots, shape);
+        let shape = match self.slots[at][3] {
+            0 => self.intern(at, shape),
+            slot => slot - 1,
+        };
+        self.store.arrival.push(arrival);
+        self.store.lifetime.push(lifetime);
         self.store.shape.push(shape);
     }
 
-    /// The id of `shape`: the one it was given when first seen, else the
-    /// next.
-    fn intern(&mut self, shape: [u32; 3]) -> u32 {
-        let shapes = &mut self.store.shapes;
-        let mask = self.slots.len() - 1;
-        let mut at = home(shape) & mask;
-        loop {
-            match self.slots[at] {
-                0 => break,
-                slot if shapes[slot as usize - 1] == shape => return slot - 1,
-                _ => at = (at + 1) & mask,
-            }
-        }
+    /// A new shape's id, the next, with its slot at `at`.
+    #[cold]
+    fn intern(&mut self, at: usize, shape: [u32; 3]) -> u32 {
         // Ids stay below the row count, itself a `u32`.
+        let shapes = &mut self.store.shapes;
         let id = shapes.len() as u32;
         shapes.push(shape);
-        self.slots[at] = id + 1;
-        if 2 * shapes.len() > self.slots.len() {
-            self.slots = vec![0; 2 * self.slots.len()];
-            let mask = self.slots.len() - 1;
-            for (slot, &shape) in (1..).zip(shapes.iter()) {
-                let mut at = home(shape) & mask;
-                while self.slots[at] != 0 {
-                    at = (at + 1) & mask;
+        self.slots[at] = [shape[0], shape[1], shape[2], id + 1];
+        if 4 * shapes.len() > self.slots.len() {
+            let grown = vec![[0; 4]; 2 * self.slots.len()];
+            for slot in std::mem::replace(&mut self.slots, grown) {
+                if slot[3] != 0 {
+                    let at = probe(&self.slots, [slot[0], slot[1], slot[2]]);
+                    self.slots[at] = slot;
                 }
-                self.slots[at] = slot;
             }
         }
         id
@@ -192,7 +196,23 @@ impl Loader {
     }
 }
 
+/// The slot of `slots` that holds `shape`, else the empty one its probe
+/// reaches first.
+#[inline]
+fn probe(slots: &[[u32; 4]], shape: [u32; 3]) -> usize {
+    let mask = slots.len() - 1;
+    let mut at = home(shape) & mask;
+    loop {
+        match slots[at] {
+            [_, _, _, 0] => return at,
+            [cpu, ram, storage, _] if [cpu, ram, storage] == shape => return at,
+            _ => at = (at + 1) & mask,
+        }
+    }
+}
+
 /// Where `shape`'s probe starts, before masking to the table's length.
+#[inline]
 fn home([cpu, ram, storage]: [u32; 3]) -> usize {
     let key = u64::from(cpu) ^ u64::from(ram).rotate_left(21) ^ u64::from(storage).rotate_left(42);
     let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -321,7 +341,7 @@ impl Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csv::{from_csv, to_csv, HEADER};
+    use crate::csv::{self, from_csv, to_csv, HEADER};
     use crate::shard::{materialize, SHARD_SIZE};
     use crate::streaming::StreamingShards;
     use crate::synthetic::SyntheticConfig;
@@ -472,6 +492,27 @@ mod tests {
             "a name and four columns"
         );
         assert_eq!(std::mem::size_of::<VmRequest>(), 32);
+    }
+
+    /// Dense ids are enforced where a trace enters a replay, not by
+    /// [`Workload::from_vms`]: a file by the reader ([`csv::read_csv`] and
+    /// the store alike), a workload by [`TraceShards::new`]'s
+    /// `debug_assert!`.
+    #[test]
+    fn dense_ids_are_enforced_by_the_reader_and_the_store() {
+        let rows = "0,1,2,128,1.0,10\n2,1,2,128,2.0,10\n";
+        let refused = TraceFileError::NonDenseId {
+            line: 3,
+            expected: 1,
+            found: 2,
+        };
+        assert_eq!(
+            load("nondense", format!("{HEADER}\n{rows}").as_bytes()).err(),
+            Some(refused)
+        );
+        let sparse = from_csv("x", &format!("{HEADER}\n{rows}")).unwrap();
+        let stored = std::panic::catch_unwind(|| TraceShards::new(sparse));
+        assert_eq!(stored.is_err(), cfg!(debug_assertions));
     }
 
     /// Every file refused is refused by the store as [`csv::read_csv`]

@@ -51,7 +51,11 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Wrap a VM list, asserting arrival order and dense ids.
+    /// Wrap a VM list, `debug_assert!`ing that it is sorted by arrival. Ids
+    /// are not checked: a replay's need for each to be its rank is enforced
+    /// where a trace enters one, a file's by `rows::ranked_rows`
+    /// ([`crate::TraceFileError::NonDenseId`]), a workload's by
+    /// [`crate::TraceShards::new`]'s `debug_assert!`.
     pub fn from_vms(name: impl Into<String>, vms: Vec<VmRequest>) -> Self {
         debug_assert!(
             vms.windows(2).all(|w| w[0].arrival <= w[1].arrival),
@@ -145,6 +149,18 @@ mod tests {
         assert_eq!(w.len(), 2);
         assert!(!w.is_empty());
         assert_eq!(w.vms()[1].arrival, 5.0);
+    }
+
+    /// `from_vms` checks the order of arrivals (in debug builds) and
+    /// nothing about ids; the readers and the trace store check those.
+    #[test]
+    fn from_vms_checks_order_not_ids() {
+        let w = Workload::from_vms("sparse", vec![vm(5, 0.0), vm(2, 1.0)]);
+        assert_eq!(w.vms().iter().map(|vm| vm.id.0).collect::<Vec<_>>(), [5, 2]);
+        let unsorted = std::panic::catch_unwind(|| {
+            Workload::from_vms("unsorted", vec![vm(0, 1.0), vm(1, 0.0)])
+        });
+        assert_eq!(unsorted.is_err(), cfg!(debug_assertions));
     }
 
     #[test]
