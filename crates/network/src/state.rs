@@ -569,7 +569,7 @@ impl NetworkState {
 
     /// Every aggregate recomputed from the link words: each link's free
     /// bandwidth (the down bit masked off) within `[0, capacity]` and each
-    /// trunk's three ledgers (`Trunk::check`), then the rack ordering and
+    /// trunk's four ledgers (`Trunk::check`), then the rack ordering and
     /// the layer totals from those (guaranteed by construction; kept for
     /// the property suites' belt and braces).
     pub fn check_invariants(&self) -> Result<(), String> {

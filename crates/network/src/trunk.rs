@@ -5,14 +5,19 @@
 //!
 //! A [`TrunkLayer`] holds every trunk of one layer (all box uplinks, or
 //! all rack uplinks) in one `Vec<u64>`, one fixed-stride *record* per
-//! trunk: three ledger words, then one word per link.
+//! trunk: four ledger words, then one word per link.
 //!
 //! | word | holds |
 //! |------|-------|
 //! | 0 | Σ free over **up** links (schedulable headroom) |
 //! | 1 | Σ free over **all** links (the flow-reservation ledger) |
 //! | 2 | max free over **up** links |
-//! | 3 + i | link `i`: its free Mb/s, and the [`DOWN`] bit while it is down |
+//! | 3 | how many **up** links hold that max |
+//! | 4 + i | link `i`: its free Mb/s, and the [`DOWN`] bit while it is down |
+//!
+//! Word 3 keeps the maximum O(1) under NALB, whose every grant shrinks a
+//! link holding it: the links are rescanned only when the last holder
+//! shrinks or goes down.
 //!
 //! A hop therefore reads one contiguous record and follows no pointer, and
 //! building a layer is one allocation whatever its trunk count or width.
@@ -26,6 +31,8 @@
 //! a crate-private [`TrunkMut`], which only the network's mutation funnel
 //! hands out, so the layer totals and the rack ordering built on the
 //! ledgers stay coherent by construction.
+
+use std::cmp::Ordering;
 
 /// Identifies one trunk in the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -104,20 +111,50 @@ const FREE_UP: usize = 0;
 const FREE_ALL: usize = 1;
 /// Record word: max free over up links.
 const MAX_UP: usize = 2;
+/// Record word: how many up links hold `MAX_UP` (0 if none is up).
+const MAX_N: usize = 3;
 /// Record words before the first link's.
-const LEDGERS: usize = 3;
+const LEDGERS: usize = 4;
 /// The bit of a link word set while the link is down; the rest of the
 /// word is the link's free Mb/s either way.
 const DOWN: u64 = 1 << 63;
 
-/// Largest free bandwidth on any up link of `links` (0 if none is up).
-fn up_max(links: &[u64]) -> u64 {
-    links
-        .iter()
-        .filter(|&&w| w & DOWN == 0)
-        .max()
-        .copied()
-        .unwrap_or(0)
+/// Largest free bandwidth on any up link of `links` and how many up
+/// links hold it (`[0, 0]` if none is up). One pass with no branch on a
+/// link: a down word counts as 0 toward the maximum and, at or above
+/// `DOWN`, never equals it.
+fn up_max(links: &[u64]) -> [u64; 2] {
+    links.iter().fold([0, 0], |[max, n], &w| {
+        let up = if w & DOWN == 0 { w } else { 0 };
+        if up > max {
+            [up, 1]
+        } else {
+            [max, n + u64::from(w == max)]
+        }
+    })
+}
+
+/// An up link that held `before` shrank or went down: if it held the
+/// maximum, the maximum has one holder fewer, and the (small,
+/// fixed-width) link words are rescanned only when none is left.
+#[inline]
+fn shrank(ledgers: &mut [u64], links: &[u64], before: u64) {
+    if before == ledgers[MAX_UP] {
+        ledgers[MAX_N] -= 1;
+        if ledgers[MAX_N] == 0 {
+            [ledgers[MAX_UP], ledgers[MAX_N]] = up_max(links);
+        }
+    }
+}
+
+/// An up link now holds `after`, having held less or been down.
+#[inline]
+fn grew(ledgers: &mut [u64], after: u64) {
+    match after.cmp(&ledgers[MAX_UP]) {
+        Ordering::Greater => [ledgers[MAX_UP], ledgers[MAX_N]] = [after, 1],
+        Ordering::Equal => ledgers[MAX_N] += 1,
+        Ordering::Less => {}
+    }
 }
 
 /// Every trunk of one layer, one fixed-stride record each (see the module
@@ -140,7 +177,7 @@ impl TrunkLayer {
         let width = usize::from(width);
         let capacity = link_mbps * width as u64;
         let max = if width == 0 { 0 } else { link_mbps };
-        let mut record = vec![capacity, capacity, max];
+        let mut record = vec![capacity, capacity, max, width as u64];
         record.resize(LEDGERS + width, link_mbps);
         TrunkLayer {
             link_mbps,
@@ -282,7 +319,8 @@ impl<'a> Trunk<'a> {
 
     /// The record against its own link words, read through the accessors
     /// above: every link's free bandwidth within the link capacity, and
-    /// the three ledgers equal to the sums and the maximum they cache.
+    /// the four ledgers equal to the sums, the maximum and its holders'
+    /// count they cache.
     /// Names the first disagreement.
     pub(crate) fn check(self) -> Result<(), String> {
         let free = |l| self.link_free_mbps(l);
@@ -290,10 +328,12 @@ impl<'a> Trunk<'a> {
             return Err(format!("link {l} over capacity"));
         }
         let up_links = || (0..self.width()).filter(|&l| self.link_up(l));
+        let max = up_links().map(free).max().unwrap_or(0);
         let recomputed = [
             up_links().map(free).sum::<u64>(),
             (0..self.width()).map(free).sum(),
-            up_links().map(free).max().unwrap_or(0),
+            max,
+            up_links().filter(|&l| free(l) == max).count() as u64,
         ];
         if self.record[..LEDGERS] != recomputed {
             return Err("stale headroom cache".into());
@@ -358,14 +398,12 @@ impl TrunkMut<'_> {
         if !(mbps..DOWN).contains(w) {
             return false;
         }
-        let was_max = *w == ledgers[MAX_UP];
+        let before = *w;
         *w -= mbps;
         ledgers[FREE_UP] -= mbps;
         ledgers[FREE_ALL] -= mbps;
-        if was_max && mbps > 0 {
-            // The previous maximum shrank; rescan the (small, fixed-width)
-            // link words once. Reads stay O(1).
-            ledgers[MAX_UP] = up_max(links);
+        if mbps > 0 {
+            shrank(ledgers, links, before);
         }
         true
     }
@@ -391,9 +429,9 @@ impl TrunkMut<'_> {
         // `after` stays below the link capacity, so the down bit survives.
         *w += mbps;
         ledgers[FREE_ALL] += mbps;
-        if *w & DOWN == 0 {
+        if *w & DOWN == 0 && mbps > 0 {
             ledgers[FREE_UP] += mbps;
-            ledgers[MAX_UP] = ledgers[MAX_UP].max(after);
+            grew(ledgers, after);
         }
         Ok(())
     }
@@ -401,8 +439,8 @@ impl TrunkMut<'_> {
     /// Take link `i` down (transceiver loss). Its free bandwidth leaves
     /// the schedulable aggregates (becoming stranded) and the link stops
     /// matching [`Trunk::first_fit`] / [`Trunk::most_available`];
-    /// outstanding grants stay charged. O(width) when the link held the
-    /// max.
+    /// outstanding grants stay charged. O(width) when the link was the
+    /// last to hold the max.
     pub(crate) fn fail_link(&mut self, i: usize) -> Result<(), TrunkError> {
         let (ledgers, links) = self.record.split_at_mut(LEDGERS);
         let w = links.get_mut(i).ok_or(TrunkError::NoSuchLink { link: i })?;
@@ -412,9 +450,7 @@ impl TrunkMut<'_> {
         let free = *w;
         *w |= DOWN;
         ledgers[FREE_UP] -= free;
-        if free == ledgers[MAX_UP] {
-            ledgers[MAX_UP] = up_max(links);
-        }
+        shrank(ledgers, links, free);
         Ok(())
     }
 
@@ -428,7 +464,7 @@ impl TrunkMut<'_> {
         }
         *w &= !DOWN;
         ledgers[FREE_UP] += *w;
-        ledgers[MAX_UP] = ledgers[MAX_UP].max(*w);
+        grew(ledgers, *w);
         Ok(())
     }
 }
@@ -436,6 +472,7 @@ impl TrunkMut<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Run `test` on the middle trunk of a three-trunk layer of `width`
     /// links, then check the stride arithmetic left both neighbours
@@ -637,10 +674,11 @@ mod tests {
         let base = good.stride;
         // (record word, bits flipped, what `check` must say). The links
         // are [down 100, 100, 70]; 100 ^ 4 = 96, 70 ^ 128 = 198.
-        let corruptions: [(usize, u64, &str); 7] = [
+        let corruptions: [(usize, u64, &str); 8] = [
             (FREE_UP, 1, "stale headroom cache"),
             (FREE_ALL, 1, "stale headroom cache"),
             (MAX_UP, 1, "stale headroom cache"),
+            (MAX_N, 1, "stale headroom cache"),
             (FREE_UP, DOWN, "stale headroom cache"),
             (LEDGERS + 1, 4, "stale headroom cache"),
             (LEDGERS + 1, DOWN, "stale headroom cache"),
@@ -651,6 +689,83 @@ mod tests {
             bad.words[base + word] ^= flip;
             assert_eq!(bad.trunk(1).check(), Err(named.into()), "word {word}");
             assert_eq!(bad.trunk(0).check(), Ok(()), "the neighbour is untouched");
+        }
+    }
+
+    /// `record` with its ledgers recomputed from its link words the slow
+    /// way.
+    fn recounted(record: &[u64]) -> Vec<u64> {
+        let links = &record[LEDGERS..];
+        let up = || links.iter().copied().filter(|w| w & DOWN == 0);
+        let max = up().max().unwrap_or(0);
+        let mut naive = vec![
+            up().sum(),
+            links.iter().map(|w| w & !DOWN).sum(),
+            max,
+            up().filter(|&w| w == max).count() as u64,
+        ];
+        naive.extend_from_slice(links);
+        naive
+    }
+
+    /// Flow sizes on a 100 Mb/s link: none, and sizes that leave many
+    /// links tied at the maximum.
+    const FLOWS: [u64; 4] = [0, 10, 50, 100];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random `take` / `give` / `fail_link` / `restore_link` sequences
+        /// at every width from 1 to 65, each grant on the link a policy
+        /// picks (first fit, most available) or on any link, leave the
+        /// record equal to its recount after every step; returning every
+        /// grant and restoring every link leaves it pristine, and its
+        /// neighbours are never touched.
+        #[test]
+        fn ledgers_equal_a_recount_after_every_step(
+            width in 1u16..=65,
+            ops in prop::collection::vec((0u8..5, 0..FLOWS.len(), any::<u32>()), 1..300),
+        ) {
+            on_middle(width, 100, |layer, t| {
+                let mut grants: Vec<(usize, u64)> = Vec::new();
+                for (kind, flow, pick) in ops {
+                    let (mbps, pick) = (FLOWS[flow], pick as usize);
+                    let link = pick % usize::from(width);
+                    match kind {
+                        0..=2 => {
+                            let chosen = match kind {
+                                0 => layer.trunk(t).first_fit(mbps),
+                                1 => layer.trunk(t).most_available(mbps),
+                                _ => Some(link),
+                            };
+                            if let Some(l) = chosen.filter(|&l| layer.trunk_mut(t).take(l, mbps)) {
+                                grants.push((l, mbps));
+                            }
+                        }
+                        3 if !grants.is_empty() => {
+                            let (l, mbps) = grants.swap_remove(pick % grants.len());
+                            layer.trunk_mut(t).give(l, mbps).unwrap();
+                        }
+                        3 => {}
+                        _ if layer.trunk(t).link_up(link) => {
+                            layer.trunk_mut(t).fail_link(link).unwrap();
+                        }
+                        _ => layer.trunk_mut(t).restore_link(link).unwrap(),
+                    }
+                    let record = layer.trunk(t).record;
+                    assert_eq!(record, recounted(record), "after {kind} {mbps} {pick}");
+                    assert_eq!(layer.trunk(t).check(), Ok(()));
+                }
+                for (l, mbps) in grants {
+                    layer.trunk_mut(t).give(l, mbps).unwrap();
+                }
+                for l in 0..usize::from(width) {
+                    // Refused on an up link, which is already as it began.
+                    let _ = layer.trunk_mut(t).restore_link(l);
+                }
+                let pristine = TrunkLayer::new(1, width, 100);
+                assert_eq!(layer.trunk(t).record, pristine.trunk(0).record);
+            });
         }
     }
 

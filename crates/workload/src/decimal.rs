@@ -2,13 +2,15 @@
 //! a plain decimal time read as the `f64` `str::parse` makes of it.
 //!
 //! A field of at most 19 digits around at most one point is `m / 10^k`,
-//! `m < 10¹⁹`, which is `m / 5^k · 2^-k`: one 64×128-bit multiply of `m`,
-//! shifted to its top bit, by a truncated reciprocal of `5^k` (Lemire,
-//! "Number Parsing at a Gigabyte per Second", 2021). The product falls
-//! short by less than a unit of its low word, so unless all bits between
-//! that word and the round bit are ones, the round bit alone decides. Else
-//! the quotient is exact (as every tie is): one IEEE division decides it
-//! for `m` below 2⁵³ (Clinger's exact case), `str::parse` above.
+//! `m < 10¹⁹`. With no digit but zeros behind its point it is an integer,
+//! which one `as` rounds. Else it is `m / 5^k · 2^-k`: one 64×128-bit
+//! multiply of `m`, shifted to its top bit, by a truncated reciprocal of
+//! `5^k` (Lemire, "Number Parsing at a Gigabyte per Second", 2021). The
+//! product falls short by less than a unit of its low word, so unless all
+//! bits between that word and the round bit are ones, the round bit alone
+//! decides. Else the quotient is exact (as every tie is): one IEEE
+//! division decides it for `m` below 2⁵³ (Clinger's exact case),
+//! `str::parse` above.
 
 /// `10^k` for the `k` a 19-digit field can have behind its point.
 const POW10: [u64; 20] = {
@@ -103,7 +105,7 @@ pub(crate) fn digits(bytes: &[u8], mut at: usize, mut value: u64) -> (u64, usize
 
 /// The digits at `bytes[at]` one word holds: their value, how many, and the
 /// byte behind them (0 past the buffer; the first digit for a run of 8).
-#[inline(always)]
+#[inline]
 pub(crate) fn short_digits(bytes: &[u8], at: usize) -> (u64, usize, u8) {
     let [word] = words(bytes, at);
     let run = run(word);
@@ -133,15 +135,17 @@ pub(crate) fn plain_decimal(bytes: &[u8], start: usize) -> Option<(f64, usize)> 
     if !(1..=19).contains(&count) || spelled(*bytes.get(end)?) {
         return None;
     }
-    let value = match (frac, mantissa) {
-        // `as` rounds once, to nearest, ties to even.
-        (0, _) | (_, 0) => mantissa as f64,
-        _ => match reciprocal_quotient(mantissa, frac) {
-            Some(value) => value,
-            // Clinger's exact case: one IEEE division rounds once.
-            None if mantissa < 1 << 53 => mantissa as f64 / POW10[frac] as f64,
-            None => return None,
-        },
+    // An integer — no point, or only zeros behind it (every lifetime the
+    // generator writes, `6300.0`): `as` rounds once, to nearest, ties to
+    // even. Fewer than 20 digits, so the product cannot wrap.
+    if mantissa == int * POW10[frac] {
+        return Some((int as f64, end));
+    }
+    let value = match reciprocal_quotient(mantissa, frac) {
+        Some(value) => value,
+        // Clinger's exact case: one IEEE division rounds once.
+        None if mantissa < 1 << 53 => mantissa as f64 / POW10[frac] as f64,
+        None => return None,
     };
     Some((value, end))
 }
@@ -222,17 +226,18 @@ mod tests {
     }
 
     /// Whether [`plain_decimal`] leaves `mantissa / 10^k` to `str::parse`:
-    /// exact, and past 2⁵³, where no one division decides it either.
+    /// exact, past 2⁵³, where no one division decides it either, and no
+    /// integer, which is read without the multiply.
     fn undecided(mantissa: u64, k: usize) -> bool {
-        mantissa >= 1 << 53 && exact(mantissa, k)
+        mantissa >= 1 << 53 && exact(mantissa, k) && !mantissa.is_multiple_of(POW10[k])
     }
 
     /// The exact-decimal case against `str::parse`, bit for bit, along
     /// each of its edges — no digit, leading zeros, the mantissas either
     /// side of 2⁵³ and the largest 19-digit one with the point at every
     /// position (k = 0 to 19, and 22 and 23 behind it, which are too
-    /// long), halfway cases of the integer quotient, which round to even,
-    /// and one unit either side of them — and the spellings that are not
+    /// long), halfway cases, integer and not, which round to even, and one
+    /// unit either side of them — and the spellings that are not
     /// its own: a sign, an exponent, a 20th digit.
     #[test]
     fn exact_decimals_are_the_bits_str_parse_gives() {
@@ -279,13 +284,19 @@ mod tests {
             }
         }
         for (k, scale) in (1..=3).zip(&POW10[1..]) {
-            for m in [tie * scale - 1, tie * scale, tie * scale + 1] {
-                plain.push(with_point(m, k));
+            // `tie` as an integer with `k` zeros behind its point, and
+            // `tie / 2^k`, a halfway case with a fraction.
+            for tie in [tie * scale, tie * (scale >> k)] {
+                for m in [tie - 1, tie, tie + 1] {
+                    plain.push(with_point(m, k));
+                }
             }
         }
-        // Plain, but for the exact quotients past 2⁵³ — the halfway cases
-        // and 10¹⁸ with its point anywhere — which the multiply leaves to
-        // `str::parse`.
+        // Plain, but for the exact quotients past 2⁵³ with a fraction — the
+        // three halfway cases `tie / 2^k` and (2⁵³ + 3) / 10 — which the
+        // multiply leaves to `str::parse`. An integer with zeros behind its
+        // point (the integer ties, 10¹⁸ with its point anywhere) is read
+        // without the multiply.
         let mut ties = 0;
         for field in &plain {
             let mantissa: u64 = field.replace('.', "").parse().unwrap();
@@ -293,7 +304,7 @@ mod tests {
             ties += usize::from(undecided(mantissa, k));
             assert_eq!(is_plain(field), !undecided(mantissa, k), "{field:?}");
         }
-        assert_eq!(ties, 3 + 19);
+        assert_eq!(ties, 3 + 1);
         fields.extend(plain);
         for field in &fields {
             assert_reads_as_parsed(field);

@@ -12,7 +12,7 @@ use std::io::{self, Read};
 /// outside [`spelled`] is. `str::parse` gets what is no [`plain_decimal`]
 /// (a sign, an exponent, 20 digits, an undecided quotient). `None` if the
 /// buffer ends first, or the field is not a time in the domain.
-#[inline(always)]
+#[inline]
 pub(crate) fn fast_time(bytes: &[u8], start: usize) -> Option<(f64, usize)> {
     plain_decimal(bytes, start).or_else(|| {
         let end = start + bytes.get(start..)?.iter().position(|&b| !spelled(b))?;
@@ -32,7 +32,7 @@ pub(crate) type Row = ([u32; 3], f64, f64);
 /// took. `None` is not a verdict: padding, a sign, a long integer, times
 /// out of their domain, an id or arrival out of order, a buffer that ends
 /// first all leave the line to [`parse_row`] and the checks after it.
-#[inline(always)]
+#[inline]
 fn fast_row(bytes: &[u8], rank: u32, last: f64) -> Option<(Row, usize)> {
     // Ten digits cannot wrap the `u64`; more are not tried.
     let (id, end) = digits(bytes, 0, 0);
