@@ -450,8 +450,11 @@ mod tests {
             std::fs::read_to_string(&path).unwrap(),
             csv::to_csv(&expect)
         );
-        let read = risa_workload::Workload::read_csv_file("synthetic", &path).unwrap();
-        assert_eq!(read, expect);
+        let read = WorkloadSpec::TraceCsv {
+            name: "synthetic".into(),
+            path: path.to_string_lossy().to_string(),
+        };
+        assert_eq!(read.materialize(), expect);
         std::fs::remove_dir_all(dir).unwrap();
     }
 

@@ -13,10 +13,13 @@
 //! `--out <file.csv>`, is one `run --workload` takes, and runs as the
 //! generator itself runs.
 //!
-//! A checkpoint names its trace file: `run --resume` after the file was
-//! deleted, or replaced by another of the same row count, is refused the
-//! same way — as are an unwritable `--checkpoint` path and a document of
-//! an older version.
+//! A checkpoint names its trace file: `run --resume` continues the run
+//! into the report the uninterrupted run printed (but for the wall-clock
+//! `sched_seconds`), as it does a synthetic run's, faults off and on; after
+//! the file was deleted, or replaced by another of the same row count, it
+//! is refused the same way — as are an unwritable `--checkpoint` path, a
+//! document of an older version and a recipe edited to a workload no
+//! generator accepts. A cadence finer than any gap between events ends.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -59,6 +62,28 @@ fn refused_with(args: &[&str], want: &str) -> String {
         "{args:?}: want '{want}' in:\n{stderr}"
     );
     stderr
+}
+
+/// The report `args` print, which must succeed, without its wall-clock
+/// line.
+fn report(args: &[&str]) -> String {
+    let (code, stdout, stderr) = cli(args);
+    assert_eq!(code, Some(0), "{args:?}: {stderr}");
+    let lines: Vec<_> = stdout
+        .lines()
+        .filter(|l| !l.contains("sched_seconds"))
+        .collect();
+    assert!(lines.len() > 10, "{args:?}: {stdout}");
+    lines.join("\n")
+}
+
+/// `run <spec> --json` checkpointed every `every` units into `ckpt`, which
+/// `run --resume` continues into the same report.
+fn resumes_into_the_full_run(spec: &[&str], ckpt: &str, every: &str) {
+    let tail = ["--json", "--checkpoint", ckpt, "--checkpoint-every", every];
+    let full = report(&[&["run"], spec, &tail].concat());
+    let resumed = report(&["run", "--resume", ckpt, "--json"]);
+    assert_eq!(resumed, full, "{spec:?}");
 }
 
 /// `run --workload <path>` must fail with `want` in its one `error:` line.
@@ -204,9 +229,10 @@ fn an_unwritable_checkpoint_path_is_an_error_line() {
     );
 }
 
-/// The checkpoint pins its trace: replaced by another trace of the same
-/// row count it is refused by digest, naming the event count; deleted, by
-/// the build error.
+/// The checkpoint of a run over a trace with faults resumes into the
+/// full run's report, and pins its trace: replaced by another trace of the
+/// same row count it is refused by digest, naming the event count;
+/// deleted, by the build error.
 #[test]
 fn resume_refuses_a_replaced_or_deleted_trace() {
     let dir = std::env::temp_dir().join(format!("risa-cli-resume-{}", std::process::id()));
@@ -217,12 +243,8 @@ fn resume_refuses_a_replaced_or_deleted_trace() {
         let (code, _, stderr) = cli(&["generate", "--n", "3000", "--seed", seed, "--out", &trace]);
         assert_eq!(code, Some(0), "{stderr}");
     };
-    generate("1");
-    let every = ["--checkpoint", &ckpt, "--checkpoint-every", "15000"];
-    let (code, _, stderr) = cli(&[&["run", "--workload", &trace, "--json"], &every[..]].concat());
-    assert_eq!(code, Some(0), "{stderr}");
-    let (code, _, stderr) = cli(&["run", "--resume", &ckpt, "--json"]);
-    assert_eq!(code, Some(0), "{stderr}");
+    generate("7");
+    resumes_into_the_full_run(&["--workload", &trace, "--faults"], &ckpt, "15000");
 
     let document = std::fs::read_to_string(&ckpt).unwrap();
     let dispatched = document
@@ -241,6 +263,45 @@ fn resume_refuses_a_replaced_or_deleted_trace() {
         &format!("cannot read trace file '{trace}'"),
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A synthetic run's checkpoint resumes into the full run's report, with
+/// faults off and on; edited to a mean interarrival time no generator
+/// takes, it is refused.
+#[test]
+fn a_synthetic_checkpoint_resumes_and_an_edited_one_is_refused() {
+    let ckpt = temp("synthetic.ckpt", "");
+    let ckpt = ckpt.to_str().unwrap();
+    let spec = ["--workload", "synthetic", "--n", "3000", "--seed", "7"];
+    resumes_into_the_full_run(&[&spec[..], &["--faults"]].concat(), ckpt, "2000");
+    resumes_into_the_full_run(&spec, ckpt, "2000");
+    let document = std::fs::read_to_string(ckpt).unwrap();
+    let mean = "\"interarrival_mean\":10.0,";
+    assert!(document.contains(mean), "{document}");
+    let edited = document.replacen(mean, "\"interarrival_mean\":-1.0,", 1);
+    std::fs::write(ckpt, edited).unwrap();
+    let want = "interarrival_mean must be finite and > 0";
+    refused_with(&["run", "--resume", ckpt, "--json"], want);
+    std::fs::remove_file(ckpt).ok();
+}
+
+/// The multiples of a cadence no event falls before are skipped, so one
+/// of 10⁻⁶ (6·10⁹ of them over this run) ends at once, and one of 10⁻³⁰⁰,
+/// whose multiples a float stops counting past 2⁵³, ends too: each run,
+/// and the run resumed from the last document it wrote, reports as the
+/// run without checkpoints.
+#[test]
+fn a_fine_cadence_ends_and_reports_as_the_unchecked_run() {
+    let unchecked = report(&["run", "--n", "10", "--json"]);
+    for every in ["0.000001", "1e-300"] {
+        let ckpt = temp(&format!("{every}.ckpt"), "");
+        let ckpt = ckpt.to_str().unwrap();
+        let args = format!("run --n 10 --json --checkpoint {ckpt} --checkpoint-every {every}");
+        let args: Vec<_> = args.split(' ').collect();
+        assert_eq!(report(&args), unchecked, "--checkpoint-every {every}");
+        assert_eq!(report(&["run", "--resume", ckpt, "--json"]), unchecked);
+        std::fs::remove_file(ckpt).ok();
+    }
 }
 
 /// A version-3 document (a state image) is refused by its version.

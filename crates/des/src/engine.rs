@@ -215,6 +215,14 @@ impl<W: World> Simulation<W> {
         self.queue.len()
     }
 
+    /// Delivery time of the next event to dispatch, `None` once none is
+    /// left: the queue's head, the arrival lane fed first as a dispatch
+    /// feeds it.
+    pub fn next_event_time(&mut self) -> Option<SimTime> {
+        self.feed_lane();
+        self.queue.peek_time()
+    }
+
     /// Refill the arrival lane's window, when it has drained, from the
     /// world; must precede every pop and peek of the queue.
     #[inline]

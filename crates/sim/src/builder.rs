@@ -1,9 +1,8 @@
 //! Fluent construction of a ready-to-run DDC simulation.
 //!
 //! A [`SimulationBuilder`] is the whole recipe of a run — configuration,
-//! algorithm, workload, faults, audit, the scheduler-timing batch, the
-//! arrival path and the checkpoint cadence — and nothing else decides
-//! one: no setting is read from the environment, so the builder is
+//! algorithm, workload, faults, audit, the scheduler-timing batch and
+//! the checkpoint cadence — and nothing else decides one: no setting is read from the environment, so the builder is
 //! exactly what a checkpoint stores (`crate::checkpoint`).
 
 use crate::config::SimConfig;
@@ -11,11 +10,11 @@ use crate::faults::FaultSpec;
 use crate::report::RunReport;
 use crate::sched_timer::DEFAULT_SCHED_TIMING_BATCH;
 use crate::spec::WorkloadSpec;
-use crate::world::{arrival_event, DdcWorld};
+use crate::world::DdcWorld;
 use risa_des::{EventTrace, Simulation};
 use risa_sched::Algorithm;
 use risa_topology::{ResourceKind, TopologyConfig, UnitDemand, ALL_RESOURCES};
-use risa_workload::{ShardSource, TraceFileError, TraceShards, VmRequest};
+use risa_workload::{ShardSource, TraceFileError, VmRequest};
 use std::sync::Arc;
 
 /// Why a simulation could not be built. [`SimulationBuilder::try_build`]
@@ -65,7 +64,6 @@ pub struct SimulationBuilder {
     pub(crate) workload: WorkloadSpec,
     pub(crate) audit: bool,
     pub(crate) sched_timing_batch: u32,
-    pub(crate) legacy_arrival_path: bool,
     pub(crate) faults: Option<FaultSpec>,
     pub(crate) checkpoint_every: Option<f64>,
 }
@@ -79,7 +77,6 @@ impl SimulationBuilder {
             workload: WorkloadSpec::synthetic(100, 0),
             audit: false,
             sched_timing_batch: DEFAULT_SCHED_TIMING_BATCH,
-            legacy_arrival_path: false,
             faults: None,
             checkpoint_every: None,
         }
@@ -113,17 +110,6 @@ impl SimulationBuilder {
     /// per-call timing. See [`RunReport::sched_seconds`].
     pub fn sched_timing_batch(mut self, every: u32) -> Self {
         self.sched_timing_batch = every;
-        self
-    }
-
-    /// Schedule every arrival through the future-event list, as the
-    /// engine did before the two-lane queue, from a trace materialized
-    /// up front and read through the same cursor. This is the *oracle*
-    /// configuration for the hot-path differential tests — the lane's
-    /// and the on-demand generators' only independent one; behavior is
-    /// byte-identical to the default path, slower and O(trace) in memory.
-    pub fn legacy_arrival_path(mut self, on: bool) -> Self {
-        self.legacy_arrival_path = on;
         self
     }
 
@@ -188,49 +174,29 @@ impl SimulationBuilder {
     /// unusable trace files surface as a typed [`BuildError`] instead of
     /// a panic.
     pub fn try_build(self) -> Result<DdcSimulation, BuildError> {
-        // Every run reads its VMs through one cursor over `source`; the
-        // legacy oracle materializes it and pushes each arrival.
-        let (source, legacy_arrivals) = if self.legacy_arrival_path {
-            let workload = self.workload.load().map_err(BuildError::TraceFile)?;
-            let arrivals: Vec<_> = workload
-                .vms()
-                .iter()
-                .zip(0..)
-                .map(|(vm, idx)| arrival_event(idx, vm.arrival))
-                .collect();
-            let source: Arc<dyn ShardSource> = Arc::new(TraceShards::new(workload));
-            (source, Some(arrivals))
-        } else {
-            let source = self.workload.shard_source();
-            (source.map_err(BuildError::TraceFile)?, None)
-        };
+        let source = self
+            .workload
+            .shard_source()
+            .map_err(BuildError::TraceFile)?;
         if let Some(vm) = first_oversized(&*source, &self.cfg.topology) {
             return Err(BuildError::OversizedVm {
                 id: vm.id.0,
                 workload: source.label().to_string(),
             });
         }
-        let total = source.total_vms() as usize;
         let world = DdcWorld::new(self.cfg, self.algorithm, Arc::clone(&source));
         let mut sim = Simulation::new(self.primed(world, || source.span_units()));
-        match legacy_arrivals {
-            Some(arrivals) => {
-                for (at, event) in arrivals {
-                    sim.schedule(at, event);
-                }
-            }
-            None => sim.attach_arrivals(total),
-        }
+        sim.attach_arrivals(source.total_vms() as usize);
         Self::seed_faults(&mut sim);
         Ok(DdcSimulation { sim, recipe: self })
     }
 
     /// Push each fault chain's first onset through the FEL. Must run
-    /// *after* arrivals are attached: the lane and the legacy path
-    /// reserve the same sequence-number block for the trace, so seeding
-    /// afterwards gives every fault event the identical sequence number
-    /// (and therefore identical same-time ordering) on both.
-    fn seed_faults(sim: &mut Simulation<DdcWorld>) {
+    /// *after* arrivals are queued: the lane reserves the trace's block of
+    /// sequence numbers as pushing every arrival would, so the fault
+    /// events' sequence numbers (and same-time ordering) are those of a
+    /// run that pushed them all.
+    pub(crate) fn seed_faults(sim: &mut Simulation<DdcWorld>) {
         if sim.world().faults.is_some() {
             for (at, event) in sim.world_mut().initial_fault_events() {
                 sim.schedule(at, event);
@@ -241,7 +207,7 @@ impl SimulationBuilder {
     /// Apply the builder knobs to a fresh world; `span` (the last
     /// arrival time — an arrivals-only pass over a generator) is only
     /// asked for when a fault scenario stretches over it.
-    fn primed(&self, mut world: DdcWorld, span: impl FnOnce() -> f64) -> DdcWorld {
+    pub(crate) fn primed(&self, mut world: DdcWorld, span: impl FnOnce() -> f64) -> DdcWorld {
         world.set_sched_timing_batch(self.sched_timing_batch);
         if self.audit {
             world.enable_audit();
@@ -405,9 +371,8 @@ impl DdcSimulation {
     }
 
     /// High-water mark of arrivals the event queue itself held at once:
-    /// one window of its arrival lane at most, whatever the trace length
-    /// (0 on the legacy path, which has no lane). Asserted by
-    /// `tests/streaming_bounds.rs`.
+    /// one window of its arrival lane at most, whatever the trace length.
+    /// Asserted by `tests/streaming_bounds.rs`.
     pub fn peak_arrival_window(&self) -> usize {
         self.sim.queue().peak_arrival_window()
     }
@@ -610,18 +575,14 @@ mod tests {
 
     /// A VM past a box is the typed `OversizedVm` naming the first one,
     /// whatever would have yielded it — a generator config that was never
-    /// going to be materialized, a CSV file, the legacy path — and never a
-    /// panic at the offending arrival.
+    /// going to be materialized, a CSV file — and never a panic at the
+    /// offending arrival.
     #[test]
     fn oversized_requests_are_typed_build_errors_from_every_source() {
         use risa_workload::SyntheticConfig;
         let topology = TopologyConfig::paper();
-        let try_build = |spec: &WorkloadSpec, legacy| {
-            SimulationBuilder::new()
-                .workload(spec.clone())
-                .legacy_arrival_path(legacy)
-                .try_build()
-        };
+        let try_build =
+            |spec: &WorkloadSpec| SimulationBuilder::new().workload(spec.clone()).try_build();
         // A box holds 512 cores; this config asks for up to 4096.
         let cfg = SyntheticConfig {
             cpu_cores: (1, 4096),
@@ -645,10 +606,8 @@ mod tests {
             path: path.display().to_string(),
         };
         for spec in [&spec, &file] {
-            for legacy in [false, true] {
-                let err = try_build(spec, legacy).expect_err("must not build");
-                assert_eq!(err, want, "legacy={legacy}/{spec:?}");
-            }
+            let err = try_build(spec).expect_err("must not build");
+            assert_eq!(err, want, "{spec:?}");
         }
         std::fs::remove_file(&path).ok();
         assert!(want.to_string().contains("single-box capacity"));
@@ -661,7 +620,7 @@ mod tests {
         };
         let spec = WorkloadSpec::Synthetic(cfg);
         assert!(spec.materialize().validate_fits(&topology).is_ok());
-        let report = try_build(&spec, false).expect("every VM fits").run();
+        let report = try_build(&spec).expect("every VM fits").run();
         assert_eq!(report.admitted + report.dropped, 5);
     }
 

@@ -210,10 +210,12 @@ impl DdcSimulation {
     /// [`SimulationBuilder::checkpoint_every`] simulated time units that
     /// events were dispatched up to since the last one — so a resumed run
     /// checkpoints where the original did after the one it resumed from.
-    /// The first error the sink returns ends the run. Without a cadence
-    /// this is exactly [`DdcSimulation::run`]. The checkpoints are a pure
-    /// tap: the report (and the event trace) are byte-identical to an
-    /// un-checkpointed run.
+    /// The multiples no event falls before are skipped, not visited, so
+    /// the loop turns at most once per event and once per checkpoint
+    /// however fine the cadence. The first error the sink returns ends
+    /// the run. Without a cadence this is exactly [`DdcSimulation::run`].
+    /// The checkpoints are a pure tap: the report (and the event trace)
+    /// are byte-identical to an un-checkpointed run.
     pub fn run_checkpointed<E>(
         &mut self,
         mut sink: impl FnMut(&Checkpoint) -> Result<(), E>,
@@ -228,9 +230,32 @@ impl DdcSimulation {
                 last = self.sim.dispatched();
                 sink(&self.checkpoint())?;
             }
-            k += 1.0;
+            let next = self
+                .sim
+                .next_event_time()
+                .expect("an event lies past the horizon");
+            k = first_reaching(every, k + 1.0, next);
         }
         Ok(self.finish())
+    }
+}
+
+/// The least whole `k` from `from` on whose horizon `every * k` reaches
+/// `next` — the first multiple stepping one at a time would dispatch at —
+/// by doubling and bisecting (a horizon grows with `k`); past 2⁵³ the first
+/// such whole float, infinite (one last step) if the doubling overflows.
+fn first_reaching(every: f64, from: f64, next: SimTime) -> f64 {
+    let reaches = |k: f64| SimTime::from_units(every * k) >= next;
+    let (mut lo, mut hi) = (from / 2.0, from);
+    while !reaches(hi) {
+        (lo, hi) = (hi, 2.0 * hi);
+    }
+    loop {
+        let mid = (lo + (hi - lo) / 2.0).floor().max(from);
+        if mid <= lo || mid >= hi {
+            return hi;
+        }
+        (lo, hi) = if reaches(mid) { (lo, mid) } else { (mid, hi) };
     }
 }
 
@@ -264,10 +289,6 @@ fn recipe_to_value(r: &SimulationBuilder) -> Value {
         ("workload".into(), r.workload.to_value()),
         ("audit".into(), r.audit.to_value()),
         ("sched_timing_batch".into(), r.sched_timing_batch.to_value()),
-        (
-            "legacy_arrival_path".into(),
-            r.legacy_arrival_path.to_value(),
-        ),
         ("faults".into(), r.faults.to_value()),
         ("checkpoint_every".into(), r.checkpoint_every.to_value()),
     ])
@@ -275,8 +296,9 @@ fn recipe_to_value(r: &SimulationBuilder) -> Value {
 
 /// The inverse of [`recipe_to_value`], refusing the values the builder
 /// would panic on. Fields are looked up by name, so a key no recipe reads
-/// any more (earlier version-4 documents also carry `arrivals` and a
-/// timeline recorder's sampling interval) is ignored.
+/// any more (earlier version-4 documents also carry `arrivals`, a
+/// timeline recorder's sampling interval and `legacy_arrival_path`, the
+/// switch of an arrival path since removed) is ignored.
 fn recipe_from_value(v: &Value) -> Result<SimulationBuilder, Error> {
     let cfg = SimConfig::from_value(field(v, "cfg")?)?;
     cfg.topology.validate().map_err(Error::new)?;
@@ -304,7 +326,6 @@ fn recipe_from_value(v: &Value) -> Result<SimulationBuilder, Error> {
         workload,
         audit: bool::from_value(field(v, "audit")?)?,
         sched_timing_batch,
-        legacy_arrival_path: bool::from_value(field(v, "legacy_arrival_path")?)?,
         faults: Option::<FaultSpec>::from_value(field(v, "faults")?)?,
         checkpoint_every,
     })
@@ -379,6 +400,35 @@ mod tests {
 
         let mut run = base().checkpoint_every(1500.0).build();
         assert_eq!(run.run_checkpointed(|_| Err("disk full")), Err("disk full"));
+    }
+
+    /// Skipping the multiples no event falls before moves no checkpoint:
+    /// at a cadence of 0.001 (about 6.4 million multiples over this run)
+    /// the checkpoints taken are those of the loop that visits every
+    /// multiple in turn, kept here as the reference.
+    #[test]
+    fn skipping_empty_horizons_moves_no_checkpoint() {
+        let every = 0.001;
+        let build = || {
+            base()
+                .workload(WorkloadSpec::synthetic(10, 7))
+                .checkpoint_every(every)
+        };
+        let mut taken = vec![0];
+        let sink = |cp: &Checkpoint| {
+            taken.push(cp.events_dispatched());
+            Ok::<_, Infallible>(())
+        };
+        build().build().run_checkpointed(sink).unwrap();
+        let (mut run, mut visited, mut k) = (build().build(), vec![0], 1.0);
+        while let RunOutcome::HorizonReached = run.run_until(every * k) {
+            if run.events_dispatched() > visited[visited.len() - 1] {
+                visited.push(run.events_dispatched());
+            }
+            k += 1.0;
+        }
+        assert!(taken.len() > 10, "{taken:?}");
+        assert_eq!(taken, visited);
     }
 
     /// The document does not depend on the wall clock: the same run

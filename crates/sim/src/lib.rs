@@ -37,6 +37,8 @@ mod dealer;
 pub mod experiments;
 mod faults;
 mod meters;
+#[cfg(test)]
+mod push_oracle;
 mod report;
 mod sched_timer;
 mod slots;

@@ -4,7 +4,7 @@
 
 use risa_workload::azure::AzureProcess;
 use risa_workload::{
-    AzureShards, AzureSubset, ShardSource, SyntheticConfig, SyntheticShards, TraceFileError,
+    shard, AzureShards, AzureSubset, ShardSource, SyntheticConfig, SyntheticShards, TraceFileError,
     TraceShards, Workload,
 };
 use serde::{Deserialize, Serialize};
@@ -50,42 +50,19 @@ impl WorkloadSpec {
         WorkloadSpec::Azure { subset, seed }
     }
 
-    /// Materialize the trace, or say why the trace file it names cannot
-    /// be one (only [`WorkloadSpec::TraceCsv`] can fail). A simulation
-    /// does not call this — it reads [`WorkloadSpec::shard_source`] on
-    /// demand; the legacy arrival path and tests that want the whole
-    /// trace do.
-    ///
-    /// Synthetic and Azure specs generate **sharded**, on the calling
-    /// thread: fixed 4096-VM index shards with `(seed, shard)`-derived RNG
-    /// streams, stitched by a prefix sum over per-shard interarrival
-    /// totals (`risa_workload::shard`) — the same VMs, bit for bit, that a
-    /// run's on-demand cursor draws.
-    pub fn load(&self) -> Result<Workload, TraceFileError> {
-        Ok(match self {
-            WorkloadSpec::Synthetic(cfg) => Workload::synthetic(cfg),
-            WorkloadSpec::Azure { subset, seed } => Workload::azure(*subset, *seed),
-            WorkloadSpec::TraceCsv { name, path } => Workload::read_csv_file(name, path)?,
-        })
-    }
-
-    /// [`WorkloadSpec::load`] for callers with nobody to report to
-    /// (tests, the probe): panics on a missing or invalid trace
-    /// file.
+    /// The trace a run replays, whole: [`WorkloadSpec::shard_source`]
+    /// gathered by [`risa_workload::shard::materialize`], for tests and the
+    /// probe (a run reads the source). Panics on an unusable trace file.
     pub fn materialize(&self) -> Workload {
-        self.load().unwrap_or_else(|e| panic!("{e}"))
+        let source = self.shard_source().unwrap_or_else(|e| panic!("{e}"));
+        Workload::from_vms(source.label(), shard::materialize(&*source))
     }
 
     /// The spec as a lazy per-shard source — what a run's shard cursor
     /// reads, and the one place a spec becomes one. Generator-backed specs
-    /// generate each shard from its RNG streams; a CSV file is loaded
-    /// into columns and *served* in shard-sized slices gathered from them
-    /// ([`risa_workload::TraceShards`]).
-    ///
-    /// The source yields the *same trace* [`WorkloadSpec::load`]
-    /// produces, bit-for-bit, so consuming it through a cursor is
-    /// byte-identical to materializing — and a trace file `load` refuses
-    /// is refused here with the same error.
+    /// generate each shard from its `(seed, shard)`-derived RNG streams; a
+    /// CSV file is loaded into columns and *served* in shard-sized slices
+    /// gathered from them ([`risa_workload::TraceShards`]).
     pub fn shard_source(&self) -> Result<Arc<dyn ShardSource>, TraceFileError> {
         Ok(match self {
             WorkloadSpec::Synthetic(cfg) => Arc::new(SyntheticShards::new(cfg)),
@@ -102,6 +79,8 @@ impl WorkloadSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use risa_workload::csv::{from_csv, to_csv, HEADER};
+    use risa_workload::StreamingShards;
 
     #[test]
     fn synthetic_materializes_n_vms() {
@@ -116,48 +95,44 @@ mod tests {
         assert_eq!(w.name(), "Azure-3000");
     }
 
-    /// The shard source must yield exactly the trace `materialize`
-    /// yields — the foundation of the on-demand/materialized identity —
-    /// for every spec kind, a CSV file of a generated trace included.
+    /// `materialize` is what a run's cursor replays: for a generator, the
+    /// generator's own trace, bit for bit (`{:?}` tells every `f64` apart).
     #[test]
-    fn shard_source_reproduces_materialize() {
-        let path =
-            std::env::temp_dir().join(format!("risa_spec_shards_{}.csv", std::process::id()));
-        let csv = risa_workload::csv::to_csv(&WorkloadSpec::synthetic(5000, 21).materialize());
-        std::fs::write(&path, csv).unwrap();
-        for spec in [
-            WorkloadSpec::synthetic(5000, 21),
-            WorkloadSpec::azure(AzureSubset::N3000, 8),
-            WorkloadSpec::TraceCsv {
-                name: "synthetic".into(),
-                path: path.display().to_string(),
-            },
-        ] {
-            let source = spec.shard_source().expect("a valid file opens");
-            assert_eq!(
-                risa_workload::shard::materialize(&*source),
-                spec.materialize().vms()
-            );
-            assert_eq!(source.label(), spec.materialize().name());
-        }
-        std::fs::remove_file(&path).ok();
+    fn materialize_is_what_the_run_replays() {
+        let cfg = SyntheticConfig::small(5000, 21);
+        let synthetic = WorkloadSpec::Synthetic(cfg).materialize();
+        assert!(format!("{synthetic:?}") == format!("{:?}", Workload::synthetic(&cfg)));
+        let azure = WorkloadSpec::azure(AzureSubset::N3000, 8).materialize();
+        let generated = Workload::azure(AzureSubset::N3000, 8);
+        assert!(format!("{azure:?}") == format!("{generated:?}"));
     }
 
+    /// For a trace file, the rows the text reader reads, down to the sign
+    /// of a zero: a row arriving at `-0.0` holds a valid time, which the
+    /// run's cursor rebases to `+0.0` (`arrival + 0.0`), and so does
+    /// `materialize`.
     #[test]
     fn trace_csv_spec_streams_and_materializes_identically() {
-        let w = WorkloadSpec::synthetic(500, 4).materialize();
-        let path = std::env::temp_dir().join(format!("risa_spec_trace_{}.csv", std::process::id()));
-        std::fs::write(&path, risa_workload::csv::to_csv(&w)).unwrap();
-        let spec = WorkloadSpec::TraceCsv {
-            name: "disk".into(),
-            path: path.display().to_string(),
-        };
-        let materialized = spec.materialize();
-        assert_eq!(materialized.name(), "disk");
-        assert_eq!(materialized.vms(), w.vms());
-        let source = spec.shard_source().expect("a valid file opens");
-        assert_eq!(risa_workload::shard::materialize(&*source), w.vms());
-        std::fs::remove_file(&path).ok();
+        let generated = to_csv(&WorkloadSpec::synthetic(500, 4).materialize());
+        let signed = format!("{HEADER}\n0,1,2,128,-0.0,10\n1,1,2,128,0.5,10\n");
+        for (tag, text) in [("generated", generated), ("signed", signed)] {
+            let path =
+                std::env::temp_dir().join(format!("risa_spec_{}_{tag}.csv", std::process::id()));
+            std::fs::write(&path, &text).unwrap();
+            let spec = WorkloadSpec::TraceCsv {
+                name: "disk".into(),
+                path: path.display().to_string(),
+            };
+            let trace = spec.materialize();
+            let replayed: Vec<_> = StreamingShards::new(spec.shard_source().unwrap()).collect();
+            std::fs::remove_file(&path).ok();
+            assert!(
+                format!("{:?}", trace.vms()) == format!("{replayed:?}"),
+                "{tag}"
+            );
+            let read = from_csv("disk", &text.replace(",-0.0,", ",0.0,")).unwrap();
+            assert!(format!("{trace:?}") == format!("{read:?}"), "{tag}");
+        }
     }
 
     #[test]

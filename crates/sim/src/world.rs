@@ -72,7 +72,7 @@ pub enum SimEvent {
 
 /// How arrival `idx` of a trace maps onto the event timeline — the one
 /// definition the arrival lane ([`DdcWorld`]'s `fill_arrivals`) and the
-/// legacy arrival path share.
+/// tests' push-every-arrival reference run share.
 pub(crate) fn arrival_event(idx: u32, arrival: f64) -> (SimTime, SimEvent) {
     (SimTime::from_units(arrival), SimEvent::Arrival(idx))
 }
@@ -84,9 +84,9 @@ pub struct DdcWorld {
     pub(crate) net: NetworkState,
     pub(crate) scheduler: Scheduler,
     /// The one source of VM requests, taken in VM-index order. It also
-    /// feeds the arrival lane ([`World::fill_arrivals`]); the legacy
-    /// oracle pushes every arrival through the FEL instead, which
-    /// delivers them in the same order (sorted trace, ties in push order).
+    /// feeds the arrival lane ([`World::fill_arrivals`]), which delivers
+    /// them as pushing every arrival through the FEL would (sorted trace,
+    /// ties in push order).
     pub(crate) cursor: StreamingShards,
     pub(crate) energy: EnergyModel,
     /// Indexed by "is inter-rack".

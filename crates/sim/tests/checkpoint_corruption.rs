@@ -1,8 +1,8 @@
 //! A corrupted checkpoint is refused with a typed [`ResumeError`] every
 //! time — never a panic, never a hang, never a run resumed into the wrong
 //! state. The document under attack sets every recipe knob off its default
-//! (faults, audit, the legacy arrival path, exact scheduler timing, a
-//! cadence), and each field can be given a value of the wrong type.
+//! (faults, audit, exact scheduler timing, a cadence), and each field can
+//! be given a value of the wrong type.
 
 use proptest::prelude::*;
 use risa_sim::{Algorithm, Checkpoint, FaultSpec, ResumeError, SimulationBuilder, WorkloadSpec};
@@ -19,7 +19,6 @@ fn document() -> &'static (String, u64) {
             .workload(WorkloadSpec::synthetic(300, 5))
             .faults(FaultSpec::canonical())
             .audit(true)
-            .legacy_arrival_path(true)
             .sched_timing_batch(1)
             .checkpoint_every(1000.0)
             .build();
@@ -120,7 +119,7 @@ fn apply(c: &Corruption) -> String {
 #[test]
 fn the_untouched_document_resumes() {
     let (json, total) = document();
-    assert_eq!(fields().len(), 4 + 8, "every recipe knob is written");
+    assert_eq!(fields().len(), 4 + 7, "every recipe knob is written");
     let at = resume(json).expect("untouched");
     assert!(0 < at && at < *total);
 }

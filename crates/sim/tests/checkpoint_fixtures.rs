@@ -16,9 +16,11 @@
 //! The build that wrote them also recorded how a trace file was read
 //! (`"arrivals"`, `materialized` or `streaming` — the second asked for by
 //! a run flag since removed) and a timeline recorder's sampling interval
-//! (`"timeline_interval"`, `null`, the recorder since removed); the recipe
-//! has neither key any more, and a document that carries them resumes all
-//! the same.
+//! (`"timeline_interval"`, `null`, the recorder since removed) and whether
+//! every arrival was pushed through the future-event list
+//! (`"legacy_arrival_path"`, `false`, the switch since removed); the recipe
+//! has none of these keys any more, and a document that carries them
+//! resumes all the same.
 //! A version-3 document (a state image) pins that format's refusal, and a
 //! copy of the CSV with one row edited that of changed inputs.
 
@@ -82,7 +84,11 @@ fn resumes_into(ckpt: &str, report: &str, fresh: impl Fn() -> DdcSimulation) {
         .checkpoint()
         .to_json();
     let mut without = document.trim_end().to_string();
-    for dropped in ["\"arrivals\":", "\"timeline_interval\":"] {
+    for dropped in [
+        "\"arrivals\":",
+        "\"timeline_interval\":",
+        "\"legacy_arrival_path\":",
+    ] {
         assert!(!written.contains(dropped), "{written}");
         let key = without.find(dropped).expect("written with the key");
         let value_end = key + without[key..].find(',').expect("not the last key") + 1;
@@ -111,6 +117,20 @@ fn parent_written_materialized_synthetic_checkpoint_resumes() {
             .workload(WorkloadSpec::synthetic(1500, 7))
             .build()
     });
+    // The dropped arrival-path switch is ignored whatever it says.
+    let (document, key) = (
+        fixture("v4_synthetic.ckpt"),
+        "\"legacy_arrival_path\":false,",
+    );
+    let report = stable(&fixture("synthetic.report.json"));
+    for edited in [
+        document.replace(key, "\"legacy_arrival_path\":true,"),
+        document.replace(key, ""),
+    ] {
+        assert_ne!(edited, document);
+        let (resumed, _) = finish(Checkpoint::from_json(&edited).unwrap().resume().unwrap());
+        assert_eq!(resumed, report, "{edited}");
+    }
 }
 
 #[test]

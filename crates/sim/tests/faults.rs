@@ -59,27 +59,6 @@ fn scenario_seed_changes_the_churn() {
     );
 }
 
-/// The tentpole determinism claim: a churn scenario is byte-identical
-/// across arrival pipelines — the shard cursor and the legacy path — with
-/// the audit on (a run creates no thread, so there is no width to vary).
-#[test]
-fn churn_is_byte_identical_across_arrival_paths() {
-    let run = |legacy: bool| {
-        let mut sim = SimulationBuilder::new()
-            .workload(WorkloadSpec::synthetic(6000, 9))
-            .faults(FaultSpec::canonical())
-            .legacy_arrival_path(legacy)
-            .audit(true)
-            .build();
-        sim.enable_trace(40_000);
-        let mut r = sim.run();
-        r.sched_seconds = 0.0;
-        let trace = format!("{:?}", sim.trace().unwrap());
-        (serde_json::to_string(&r).unwrap(), trace)
-    };
-    assert_eq!(run(false), run(true));
-}
-
 /// Migration delays can outlive a VM's remaining lifetime; those VMs
 /// depart in transit and the pipeline still balances. A huge per-unit
 /// delay makes *every* evacuation lose the race with its departure.

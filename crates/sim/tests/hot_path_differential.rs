@@ -1,37 +1,13 @@
-//! Old-path vs new-path differential for the single-run hot loop.
-//!
-//! PR 5 rebuilt the engine's event delivery: arrivals stream from a
-//! pre-sorted cursor instead of being pushed into the future-event list,
-//! and scheduler timing is amortized. None of that may change *behavior*:
-//! this suite replays canonical traces (a saturating synthetic run and
-//! Azure-7500) through the **legacy engine configuration** (the trace
-//! materialized up front and every arrival pushed through the FEL — the
-//! pre-PR5 code path, kept as `SimulationBuilder::legacy_arrival_path`)
-//! and the two-lane path, asserting byte-identical `RunReport`s and event
-//! dispatch orders.
-//!
-//! Since PR 22 the two-lane path has one feeder: every run generates its
-//! workload **on demand** through one shard cursor that serves the
-//! arrival lane and the world alike, so the legacy path is also the only
-//! run that ever holds a generated trace — the on-demand cursor's
-//! independent oracle. The arrivals axis is therefore {on-demand cursor,
-//! legacy path} for generator specs — × algorithms × faults —
-//! plus a CSV trace file of a generated trace (stitched by
-//! `shard::materialize`), read into columns and served through the same
-//! cursor.
-//!
-//! PR 7 added the fault-injection lane: the canonical **churn** scenario
-//! (rack failures with evacuation, trunk/transceiver flaps) must be
-//! byte-identical across arrival paths too. Faults are an explicit axis:
-//! a leg has them only when its builder calls `.faults(…)`.
-//!
-//! PR 9 added the checkpoint/resume lane: a run checkpointed at a
-//! simulated time `T`, serialized to JSON, and resumed — rebuilt from its
-//! recipe and replayed to the recorded event count — must continue into
-//! the **byte-identical** report and event dispatch order the
-//! uninterrupted run produces — across arrival paths and faults on/off
-//! (`tests/checkpoint_fixtures.rs` does the same for checked-in
-//! documents).
+//! Byte identity across the ways a run can be fed and resumed, on the
+//! canonical traces (a saturating synthetic run and Azure-7500): a
+//! generator read on demand through the one shard cursor against the same
+//! trace written to a CSV file and served through that cursor from
+//! columns; and a run checkpointed at `T`, serialized, resumed (rebuilt
+//! from its recipe and replayed to the recorded event count) against the
+//! uninterrupted run, faults off and on — `RunReport`s and event dispatch
+//! orders alike. The lane against a run that pushes every arrival through
+//! the future-event list is `risa-sim`'s in-crate `push_oracle`;
+//! `tests/checkpoint_fixtures.rs` resumes checked-in documents.
 
 use risa_sim::{
     Algorithm, Checkpoint, DdcSimulation, FaultSpec, RunOutcome, RunReport, SimulationBuilder,
@@ -54,66 +30,28 @@ fn canonical_specs() -> Vec<(&'static str, WorkloadSpec)> {
 /// Run one faults-off configuration to completion, returning the
 /// canonicalized report (wall-clock zeroed — the one nondeterministic
 /// field) and the full event dispatch order.
-fn run(spec: &WorkloadSpec, algo: Algorithm, legacy: bool) -> (String, String) {
-    run_cfg(spec, algo, legacy, false)
-}
-
-fn run_cfg(spec: &WorkloadSpec, algo: Algorithm, legacy: bool, faults: bool) -> (String, String) {
-    let mut sim = build_cfg(spec, algo, legacy, faults);
+fn run(spec: &WorkloadSpec, algo: Algorithm) -> (String, String) {
+    let mut sim = build_cfg(spec, algo, false);
     sim.enable_trace(40_000);
     let mut report: RunReport = sim.run();
-    // Only the legacy path pushes the trace through the FEL; everything
-    // else reads it off the arrival lane, a window at a time.
+    // The trace is read off the arrival lane, a window at a time.
     let n = report.total_vms as usize;
-    if legacy {
-        assert_eq!(sim.peak_arrival_window(), 0);
-        assert!(sim.peak_fel_len() >= n, "{} < {n}", sim.peak_fel_len());
-    } else {
-        assert!(sim.peak_arrival_window() > 0);
-        assert!(sim.peak_fel_len() < n, "{} >= {n}", sim.peak_fel_len());
-    }
+    assert!(sim.peak_arrival_window() > 0);
+    assert!(sim.peak_fel_len() < n, "{} >= {n}", sim.peak_fel_len());
     report.sched_seconds = 0.0;
     let json = serde_json::to_string(&report).expect("report serializes");
     let order = sim.trace().expect("trace enabled").dump();
     (json, order)
 }
 
-fn build_cfg(spec: &WorkloadSpec, algo: Algorithm, legacy: bool, faults: bool) -> DdcSimulation {
-    let mut b = SimulationBuilder::new()
+fn build_cfg(spec: &WorkloadSpec, algo: Algorithm, faults: bool) -> DdcSimulation {
+    let b = SimulationBuilder::new()
         .algorithm(algo)
-        .workload(spec.clone())
-        .legacy_arrival_path(legacy);
+        .workload(spec.clone());
     if faults {
-        b = b.faults(FaultSpec::canonical());
-    }
-    if legacy {
-        // The pre-PR5 engine also timed every scheduling call.
-        b = b.sched_timing_batch(1);
-    }
-    b.build()
-}
-
-/// Tentpole acceptance: the legacy path (trace materialized, arrivals
-/// through the FEL) and the two-lane path (trace never built, arrivals
-/// off the on-demand cursor) agree byte-for-byte on reports *and*
-/// dispatch order — both algorithms' families, faults off and on.
-#[test]
-fn legacy_and_two_lane_paths_are_byte_identical() {
-    for (name, spec) in canonical_specs() {
-        for algo in [Algorithm::Risa, Algorithm::Nalb] {
-            for faults in [false, true] {
-                let (legacy_report, legacy_order) = run_cfg(&spec, algo, true, faults);
-                let (report, order) = run_cfg(&spec, algo, false, faults);
-                assert_eq!(
-                    legacy_report, report,
-                    "{name}/{algo}/faults={faults}: RunReport diverged from the legacy engine"
-                );
-                assert_eq!(
-                    legacy_order, order,
-                    "{name}/{algo}/faults={faults}: event dispatch order diverged"
-                );
-            }
-        }
+        b.faults(FaultSpec::canonical()).build()
+    } else {
+        b.build()
     }
 }
 
@@ -140,19 +78,6 @@ fn peak_fel_is_resident_bounded_on_10k_run() {
     );
 }
 
-/// The legacy path, by contrast, *does* hold the whole trace in the FEL —
-/// the contrast that proves the two-lane claim isn't vacuous.
-#[test]
-fn legacy_path_peaks_at_trace_length() {
-    let n = 2_000u32;
-    let mut sim = SimulationBuilder::new()
-        .workload(WorkloadSpec::Synthetic(SyntheticConfig::small(n, 7)))
-        .legacy_arrival_path(true)
-        .build();
-    sim.run();
-    assert!(sim.peak_fel_len() >= n as usize);
-}
-
 /// On demand ≡ materialized: a generator read through the cursor and the
 /// same trace built by `shard::materialize` first, written to a CSV file
 /// and *served* through the cursor (`WorkloadSpec::TraceCsv`) produce
@@ -163,8 +88,8 @@ fn streaming_pipeline_is_byte_identical_to_materialized() {
     for (name, spec) in canonical_specs() {
         let (held, path) = csv_of(&spec, "held");
         for algo in [Algorithm::Risa, Algorithm::Nalb] {
-            let (m_report, m_order) = run(&held, algo, false);
-            let (report, order) = run(&spec, algo, false);
+            let (m_report, m_order) = run(&held, algo);
+            let (report, order) = run(&spec, algo);
             assert_eq!(
                 m_report, report,
                 "{name}/{algo}: on-demand RunReport diverged"
@@ -192,32 +117,6 @@ fn csv_of(spec: &WorkloadSpec, tag: &str) -> (WorkloadSpec, std::path::PathBuf) 
     (csv_spec, path)
 }
 
-/// PR 7 tentpole acceptance: the canonical churn scenario — rack
-/// failures evacuating residents through the live scheduler, trunk and
-/// transceiver flaps retracting bandwidth — is byte-identical (report
-/// JSON **and** event dispatch order) across both arrival paths, on both
-/// canonical traces. Fault onsets ride the
-/// same two-lane FEL as everything else, and the scenario's span comes
-/// from the arrivals-only pass on the cursor's side and from the built
-/// trace on the legacy side, so this is the end-to-end proof that churn
-/// never breaks run reproducibility.
-#[test]
-fn churn_scenario_is_byte_identical_across_modes_and_jobs() {
-    for (name, spec) in canonical_specs() {
-        let go = |legacy: bool| run_cfg(&spec, Algorithm::Risa, legacy, true);
-        let base = go(false);
-        assert!(
-            base.0.contains("\"faults\""),
-            "{name}: churn run must report resilience metrics"
-        );
-        let legacy = go(true);
-        assert_eq!(
-            base, legacy,
-            "{name}: churn run diverged on the legacy path"
-        );
-    }
-}
-
 /// Trace capacity large enough that no lane of the checkpoint
 /// differential ever evicts — prefix/suffix stitching needs every entry.
 const TRACE_CAP: usize = 64_000;
@@ -225,7 +124,7 @@ const TRACE_CAP: usize = 64_000;
 /// Full uninterrupted run: canonical report JSON, every dispatched event
 /// rendered, and the simulated duration (for picking a mid-run horizon).
 fn uninterrupted(spec: &WorkloadSpec, faults: bool) -> (String, Vec<String>, f64) {
-    let mut sim = build_cfg(spec, Algorithm::Risa, false, faults);
+    let mut sim = build_cfg(spec, Algorithm::Risa, faults);
     sim.enable_trace(TRACE_CAP);
     let mut report = sim.run();
     report.sched_seconds = 0.0;
@@ -242,8 +141,8 @@ fn uninterrupted(spec: &WorkloadSpec, faults: bool) -> (String, Vec<String>, f64
 /// The same run split in two: run to `t`, checkpoint, serialize to JSON,
 /// load it back, resume, run to completion. Returns the report and the
 /// stitched prefix + suffix event sequence.
-fn checkpointed(spec: &WorkloadSpec, legacy: bool, faults: bool, t: f64) -> (String, Vec<String>) {
-    let mut first = build_cfg(spec, Algorithm::Risa, legacy, faults);
+fn checkpointed(spec: &WorkloadSpec, faults: bool, t: f64) -> (String, Vec<String>) {
+    let mut first = build_cfg(spec, Algorithm::Risa, faults);
     first.enable_trace(TRACE_CAP);
     assert_eq!(
         first.run_until(t),
@@ -277,9 +176,8 @@ fn checkpointed(spec: &WorkloadSpec, legacy: bool, faults: bool, t: f64) -> (Str
 /// replays into the uninterrupted run's exact bytes — report JSON **and**
 /// the full event sequence (prefix recorded before the snapshot plus
 /// suffix recorded after resume, with continuous sequence numbers) — on
-/// both canonical traces, across both arrival paths (the cursor and the
-/// legacy path, each replayed to the checkpoint's event count) and faults
-/// off/on; and on the synthetic trace as a file.
+/// both canonical traces, faults off/on, and on the synthetic trace as a
+/// file.
 #[test]
 fn checkpoint_resume_is_byte_identical_across_modes_and_jobs() {
     let (csv_spec, path) = csv_of(&canonical_specs()[0].1, "ckpt");
@@ -291,14 +189,14 @@ fn checkpoint_resume_is_byte_identical_across_modes_and_jobs() {
             // this single reference transitively.
             let (base_report, base_events, duration) = uninterrupted(&spec, faults);
             let t = duration * 0.4;
-            let mut lanes = vec![(&spec, false), (&spec, true)];
+            let mut lanes = vec![&spec];
             if name.starts_with("synthetic") {
-                lanes.push((&csv_spec, false));
+                lanes.push(&csv_spec);
             }
-            for (spec, legacy) in lanes {
-                let (report, events) = checkpointed(spec, legacy, faults, t);
+            for spec in lanes {
+                let (report, events) = checkpointed(spec, faults, t);
                 let lane = format!(
-                    "{name}/csv={}/legacy={legacy}/faults={faults}",
+                    "{name}/csv={}/faults={faults}",
                     matches!(spec, WorkloadSpec::TraceCsv { .. })
                 );
                 assert_eq!(
@@ -324,7 +222,7 @@ fn checkpoint_resume_is_byte_identical_across_modes_and_jobs() {
 fn trace_csv_file_streams_chunked_and_matches_generator_run() {
     let spec = WorkloadSpec::Synthetic(SyntheticConfig::small(6000, 9));
     let (csv_spec, path) = csv_of(&spec, "csv");
-    let mut sim = build_cfg(&csv_spec, Algorithm::Risa, false, false);
+    let mut sim = build_cfg(&csv_spec, Algorithm::Risa, false);
     sim.run();
     let peak = sim.peak_buffered_arrivals();
     assert!(

@@ -78,17 +78,6 @@ fn materialized_run_buffers_one_window_of_arrivals_on_100k_run() {
     assert_eq!(sim.peak_arrival_window(), ARRIVAL_WINDOW);
     assert_eq!(sim.peak_buffered_arrivals(), SHARD_SIZE as usize);
     assert!(sim.peak_fel_len() <= sim.world().peak_resident() as usize);
-
-    // The legacy oracle has no lane: every arrival sits in the FEL, over
-    // the whole trace, and the world reads the materialized trace through
-    // the same cursor.
-    let mut legacy = SimulationBuilder::new()
-        .workload(WorkloadSpec::synthetic(3000, 17))
-        .legacy_arrival_path(true)
-        .build();
-    legacy.run();
-    assert_eq!(legacy.peak_arrival_window(), 0);
-    assert!(legacy.peak_fel_len() >= 3000);
 }
 
 /// The bound holds under every arrival-order stress we can apply: a fast

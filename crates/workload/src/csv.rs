@@ -15,18 +15,16 @@
 //! guarantees assume the trace survives interchange exactly.
 //!
 //! Two readers accept the same language, row for row (`parse_row` is
-//! its one definition): [`from_csv`] over text already in memory, and
-//! [`read_csv`] over any [`Read`], a block at a time — that one never holds
-//! the text, and also requires what a replay requires of a trace
+//! its one definition): [`from_csv`] over text already in memory, and the
+//! trace store's [`crate::TraceShards::read_csv_file`] over a file, a block
+//! at a time, straight into columns — that one never holds the text or a
+//! list of requests, and also requires what a replay requires of a trace
 //! (`rows::ranked_rows`, the one row loop: ids equal to each row's rank,
-//! arrivals sorted). A trace *file* a simulation replays goes through the
-//! same `ranked_rows` into columns ([`crate::TraceShards::read_csv_file`]),
-//! never into a list of requests.
+//! arrivals sorted).
 
-use crate::rows::ranked_rows;
 use crate::vm::{VmId, VmRequest, Workload};
 use std::fmt::Write as _;
-use std::io::{self, Read};
+use std::io;
 
 /// The exact header line emitted and required.
 pub const HEADER: &str = "id,cpu_cores,ram_gb,storage_gb,arrival,lifetime";
@@ -205,9 +203,9 @@ pub fn from_csv(name: &str, csv: &str) -> Result<Workload, CsvError> {
     Ok(Workload::from_vms(name, vms))
 }
 
-/// Why [`read_csv`] refused its input.
+/// Why the row loop (`rows::ranked_rows`) refused a trace.
 #[derive(Debug)]
-pub enum ReadError {
+pub(crate) enum ReadError {
     /// The reader failed, or the bytes were not UTF-8 (an
     /// [`io::ErrorKind::InvalidData`] error, as `read_to_string` reports
     /// it), or a line ran past a megabyte.
@@ -227,25 +225,6 @@ pub enum ReadError {
     },
 }
 
-impl std::fmt::Display for ReadError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReadError::Io(e) => e.fmt(f),
-            ReadError::Csv(e) => e.fmt(f),
-            ReadError::NonDenseId {
-                line,
-                expected,
-                found,
-            } => write!(
-                f,
-                "line {line}: VM ids must be dense and in order (expected {expected}, found {found})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ReadError {}
-
 impl ReadError {
     /// Input that is not a trace at all, reported as `read_to_string`
     /// reports bytes that are not text.
@@ -254,37 +233,13 @@ impl ReadError {
     }
 }
 
-/// Read a workload from a CSV trace (the [`to_csv`] schema) without ever
-/// holding more of it than one read block. Accepts exactly the rows
-/// [`from_csv`] accepts, with the same errors, and additionally requires
-/// what a replay requires of a trace: each id its row's rank (see
-/// [`ReadError::NonDenseId`]) and at most `u32::MAX` rows. `name` labels
-/// the resulting workload. The library's reader of a whole trace, and the
-/// oracle the trace store a run replays is tested against.
-pub fn read_csv(name: &str, reader: impl Read) -> Result<Workload, ReadError> {
-    let mut vms = Vec::new();
-    ranked_rows(
-        reader,
-        |([cpu_cores, ram_gb, storage_gb], arrival, lifetime)| {
-            vms.push(VmRequest {
-                id: VmId(vms.len() as u32),
-                cpu_cores,
-                ram_gb,
-                storage_gb,
-                arrival,
-                lifetime,
-            })
-        },
-    )?;
-    Ok(Workload::from_vms(name, vms))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rows::BLOCK;
+    use crate::rows::{ranked_rows, BLOCK};
     use crate::synthetic::SyntheticConfig;
     use proptest::prelude::*;
+    use std::io::Read;
 
     #[test]
     fn roundtrip_preserves_everything_but_name() {
@@ -424,7 +379,7 @@ mod tests {
             let csv = format!("{HEADER}\n{row}\n");
             let want = CsvError::BadValue { line: 2, column };
             assert_eq!(from_csv("x", &csv).unwrap_err(), want, "row: {row}");
-            assert_eq!(verdict(read_csv("x", csv.as_bytes())), Err(want), "{row}");
+            assert_eq!(verdict(read_rows("x", csv.as_bytes())), Err(want), "{row}");
         }
         // Zero times are valid (a trace may start at t = 0), and so is a
         // VM that leaves at the bound itself.
@@ -435,7 +390,7 @@ mod tests {
         ] {
             let csv = format!("{HEADER}\n{row}\n");
             assert!(from_csv("x", &csv).is_ok(), "{row}");
-            assert_eq!(verdict(read_csv("x", csv.as_bytes())), from_csv("x", &csv));
+            assert_eq!(verdict(read_rows("x", csv.as_bytes())), from_csv("x", &csv));
         }
     }
 
@@ -475,11 +430,31 @@ mod tests {
         }
     }
 
+    /// The trace the row loop reads off `reader`, each id its row's rank.
+    fn read_rows(name: &str, reader: impl Read) -> Result<Workload, ReadError> {
+        let mut vms = Vec::new();
+        ranked_rows(
+            reader,
+            |([cpu_cores, ram_gb, storage_gb], arrival, lifetime)| {
+                let id = VmId(vms.len() as u32);
+                vms.push(VmRequest {
+                    id,
+                    cpu_cores,
+                    ram_gb,
+                    storage_gb,
+                    arrival,
+                    lifetime,
+                })
+            },
+        )?;
+        Ok(Workload::from_vms(name, vms))
+    }
+
     /// What the two readers must agree on: the workload, or the error.
     fn verdict(read: Result<Workload, ReadError>) -> Result<Workload, CsvError> {
         read.map_err(|e| match e {
             ReadError::Csv(e) => e,
-            other => panic!("the text reader has no such error: {other}"),
+            other => panic!("the text reader has no such error: {other:?}"),
         })
     }
 
@@ -615,7 +590,7 @@ mod tests {
     }
 
     proptest! {
-        /// `read_csv` over the bytes, a few at a time, is `from_csv` over
+        /// The row loop over the bytes, a few at a time, is `from_csv` over
         /// the text: the same workload or the same error, line and column
         /// included — whatever the spelling of a field, the line endings,
         /// the padding, the arity, wherever the reads fall.
@@ -629,12 +604,12 @@ mod tests {
             let text = document(header, &lines, final_newline);
             let dribble = Dribble { rest: text.as_bytes(), sizes: sizes.iter().cycle() };
             prop_assert_eq!(
-                verdict(read_csv("doc", dribble)),
+                verdict(read_rows("doc", dribble)),
                 from_csv("doc", &text),
                 "document: {:?}", text
             );
             // And handed over whole.
-            prop_assert_eq!(verdict(read_csv("doc", text.as_bytes())), from_csv("doc", &text));
+            prop_assert_eq!(verdict(read_rows("doc", text.as_bytes())), from_csv("doc", &text));
         }
     }
 
@@ -710,8 +685,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1000))]
 
-        /// Whatever one corruption does to a valid trace, [`read_csv`]
-        /// neither panics nor parts from the `str::parse` oracle
+        /// Whatever one corruption does to a valid trace, the row loop
+        /// (`ranked_rows`) neither panics nor parts from the `str::parse` oracle
         /// [`from_csv`]: the same rows bit for bit, or the same
         /// [`CsvError`] with the same line and column — or, for bytes
         /// that are no text, an [`io::ErrorKind::InvalidData`]. Ids that
@@ -726,7 +701,7 @@ mod tests {
             pick in 0u32..1 << 20,
         ) {
             let bytes = corrupted(&rows, crlf, kind, byte as u8, pick as usize);
-            let read = read_csv("doc", &bytes[..]);
+            let read = read_rows("doc", &bytes[..]);
             let Ok(text) = std::str::from_utf8(&bytes) else {
                 prop_assert!(matches!(&read, Err(ReadError::Io(e)) if e.kind() == io::ErrorKind::InvalidData));
                 return Ok(());
@@ -779,7 +754,7 @@ mod tests {
         let w = Workload::synthetic(&SyntheticConfig::small(60_000, 5));
         let text = to_csv(&w);
         assert!(text.len() > 2 * BLOCK);
-        assert_eq!(read_csv("synthetic", text.as_bytes()).unwrap(), w);
+        assert_eq!(read_rows("synthetic", text.as_bytes()).unwrap(), w);
     }
 
     /// What a replay needs and an interchange format does not: ids equal
@@ -798,7 +773,7 @@ mod tests {
         ] {
             let csv = format!("{HEADER}\n{rows}");
             assert!(from_csv("x", &csv).is_ok(), "the text reader takes any ids");
-            match read_csv("x", csv.as_bytes()).unwrap_err() {
+            match read_rows("x", csv.as_bytes()).unwrap_err() {
                 ReadError::NonDenseId {
                     line: l,
                     expected: e,
@@ -806,13 +781,13 @@ mod tests {
                 } => {
                     assert_eq!((l, e, f), (line, expected, found), "rows: {rows}")
                 }
-                other => panic!("expected NonDenseId, got {other}"),
+                other => panic!("expected NonDenseId, got {other:?}"),
             }
         }
         // Density is judged after the row itself and before its order.
         let csv = format!("{HEADER}\n0,1,2,128,5.0,10\n7,1,2,128,4.0,x\n");
         assert!(matches!(
-            read_csv("x", csv.as_bytes()).unwrap_err(),
+            read_rows("x", csv.as_bytes()).unwrap_err(),
             ReadError::Csv(CsvError::BadField {
                 line: 3,
                 column: "lifetime"
@@ -820,7 +795,7 @@ mod tests {
         ));
         let csv = format!("{HEADER}\n0,1,2,128,5.0,10\n7,1,2,128,4.0,10\n");
         assert!(matches!(
-            read_csv("x", csv.as_bytes()).unwrap_err(),
+            read_rows("x", csv.as_bytes()).unwrap_err(),
             ReadError::NonDenseId {
                 line: 3,
                 expected: 1,
@@ -835,24 +810,24 @@ mod tests {
     fn block_reader_refuses_non_text_and_endless_lines() {
         let mut bytes = format!("{HEADER}\n0,1,2,128,1.0,10\n1,1,2,128,2.0,").into_bytes();
         bytes.extend([0xff, 0xfe, b'\n']);
-        match read_csv("x", &bytes[..]).unwrap_err() {
+        match read_rows("x", &bytes[..]).unwrap_err() {
             ReadError::Io(e) => {
                 assert_eq!(e.kind(), io::ErrorKind::InvalidData);
                 assert!(e.to_string().contains("UTF-8"));
             }
-            other => panic!("expected an I/O error, got {other}"),
+            other => panic!("expected an I/O error, got {other:?}"),
         }
         let mut bytes = format!("{HEADER}\n0,1,2,128,1.0,10\n").into_bytes();
         bytes.resize(bytes.len() + BLOCK + 1, b' ');
-        match read_csv("x", &bytes[..]).unwrap_err() {
+        match read_rows("x", &bytes[..]).unwrap_err() {
             ReadError::Io(e) => assert!(e.to_string().contains("line 3 is longer than")),
-            other => panic!("expected an I/O error, got {other}"),
+            other => panic!("expected an I/O error, got {other:?}"),
         }
         // Two bytes fewer and it is a line (a blank one) that just fits:
         // the read buffer grows to hold it, and the rows behind it count.
         bytes.truncate(bytes.len() - 2);
         bytes.extend(b"\n1,1,2,128,2.0,10\n");
-        assert_eq!(read_csv("x", &bytes[..]).unwrap().len(), 2);
+        assert_eq!(read_rows("x", &bytes[..]).unwrap().len(), 2);
         // A reader's own failure is handed on as it is.
         struct Broken;
         impl Read for Broken {
@@ -860,9 +835,7 @@ mod tests {
                 Err(io::Error::other("disk on fire"))
             }
         }
-        assert!(read_csv("x", Broken)
-            .unwrap_err()
-            .to_string()
-            .contains("disk on fire"));
+        assert!(matches!(read_rows("x", Broken),
+            Err(ReadError::Io(e)) if e.to_string() == "disk on fire"));
     }
 }

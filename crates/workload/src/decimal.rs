@@ -180,9 +180,8 @@ fn reciprocal_quotient(mantissa: u64, k: usize) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csv::{from_csv, read_csv, valid_time, ReadError, HEADER};
-    use crate::rows::fast_time;
-    use crate::vm::Workload;
+    use crate::csv::{from_csv, valid_time, ReadError, HEADER};
+    use crate::rows::{fast_time, ranked_rows};
     use proptest::prelude::*;
 
     /// What [`fast_time`] may say of `field` (a `,` put behind it): the
@@ -309,30 +308,32 @@ mod tests {
         for field in &fields {
             assert_reads_as_parsed(field);
         }
-        // And as rows: each field through both readers, alone and — those
-        // that are times — together.
-        let verdict = |read: Result<Workload, ReadError>| read.map_err(|e| e.to_string());
+        // And as rows: each field through the row loop and the text
+        // reader, alone and — those that are times — together: the same
+        // lifetimes, bit for bit, or the same refusal.
+        let read = |text: &str| {
+            let mut bits = Vec::new();
+            match ranked_rows(text.as_bytes(), |(_, _, life)| bits.push(life.to_bits())) {
+                Ok(()) => Ok(bits),
+                Err(ReadError::Csv(e)) => Err(e),
+                Err(e) => panic!("the text reader has no such error: {e:?}"),
+            }
+        };
+        let judge = |text: &str| {
+            from_csv("doc", text).map(|w| w.vms().iter().map(|vm| vm.lifetime.to_bits()).collect())
+        };
         let mut text = format!("{HEADER}\n");
         let mut rank = 0;
         for field in &fields {
             let one = format!("{HEADER}\n0,1,2,128,0,{field}\n");
-            let judged = from_csv("doc", &one);
-            assert_eq!(
-                verdict(read_csv("doc", one.as_bytes())),
-                judged.clone().map_err(|e| e.to_string()),
-                "{field:?}"
-            );
+            let judged = judge(&one);
+            assert_eq!(read(&one), judged, "{field:?}");
             if judged.is_ok() {
                 text.push_str(&format!("{rank},1,2,128,0,{field}\r\n"));
                 rank += 1;
             }
         }
-        let bits =
-            |w: Workload| -> Vec<u64> { w.vms().iter().map(|vm| vm.lifetime.to_bits()).collect() };
-        assert_eq!(
-            bits(read_csv("doc", text.as_bytes()).unwrap()),
-            bits(from_csv("doc", &text).unwrap())
-        );
+        assert_eq!(read(&text), judge(&text));
         assert!(rank > 100, "only {rank} of the fields are times");
     }
 

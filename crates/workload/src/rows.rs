@@ -102,8 +102,8 @@ fn ranked(vm: &VmRequest, line: usize, rank: u32, last: f64) -> Result<(), ReadE
 /// block of `reader` at a time: [`fast_row`] where it answers, else the
 /// whole line through [`parse_row`] and [`ranked`], which say why a row is
 /// refused; blank lines skipped, the header required first. The one
-/// definition of what a replay requires of a trace, for
-/// [`crate::csv::read_csv`] and the trace store ([`crate::TraceShards`]).
+/// definition of what a replay requires of a trace, and the loop of its
+/// one reader, the trace store's ([`crate::TraceShards::read_csv_file`]).
 pub(crate) fn ranked_rows(
     mut reader: impl Read,
     mut each: impl FnMut(Row),

@@ -22,7 +22,7 @@
 //!   monotonicity is preserved bit-for-bit.
 //! * **Determinism** — shard boundaries depend only on [`SHARD_SIZE`], so
 //!   a shard's VMs are the same whoever asks for them. [`materialize`] —
-//!   the legacy oracle and tests — generates and stitches the shards in
+//!   for tests and references — generates and stitches the shards in
 //!   one loop on the calling thread; a run never materializes: it
 //!   generates one shard at a time, inline ([`crate::StreamingShards`]),
 //!   and both produce the same bytes.

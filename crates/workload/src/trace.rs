@@ -47,9 +47,8 @@ use std::path::Path;
 /// A recorded trace, held as columns and served shard by shard (see the
 /// module docs).
 ///
-/// How a trace file — or a trace already in memory, which the legacy
-/// arrival path and tests hand over — reaches the same cursor a generator
-/// feeds.
+/// How a trace file — or a trace already in memory, which tests hand
+/// over — reaches the same cursor a generator feeds.
 #[derive(Debug, Clone)]
 pub struct TraceShards {
     name: String,
@@ -87,10 +86,11 @@ impl TraceShards {
     }
 
     /// Load the CSV trace file at `path` into columns, in one pass of the
-    /// CSV reader's row loop under the checks a replay needs
-    /// ([`crate::csv::read_csv`]'s, with the same errors): validated a
-    /// block at a time, and never resident as text or as a request list.
-    /// `name` labels the workload.
+    /// CSV row loop under the checks a replay needs — the rows
+    /// [`crate::csv::from_csv`] accepts, with its errors, each id its row's
+    /// rank: validated a block at a time, and never resident as text or as
+    /// a request list. The one reader of a trace file. `name` labels the
+    /// workload.
     pub fn read_csv_file(name: &str, path: impl AsRef<Path>) -> Result<Self, TraceFileError> {
         let path = path.as_ref();
         let file = File::open(path).map_err(|e| TraceFileError::io(path, e))?;
@@ -248,7 +248,7 @@ impl ShardSource for TraceShards {
 }
 
 /// Errors raised while loading a CSV trace file
-/// ([`TraceShards::read_csv_file`], [`Workload::read_csv_file`]).
+/// ([`TraceShards::read_csv_file`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceFileError {
     /// The file could not be read.
@@ -280,27 +280,19 @@ impl std::fmt::Display for TraceFileError {
                 write!(f, "cannot read trace file '{path}': {message}")
             }
             TraceFileError::Csv(e) => write!(f, "trace file: {e}"),
-            &TraceFileError::NonDenseId {
+            TraceFileError::NonDenseId {
                 line,
                 expected,
                 found,
-            } => ReadError::NonDenseId {
-                line,
-                expected,
-                found,
-            }
-            .fmt(f),
+            } => write!(
+                f,
+                "line {line}: VM ids must be dense and in order (expected {expected}, found {found})"
+            ),
         }
     }
 }
 
 impl std::error::Error for TraceFileError {}
-
-impl From<CsvError> for TraceFileError {
-    fn from(e: CsvError) -> Self {
-        TraceFileError::Csv(e)
-    }
-}
 
 impl TraceFileError {
     fn io(path: &Path, e: std::io::Error) -> Self {
@@ -328,20 +320,10 @@ impl TraceFileError {
     }
 }
 
-impl Workload {
-    /// The CSV trace file at `path` as a request list: the trace store's
-    /// load ([`TraceShards::read_csv_file`], the one loader of a trace
-    /// file) with every row gathered. `name` labels the workload.
-    pub fn read_csv_file(name: &str, path: impl AsRef<Path>) -> Result<Self, TraceFileError> {
-        let store = TraceShards::read_csv_file(name, path)?;
-        Ok(Workload::from_vms(name, store.gather(0..store.total_vms())))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csv::{self, from_csv, to_csv, HEADER};
+    use crate::csv::{from_csv, to_csv, HEADER};
     use crate::shard::{materialize, SHARD_SIZE};
     use crate::streaming::StreamingShards;
     use crate::synthetic::SyntheticConfig;
@@ -362,20 +344,19 @@ mod tests {
     }
 
     /// The trace store's verdict on `contents` as a file, checked against
-    /// [`csv::read_csv`]'s on the same file: the rows served, bit for bit,
-    /// the largest request and the span, or the same refusal.
+    /// the text reader [`from_csv`]'s: the rows served, bit for bit, the
+    /// largest request and the span, or the same refusal. A refusal of
+    /// ids the text reader takes names the row it read there; bytes that
+    /// are no text, or a line past a read block, are the store's alone.
     fn load(tag: &str, contents: &[u8]) -> Result<TraceShards, TraceFileError> {
         let path =
             std::env::temp_dir().join(format!("risa_trace_{}_{tag}.csv", std::process::id()));
         std::fs::write(&path, contents).unwrap();
         let store = TraceShards::read_csv_file("x", &path);
-        let read = File::open(&path)
-            .map_err(ReadError::Io)
-            .and_then(|file| csv::read_csv("x", file))
-            .map_err(|e| TraceFileError::from_read(&path, e));
         std::fs::remove_file(&path).ok();
-        match (&store, read) {
-            (Ok(store), Ok(read)) => {
+        let judged = std::str::from_utf8(contents).map(|text| from_csv("x", text));
+        match (&store, judged) {
+            (Ok(store), Ok(Ok(read))) => {
                 assert_eq!(bits(&materialize(store)), bits(read.vms()), "{tag}");
                 let fold = read.vms().iter().fold((0, 0, 0), |(c, r, s), vm| {
                     (c.max(vm.cpu_cores), r.max(vm.ram_gb), s.max(vm.storage_gb))
@@ -384,7 +365,17 @@ mod tests {
                 let last = read.vms().last().map_or(0.0, |vm| vm.arrival);
                 assert_eq!(store.span_units().to_bits(), last.to_bits(), "{tag}");
             }
-            (store, read) => assert_eq!(store.as_ref().err(), read.err().as_ref(), "{tag}"),
+            (Err(TraceFileError::Csv(e)), Ok(Err(judged))) => assert_eq!(*e, judged, "{tag}"),
+            (
+                Err(TraceFileError::NonDenseId {
+                    expected, found, ..
+                }),
+                Ok(Ok(read)),
+            ) => {
+                assert_eq!(read.vms()[*expected as usize].id.0, *found, "{tag}");
+            }
+            (Err(TraceFileError::Io { .. }), _) => {}
+            (store, judged) => panic!("{tag}: store {store:?}, text reader {judged:?}"),
         }
         store
     }
@@ -418,7 +409,7 @@ mod tests {
         assert_eq!(streamed, *w.vms());
     }
 
-    /// The store serves what [`csv::read_csv`] reads, bit for bit: a trace
+    /// The store serves what [`from_csv`] reads, bit for bit: a trace
     /// with a ragged last shard, one of a single shape, and one in which every row is a shape of its own, so
     /// the shape table grows many times over while it loads.
     #[test]
@@ -495,9 +486,8 @@ mod tests {
     }
 
     /// Dense ids are enforced where a trace enters a replay, not by
-    /// [`Workload::from_vms`]: a file by the reader ([`csv::read_csv`] and
-    /// the store alike), a workload by [`TraceShards::new`]'s
-    /// `debug_assert!`.
+    /// [`Workload::from_vms`] or the text reader: a file by the store's
+    /// reader, a workload by [`TraceShards::new`]'s `debug_assert!`.
     #[test]
     fn dense_ids_are_enforced_by_the_reader_and_the_store() {
         let rows = "0,1,2,128,1.0,10\n2,1,2,128,2.0,10\n";
@@ -515,24 +505,23 @@ mod tests {
         assert_eq!(stored.is_err(), cfg!(debug_assertions));
     }
 
-    /// Every file refused is refused by the store as [`csv::read_csv`]
-    /// refuses it: the same [`TraceFileError`], line and column.
+    /// Every file refused is refused when the store opens it, with the
+    /// same [`TraceFileError`], line and column the text reader names.
     #[test]
     fn open_validates_eagerly() {
         let missing = TraceShards::read_csv_file("x", "/nonexistent/risa/trace.csv").unwrap_err();
         assert!(matches!(missing, TraceFileError::Io { .. }));
         assert!(missing.to_string().contains("/nonexistent/risa/trace.csv"));
-        assert_eq!(
-            Workload::read_csv_file("x", "/nonexistent/risa/trace.csv").unwrap_err(),
-            missing
-        );
 
         let doc = |rows: &str| format!("{HEADER}\n{rows}").into_bytes();
         let refused = |tag: &str, contents: &[u8]| load(tag, contents).err();
-        assert_eq!(refused("empty", b""), Some(CsvError::BadHeader.into()));
+        assert_eq!(
+            refused("empty", b""),
+            Some(TraceFileError::Csv(CsvError::BadHeader))
+        );
         assert_eq!(
             refused("badheader", b"nope\n0,1,2,128,1.0,10.0\n"),
-            Some(CsvError::BadHeader.into())
+            Some(TraceFileError::Csv(CsvError::BadHeader))
         );
         for (tag, rows, error) in [
             (
@@ -562,7 +551,11 @@ mod tests {
                 },
             ),
         ] {
-            assert_eq!(refused(tag, &doc(rows)), Some(error.into()), "{tag}");
+            assert_eq!(
+                refused(tag, &doc(rows)),
+                Some(TraceFileError::Csv(error)),
+                "{tag}"
+            );
         }
         for (tag, rows, line, expected, found) in [
             ("swapped", "1,1,2,128,1.0,10\n0,1,2,128,2.0,10\n", 2, 0, 1),
@@ -591,20 +584,13 @@ mod tests {
     }
 
     /// A file the store takes is the trace the text reader reads, in any
-    /// spelling the language allows, and the whole-file load of it
-    /// ([`Workload::read_csv_file`]) is that trace too.
+    /// spelling the language allows.
     #[test]
     fn whole_file_load_and_shard_open_agree() {
         let text = format!("{HEADER}\n0,1,2,128,1.0,10\r\n\n 1,+1,2,128,1.0,10");
         let store = load("spelled", text.as_bytes()).unwrap();
         let judged = from_csv("x", &text).unwrap();
         assert_eq!(bits(&materialize(&store)), bits(judged.vms()));
-        let path =
-            std::env::temp_dir().join(format!("risa_trace_{}_whole.csv", std::process::id()));
-        std::fs::write(&path, &text).unwrap();
-        let whole = Workload::read_csv_file("x", &path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(whole.name(), "x");
-        assert_eq!(bits(whole.vms()), bits(judged.vms()));
+        assert_eq!(store.label(), "x");
     }
 }
