@@ -4,8 +4,8 @@
 //! trace written to a CSV file and served through that cursor from
 //! columns; and a run checkpointed at `T`, serialized, resumed (rebuilt
 //! from its recipe and replayed to the recorded event count) against the
-//! uninterrupted run, faults off and on — `RunReport`s and event dispatch
-//! orders alike. The lane against a run that pushes every arrival through
+//! uninterrupted run, faults off and on; and the canonical churn scenario
+//! across both feeds — `RunReport`s and event dispatch orders alike. The lane against a run that pushes every arrival through
 //! the future-event list is `risa-sim`'s in-crate `push_oracle`;
 //! `tests/checkpoint_fixtures.rs` resumes checked-in documents.
 
@@ -27,11 +27,11 @@ fn canonical_specs() -> Vec<(&'static str, WorkloadSpec)> {
     ]
 }
 
-/// Run one faults-off configuration to completion, returning the
-/// canonicalized report (wall-clock zeroed — the one nondeterministic
-/// field) and the full event dispatch order.
-fn run(spec: &WorkloadSpec, algo: Algorithm) -> (String, String) {
-    let mut sim = build_cfg(spec, algo, false);
+/// Run one configuration to completion, returning the canonicalized
+/// report (wall-clock zeroed — the one nondeterministic field) and the
+/// full event dispatch order.
+fn run(spec: &WorkloadSpec, algo: Algorithm, faults: bool) -> (String, String) {
+    let mut sim = build_cfg(spec, algo, faults);
     sim.enable_trace(40_000);
     let mut report: RunReport = sim.run();
     // The trace is read off the arrival lane, a window at a time.
@@ -88,8 +88,8 @@ fn streaming_pipeline_is_byte_identical_to_materialized() {
     for (name, spec) in canonical_specs() {
         let (held, path) = csv_of(&spec, "held");
         for algo in [Algorithm::Risa, Algorithm::Nalb] {
-            let (m_report, m_order) = run(&held, algo);
-            let (report, order) = run(&spec, algo);
+            let (m_report, m_order) = run(&held, algo, false);
+            let (report, order) = run(&spec, algo, false);
             assert_eq!(
                 m_report, report,
                 "{name}/{algo}: on-demand RunReport diverged"
@@ -100,6 +100,37 @@ fn streaming_pipeline_is_byte_identical_to_materialized() {
             );
         }
         std::fs::remove_file(&path).ok();
+    }
+}
+
+/// The canonical churn scenario — rack failures evacuating residents
+/// through the live scheduler, trunk and transceiver flaps retracting
+/// bandwidth — is byte-identical (report JSON **and** event dispatch
+/// order) whether the trace is generated on demand or served from a CSV
+/// file of it, on both canonical traces. The scenario's span comes from an
+/// arrivals-only pass over the generator on one side and over the file's
+/// columns on the other, so this pins churn's reproducibility across feeds
+/// (the lane against the push-every-arrival run under churn is
+/// `risa-sim`'s in-crate `push_oracle`).
+#[test]
+fn churn_scenario_is_byte_identical_across_modes_and_jobs() {
+    for (name, spec) in canonical_specs() {
+        let (held, path) = csv_of(&spec, "churn");
+        let base = run(&spec, Algorithm::Risa, true);
+        assert!(
+            base.0.contains("\"faults\":{"),
+            "{name}: churn run must report resilience metrics"
+        );
+        let file = run(&held, Algorithm::Risa, true);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            base.0, file.0,
+            "{name}: churn RunReport diverged on the file"
+        );
+        assert_eq!(
+            base.1, file.1,
+            "{name}: churn dispatch order diverged on the file"
+        );
     }
 }
 
