@@ -155,14 +155,16 @@ fn fit_in_rack(
 /// box list (plus NALB's per-rack sort). NULB's id-order walk is one
 /// rack-successor query, which also tells NALB when there is nothing to
 /// walk for; NALB's bandwidth-descending walk reads the network's
-/// incremental rack ordering instead of sorting per probe.
+/// incremental rack ordering instead of sorting per probe (the read
+/// re-ranks the racks whose uplinks moved since the last one, hence the
+/// `&mut`).
 #[expect(
     clippy::too_many_arguments,
     reason = "mirrors the paper's parameter list"
 )]
 fn bfs_find(
     cluster: &Cluster,
-    net: &NetworkState,
+    net: &mut NetworkState,
     kind: ResourceKind,
     units: u32,
     home: RackId,

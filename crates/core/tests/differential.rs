@@ -12,7 +12,7 @@
 //! feeds the schedulers, not just hand-built ones.
 
 use proptest::prelude::*;
-use risa_network::{NetworkConfig, NetworkState};
+use risa_network::{NetworkConfig, NetworkState, TrunkId};
 use risa_sched::oracle::OracleScheduler;
 use risa_sched::{Algorithm, DropReason, ScheduleOutcome, Scheduler, VmAssignment};
 use risa_topology::{
@@ -605,7 +605,10 @@ fn fallback_matches_oracle_on_40x_topology() {
 /// with CPU left in under 10 % of the racks, ten racks dark and the
 /// uplink order shuffled by standing flows, the walk passes hundreds of
 /// such racks (and every rack, when nothing fits); the oracle sorts and
-/// scans each one for real, and the counters must agree.
+/// scans each one for real, and the counters must agree. The standing
+/// flows are granted before any read of the order, so the first walk
+/// re-ranks every rack they moved at once — and each later walk the racks
+/// the grants since the last one moved.
 #[test]
 fn nalb_skipped_racks_match_oracle_on_40x_topology() {
     let mut cluster = Cluster::new(scaled(SCALE_40X));
@@ -636,6 +639,14 @@ fn nalb_skipped_racks_match_oracle_on_40x_topology() {
             risa_network::LinkPolicy::FirstFit,
         );
     }
+    // Nothing has read the order yet: every rack a flow moved is pending.
+    let moved = (0..SCALE_40X)
+        .map(TrunkId::RackUplink)
+        .filter(|&t| net.trunk(t).free_mbps() < net.trunk(t).capacity_mbps())
+        .count();
+    assert!(moved >= 100, "only {moved} racks pending at the first read");
+    net.check_invariants()
+        .expect("network invariants, racks pending");
     let mut pair = Lockstep::new(Algorithm::Nalb, cluster, net);
 
     // CPU is scarce: the home rack holds it, and RAM and storage too.

@@ -2,7 +2,7 @@
 //! them to a user-supplied [`World`], which may schedule further events
 //! through an [`EventCtx`].
 
-use crate::queue::EventQueue;
+use crate::queue::{EventQueue, QueueEntry};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::EventTrace;
 
@@ -243,6 +243,12 @@ impl<W: World> Simulation<W> {
         let Some(entry) = self.queue.pop() else {
             return StepOutcome::Empty;
         };
+        self.dispatch(entry);
+        StepOutcome::Dispatched
+    }
+
+    /// Advance the clock to `entry` and hand it to the world.
+    fn dispatch(&mut self, entry: QueueEntry<W::Event>) {
         self.now = entry.at;
         self.dispatched += 1;
         if let Some((trace, render)) = &mut self.trace {
@@ -255,7 +261,6 @@ impl<W: World> Simulation<W> {
             stop_requested: &mut self.stop_requested,
         };
         self.world.handle(&mut ctx, entry.event);
-        StepOutcome::Dispatched
     }
 
     /// Run until the queue drains or a handler requests a stop.
@@ -283,17 +288,17 @@ impl<W: World> Simulation<W> {
                 return RunOutcome::Stopped;
             }
             self.feed_lane();
-            match self.queue.peek_time() {
-                None => return RunOutcome::Exhausted,
-                Some(t) if t > horizon => return RunOutcome::HorizonReached,
-                Some(_) => {
-                    if budget == 0 {
-                        return RunOutcome::BudgetExhausted;
-                    }
-                    self.dispatch_next();
-                    budget -= 1;
-                }
-            }
+            // One merge a dispatch: the pop is the peek.
+            let due = (budget > 0).then(|| self.queue.pop_through(horizon));
+            let Some(entry) = due.flatten() else {
+                return match self.queue.peek_time() {
+                    None => RunOutcome::Exhausted,
+                    Some(t) if t > horizon => RunOutcome::HorizonReached,
+                    Some(_) => RunOutcome::BudgetExhausted,
+                };
+            };
+            self.dispatch(entry);
+            budget -= 1;
         }
     }
 }

@@ -22,9 +22,18 @@
 //! after "now", which is the time just delivered. The queue turns that
 //! contract into its speed.
 //!
-//! ## The FEL: a monotone radix heap
+//! ## The FEL: a sorted run beside a monotone radix heap
 //!
-//! Because no key is ever pushed below the last one delivered, the FEL is
+//! Many workloads push their departures in time order (the paper's §5.1
+//! staircase traces push each at or after the last), and such entries need
+//! no heap: a push not before the tail of the *sorted run*, a FIFO, is
+//! appended to it, and any other goes to the radix heap below. The run is
+//! in `(time, seq)` order by construction (times never fall, `seq` only
+//! rises), so every pop and peek takes the least of three heads — arrival
+//! lane, run, heap — by the full key, and delivery order is exactly one
+//! heap's whichever structure an entry sits in.
+//!
+//! Because no key is ever pushed below the last one delivered, the heap is
 //! a radix heap (Ahuja, Mehlhorn, Orlin & Tarjan, JACM 1990) over
 //! `at.ticks()` instead of a comparison heap. Keys are measured against a
 //! *base*, the last key the heap moved down (never above a pending key):
@@ -38,16 +47,17 @@
 //! only ever moves down, so it moves at most 64 times however deep the
 //! list — and every entry with a given key always shares one bucket, and
 //! moves in order, so equal times leave in push order: exactly
-//! `(time, seq)` for the FEL's own entries. The sequence number stays in
-//! each entry for the merge with the arrival lane and for
+//! `(time, seq)` for the heap's own entries. The sequence number stays in
+//! each entry for the merge with the run and the arrival lane and for
 //! [`EventQueue::pop`]'s caller.
 //!
-//! Looking at the FEL's minimum ([`EventQueue::peek_time`], and every
-//! merge decision) must **not** move the base: an arrival earlier than the
-//! FEL's minimum is still to be delivered and may schedule a departure
-//! below that minimum. It does not need to: the minimum is the head of
-//! `ready`, or else the remembered earliest entry of the lowest non-empty
-//! far bucket — O(1), no scan, and nothing to invalidate.
+//! Looking at the heap's minimum ([`EventQueue::peek_time`], and every
+//! merge decision) must **not** move the base: an arrival or a run entry
+//! earlier than the heap's minimum is still to be delivered and may
+//! schedule a departure below that minimum. It does not need to: the
+//! minimum is the head of `ready`, or else the remembered earliest entry
+//! of the lowest non-empty far bucket — O(1), no scan, and nothing to
+//! invalidate.
 //!
 //! ## The window
 //!
@@ -94,6 +104,8 @@ pub struct QueueEntry<E> {
 /// A deterministic two-lane event queue.
 pub struct EventQueue<E> {
     arrivals: Option<ArrivalLane<E>>,
+    /// FEL entries pushed in time order; the heap holds the others.
+    run: VecDeque<QueueEntry<E>>,
     fel: RadixFel<E>,
     next_seq: u64,
     /// Time of the last entry delivered from either lane: the earliest a
@@ -114,6 +126,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             arrivals: None,
+            run: VecDeque::new(),
             fel: RadixFel::new(),
             next_seq: 0,
             delivered: SimTime::ZERO,
@@ -174,25 +187,33 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.fel.push(QueueEntry { at, seq, event });
-        self.peak_fel = self.peak_fel.max(self.fel.len);
+        let entry = QueueEntry { at, seq, event };
+        if self.run.back().is_none_or(|tail| at >= tail.at) {
+            self.run.push_back(entry);
+        } else {
+            self.fel.push(entry);
+        }
+        self.peak_fel = self.peak_fel.max(self.fel_len());
         seq
     }
 
     /// Remove and return the earliest entry across both lanes, or `None`
     /// when empty.
     pub fn pop(&mut self) -> Option<QueueEntry<E>> {
-        let entry = match (self.arrival_key(), self.fel.min_key()) {
-            (None, None) => None,
-            (Some(_), None) => self.pop_arrival(),
-            (None, Some(_)) => self.fel.pop(),
-            (Some(s), Some(f)) => {
-                if s < f {
-                    self.pop_arrival()
-                } else {
-                    self.fel.pop()
-                }
-            }
+        self.pop_through(SimTime::MAX)
+    }
+
+    /// Remove and return the earliest entry if it is due at or before
+    /// `horizon`, else `None`: a peek and a pop for one merge.
+    pub fn pop_through(&mut self, horizon: SimTime) -> Option<QueueEntry<E>> {
+        let ((at, _), head) = self.earliest()?;
+        if at > horizon {
+            return None;
+        }
+        let entry = match head {
+            Head::Arrival => self.pop_arrival(),
+            Head::Run => self.run.pop_front(),
+            Head::Heap => self.fel.pop(),
         }?;
         self.delivered = entry.at;
         Some(entry)
@@ -201,11 +222,21 @@ impl<E> EventQueue<E> {
     /// Delivery time of the earliest pending event. Takes `&mut self`
     /// because looking at an exhausted arrival lane retires it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        match (self.arrival_key(), self.fel.min_key()) {
-            (None, None) => None,
-            (Some((t, _)), None) | (None, Some((t, _))) => Some(t),
-            (Some(s), Some(f)) => Some(s.min(f).0),
+        self.earliest().map(|((at, _), _)| at)
+    }
+
+    /// The least of the three heads and where it is (keys are unique:
+    /// every entry has its own `seq`).
+    #[inline]
+    fn earliest(&mut self) -> Option<(EventKey, Head)> {
+        let run = self.run.front().map(|e| ((e.at, e.seq), Head::Run));
+        let mut best = self.fel.min_key().map(|k| (k, Head::Heap));
+        for head in [run, self.arrival_key().map(|k| (k, Head::Arrival))] {
+            if head.is_some_and(|(k, _)| best.is_none_or(|(b, _)| k < b)) {
+                best = head;
+            }
         }
+        best
     }
 
     /// `(time, seq)` of the arrival lane's head. Drops the lane once every
@@ -240,7 +271,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events across both lanes.
     pub fn len(&self) -> usize {
-        self.stream_remaining() + self.fel.len
+        self.stream_remaining() + self.fel_len()
     }
 
     /// True when no events are pending in either lane.
@@ -254,9 +285,10 @@ impl<E> EventQueue<E> {
         self.arrivals.as_ref().map_or(0, ArrivalLane::remaining)
     }
 
-    /// Events currently in the future-event list (the dynamic lane).
+    /// Events currently in the future-event list (the dynamic lane): the
+    /// sorted run and the radix heap together.
     pub fn fel_len(&self) -> usize {
-        self.fel.len
+        self.run.len() + self.fel.len
     }
 
     /// High-water mark of the future-event list. With an arrival lane
@@ -284,14 +316,23 @@ impl<E> fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EventQueue")
             .field("stream_remaining", &self.stream_remaining())
-            .field("fel_len", &self.fel.len)
+            .field("fel_len", &self.fel_len())
             .field("next_seq", &self.next_seq)
             .finish()
     }
 }
 
-/// The future-event list: a monotone radix heap over `at.ticks()` (see
-/// the module docs). Every pending key is at or above `base`.
+/// Which head [`EventQueue::pop`] takes.
+#[derive(Clone, Copy)]
+enum Head {
+    Arrival,
+    Run,
+    Heap,
+}
+
+/// The future-event list's out-of-order entries: a monotone radix heap
+/// over `at.ticks()` (see the module docs). Every pending key is at or
+/// above `base`.
 struct RadixFel<E> {
     /// The key every bucket is measured against: the minimum the last
     /// refill moved down.
@@ -578,6 +619,36 @@ mod tests {
         q.push(t(60.0), 1001);
         q.pop();
         assert_eq!(q.peak_fel_len(), 2);
+    }
+
+    /// Pushes at or after the run's tail — equal times included — never
+    /// enter the radix heap, before or after pops; one that is earlier
+    /// does, and is still delivered in `(time, seq)` order. The FEL's
+    /// length, its peak and `Debug` count the run and the heap together.
+    #[test]
+    fn in_order_pushes_skip_the_radix_heap() {
+        let mut q = EventQueue::new();
+        for i in 0..50u64 {
+            q.push(SimTime::from_ticks(10 * (i / 2)), i);
+        }
+        assert_eq!((q.run.len(), q.fel.len), (50, 0));
+        assert_eq!(drain(&mut q)[..10], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
+        // An emptied run takes the next push whatever its time.
+        q.push(SimTime::from_ticks(1000), 100);
+        q.push(SimTime::from_ticks(1000), 101);
+        q.push(SimTime::from_ticks(500), 102);
+        q.push(SimTime::from_ticks(2000), 103);
+        // Tick 1000 now has entries in both structures.
+        q.push(SimTime::from_ticks(1000), 104);
+        assert_eq!((q.run.len(), q.fel.len), (3, 2));
+        assert_eq!((q.fel_len(), q.len(), q.peak_fel_len()), (5, 5, 50));
+        assert!(format!("{q:?}").contains("fel_len: 5"), "{q:?}");
+        assert_eq!(drain(&mut q), vec![102, 100, 101, 104, 103]);
+        for i in 0..60u64 {
+            q.push(SimTime::from_ticks(2000 + i), i);
+        }
+        assert_eq!((q.run.len(), q.fel.len), (60, 0));
+        assert_eq!(q.peak_fel_len(), 60);
     }
 
     /// The lane hands its entries over in order, numbered consecutively

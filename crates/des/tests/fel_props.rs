@@ -4,10 +4,12 @@
 //! interleaving that keeps its contract — no push before the last entry
 //! delivered — including same-tick bursts, where only the sequence number
 //! breaks ties, with or without an arrival lane attached, whatever its
-//! driver hands over per refill, and over time spans that walk the radix
-//! heap through many refills. All of it is checked against one
-//! linear-scan `Vec` model that knows nothing of lanes, windows, buckets
-//! or bases. A push that breaks the contract is refused in every build.
+//! driver hands over per refill, over time spans that walk the radix
+//! heap through many refills, and over long in-order runs — which the
+//! queue keeps in a sorted run beside its heap — broken by out-of-order
+//! pushes and by same-tick bursts split between the two. All of it is
+//! checked against one linear-scan `Vec` model that knows nothing of
+//! lanes, windows, runs, buckets or bases. A push that breaks the contract is refused in every build.
 
 use proptest::prelude::*;
 use risa_des::{EventQueue, SimTime};
@@ -21,6 +23,13 @@ enum Op {
     /// Push this many entries at the time of the latest push (or of the
     /// last delivery, if that is later).
     Burst(u32),
+    /// Push this many entries in time order, each this many ticks after
+    /// the one before, the first at the time a `Burst` would use.
+    Ascend(u32, u64),
+    /// Push this many entries this many ticks after the last delivery:
+    /// below the latest push, when that was later, so beside equal-time
+    /// entries pushed while the time was still the latest.
+    BurstAt(u64, u32),
     /// Pop the earliest entry, this many times.
     Pop(u32),
 }
@@ -139,6 +148,19 @@ fn replay(pre: &[u64], lane: Option<&Lane>, script: &[Op]) -> (Vec<Popped>, Vec<
                     push(&mut driven, &mut model, pushed);
                 }
             }
+            Op::Ascend(count, gap) => {
+                pushed = pushed.max(delivered);
+                for i in 0..count {
+                    pushed += if i == 0 { 0 } else { gap };
+                    push(&mut driven, &mut model, pushed);
+                }
+            }
+            Op::BurstAt(offset, count) => {
+                pushed = delivered + offset;
+                for _ in 0..count {
+                    push(&mut driven, &mut model, pushed);
+                }
+            }
             Op::Pop(times) => {
                 for _ in 0..times {
                     // Exercise peek_time too: it must agree with the pop.
@@ -193,6 +215,23 @@ fn wide_ops() -> impl Strategy<Value = Vec<Op>> {
             _ => Op::Pop(n),
         }),
         0..400,
+    )
+}
+
+/// Scripts of long in-order runs (up to 60 pushes, 0–3 ticks apart) broken
+/// by single pushes and same-tick bursts a few ticks after the last
+/// delivery — mostly below the latest push, so at times the in-order run
+/// already holds — and by runs of pops.
+fn run_ops() -> impl Strategy<Value = Vec<Op>> {
+    prop::collection::vec(
+        (0u32..8, 0u64..24, 1u32..60, 0u64..4).prop_map(|(sel, offset, n, gap)| match sel {
+            0 | 1 => Op::Ascend(n, gap),
+            2 => Op::Push(offset),
+            3 => Op::BurstAt(offset, n % 5 + 1),
+            4 => Op::Burst(n % 5 + 1),
+            _ => Op::Pop(n),
+        }),
+        0..120,
     )
 }
 
@@ -255,6 +294,19 @@ proptest! {
         pre in prop::collection::vec(0u64..64, 0..4),
         lane in prop_oneof![Just(None), lane().prop_map(Some)],
         script in wide_ops(),
+    ) {
+        let (popped, expected) = replay(&pre, lane.as_ref(), &script);
+        prop_assert_eq!(popped, expected);
+    }
+
+    /// In-order runs mixed with out-of-order pushes and same-tick bursts
+    /// that land partly in the sorted run and partly in the heap, with
+    /// and without a lane merging in: strict `(time, seq)` order.
+    #[test]
+    fn in_order_runs_mixed_with_out_of_order_pushes(
+        pre in prop::collection::vec(0u64..64, 0..4),
+        lane in prop_oneof![Just(None), lane().prop_map(Some)],
+        script in run_ops(),
     ) {
         let (popped, expected) = replay(&pre, lane.as_ref(), &script);
         prop_assert_eq!(popped, expected);

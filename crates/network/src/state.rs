@@ -193,9 +193,11 @@ fn key_rack(key: u64) -> RackId {
 /// bandwidth (so NALB's "modified BFS" reads its neighbour order instead
 /// of re-sorting every rack per probe) and per-layer running totals (so
 /// the world's per-event sampler reads three fields instead of every
-/// trunk). The ordering is one flat sorted array: a re-rank is two binary
-/// searches and a rotate of the entries in between, the walk a reverse
-/// slice scan.
+/// trunk). The ordering is one flat sorted array, *repaired on read*: the
+/// funnel only marks a rack whose uplink moved as pending, and the read
+/// ([`NetworkState::racks_by_free_bw_desc`], NALB's alone) re-ranks each
+/// pending rack once — two binary searches and a rotate of the entries in
+/// between — before its reverse slice scan.
 #[derive(Debug, Clone)]
 pub struct NetworkState {
     cfg: NetworkConfig,
@@ -204,6 +206,10 @@ pub struct NetworkState {
     /// Every rack's [`rack_key`], ascending, so reverse iteration yields
     /// NALB's neighbour order: descending bandwidth, ties to the lower id.
     rack_bw: Vec<u64>,
+    /// Each rack whose uplink moved since it was last ranked, once, with
+    /// the free bandwidth it is still ranked under; `rank_pending` flags it.
+    pending: Vec<(u16, u64)>,
+    rank_pending: Vec<bool>,
     /// Σ `used_mbps` over the box trunks.
     intra_used: u64,
     /// Σ `used_mbps` over the rack trunks.
@@ -224,7 +230,9 @@ impl NetworkState {
         );
         let [intra_used, inter_used, stranded] = Self::sum_totals(&box_trunks, &rack_trunks);
         NetworkState {
-            rack_bw: Self::build_rack_bw(&rack_trunks),
+            rack_bw: Self::build_rack_bw(rack_trunks.trunks().map(Trunk::free_mbps)),
+            pending: Vec::new(),
+            rank_pending: vec![false; rack_trunks.len()],
             intra_used,
             inter_used,
             stranded,
@@ -234,11 +242,12 @@ impl NetworkState {
         }
     }
 
-    fn build_rack_bw(rack_trunks: &TrunkLayer) -> Vec<u64> {
-        let mut order: Vec<u64> = rack_trunks
-            .trunks()
-            .enumerate()
-            .map(|(r, t)| rack_key(t.free_mbps(), r as u16))
+    /// Every rack's key under the given free bandwidths (rack id order),
+    /// ascending.
+    fn build_rack_bw(free: impl Iterator<Item = u64>) -> Vec<u64> {
+        let mut order: Vec<u64> = free
+            .zip(0u16..)
+            .map(|(free, r)| rack_key(free, r))
             .collect();
         order.sort_unstable();
         order
@@ -250,7 +259,7 @@ impl NetworkState {
     fn rerank(order: &mut [u64], rack: u16, old: u64, new: u64) {
         let from = order
             .binary_search(&rack_key(old, rack))
-            .expect("every rack is ranked under its trunk's free bandwidth");
+            .expect("every rack is ranked under the bandwidth it was last ranked at");
         let key = rack_key(new, rack);
         let to = if new > old {
             let to = from + order[from + 1..].partition_point(|k| *k < key);
@@ -292,10 +301,10 @@ impl NetworkState {
     }
 
     /// The single mutation funnel: run `op` on trunk `id` and fold the
-    /// movement of its two O(1) ledgers into the layer totals, re-ranking
-    /// the rack in the bandwidth ordering only when a rack trunk's free
-    /// bandwidth moved. A refused `op` leaves the trunk untouched, so
-    /// every delta is zero and nothing else changes.
+    /// movement of its two O(1) ledgers into the layer totals, marking the
+    /// rack pending a re-rank when a rack trunk's free bandwidth moved. A
+    /// refused `op` leaves the trunk untouched, so every delta is zero and
+    /// nothing else changes.
     fn mutate<R>(&mut self, id: TrunkId, op: impl FnOnce(&mut TrunkMut<'_>) -> R) -> R {
         let (mut trunk, layer_used) = match id {
             TrunkId::BoxUplink(b) => (self.box_trunks.trunk_mut(b as usize), &mut self.intra_used),
@@ -312,8 +321,10 @@ impl NetworkState {
         *layer_used = *layer_used + free_all - free_all_after;
         self.stranded = self.stranded + (free_all_after - free_after) - (free_all - free);
         if let TrunkId::RackUplink(r) = id {
-            if free_after != free {
-                Self::rerank(&mut self.rack_bw, r, free, free_after);
+            let pending = &mut self.rank_pending[usize::from(r)];
+            if free_after != free && !*pending {
+                *pending = true;
+                self.pending.push((r, free));
             }
         }
         out
@@ -335,7 +346,7 @@ impl NetworkState {
 
     /// Take one link of one trunk down. New flows stop landing on the
     /// link, its free bandwidth becomes stranded, and (for rack uplinks)
-    /// the NALB neighbour ordering re-ranks the rack immediately.
+    /// the NALB neighbour ordering re-ranks the rack at its next read.
     pub fn fail_link(&mut self, id: TrunkId, link: usize) -> Result<(), NetError> {
         self.mutate(id, |t| t.fail_link(link))
             .map_err(|error| NetError::Trunk { trunk: id, error })
@@ -350,8 +361,17 @@ impl NetworkState {
 
     /// Racks ordered by descending free uplink bandwidth, ties to the
     /// lower rack id — NALB's modified-BFS neighbour order, read from the
-    /// incremental ordering instead of sorting per probe.
-    pub fn racks_by_free_bw_desc(&self) -> impl Iterator<Item = RackId> + '_ {
+    /// incremental ordering instead of sorting per probe, which is repaired
+    /// first: each rack whose uplink moved since the last read is re-ranked
+    /// once.
+    pub fn racks_by_free_bw_desc(&mut self) -> impl Iterator<Item = RackId> + '_ {
+        for (r, ranked) in self.pending.drain(..) {
+            self.rank_pending[usize::from(r)] = false;
+            let free = self.rack_trunks.trunk(usize::from(r)).free_mbps();
+            if free != ranked {
+                Self::rerank(&mut self.rack_bw, r, ranked, free);
+            }
+        }
         self.rack_bw.iter().rev().copied().map(key_rack)
     }
 
@@ -571,14 +591,26 @@ impl NetworkState {
     /// bandwidth (the down bit masked off) within `[0, capacity]` and each
     /// trunk's four ledgers (`Trunk::check`), then the rack ordering and
     /// the layer totals from those (guaranteed by construction; kept for
-    /// the property suites' belt and braces).
+    /// the property suites' belt and braces): every rack not pending is
+    /// ranked under its trunk's free bandwidth, and each pending one —
+    /// listed once, and flagged — under the bandwidth it was marked at.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (layer, trunks) in [("box", &self.box_trunks), ("rack", &self.rack_trunks)] {
             for (i, t) in trunks.trunks().enumerate() {
                 t.check().map_err(|e| format!("{layer} trunk {i}: {e}"))?;
             }
         }
-        if self.rack_bw != Self::build_rack_bw(&self.rack_trunks) {
+        let mut ranked: Vec<u64> = self.rack_trunks.trunks().map(Trunk::free_mbps).collect();
+        let mut flags = vec![false; ranked.len()];
+        for &(r, free) in &self.pending {
+            ranked[usize::from(r)] = free;
+            flags[usize::from(r)] = true;
+        }
+        let listed_once = flags.iter().filter(|&&f| f).count() == self.pending.len();
+        if flags != self.rank_pending || !listed_once {
+            return Err("pending racks and their flags disagree".into());
+        }
+        if self.rack_bw != Self::build_rack_bw(ranked.into_iter()) {
             return Err("rack bandwidth ordering stale".into());
         }
         if [self.intra_used, self.inter_used, self.stranded]

@@ -2,11 +2,14 @@
 //! totals and the rack bandwidth ordering: under arbitrary interleavings
 //! of every mutation the crate exposes — including the refused ones,
 //! which must roll back — `intra_used_mbps`, `inter_used_mbps` and
-//! `stranded_mbps` equal the sums over every trunk,
-//! `racks_by_free_bw_desc` equals a sort of the racks by their trunks'
-//! free bandwidth, and `check_invariants` (which recomputes all of it
-//! too, every trunk record's four ledgers among it: the sums, the maximum
-//! and how many up links hold it) holds, after each step. On the trunks
+//! `stranded_mbps` equal the sums over every trunk and `check_invariants`
+//! (which recomputes all of it too, every trunk record's four ledgers
+//! among it: the sums, the maximum and how many up links hold it, and the
+//! rack ordering with the racks still pending a re-rank) holds, after
+//! each step. Reads of `racks_by_free_bw_desc` come at random points of
+//! the script, so several racks' uplinks may have moved — some back to
+//! where they were ranked — since the last one, and each read must equal
+//! a fresh sort of the racks by their trunks' free bandwidth. On the trunks
 //! the operations touch, every read a scheduler makes — the ledgers,
 //! `max_link_free_mbps`, `first_fit`, `most_available` — also equals a
 //! recount over the links' public free/up state, so the down bit stored in
@@ -41,6 +44,8 @@ enum Op {
         idx: u32,
         link: u32,
     },
+    /// Read NALB's neighbour order (which re-ranks the pending racks).
+    ReadOrder,
 }
 
 /// Flow sizes from nothing to a whole 200 Gb/s link.
@@ -79,6 +84,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         any::<u32>().prop_map(Op::Replay),
         link(),
         link(),
+        Just(Op::ReadOrder),
     ]
 }
 
@@ -139,10 +145,6 @@ fn assert_coherent(
 ) -> Result<(), TestCaseError> {
     net.check_invariants().map_err(TestCaseError::fail)?;
     prop_assert_eq!(
-        net.racks_by_free_bw_desc().collect::<Vec<_>>(),
-        naive_rack_order(cluster, net)
-    );
-    prop_assert_eq!(
         [
             net.intra_used_mbps(),
             net.inter_used_mbps(),
@@ -169,6 +171,11 @@ fn drive(topology: TopologyConfig, cfg: NetworkConfig, ops: &[Op]) -> Result<(),
             .chain((first_rack..cluster.num_racks()).map(TrunkId::RackUplink))
     };
     let assert_coherent = |net: &NetworkState| assert_coherent(&cluster, net, touched());
+    let assert_order = |net: &mut NetworkState| {
+        let fresh = naive_rack_order(&cluster, net);
+        prop_assert_eq!(net.racks_by_free_bw_desc().collect::<Vec<_>>(), fresh);
+        net.check_invariants().map_err(TestCaseError::fail)
+    };
     let mut held: Vec<VmNetAllocation> = Vec::new();
     let mut released: Vec<VmNetAllocation> = Vec::new();
     assert_coherent(&net)?;
@@ -239,10 +246,11 @@ fn drive(topology: TopologyConfig, cfg: NetworkConfig, ops: &[Op]) -> Result<(),
                     net.restore_link(id, link)
                 };
             }
+            Op::ReadOrder => assert_order(&mut net)?,
         }
         assert_coherent(&net)?;
     }
-    Ok(())
+    assert_order(&mut net)
 }
 
 proptest! {
