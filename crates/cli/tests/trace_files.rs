@@ -7,7 +7,10 @@
 //! each arrival as some other row's VM), times past the engine's clock
 //! (once clamped to its end and run), and a row no box can hold — the
 //! same boundary an oversized `--workload synthetic` would cross if the
-//! flags could ask for one.
+//! flags could ask for one. Every other refusal is pinned as its whole
+//! `error:` line: a wrong field count, a negative integer, a `NaN` time,
+//! unsorted arrivals, an empty file, bytes that are not UTF-8, a line
+//! over 1 MiB and a directory.
 //!
 //! And the other direction: a trace `generate` writes, to stdout or to
 //! `--out <file.csv>`, is one `run --workload` takes, and runs as the
@@ -27,7 +30,7 @@ use std::process::Command;
 const BIN: &str = env!("CARGO_BIN_EXE_risa-cli");
 const HEADER: &str = "id,cpu_cores,ram_gb,storage_gb,arrival,lifetime";
 
-fn temp(tag: &str, contents: &str) -> PathBuf {
+fn temp(tag: &str, contents: impl AsRef<[u8]>) -> PathBuf {
     let path = std::env::temp_dir().join(format!("risa_cli_{}_{tag}", std::process::id()));
     std::fs::write(&path, contents).unwrap();
     path
@@ -106,12 +109,85 @@ fn bad_header_and_bad_row_name_the_defect() {
     std::fs::remove_file(&path).ok();
 
     let rows = "0,1,2,128,1.0,10\n\n1,1,2,128,2.0,10\n2,1,2,128,nope,10\n";
-    let path = temp("row.csv", &format!("{HEADER}\n{rows}"));
+    let path = temp("row.csv", format!("{HEADER}\n{rows}"));
     refused(
         path.to_str().unwrap(),
         "line 5: cannot parse column 'arrival'",
     );
     std::fs::remove_file(&path).ok();
+}
+
+/// Every other refusal of a trace file, each as its whole `error:` line
+/// (`{path}` stands for the file's path).
+#[test]
+fn each_refused_file_is_one_error_line() {
+    let doc = |rows: &str| format!("{HEADER}\n{rows}").into_bytes();
+    let mut binary = doc("0,1,2,128,1.0,10\n1,1,2,128,2.0,");
+    binary.extend([0xff, b'\n']);
+    let long = doc(&format!(
+        "0,1,2,128,1.0,10\n{}\n",
+        " ".repeat((1 << 20) + 1)
+    ));
+    for (tag, contents, want) in [
+        (
+            "arity.csv",
+            doc("0,1,2,128,1.0,10\n1,1,2,128,2.0\n"),
+            "trace file: line 3: expected 6 fields",
+        ),
+        (
+            "negative.csv",
+            doc("0,-1,2,128,1.0,10\n"),
+            "trace file: line 2: cannot parse column 'cpu_cores'",
+        ),
+        (
+            "nan.csv",
+            doc("0,1,2,128,NaN,10\n"),
+            "trace file: line 2: column 'arrival' must be a finite, non-negative number, \
+             with arrival + lifetime at most 1e13",
+        ),
+        (
+            "unsorted.csv",
+            doc("0,1,2,128,5.0,10\n1,1,2,128,4.0,10\n"),
+            "trace file: line 3: arrivals must be non-decreasing",
+        ),
+        (
+            "empty.csv",
+            Vec::new(),
+            "trace file: bad CSV header (expected 'id,cpu_cores,ram_gb,storage_gb,arrival,lifetime')",
+        ),
+        (
+            "binary.csv",
+            binary,
+            "cannot read trace file '{path}': stream did not contain valid UTF-8",
+        ),
+        (
+            "long.csv",
+            long,
+            "cannot read trace file '{path}': line 3 is longer than 1048576 bytes",
+        ),
+    ] {
+        let path = temp(tag, contents);
+        error_line_is(path.to_str().unwrap(), want);
+        std::fs::remove_file(&path).ok();
+    }
+    let dir = std::env::temp_dir().join(format!("risa_cli_{}_dir.csv", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    error_line_is(
+        dir.to_str().unwrap(),
+        "cannot read trace file '{path}': Is a directory (os error 21)",
+    );
+    std::fs::remove_dir(&dir).ok();
+}
+
+/// `run --workload <path>` must fail with exactly `error: <want>`, `{path}`
+/// in `want` standing for `path`.
+fn error_line_is(path: &str, want: &str) {
+    let want = want.replace("{path}", path);
+    let stderr = refused_with(&["run", "--workload", path, "--json"], &want);
+    assert!(
+        stderr.lines().any(|l| l == format!("error: {want}")),
+        "{stderr}"
+    );
 }
 
 #[test]
@@ -133,7 +209,7 @@ fn ids_that_are_not_ranks_are_refused() {
             "line 3: VM ids must be dense and in order (expected 1, found 0)",
         ),
     ] {
-        let path = temp(tag, &format!("{HEADER}\n{rows}"));
+        let path = temp(tag, format!("{HEADER}\n{rows}"));
         refused(path.to_str().unwrap(), want);
         std::fs::remove_file(&path).ok();
     }
@@ -157,7 +233,7 @@ fn times_past_the_engine_clock_are_error_lines() {
             "line 2: column 'lifetime'",
         ),
     ] {
-        let path = temp(tag, &format!("{HEADER}\n{row}\n"));
+        let path = temp(tag, format!("{HEADER}\n{row}\n"));
         refused(path.to_str().unwrap(), want);
         refused(path.to_str().unwrap(), "arrival + lifetime at most 1e13");
         std::fs::remove_file(&path).ok();
@@ -169,7 +245,7 @@ fn times_past_the_engine_clock_are_error_lines() {
 #[test]
 fn oversized_row_is_an_error_line() {
     let rows = "0,1,2,128,1.0,10\n1,513,2,128,2.0,10\n2,1,2,128,3.0,10\n";
-    let path = temp("oversized.csv", &format!("{HEADER}\n{rows}"));
+    let path = temp("oversized.csv", format!("{HEADER}\n{rows}"));
     refused(path.to_str().unwrap(), "VM vm1 in workload 'risa_cli_");
     refused(path.to_str().unwrap(), "exceeds single-box capacity");
     std::fs::remove_file(&path).ok();
