@@ -132,38 +132,39 @@ fn each_refused_file_is_one_error_line() {
         (
             "arity.csv",
             doc("0,1,2,128,1.0,10\n1,1,2,128,2.0\n"),
-            "trace file: line 3: expected 6 fields",
+            "cannot read trace file '{path}': line 3: expected 6 fields",
         ),
         (
             "negative.csv",
             doc("0,-1,2,128,1.0,10\n"),
-            "trace file: line 2: cannot parse column 'cpu_cores'",
+            "cannot read trace file '{path}': line 2: cannot parse column 'cpu_cores'",
         ),
         (
             "nan.csv",
             doc("0,1,2,128,NaN,10\n"),
-            "trace file: line 2: column 'arrival' must be a finite, non-negative number, \
-             with arrival + lifetime at most 1e13",
+            "cannot read trace file '{path}': line 2: column 'arrival' must be a finite, \
+             non-negative number, with arrival + lifetime at most 1e13",
         ),
         (
             "unsorted.csv",
             doc("0,1,2,128,5.0,10\n1,1,2,128,4.0,10\n"),
-            "trace file: line 3: arrivals must be non-decreasing",
+            "cannot read trace file '{path}': line 3: arrivals must be non-decreasing",
         ),
         (
             "empty.csv",
             Vec::new(),
-            "trace file: bad CSV header (expected 'id,cpu_cores,ram_gb,storage_gb,arrival,lifetime')",
+            "cannot read trace file '{path}': line 1: bad CSV header \
+             (expected 'id,cpu_cores,ram_gb,storage_gb,arrival,lifetime')",
         ),
         (
             "binary.csv",
             binary,
-            "cannot read trace file '{path}': stream did not contain valid UTF-8",
+            "cannot read trace file '{path}': line 3: not valid UTF-8",
         ),
         (
             "long.csv",
             long,
-            "cannot read trace file '{path}': line 3 is longer than 1048576 bytes",
+            "cannot read trace file '{path}': line 3: longer than 1048576 bytes",
         ),
     ] {
         let path = temp(tag, contents);

@@ -106,7 +106,7 @@ pub struct EventQueue<E> {
     arrivals: Option<ArrivalLane<E>>,
     /// FEL entries pushed in time order; the heap holds the others.
     run: VecDeque<QueueEntry<E>>,
-    fel: RadixFel<E>,
+    heap: RadixHeap<E>,
     next_seq: u64,
     /// Time of the last entry delivered from either lane: the earliest a
     /// push may be.
@@ -127,7 +127,7 @@ impl<E> EventQueue<E> {
         EventQueue {
             arrivals: None,
             run: VecDeque::new(),
-            fel: RadixFel::new(),
+            heap: RadixHeap::new(),
             next_seq: 0,
             delivered: SimTime::ZERO,
             peak_fel: 0,
@@ -191,7 +191,7 @@ impl<E> EventQueue<E> {
         if self.run.back().is_none_or(|tail| at >= tail.at) {
             self.run.push_back(entry);
         } else {
-            self.fel.push(entry);
+            self.heap.push(entry);
         }
         self.peak_fel = self.peak_fel.max(self.fel_len());
         seq
@@ -213,7 +213,7 @@ impl<E> EventQueue<E> {
         let entry = match head {
             Head::Arrival => self.pop_arrival(),
             Head::Run => self.run.pop_front(),
-            Head::Heap => self.fel.pop(),
+            Head::Heap => self.heap.pop(),
         }?;
         self.delivered = entry.at;
         Some(entry)
@@ -230,7 +230,7 @@ impl<E> EventQueue<E> {
     #[inline]
     fn earliest(&mut self) -> Option<(EventKey, Head)> {
         let run = self.run.front().map(|e| ((e.at, e.seq), Head::Run));
-        let mut best = self.fel.min_key().map(|k| (k, Head::Heap));
+        let mut best = self.heap.min_key().map(|k| (k, Head::Heap));
         for head in [run, self.arrival_key().map(|k| (k, Head::Arrival))] {
             if head.is_some_and(|(k, _)| best.is_none_or(|(b, _)| k < b)) {
                 best = head;
@@ -288,7 +288,7 @@ impl<E> EventQueue<E> {
     /// Events currently in the future-event list (the dynamic lane): the
     /// sorted run and the radix heap together.
     pub fn fel_len(&self) -> usize {
-        self.run.len() + self.fel.len
+        self.run.len() + self.heap.len
     }
 
     /// High-water mark of the future-event list. With an arrival lane
@@ -333,7 +333,7 @@ enum Head {
 /// The future-event list's out-of-order entries: a monotone radix heap
 /// over `at.ticks()` (see the module docs). Every pending key is at or
 /// above `base`.
-struct RadixFel<E> {
+struct RadixHeap<E> {
     /// The key every bucket is measured against: the minimum the last
     /// refill moved down.
     base: u64,
@@ -351,9 +351,9 @@ struct RadixFel<E> {
     len: usize,
 }
 
-impl<E> RadixFel<E> {
+impl<E> RadixHeap<E> {
     fn new() -> Self {
-        RadixFel {
+        RadixHeap {
             base: 0,
             ready: VecDeque::new(),
             far: std::array::from_fn(|_| Vec::new()),
@@ -631,7 +631,7 @@ mod tests {
         for i in 0..50u64 {
             q.push(SimTime::from_ticks(10 * (i / 2)), i);
         }
-        assert_eq!((q.run.len(), q.fel.len), (50, 0));
+        assert_eq!((q.run.len(), q.heap.len), (50, 0));
         assert_eq!(drain(&mut q)[..10], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
         // An emptied run takes the next push whatever its time.
         q.push(SimTime::from_ticks(1000), 100);
@@ -640,14 +640,14 @@ mod tests {
         q.push(SimTime::from_ticks(2000), 103);
         // Tick 1000 now has entries in both structures.
         q.push(SimTime::from_ticks(1000), 104);
-        assert_eq!((q.run.len(), q.fel.len), (3, 2));
+        assert_eq!((q.run.len(), q.heap.len), (3, 2));
         assert_eq!((q.fel_len(), q.len(), q.peak_fel_len()), (5, 5, 50));
         assert!(format!("{q:?}").contains("fel_len: 5"), "{q:?}");
         assert_eq!(drain(&mut q), vec![102, 100, 101, 104, 103]);
         for i in 0..60u64 {
             q.push(SimTime::from_ticks(2000 + i), i);
         }
-        assert_eq!((q.run.len(), q.fel.len), (60, 0));
+        assert_eq!((q.run.len(), q.heap.len), (60, 0));
         assert_eq!(q.peak_fel_len(), 60);
     }
 

@@ -14,7 +14,7 @@ use crate::world::DdcWorld;
 use risa_des::{EventTrace, Simulation};
 use risa_sched::Algorithm;
 use risa_topology::{ResourceKind, TopologyConfig, UnitDemand, ALL_RESOURCES};
-use risa_workload::{ShardSource, TraceFileError, VmRequest};
+use risa_workload::{ShardSource, TraceError, VmRequest};
 use std::sync::Arc;
 
 /// Why a simulation could not be built. [`SimulationBuilder::try_build`]
@@ -33,7 +33,12 @@ pub enum BuildError {
     },
     /// A [`WorkloadSpec::TraceCsv`] file is missing, unreadable or
     /// invalid.
-    TraceFile(TraceFileError),
+    TraceFile {
+        /// The file's path, as the spec names it.
+        path: String,
+        /// Why the file was refused.
+        error: TraceError,
+    },
 }
 
 impl std::fmt::Display for BuildError {
@@ -44,7 +49,9 @@ impl std::fmt::Display for BuildError {
                 "VM vm{id} in workload '{workload}' exceeds single-box capacity \
                  (paper §2 assumption)"
             ),
-            BuildError::TraceFile(e) => e.fmt(f),
+            BuildError::TraceFile { path, error } => {
+                write!(f, "cannot read trace file '{path}': {error}")
+            }
         }
     }
 }
@@ -174,10 +181,7 @@ impl SimulationBuilder {
     /// unusable trace files surface as a typed [`BuildError`] instead of
     /// a panic.
     pub fn try_build(self) -> Result<DdcSimulation, BuildError> {
-        let source = self
-            .workload
-            .shard_source()
-            .map_err(BuildError::TraceFile)?;
+        let source = self.workload.shard_source()?;
         if let Some(vm) = first_oversized(&*source, &self.cfg.topology) {
             return Err(BuildError::OversizedVm {
                 id: vm.id.0,
@@ -435,37 +439,6 @@ mod tests {
         assert_eq!(a.workload, b.workload);
     }
 
-    /// `spec`'s trace written by `shard::materialize` to a CSV file: the
-    /// spec that reads it back, under the generator's name, and the file.
-    fn csv_of(spec: &WorkloadSpec, tag: &str) -> (WorkloadSpec, std::path::PathBuf) {
-        let w = spec.materialize();
-        let path =
-            std::env::temp_dir().join(format!("risa_builder_{}_{tag}.csv", std::process::id()));
-        std::fs::write(&path, risa_workload::csv::to_csv(&w)).unwrap();
-        let csv_spec = WorkloadSpec::TraceCsv {
-            name: w.name().to_string(),
-            path: path.display().to_string(),
-        };
-        (csv_spec, path)
-    }
-
-    /// The whole point of the pipeline: identical reports (and admitted
-    /// counters, energies, …) whether the trace is generated on demand
-    /// during the run or materialized up front and read back from a file.
-    #[test]
-    fn streaming_report_equals_materialized_report() {
-        let spec = WorkloadSpec::synthetic(9000, 13); // 3 shards
-        let run = |spec: WorkloadSpec| {
-            let mut sim = SimulationBuilder::new().workload(spec).audit(true).build();
-            let mut r = sim.run();
-            r.sched_seconds = 0.0;
-            (r, sim.events_dispatched(), sim.peak_fel_len())
-        };
-        let (held, path) = csv_of(&spec, "held");
-        assert_eq!(run(spec), run(held));
-        std::fs::remove_file(&path).ok();
-    }
-
     #[test]
     fn streaming_bounds_buffered_arrivals() {
         use risa_workload::shard::SHARD_SIZE;
@@ -482,7 +455,7 @@ mod tests {
     /// refuses it, typed, and so does the build.
     #[test]
     fn non_dense_ids_rejected_typed_from_file_and_trace() {
-        use risa_workload::{csv, TraceFileError, VmId, Workload};
+        use risa_workload::{csv, TraceError, VmId, Workload};
         let good = WorkloadSpec::synthetic(4, 3).materialize();
         // (what, ids by row, first offending row, id found there)
         for (what, ids, index, found) in [
@@ -504,27 +477,32 @@ mod tests {
                     .try_build()
                     .expect_err("non-dense ids must not build")
             };
+            let path = path.display().to_string();
             assert_eq!(
                 build(WorkloadSpec::TraceCsv {
                     name: "odd".into(),
-                    path: path.display().to_string()
+                    path: path.clone()
                 }),
-                BuildError::TraceFile(TraceFileError::NonDenseId {
-                    line: index + 2, // a header line, and lines count from 1
-                    expected: index as u32,
-                    found
-                }),
+                BuildError::TraceFile {
+                    path: path.clone(),
+                    error: TraceError::NonDenseId {
+                        line: index + 2, // a header line, and lines count from 1
+                        expected: index as u32,
+                        found
+                    }
+                },
                 "{what}"
             );
             std::fs::remove_file(&path).ok();
         }
     }
 
-    /// A trace file that cannot be loaded is a `BuildError` — not a panic
-    /// inside the builder.
+    /// A trace file that cannot be loaded is a `BuildError::TraceFile`
+    /// naming its path beside the reader's error — not a panic inside the
+    /// builder.
     #[test]
     fn unusable_trace_files_are_build_errors() {
-        use risa_workload::{csv::CsvError, TraceFileError};
+        use risa_workload::TraceError;
         let dir = std::env::temp_dir();
         let file = |tag: &str, contents: &str| {
             let path = dir.join(format!("risa_builder_{}_{tag}.csv", std::process::id()));
@@ -532,43 +510,40 @@ mod tests {
             path.display().to_string()
         };
         let header = risa_workload::csv::HEADER;
+        let missing = "/nonexistent/risa/builder.csv";
         let cases = [
             (
-                "/nonexistent/risa/builder.csv".to_string(),
-                None, // an I/O error: compared by its text
+                missing.to_string(),
+                TraceError::Io(std::fs::File::open(missing).unwrap_err().to_string()),
             ),
             (
                 file("header", "id,cpu\n0,1,2,128,1.0,10\n"),
-                Some(TraceFileError::Csv(CsvError::BadHeader)),
+                TraceError::BadHeader,
             ),
             (
                 file(
                     "row",
                     &format!("{header}\n0,1,2,128,1.0,10\n\n1,1,two,128,2.0,10\n"),
                 ),
-                Some(TraceFileError::Csv(CsvError::BadField {
+                TraceError::BadField {
                     line: 4,
                     column: "ram_gb",
-                })),
+                },
             ),
         ];
-        for (path, want) in cases {
-            let error = SimulationBuilder::new()
+        for (path, error) in cases {
+            let built = SimulationBuilder::new()
                 .workload(WorkloadSpec::TraceCsv {
                     name: "t".into(),
                     path: path.clone(),
                 })
                 .try_build()
                 .expect_err("unusable trace file must not build");
-            match want {
-                Some(e) => assert_eq!(error, BuildError::TraceFile(e), "{path}"),
-                None => assert!(
-                    error
-                        .to_string()
-                        .starts_with(&format!("cannot read trace file '{path}'")),
-                    "{error}"
-                ),
-            }
+            let want = BuildError::TraceFile {
+                path: path.clone(),
+                error,
+            };
+            assert_eq!(built, want);
             std::fs::remove_file(&path).ok();
         }
     }

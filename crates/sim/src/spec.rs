@@ -2,10 +2,11 @@
 //! generator (synthetic or Azure-like) or a CSV trace file, the one form
 //! in which a recorded trace enters a run.
 
+use crate::builder::BuildError;
 use risa_workload::azure::AzureProcess;
 use risa_workload::{
-    shard, AzureShards, AzureSubset, ShardSource, SyntheticConfig, SyntheticShards, TraceFileError,
-    TraceShards, Workload,
+    shard, AzureShards, AzureSubset, ShardSource, SyntheticConfig, SyntheticShards, TraceShards,
+    Workload,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -62,15 +63,21 @@ impl WorkloadSpec {
     /// reads, and the one place a spec becomes one. Generator-backed specs
     /// generate each shard from its `(seed, shard)`-derived RNG streams; a
     /// CSV file is loaded into columns and *served* in shard-sized slices
-    /// gathered from them ([`risa_workload::TraceShards`]).
-    pub fn shard_source(&self) -> Result<Arc<dyn ShardSource>, TraceFileError> {
+    /// gathered from them ([`risa_workload::TraceShards`]), or refused as
+    /// [`BuildError::TraceFile`]: the reader's error, named by its path here.
+    pub fn shard_source(&self) -> Result<Arc<dyn ShardSource>, BuildError> {
         Ok(match self {
             WorkloadSpec::Synthetic(cfg) => Arc::new(SyntheticShards::new(cfg)),
             WorkloadSpec::Azure { subset, seed } => {
                 Arc::new(AzureShards::new(*subset, *seed, AzureProcess::default()))
             }
             WorkloadSpec::TraceCsv { name, path } => {
-                Arc::new(TraceShards::read_csv_file(name, path)?)
+                Arc::new(TraceShards::read_csv_file(name, path).map_err(|error| {
+                    BuildError::TraceFile {
+                        path: path.clone(),
+                        error,
+                    }
+                })?)
             }
         })
     }

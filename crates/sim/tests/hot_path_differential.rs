@@ -27,10 +27,11 @@ fn canonical_specs() -> Vec<(&'static str, WorkloadSpec)> {
     ]
 }
 
-/// Run one configuration to completion, returning the canonicalized
-/// report (wall-clock zeroed — the one nondeterministic field) and the
-/// full event dispatch order.
-fn run(spec: &WorkloadSpec, algo: Algorithm, faults: bool) -> (String, String) {
+/// Run one configuration to completion, audited, returning the
+/// canonicalized report (wall-clock zeroed — the one nondeterministic
+/// field), the full event dispatch order, and the events dispatched and
+/// the peak FEL length.
+fn run(spec: &WorkloadSpec, algo: Algorithm, faults: bool) -> (String, String, (u64, usize)) {
     let mut sim = build_cfg(spec, algo, faults);
     sim.enable_trace(40_000);
     let mut report: RunReport = sim.run();
@@ -41,13 +42,14 @@ fn run(spec: &WorkloadSpec, algo: Algorithm, faults: bool) -> (String, String) {
     report.sched_seconds = 0.0;
     let json = serde_json::to_string(&report).expect("report serializes");
     let order = sim.trace().expect("trace enabled").dump();
-    (json, order)
+    (json, order, (sim.events_dispatched(), sim.peak_fel_len()))
 }
 
 fn build_cfg(spec: &WorkloadSpec, algo: Algorithm, faults: bool) -> DdcSimulation {
     let b = SimulationBuilder::new()
         .algorithm(algo)
-        .workload(spec.clone());
+        .workload(spec.clone())
+        .audit(true);
     if faults {
         b.faults(FaultSpec::canonical()).build()
     } else {
@@ -81,15 +83,15 @@ fn peak_fel_is_resident_bounded_on_10k_run() {
 /// On demand ≡ materialized: a generator read through the cursor and the
 /// same trace built by `shard::materialize` first, written to a CSV file
 /// and *served* through the cursor (`WorkloadSpec::TraceCsv`) produce
-/// byte-identical `RunReport` JSON and event dispatch order on both
-/// canonical traces.
+/// byte-identical `RunReport` JSON and event dispatch order, and the same
+/// event count and peak FEL length, on both canonical traces, audited.
 #[test]
 fn streaming_pipeline_is_byte_identical_to_materialized() {
     for (name, spec) in canonical_specs() {
         let (held, path) = csv_of(&spec, "held");
         for algo in [Algorithm::Risa, Algorithm::Nalb] {
-            let (m_report, m_order) = run(&held, algo, false);
-            let (report, order) = run(&spec, algo, false);
+            let (m_report, m_order, m_counts) = run(&held, algo, false);
+            let (report, order, counts) = run(&spec, algo, false);
             assert_eq!(
                 m_report, report,
                 "{name}/{algo}: on-demand RunReport diverged"
@@ -97,6 +99,10 @@ fn streaming_pipeline_is_byte_identical_to_materialized() {
             assert_eq!(
                 m_order, order,
                 "{name}/{algo}: on-demand dispatch order diverged"
+            );
+            assert_eq!(
+                m_counts, counts,
+                "{name}/{algo}: on-demand event count or peak FEL diverged"
             );
         }
         std::fs::remove_file(&path).ok();

@@ -21,10 +21,17 @@
 //! list of requests, and also requires what a replay requires of a trace
 //! (`rows::ranked_rows`, the one row loop: ids equal to each row's rank,
 //! arrivals sorted).
+//!
+//! Both refuse with one [`TraceError`], the line and column included, so
+//! where both judge a trace their verdicts are equal as values. Only the
+//! file reader reads bytes and requires dense ids: a non-dense id, bytes
+//! that are not UTF-8, a line past a read block, rows past `u32::MAX` and
+//! an I/O failure are its refusals alone. The error does not name the
+//! file; whoever opened it does.
 
+use crate::rows::BLOCK;
 use crate::vm::{VmId, VmRequest, Workload};
 use std::fmt::Write as _;
-use std::io;
 
 /// The exact header line emitted and required.
 pub const HEADER: &str = "id,cpu_cores,ram_gb,storage_gb,arrival,lifetime";
@@ -35,19 +42,22 @@ pub const HEADER: &str = "id,cpu_cores,ram_gb,storage_gb,arrival,lifetime";
 /// rather than run; this bound keeps every row's times inside the clock.
 pub const MAX_TIME: f64 = 1e13;
 
-/// Errors raised while parsing a CSV trace.
+/// Why a trace was refused, by either reader: [`from_csv`] over text, or
+/// the trace store's over a file ([`crate::TraceShards::read_csv_file`]),
+/// which alone requires dense ids and reads bytes. A refusal a line causes
+/// names the line (1-based), and one a field causes names its column.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CsvError {
-    /// First line did not match [`HEADER`].
+pub enum TraceError {
+    /// The first line is not [`HEADER`], or there is none.
     BadHeader,
     /// A row had the wrong number of fields.
     BadArity {
-        /// 1-based line number.
+        /// The row's line.
         line: usize,
     },
     /// A field failed to parse.
     BadField {
-        /// 1-based line number.
+        /// The row's line.
         line: usize,
         /// Column name.
         column: &'static str,
@@ -58,41 +68,79 @@ pub enum CsvError {
     /// sorted-arrivals check (`NaN < last` is false) and poison downstream
     /// event ordering.
     BadValue {
-        /// 1-based line number.
+        /// The row's line.
         line: usize,
         /// Column name.
         column: &'static str,
     },
     /// Rows are not sorted by arrival time.
     NotSorted {
-        /// 1-based line number of the offending row.
+        /// The line of the row that arrives too early.
         line: usize,
     },
+    /// A row's id is not its 0-based rank. A simulation addresses VMs by
+    /// arrival index, so a gap, duplicate or permutation in the ids would
+    /// place some other row's VM at this row's arrival.
+    NonDenseId {
+        /// The row's line.
+        line: usize,
+        /// Rank the row should have carried.
+        expected: u32,
+        /// Id actually found.
+        found: u32,
+    },
+    /// A line holds bytes that are not UTF-8.
+    NotText {
+        /// The line.
+        line: usize,
+    },
+    /// A line runs past a read block, 1 MiB: no row is that long.
+    LongLine {
+        /// The line.
+        line: usize,
+    },
+    /// A row past the `u32::MAX` a trace may hold.
+    TooManyRows {
+        /// The row's line.
+        line: usize,
+    },
+    /// The file could not be opened or read: the I/O error's message.
+    Io(String),
 }
 
-impl std::fmt::Display for CsvError {
+impl std::fmt::Display for TraceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CsvError::BadHeader => write!(f, "bad CSV header (expected '{HEADER}')"),
-            CsvError::BadArity { line } => write!(f, "line {line}: expected 6 fields"),
-            CsvError::BadField { line, column } => {
+            Self::BadHeader => write!(f, "line 1: bad CSV header (expected '{HEADER}')"),
+            Self::BadArity { line } => write!(f, "line {line}: expected 6 fields"),
+            Self::BadField { line, column } => {
                 write!(f, "line {line}: cannot parse column '{column}'")
             }
-            CsvError::BadValue { line, column } => {
-                write!(
-                    f,
-                    "line {line}: column '{column}' must be a finite, non-negative number, \
-                     with arrival + lifetime at most {MAX_TIME:e}"
-                )
+            Self::BadValue { line, column } => write!(
+                f,
+                "line {line}: column '{column}' must be a finite, non-negative number, \
+                 with arrival + lifetime at most {MAX_TIME:e}"
+            ),
+            Self::NotSorted { line } => write!(f, "line {line}: arrivals must be non-decreasing"),
+            Self::NonDenseId {
+                line,
+                expected,
+                found,
+            } => write!(
+                f,
+                "line {line}: VM ids must be dense and in order (expected {expected}, found {found})"
+            ),
+            Self::NotText { line } => write!(f, "line {line}: not valid UTF-8"),
+            Self::LongLine { line } => write!(f, "line {line}: longer than {BLOCK} bytes"),
+            Self::TooManyRows { line } => {
+                write!(f, "line {line}: a trace holds at most {} rows", u32::MAX)
             }
-            CsvError::NotSorted { line } => {
-                write!(f, "line {line}: arrivals must be non-decreasing")
-            }
+            Self::Io(message) => f.write_str(message),
         }
     }
 }
 
-impl std::error::Error for CsvError {}
+impl std::error::Error for TraceError {}
 
 /// Serialize a workload as CSV (header + one row per VM).
 pub fn to_csv(w: &Workload) -> String {
@@ -124,25 +172,25 @@ pub fn write_row(out: &mut String, vm: &VmRequest) {
 /// Shared by [`from_csv`] and the block reader's row loop
 /// ([`crate::rows`]), so both accept exactly the same rows. The sorted-arrivals check stays
 /// with the callers because it needs cross-row state.
-pub(crate) fn parse_row(row: &str, line: usize) -> Result<VmRequest, CsvError> {
+pub(crate) fn parse_row(row: &str, line: usize) -> Result<VmRequest, TraceError> {
     // Exactly six fields, checked before any of them is parsed, without
     // a per-row allocation.
     let mut split = row.split(',');
     let mut fields = [""; 6];
     for field in &mut fields {
-        *field = split.next().ok_or(CsvError::BadArity { line })?;
+        *field = split.next().ok_or(TraceError::BadArity { line })?;
     }
     if split.next().is_some() {
-        return Err(CsvError::BadArity { line });
+        return Err(TraceError::BadArity { line });
     }
     fn num<T: std::str::FromStr>(
         s: &str,
         line: usize,
         column: &'static str,
-    ) -> Result<T, CsvError> {
+    ) -> Result<T, TraceError> {
         s.trim()
             .parse()
-            .map_err(|_| CsvError::BadField { line, column })
+            .map_err(|_| TraceError::BadField { line, column })
     }
     let vm = VmRequest {
         id: VmId(num(fields[0], line, "id")?),
@@ -153,7 +201,7 @@ pub(crate) fn parse_row(row: &str, line: usize) -> Result<VmRequest, CsvError> {
         lifetime: num(fields[5], line, "lifetime")?,
     };
     match bad_time(vm.arrival, vm.lifetime) {
-        Some(column) => Err(CsvError::BadValue { line, column }),
+        Some(column) => Err(TraceError::BadValue { line, column }),
         None => Ok(vm),
     }
 }
@@ -179,11 +227,11 @@ pub(crate) fn bad_time(arrival: f64, lifetime: f64) -> Option<&'static str> {
 
 /// Parse a workload from CSV produced by [`to_csv`] (or hand-written in
 /// the same schema). `name` labels the resulting workload.
-pub fn from_csv(name: &str, csv: &str) -> Result<Workload, CsvError> {
+pub fn from_csv(name: &str, csv: &str) -> Result<Workload, TraceError> {
     let mut lines = csv.lines().enumerate();
     match lines.next() {
         Some((_, h)) if h.trim() == HEADER => {}
-        _ => return Err(CsvError::BadHeader),
+        _ => return Err(TraceError::BadHeader),
     }
     let mut vms: Vec<VmRequest> = Vec::new();
     let mut last_arrival = f64::NEG_INFINITY;
@@ -195,7 +243,7 @@ pub fn from_csv(name: &str, csv: &str) -> Result<Workload, CsvError> {
         }
         let vm = parse_row(row, line)?;
         if vm.arrival < last_arrival {
-            return Err(CsvError::NotSorted { line });
+            return Err(TraceError::NotSorted { line });
         }
         last_arrival = vm.arrival;
         vms.push(vm);
@@ -203,43 +251,13 @@ pub fn from_csv(name: &str, csv: &str) -> Result<Workload, CsvError> {
     Ok(Workload::from_vms(name, vms))
 }
 
-/// Why the row loop (`rows::ranked_rows`) refused a trace.
-#[derive(Debug)]
-pub(crate) enum ReadError {
-    /// The reader failed, or the bytes were not UTF-8 (an
-    /// [`io::ErrorKind::InvalidData`] error, as `read_to_string` reports
-    /// it), or a line ran past a megabyte.
-    Io(io::Error),
-    /// A row broke the rules [`from_csv`] enforces.
-    Csv(CsvError),
-    /// A row's id is not its 0-based rank. A simulation addresses VMs by
-    /// arrival index, so a gap, duplicate or permutation in the ids would
-    /// place some other row's VM at this row's arrival.
-    NonDenseId {
-        /// 1-based line number.
-        line: usize,
-        /// Rank the row should have carried.
-        expected: u32,
-        /// Id actually found.
-        found: u32,
-    },
-}
-
-impl ReadError {
-    /// Input that is not a trace at all, reported as `read_to_string`
-    /// reports bytes that are not text.
-    pub(crate) fn invalid_data(what: impl Into<String>) -> Self {
-        ReadError::Io(io::Error::new(io::ErrorKind::InvalidData, what.into()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rows::{ranked_rows, BLOCK};
+    use crate::rows::ranked_rows;
     use crate::synthetic::SyntheticConfig;
     use proptest::prelude::*;
-    use std::io::Read;
+    use std::io::{self, Read};
 
     #[test]
     fn roundtrip_preserves_everything_but_name() {
@@ -302,9 +320,9 @@ mod tests {
     fn header_enforced() {
         assert_eq!(
             from_csv("x", "wrong\n1,2,3,4,5,6").unwrap_err(),
-            CsvError::BadHeader
+            TraceError::BadHeader
         );
-        assert_eq!(from_csv("x", "").unwrap_err(), CsvError::BadHeader);
+        assert_eq!(from_csv("x", "").unwrap_err(), TraceError::BadHeader);
     }
 
     #[test]
@@ -321,7 +339,7 @@ mod tests {
             let csv = format!("{HEADER}\n0,1,2,128,0.0,10\n{bad}\n");
             assert_eq!(
                 from_csv("x", &csv).unwrap_err(),
-                CsvError::BadArity { line: 3 },
+                TraceError::BadArity { line: 3 },
                 "row: {bad}"
             );
         }
@@ -329,7 +347,7 @@ mod tests {
         let csv = format!("{HEADER}\n0,one,2,128,0.0,10\n");
         assert_eq!(
             from_csv("x", &csv).unwrap_err(),
-            CsvError::BadField {
+            TraceError::BadField {
                 line: 2,
                 column: "cpu_cores"
             }
@@ -341,7 +359,7 @@ mod tests {
         let csv = format!("{HEADER}\n0,1,2,128,5.0,10\n1,1,2,128,4.0,10\n");
         assert_eq!(
             from_csv("x", &csv).unwrap_err(),
-            CsvError::NotSorted { line: 3 }
+            TraceError::NotSorted { line: 3 }
         );
     }
 
@@ -354,7 +372,7 @@ mod tests {
         let csv = format!("{HEADER}\n0,1,2,128,5.0,10\n1,1,2,128,NaN,10\n2,1,2,128,1.0,10\n");
         assert_eq!(
             from_csv("x", &csv).unwrap_err(),
-            CsvError::BadValue {
+            TraceError::BadValue {
                 line: 3,
                 column: "arrival"
             }
@@ -377,9 +395,9 @@ mod tests {
             ("0,1,2,128,9999999999999.5,0.75", "lifetime"),
         ] {
             let csv = format!("{HEADER}\n{row}\n");
-            let want = CsvError::BadValue { line: 2, column };
+            let want = TraceError::BadValue { line: 2, column };
             assert_eq!(from_csv("x", &csv).unwrap_err(), want, "row: {row}");
-            assert_eq!(verdict(read_rows("x", csv.as_bytes())), Err(want), "{row}");
+            assert_eq!(read_rows("x", csv.as_bytes()), Err(want), "{row}");
         }
         // Zero times are valid (a trace may start at t = 0), and so is a
         // VM that leaves at the bound itself.
@@ -390,7 +408,7 @@ mod tests {
         ] {
             let csv = format!("{HEADER}\n{row}\n");
             assert!(from_csv("x", &csv).is_ok(), "{row}");
-            assert_eq!(verdict(read_rows("x", csv.as_bytes())), from_csv("x", &csv));
+            assert_eq!(read_rows("x", csv.as_bytes()), from_csv("x", &csv));
         }
     }
 
@@ -402,9 +420,9 @@ mod tests {
 
     #[test]
     fn error_display_is_informative() {
-        assert!(CsvError::BadHeader.to_string().contains(HEADER));
-        assert!(CsvError::NotSorted { line: 7 }.to_string().contains('7'));
-        let bad = CsvError::BadValue {
+        assert!(TraceError::BadHeader.to_string().contains(HEADER));
+        assert!(TraceError::NotSorted { line: 7 }.to_string().contains('7'));
+        let bad = TraceError::BadValue {
             line: 9,
             column: "arrival",
         }
@@ -431,7 +449,7 @@ mod tests {
     }
 
     /// The trace the row loop reads off `reader`, each id its row's rank.
-    fn read_rows(name: &str, reader: impl Read) -> Result<Workload, ReadError> {
+    fn read_rows(name: &str, reader: impl Read) -> Result<Workload, TraceError> {
         let mut vms = Vec::new();
         ranked_rows(
             reader,
@@ -448,14 +466,6 @@ mod tests {
             },
         )?;
         Ok(Workload::from_vms(name, vms))
-    }
-
-    /// What the two readers must agree on: the workload, or the error.
-    fn verdict(read: Result<Workload, ReadError>) -> Result<Workload, CsvError> {
-        read.map_err(|e| match e {
-            ReadError::Csv(e) => e,
-            other => panic!("the text reader has no such error: {other:?}"),
-        })
     }
 
     /// An integer field for `value`: mostly plain, sometimes in one of the
@@ -604,12 +614,12 @@ mod tests {
             let text = document(header, &lines, final_newline);
             let dribble = Dribble { rest: text.as_bytes(), sizes: sizes.iter().cycle() };
             prop_assert_eq!(
-                verdict(read_rows("doc", dribble)),
+                read_rows("doc", dribble),
                 from_csv("doc", &text),
                 "document: {:?}", text
             );
             // And handed over whole.
-            prop_assert_eq!(verdict(read_rows("doc", text.as_bytes())), from_csv("doc", &text));
+            prop_assert_eq!(read_rows("doc", text.as_bytes()), from_csv("doc", &text));
         }
     }
 
@@ -688,10 +698,9 @@ mod tests {
         /// Whatever one corruption does to a valid trace, the row loop
         /// (`ranked_rows`) neither panics nor parts from the `str::parse` oracle
         /// [`from_csv`]: the same rows bit for bit, or the same
-        /// [`CsvError`] with the same line and column — or, for bytes
-        /// that are no text, an [`io::ErrorKind::InvalidData`]. Ids that
-        /// are not ranks are refused only where the oracle, which takes
-        /// any ids, accepts the file.
+        /// [`TraceError`] — or, for bytes that are no text, the line that
+        /// holds the first of them. Ids that are not ranks are refused only
+        /// where the oracle, which takes any ids, accepts the file.
         #[test]
         fn corrupted_rows_are_judged_as_the_oracle_judges(
             rows in prop::collection::vec((1u32..=32, 1u32..=32, any::<u64>(), any::<u64>()), 1..12),
@@ -701,12 +710,7 @@ mod tests {
             pick in 0u32..1 << 20,
         ) {
             let bytes = corrupted(&rows, crlf, kind, byte as u8, pick as usize);
-            let read = read_rows("doc", &bytes[..]);
-            let Ok(text) = std::str::from_utf8(&bytes) else {
-                prop_assert!(matches!(&read, Err(ReadError::Io(e)) if e.kind() == io::ErrorKind::InvalidData));
-                return Ok(());
-            };
-            let bits = |w: &Workload| -> Vec<(u32, [u32; 3], u64, u64)> {
+            let bits = |w: Workload| -> Vec<(u32, [u32; 3], u64, u64)> {
                 w.vms()
                     .iter()
                     .map(|vm| {
@@ -715,11 +719,16 @@ mod tests {
                     })
                     .collect()
             };
-            match (read, from_csv("doc", text)) {
-                (Ok(read), Ok(judged)) => prop_assert_eq!(bits(&read), bits(&judged)),
-                (Err(ReadError::Csv(read)), Err(judged)) => prop_assert_eq!(read, judged),
-                (Err(ReadError::NonDenseId { .. }), Ok(_)) => {}
-                (read, judged) => prop_assert!(false, "read {:?}, judged {:?}: {:?}", read.err(), judged.err(), text),
+            let read = read_rows("doc", &bytes[..]).map(bits);
+            let judged = match std::str::from_utf8(&bytes) {
+                Ok(text) => from_csv("doc", text).map(bits),
+                Err(e) => {
+                    let line = 1 + bytes[..e.valid_up_to()].iter().filter(|&&b| b == b'\n').count();
+                    Err(TraceError::NotText { line })
+                }
+            };
+            if !matches!((&read, &judged), (Err(TraceError::NonDenseId { .. }), Ok(_))) {
+                prop_assert_eq!(read, judged, "{:?}", String::from_utf8_lossy(&bytes));
             }
         }
     }
@@ -736,11 +745,12 @@ mod tests {
             seen.insert(match from_csv("doc", &document(header, &lines, true)) {
                 Ok(w) if w.is_empty() => "ok-empty",
                 Ok(_) => "ok",
-                Err(CsvError::BadHeader) => "header",
-                Err(CsvError::BadArity { .. }) => "arity",
-                Err(CsvError::BadField { .. }) => "field",
-                Err(CsvError::BadValue { .. }) => "value",
-                Err(CsvError::NotSorted { .. }) => "sorted",
+                Err(TraceError::BadHeader) => "header",
+                Err(TraceError::BadArity { .. }) => "arity",
+                Err(TraceError::BadField { .. }) => "field",
+                Err(TraceError::BadValue { .. }) => "value",
+                Err(TraceError::NotSorted { .. }) => "sorted",
+                Err(other) => panic!("the text reader has no such error: {other}"),
             });
             Ok(())
         });
@@ -773,35 +783,34 @@ mod tests {
         ] {
             let csv = format!("{HEADER}\n{rows}");
             assert!(from_csv("x", &csv).is_ok(), "the text reader takes any ids");
-            match read_rows("x", csv.as_bytes()).unwrap_err() {
-                ReadError::NonDenseId {
-                    line: l,
-                    expected: e,
-                    found: f,
-                } => {
-                    assert_eq!((l, e, f), (line, expected, found), "rows: {rows}")
-                }
-                other => panic!("expected NonDenseId, got {other:?}"),
-            }
+            assert_eq!(
+                read_rows("x", csv.as_bytes()),
+                Err(TraceError::NonDenseId {
+                    line,
+                    expected,
+                    found
+                }),
+                "rows: {rows}"
+            );
         }
         // Density is judged after the row itself and before its order.
         let csv = format!("{HEADER}\n0,1,2,128,5.0,10\n7,1,2,128,4.0,x\n");
-        assert!(matches!(
-            read_rows("x", csv.as_bytes()).unwrap_err(),
-            ReadError::Csv(CsvError::BadField {
+        assert_eq!(
+            read_rows("x", csv.as_bytes()),
+            Err(TraceError::BadField {
                 line: 3,
                 column: "lifetime"
             })
-        ));
+        );
         let csv = format!("{HEADER}\n0,1,2,128,5.0,10\n7,1,2,128,4.0,10\n");
-        assert!(matches!(
-            read_rows("x", csv.as_bytes()).unwrap_err(),
-            ReadError::NonDenseId {
+        assert_eq!(
+            read_rows("x", csv.as_bytes()),
+            Err(TraceError::NonDenseId {
                 line: 3,
                 expected: 1,
                 found: 7
-            }
-        ));
+            })
+        );
     }
 
     /// Bytes that are not text, and a "line" no row could be, are input
@@ -810,19 +819,16 @@ mod tests {
     fn block_reader_refuses_non_text_and_endless_lines() {
         let mut bytes = format!("{HEADER}\n0,1,2,128,1.0,10\n1,1,2,128,2.0,").into_bytes();
         bytes.extend([0xff, 0xfe, b'\n']);
-        match read_rows("x", &bytes[..]).unwrap_err() {
-            ReadError::Io(e) => {
-                assert_eq!(e.kind(), io::ErrorKind::InvalidData);
-                assert!(e.to_string().contains("UTF-8"));
-            }
-            other => panic!("expected an I/O error, got {other:?}"),
-        }
+        assert_eq!(
+            read_rows("x", &bytes[..]),
+            Err(TraceError::NotText { line: 3 })
+        );
         let mut bytes = format!("{HEADER}\n0,1,2,128,1.0,10\n").into_bytes();
         bytes.resize(bytes.len() + BLOCK + 1, b' ');
-        match read_rows("x", &bytes[..]).unwrap_err() {
-            ReadError::Io(e) => assert!(e.to_string().contains("line 3 is longer than")),
-            other => panic!("expected an I/O error, got {other:?}"),
-        }
+        assert_eq!(
+            read_rows("x", &bytes[..]),
+            Err(TraceError::LongLine { line: 3 })
+        );
         // Two bytes fewer and it is a line (a blank one) that just fits:
         // the read buffer grows to hold it, and the rows behind it count.
         bytes.truncate(bytes.len() - 2);
@@ -835,7 +841,9 @@ mod tests {
                 Err(io::Error::other("disk on fire"))
             }
         }
-        assert!(matches!(read_rows("x", Broken),
-            Err(ReadError::Io(e)) if e.to_string() == "disk on fire"));
+        assert_eq!(
+            read_rows("x", Broken),
+            Err(TraceError::Io("disk on fire".into()))
+        );
     }
 }

@@ -65,9 +65,10 @@ mod trace;
 mod vm;
 
 pub use azure::{AzureShards, AzureSubset};
+pub use csv::TraceError;
 pub use shard::ShardSource;
 pub use stats::WorkloadStats;
 pub use streaming::StreamingShards;
 pub use synthetic::{LifetimeModel, SyntheticConfig, SyntheticShards};
-pub use trace::{TraceFileError, TraceShards};
+pub use trace::TraceShards;
 pub use vm::{VmId, VmRequest, Workload};

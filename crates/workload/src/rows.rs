@@ -1,9 +1,10 @@
 //! The one row loop of a trace file, [`ranked_rows`], and [`fast_row`],
 //! the walk that reads the row a trace writer emits with what a replay
 //! requires of it. A row the walk does not take goes whole to
-//! [`crate::csv`]'s `parse_row` and the checks after it.
+//! [`crate::csv`]'s `parse_row` and the checks after it, which refuse the
+//! trace with a [`TraceError`], the same value `csv::from_csv` returns.
 
-use crate::csv::{bad_time, parse_row, valid_time, CsvError, ReadError, HEADER, MAX_TIME};
+use crate::csv::{bad_time, parse_row, valid_time, TraceError, HEADER, MAX_TIME};
 use crate::decimal::{digits, plain_decimal, short_digits, spelled};
 use crate::vm::VmRequest;
 use std::io::{self, Read};
@@ -66,33 +67,29 @@ pub(crate) const BLOCK: usize = 1 << 20;
 
 /// A whole line, for what [`fast_row`] left alone: the header where it is
 /// due, a blank line (both `None`), a row only [`parse_row`] can judge.
-fn judge(bytes: &[u8], line: usize, headed: bool) -> Result<Option<VmRequest>, ReadError> {
-    let text = std::str::from_utf8(bytes)
-        .map_err(|_| ReadError::invalid_data("stream did not contain valid UTF-8"))?;
+fn judge(bytes: &[u8], line: usize, headed: bool) -> Result<Option<VmRequest>, TraceError> {
+    let text = std::str::from_utf8(bytes).map_err(|_| TraceError::NotText { line })?;
     match (headed, text.trim()) {
         (false, HEADER) | (true, "") => Ok(None),
-        (false, _) => Err(ReadError::Csv(CsvError::BadHeader)),
-        (true, row) => parse_row(row, line).map(Some).map_err(ReadError::Csv),
+        (false, _) => Err(TraceError::BadHeader),
+        (true, row) => parse_row(row, line).map(Some),
     }
 }
 
 /// What a replay requires of `vm`, the row at `line` after `rank` rows that
-/// last arrived at `last`: its id its rank ([`ReadError::NonDenseId`]), its
+/// last arrived at `last`: its id its rank ([`TraceError::NonDenseId`]), its
 /// arrival not before `last`, and room for one more row in a `u32`.
-fn ranked(vm: &VmRequest, line: usize, rank: u32, last: f64) -> Result<(), ReadError> {
+fn ranked(vm: &VmRequest, line: usize, rank: u32, last: f64) -> Result<(), TraceError> {
     if vm.id.0 != rank {
-        Err(ReadError::NonDenseId {
+        Err(TraceError::NonDenseId {
             line,
             expected: rank,
             found: vm.id.0,
         })
     } else if vm.arrival < last {
-        Err(ReadError::Csv(CsvError::NotSorted { line }))
+        Err(TraceError::NotSorted { line })
     } else if rank == u32::MAX {
-        Err(ReadError::invalid_data(format!(
-            "line {line}: a trace holds at most {} rows",
-            u32::MAX
-        )))
+        Err(TraceError::TooManyRows { line })
     } else {
         Ok(())
     }
@@ -107,7 +104,7 @@ fn ranked(vm: &VmRequest, line: usize, rank: u32, last: f64) -> Result<(), ReadE
 pub(crate) fn ranked_rows(
     mut reader: impl Read,
     mut each: impl FnMut(Row),
-) -> Result<(), ReadError> {
+) -> Result<(), TraceError> {
     // `buf[..filled]`: the bytes no complete line has claimed yet (a
     // line's carried head, then the reader's last block).
     let mut buf = vec![0u8; BLOCK >> 4];
@@ -115,17 +112,14 @@ pub(crate) fn ranked_rows(
     let (mut rank, mut last) = (0u32, f64::NEG_INFINITY);
     loop {
         if filled == BLOCK {
-            return Err(ReadError::invalid_data(format!(
-                "line {} is longer than {BLOCK} bytes",
-                line + 1
-            )));
+            return Err(TraceError::LongLine { line: line + 1 });
         } else if filled == buf.len() {
             buf.resize(2 * filled, 0);
         }
         let got = loop {
             match reader.read(&mut buf[filled..]) {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                other => break other.map_err(ReadError::Io)?,
+                other => break other.map_err(|e| TraceError::Io(e.to_string()))?,
             }
         };
         // The carried bytes hold no newline: only the new ones can end a line.
@@ -168,6 +162,6 @@ pub(crate) fn ranked_rows(
     if headed {
         Ok(())
     } else {
-        Err(ReadError::Csv(CsvError::BadHeader))
+        Err(TraceError::BadHeader)
     }
 }

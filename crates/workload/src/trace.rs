@@ -10,7 +10,7 @@
 //!
 //! A replay reads each row's arrival, lifetime and three amounts, and its
 //! id is its rank (a trace file whose ids are not is refused, see
-//! [`TraceFileError::NonDenseId`]). So the store holds no id and no
+//! [`TraceError::NonDenseId`]). So the store holds no id and no
 //! request list: an arrival column, a lifetime column, and a column of
 //! *shape* ids indexing the distinct `(cpu_cores, ram_gb, storage_gb)`
 //! triples in order of first appearance — 20 B a row and 12 B a shape,
@@ -36,7 +36,7 @@
 //! stored one. Because the totals no longer encode the span, it
 //! overrides [`ShardSource::span_units`] with the true last arrival.
 
-use crate::csv::{CsvError, ReadError};
+use crate::csv::TraceError;
 use crate::rows::{self, Row};
 use crate::shard::ShardSource;
 use crate::vm::{VmId, VmRequest, Workload};
@@ -90,17 +90,15 @@ impl TraceShards {
     /// [`crate::csv::from_csv`] accepts, with its errors, each id its row's
     /// rank: validated a block at a time, and never resident as text or as
     /// a request list. The one reader of a trace file. `name` labels the
-    /// workload.
-    pub fn read_csv_file(name: &str, path: impl AsRef<Path>) -> Result<Self, TraceFileError> {
-        let path = path.as_ref();
-        let file = File::open(path).map_err(|e| TraceFileError::io(path, e))?;
+    /// workload; the error does not name the file, which the caller does.
+    pub fn read_csv_file(name: &str, path: impl AsRef<Path>) -> Result<Self, TraceError> {
+        let file = File::open(path).map_err(|e| TraceError::Io(e.to_string()))?;
         let mut loader = Loader::new(name);
         rows::ranked_rows(
             file,
             #[inline(always)]
             |row| loader.push(row),
-        )
-        .map_err(|e| TraceFileError::from_read(path, e))?;
+        )?;
         Ok(loader.finish())
     }
 
@@ -247,79 +245,6 @@ impl ShardSource for TraceShards {
     }
 }
 
-/// Errors raised while loading a CSV trace file
-/// ([`TraceShards::read_csv_file`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceFileError {
-    /// The file could not be read.
-    Io {
-        /// Path that failed.
-        path: String,
-        /// Stringified I/O error.
-        message: String,
-    },
-    /// A row failed CSV validation (same rules as [`crate::csv::from_csv`]).
-    Csv(CsvError),
-    /// VM ids must equal the row's 0-based rank: the streaming arrival
-    /// pipeline addresses VMs by arrival index, so a gap or permutation in
-    /// ids would silently diverge from the materialized path.
-    NonDenseId {
-        /// 1-based line number.
-        line: usize,
-        /// Rank the row should have carried.
-        expected: u32,
-        /// Id actually found.
-        found: u32,
-    },
-}
-
-impl std::fmt::Display for TraceFileError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceFileError::Io { path, message } => {
-                write!(f, "cannot read trace file '{path}': {message}")
-            }
-            TraceFileError::Csv(e) => write!(f, "trace file: {e}"),
-            TraceFileError::NonDenseId {
-                line,
-                expected,
-                found,
-            } => write!(
-                f,
-                "line {line}: VM ids must be dense and in order (expected {expected}, found {found})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for TraceFileError {}
-
-impl TraceFileError {
-    fn io(path: &Path, e: std::io::Error) -> Self {
-        TraceFileError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        }
-    }
-
-    /// A reader's verdict on the file at `path`.
-    fn from_read(path: &Path, e: ReadError) -> Self {
-        match e {
-            ReadError::Io(e) => Self::io(path, e),
-            ReadError::Csv(e) => TraceFileError::Csv(e),
-            ReadError::NonDenseId {
-                line,
-                expected,
-                found,
-            } => TraceFileError::NonDenseId {
-                line,
-                expected,
-                found,
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,35 +273,36 @@ mod tests {
     /// largest request and the span, or the same refusal. A refusal of
     /// ids the text reader takes names the row it read there; bytes that
     /// are no text, or a line past a read block, are the store's alone.
-    fn load(tag: &str, contents: &[u8]) -> Result<TraceShards, TraceFileError> {
+    fn load(tag: &str, contents: &[u8]) -> Result<TraceShards, TraceError> {
         let path =
             std::env::temp_dir().join(format!("risa_trace_{}_{tag}.csv", std::process::id()));
         std::fs::write(&path, contents).unwrap();
         let store = TraceShards::read_csv_file("x", &path);
         std::fs::remove_file(&path).ok();
-        let judged = std::str::from_utf8(contents).map(|text| from_csv("x", text));
-        match (&store, judged) {
-            (Ok(store), Ok(Ok(read))) => {
-                assert_eq!(bits(&materialize(store)), bits(read.vms()), "{tag}");
-                let fold = read.vms().iter().fold((0, 0, 0), |(c, r, s), vm| {
-                    (c.max(vm.cpu_cores), r.max(vm.ram_gb), s.max(vm.storage_gb))
-                });
-                assert_eq!(store.largest_request(), fold, "{tag}");
-                let last = read.vms().last().map_or(0.0, |vm| vm.arrival);
-                assert_eq!(store.span_units().to_bits(), last.to_bits(), "{tag}");
-            }
-            (Err(TraceFileError::Csv(e)), Ok(Err(judged))) => assert_eq!(*e, judged, "{tag}"),
-            (
-                Err(TraceFileError::NonDenseId {
-                    expected, found, ..
-                }),
-                Ok(Ok(read)),
-            ) => {
-                assert_eq!(read.vms()[*expected as usize].id.0, *found, "{tag}");
-            }
-            (Err(TraceFileError::Io { .. }), _) => {}
-            (store, judged) => panic!("{tag}: store {store:?}, text reader {judged:?}"),
+        let Ok(text) = std::str::from_utf8(contents) else {
+            return store;
+        };
+        let judged = from_csv("x", text);
+        if let Err(TraceError::NonDenseId {
+            expected, found, ..
+        }) = store
+        {
+            let read = judged.expect("the text reader takes any ids");
+            assert_eq!(read.vms()[expected as usize].id.0, found, "{tag}");
+            return store;
         }
+        let served = store.as_ref().map(|store| {
+            let span = store.span_units().to_bits();
+            (bits(&materialize(store)), store.largest_request(), span)
+        });
+        let read = judged.map(|read| {
+            let fold = read.vms().iter().fold((0, 0, 0), |(c, r, s), vm| {
+                (c.max(vm.cpu_cores), r.max(vm.ram_gb), s.max(vm.storage_gb))
+            });
+            let span = read.vms().last().map_or(0.0, |vm| vm.arrival).to_bits();
+            (bits(read.vms()), fold, span)
+        });
+        assert_eq!(served.map_err(Clone::clone), read, "{tag}");
         store
     }
 
@@ -491,7 +417,7 @@ mod tests {
     #[test]
     fn dense_ids_are_enforced_by_the_reader_and_the_store() {
         let rows = "0,1,2,128,1.0,10\n2,1,2,128,2.0,10\n";
-        let refused = TraceFileError::NonDenseId {
+        let refused = TraceError::NonDenseId {
             line: 3,
             expected: 1,
             found: 2,
@@ -506,38 +432,34 @@ mod tests {
     }
 
     /// Every file refused is refused when the store opens it, with the
-    /// same [`TraceFileError`], line and column the text reader names.
+    /// same [`TraceError`], line and column the text reader names.
     #[test]
     fn open_validates_eagerly() {
         let missing = TraceShards::read_csv_file("x", "/nonexistent/risa/trace.csv").unwrap_err();
-        assert!(matches!(missing, TraceFileError::Io { .. }));
-        assert!(missing.to_string().contains("/nonexistent/risa/trace.csv"));
+        assert!(matches!(missing, TraceError::Io(_)));
 
         let doc = |rows: &str| format!("{HEADER}\n{rows}").into_bytes();
         let refused = |tag: &str, contents: &[u8]| load(tag, contents).err();
-        assert_eq!(
-            refused("empty", b""),
-            Some(TraceFileError::Csv(CsvError::BadHeader))
-        );
+        assert_eq!(refused("empty", b""), Some(TraceError::BadHeader));
         assert_eq!(
             refused("badheader", b"nope\n0,1,2,128,1.0,10.0\n"),
-            Some(TraceFileError::Csv(CsvError::BadHeader))
+            Some(TraceError::BadHeader)
         );
         for (tag, rows, error) in [
             (
                 "unsorted",
                 "0,1,2,128,5.0,10.0\n1,1,2,128,4.0,10.0\n",
-                CsvError::NotSorted { line: 3 },
+                TraceError::NotSorted { line: 3 },
             ),
             (
                 "arity",
                 "0,1,2,128,1.0,10\n1,1,2,128,2.0\n",
-                CsvError::BadArity { line: 3 },
+                TraceError::BadArity { line: 3 },
             ),
             (
                 "field",
                 "0,1,2,128,1.0,10\n1,1,x,128,2.0,10\n",
-                CsvError::BadField {
+                TraceError::BadField {
                     line: 3,
                     column: "ram_gb",
                 },
@@ -545,41 +467,46 @@ mod tests {
             (
                 "value",
                 "0,1,2,128,1.0,10\n\n1,1,2,128,2.0,1e13\n",
-                CsvError::BadValue {
+                TraceError::BadValue {
                     line: 4,
                     column: "lifetime",
                 },
             ),
+            (
+                "swapped",
+                "1,1,2,128,1.0,10\n0,1,2,128,2.0,10\n",
+                TraceError::NonDenseId {
+                    line: 2,
+                    expected: 0,
+                    found: 1,
+                },
+            ),
+            (
+                "dup",
+                "0,1,2,128,1.0,10\n0,1,2,128,2.0,10\n",
+                TraceError::NonDenseId {
+                    line: 3,
+                    expected: 1,
+                    found: 0,
+                },
+            ),
+            (
+                "gap",
+                "0,1,2,128,1.0,10.0\n5,1,2,128,2.0,10.0\n",
+                TraceError::NonDenseId {
+                    line: 3,
+                    expected: 1,
+                    found: 5,
+                },
+            ),
         ] {
-            assert_eq!(
-                refused(tag, &doc(rows)),
-                Some(TraceFileError::Csv(error)),
-                "{tag}"
-            );
-        }
-        for (tag, rows, line, expected, found) in [
-            ("swapped", "1,1,2,128,1.0,10\n0,1,2,128,2.0,10\n", 2, 0, 1),
-            ("sparse", "0,1,2,128,1.0,10\n2,1,2,128,2.0,10\n", 3, 1, 2),
-            ("dup", "0,1,2,128,1.0,10\n0,1,2,128,2.0,10\n", 3, 1, 0),
-            ("gap", "0,1,2,128,1.0,10.0\n5,1,2,128,2.0,10.0\n", 3, 1, 5),
-        ] {
-            assert_eq!(
-                refused(tag, &doc(rows)),
-                Some(TraceFileError::NonDenseId {
-                    line,
-                    expected,
-                    found
-                }),
-                "{tag}"
-            );
+            assert_eq!(refused(tag, &doc(rows)), Some(error), "{tag}");
         }
         let mut binary = doc("0,1,2,128,1.0,10\n");
         binary.extend([0xc3, 0x28, b'\n']);
-        let refused = refused("binary", &binary).expect("not text");
-        assert!(
-            matches!(&refused, TraceFileError::Io { path, message }
-                if path.ends_with("_binary.csv") && message.contains("UTF-8")),
-            "{refused:?}"
+        assert_eq!(
+            refused("binary", &binary),
+            Some(TraceError::NotText { line: 3 })
         );
     }
 

@@ -54,7 +54,7 @@ impl Workload {
     /// Wrap a VM list, `debug_assert!`ing that it is sorted by arrival. Ids
     /// are not checked: a replay's need for each to be its rank is enforced
     /// where a trace enters one, a file's by `rows::ranked_rows`
-    /// ([`crate::TraceFileError::NonDenseId`]), a workload's by
+    /// ([`crate::TraceError::NonDenseId`]), a workload's by
     /// [`crate::TraceShards::new`]'s `debug_assert!`.
     pub fn from_vms(name: impl Into<String>, vms: Vec<VmRequest>) -> Self {
         debug_assert!(
