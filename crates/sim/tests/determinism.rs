@@ -156,3 +156,56 @@ fn simulation_job_types_are_send_and_sync() {
     assert_send::<risa_sim::DdcSimulation>();
     assert_send::<risa_sim::DdcWorld>();
 }
+
+/// Where every cell of a fixed run matrix ends, one line a run: its name,
+/// the events it dispatched and the FNV-1a digest its checkpoint records
+/// (the report as it stands with the wall clock zeroed, the clock's ticks
+/// and, for a trace file, its bytes). A change that claims to keep
+/// behaviour keeps this file byte for byte; on a mismatch the whole new
+/// table is printed, ready to compare or to check in.
+#[test]
+fn run_digests_match_the_ledger() {
+    let synthetic = ("synthetic-3000-s7", WorkloadSpec::synthetic(3000, 7));
+    let azure = (
+        "azure-3000-s2023",
+        WorkloadSpec::azure(risa_workload::AzureSubset::N3000, 2023),
+    );
+    let csv = (
+        "steady_small.csv",
+        WorkloadSpec::TraceCsv {
+            name: "steady_small".into(),
+            path: "tests/fixtures/steady_small.csv".into(),
+        },
+    );
+    let cells = [(&synthetic, 1), (&azure, 1), (&csv, 1), (&synthetic, 4)];
+    let mut table = String::new();
+    for ((label, spec), scale) in cells {
+        for algorithm in Algorithm::ALL {
+            for faults in [false, true] {
+                let mut builder = risa_sim::SimulationBuilder::new()
+                    .algorithm(algorithm)
+                    .workload(spec.clone())
+                    .topology(risa_topology::TopologyConfig::paper().scaled(scale));
+                if faults {
+                    builder = builder.faults(risa_sim::FaultSpec::canonical());
+                }
+                let mut sim = builder.build();
+                sim.run();
+                let doc: serde::Value =
+                    serde_json::from_str(&sim.checkpoint().to_json()).expect("checkpoint parses");
+                let read = |key| doc.get(key).and_then(serde::Value::as_int).expect(key);
+                let faults = if faults { "faults" } else { "no-faults" };
+                table += &format!(
+                    "{algorithm} {label} x{scale} {faults} {} {:016x}\n",
+                    read("dispatched"),
+                    read("digest"),
+                );
+            }
+        }
+    }
+    let ledger = include_str!("fixtures/digests.txt");
+    assert!(
+        table == ledger,
+        "run digests moved; the new table (tests/fixtures/digests.txt):\n{table}"
+    );
+}
