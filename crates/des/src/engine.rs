@@ -2,20 +2,21 @@
 //! them to a user-supplied [`World`], which may schedule further events
 //! through an [`EventCtx`].
 
-use crate::queue::{EventQueue, QueueEntry};
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::EventTrace;
 
 /// The model being simulated. Implementors own all mutable simulation state
 /// (the datacenter, the scheduler, the metrics) and react to events.
 pub trait World {
-    /// Event payload type delivered by the engine.
-    type Event;
+    /// Event payload type delivered by the engine (`Debug` so that
+    /// [`Simulation::enable_trace`] can render it).
+    type Event: std::fmt::Debug;
 
-    /// Handle one event at `ctx.now()`. New events may be scheduled with
-    /// [`EventCtx::schedule_at`] / [`EventCtx::schedule_in`]; scheduling in
-    /// the past is clamped to "now" (and counted, so tests can assert it
-    /// never happens).
+    /// Handle one event at `ctx.now()`. Follow-up events are scheduled
+    /// only through [`EventCtx::schedule_in`], a delay from now, so a
+    /// handler cannot reach into the past; [`EventQueue::push`]'s
+    /// `assert!` is the one guard of that contract, in every build.
     fn handle(&mut self, ctx: &mut EventCtx<'_, Self::Event>, event: Self::Event);
 
     /// Append the world's next arrivals to `out`, in order: at least one,
@@ -31,45 +32,19 @@ pub trait World {
 
 /// Handle given to [`World::handle`] for scheduling follow-up events.
 pub struct EventCtx<'a, E> {
-    now: SimTime,
     queue: &'a mut EventQueue<E>,
-    clamped: &'a mut u64,
-    stop_requested: &'a mut bool,
 }
 
 impl<E> EventCtx<'_, E> {
-    /// Current simulation time.
+    /// Current simulation time: that of the event being handled.
     #[inline]
     pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedule `event` at absolute time `at` (clamped to `now` if in the
-    /// past, which increments the clamp counter).
-    pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        let at = if at < self.now {
-            *self.clamped += 1;
-            self.now
-        } else {
-            at
-        };
-        self.queue.push(at, event);
+        self.queue.delivered()
     }
 
     /// Schedule `event` after a relative delay from now.
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        self.queue.push(self.now + delay, event);
-    }
-
-    /// Ask the engine to stop after this handler returns, leaving any
-    /// remaining events in the queue (used by "run until condition" logic).
-    pub fn request_stop(&mut self) {
-        *self.stop_requested = true;
-    }
-
-    /// Number of events currently pending (not counting the one in flight).
-    pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.queue.push(self.now() + delay, event);
     }
 }
 
@@ -80,36 +55,19 @@ pub enum RunOutcome {
     Exhausted,
     /// The run hit the supplied horizon; later events remain queued.
     HorizonReached,
-    /// A handler called [`EventCtx::request_stop`].
-    Stopped,
-    /// The step/event budget was consumed.
+    /// The event budget was consumed.
     BudgetExhausted,
 }
 
-/// Result of a single [`Simulation::step`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepOutcome {
-    /// One event was dispatched.
-    Dispatched,
-    /// No events were pending.
-    Empty,
-}
-
-/// The discrete-event engine: a clock, a queue, and a [`World`].
+/// The discrete-event engine: a queue, whose last-delivered time is the
+/// clock, and a [`World`].
 #[derive(Debug)]
 pub struct Simulation<W: World> {
     world: W,
     queue: EventQueue<W::Event>,
-    now: SimTime,
     dispatched: u64,
-    clamped: u64,
-    stop_requested: bool,
-    trace: Option<TraceSlot<W::Event>>,
+    trace: Option<EventTrace>,
 }
-
-/// Trace buffer plus the renderer captured when tracing was enabled (the
-/// `Debug` bound exists only at that call site).
-type TraceSlot<E> = (EventTrace, fn(&E) -> String);
 
 impl<W: World> Simulation<W> {
     /// Wrap `world` with an empty queue at t = 0.
@@ -117,44 +75,30 @@ impl<W: World> Simulation<W> {
         Simulation {
             world,
             queue: EventQueue::new(),
-            now: SimTime::ZERO,
             dispatched: 0,
-            clamped: 0,
-            stop_requested: false,
             trace: None,
         }
     }
 
     /// Keep a ring buffer of the last `capacity` dispatched events for
-    /// post-mortem inspection (requires `Event: Debug`; see
-    /// [`Simulation::trace`]).
-    pub fn enable_trace(&mut self, capacity: usize)
-    where
-        W::Event: std::fmt::Debug,
-    {
-        fn render<E: std::fmt::Debug>(e: &E) -> String {
-            format!("{e:?}")
-        }
+    /// post-mortem inspection (see [`Simulation::trace`]).
+    pub fn enable_trace(&mut self, capacity: usize) {
         // Seed the trace's sequence counter with the events already
         // dispatched, so a trace enabled mid-run (on a resumed checkpoint)
         // numbers its entries exactly as the uninterrupted run would have.
-        self.trace = Some((
-            EventTrace::with_base(capacity, self.dispatched),
-            render::<W::Event>,
-        ));
+        self.trace = Some(EventTrace::with_base(capacity, self.dispatched));
     }
 
     /// The event trace, when enabled.
     pub fn trace(&self) -> Option<&EventTrace> {
-        self.trace.as_ref().map(|(t, _)| t)
+        self.trace.as_ref()
     }
 
     /// Schedule an event before (or during) the run.
     ///
     /// # Panics
     /// If `at` precedes [`Simulation::now`], the time of the last event
-    /// dispatched: the queue only moves forward (handlers get the same
-    /// guarantee from [`EventCtx::schedule_at`], which clamps to now).
+    /// dispatched: the queue only moves forward ([`EventQueue::push`]).
     pub fn schedule(&mut self, at: SimTime, event: W::Event) {
         self.queue.push(at, event);
     }
@@ -179,9 +123,9 @@ impl<W: World> Simulation<W> {
         &self.queue
     }
 
-    /// Current simulation clock. Advances only when events are dispatched.
+    /// Current simulation clock: the time of the last event dispatched.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.queue.delivered()
     }
 
     /// Shared view of the model.
@@ -204,17 +148,6 @@ impl<W: World> Simulation<W> {
         self.dispatched
     }
 
-    /// How many schedule-in-the-past requests were clamped to "now".
-    /// A correct model keeps this at zero; tests assert on it.
-    pub fn clamped_schedules(&self) -> u64 {
-        self.clamped
-    }
-
-    /// Number of pending events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Delivery time of the next event to dispatch, `None` once none is
     /// left: the queue's head, the arrival lane fed first as a dispatch
     /// feeds it.
@@ -232,43 +165,13 @@ impl<W: World> Simulation<W> {
             .feed_arrivals(|out, max| world.fill_arrivals(out, max));
     }
 
-    /// Dispatch the single earliest event, advancing the clock to it.
-    pub fn step(&mut self) -> StepOutcome {
-        self.feed_lane();
-        self.dispatch_next()
-    }
-
-    /// [`Simulation::step`] behind a [`Simulation::feed_lane`].
-    fn dispatch_next(&mut self) -> StepOutcome {
-        let Some(entry) = self.queue.pop() else {
-            return StepOutcome::Empty;
-        };
-        self.dispatch(entry);
-        StepOutcome::Dispatched
-    }
-
-    /// Advance the clock to `entry` and hand it to the world.
-    fn dispatch(&mut self, entry: QueueEntry<W::Event>) {
-        self.now = entry.at;
-        self.dispatched += 1;
-        if let Some((trace, render)) = &mut self.trace {
-            trace.record_rendered(entry.at, render(&entry.event));
-        }
-        let mut ctx = EventCtx {
-            now: self.now,
-            queue: &mut self.queue,
-            clamped: &mut self.clamped,
-            stop_requested: &mut self.stop_requested,
-        };
-        self.world.handle(&mut ctx, entry.event);
-    }
-
-    /// Run until the queue drains or a handler requests a stop.
+    /// Run until the queue drains.
     pub fn run_to_completion(&mut self) -> RunOutcome {
         self.run_until(SimTime::MAX, u64::MAX)
     }
 
-    /// Run while `peek_time <= horizon`, at most `max_events` dispatches.
+    /// Run while `peek_time <= horizon`, at most `max_events` dispatches
+    /// (a budget of 1 is a single step).
     ///
     /// Events scheduled exactly at the horizon *are* dispatched; the first
     /// event strictly beyond it ends the run with
@@ -281,12 +184,8 @@ impl<W: World> Simulation<W> {
     /// [`RunOutcome::BudgetExhausted`] means *undispatched work at or
     /// before the horizon remains*.
     pub fn run_until(&mut self, horizon: SimTime, max_events: u64) -> RunOutcome {
-        self.stop_requested = false;
         let mut budget = max_events;
         loop {
-            if self.stop_requested {
-                return RunOutcome::Stopped;
-            }
             self.feed_lane();
             // One merge a dispatch: the pop is the peek.
             let due = (budget > 0).then(|| self.queue.pop_through(horizon));
@@ -297,7 +196,14 @@ impl<W: World> Simulation<W> {
                     Some(_) => RunOutcome::BudgetExhausted,
                 };
             };
-            self.dispatch(entry);
+            self.dispatched += 1;
+            if let Some(trace) = &mut self.trace {
+                trace.record(entry.at, &entry.event);
+            }
+            let mut ctx = EventCtx {
+                queue: &mut self.queue,
+            };
+            self.world.handle(&mut ctx, entry.event);
             budget -= 1;
         }
     }
@@ -355,7 +261,6 @@ mod tests {
         // Last departure: arrival at t=6 departs at t=11.
         assert_eq!(sim.now(), SimTime::from_units(11.0));
         assert_eq!(sim.dispatched(), 8);
-        assert_eq!(sim.clamped_schedules(), 0);
     }
 
     #[test]
@@ -376,7 +281,7 @@ mod tests {
             RunOutcome::HorizonReached
         );
         assert_eq!(sim.world().departures, 0);
-        assert_eq!(sim.pending(), 1, "the departure stays queued");
+        assert_eq!(sim.queue().len(), 1, "the departure stays queued");
     }
 
     #[test]
@@ -444,7 +349,7 @@ mod tests {
 
     /// The arrival lane is observationally identical to scheduling every
     /// arrival up front — same event order, same world state, through
-    /// `run_until` and through `step` — while the FEL holds only the
+    /// `run_until` and one event at a time — while the FEL holds only the
     /// dynamically scheduled departures and the world is asked for its
     /// arrivals a window at a time.
     #[test]
@@ -465,13 +370,13 @@ mod tests {
                 total,
             });
             sim.attach_arrivals(total as usize);
-            assert_eq!(sim.pending(), 50, "pending counts the arrival lane");
+            assert_eq!(sim.queue().len(), 50, "the length counts the arrival lane");
             sim
         };
         let mut run = preloaded();
         assert_eq!(run.run_to_completion(), RunOutcome::Exhausted);
         let mut stepped = preloaded();
-        while stepped.step() == StepOutcome::Dispatched {}
+        while stepped.run_until(SimTime::MAX, 1) == RunOutcome::BudgetExhausted {}
         for fed in [&run, &stepped] {
             assert_eq!(pushed.world().log, fed.world().toy.log);
             assert_eq!(pushed.dispatched(), fed.dispatched());
@@ -482,46 +387,6 @@ mod tests {
             assert_eq!(fed.queue().peak_arrival_window(), 7);
         }
         assert_eq!(pushed.queue().peak_fel_len(), 50);
-    }
-
-    #[test]
-    fn stop_request_halts_immediately() {
-        struct Stopper(u32);
-        impl World for Stopper {
-            type Event = u32;
-            fn handle(&mut self, ctx: &mut EventCtx<'_, u32>, ev: u32) {
-                self.0 += 1;
-                if ev == 2 {
-                    ctx.request_stop();
-                }
-            }
-        }
-        let mut sim = Simulation::new(Stopper(0));
-        for i in 0..10 {
-            sim.schedule(SimTime::from_units(i as f64), i);
-        }
-        assert_eq!(sim.run_to_completion(), RunOutcome::Stopped);
-        assert_eq!(sim.world().0, 3, "events 0,1,2 ran; 3.. remained");
-        assert_eq!(sim.pending(), 7);
-    }
-
-    #[test]
-    fn past_schedules_are_clamped_and_counted() {
-        struct PastScheduler;
-        impl World for PastScheduler {
-            type Event = bool;
-            fn handle(&mut self, ctx: &mut EventCtx<'_, bool>, first: bool) {
-                if first {
-                    // Deliberately schedule "yesterday".
-                    ctx.schedule_at(SimTime::ZERO, false);
-                }
-            }
-        }
-        let mut sim = Simulation::new(PastScheduler);
-        sim.schedule(SimTime::from_units(10.0), true);
-        sim.run_to_completion();
-        assert_eq!(sim.clamped_schedules(), 1);
-        assert_eq!(sim.now(), SimTime::from_units(10.0));
     }
 
     #[test]

@@ -32,16 +32,17 @@
 //!
 //! Time only moves forward: [`EventQueue::push`] refuses (an `assert!`,
 //! in every build) an entry earlier than the last one delivered from
-//! either lane — [`EventCtx`] clamps to now, so a handler never trips it.
-//! That contract is what lets the FEL be a monotone radix heap over the
-//! tick count rather than a comparison heap: a push is a bit scan, and an
-//! entry moves down at most 64 times before it is popped, FIFO among
-//! equal times (`src/queue.rs` has the layout). A proptest
-//! (`tests/fel_props.rs`) pins strict `(time, seq)` pop order under
-//! push/pop interleavings of both lanes that keep the contract — times
-//! from same-tick bursts to spans of 2⁴¹ ticks — against one linear-scan
-//! model (`src/arrivals.rs` states the contract an arrival producer must
-//! uphold).
+//! either lane. That `assert!` is the contract's one guard; handlers
+//! schedule only through [`EventCtx::schedule_in`], a delay from now, and
+//! the engine's clock *is* the queue's last-delivered time. That contract
+//! is what lets the FEL be a monotone radix heap over the tick count
+//! rather than a comparison heap: a push is a bit scan, and an entry
+//! moves down at most 64 times before it is popped, FIFO among equal
+//! times (`src/queue.rs` has the layout). A proptest (`tests/fel_props.rs`)
+//! pins strict `(time, seq)` pop order under push/pop interleavings of
+//! both lanes that keep the contract — times from same-tick bursts to
+//! spans of 2⁴¹ ticks — against one linear-scan model (`src/arrivals.rs`
+//! states the contract an arrival producer must uphold).
 //!
 //! ```
 //! use risa_des::{Simulation, SimDuration, SimTime, World, EventCtx};
@@ -74,7 +75,7 @@ mod queue;
 mod time;
 mod trace;
 
-pub use engine::{EventCtx, RunOutcome, Simulation, StepOutcome, World};
+pub use engine::{EventCtx, RunOutcome, Simulation, World};
 pub use queue::{EventKey, EventQueue, QueueEntry};
 pub use time::{SimDuration, SimTime, TICKS_PER_UNIT};
 pub use trace::{EventTrace, TraceEntry};

@@ -269,6 +269,13 @@ impl<E> EventQueue<E> {
         Some(QueueEntry { at, seq, event })
     }
 
+    /// Time of the last entry delivered from either lane (t = 0 before
+    /// the first): the engine's clock, and the earliest a push may be.
+    #[inline]
+    pub(crate) fn delivered(&self) -> SimTime {
+        self.delivered
+    }
+
     /// Number of pending events across both lanes.
     pub fn len(&self) -> usize {
         self.stream_remaining() + self.fel_len()

@@ -98,12 +98,6 @@ impl SimDuration {
     pub fn as_seconds(self) -> f64 {
         self.as_units()
     }
-
-    /// True when the duration is zero ticks long.
-    #[inline]
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
 }
 
 impl Add<SimDuration> for SimTime {

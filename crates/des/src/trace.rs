@@ -53,19 +53,13 @@ impl EventTrace {
 
     /// Record one dispatched event.
     pub fn record<E: fmt::Debug>(&mut self, at: SimTime, event: &E) {
-        self.record_rendered(at, format!("{event:?}"));
-    }
-
-    /// Record an already-rendered event (used by the engine, whose event
-    /// type is only known to be `Debug` at trace-enable time).
-    pub fn record_rendered(&mut self, at: SimTime, rendered: String) {
         if self.entries.len() == self.capacity {
             self.entries.pop_front();
         }
         self.entries.push_back(TraceEntry {
             at,
             seq: self.recorded,
-            rendered,
+            rendered: format!("{event:?}"),
         });
         self.recorded += 1;
     }
