@@ -320,13 +320,17 @@ fn recipe_from_value(v: &Value) -> Result<SimulationBuilder, Error> {
     if sched_timing_batch == 0 {
         return Err(Error::new("sched_timing_batch must be at least 1"));
     }
+    let faults = Option::<FaultSpec>::from_value(field(v, "faults")?)?;
+    if let Some(faults) = &faults {
+        faults.validate().map_err(Error::new)?;
+    }
     Ok(SimulationBuilder {
         cfg,
         algorithm: Algorithm::from_value(field(v, "algorithm")?)?,
         workload,
         audit: bool::from_value(field(v, "audit")?)?,
         sched_timing_batch,
-        faults: Option::<FaultSpec>::from_value(field(v, "faults")?)?,
+        faults,
         checkpoint_every,
     })
 }

@@ -76,11 +76,11 @@ fn azure_specs(seed: u64) -> Vec<WorkloadSpec> {
 /// workload (paper: NULB 255, NALB 255, RISA 7, RISA-BF 2), plus the §5.1
 /// average utilizations (paper: CPU 64.66 %, RAM 65.11 %, storage 31.72 %).
 pub fn fig5(seed: u64) -> ExperimentReport {
-    fig5_with(seed, &WorkloadSpec::synthetic_paper(seed))
+    fig5_with(&WorkloadSpec::synthetic_paper(seed))
 }
 
 /// Figure 5 on an arbitrary synthetic spec (scaled-down test hook).
-pub fn fig5_with(_seed: u64, spec: &WorkloadSpec) -> ExperimentReport {
+pub fn fig5_with(spec: &WorkloadSpec) -> ExperimentReport {
     let cfg = SimConfig::paper();
     let runs = run_matrix(&cfg, std::slice::from_ref(spec), &Algorithm::ALL, true);
     let mut t = Table::new(
@@ -502,7 +502,7 @@ mod tests {
     #[test]
     fn fig5_shape_small() {
         let spec = WorkloadSpec::Synthetic(risa_workload::SyntheticConfig::small(1200, 42));
-        let rep = fig5_with(42, &spec);
+        let rep = fig5_with(&spec);
         let by = |a: Algorithm| rep.run(a, "synthetic").unwrap();
         let (nulb, nalb, risa, bf) = (
             by(Algorithm::Nulb).inter_rack_assignments,

@@ -86,6 +86,28 @@ impl FaultSpec {
             migration_delay_per_unit: 0.05,
         }
     }
+
+    /// Check that every rate, repair fraction and delay is finite and
+    /// non-negative: a negative one would schedule a repair or migration
+    /// in the past, or read as "never fails".
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, value) in [
+            ("rack_failures_per_span", self.rack_failures_per_span),
+            ("rack_downtime_frac", self.rack_downtime_frac),
+            ("trunk_downs_per_span", self.trunk_downs_per_span),
+            ("trunk_downtime_frac", self.trunk_downtime_frac),
+            ("xcvr_downs_per_span", self.xcvr_downs_per_span),
+            ("xcvr_downtime_frac", self.xcvr_downtime_frac),
+            ("migration_delay_per_unit", self.migration_delay_per_unit),
+        ] {
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(format!(
+                    "FaultSpec: {name} must be finite and >= 0 (got {value})"
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Resilience metrics of one run under fault injection; `None` in

@@ -107,10 +107,8 @@ pub struct DdcWorld {
     pub(crate) sched: SchedTimer,
     /// Latest event time seen, in paper units.
     pub(crate) end_time: f64,
-    /// Currently resident VMs.
-    pub(crate) resident: u32,
-    /// High-water mark of `resident` — the bound the two-lane event
-    /// queue's FEL length is tested against.
+    /// High-water mark of [`DdcWorld::resident`] — the bound the two-lane
+    /// event queue's FEL length is tested against.
     pub(crate) peak_resident: u32,
     /// Optional independent auditor replaying every assignment, keyed by
     /// VM index, against a shadow ledger; violations fail the run loudly.
@@ -144,7 +142,6 @@ impl DdcWorld {
             optical_energy_j: 0.0,
             sched: SchedTimer::new(DEFAULT_SCHED_TIMING_BATCH),
             end_time: 0.0,
-            resident: 0,
             peak_resident: 0,
             auditor: None,
             faults: None,
@@ -190,7 +187,7 @@ impl DdcWorld {
 
     /// Currently resident (admitted, not yet departed) VMs.
     pub fn resident(&self) -> u32 {
-        self.resident
+        self.assignments.occupied() as u32
     }
 
     /// High-water mark of [`DdcWorld::resident`] over the run.
@@ -225,8 +222,7 @@ impl DdcWorld {
             auditor.admit(&self.cluster, idx, &a);
         }
         self.assignments.insert(idx, a);
-        self.resident += 1;
-        self.peak_resident = self.peak_resident.max(self.resident);
+        self.peak_resident = self.peak_resident.max(self.resident());
     }
 
     /// Free VM `idx`'s resources and return its placement; `None` if it
@@ -237,7 +233,6 @@ impl DdcWorld {
         if let Some(auditor) = self.auditor.as_mut() {
             auditor.release(idx);
         }
-        self.resident -= 1;
         Some(a)
     }
 

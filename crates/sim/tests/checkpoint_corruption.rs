@@ -141,6 +141,7 @@ fn truncation_at_every_byte_is_a_document_error() {
 #[test]
 fn out_of_range_recipe_values_are_document_errors() {
     let synthetic = |key: &'static str| ["recipe", "workload", "Synthetic", key];
+    let faults = |key: &'static str| ["recipe", "faults", key];
     let pair = |lo: i128, hi: i128| Value::Seq(vec![Value::Int(lo), Value::Int(hi)]);
     for (path, value) in [
         (&["recipe", "sched_timing_batch"][..], Value::Int(0)),
@@ -151,6 +152,9 @@ fn out_of_range_recipe_values_are_document_errors() {
         (&synthetic("cpu_cores"), pair(32, 1)),
         (&synthetic("cpu_cores"), pair(0, 0)),
         (&synthetic("lifetime_step_every"), Value::Int(0)),
+        (&faults("rack_downtime_frac"), Value::Float(-0.5)),
+        (&faults("migration_delay_per_unit"), Value::Float(-1.0)),
+        (&faults("rack_failures_per_span"), Value::Float(-0.35)),
     ] {
         let err = resume(&with(path, value));
         assert!(

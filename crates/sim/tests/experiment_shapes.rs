@@ -58,7 +58,7 @@ fn rendered_reports_are_complete() {
     assert!(f6.runs.is_empty(), "fig6 is workload-only");
 
     // A reduced fig5 renders a table plus the bar chart.
-    let f5 = experiments::fig5_with(3, &WorkloadSpec::Synthetic(SyntheticConfig::small(150, 3)));
+    let f5 = experiments::fig5_with(&WorkloadSpec::Synthetic(SyntheticConfig::small(150, 3)));
     assert!(f5.rendered.contains("Figure 5"));
     assert!(f5.rendered.contains('#'), "bar chart present");
     assert_eq!(f5.runs.len(), 4);

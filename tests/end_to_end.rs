@@ -111,7 +111,7 @@ fn drop_accounting_balances_under_overload() {
 /// The experiment matrix runner produces a complete, labelled grid.
 #[test]
 fn experiment_matrix_is_complete() {
-    let rep = experiments::fig5_with(1, &WorkloadSpec::Synthetic(SyntheticConfig::small(200, 1)));
+    let rep = experiments::fig5_with(&WorkloadSpec::Synthetic(SyntheticConfig::small(200, 1)));
     assert_eq!(rep.runs.len(), 4);
     for a in Algorithm::ALL {
         assert!(rep.run(a, "synthetic").is_some(), "{a} missing");
